@@ -7,18 +7,16 @@
 //! does: threshold allocation, signature enumeration, candidate
 //! generation, verification.
 
-use crate::alloc::{allocate, AllocatorKind};
-use crate::cn::{build_estimator, CnEstimator, CnTable, EstimatorKind};
+use crate::alloc::AllocatorKind;
+use crate::cn::{build_estimator, EstimatorKind};
 use crate::cost::CostModel;
 use crate::index::InvertedIndex;
 use crate::partition_opt::{build_partitioning, PartitionStrategy, WorkloadSpec};
-use crate::pigeonhole::ThresholdVector;
-use hamming_core::enumerate::{ball_size, for_each_in_ball_u64, for_each_in_ball_words};
+use crate::pipeline::{Plan, Store};
+use hamming_core::distance::hamming;
 use hamming_core::error::{HammingError, Result};
-use hamming_core::key::key_of;
 use hamming_core::project::{ProjectedDataset, Projector};
 use hamming_core::{Dataset, Partitioning};
-use parking_lot::Mutex;
 use std::time::Instant;
 
 /// Engine configuration.
@@ -123,27 +121,56 @@ pub struct SearchResult {
     pub stats: QueryStats,
 }
 
-/// Query-time scratch (visited stamps + buffers), pooled to keep
-/// `search(&self)` allocation-free after warm-up.
-pub(crate) struct Scratch {
-    stamps: Vec<u32>,
-    epoch: u32,
-    candidates: Vec<u32>,
-    keys: Vec<u64>,
+/// The resident [`Store`]: rows, CSR postings and projected columns
+/// all on the heap.
+pub(crate) struct Resident {
+    pub(crate) data: Dataset,
+    pub(crate) index: InvertedIndex,
+    pub(crate) projected: ProjectedDataset,
 }
 
-impl Scratch {
-    fn new(n: usize) -> Self {
-        Scratch { stamps: vec![0; n], epoch: 0, candidates: Vec::new(), keys: Vec::new() }
+impl Store for Resident {
+    fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    #[inline]
+    fn with_postings(&self, part: usize, key: u64, f: impl FnOnce(&[u32])) {
+        f(self.index.postings(part, key))
+    }
+
+    /// Scans the projected column — exactly the rows a full enumeration
+    /// would have probed.
+    fn scan_part(&self, part: usize, q_proj: &[u64], radius: usize, mut emit: impl FnMut(u32)) {
+        let col = self.projected.column(part);
+        for id in 0..self.data.len() {
+            if hamming(col.value(id), q_proj) as usize <= radius {
+                emit(id as u32);
+            }
+        }
+    }
+
+    /// The deduplicated candidate buffer goes to the batched kernel in
+    /// one streaming pass (width-specialized, SIMD when enabled)
+    /// instead of a per-candidate `hamming_within` call.
+    fn verify(&self, query: &[u64], tau: u32, candidates: &mut Vec<u32>, out: &mut Vec<u32>) {
+        self.data.verify_candidates(query, tau, candidates, out);
+        out.sort_unstable();
+    }
+
+    fn distance_to(&self, id: usize, query: &[u64]) -> u32 {
+        self.data.distance_to(id, query)
     }
 }
 
 /// The built GPH index.
 ///
-/// Field visibility is `pub(crate)` so the [`crate::snapshot`] module can
-/// persist and restore engines without re-running the offline phase. The
-/// index is frozen once built; for insert/delete/upsert workloads wrap it
-/// in [`crate::segment::SegmentedGph`].
+/// A thin owner of a query plan and the resident store it runs over
+/// (the one pipeline lives in `pipeline.rs`). Field visibility is
+/// `pub(crate)` so the [`crate::snapshot`] module can persist and
+/// restore engines without re-running the offline phase. The index is
+/// frozen once built; for insert/delete/upsert workloads wrap it in
+/// [`crate::segment::SegmentedGph`].
 ///
 /// # Example
 ///
@@ -167,18 +194,9 @@ impl Scratch {
 /// assert_eq!(engine.search_topk(q1.words(), 2), vec![(0, 1), (1, 4)]);
 /// ```
 pub struct Gph {
-    pub(crate) data: Dataset,
-    pub(crate) partitioning: Partitioning,
-    pub(crate) projector: Projector,
-    pub(crate) index: InvertedIndex,
-    pub(crate) projected: ProjectedDataset,
-    pub(crate) estimator: Box<dyn CnEstimator>,
-    pub(crate) estimator_kind: EstimatorKind,
-    pub(crate) allocator: AllocatorKind,
-    pub(crate) cost_model: CostModel,
-    pub(crate) tau_max: usize,
+    pub(crate) plan: Plan,
+    pub(crate) store: Resident,
     pub(crate) build_stats: BuildStats,
-    pub(crate) scratch_pool: Mutex<Vec<Scratch>>,
 }
 
 impl Gph {
@@ -215,20 +233,17 @@ impl Gph {
         let estimator = build_estimator(&cfg.estimator, &projected, cfg.tau_max)?;
         stats.estimator_ms = t2.elapsed().as_millis() as u64;
 
-        Ok(Gph {
-            data,
+        let plan = Plan {
             partitioning,
             projector,
-            index,
-            projected,
             estimator,
             estimator_kind: cfg.estimator.clone(),
             allocator: cfg.allocator,
             cost_model: cfg.cost_model.clone(),
             tau_max: cfg.tau_max,
-            build_stats: stats,
-            scratch_pool: Mutex::new(Vec::new()),
-        })
+            scratch_pool: Default::default(),
+        };
+        Ok(Gph { plan, store: Resident { data, index, projected }, build_stats: stats })
     }
 
     /// Serializes the built engine into a checksummed snapshot: the
@@ -260,7 +275,7 @@ impl Gph {
 
     /// The estimator kind this engine was built with.
     pub fn estimator_kind(&self) -> &EstimatorKind {
-        &self.estimator_kind
+        &self.plan.estimator_kind
     }
 
     /// All vectors within `tau` of `query` (exact; ascending IDs).
@@ -270,118 +285,7 @@ impl Gph {
 
     /// Search with per-phase instrumentation.
     pub fn search_with_stats(&self, query: &[u64], tau: u32) -> SearchResult {
-        assert!(
-            tau as usize <= self.tau_max,
-            "tau {tau} exceeds the configured tau_max {}",
-            self.tau_max
-        );
-        assert_eq!(
-            query.len(),
-            self.data.words_per_vec(),
-            "query width mismatch with indexed data"
-        );
-        let mut stats = QueryStats::default();
-        let m = self.partitioning.num_parts();
-
-        // --- Phase 1: CN estimation + threshold allocation ------------
-        let t0 = Instant::now();
-        let q_proj: Vec<Vec<u64>> = (0..m).map(|i| self.projector.project(i, query)).collect();
-        let thresholds = if m == 1 {
-            ThresholdVector(vec![tau as i32])
-        } else {
-            let cn = CnTable::compute(self.estimator.as_ref(), &q_proj, tau as usize);
-            let tv = allocate(self.allocator, &cn, tau);
-            stats.estimated_cost = cn.sum_for(&tv);
-            tv
-        };
-        stats.alloc_ns = t0.elapsed().as_nanos() as u64;
-        stats.thresholds = thresholds.0.clone();
-
-        // --- Phases 2+3: signature enumeration + candidate generation --
-        let mut scratch =
-            self.scratch_pool.lock().pop().unwrap_or_else(|| Scratch::new(self.data.len()));
-        if scratch.stamps.len() < self.data.len() {
-            scratch.stamps.resize(self.data.len(), 0);
-        }
-        scratch.epoch = scratch.epoch.wrapping_add(1);
-        if scratch.epoch == 0 {
-            scratch.stamps.iter_mut().for_each(|s| *s = u32::MAX);
-            scratch.epoch = 1;
-        }
-        let epoch = scratch.epoch;
-        scratch.candidates.clear();
-
-        for (i, &ti) in thresholds.0.iter().enumerate() {
-            if ti < 0 {
-                continue;
-            }
-            let shape = self.projector.shape(i);
-            let width = shape.width;
-            let radius = (ti as usize).min(width);
-            // When the signature ball outnumbers the data, scanning the
-            // projected column is strictly cheaper than enumerating and
-            // probing; equivalent output, bounded worst case.
-            let ball = ball_size(width, radius);
-            if ball > self.data.len() as u64 && !self.data.is_empty() {
-                let t2 = Instant::now();
-                let col = self.projected.column(i);
-                let qv = &q_proj[i];
-                stats.n_scanned += self.data.len() as u64;
-                for id in 0..self.data.len() {
-                    if hamming_core::distance::hamming(col.value(id), qv) as usize <= radius
-                        && scratch.stamps[id] != epoch
-                    {
-                        scratch.stamps[id] = epoch;
-                        scratch.candidates.push(id as u32);
-                    }
-                }
-                stats.candgen_ns += t2.elapsed().as_nanos() as u64;
-                continue;
-            }
-            // Enumerate signatures first (timed separately, as the paper
-            // decomposes), then probe.
-            let t1 = Instant::now();
-            scratch.keys.clear();
-            if width <= 64 {
-                let center = q_proj[i].first().copied().unwrap_or(0);
-                for_each_in_ball_u64(center, width, radius, |v| scratch.keys.push(v));
-            } else {
-                for_each_in_ball_words(&q_proj[i], width, radius, |w| {
-                    scratch.keys.push(key_of(w, width))
-                });
-            }
-            stats.n_signatures += scratch.keys.len() as u64;
-            stats.enumerate_ns += t1.elapsed().as_nanos() as u64;
-
-            let t2 = Instant::now();
-            for &key in &scratch.keys {
-                let postings = self.index.postings(i, key);
-                stats.sum_postings += postings.len() as u64;
-                for &id in postings {
-                    let idu = id as usize;
-                    if scratch.stamps[idu] != epoch {
-                        scratch.stamps[idu] = epoch;
-                        scratch.candidates.push(id);
-                    }
-                }
-            }
-            stats.candgen_ns += t2.elapsed().as_nanos() as u64;
-        }
-        stats.n_candidates = scratch.candidates.len() as u64;
-
-        // --- Phase 4: verification -------------------------------------
-        // The deduplicated candidate buffer goes to the batched kernel in
-        // one streaming pass (width-specialized, SIMD when enabled)
-        // instead of a per-candidate `hamming_within` call.
-        let t3 = Instant::now();
-        let mut ids: Vec<u32> = Vec::with_capacity(scratch.candidates.len());
-        self.data.verify_candidates(query, tau, &scratch.candidates, &mut ids);
-        ids.sort_unstable();
-        stats.verify_ns = t3.elapsed().as_nanos() as u64;
-        stats.n_results = ids.len() as u64;
-
-        self.scratch_pool.lock().push(scratch);
-        SearchResult { ids, stats }
+        self.plan.search_with_stats(&self.store, query, tau)
     }
 
     /// Estimated query-processing cost for `(query, tau)` without running
@@ -389,17 +293,7 @@ impl Gph {
     /// choose. §VI notes this enables service-level guarantees: the
     /// provider can predict response cost from the allocator alone.
     pub fn estimate_cost(&self, query: &[u64], tau: u32) -> f64 {
-        assert!(tau as usize <= self.tau_max, "tau exceeds tau_max");
-        let m = self.partitioning.num_parts();
-        let q_proj: Vec<Vec<u64>> = (0..m).map(|i| self.projector.project(i, query)).collect();
-        if m == 1 {
-            let mut row = vec![0.0; tau as usize + 2];
-            self.estimator.fill(0, &q_proj[0], tau as usize, &mut row);
-            return self.cost_model.query_cost(row[tau as usize + 1], tau);
-        }
-        let cn = CnTable::compute(self.estimator.as_ref(), &q_proj, tau as usize);
-        let tv = allocate(self.allocator, &cn, tau);
-        self.cost_model.query_cost(cn.sum_for(&tv), tau)
+        self.plan.estimate_cost(query, tau)
     }
 
     /// Top-k search by threshold escalation: grows τ until at least `k`
@@ -407,7 +301,7 @@ impl Gph {
     /// nearest by exact distance. The common retrieval mode of MIH-style
     /// systems, reused by the image-retrieval example.
     pub fn search_topk(&self, query: &[u64], k: usize) -> Vec<(u32, u32)> {
-        self.search_topk_within(query, k, self.tau_max as u32)
+        self.search_topk_within(query, k, self.plan.tau_max as u32)
     }
 
     /// Top-k with the escalation radius capped at `tau_cap ≤ tau_max`:
@@ -416,23 +310,7 @@ impl Gph {
     /// are the serving layer's degraded mode — admission control bounds
     /// the worst-case escalation cost by shrinking the radius.
     pub fn search_topk_within(&self, query: &[u64], k: usize, tau_cap: u32) -> Vec<(u32, u32)> {
-        assert!(
-            tau_cap as usize <= self.tau_max,
-            "tau_cap {tau_cap} exceeds the configured tau_max {}",
-            self.tau_max
-        );
-        let mut tau = 0u32;
-        loop {
-            let ids = self.search(query, tau);
-            if ids.len() >= k || tau >= tau_cap {
-                let mut scored: Vec<(u32, u32)> =
-                    ids.iter().map(|&id| (id, self.data.distance_to(id as usize, query))).collect();
-                scored.sort_by_key(|&(id, d)| (d, id));
-                scored.truncate(k);
-                return scored;
-            }
-            tau = (tau * 2).max(tau + 1).min(tau_cap);
-        }
+        self.plan.search_topk_within(&self.store, query, k, tau_cap)
     }
 
     /// Similarity self-join: every unordered pair `(a, b)`, `a < b`, of
@@ -442,7 +320,7 @@ impl Gph {
     /// `hit > id`. `threads > 1` splits the probe loop with scoped
     /// threads.
     pub fn self_join(&self, tau: u32, threads: usize) -> Vec<(u32, u32)> {
-        let n = self.data.len();
+        let n = self.store.data.len();
         let threads = threads.max(1).min(n.max(1));
         let chunk = n.div_ceil(threads);
         let mut shards: Vec<Vec<(u32, u32)>> = Vec::new();
@@ -454,7 +332,7 @@ impl Gph {
                 handles.push(scope.spawn(move |_| {
                     let mut out: Vec<(u32, u32)> = Vec::new();
                     for id in lo..hi {
-                        let q = self.data.row(id);
+                        let q = self.store.data.row(id);
                         for hit in self.search(q, tau) {
                             if hit > id as u32 {
                                 out.push((id as u32, hit));
@@ -505,17 +383,17 @@ impl Gph {
 
     /// The partitioning in use.
     pub fn partitioning(&self) -> &Partitioning {
-        &self.partitioning
+        &self.plan.partitioning
     }
 
     /// Largest threshold the engine serves.
     pub fn tau_max(&self) -> usize {
-        self.tau_max
+        self.plan.tau_max
     }
 
     /// The indexed data.
     pub fn data(&self) -> &Dataset {
-        &self.data
+        &self.store.data
     }
 
     /// Offline build timing decomposition.
@@ -525,18 +403,20 @@ impl Gph {
 
     /// Cost model (for experiment reporting).
     pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
+        &self.plan.cost_model
     }
 
     /// Index + estimator heap size (Fig. 6 accounting: GPH is charged for
     /// its estimator state on top of the postings).
     pub fn size_bytes(&self) -> usize {
-        self.index.size_bytes() + self.estimator.size_bytes() + self.projected.size_bytes()
+        self.store.index.size_bytes()
+            + self.plan.estimator.size_bytes()
+            + self.store.projected.size_bytes()
     }
 
     /// Size of the inverted index alone.
     pub fn index_size_bytes(&self) -> usize {
-        self.index.size_bytes()
+        self.store.index.size_bytes()
     }
 }
 

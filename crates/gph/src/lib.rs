@@ -58,6 +58,7 @@ pub mod cost;
 pub mod engine;
 pub mod partition_opt;
 pub mod pigeonhole;
+mod pipeline;
 pub mod segment;
 pub mod snapshot;
 

@@ -1,0 +1,268 @@
+//! The query pipeline — §VI's online phase, written once.
+//!
+//! A query runs a [`Plan`] over a [`Store`]. The plan is everything
+//! that decides *what* to probe and is independent of where bytes live:
+//! the partitioning and its projector, the CN estimator, the threshold
+//! allocator, the cost model. The store is what the loop needs *from*
+//! bytes: posting lists, a scan fallback, verification, distances. Two
+//! stores exist — the resident one in [`crate::engine`] (heap CSR +
+//! `Dataset`) and the paged one in [`crate::coldstore`] (positional
+//! reads through a page cache) — and the loop is generic over them, so
+//! each compiles to its own monomorphic copy with no dynamic dispatch
+//! per key. `ARCHITECTURE.md` ("The query pipeline") has the diagram.
+
+use crate::alloc::{allocate, AllocatorKind};
+use crate::cn::{CnEstimator, CnTable, EstimatorKind};
+use crate::cost::CostModel;
+use crate::engine::{QueryStats, SearchResult};
+use crate::pigeonhole::ThresholdVector;
+use hamming_core::enumerate::{ball_size, for_each_in_ball_u64, for_each_in_ball_words};
+use hamming_core::key::key_of;
+use hamming_core::project::Projector;
+use hamming_core::{words_for, Partitioning};
+use parking_lot::Mutex;
+use std::time::Instant;
+
+/// What the pipeline needs from wherever a segment's bytes live.
+pub(crate) trait Store {
+    /// Rows stored; ids are `0..len()`.
+    fn len(&self) -> usize;
+
+    /// Hands `f` the posting list of signature `key` in partition
+    /// `part`. A store may skip the call when the key is absent.
+    fn with_postings(&self, part: usize, key: u64, f: impl FnOnce(&[u32]));
+
+    /// Scan fallback for one partition, taken when the signature ball
+    /// outnumbers the rows: emits a superset of the ids whose
+    /// projection on `part` lies within `radius` of `q_proj`, without
+    /// enumerating signatures.
+    fn scan_part(&self, part: usize, q_proj: &[u64], radius: usize, emit: impl FnMut(u32));
+
+    /// Appends to `out`, ascending, every id of `candidates` (distinct)
+    /// whose row is within `tau` of `query`. May reorder `candidates`.
+    fn verify(&self, query: &[u64], tau: u32, candidates: &mut Vec<u32>, out: &mut Vec<u32>);
+
+    /// Exact Hamming distance from `query` to row `id`.
+    fn distance_to(&self, id: usize, query: &[u64]) -> u32;
+}
+
+/// Query-time scratch (visited stamps + buffers), pooled per plan to
+/// keep searches allocation-free after warm-up.
+pub(crate) struct Scratch {
+    /// `stamps[id] == epoch` ⇔ `id` is already a candidate of the
+    /// running query; bumping the epoch clears the set in O(1).
+    stamps: Vec<u32>,
+    epoch: u32,
+    candidates: Vec<u32>,
+    keys: Vec<u64>,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Self {
+        Scratch { stamps: vec![0; n], epoch: 0, candidates: Vec::new(), keys: Vec::new() }
+    }
+
+    /// Starts a query over `n` rows with an empty candidate set.
+    fn begin(&mut self, n: usize) {
+        self.stamps.resize(n, 0);
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: old stamps could collide with reused epochs.
+            // Reset to 0, the one value no live epoch ever takes (any
+            // other fill value is reached again by a later epoch, and
+            // would then mark every untouched row as already seen).
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+        self.candidates.clear();
+    }
+}
+
+/// The storage-independent half of a built engine: how a query is
+/// turned into per-partition probes. Owns the one implementation of
+/// search, cost estimation and top-k escalation.
+pub(crate) struct Plan {
+    pub(crate) partitioning: Partitioning,
+    pub(crate) projector: Projector,
+    pub(crate) estimator: Box<dyn CnEstimator>,
+    pub(crate) estimator_kind: EstimatorKind,
+    pub(crate) allocator: AllocatorKind,
+    pub(crate) cost_model: CostModel,
+    pub(crate) tau_max: usize,
+    /// Starts empty (`Default`); searches pool their scratch here.
+    pub(crate) scratch_pool: Mutex<Vec<Scratch>>,
+}
+
+impl Plan {
+    fn project(&self, query: &[u64]) -> Vec<Vec<u64>> {
+        (0..self.partitioning.num_parts()).map(|i| self.projector.project(i, query)).collect()
+    }
+
+    /// CN estimation + threshold allocation for `m ≥ 2` partitions: the
+    /// chosen vector and its estimated `Σ CN`.
+    fn allocate(&self, q_proj: &[Vec<u64>], tau: u32) -> (ThresholdVector, f64) {
+        let cn = CnTable::compute(self.estimator.as_ref(), q_proj, tau as usize);
+        let tv = allocate(self.allocator, &cn, tau);
+        let cost = cn.sum_for(&tv);
+        (tv, cost)
+    }
+
+    /// Search with per-phase instrumentation.
+    pub(crate) fn search_with_stats<S: Store>(
+        &self,
+        store: &S,
+        query: &[u64],
+        tau: u32,
+    ) -> SearchResult {
+        assert!(
+            tau as usize <= self.tau_max,
+            "tau {tau} exceeds the configured tau_max {}",
+            self.tau_max
+        );
+        assert_eq!(
+            query.len(),
+            words_for(self.partitioning.dim()),
+            "query width mismatch with indexed data"
+        );
+        let mut stats = QueryStats::default();
+        let n = store.len();
+
+        // --- Phase 1: CN estimation + threshold allocation ------------
+        let t0 = Instant::now();
+        let q_proj = self.project(query);
+        let thresholds = if q_proj.len() == 1 {
+            ThresholdVector(vec![tau as i32])
+        } else {
+            let (tv, cost) = self.allocate(&q_proj, tau);
+            stats.estimated_cost = cost;
+            tv
+        };
+        stats.alloc_ns = t0.elapsed().as_nanos() as u64;
+        stats.thresholds = thresholds.0.clone();
+
+        // --- Phases 2+3: signature enumeration + candidate generation --
+        let mut scratch = self.scratch_pool.lock().pop().unwrap_or_else(|| Scratch::new(n));
+        scratch.begin(n);
+        let epoch = scratch.epoch;
+        // Ids outside `0..n` are skipped, not trusted: the paged store's
+        // payload CRCs are deferred, so a corrupt posting must not index
+        // out of bounds (resident indexes are validated when built or
+        // decoded, so the branch never fires there).
+        let mut admit = |id: u32| {
+            if let Some(stamp) = scratch.stamps.get_mut(id as usize) {
+                if *stamp != epoch {
+                    *stamp = epoch;
+                    scratch.candidates.push(id);
+                }
+            }
+        };
+
+        for (i, &ti) in thresholds.0.iter().enumerate() {
+            if ti < 0 {
+                continue;
+            }
+            let width = self.projector.shape(i).width;
+            let radius = (ti as usize).min(width);
+            // When the signature ball outnumbers the data, scanning is
+            // strictly cheaper than enumerating and probing; equivalent
+            // output, bounded worst case.
+            if ball_size(width, radius) > n as u64 && n > 0 {
+                let t2 = Instant::now();
+                stats.n_scanned += n as u64;
+                store.scan_part(i, &q_proj[i], radius, &mut admit);
+                stats.candgen_ns += t2.elapsed().as_nanos() as u64;
+                continue;
+            }
+            // Enumerate signatures first (timed separately, as the paper
+            // decomposes), then probe.
+            let t1 = Instant::now();
+            scratch.keys.clear();
+            if width <= 64 {
+                let center = q_proj[i].first().copied().unwrap_or(0);
+                for_each_in_ball_u64(center, width, radius, |v| scratch.keys.push(v));
+            } else {
+                for_each_in_ball_words(&q_proj[i], width, radius, |w| {
+                    scratch.keys.push(key_of(w, width))
+                });
+            }
+            stats.n_signatures += scratch.keys.len() as u64;
+            stats.enumerate_ns += t1.elapsed().as_nanos() as u64;
+
+            let t2 = Instant::now();
+            for &key in &scratch.keys {
+                store.with_postings(i, key, |postings| {
+                    stats.sum_postings += postings.len() as u64;
+                    postings.iter().for_each(|&id| admit(id));
+                });
+            }
+            stats.candgen_ns += t2.elapsed().as_nanos() as u64;
+        }
+        stats.n_candidates = scratch.candidates.len() as u64;
+
+        // --- Phase 4: verification -------------------------------------
+        let t3 = Instant::now();
+        let mut ids: Vec<u32> = Vec::with_capacity(scratch.candidates.len());
+        store.verify(query, tau, &mut scratch.candidates, &mut ids);
+        stats.verify_ns = t3.elapsed().as_nanos() as u64;
+        stats.n_results = ids.len() as u64;
+
+        self.scratch_pool.lock().push(scratch);
+        SearchResult { ids, stats }
+    }
+
+    /// Estimated query-processing cost for `(query, tau)` without
+    /// running the search — Equation 1 applied to the allocation the
+    /// optimizer would choose. Needs no storage at all.
+    pub(crate) fn estimate_cost(&self, query: &[u64], tau: u32) -> f64 {
+        assert!(tau as usize <= self.tau_max, "tau exceeds tau_max");
+        let q_proj = self.project(query);
+        let sum_cn = if q_proj.len() == 1 {
+            let mut row = vec![0.0; tau as usize + 2];
+            self.estimator.fill(0, &q_proj[0], tau as usize, &mut row);
+            row[tau as usize + 1]
+        } else {
+            self.allocate(&q_proj, tau).1
+        };
+        self.cost_model.query_cost(sum_cn, tau)
+    }
+
+    /// Top-k by threshold escalation: grows τ until at least `k`
+    /// results exist (or `tau_cap` is reached), then returns the `k`
+    /// nearest by exact distance, ties broken by id.
+    pub(crate) fn search_topk_within<S: Store>(
+        &self,
+        store: &S,
+        query: &[u64],
+        k: usize,
+        tau_cap: u32,
+    ) -> Vec<(u32, u32)> {
+        assert!(
+            tau_cap as usize <= self.tau_max,
+            "tau_cap {tau_cap} exceeds the configured tau_max {}",
+            self.tau_max
+        );
+        let mut tau = 0u32;
+        loop {
+            let ids = self.search_with_stats(store, query, tau).ids;
+            if ids.len() >= k || tau >= tau_cap {
+                let mut scored: Vec<(u32, u32)> =
+                    ids.iter().map(|&id| (id, store.distance_to(id as usize, query))).collect();
+                scored.sort_by_key(|&(id, d)| (d, id));
+                scored.truncate(k);
+                return scored;
+            }
+            tau = (tau * 2).max(tau + 1).min(tau_cap);
+        }
+    }
+}
+
+#[cfg(test)]
+impl Plan {
+    /// Test hook: overwrites the epoch of the one pooled scratch, so a
+    /// test can reach the wrap without running 2³² queries.
+    pub(crate) fn set_pooled_epoch(&self, epoch: u32) {
+        let mut pool = self.scratch_pool.lock();
+        assert_eq!(pool.len(), 1, "expected exactly one pooled scratch");
+        pool[0].epoch = epoch;
+    }
+}

@@ -30,23 +30,25 @@
 
 use crate::coldstore::{ColdSegment, PageCacheStats, SegmentFile, SpillStore, StorageMode};
 use crate::engine::{Gph, GphConfig, QueryStats, SearchResult};
-use crate::snapshot::{decode_gph_config, encode_gph_config};
+use crate::pipeline::Plan;
+use crate::snapshot::{decode_gph_config, encode_gph_config, reject_retired_version};
 use bytes::BufMut;
 use gph_obs::{PhaseNanos, SegmentTrace};
 use hamming_core::error::{HammingError, Result};
-use hamming_core::io::{crc32, ByteReader, Footer, OffsetWriter, SectionReader, PAGE_SIZE};
+use hamming_core::io::{ByteReader, Footer, OffsetWriter, PAGE_SIZE};
 use hamming_core::tombstone::Tombstones;
-use hamming_core::{words_for, Dataset};
+use hamming_core::{hamming_within, words_for, Dataset};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Magic of a segmented-engine snapshot.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"GPHS";
 
-/// Current segmented-snapshot format version. Version 2 was never
-/// shipped: the segmented container jumped from 1 straight to 3 so that
-/// every offset-addressed format (GPHE, GPHS) shares the same
-/// generation number — see `FORMAT.md`.
+/// Current (and only loadable) segmented-snapshot format version. It
+/// shares its generation number with the other offset-addressed format
+/// (GPHE) — see `FORMAT.md`; the tagged-section version 1 is retired
+/// and rejected, and a version 2 never existed.
 pub const SEGMENT_VERSION: u32 = 3;
 
 // GPHS v3 slot indices (see `FORMAT.md`).
@@ -103,6 +105,23 @@ impl Memtable {
     fn new(dim: usize) -> Self {
         Memtable { data: Dataset::new(dim), ids: Vec::new(), dead: Tombstones::new() }
     }
+
+    /// Early-exit scan: `(id, distance)` of every live row within `tau`
+    /// of `query`.
+    fn hits<'a>(&'a self, query: &'a [u64], tau: u32) -> impl Iterator<Item = (u32, u32)> + 'a {
+        self.dead.iter_live().filter_map(move |row| {
+            hamming_within(self.data.row(row), query, tau).map(|d| (self.ids[row], d))
+        })
+    }
+
+    /// Appends every live row, and its id, to `data` / `ids`.
+    fn append_live_to(&self, data: &mut Dataset, ids: &mut Vec<u32>) -> Result<()> {
+        for row in self.dead.iter_live() {
+            data.push_row_from(&self.data, row)?;
+            ids.push(self.ids[row]);
+        }
+        Ok(())
+    }
 }
 
 /// Where a sealed segment's engine actually lives: decoded on the heap,
@@ -114,6 +133,15 @@ enum SegStore {
 }
 
 impl SegStore {
+    /// The storage-independent half: dimensions, `tau_max`, cost
+    /// estimation.
+    fn plan(&self) -> &Plan {
+        match self {
+            SegStore::Resident(g) => &g.plan,
+            SegStore::Cold(c) => &c.plan,
+        }
+    }
+
     fn len(&self) -> usize {
         match self {
             SegStore::Resident(g) => g.data().len(),
@@ -121,31 +149,10 @@ impl SegStore {
         }
     }
 
-    fn dim(&self) -> usize {
-        match self {
-            SegStore::Resident(g) => g.data().dim(),
-            SegStore::Cold(c) => c.dim(),
-        }
-    }
-
-    fn tau_max(&self) -> usize {
-        match self {
-            SegStore::Resident(g) => g.tau_max(),
-            SegStore::Cold(c) => c.tau_max(),
-        }
-    }
-
     fn size_bytes(&self) -> usize {
         match self {
             SegStore::Resident(g) => g.size_bytes(),
             SegStore::Cold(c) => c.size_bytes(),
-        }
-    }
-
-    fn search(&self, query: &[u64], tau: u32) -> Vec<u32> {
-        match self {
-            SegStore::Resident(g) => g.search(query, tau),
-            SegStore::Cold(c) => c.search(query, tau),
         }
     }
 
@@ -160,13 +167,6 @@ impl SegStore {
         match self {
             SegStore::Resident(g) => g.search_topk_within(query, k, tau_cap),
             SegStore::Cold(c) => c.search_topk_within(query, k, tau_cap),
-        }
-    }
-
-    fn estimate_cost(&self, query: &[u64], tau: u32) -> f64 {
-        match self {
-            SegStore::Resident(g) => g.estimate_cost(query, tau),
-            SegStore::Cold(c) => c.estimate_cost(query, tau),
         }
     }
 
@@ -211,6 +211,17 @@ struct Sealed {
     store: SegStore,
     ids: Vec<u32>,
     dead: Tombstones,
+}
+
+impl Sealed {
+    /// Appends every live row, and its id, to `data` / `ids`.
+    fn append_live_to(&self, data: &mut Dataset, ids: &mut Vec<u32>) -> Result<()> {
+        for row in self.dead.iter_live() {
+            self.store.append_row_to(data, row)?;
+            ids.push(self.ids[row]);
+        }
+        Ok(())
+    }
 }
 
 /// Segment-level diagnostics ([`SegmentedGph::segment_info`]).
@@ -332,12 +343,17 @@ impl SegmentedGph {
         match self.seg_cfg.storage {
             StorageMode::Resident => Ok(SegStore::Resident(engine)),
             StorageMode::FileBacked { budget_bytes } => {
-                let spill = self.spill_store(budget_bytes)?;
-                let file = Arc::new(spill.write_blob(&engine.to_bytes())?);
-                let len = file.len();
-                Ok(SegStore::Cold(ColdSegment::open(file, Arc::clone(spill.cache()), 0, len)?))
+                self.spill_cold(budget_bytes, &engine.to_bytes())
             }
         }
+    }
+
+    /// Writes a GPHE `blob` to the spill store and reopens it cold.
+    fn spill_cold(&mut self, budget_bytes: u64, blob: &[u8]) -> Result<SegStore> {
+        let spill = self.spill_store(budget_bytes)?;
+        let file = Arc::new(spill.write_blob(blob)?);
+        let len = file.len();
+        Ok(SegStore::Cold(ColdSegment::open(file, Arc::clone(spill.cache()), 0, len)?))
     }
 
     /// The spill store, created on first use.
@@ -558,10 +574,7 @@ impl SegmentedGph {
         if self.mem.dead.live() > 0 {
             let mut data = Dataset::with_capacity(self.dim, self.mem.dead.live());
             let mut ids = Vec::with_capacity(self.mem.dead.live());
-            for row in self.mem.dead.iter_live() {
-                data.push_row_from(&self.mem.data, row)?;
-                ids.push(self.mem.ids[row]);
-            }
+            self.mem.append_live_to(&mut data, &mut ids)?;
             // Build before mutating: commit_segment overwrites the ids'
             // memtable locations only once the segment exists.
             let seg = self.build_segment(data, ids)?;
@@ -579,15 +592,9 @@ impl SegmentedGph {
         let mut data = Dataset::with_capacity(self.dim, self.len());
         let mut ids = Vec::with_capacity(self.len());
         for seg in &self.sealed {
-            for row in seg.dead.iter_live() {
-                seg.store.append_row_to(&mut data, row)?;
-                ids.push(seg.ids[row]);
-            }
+            seg.append_live_to(&mut data, &mut ids)?;
         }
-        for row in self.mem.dead.iter_live() {
-            data.push_row_from(&self.mem.data, row)?;
-            ids.push(self.mem.ids[row]);
-        }
+        self.mem.append_live_to(&mut data, &mut ids)?;
         // Build the merged segment before dropping anything, so a failed
         // build cannot lose rows.
         let merged = if data.is_empty() { None } else { Some(self.build_segment(data, ids)?) };
@@ -616,11 +623,7 @@ impl SegmentedGph {
             let mut data = Dataset::with_capacity(self.dim, live);
             let mut ids = Vec::with_capacity(live);
             for idx in [lo, hi] {
-                let seg = &self.sealed[idx];
-                for row in seg.dead.iter_live() {
-                    seg.store.append_row_to(&mut data, row)?;
-                    ids.push(seg.ids[row]);
-                }
+                self.sealed[idx].append_live_to(&mut data, &mut ids)?;
             }
             let merged = self.build_segment(data, ids)?;
             // Remove the higher index first so the lower stays valid.
@@ -702,18 +705,12 @@ impl SegmentedGph {
             }
         }
         let t = std::time::Instant::now();
-        let mut mem_rows = 0u64;
-        let mut mem_results = 0u64;
-        for row in self.mem.dead.iter_live() {
-            // Memtable rows are found by scanning, not by index probes:
-            // they count toward both `n_scanned` and `n_candidates`.
-            mem_rows += 1;
-            if hamming_core::distance::hamming_within(self.mem.data.row(row), query, tau).is_some()
-            {
-                out.push(self.mem.ids[row]);
-                mem_results += 1;
-            }
-        }
+        // Memtable rows are found by scanning, not by index probes: they
+        // count toward both `n_scanned` and `n_candidates`.
+        let mem_rows = self.mem.dead.live() as u64;
+        let sealed_results = out.len();
+        out.extend(self.mem.hits(query, tau).map(|(id, _)| id));
+        let mem_results = (out.len() - sealed_results) as u64;
         agg.n_scanned += mem_rows;
         agg.n_candidates += mem_rows;
         let scan_ns = t.elapsed().as_nanos() as u64;
@@ -764,20 +761,14 @@ impl SegmentedGph {
         self.assert_query(query, tau);
         let mut out = Vec::new();
         for seg in &self.sealed {
-            for local in seg.store.search(query, tau) {
+            for local in seg.store.search_with_stats(query, tau).ids {
                 if !seg.dead.is_dead(local as usize) {
                     let d = seg.store.distance_to(local as usize, query);
                     out.push((seg.ids[local as usize], d));
                 }
             }
         }
-        for row in self.mem.dead.iter_live() {
-            if let Some(d) =
-                hamming_core::distance::hamming_within(self.mem.data.row(row), query, tau)
-            {
-                out.push((self.mem.ids[row], d));
-            }
-        }
+        out.extend(self.mem.hits(query, tau));
         out.sort_unstable_by_key(|&(id, d)| (d, id));
         out
     }
@@ -807,13 +798,7 @@ impl SegmentedGph {
                 }
             }
         }
-        for row in self.mem.dead.iter_live() {
-            if let Some(d) =
-                hamming_core::distance::hamming_within(self.mem.data.row(row), query, tau_cap)
-            {
-                hits.push((self.mem.ids[row], d));
-            }
-        }
+        hits.extend(self.mem.hits(query, tau_cap));
         hits.sort_unstable_by_key(|&(id, d)| (d, id));
         hits.truncate(k);
         hits
@@ -823,7 +808,8 @@ impl SegmentedGph {
     /// the memtable's scan cost (every live row is verified).
     pub fn estimate_cost(&self, query: &[u64], tau: u32) -> f64 {
         self.assert_query(query, tau);
-        let sealed: f64 = self.sealed.iter().map(|s| s.store.estimate_cost(query, tau)).sum();
+        let sealed: f64 =
+            self.sealed.iter().map(|s| s.store.plan().estimate_cost(query, tau)).sum();
         sealed + self.mem.dead.live() as f64 * self.cfg.cost_model.c_verify
     }
 
@@ -915,124 +901,90 @@ impl SegmentedGph {
         w.finish()
     }
 
-    /// Restores an engine from [`SegmentedGph::to_bytes`] bytes (v3) or
-    /// a legacy v1 snapshot, fully resident. The restored engine is
-    /// query-for-query identical to the saved one, and — because the
-    /// build config travels with the data — behaves identically under
-    /// further mutations too.
+    /// Restores an engine from [`SegmentedGph::to_bytes`] bytes, fully
+    /// resident. The restored engine is query-for-query identical to
+    /// the saved one, and — because the build config travels with the
+    /// data — behaves identically under further mutations too.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         Self::from_bytes_with_storage(bytes, StorageMode::Resident)
     }
 
     /// [`SegmentedGph::from_bytes`] with an explicit [`StorageMode`] for
     /// the restored sealed segments. Under
-    /// [`StorageMode::FileBacked`] each v3 segment blob is spilled to a
+    /// [`StorageMode::FileBacked`] each segment blob is spilled to a
     /// temp file and served through a shared page cache instead of being
-    /// decoded onto the heap. Legacy v1 snapshots have no mappable
-    /// blobs: their segments restore resident regardless of mode (newly
-    /// sealed segments still go cold).
+    /// decoded onto the heap. Every payload CRC is verified up front.
     pub fn from_bytes_with_storage(bytes: &[u8], storage: StorageMode) -> Result<Self> {
-        if bytes.len() >= 8
-            && bytes[..4] == SEGMENT_MAGIC
-            && u32::from_le_bytes(bytes[4..8].try_into().unwrap()) >= 3
-        {
-            Self::decode_v3(bytes, storage)
-        } else {
-            Self::decode_legacy(bytes, storage)
-        }
+        reject_retired_version(SEGMENT_MAGIC, SEGMENT_VERSION, bytes)?;
+        let f = Footer::parse_bytes(SEGMENT_MAGIC, SEGMENT_VERSION, bytes)?;
+        let arena = f.payload(bytes, SEG_SLOT_BLOBS)?;
+        let section = |slot: usize| Ok(Cow::Borrowed(f.payload(bytes, slot)?));
+        Self::restore(&f, storage, section, |out, rel, len| {
+            // `restore` bounds-checked the extent against the arena.
+            let blob = &arena[rel as usize..rel as usize + len];
+            match storage {
+                StorageMode::Resident => Ok(SegStore::Resident(Gph::from_bytes(blob)?)),
+                StorageMode::FileBacked { budget_bytes } => out.spill_cold(budget_bytes, blob),
+            }
+        })
     }
 
-    /// Decodes a GPHS v3 container from memory with every payload CRC
-    /// verified up front.
-    fn decode_v3(bytes: &[u8], storage: StorageMode) -> Result<Self> {
-        let f = Footer::parse_bytes(SEGMENT_MAGIC, SEGMENT_VERSION, bytes)?;
+    /// Rebuilds an engine from the GPHS container indexed by `f` — the
+    /// one restore both the in-memory and the file-mapped path run.
+    /// `section` returns the CRC-verified payload of a metadata slot;
+    /// `open_blob` materialises the sealed segment whose GPHE blob sits
+    /// at `(offset, len)` of the blob arena.
+    fn restore<'a>(
+        f: &Footer,
+        storage: StorageMode,
+        section: impl Fn(usize) -> Result<Cow<'a, [u8]>>,
+        mut open_blob: impl FnMut(&mut Self, u64, usize) -> Result<SegStore>,
+    ) -> Result<Self> {
         if f.n_slots() != N_SEG_SLOTS {
             return Err(HammingError::Corrupt(format!(
                 "segmented snapshot has {} sections, expected {N_SEG_SLOTS}",
                 f.n_slots()
             )));
         }
-        let cfg = decode_gph_config(f.payload(bytes, SEG_SLOT_CONFIG)?)?;
-        let (dim, seal_rows, max_sealed, n_sealed) =
-            Self::decode_seghdr(f.payload(bytes, SEG_SLOT_SEGHDR)?)?;
-        let mut out =
-            SegmentedGph::new(dim, cfg, SegmentConfig { seal_rows, max_sealed, storage })?;
-        out.mem = Self::decode_memtable(
-            f.payload(bytes, SEG_SLOT_MEMDATA)?,
-            f.payload(bytes, SEG_SLOT_MEMIDS)?,
-            f.payload(bytes, SEG_SLOT_MEMDEAD)?,
-            dim,
-        )?;
-
-        let arena = f.payload(bytes, SEG_SLOT_BLOBS)?;
-        let mut tr = ByteReader::new(f.payload(bytes, SEG_SLOT_SEGTAB)?);
-        for i in 0..n_sealed {
-            let (rel, blob_len, ids, dead) = Self::decode_segtab_entry(&mut tr)?;
-            let end =
-                (rel as usize).checked_add(blob_len).filter(|&e| e <= arena.len()).ok_or_else(
-                    || HammingError::Corrupt(format!("segment {i} blob extent exceeds the arena")),
-                )?;
-            let blob = &arena[rel as usize..end];
-            let store = match storage {
-                StorageMode::Resident => SegStore::Resident(Gph::from_bytes(blob)?),
-                StorageMode::FileBacked { budget_bytes } => {
-                    let spill = out.spill_store(budget_bytes)?;
-                    let file = Arc::new(spill.write_blob(blob)?);
-                    let len = file.len();
-                    SegStore::Cold(ColdSegment::open(file, Arc::clone(spill.cache()), 0, len)?)
-                }
-            };
-            Self::check_segment(i, &store, &ids, &dead, dim, out.cfg.tau_max)?;
-            out.sealed.push(Sealed { store, ids, dead });
-        }
-        tr.finish("segment table")?;
-        out.finish_restore()
-    }
-
-    /// Decodes a legacy (v1, tag-addressed) snapshot. Segments always
-    /// restore resident — v1 engines are not offset-addressed, so there
-    /// is nothing to page against.
-    fn decode_legacy(bytes: &[u8], storage: StorageMode) -> Result<Self> {
-        let r = SectionReader::parse(SEGMENT_MAGIC, 1, bytes)?;
-        let cfg = decode_gph_config(r.section("config")?)?;
-        let (dim, seal_rows, max_sealed, n_sealed) = Self::decode_seghdr(r.section("seghdr")?)?;
-        let mut out =
-            SegmentedGph::new(dim, cfg, SegmentConfig { seal_rows, max_sealed, storage })?;
-        out.mem = Self::decode_memtable(
-            r.section("memdata")?,
-            r.section("memids")?,
-            r.section("memdead")?,
-            dim,
-        )?;
-
-        for i in 0..n_sealed {
-            let mut sr = ByteReader::new(r.section(&format!("seg{i}"))?);
-            let n = sr.len(4, "segment id count")?;
-            let mut ids = Vec::with_capacity(n);
-            for _ in 0..n {
-                ids.push(sr.u32("segment id")?);
-            }
-            let dead_len = sr.len(1, "segment tombstone length")?;
-            let dead = Tombstones::decode(sr.bytes(dead_len, "segment tombstones")?)?;
-            let eng_len = sr.len(1, "segment engine length")?;
-            let store = SegStore::Resident(Gph::from_bytes(sr.bytes(eng_len, "segment engine")?)?);
-            sr.finish("sealed segment")?;
-            Self::check_segment(i, &store, &ids, &dead, dim, out.cfg.tau_max)?;
-            out.sealed.push(Sealed { store, ids, dead });
-        }
-        out.finish_restore()
-    }
-
-    /// Decodes the fixed segment header: dim, seal_rows, max_sealed,
-    /// sealed-segment count.
-    fn decode_seghdr(bytes: &[u8]) -> Result<(usize, usize, usize, usize)> {
-        let mut hr = ByteReader::new(bytes);
+        let cfg = decode_gph_config(&section(SEG_SLOT_CONFIG)?)?;
+        let seghdr = section(SEG_SLOT_SEGHDR)?;
+        let mut hr = ByteReader::new(&seghdr);
         let dim = hr.u64("dim")? as usize;
         let seal_rows = hr.u64("seal_rows")? as usize;
         let max_sealed = hr.u64("max_sealed")? as usize;
         let n_sealed = hr.u64("sealed segment count")? as usize;
         hr.finish("segment header")?;
-        Ok((dim, seal_rows, max_sealed, n_sealed))
+        let mut out =
+            SegmentedGph::new(dim, cfg, SegmentConfig { seal_rows, max_sealed, storage })?;
+        out.mem = Self::decode_memtable(
+            &section(SEG_SLOT_MEMDATA)?,
+            &section(SEG_SLOT_MEMIDS)?,
+            &section(SEG_SLOT_MEMDEAD)?,
+            dim,
+        )?;
+
+        let arena_len = f.slot(SEG_SLOT_BLOBS)?.len;
+        let segtab = section(SEG_SLOT_SEGTAB)?;
+        let mut tr = ByteReader::new(&segtab);
+        for i in 0..n_sealed {
+            // Arena-relative blob extent, external ids, tombstones.
+            let rel = tr.u64("blob offset")?;
+            let blob_len = tr.u64("blob length")? as usize;
+            let n = tr.len(4, "segment id count")?;
+            let ids = tr.u32s(n, "segment ids")?;
+            let dead_len = tr.len(1, "segment tombstone length")?;
+            let dead = Tombstones::decode(tr.bytes(dead_len, "segment tombstones")?)?;
+            if rel.checked_add(blob_len as u64).filter(|&e| e <= arena_len).is_none() {
+                return Err(HammingError::Corrupt(format!(
+                    "segment {i} blob extent exceeds the arena"
+                )));
+            }
+            let store = open_blob(&mut out, rel, blob_len)?;
+            Self::check_segment(i, &store, &ids, &dead, dim, out.cfg.tau_max)?;
+            out.sealed.push(Sealed { store, ids, dead });
+        }
+        tr.finish("segment table")?;
+        out.finish_restore()
     }
 
     /// Decodes the three memtable sections and cross-checks their
@@ -1047,10 +999,7 @@ impl SegmentedGph {
         }
         let mut ir = ByteReader::new(ids);
         let n_ids = ir.len(4, "memtable id count")?;
-        let mut mem_ids = Vec::with_capacity(n_ids);
-        for _ in 0..n_ids {
-            mem_ids.push(ir.u32("memtable id")?);
-        }
+        let mem_ids = ir.u32s(n_ids, "memtable ids")?;
         ir.finish("memtable ids")?;
         let mem_dead = Tombstones::decode(dead)?;
         if mem_ids.len() != mem_data.len() || mem_dead.len() != mem_data.len() {
@@ -1062,21 +1011,6 @@ impl SegmentedGph {
             )));
         }
         Ok(Memtable { data: mem_data, ids: mem_ids, dead: mem_dead })
-    }
-
-    /// Decodes one v3 segment-table entry: arena-relative blob offset,
-    /// blob length, external ids, tombstones.
-    fn decode_segtab_entry(tr: &mut ByteReader<'_>) -> Result<(u64, usize, Vec<u32>, Tombstones)> {
-        let rel = tr.u64("blob offset")?;
-        let blob_len = tr.u64("blob length")? as usize;
-        let n = tr.len(4, "segment id count")?;
-        let mut ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            ids.push(tr.u32("segment id")?);
-        }
-        let dead_len = tr.len(1, "segment tombstone length")?;
-        let dead = Tombstones::decode(tr.bytes(dead_len, "segment tombstones")?)?;
-        Ok((rel, blob_len, ids, dead))
     }
 
     /// Cross-checks a restored segment against the container header.
@@ -1096,16 +1030,17 @@ impl SegmentedGph {
                 dead.len()
             )));
         }
-        if store.dim() != dim {
+        let plan = store.plan();
+        if plan.partitioning.dim() != dim {
             return Err(HammingError::Corrupt(format!(
                 "segment {i} indexes {}-dimensional rows, header says {dim}",
-                store.dim()
+                plan.partitioning.dim()
             )));
         }
-        if store.tau_max() != tau_max {
+        if plan.tau_max != tau_max {
             return Err(HammingError::Corrupt(format!(
                 "segment {i} serves tau_max {}, config says {tau_max}",
-                store.tau_max()
+                plan.tau_max
             )));
         }
         Ok(())
@@ -1142,7 +1077,7 @@ impl SegmentedGph {
     /// [`StorageMode`].
     ///
     /// This is the out-of-core warm-start path: under
-    /// [`StorageMode::FileBacked`] a v3 snapshot is *mapped, not read* —
+    /// [`StorageMode::FileBacked`] the snapshot is *mapped, not read* —
     /// the footer and the metadata sections (config, memtable, segment
     /// table; a few KiB) are read directly and CRC-verified, while every
     /// sealed segment's blob stays on disk, opened as a
@@ -1156,10 +1091,6 @@ impl SegmentedGph {
     /// snapshot via [`SegmentedGph::save`] is safe on platforms where
     /// rename unlinks (the open descriptor pins the old bytes), but the
     /// file must not be truncated or rewritten in place.
-    ///
-    /// Legacy v1 snapshots interleave engines with metadata and cannot
-    /// be mapped; they are read and restored resident, with the storage
-    /// mode applied to future seals only.
     pub fn load_with_storage<P: AsRef<std::path::Path>>(
         path: P,
         storage: StorageMode,
@@ -1179,66 +1110,26 @@ impl SegmentedGph {
                 &header[..4]
             )));
         }
-        if u32::from_le_bytes(header[4..8].try_into().unwrap()) < 3 {
-            return SegmentedGph::from_bytes_with_storage(&std::fs::read(path)?, storage);
-        }
+        reject_retired_version(SEGMENT_MAGIC, SEGMENT_VERSION, &header)?;
 
-        // v3: footer + metadata slots via direct reads, blobs deferred.
+        // Footer + metadata slots via direct reads, blobs deferred.
         let tail_len = Footer::MAX_LEN.min(file.len() as usize);
         let mut tail = vec![0u8; tail_len];
         file.read_at(file.len() - tail_len as u64, &mut tail)?;
         let f = Footer::parse(SEGMENT_MAGIC, SEGMENT_VERSION, file.len(), &tail)?;
-        if f.n_slots() != N_SEG_SLOTS {
-            return Err(HammingError::Corrupt(format!(
-                "segmented snapshot has {} sections, expected {N_SEG_SLOTS}",
-                f.n_slots()
-            )));
-        }
-        let meta = |slot: usize| -> Result<Vec<u8>> {
-            let s = f.slot(slot)?;
-            let mut buf = vec![0u8; s.len as usize];
-            file.read_at(s.offset, &mut buf)?;
-            if crc32(&buf) != s.crc {
-                return Err(HammingError::Corrupt(format!("section {slot} checksum mismatch")));
-            }
-            Ok(buf)
-        };
-        let cfg = decode_gph_config(&meta(SEG_SLOT_CONFIG)?)?;
-        let (dim, seal_rows, max_sealed, n_sealed) = Self::decode_seghdr(&meta(SEG_SLOT_SEGHDR)?)?;
-        let mut out =
-            SegmentedGph::new(dim, cfg, SegmentConfig { seal_rows, max_sealed, storage })?;
-        out.mem = Self::decode_memtable(
-            &meta(SEG_SLOT_MEMDATA)?,
-            &meta(SEG_SLOT_MEMIDS)?,
-            &meta(SEG_SLOT_MEMDEAD)?,
-            dim,
-        )?;
-        // One spill store up front: snapshot-mapped segments and future
-        // seals share its page cache (and its byte budget).
-        let spill = out.spill_store(budget_bytes)?;
-
-        let blobs_slot = f.slot(SEG_SLOT_BLOBS)?;
-        let segtab = meta(SEG_SLOT_SEGTAB)?;
-        let mut tr = ByteReader::new(&segtab);
-        for i in 0..n_sealed {
-            let (rel, blob_len, ids, dead) = Self::decode_segtab_entry(&mut tr)?;
-            if rel.checked_add(blob_len as u64).filter(|&e| e <= blobs_slot.len).is_none() {
-                return Err(HammingError::Corrupt(format!(
-                    "segment {i} blob extent exceeds the arena"
-                )));
-            }
-            let cold = ColdSegment::open(
-                Arc::clone(&file),
-                Arc::clone(spill.cache()),
-                blobs_slot.offset + rel,
-                blob_len as u64,
-            )?;
-            let store = SegStore::Cold(cold);
-            Self::check_segment(i, &store, &ids, &dead, dim, out.cfg.tau_max)?;
-            out.sealed.push(Sealed { store, ids, dead });
-        }
-        tr.finish("segment table")?;
-        out.finish_restore()
+        let arena_off = f.slot(SEG_SLOT_BLOBS)?.offset;
+        let section = |slot: usize| file.read_section(0, &f, slot).map(Cow::Owned);
+        let mut out = Self::restore(&f, storage, section, |out, rel, len| {
+            // Snapshot-mapped segments and future seals share one spill
+            // store: its page cache, and its byte budget.
+            let cache = Arc::clone(out.spill_store(budget_bytes)?.cache());
+            let cold = ColdSegment::open(Arc::clone(&file), cache, arena_off + rel, len as u64)?;
+            Ok(SegStore::Cold(cold))
+        })?;
+        // Also with no sealed segment yet, so the page-cache counters
+        // exist from the first moment of a file-backed engine.
+        out.spill_store(budget_bytes)?;
+        Ok(out)
     }
 }
 
@@ -1501,43 +1392,6 @@ mod tests {
         assert_eq!(eng.len(), 1);
     }
 
-    /// Re-encodes an engine in the retired GPHS v1 tag-addressed layout
-    /// so the legacy decode path stays covered without checked-in
-    /// fixtures.
-    fn encode_segmented_v1(eng: &SegmentedGph) -> Vec<u8> {
-        let mut w = hamming_core::io::SectionWriter::new(SEGMENT_MAGIC, 1);
-        w.section("config", &encode_gph_config(&eng.cfg));
-        let mut hdr = Vec::with_capacity(32);
-        hdr.put_u64_le(eng.dim as u64);
-        hdr.put_u64_le(eng.seg_cfg.seal_rows as u64);
-        hdr.put_u64_le(eng.seg_cfg.max_sealed as u64);
-        hdr.put_u64_le(eng.sealed.len() as u64);
-        w.section("seghdr", &hdr);
-        w.section("memdata", &hamming_core::io::encode_dataset(&eng.mem.data));
-        let mut mem_ids = Vec::new();
-        mem_ids.put_u64_le(eng.mem.ids.len() as u64);
-        for &id in &eng.mem.ids {
-            mem_ids.put_u32_le(id);
-        }
-        w.section("memids", &mem_ids);
-        w.section("memdead", &eng.mem.dead.encode());
-        for (i, seg) in eng.sealed.iter().enumerate() {
-            let engine = seg.store.engine_bytes().unwrap();
-            let dead = seg.dead.encode();
-            let mut body = Vec::new();
-            body.put_u64_le(seg.ids.len() as u64);
-            for &id in &seg.ids {
-                body.put_u32_le(id);
-            }
-            body.put_u64_le(dead.len() as u64);
-            body.put_slice(&dead);
-            body.put_u64_le(engine.len() as u64);
-            body.put_slice(&engine);
-            w.section(&format!("seg{i}"), &body);
-        }
-        w.finish()
-    }
-
     fn assert_same_answers(a: &SegmentedGph, b: &SegmentedGph, queries: &[Vec<u64>]) {
         assert_eq!(a.len(), b.len());
         assert_eq!(a.live_ids(), b.live_ids());
@@ -1595,29 +1449,24 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_load_through_the_legacy_path() {
-        let rows = random_rows(48, 25, 21);
-        let mut eng = SegmentedGph::new(48, cfg(), seg_cfg()).unwrap();
-        for (i, row) in rows.iter().enumerate() {
-            eng.insert(i as u32, row).unwrap();
+    fn retired_gphs_version_is_rejected_as_unsupported() {
+        // A v1 file is a tagged-section container; the reader must name
+        // the version, on the in-memory and the file-mapped path alike.
+        let mut w = hamming_core::io::SectionWriter::new(SEGMENT_MAGIC, 1);
+        w.section("config", b"whatever an old writer put here");
+        let v1 = w.finish();
+        let path = std::env::temp_dir().join(format!("gph-segtest-v1-{}.gphs", std::process::id()));
+        std::fs::write(&path, &v1).unwrap();
+        let cold = StorageMode::FileBacked { budget_bytes: 1 << 20 };
+        for got in [SegmentedGph::from_bytes(&v1), SegmentedGph::load_with_storage(&path, cold)] {
+            match got.map(|_| ()) {
+                Err(HammingError::Corrupt(msg)) => {
+                    assert!(msg.contains("unsupported version 1"), "{msg}")
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
         }
-        eng.delete(7);
-        let v1 = encode_segmented_v1(&eng);
-        assert_eq!(u32::from_le_bytes(v1[4..8].try_into().unwrap()), 1);
-        let loaded = SegmentedGph::from_bytes(&v1).unwrap();
-        assert_same_answers(&eng, &loaded, &rows);
-        // Re-saving writes the current (v3) container.
-        let resaved = loaded.to_bytes();
-        assert_eq!(u32::from_le_bytes(resaved[4..8].try_into().unwrap()), SEGMENT_VERSION);
-        // A file-backed restore of v1 bytes stays resident (mixed mode)
-        // but still answers identically.
-        let mixed = SegmentedGph::from_bytes_with_storage(
-            &v1,
-            StorageMode::FileBacked { budget_bytes: 1 << 20 },
-        )
-        .unwrap();
-        assert!(mixed.page_cache_stats().is_none(), "no blobs to map in a v1 container");
-        assert_same_answers(&eng, &mixed, &rows);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

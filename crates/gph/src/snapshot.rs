@@ -36,43 +36,53 @@
 //! query byte-identically to the engine that was saved — the round-trip
 //! property test in `tests/snapshot_roundtrip.rs` pins this down.
 //!
-//! **Version policy:** the reader accepts any version `1..=` the current
-//! [`SNAPSHOT_VERSION`]; incompatible layout changes bump
-//! `SNAPSHOT_VERSION`, and old readers reject newer files with
-//! [`HammingError::Corrupt`] instead of misparsing them.
-//!
-//! Versions 1 and 2 were [`hamming_core::io::SectionReader`]-framed
-//! (tagged sections, no alignment): version 2 stored the inverted index
-//! in CSR form ([`hamming_core::InvertedIndex::encode`]), version 1 in
-//! the old per-partition `(key, offset, len)` triples decoded through
-//! [`hamming_core::InvertedIndex::decode_legacy`]. Both still load, into
-//! engines query-for-query identical to ones saved as v3.
+//! **Version policy:** the reader loads version [`SNAPSHOT_VERSION`]
+//! only. The tagged-section generations 1 and 2 are retired — nothing
+//! was ever deployed on them — and are rejected up front with
+//! [`HammingError::Corrupt`]`("unsupported version …")`, as are files
+//! newer than this reader.
 
 use crate::alloc::AllocatorKind;
-use crate::cn::{decode_kind, encode_kind, restore_estimator};
+use crate::cn::{decode_kind, encode_kind, restore_estimator, CnEstimator, EstimatorKind};
 use crate::cost::CostModel;
-use crate::engine::{BuildStats, Gph, GphConfig};
+use crate::engine::{BuildStats, Gph, GphConfig, Resident};
 use crate::partition_opt::{HeuristicConfig, InitKind, PartitionStrategy, WorkloadSpec};
+use crate::pipeline::Plan;
 use bytes::BufMut;
 use hamming_core::dataset::Dataset;
 use hamming_core::error::{HammingError, Result};
 use hamming_core::io::{
     decode_dataset, decode_partitioning, encode_dataset, encode_partitioning, ByteReader, Footer,
-    OffsetWriter, SectionReader, SectionWriter,
+    OffsetWriter,
 };
 use hamming_core::project::{ProjectedDataset, Projector};
-use hamming_core::{words_for, InvertedIndex};
-use parking_lot::Mutex;
+use hamming_core::{words_for, InvertedIndex, Partitioning};
+use std::borrow::Cow;
 use std::path::Path;
 
 /// Magic of a single-engine snapshot file.
 pub const ENGINE_MAGIC: [u8; 4] = *b"GPHE";
 
-/// Current snapshot format version. Readers accept `1..=SNAPSHOT_VERSION`.
-/// Version 3 is the offset-addressed layout (see the module docs and
-/// `FORMAT.md`); versions 1–2 are the older tagged-section containers
-/// and remain loadable.
+/// Current (and only loadable) snapshot format version: the
+/// offset-addressed layout (see the module docs and `FORMAT.md`).
 pub const SNAPSHOT_VERSION: u32 = 3;
+
+/// Rejects a container whose header carries `magic` but a retired
+/// version below `current` (the tagged-section generations). Those
+/// files have no footer, so without this check they would surface as a
+/// confusing "bad footer magic"; anything else falls through to the
+/// offset-addressed parser's validation.
+pub(crate) fn reject_retired_version(magic: [u8; 4], current: u32, header: &[u8]) -> Result<()> {
+    if header.len() >= 8 && header[..4] == magic {
+        let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
+        if version < current {
+            return Err(HammingError::Corrupt(format!(
+                "unsupported version {version} (this reader loads version {current} only)"
+            )));
+        }
+    }
+    Ok(())
+}
 
 // Fixed slot indices of the v3 container (see the module-docs table).
 // The cold open path (`crate::coldstore`) addresses sections by these.
@@ -142,12 +152,12 @@ fn decode_cost_model(r: &mut ByteReader) -> Result<CostModel> {
 
 fn encode_config(g: &Gph) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
-    buf.put_u64_le(g.tau_max as u64);
-    buf.put_u8(encode_allocator(g.allocator));
+    buf.put_u64_le(g.plan.tau_max as u64);
+    buf.put_u8(encode_allocator(g.plan.allocator));
     buf.put_u64_le(g.build_stats.partition_ms);
     buf.put_u64_le(g.build_stats.index_ms);
     buf.put_u64_le(g.build_stats.estimator_ms);
-    encode_cost_model(&g.cost_model, &mut buf);
+    encode_cost_model(&g.plan.cost_model, &mut buf);
     buf
 }
 
@@ -158,7 +168,7 @@ pub(crate) struct DecodedConfig {
     pub(crate) cost_model: CostModel,
 }
 
-pub(crate) fn decode_config(bytes: &[u8]) -> Result<DecodedConfig> {
+fn decode_config(bytes: &[u8]) -> Result<DecodedConfig> {
     let mut r = ByteReader::new(bytes);
     let tau_max = r.u64("tau_max")? as usize;
     let allocator = decode_allocator(r.u8("allocator kind")?)?;
@@ -304,11 +314,7 @@ pub fn decode_gph_config(bytes: &[u8]) -> Result<GphConfig> {
             if n_taus == 0 {
                 return Err(HammingError::Corrupt("workload with no thresholds".into()));
             }
-            let mut taus = Vec::with_capacity(n_taus);
-            for _ in 0..n_taus {
-                taus.push(r.u32("workload tau")?);
-            }
-            Some(WorkloadSpec { queries, taus })
+            Some(WorkloadSpec { queries, taus: r.u32s(n_taus, "workload taus")? })
         }
         other => return Err(HammingError::Corrupt(format!("bad workload flag {other}"))),
     };
@@ -320,11 +326,12 @@ pub fn decode_gph_config(bytes: &[u8]) -> Result<GphConfig> {
 /// module docs for the slot table and `FORMAT.md` for the normative
 /// byte-level spec).
 pub(crate) fn encode_engine(g: &Gph) -> Vec<u8> {
+    let (data, index) = (&g.store.data, &g.store.index);
     let mut w = OffsetWriter::new(ENGINE_MAGIC, SNAPSHOT_VERSION);
     w.section(&encode_config(g)); // SLOT_CONFIG
-    w.section(&encode_partitioning(&g.partitioning)); // SLOT_PARTIT
-    w.section(&encode_kind(&g.estimator_kind)); // SLOT_ESTKIND
-    let est_state = match g.estimator.snapshot_state() {
+    w.section(&encode_partitioning(&g.plan.partitioning)); // SLOT_PARTIT
+    w.section(&encode_kind(&g.plan.estimator_kind)); // SLOT_ESTKIND
+    let est_state = match g.plan.estimator.snapshot_state() {
         Some(state) => {
             let mut b = Vec::with_capacity(1 + state.len());
             b.push(1u8);
@@ -335,33 +342,33 @@ pub(crate) fn encode_engine(g: &Gph) -> Vec<u8> {
     };
     w.section(&est_state); // SLOT_ESTSTATE
     let mut rowmeta = Vec::with_capacity(16);
-    rowmeta.put_u64_le(g.data.dim() as u64);
-    rowmeta.put_u64_le(g.data.len() as u64);
+    rowmeta.put_u64_le(data.dim() as u64);
+    rowmeta.put_u64_le(data.len() as u64);
     w.section(&rowmeta); // SLOT_ROWMETA
-    let mut parttab = Vec::with_capacity(g.index.num_parts() * 24);
-    for p in 0..g.index.num_parts() {
-        parttab.put_u64_le(g.index.part_width(p) as u64);
-        parttab.put_u64_le(g.index.part_keys(p).len() as u64);
-        parttab.put_u64_le(g.index.part_ids(p).len() as u64);
+    let mut parttab = Vec::with_capacity(index.num_parts() * 24);
+    for p in 0..index.num_parts() {
+        parttab.put_u64_le(index.part_width(p) as u64);
+        parttab.put_u64_le(index.part_keys(p).len() as u64);
+        parttab.put_u64_le(index.part_ids(p).len() as u64);
     }
     w.section(&parttab); // SLOT_PARTTAB
 
-    let mut rows = Vec::with_capacity(g.data.words().len() * 8);
-    for &word in g.data.words() {
+    let mut rows = Vec::with_capacity(data.words().len() * 8);
+    for &word in data.words() {
         rows.put_u64_le(word);
     }
     w.aligned_section(&rows); // SLOT_ROWS
     let mut keys = Vec::new();
     let mut offs = Vec::new();
     let mut ids = Vec::new();
-    for p in 0..g.index.num_parts() {
-        for &k in g.index.part_keys(p) {
+    for p in 0..index.num_parts() {
+        for &k in index.part_keys(p) {
             keys.put_u64_le(k);
         }
-        for &o in g.index.part_offsets(p) {
+        for &o in index.part_offsets(p) {
             offs.put_u32_le(o);
         }
-        for &id in g.index.part_ids(p) {
+        for &id in index.part_ids(p) {
             ids.put_u32_le(id);
         }
     }
@@ -371,77 +378,9 @@ pub(crate) fn encode_engine(g: &Gph) -> Vec<u8> {
     w.finish()
 }
 
-/// Serializes a built engine in the legacy tagged-section v2 layout.
-/// Kept (not wired to any save path) so compatibility tests can mint
-/// old-format fixtures without checked-in binary blobs.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn encode_engine_v2(g: &Gph) -> Vec<u8> {
-    let mut w = SectionWriter::new(ENGINE_MAGIC, 2);
-    w.section("dataset", &encode_dataset(&g.data));
-    w.section("partit", &encode_partitioning(&g.partitioning));
-    w.section("invindex", &g.index.encode());
-    w.section("config", &encode_config(g));
-    w.section("estkind", &encode_kind(&g.estimator_kind));
-    if let Some(state) = g.estimator.snapshot_state() {
-        w.section("eststate", &state);
-    }
-    w.finish()
-}
-
-/// Per-partition extents from the v3 `parttab` section.
-pub(crate) struct PartExtent {
-    pub(crate) width: usize,
-    pub(crate) n_keys: usize,
-    pub(crate) n_ids: usize,
-}
-
-/// Decodes the v3 `parttab` section: one `(width, n_keys, n_ids)`
-/// triple per partition.
-pub(crate) fn decode_parttab(bytes: &[u8]) -> Result<Vec<PartExtent>> {
-    let mut r = ByteReader::new(bytes);
-    if !bytes.len().is_multiple_of(24) {
-        return Err(HammingError::Corrupt(format!(
-            "partition table of {} bytes is not a whole number of 24-byte rows",
-            bytes.len()
-        )));
-    }
-    let mut parts = Vec::with_capacity(bytes.len() / 24);
-    for _ in 0..bytes.len() / 24 {
-        parts.push(PartExtent {
-            width: r.u64("part width")? as usize,
-            n_keys: r.u64("part key count")? as usize,
-            n_ids: r.u64("part id count")? as usize,
-        });
-    }
-    r.finish("partition table")?;
-    Ok(parts)
-}
-
-/// Decodes the v3 `rowmeta` section into `(dim, n_rows)`.
-pub(crate) fn decode_rowmeta(bytes: &[u8]) -> Result<(usize, usize)> {
-    let mut r = ByteReader::new(bytes);
-    let dim = r.u64("row dim")? as usize;
-    let n_rows = r.u64("row count")? as usize;
-    r.finish("row metadata")?;
-    if dim == 0 {
-        return Err(HammingError::Corrupt("snapshot declares dim 0".into()));
-    }
-    Ok((dim, n_rows))
-}
-
-/// Interprets the v3 `eststate` payload: a presence byte, then the
-/// estimator tables if present.
-pub(crate) fn decode_est_state(payload: &[u8]) -> Result<Option<&[u8]>> {
-    match payload.split_first() {
-        Some((0, [])) => Ok(None),
-        Some((1, rest)) => Ok(Some(rest)),
-        _ => Err(HammingError::Corrupt("malformed estimator-state presence flag".into())),
-    }
-}
-
 /// Rebuilds a [`Dataset`] from the v3 raw row slab (`n_rows ×
-/// words_for(dim)` little-endian u64), applying the same tail-bit
-/// validation as [`decode_dataset`].
+/// words_for(dim)` little-endian u64), rejecting rows with bits set
+/// beyond the dimensionality like [`decode_dataset`] does.
 pub(crate) fn dataset_from_slab(dim: usize, n_rows: usize, slab: &[u8]) -> Result<Dataset> {
     let wpv = words_for(dim);
     let need = n_rows
@@ -454,174 +393,218 @@ pub(crate) fn dataset_from_slab(dim: usize, n_rows: usize, slab: &[u8]) -> Resul
             slab.len()
         )));
     }
-    let tail_mask = if dim.is_multiple_of(64) { u64::MAX } else { (1u64 << (dim % 64)) - 1 };
     let mut ds = Dataset::with_capacity(dim, n_rows);
     let mut row = vec![0u64; wpv];
     for chunk in slab.chunks_exact(wpv * 8) {
         for (w, b) in row.iter_mut().zip(chunk.chunks_exact(8)) {
             *w = u64::from_le_bytes(b.try_into().unwrap());
         }
-        if let Some(&last) = row.last() {
-            if last & !tail_mask != 0 {
-                return Err(HammingError::Corrupt(
-                    "trailing bits set beyond dimensionality".into(),
-                ));
-            }
-        }
-        ds.push_row(&row)?;
+        // `push_row` enforces the trailing-zero invariant.
+        ds.push_row(&row).map_err(|e| HammingError::Corrupt(e.to_string()))?;
     }
     Ok(ds)
 }
 
-/// Restores an engine from [`encode_engine`] bytes (any version
-/// `1..=SNAPSHOT_VERSION`).
-pub(crate) fn decode_engine(bytes: &[u8]) -> Result<Gph> {
-    // Dispatch on the header version: v3+ is offset-addressed, v1/v2 are
-    // tagged-section containers. The chosen parser re-validates the
-    // version range, so a forged header cannot select a misparse.
-    if bytes.len() >= 8
-        && bytes[..4] == ENGINE_MAGIC
-        && u32::from_le_bytes(bytes[4..8].try_into().unwrap()) >= 3
-    {
-        decode_engine_v3(bytes)
-    } else {
-        decode_engine_legacy(bytes)
+/// One partition's CSR geometry: its width and key count, and where
+/// its keys / offsets / ids arrays start within their sections (byte
+/// offsets relative to the section payload).
+pub(crate) struct PartSpan {
+    pub(crate) width: usize,
+    pub(crate) n_keys: usize,
+    pub(crate) keys_off: u64,
+    pub(crate) offs_off: u64,
+    pub(crate) ids_off: u64,
+}
+
+/// Everything a GPHE container says about its engine short of the
+/// payload arrays, decoded and cross-validated once for both load
+/// paths: the resident decode ([`decode_engine`]) and the cold open
+/// ([`crate::coldstore::ColdSegment::open`]) differ only in what they
+/// do with the row slab and the CSR sections afterwards.
+pub(crate) struct EngineMeta<'a> {
+    pub(crate) cfg: DecodedConfig,
+    pub(crate) partitioning: Partitioning,
+    pub(crate) projector: Projector,
+    pub(crate) estimator_kind: EstimatorKind,
+    est_state: Cow<'a, [u8]>,
+    pub(crate) dim: usize,
+    pub(crate) n_rows: usize,
+    pub(crate) parts: Vec<PartSpan>,
+}
+
+impl EngineMeta<'_> {
+    /// The persisted estimator tables, if the kind snapshots any: the
+    /// `eststate` payload is a presence byte, then the tables.
+    pub(crate) fn est_state(&self) -> Result<Option<&[u8]>> {
+        match self.est_state.split_first() {
+            Some((0, [])) => Ok(None),
+            Some((1, rest)) => Ok(Some(rest)),
+            _ => Err(HammingError::Corrupt("malformed estimator-state presence flag".into())),
+        }
+    }
+
+    /// Partition widths, in partition order.
+    pub(crate) fn widths(&self) -> Vec<usize> {
+        self.parts.iter().map(|p| p.width).collect()
+    }
+
+    /// Assembles the query plan around the restored `estimator`.
+    pub(crate) fn into_plan(self, estimator: Box<dyn CnEstimator>) -> Plan {
+        Plan {
+            partitioning: self.partitioning,
+            projector: self.projector,
+            estimator,
+            estimator_kind: self.estimator_kind,
+            allocator: self.cfg.allocator,
+            cost_model: self.cfg.cost_model,
+            tau_max: self.cfg.tau_max,
+            scratch_pool: Default::default(),
+        }
     }
 }
 
-fn decode_engine_v3(bytes: &[u8]) -> Result<Gph> {
-    let f = Footer::parse_bytes(ENGINE_MAGIC, SNAPSHOT_VERSION, bytes)?;
+/// Decodes the metadata sections of the container indexed by `f` and
+/// checks that they describe one consistent engine — every section CRC
+/// can be intact while the sections belong to different engines, or
+/// while the partition table disagrees with the payload sections it
+/// tiles. `section` returns the CRC-verified payload of a metadata
+/// slot; the payload slots (rows, keys, offs, ids) are only measured,
+/// never read.
+pub(crate) fn decode_engine_meta<'a>(
+    f: &Footer,
+    section: impl Fn(usize) -> Result<Cow<'a, [u8]>>,
+) -> Result<EngineMeta<'a>> {
     if f.n_slots() != N_ENGINE_SLOTS {
         return Err(HammingError::Corrupt(format!(
             "engine snapshot has {} sections, expected {N_ENGINE_SLOTS}",
             f.n_slots()
         )));
     }
-    let cfg = decode_config(f.payload(bytes, SLOT_CONFIG)?)?;
-    let partitioning = decode_partitioning(f.payload(bytes, SLOT_PARTIT)?)?;
-    let estimator_kind = decode_kind(f.payload(bytes, SLOT_ESTKIND)?)?;
-    let est_state = decode_est_state(f.payload(bytes, SLOT_ESTSTATE)?)?;
-    let (dim, n_rows) = decode_rowmeta(f.payload(bytes, SLOT_ROWMETA)?)?;
-    let parts = decode_parttab(f.payload(bytes, SLOT_PARTTAB)?)?;
-    let data = dataset_from_slab(dim, n_rows, f.payload(bytes, SLOT_ROWS)?)?;
+    let cfg = decode_config(&section(SLOT_CONFIG)?)?;
+    let partitioning = decode_partitioning(&section(SLOT_PARTIT)?)?;
+    let estimator_kind = decode_kind(&section(SLOT_ESTKIND)?)?;
+    let est_state = section(SLOT_ESTSTATE)?;
+    let rowmeta = section(SLOT_ROWMETA)?;
+    let mut r = ByteReader::new(&rowmeta);
+    let dim = r.u64("row dim")? as usize;
+    let n_rows = r.u64("row count")? as usize;
+    r.finish("row metadata")?;
+    let parttab = section(SLOT_PARTTAB)?;
 
-    let keys_bytes = f.payload(bytes, SLOT_KEYS)?;
-    let offs_bytes = f.payload(bytes, SLOT_OFFS)?;
-    let ids_bytes = f.payload(bytes, SLOT_IDS)?;
-    let mut csr = Vec::with_capacity(parts.len());
-    let (mut koff, mut ooff, mut ioff) = (0usize, 0usize, 0usize);
-    for (p, ext) in parts.iter().enumerate() {
-        let k_end = koff.checked_add(ext.n_keys * 8).filter(|&e| e <= keys_bytes.len());
-        let o_end = ooff.checked_add((ext.n_keys + 1) * 4).filter(|&e| e <= offs_bytes.len());
-        let i_end = ioff.checked_add(ext.n_ids * 4).filter(|&e| e <= ids_bytes.len());
-        let (Some(k_end), Some(o_end), Some(i_end)) = (k_end, o_end, i_end) else {
-            return Err(HammingError::Corrupt(format!(
-                "partition {p} extents exceed the CSR sections"
-            )));
-        };
-        let keys = keys_bytes[koff..k_end]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let offsets = offs_bytes[ooff..o_end]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let ids = ids_bytes[ioff..i_end]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        csr.push((ext.width, keys, offsets, ids));
-        (koff, ooff, ioff) = (k_end, o_end, i_end);
+    if dim == 0 {
+        return Err(HammingError::Corrupt("snapshot declares dim 0".into()));
     }
-    if koff != keys_bytes.len() || ooff != offs_bytes.len() || ioff != ids_bytes.len() {
+    if partitioning.dim() != dim {
         return Err(HammingError::Corrupt(format!(
-            "CSR sections have {} trailing bytes beyond the partition table",
-            (keys_bytes.len() - koff) + (offs_bytes.len() - ooff) + (ids_bytes.len() - ioff)
+            "partitioning covers {} dims but the rows have {dim}",
+            partitioning.dim()
         )));
     }
-    let index = InvertedIndex::from_csr(n_rows, csr)?;
-    assemble_engine(data, partitioning, index, cfg, estimator_kind, est_state)
-}
-
-fn decode_engine_legacy(bytes: &[u8]) -> Result<Gph> {
-    let r = SectionReader::parse(ENGINE_MAGIC, 2, bytes)?;
-    let data = decode_dataset(r.section("dataset")?)?;
-    let partitioning = decode_partitioning(r.section("partit")?)?;
-    let cfg = decode_config(r.section("config")?)?;
-    let index_bytes = r.section("invindex")?;
-    let index = if r.version() >= 2 {
-        InvertedIndex::decode(index_bytes)?
-    } else {
-        // v1 snapshots stored hash-map-ordered (key, range) triples; the
-        // legacy decoder canonicalizes them into the CSR layout.
-        InvertedIndex::decode_legacy(index_bytes)?
-    };
-    let estimator_kind = decode_kind(r.section("estkind")?)?;
-    assemble_engine(data, partitioning, index, cfg, estimator_kind, r.get("eststate"))
-}
-
-/// Cross-validates the decoded pieces and assembles the engine. Shared
-/// by the offset-addressed and tagged-section load paths so both apply
-/// identical splice checks.
-fn assemble_engine(
-    data: Dataset,
-    partitioning: hamming_core::Partitioning,
-    index: InvertedIndex,
-    cfg: DecodedConfig,
-    estimator_kind: crate::cn::EstimatorKind,
-    est_state: Option<&[u8]>,
-) -> Result<Gph> {
-    if partitioning.dim() != data.dim() {
+    if parttab.len() != partitioning.num_parts() * 24 {
         return Err(HammingError::Corrupt(format!(
-            "partitioning covers {} dims but the dataset has {}",
-            partitioning.dim(),
-            data.dim()
-        )));
-    }
-    if index.len() != data.len() {
-        return Err(HammingError::Corrupt(format!(
-            "index posts {} vectors but the dataset has {}",
-            index.len(),
-            data.len()
-        )));
-    }
-    if index.num_parts() != partitioning.num_parts() {
-        return Err(HammingError::Corrupt(format!(
-            "index has {} partitions but the partitioning has {}",
-            index.num_parts(),
+            "partition table of {} bytes does not hold one 24-byte row for each of the \
+             partitioning's {} parts",
+            parttab.len(),
             partitioning.num_parts()
         )));
     }
+    let expect_rows = (n_rows as u64)
+        .checked_mul(words_for(dim) as u64)
+        .and_then(|w| w.checked_mul(8))
+        .ok_or_else(|| HammingError::Corrupt("row slab size overflow".into()))?;
+    let rows_len = f.slot(SLOT_ROWS)?.len;
+    if rows_len != expect_rows {
+        return Err(HammingError::Corrupt(format!(
+            "row slab is {rows_len} bytes, expected {expect_rows} for {n_rows} rows of dim {dim}"
+        )));
+    }
+
+    // One `(width, n_keys, n_ids)` row per partition; together the
+    // declared extents must tile each CSR section exactly.
     let projector = Projector::new(&partitioning);
-    for p in 0..index.num_parts() {
-        if index.part_width(p) != projector.shape(p).width {
+    let sections = [f.slot(SLOT_KEYS)?.len, f.slot(SLOT_OFFS)?.len, f.slot(SLOT_IDS)?.len];
+    let mut at = [0u64; 3];
+    let mut parts = Vec::with_capacity(partitioning.num_parts());
+    let mut r = ByteReader::new(&parttab);
+    for p in 0..partitioning.num_parts() {
+        let width = r.u64("part width")? as usize;
+        let n_keys = r.u64("part key count")?;
+        let n_ids = r.u64("part id count")?;
+        if width != projector.shape(p).width {
             return Err(HammingError::Corrupt(format!(
-                "partition {p} width mismatch: index {} vs partitioning {}",
-                index.part_width(p),
+                "partition {p} width mismatch: table {width} vs partitioning {}",
                 projector.shape(p).width
             )));
         }
+        if n_ids != n_rows as u64 {
+            return Err(HammingError::Corrupt(format!(
+                "partition {p} posts {n_ids} ids for {n_rows} rows"
+            )));
+        }
+        let [keys_off, offs_off, ids_off] = at;
+        parts.push(PartSpan { width, n_keys: n_keys as usize, keys_off, offs_off, ids_off });
+        // Bytes this partition takes of the keys, offs and ids sections.
+        let takes = [
+            n_keys.checked_mul(8),
+            n_keys.checked_add(1).and_then(|k| k.checked_mul(4)),
+            n_ids.checked_mul(4),
+        ];
+        for ((cursor, take), limit) in at.iter_mut().zip(takes).zip(sections) {
+            *cursor = take
+                .and_then(|bytes| cursor.checked_add(bytes))
+                .filter(|&end| end <= limit)
+                .ok_or_else(|| {
+                    HammingError::Corrupt(format!("partition {p} extents exceed the CSR sections"))
+                })?;
+        }
     }
+    if at != sections {
+        return Err(HammingError::Corrupt(
+            "CSR sections have trailing bytes beyond the partition table".into(),
+        ));
+    }
+    Ok(EngineMeta { cfg, partitioning, projector, estimator_kind, est_state, dim, n_rows, parts })
+}
+
+/// Restores an engine from [`encode_engine`] bytes, every payload CRC
+/// verified up front.
+pub(crate) fn decode_engine(bytes: &[u8]) -> Result<Gph> {
+    reject_retired_version(ENGINE_MAGIC, SNAPSHOT_VERSION, bytes)?;
+    let f = Footer::parse_bytes(ENGINE_MAGIC, SNAPSHOT_VERSION, bytes)?;
+    let meta = decode_engine_meta(&f, |slot| Ok(Cow::Borrowed(f.payload(bytes, slot)?)))?;
+    let n = meta.n_rows;
+    let data = dataset_from_slab(meta.dim, n, f.payload(bytes, SLOT_ROWS)?)?;
+
+    // `decode_engine_meta` proved the partition table tiles these
+    // sections exactly, so reading them front to back consumes each.
+    let mut keys = ByteReader::new(f.payload(bytes, SLOT_KEYS)?);
+    let mut offs = ByteReader::new(f.payload(bytes, SLOT_OFFS)?);
+    let mut ids = ByteReader::new(f.payload(bytes, SLOT_IDS)?);
+    let mut csr = Vec::with_capacity(meta.parts.len());
+    for s in &meta.parts {
+        csr.push((
+            s.width,
+            keys.u64s(s.n_keys, "posting keys")?,
+            offs.u32s(s.n_keys + 1, "posting offsets")?,
+            ids.u32s(n, "posting ids")?,
+        ));
+    }
+    let index = InvertedIndex::from_csr(n, csr)?;
     // The projected columns are a deterministic bit-gather of the rows —
     // cheap to recompute, so they are not stored.
-    let projected = ProjectedDataset::build(&data, &projector);
-    let widths: Vec<usize> = (0..projector.num_parts()).map(|p| projector.shape(p).width).collect();
-    let estimator =
-        restore_estimator(&estimator_kind, est_state, &projected, cfg.tau_max, &widths)?;
+    let projected = ProjectedDataset::build(&data, &meta.projector);
+    let estimator = restore_estimator(
+        &meta.estimator_kind,
+        meta.est_state()?,
+        &projected,
+        meta.cfg.tau_max,
+        &meta.widths(),
+    )?;
+    let build_stats = meta.cfg.build_stats;
     Ok(Gph {
-        data,
-        partitioning,
-        projector,
-        index,
-        projected,
-        estimator,
-        estimator_kind,
-        allocator: cfg.allocator,
-        cost_model: cfg.cost_model,
-        tau_max: cfg.tau_max,
-        build_stats: cfg.build_stats,
-        scratch_pool: Mutex::new(Vec::new()),
+        plan: meta.into_plan(estimator),
+        store: Resident { data, index, projected },
+        build_stats,
     })
 }
 
@@ -768,27 +751,26 @@ mod tests {
         // belongs to a different partitioning; the cross-check must
         // reject the splice instead of letting a query panic.
         let ds = random_dataset(32, 80, 19);
-        let a = encode_engine_v2(
-            &Gph::build(
-                ds.clone(),
-                &GphConfig { strategy: PartitionStrategy::Original, ..GphConfig::new(2, 4) },
-            )
-            .unwrap(),
-        );
-        let b = encode_engine_v2(
-            &Gph::build(
-                ds,
-                &GphConfig { strategy: PartitionStrategy::Original, ..GphConfig::new(4, 4) },
-            )
-            .unwrap(),
-        );
-        let ra = SectionReader::parse(ENGINE_MAGIC, 2, &a).unwrap();
-        let rb = SectionReader::parse(ENGINE_MAGIC, 2, &b).unwrap();
-        let mut w = SectionWriter::new(ENGINE_MAGIC, 2);
-        for tag in ["dataset", "partit", "invindex", "config", "estkind"] {
-            w.section(tag, rb.section(tag).unwrap());
+        let build = |m: usize| {
+            let cfg = GphConfig { strategy: PartitionStrategy::Original, ..GphConfig::new(m, 4) };
+            Gph::build(ds.clone(), &cfg).unwrap().to_bytes()
+        };
+        let (a, b) = (build(2), build(4));
+        let fa = Footer::parse_bytes(ENGINE_MAGIC, SNAPSHOT_VERSION, &a).unwrap();
+        let fb = Footer::parse_bytes(ENGINE_MAGIC, SNAPSHOT_VERSION, &b).unwrap();
+        // Engine B's container, slot for slot, with A's estimator state.
+        let mut w = OffsetWriter::new(ENGINE_MAGIC, SNAPSHOT_VERSION);
+        for slot in 0..N_ENGINE_SLOTS {
+            let payload = match slot {
+                SLOT_ESTSTATE => fa.payload(&a, slot).unwrap(),
+                _ => fb.payload(&b, slot).unwrap(),
+            };
+            if slot >= SLOT_ROWS {
+                w.aligned_section(payload);
+            } else {
+                w.section(payload);
+            }
         }
-        w.section("eststate", ra.section("eststate").unwrap());
         match Gph::from_bytes(&w.finish()) {
             Err(HammingError::Corrupt(msg)) => {
                 assert!(msg.contains("partition"), "{msg}")
@@ -859,54 +841,19 @@ mod tests {
     }
 
     #[test]
-    fn version1_snapshots_load_through_the_legacy_path() {
-        // Reconstruct what a pre-CSR writer produced: a version-1
-        // container whose `invindex` section holds the old
-        // (key, offset, len)-triple encoding. Loading it must succeed and
-        // give an engine query-for-query identical to the v3 round-trip.
-        let ds = random_dataset(48, 200, 22);
-        let queries = random_dataset(48, 6, 23);
-        let mut cfg = GphConfig::new(3, 8);
-        cfg.strategy = PartitionStrategy::RandomShuffle { seed: 9 };
-        let built = Gph::build(ds, &cfg).unwrap();
-        let v2 = encode_engine_v2(&built);
-        let r = SectionReader::parse(ENGINE_MAGIC, 2, &v2).unwrap();
-        assert_eq!(r.version(), 2, "the v2 writer stamps version 2");
-        let mut w = SectionWriter::new(ENGINE_MAGIC, 1);
-        for tag in ["dataset", "partit", "config", "estkind"] {
-            w.section(tag, r.section(tag).unwrap());
+    fn retired_gphe_versions_are_rejected_as_unsupported() {
+        // A v1/v2 file is a tagged-section container: all this reader
+        // must recognise is the header, and say so — never misparse it.
+        for version in [1u32, 2] {
+            let mut w = hamming_core::io::SectionWriter::new(ENGINE_MAGIC, version);
+            w.section("dataset", b"whatever an old writer put here");
+            match Gph::from_bytes(&w.finish()).map(|_| ()) {
+                Err(HammingError::Corrupt(msg)) => {
+                    assert!(msg.contains(&format!("unsupported version {version}")), "{msg}")
+                }
+                other => panic!("v{version}: expected Corrupt, got {other:?}"),
+            }
         }
-        w.section("invindex", &built.index.encode_legacy());
-        if let Some(state) = r.get("eststate") {
-            w.section("eststate", state);
-        }
-        let v1 = w.finish();
-        assert_ne!(v1, v2, "the two formats differ on the wire");
-
-        let loaded = Gph::from_bytes(&v1).unwrap();
-        assert_engines_agree(&built, &loaded, &queries, &[0, 4, 8]);
-        // Saving the migrated engine re-emits the canonical v3 bytes.
-        assert_eq!(loaded.to_bytes(), built.to_bytes());
-    }
-
-    #[test]
-    fn version2_snapshots_load_through_the_legacy_path() {
-        // A v2 (tagged-section, CSR) snapshot loads into an engine
-        // query-identical to the v3 round-trip, and re-saving migrates
-        // it to the offset-addressed layout.
-        let ds = random_dataset(48, 150, 30);
-        let queries = random_dataset(48, 6, 31);
-        let mut cfg = GphConfig::new(3, 8);
-        cfg.strategy = PartitionStrategy::RandomShuffle { seed: 4 };
-        let built = Gph::build(ds, &cfg).unwrap();
-        let v2 = encode_engine_v2(&built);
-        let v3 = built.to_bytes();
-        assert_ne!(v2, v3);
-        assert_eq!(u32::from_le_bytes(v3[4..8].try_into().unwrap()), 3);
-
-        let loaded = Gph::from_bytes(&v2).unwrap();
-        assert_engines_agree(&built, &loaded, &queries, &[0, 4, 8]);
-        assert_eq!(loaded.to_bytes(), v3);
     }
 
     #[test]

@@ -18,9 +18,7 @@
 
 use crate::error::{HammingError, Result};
 use crate::fasthash::FastMap;
-use crate::io::ByteReader;
 use crate::project::ProjectedDataset;
-use bytes::BufMut;
 
 /// One partition's postings in CSR form.
 #[derive(Clone, Debug)]
@@ -140,10 +138,15 @@ impl InvertedIndex {
     }
 
     /// Assembles an index directly from raw CSR arrays (one
-    /// `(width, keys, offsets, ids)` tuple per partition), applying the
-    /// same structural validation as [`InvertedIndex::decode`]. This is
-    /// how offset-addressed (v3) snapshots rebuild the index from
-    /// sections read straight off disk.
+    /// `(width, keys, offsets, ids)` tuple per partition — what
+    /// [`InvertedIndex::part_keys`] / [`InvertedIndex::part_offsets`] /
+    /// [`InvertedIndex::part_ids`] export), validating the key order,
+    /// the offset monotonicity, and every ID against the declared
+    /// cardinality so a corrupt payload cannot cause panics (or
+    /// out-of-bounds postings) later. This is how snapshots rebuild the
+    /// index from sections read straight off disk. Because keys are
+    /// sorted and [`InvertedIndex::build`] is canonical, identical data
+    /// always exports identical arrays.
     #[allow(clippy::type_complexity)]
     pub fn from_csr(
         len: usize,
@@ -160,147 +163,6 @@ impl InvertedIndex {
         Ok(InvertedIndex { parts, len })
     }
 
-    /// Deterministic byte encoding of the postings (for engine
-    /// snapshots): the CSR arrays verbatim. Keys are stored sorted by
-    /// construction, so identical indexes always produce identical bytes
-    /// — and, because [`InvertedIndex::build`] is canonical, so do two
-    /// independent builds of the same data.
-    ///
-    /// Layout (little-endian): `len u64, n_parts u64`, then per part
-    /// `width u64, n_keys u64, n_ids u64, n_keys × key u64,
-    /// (n_keys + 1) × offset u32, n_ids × id u32`.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(16 + self.size_bytes());
-        buf.put_u64_le(self.len as u64);
-        buf.put_u64_le(self.parts.len() as u64);
-        for pi in &self.parts {
-            buf.put_u64_le(pi.width as u64);
-            buf.put_u64_le(pi.keys.len() as u64);
-            buf.put_u64_le(pi.ids.len() as u64);
-            for &key in &pi.keys {
-                buf.put_u64_le(key);
-            }
-            for &off in &pi.offsets {
-                buf.put_u32_le(off);
-            }
-            for &id in &pi.ids {
-                buf.put_u32_le(id);
-            }
-        }
-        buf
-    }
-
-    /// Decodes an index written by [`InvertedIndex::encode`], validating
-    /// the key order, the offset monotonicity, and every ID against the
-    /// declared cardinality so a corrupt payload cannot cause panics (or
-    /// out-of-bounds postings) later.
-    pub fn decode(bytes: &[u8]) -> Result<InvertedIndex> {
-        let mut r = ByteReader::new(bytes);
-        let len = r.u64("index len")? as usize;
-        let n_parts = r.len(28, "index part count")?;
-        let mut parts = Vec::with_capacity(n_parts);
-        for p in 0..n_parts {
-            let width = r.u64("part width")? as usize;
-            let n_keys = r.len(12, "part key count")?;
-            let n_ids = r.len(4, "part id count")?;
-            let keys = r.u64s(n_keys, "posting keys")?;
-            let offsets = r.u32s(n_keys + 1, "posting offsets")?;
-            let ids = r.u32s(n_ids, "posting ids")?;
-            validate_csr_part(p, len, &keys, &offsets, &ids)?;
-            parts.push(PartIndex { width, keys, offsets, ids });
-        }
-        r.finish("inverted index")?;
-        Ok(InvertedIndex { parts, len })
-    }
-
-    /// Encodes the pre-CSR (snapshot v1) layout: per part `width u64,
-    /// n_keys u64, n_ids u64, n_keys × (key u64, off u32, len u32),
-    /// n_ids × id u32`. Only needed to produce old-format fixtures for
-    /// compatibility tests and downgrade tooling; new snapshots use
-    /// [`InvertedIndex::encode`].
-    pub fn encode_legacy(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(16 + self.size_bytes());
-        buf.put_u64_le(self.len as u64);
-        buf.put_u64_le(self.parts.len() as u64);
-        for pi in &self.parts {
-            buf.put_u64_le(pi.width as u64);
-            buf.put_u64_le(pi.keys.len() as u64);
-            buf.put_u64_le(pi.ids.len() as u64);
-            for (s, &key) in pi.keys.iter().enumerate() {
-                buf.put_u64_le(key);
-                buf.put_u32_le(pi.offsets[s]);
-                buf.put_u32_le(pi.offsets[s + 1] - pi.offsets[s]);
-            }
-            for &id in &pi.ids {
-                buf.put_u32_le(id);
-            }
-        }
-        buf
-    }
-
-    /// Decodes the pre-CSR (snapshot v1) layout written by the old
-    /// hash-map index, canonicalizing it into CSR form: keys are sorted
-    /// and the `ids` array is regrouped so old snapshots load into the
-    /// exact layout a fresh build would produce.
-    pub fn decode_legacy(bytes: &[u8]) -> Result<InvertedIndex> {
-        let mut r = ByteReader::new(bytes);
-        let len = r.u64("index len")? as usize;
-        let n_parts = r.len(24, "index part count")?;
-        let mut parts = Vec::with_capacity(n_parts);
-        for p in 0..n_parts {
-            let width = r.u64("part width")? as usize;
-            let n_keys = r.len(16, "part key count")?;
-            let n_ids = r.len(4, "part id count")?;
-            if n_ids != len {
-                return Err(HammingError::Corrupt(format!(
-                    "part {p} holds {n_ids} postings for {len} vectors"
-                )));
-            }
-            let mut ranges: Vec<(u64, u32, u32)> = Vec::with_capacity(n_keys);
-            let mut covered = 0usize;
-            for _ in 0..n_keys {
-                let key = r.u64("posting key")?;
-                let off = r.u32("posting offset")?;
-                let n = r.u32("posting length")?;
-                if off as usize + n as usize > n_ids {
-                    return Err(HammingError::Corrupt(format!(
-                        "part {p} range {off}+{n} exceeds {n_ids} ids"
-                    )));
-                }
-                covered += n as usize;
-                ranges.push((key, off, n));
-            }
-            if covered != n_ids {
-                return Err(HammingError::Corrupt(format!(
-                    "part {p} ranges cover {covered} of {n_ids} ids"
-                )));
-            }
-            let old_ids = r.u32s(n_ids, "posting ids")?;
-            if let Some(&id) = old_ids.iter().find(|&&id| id as usize >= len) {
-                return Err(HammingError::Corrupt(format!(
-                    "posting id {id} out of range for {len} vectors"
-                )));
-            }
-            // Canonicalize: sorted keys, ids regrouped contiguously.
-            ranges.sort_unstable_by_key(|&(k, _, _)| k);
-            if ranges.windows(2).any(|w| w[0].0 == w[1].0) {
-                return Err(HammingError::Corrupt(format!("part {p} repeats a key")));
-            }
-            let mut keys = Vec::with_capacity(n_keys);
-            let mut offsets = Vec::with_capacity(n_keys + 1);
-            offsets.push(0u32);
-            let mut ids = Vec::with_capacity(n_ids);
-            for (key, off, n) in ranges {
-                keys.push(key);
-                ids.extend_from_slice(&old_ids[off as usize..(off + n) as usize]);
-                offsets.push(ids.len() as u32);
-            }
-            parts.push(PartIndex { width, keys, offsets, ids });
-        }
-        r.finish("inverted index")?;
-        Ok(InvertedIndex { parts, len })
-    }
-
     /// Approximate heap size in bytes (the flat CSR arrays), the
     /// quantity compared in Fig. 6.
     pub fn size_bytes(&self) -> usize {
@@ -311,10 +173,10 @@ impl InvertedIndex {
     }
 }
 
-/// Structural validation of one partition's CSR arrays, shared by
-/// [`InvertedIndex::decode`] and [`InvertedIndex::from_csr`]: postings
-/// cover exactly `len` ids, keys strictly ascending, offsets a monotone
-/// prefix sum spanning `0..n_ids`, every id in range.
+/// Structural validation of one partition's CSR arrays for
+/// [`InvertedIndex::from_csr`]: postings cover exactly `len` ids, keys
+/// strictly ascending, offsets a monotone prefix sum spanning
+/// `0..n_ids`, every id in range.
 fn validate_csr_part(
     p: usize,
     len: usize,
@@ -411,11 +273,29 @@ mod tests {
         assert!(idx.size_bytes() > 0);
     }
 
+    /// The index's serialized form: per partition `(width, keys,
+    /// offsets, ids)`, the arrays snapshots store verbatim.
+    type Csr = Vec<(usize, Vec<u64>, Vec<u32>, Vec<u32>)>;
+
+    fn export(idx: &InvertedIndex) -> Csr {
+        (0..idx.num_parts())
+            .map(|p| {
+                (
+                    idx.part_width(p),
+                    idx.part_keys(p).to_vec(),
+                    idx.part_offsets(p).to_vec(),
+                    idx.part_ids(p).to_vec(),
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn builds_are_deterministic() {
         // The CSR layout is a canonical function of the data: two
         // independent builds of the same projected dataset must be
-        // byte-identical, which is what makes snapshots reproducible.
+        // identical word for word, which is what makes snapshots
+        // reproducible.
         let ds = Dataset::from_vectors(
             16,
             (0u32..200).map(|i| {
@@ -427,81 +307,54 @@ mod tests {
         let pd = ProjectedDataset::build(&ds, &Projector::new(&p));
         let a = InvertedIndex::build(&pd);
         let b = InvertedIndex::build(&pd);
-        assert_eq!(a.encode(), b.encode());
+        assert_eq!(export(&a), export(&b));
         // And a third build over an independently re-projected dataset.
         let pd2 = ProjectedDataset::build(&ds, &Projector::new(&p));
-        assert_eq!(a.encode(), InvertedIndex::build(&pd2).encode());
+        assert_eq!(export(&a), export(&InvertedIndex::build(&pd2)));
     }
 
     #[test]
     fn encode_decode_roundtrip_is_byte_stable() {
         let (_, idx, _) = build_table1();
-        let bytes = idx.encode();
-        let decoded = InvertedIndex::decode(&bytes).unwrap();
+        let csr = export(&idx);
+        let decoded = InvertedIndex::from_csr(idx.len(), csr.clone()).unwrap();
         assert_eq!(decoded.len(), idx.len());
         assert_eq!(decoded.num_parts(), idx.num_parts());
         assert_eq!(decoded.postings(0, 0b0000), idx.postings(0, 0b0000));
         assert_eq!(decoded.postings(1, 0b1111), idx.postings(1, 0b1111));
         assert_eq!(decoded.postings(1, 0b0101), &[] as &[u32]);
-        // Re-encoding reproduces the exact bytes (sorted-key determinism).
-        assert_eq!(decoded.encode(), bytes);
-    }
-
-    #[test]
-    fn legacy_roundtrip_canonicalizes() {
-        let (_, idx, _) = build_table1();
-        let legacy = idx.encode_legacy();
-        let decoded = InvertedIndex::decode_legacy(&legacy).unwrap();
-        // A legacy decode lands in the same canonical CSR layout.
-        assert_eq!(decoded.encode(), idx.encode());
-        // Truncated legacy bytes never panic.
-        for cut in 0..legacy.len() {
-            assert!(InvertedIndex::decode_legacy(&legacy[..cut]).is_err(), "cut={cut}");
-        }
-    }
-
-    #[test]
-    fn legacy_decode_regroups_scattered_ranges() {
-        // Hand-build a legacy payload whose ranges are *not* laid out in
-        // key order (the hash-map layout): key 5 occupies ids[2..4],
-        // key 1 occupies ids[0..2]. The decoder must regroup.
-        let mut buf = Vec::new();
-        buf.put_u64_le(4); // len
-        buf.put_u64_le(1); // parts
-        buf.put_u64_le(8); // width
-        buf.put_u64_le(2); // keys
-        buf.put_u64_le(4); // ids
-        buf.put_u64_le(1);
-        buf.put_u32_le(2);
-        buf.put_u32_le(2); // key 1 -> ids[2..4]
-        buf.put_u64_le(5);
-        buf.put_u32_le(0);
-        buf.put_u32_le(2); // key 5 -> ids[0..2]
-        for id in [1u32, 3, 0, 2] {
-            buf.put_u32_le(id);
-        }
-        let idx = InvertedIndex::decode_legacy(&buf).unwrap();
-        assert_eq!(idx.postings(0, 1), &[0, 2]);
-        assert_eq!(idx.postings(0, 5), &[1, 3]);
+        // Re-exporting reproduces the exact arrays (sorted-key determinism).
+        assert_eq!(export(&decoded), csr);
     }
 
     #[test]
     fn decode_rejects_structural_corruption() {
         let (_, idx, _) = build_table1();
-        let bytes = idx.encode();
-        // Truncations never panic.
-        for cut in 0..bytes.len() {
-            assert!(InvertedIndex::decode(&bytes[..cut]).is_err(), "cut={cut}");
-        }
-        // Forged huge part count is rejected before allocating.
-        let mut huge = bytes.clone();
-        huge[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(InvertedIndex::decode(&huge).is_err());
-        // An id pushed out of range is caught.
-        let mut bad_id = bytes.clone();
-        let last = bad_id.len() - 4;
-        bad_id[last..].copy_from_slice(&900u32.to_le_bytes());
-        assert!(InvertedIndex::decode(&bad_id).is_err());
+        let good = export(&idx);
+        let n = idx.len();
+        assert!(InvertedIndex::from_csr(n, good.clone()).is_ok());
+        let reject = |what: &str, mutate: &dyn Fn(&mut Csr)| {
+            let mut bad = good.clone();
+            mutate(&mut bad);
+            match InvertedIndex::from_csr(n, bad) {
+                Err(HammingError::Corrupt(_)) => {}
+                other => panic!("{what}: expected Corrupt, got {:?}", other.map(|_| ())),
+            }
+        };
+        reject("id out of range", &|c| *c[1].3.last_mut().unwrap() = 900);
+        reject("postings do not cover every row", &|c| {
+            c[0].3.pop();
+        });
+        reject("keys out of order", &|c| c[0].1.swap(0, 1));
+        reject("repeated key", &|c| c[0].1[1] = c[0].1[0]);
+        reject("offset count does not match key count", &|c| {
+            c[0].2.pop();
+        });
+        reject("offsets do not start at 0", &|c| c[0].2[0] = 1);
+        reject("offsets do not end at n_ids", &|c| *c[0].2.last_mut().unwrap() -= 1);
+        reject("offsets not monotone", &|c| c[1].2[1] = 4);
+        // A declared cardinality the arrays do not match is caught too.
+        assert!(InvertedIndex::from_csr(n + 1, good.clone()).is_err());
     }
 
     #[test]
@@ -510,7 +363,7 @@ mod tests {
         let p = Partitioning::equi_width(8, 2).unwrap();
         let pd = ProjectedDataset::build(&ds, &Projector::new(&p));
         let idx = InvertedIndex::build(&pd);
-        let decoded = InvertedIndex::decode(&idx.encode()).unwrap();
+        let decoded = InvertedIndex::from_csr(0, export(&idx)).unwrap();
         assert!(decoded.is_empty());
         assert_eq!(decoded.num_parts(), 2);
     }

@@ -568,8 +568,7 @@ fn worker_loop(
 
         let now = Instant::now();
         conns.retain(|_, conn| {
-            pump_out(conn, &shared.counters, &cfg);
-            try_flush(conn);
+            drain_out(conn, &shared.counters, &cfg);
             if conn.dead || conn.finished() {
                 let _ = conn.stream.shutdown(Shutdown::Both);
                 shared.counters.connections_active.dec();
@@ -792,6 +791,26 @@ fn pump_out(conn: &mut Conn, counters: &Counters, cfg: &ServerConfig) {
         counters.responses.inc();
         if is_error {
             counters.errors_sent.inc();
+        }
+    }
+}
+
+/// Encodes and writes resolved responses until the socket pushes back
+/// or the head slot is still pending. One pump + flush is not enough:
+/// when the flush empties the write buffer while [`pump_out`] had
+/// stopped at the backpressure cap, resolved slots remain but nothing
+/// is buffered, so the next poll would carry no `POLLOUT` and sleep out
+/// its full timeout — a recovering slow reader would get one buffer's
+/// worth per tick.
+fn drain_out(conn: &mut Conn, counters: &Counters, cfg: &ServerConfig) {
+    loop {
+        pump_out(conn, counters, cfg);
+        if conn.buffered_write() == 0 {
+            break; // nothing resolved at the head of the queue
+        }
+        try_flush(conn);
+        if conn.dead || conn.buffered_write() > 0 {
+            break; // the socket pushed back; POLLOUT resumes the drain
         }
     }
 }

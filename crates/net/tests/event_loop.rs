@@ -70,6 +70,7 @@ fn slow_reader_backpressure_respects_the_write_buffer_cap() {
     );
 
     // Now drain: every response arrives complete and in request order.
+    let drain_started = Instant::now();
     for id in 1..=REQUESTS {
         let (got_id, msg, _) =
             read_frame(&mut sock).expect("clean frame").expect("server still serving");
@@ -81,6 +82,10 @@ fn slow_reader_backpressure_respects_the_write_buffer_cap() {
             other => panic!("response {id} was {other:?}"),
         }
     }
+    // A reader that has recovered is served at socket speed, not one
+    // write buffer per poll timeout (250 ms × 300 responses ≈ 75 s).
+    let drain = drain_started.elapsed();
+    assert!(drain < Duration::from_secs(10), "draining {REQUESTS} responses took {drain:?}");
     let stats = server.shutdown();
     assert_eq!(stats.responses, REQUESTS + 1, "all requests answered (plus the publish)");
     assert!((stats.write_buffer_peak as usize) < CAP + frame_len);
