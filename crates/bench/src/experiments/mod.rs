@@ -6,13 +6,11 @@
 pub mod ablation;
 pub mod allocation;
 pub mod calibration;
-pub mod coldstore;
 pub mod comparison;
 pub mod estimators;
 pub mod fleet;
 pub mod hotpath;
 pub mod msweep;
-pub mod mutations;
 pub mod netload;
 pub mod obs;
 pub mod partitioning;
@@ -20,7 +18,6 @@ pub mod scalecheck;
 pub mod scaling;
 pub mod sizes;
 pub mod skewprofile;
-pub mod smoke;
 
 use crate::Scale;
 
@@ -41,14 +38,11 @@ pub const EXPERIMENTS: &[&str] = &[
     "fig8ef",
     "ablation",
     "scalecheck",
-    "smoke",
     "hotpath",
-    "mutations",
     "netload",
     "fleet",
     "fleetobs",
     "obs",
-    "coldstore",
     "all",
 ];
 
@@ -70,14 +64,11 @@ pub fn dispatch(exp: &str, scale: Scale) -> bool {
         "fig8ef" => scaling::run_workload_mismatch(scale),
         "ablation" => ablation::run(scale),
         "scalecheck" => scalecheck::run(scale),
-        "smoke" => smoke::run(scale),
         "hotpath" => hotpath::run(scale),
-        "mutations" => mutations::run(scale),
         "netload" => netload::run(scale),
         "fleet" => fleet::run(scale),
         "fleetobs" => fleet::run_obs(scale),
         "obs" => obs::run(scale),
-        "coldstore" => coldstore::run(scale),
         "all" => {
             for exp in EXPERIMENTS.iter().filter(|&&e| e != "all") {
                 dispatch(exp, scale);

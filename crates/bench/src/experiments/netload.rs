@@ -4,9 +4,9 @@
 //! numbers (QPS, client-side p50/p95/p99, bytes per query) are written
 //! to `BENCH_net.json`.
 //!
-//! Companion to `smoke` (frozen pipeline) and `mutations` (live-update
-//! path): this pins the network path — framing, per-connection
-//! read/write decoupling, pipelining, and the scatter-gather behind it.
+//! This pins the network path under several pipelining clients —
+//! framing, per-connection read/write decoupling, and the
+//! scatter-gather behind it.
 //! One query per run is cross-checked against a brute-force scan so a
 //! correctness regression fails the job rather than skewing a number.
 

@@ -9,9 +9,9 @@
 //! ```
 //!
 //! where `<exp>` is one of `fig1 fig2a fig2b fig3 table3 fig4 fig5 fig6
-//! table4 fig7 fig8abc fig8d fig8ef ablation scalecheck smoke hotpath
-//! mutations netload obs coldstore all`. Each runner prints a markdown table with the same rows/series
-//! as the paper artifact; the workspace-level `PAPER.md` maps every
+//! table4 fig7 fig8abc fig8d fig8ef ablation scalecheck hotpath netload
+//! fleet fleetobs obs all`. Each runner prints a markdown table with the
+//! same rows/series as the paper artifact; the workspace-level `PAPER.md` maps every
 //! figure/table to its experiment id and lists the known deviations.
 
 #![forbid(unsafe_code)]

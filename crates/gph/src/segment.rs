@@ -31,11 +31,11 @@
 use crate::coldstore::{ColdSegment, PageCacheStats, SegmentFile, SpillStore, StorageMode};
 use crate::engine::{Gph, GphConfig, QueryStats, SearchResult};
 use crate::pipeline::Plan;
-use crate::snapshot::{decode_gph_config, encode_gph_config, reject_retired_version};
+use crate::snapshot::{decode_gph_config, encode_gph_config};
 use bytes::BufMut;
 use gph_obs::{PhaseNanos, SegmentTrace};
 use hamming_core::error::{HammingError, Result};
-use hamming_core::io::{ByteReader, Footer, OffsetWriter, PAGE_SIZE};
+use hamming_core::io::{reject_retired_version, ByteReader, Footer, OffsetWriter, PAGE_SIZE};
 use hamming_core::tombstone::Tombstones;
 use hamming_core::{hamming_within, words_for, Dataset};
 use std::borrow::Cow;
@@ -1452,9 +1452,8 @@ mod tests {
     fn retired_gphs_version_is_rejected_as_unsupported() {
         // A v1 file is a tagged-section container; the reader must name
         // the version, on the in-memory and the file-mapped path alike.
-        let mut w = hamming_core::io::SectionWriter::new(SEGMENT_MAGIC, 1);
-        w.section("config", b"whatever an old writer put here");
-        let v1 = w.finish();
+        let mut v1 = [&SEGMENT_MAGIC[..], &1u32.to_le_bytes()].concat();
+        v1.extend_from_slice(b"whatever an old writer put here");
         let path = std::env::temp_dir().join(format!("gph-segtest-v1-{}.gphs", std::process::id()));
         std::fs::write(&path, &v1).unwrap();
         let cold = StorageMode::FileBacked { budget_bytes: 1 << 20 };

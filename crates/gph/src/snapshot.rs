@@ -52,8 +52,8 @@ use bytes::BufMut;
 use hamming_core::dataset::Dataset;
 use hamming_core::error::{HammingError, Result};
 use hamming_core::io::{
-    decode_dataset, decode_partitioning, encode_dataset, encode_partitioning, ByteReader, Footer,
-    OffsetWriter,
+    decode_dataset, decode_partitioning, encode_dataset, encode_partitioning,
+    reject_retired_version, ByteReader, Footer, OffsetWriter,
 };
 use hamming_core::project::{ProjectedDataset, Projector};
 use hamming_core::{words_for, InvertedIndex, Partitioning};
@@ -66,23 +66,6 @@ pub const ENGINE_MAGIC: [u8; 4] = *b"GPHE";
 /// Current (and only loadable) snapshot format version: the
 /// offset-addressed layout (see the module docs and `FORMAT.md`).
 pub const SNAPSHOT_VERSION: u32 = 3;
-
-/// Rejects a container whose header carries `magic` but a retired
-/// version below `current` (the tagged-section generations). Those
-/// files have no footer, so without this check they would surface as a
-/// confusing "bad footer magic"; anything else falls through to the
-/// offset-addressed parser's validation.
-pub(crate) fn reject_retired_version(magic: [u8; 4], current: u32, header: &[u8]) -> Result<()> {
-    if header.len() >= 8 && header[..4] == magic {
-        let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if version < current {
-            return Err(HammingError::Corrupt(format!(
-                "unsupported version {version} (this reader loads version {current} only)"
-            )));
-        }
-    }
-    Ok(())
-}
 
 // Fixed slot indices of the v3 container (see the module-docs table).
 // The cold open path (`crate::coldstore`) addresses sections by these.
@@ -845,9 +828,9 @@ mod tests {
         // A v1/v2 file is a tagged-section container: all this reader
         // must recognise is the header, and say so — never misparse it.
         for version in [1u32, 2] {
-            let mut w = hamming_core::io::SectionWriter::new(ENGINE_MAGIC, version);
-            w.section("dataset", b"whatever an old writer put here");
-            match Gph::from_bytes(&w.finish()).map(|_| ()) {
+            let mut old = [&ENGINE_MAGIC[..], &version.to_le_bytes()].concat();
+            old.extend_from_slice(b"whatever an old writer put here");
+            match Gph::from_bytes(&old).map(|_| ()) {
                 Err(HammingError::Corrupt(msg)) => {
                     assert!(msg.contains(&format!("unsupported version {version}")), "{msg}")
                 }

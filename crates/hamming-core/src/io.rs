@@ -1,7 +1,7 @@
 //! Binary serialization: flat formats for datasets and partitionings,
-//! plus the generic **section-framed container** every persistent
-//! artifact in the workspace (engine snapshots, shard manifests) is built
-//! from.
+//! plus the **offset-addressed container** ([`OffsetWriter`] /
+//! [`Footer`]) that frames every snapshot artifact in the workspace
+//! (`GPHE` engines, `GPHS` segmented engines, `GPHM` shard manifests).
 //!
 //! Dataset format (little-endian):
 //!
@@ -16,14 +16,12 @@
 //! The flat formats are intentionally dumb: datasets here are synthetic
 //! and regenerable, so the only goals are speed and exact round-tripping.
 //!
-//! The container ([`SectionWriter`] / [`SectionReader`]) frames named
-//! sections behind a magic + version header; every section carries its
-//! length and a CRC-32, so any single-byte corruption anywhere in the
-//! file is detected at parse time (CRC-32 catches all burst errors up to
-//! 32 bits) and surfaces as [`HammingError::Corrupt`] rather than a panic
-//! or silently wrong data. Readers ignore unknown sections, which is the
-//! forward-compatibility escape hatch: new writers may append sections
-//! without breaking old readers of the same major version.
+//! The container puts positional sections behind a magic + version
+//! header and indexes them from a fixed-size footer at EOF; the footer
+//! and every section carry a CRC-32, so any single-byte corruption
+//! anywhere in the file is detected (CRC-32 catches all burst errors up
+//! to 32 bits) and surfaces as [`HammingError::Corrupt`] rather than a
+//! panic or silently wrong data.
 
 use crate::dataset::Dataset;
 use crate::error::{HammingError, Result};
@@ -61,7 +59,7 @@ const fn crc32_table() -> [u32; 256] {
 static CRC32_TABLE: [u32; 256] = crc32_table();
 
 /// CRC-32 (IEEE 802.3) of `bytes` — the per-section checksum of the
-/// container format, also used by the serving layer's shard manifests.
+/// container format, also what shard manifests record per shard file.
 pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_update(u32::MAX, bytes)
 }
@@ -104,15 +102,6 @@ impl Default for Crc32 {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// CRC-32 over a section's tag, length field, and payload — covering the
-/// header means a corrupted tag byte cannot masquerade as a valid
-/// unknown section.
-fn section_crc(tag: &[u8; SECTION_TAG_LEN], payload: &[u8]) -> u32 {
-    let mut crc = crc32_update(u32::MAX, tag);
-    crc = crc32_update(crc, &(payload.len() as u64).to_le_bytes());
-    !crc32_update(crc, payload)
 }
 
 // ---------------------------------------------------------------------
@@ -234,145 +223,7 @@ impl<'a> ByteReader<'a> {
 }
 
 // ---------------------------------------------------------------------
-// The section-framed container
-// ---------------------------------------------------------------------
-
-/// Section tags are at most this many bytes of ASCII, space-padded.
-pub const SECTION_TAG_LEN: usize = 8;
-
-fn pad_tag(tag: &str) -> [u8; SECTION_TAG_LEN] {
-    assert!(
-        tag.len() <= SECTION_TAG_LEN && tag.is_ascii() && !tag.is_empty(),
-        "section tags are 1..=8 ASCII bytes, got {tag:?}"
-    );
-    let mut out = [b' '; SECTION_TAG_LEN];
-    out[..tag.len()].copy_from_slice(tag.as_bytes());
-    out
-}
-
-/// Builds a section-framed container:
-///
-/// ```text
-/// magic      [u8; 4]      caller-chosen file type
-/// version    u32
-/// n_sections u32
-/// sections   n_sections × { tag [u8; 8], len u64, crc32 u32, payload }
-/// ```
-///
-/// Writers append sections in order; [`SectionWriter::finish`] patches
-/// the count. Everything is little-endian.
-pub struct SectionWriter {
-    buf: Vec<u8>,
-    n_sections: u32,
-}
-
-impl SectionWriter {
-    /// Starts a container with the given magic and format version.
-    pub fn new(magic: [u8; 4], version: u32) -> Self {
-        let mut buf = Vec::with_capacity(64);
-        buf.put_slice(&magic);
-        buf.put_u32_le(version);
-        buf.put_u32_le(0); // patched by finish()
-        SectionWriter { buf, n_sections: 0 }
-    }
-
-    /// Appends a section. `tag` must be 1..=8 ASCII bytes and unique
-    /// within the container (readers reject duplicates).
-    pub fn section(&mut self, tag: &str, payload: &[u8]) {
-        let tag = pad_tag(tag);
-        self.buf.put_slice(&tag);
-        self.buf.put_u64_le(payload.len() as u64);
-        self.buf.put_u32_le(section_crc(&tag, payload));
-        self.buf.put_slice(payload);
-        self.n_sections += 1;
-    }
-
-    /// Finalizes the container and returns its bytes.
-    pub fn finish(mut self) -> Vec<u8> {
-        self.buf[8..12].copy_from_slice(&self.n_sections.to_le_bytes());
-        self.buf
-    }
-}
-
-/// Parses and validates a section-framed container written by
-/// [`SectionWriter`]: checks magic, version, per-section bounds, and
-/// every section's CRC-32 up front, so lookups on a parsed reader cannot
-/// hit corrupt payloads.
-pub struct SectionReader<'a> {
-    version: u32,
-    sections: Vec<([u8; SECTION_TAG_LEN], &'a [u8])>,
-}
-
-impl<'a> SectionReader<'a> {
-    /// Parses `bytes`, requiring `magic` and a version in
-    /// `1..=max_version`. Unknown sections are retained (and ignorable),
-    /// which lets newer writers of the same major version add sections
-    /// without breaking old readers.
-    pub fn parse(magic: [u8; 4], max_version: u32, bytes: &'a [u8]) -> Result<Self> {
-        let mut r = ByteReader::new(bytes);
-        let got = r.bytes(4, "container magic")?;
-        if got != magic {
-            return Err(HammingError::Corrupt(format!("bad magic {got:?}, expected {magic:?}")));
-        }
-        let version = r.u32("container version")?;
-        if version == 0 || version > max_version {
-            return Err(HammingError::Corrupt(format!(
-                "unsupported container version {version} (reader supports 1..={max_version})"
-            )));
-        }
-        // Each section needs at least its 20-byte header.
-        let n_sections = r.u32("section count")? as usize;
-        if n_sections > r.remaining() / (SECTION_TAG_LEN + 12) {
-            return Err(HammingError::Corrupt(format!(
-                "{n_sections} sections exceed the {} remaining bytes",
-                r.remaining()
-            )));
-        }
-        let mut sections: Vec<([u8; SECTION_TAG_LEN], &'a [u8])> = Vec::with_capacity(n_sections);
-        for _ in 0..n_sections {
-            let tag: [u8; SECTION_TAG_LEN] =
-                r.bytes(SECTION_TAG_LEN, "section tag")?.try_into().expect("8 bytes");
-            let len = r.len(1, "section length")?;
-            let crc = r.u32("section crc")?;
-            let payload = r.bytes(len, "section payload")?;
-            if section_crc(&tag, payload) != crc {
-                return Err(HammingError::Corrupt(format!(
-                    "checksum mismatch in section {:?}",
-                    String::from_utf8_lossy(&tag)
-                )));
-            }
-            if sections.iter().any(|(t, _)| *t == tag) {
-                return Err(HammingError::Corrupt(format!(
-                    "duplicate section {:?}",
-                    String::from_utf8_lossy(&tag)
-                )));
-            }
-            sections.push((tag, payload));
-        }
-        r.finish("container")?;
-        Ok(SectionReader { version, sections })
-    }
-
-    /// The container's format version.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// The payload of section `tag`, if present.
-    pub fn get(&self, tag: &str) -> Option<&'a [u8]> {
-        let tag = pad_tag(tag);
-        self.sections.iter().find(|(t, _)| *t == tag).map(|&(_, p)| p)
-    }
-
-    /// The payload of section `tag`, or [`HammingError::Corrupt`] when
-    /// the section is missing.
-    pub fn section(&self, tag: &str) -> Result<&'a [u8]> {
-        self.get(tag).ok_or_else(|| HammingError::Corrupt(format!("missing section {tag:?}")))
-    }
-}
-
-// ---------------------------------------------------------------------
-// The offset-addressed container (v3 snapshot layout)
+// The offset-addressed container
 // ---------------------------------------------------------------------
 
 /// Alignment of payload sections in an offset-addressed container, and
@@ -428,8 +279,8 @@ pub struct SectionSlot {
 ///          magic    [u8; 4] = b"GPHF"
 /// ```
 ///
-/// Unlike [`SectionWriter`], sections carry no tags: identity is the
-/// slot index, fixed per container magic + version. The call order of
+/// Sections carry no tags: identity is the slot index, fixed per
+/// container magic + version. The call order of
 /// [`OffsetWriter::section`] / [`OffsetWriter::aligned_section`]
 /// assigns slot indices.
 pub struct OffsetWriter {
@@ -700,6 +551,23 @@ impl Footer {
             .ok_or_else(|| HammingError::Corrupt(format!("slot {i} length out of range")))?;
         Ok(&bytes[start..start + len])
     }
+}
+
+/// Rejects a container whose header carries `magic` but a retired
+/// version below `current` (the tagged-section generations of `GPHE`,
+/// `GPHS` and `GPHM`). Those files have no footer, so without this check
+/// they would surface as a confusing "bad footer magic"; anything else
+/// falls through to [`Footer`]'s validation.
+pub fn reject_retired_version(magic: [u8; 4], current: u32, header: &[u8]) -> Result<()> {
+    if header.len() >= 8 && header[..4] == magic {
+        let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+        if version < current {
+            return Err(HammingError::Corrupt(format!(
+                "unsupported version {version} (this reader loads version {current} only)"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Encodes `ds` into a byte buffer.
@@ -1004,63 +872,6 @@ mod tests {
             assert_eq!(Crc32::new().update(a).update(b).finish(), crc32(data), "split={split}");
         }
         assert_eq!(Crc32::new().finish(), 0);
-    }
-
-    #[test]
-    fn container_roundtrip_and_unknown_sections() {
-        let mut w = SectionWriter::new(*b"TEST", 1);
-        w.section("alpha", b"hello");
-        w.section("beta", &[]);
-        w.section("futuresx", b"ignored by old readers");
-        let bytes = w.finish();
-        let r = SectionReader::parse(*b"TEST", 1, &bytes).unwrap();
-        assert_eq!(r.version(), 1);
-        assert_eq!(r.section("alpha").unwrap(), b"hello");
-        assert_eq!(r.section("beta").unwrap(), b"");
-        assert_eq!(r.get("futuresx").unwrap(), b"ignored by old readers");
-        assert!(r.get("gamma").is_none());
-        assert!(r.section("gamma").is_err());
-    }
-
-    #[test]
-    fn container_rejects_wrong_magic_and_version() {
-        let mut w = SectionWriter::new(*b"TEST", 3);
-        w.section("a", b"x");
-        let bytes = w.finish();
-        assert!(SectionReader::parse(*b"ELSE", 3, &bytes).is_err());
-        // Reader supporting only up to version 2 must refuse version 3.
-        assert!(SectionReader::parse(*b"TEST", 2, &bytes).is_err());
-        assert!(SectionReader::parse(*b"TEST", 3, &bytes).is_ok());
-    }
-
-    #[test]
-    fn container_rejects_duplicate_sections() {
-        let mut w = SectionWriter::new(*b"TEST", 1);
-        w.section("twin", b"a");
-        w.section("twin", b"b");
-        let bytes = w.finish();
-        assert!(SectionReader::parse(*b"TEST", 1, &bytes).is_err());
-    }
-
-    #[test]
-    fn container_detects_every_single_byte_corruption() {
-        let mut w = SectionWriter::new(*b"TEST", 1);
-        w.section("alpha", b"some payload worth protecting");
-        w.section("beta", &[1, 2, 3, 4, 5]);
-        let bytes = w.finish();
-        assert!(SectionReader::parse(*b"TEST", 1, &bytes).is_ok());
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            assert!(
-                SectionReader::parse(*b"TEST", 1, &bad).is_err(),
-                "flip at byte {i} went undetected"
-            );
-        }
-        // Truncations at every length are also rejected.
-        for cut in 0..bytes.len() {
-            assert!(SectionReader::parse(*b"TEST", 1, &bytes[..cut]).is_err());
-        }
     }
 
     #[test]

@@ -20,7 +20,6 @@ use crate::protocol::{
 use crate::NetError;
 use crossbeam::channel;
 use gph_obs::QueryTrace;
-use gph_serve::ServiceSnapshotStats;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::Write;
@@ -112,21 +111,6 @@ pub struct FleetMetrics {
     pub merged: String,
     /// Per-node outcomes; stale nodes carry their scrape error.
     pub nodes: Vec<NodeScrape>,
-}
-
-/// The server's `Stats` reply: index shape plus service counters.
-#[derive(Clone, Copy, Debug)]
-pub struct RemoteStats {
-    /// Live rows in the remote index.
-    pub rows: u64,
-    /// Remote index dimensionality.
-    pub dim: u32,
-    /// The remote index's maximum supported threshold.
-    pub tau_max: u32,
-    /// Remote shard count.
-    pub shards: u32,
-    /// Service + cache + admission counters.
-    pub stats: ServiceSnapshotStats,
 }
 
 type ReplySender = channel::Sender<Result<Response, NetError>>;
@@ -384,15 +368,6 @@ fn expect_metrics(resp: Response) -> Result<String, NetError> {
     }
 }
 
-fn expect_stats(resp: Response) -> Result<RemoteStats, NetError> {
-    match resp {
-        Response::Stats { rows, dim, tau_max, shards, stats } => {
-            Ok(RemoteStats { rows, dim, tau_max, shards, stats })
-        }
-        other => unexpected(&other),
-    }
-}
-
 fn expect_health(resp: Response) -> Result<NodeHealth, NetError> {
     match resp {
         Response::Health(h) => Ok(h),
@@ -626,11 +601,6 @@ impl GphClient {
     /// Inserts `row` under `id`, replacing any live row with that id.
     pub fn upsert(&self, id: u32, row: &[u64]) -> Result<WireMutation, NetError> {
         self.submit_upsert(id, row)?.wait()
-    }
-
-    /// Fetches the server's index shape and service counters.
-    pub fn stats(&self) -> Result<RemoteStats, NetError> {
-        self.submit(&Request::Stats, expect_stats)?.wait()
     }
 
     /// Pipelined fetch of the server's Prometheus text exposition.

@@ -63,8 +63,8 @@ pub mod server;
 pub mod testing;
 
 pub use client::{
-    BatchEntry, ClientConfig, FleetMetrics, GphClient, NetTicket, RangeResult, RemoteStats,
-    TopKResult, TracedResult,
+    BatchEntry, ClientConfig, FleetMetrics, GphClient, NetTicket, RangeResult, TopKResult,
+    TracedResult,
 };
 pub use event::{EventLoop, NetServerStats, Reply, RequestHandler, ServerConfig};
 pub use fleet::{

@@ -25,7 +25,6 @@
 
 use crate::NetError;
 use gph_obs::QueryTrace;
-use gph_serve::ServiceSnapshotStats;
 use hamming_core::io::{ByteReader, Crc32};
 use std::io::Read;
 
@@ -57,8 +56,6 @@ pub const OP_INSERT: u8 = 0x05;
 pub const OP_DELETE: u8 = 0x06;
 /// Op code for [`Request::Upsert`].
 pub const OP_UPSERT: u8 = 0x07;
-/// Op code for [`Request::Stats`] / [`Response::Stats`].
-pub const OP_STATS: u8 = 0x08;
 /// Op code for [`Response::Mutation`] (answers insert/delete/upsert).
 pub const OP_MUTATION: u8 = 0x09;
 /// Op code for [`Request::Metrics`] / [`Response::Metrics`].
@@ -251,8 +248,6 @@ pub enum Request {
         /// The row's raw words.
         row: Vec<u64>,
     },
-    /// Fetch the server's index shape and service counters.
-    Stats,
     /// Fetch the server's full Prometheus text exposition.
     Metrics,
     /// Range search that always runs traced and returns its own
@@ -341,6 +336,10 @@ pub struct NodeHealth {
     pub generation: u64,
     /// Live rows in the node's index.
     pub rows: u64,
+    /// Index dimensionality in bits.
+    pub dim: u32,
+    /// The index's maximum supported threshold.
+    pub tau_max: u32,
     /// Jobs queued ahead of the engine workers.
     pub queue_depth: u32,
     /// Configured queue capacity.
@@ -445,19 +444,6 @@ pub enum Response {
     Batch(Vec<SearchEntry>),
     /// Answer to insert/delete/upsert.
     Mutation(WireMutation),
-    /// Answer to [`Request::Stats`].
-    Stats {
-        /// Live rows in the index.
-        rows: u64,
-        /// Index dimensionality.
-        dim: u32,
-        /// The index's maximum supported threshold.
-        tau_max: u32,
-        /// Shard count.
-        shards: u32,
-        /// Service + cache + admission counters.
-        stats: ServiceSnapshotStats,
-    },
     /// Answer to [`Request::Metrics`]: the Prometheus text exposition.
     Metrics {
         /// Exposition-format metrics text.
@@ -549,7 +535,6 @@ fn request_opcode(req: &Request) -> u8 {
         Request::Insert { .. } => OP_INSERT,
         Request::Delete { .. } => OP_DELETE,
         Request::Upsert { .. } => OP_UPSERT,
-        Request::Stats => OP_STATS,
         Request::Metrics => OP_METRICS,
         Request::TracedSearch { .. } => OP_TRACED_SEARCH,
         Request::AggregateMetrics => OP_AGGREGATE_METRICS,
@@ -567,7 +552,6 @@ fn response_opcode(resp: &Response) -> u8 {
         Response::TopK { .. } => OP_TOPK,
         Response::Batch(_) => OP_BATCH,
         Response::Mutation(_) => OP_MUTATION,
-        Response::Stats { .. } => OP_STATS,
         Response::Metrics { .. } => OP_METRICS,
         Response::TracedSearch { .. } => OP_TRACED_SEARCH,
         Response::AggregateMetrics { .. } => OP_AGGREGATE_METRICS,
@@ -582,7 +566,6 @@ fn response_opcode(resp: &Response) -> u8 {
 fn encode_request_payload(req: &Request, buf: &mut Vec<u8>) {
     match req {
         Request::Ping
-        | Request::Stats
         | Request::Metrics
         | Request::GetManifest
         | Request::AggregateMetrics
@@ -683,13 +666,6 @@ fn encode_response_payload(resp: &Response, buf: &mut Vec<u8>) {
             }
             WireMutation::NotFound => buf.push(1),
         },
-        Response::Stats { rows, dim, tau_max, shards, stats } => {
-            put_u64(buf, *rows);
-            put_u32(buf, *dim);
-            put_u32(buf, *tau_max);
-            put_u32(buf, *shards);
-            stats.encode_into(buf);
-        }
         Response::Metrics { text } => put_str(buf, text),
         Response::AggregateMetrics { merged, nodes } => {
             put_str(buf, merged);
@@ -713,6 +689,8 @@ fn encode_response_payload(resp: &Response, buf: &mut Vec<u8>) {
             }
             put_u64(buf, h.generation);
             put_u64(buf, h.rows);
+            put_u32(buf, h.dim);
+            put_u32(buf, h.tau_max);
             put_u32(buf, h.queue_depth);
             put_u32(buf, h.queue_capacity);
             buf.push(u8::from(h.degraded));
@@ -824,7 +802,6 @@ fn decode_request_payload(opcode: u8, payload: &[u8]) -> Result<Request, NetErro
     let mut r = ByteReader::new(payload);
     let req = match opcode {
         OP_PING => Request::Ping,
-        OP_STATS => Request::Stats,
         OP_METRICS => Request::Metrics,
         OP_SEARCH => {
             let tau = r.u32("search tau")?;
@@ -957,13 +934,6 @@ fn decode_response_payload(opcode: u8, payload: &[u8]) -> Result<Response, NetEr
             1 => Response::Mutation(WireMutation::NotFound),
             other => return Err(proto_err(format!("unknown mutation tag {other}"))),
         },
-        OP_STATS => Response::Stats {
-            rows: r.u64("stats rows")?,
-            dim: r.u32("stats dim")?,
-            tau_max: r.u32("stats tau_max")?,
-            shards: r.u32("stats shards")?,
-            stats: ServiceSnapshotStats::decode_from(&mut r)?,
-        },
         OP_METRICS => Response::Metrics { text: read_str(&mut r, "metrics text")? },
         OP_AGGREGATE_METRICS => {
             let merged = read_str(&mut r, "merged exposition")?;
@@ -990,6 +960,8 @@ fn decode_response_payload(opcode: u8, payload: &[u8]) -> Result<Response, NetEr
             }
             let generation = r.u64("health generation")?;
             let rows = r.u64("health rows")?;
+            let dim = r.u32("health dim")?;
+            let tau_max = r.u32("health tau_max")?;
             let queue_depth = r.u32("health queue depth")?;
             let queue_capacity = r.u32("health queue capacity")?;
             let degraded = match r.u8("health degraded")? {
@@ -1001,14 +973,16 @@ fn decode_response_payload(opcode: u8, payload: &[u8]) -> Result<Response, NetEr
                 slots,
                 generation,
                 rows,
+                dim,
+                tau_max,
                 queue_depth,
                 queue_capacity,
                 degraded,
             })
         }
         OP_SLOW_QUERIES => {
-            // Each trace costs at least its version byte plus the v2
-            // context and v1 header fields.
+            // Each trace costs at least its version byte plus the hop
+            // context and header fields.
             let n = read_count(&mut r, 16, "slow trace count")?;
             let mut traces = Vec::with_capacity(n);
             for _ in 0..n {
@@ -1224,7 +1198,6 @@ mod tests {
     #[test]
     fn request_roundtrips() {
         roundtrip_request(0, Request::Ping);
-        roundtrip_request(7, Request::Stats);
         roundtrip_request(1, Request::Search { tau: 8, query: vec![0xDEAD, 0xBEEF] });
         roundtrip_request(2, Request::TopK { k: 5, query: vec![1, 2, 3] });
         roundtrip_request(
@@ -1359,16 +1332,6 @@ mod tests {
         roundtrip_response(7, Response::Mutation(WireMutation::Applied { replaced: true }));
         roundtrip_response(8, Response::Mutation(WireMutation::NotFound));
         roundtrip_response(
-            9,
-            Response::Stats {
-                rows: 1000,
-                dim: 128,
-                tau_max: 16,
-                shards: 4,
-                stats: Default::default(),
-            },
-        );
-        roundtrip_response(
             11,
             Response::Metrics { text: "# HELP gph_up Up.\n# TYPE gph_up gauge\ngph_up 1\n".into() },
         );
@@ -1434,6 +1397,8 @@ mod tests {
                 slots: vec![0, 3],
                 generation: 7,
                 rows: 1_000_000,
+                dim: 128,
+                tau_max: 16,
                 queue_depth: 12,
                 queue_capacity: 1024,
                 degraded: false,

@@ -5,7 +5,7 @@
 //! readiness-driven [`EventLoop`] (see [`crate::event`]): a fixed
 //! acceptor + worker + resolver thread set multiplexes every connection
 //! over nonblocking sockets, so thousands of idle clients cost no
-//! threads. Cheap requests (ping, stats, metrics, mutations, validation
+//! threads. Cheap requests (ping, health, metrics, mutations, validation
 //! errors) resolve inline on the worker; searches submit engine work
 //! ([`QueryService::submit`] / [`QueryService::submit_batch`] /
 //! [`QueryService::submit_topk`]) and hand the ticket wait to the
@@ -155,16 +155,6 @@ impl RequestHandler for ServiceHandler {
     fn handle(&self, req: Request) -> Reply {
         match req {
             Request::Ping => Reply::Now(Response::Pong),
-            Request::Stats => {
-                let index = self.service.index();
-                Reply::Now(Response::Stats {
-                    rows: index.len() as u64,
-                    dim: index.dim() as u32,
-                    tau_max: self.tau_max,
-                    shards: index.num_shards() as u32,
-                    stats: self.service.snapshot_stats(),
-                })
-            }
             Request::Metrics => Reply::Now(Response::Metrics { text: self.service.metrics_text() }),
             Request::Search { tau, query } => {
                 if let Err(msg) =
@@ -201,6 +191,8 @@ impl RequestHandler for ServiceHandler {
                     slots: self.slots.clone(),
                     generation: self.service.generation(),
                     rows: index.len() as u64,
+                    dim: index.dim() as u32,
+                    tau_max: self.tau_max,
                     queue_depth: self.service.queue_depth() as u32,
                     queue_capacity: self.service.queue_capacity() as u32,
                     degraded: self.service.degraded(),

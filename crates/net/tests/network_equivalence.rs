@@ -148,15 +148,17 @@ fn four_pipelined_clients_match_the_in_process_service() {
     }
 
     // After the storm: the fleet holds exactly the original rows again,
-    // and a remote stats round-trip agrees with the in-process state.
+    // and the remote shape (Health) and counters (Metrics) agree with
+    // the in-process state.
     assert_eq!(service.index().len(), 400);
     let client = GphClient::connect(addr).unwrap();
-    let remote = client.stats().unwrap();
+    let remote = client.health().unwrap();
     assert_eq!(remote.rows, 400);
     assert_eq!(remote.dim, DIM as u32);
-    assert_eq!(remote.shards, 3);
     assert_eq!(remote.tau_max, service.index().tau_max() as u32);
-    assert!(remote.stats.service.responses > 0);
+    let exposition = gph_obs::Exposition::parse(&client.metrics().unwrap());
+    assert_eq!(exposition.value("gph_index_shards"), Some(3.0));
+    assert!(exposition.value("gph_responses_total").unwrap() > 0.0);
     assert!(client.ping().is_ok());
 
     let stats = server.shutdown();

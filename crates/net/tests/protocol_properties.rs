@@ -5,56 +5,20 @@
 //! (never a panic, never a silently-wrong decode).
 
 use gph_net::protocol::{
-    decode_frame, encode_request, encode_response, read_frame, Message, NodeHealth, NodeScrape,
-    Request, Response, SearchEntry, WireError, WireMutation,
+    decode_frame, encode_request, encode_response, frame_crc, read_frame, Message, NodeHealth,
+    NodeScrape, Request, Response, SearchEntry, WireError, WireMutation, HEADER_LEN,
 };
-use gph_serve::{AdmissionStats, CacheStats, ServiceSnapshotStats, ServiceStats};
+use gph_net::NetError;
 use proptest::prelude::*;
 
 fn words(max: usize) -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(any::<u64>(), 1..=max)
 }
 
-/// Deterministic stats from one seed (floats kept finite so equality
-/// comparisons stay meaningful; byte-exactness holds regardless).
-fn stats_from_seed(seed: u64) -> ServiceSnapshotStats {
-    let mut x = seed;
-    let mut next = move || {
-        x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-        x >> 17
-    };
-    ServiceSnapshotStats {
-        service: ServiceStats {
-            responses: next(),
-            executed: next(),
-            batches: next(),
-            queue_rejections: next(),
-            mutations: next(),
-            qps: next() as f64 / 128.0,
-            latency_p50_ns: next(),
-            latency_p95_ns: next(),
-            latency_p99_ns: next(),
-            latency_mean_ns: next() as f64 / 64.0,
-            latency_max_ns: next(),
-            candidates_per_query: next() as f64 / 32.0,
-            scanned_per_query: next() as f64 / 24.0,
-            results_per_query: next() as f64 / 16.0,
-        },
-        cache: CacheStats {
-            hits: next(),
-            misses: next(),
-            invalidations: next(),
-            len: next() as usize,
-            capacity: next() as usize,
-        },
-        admission: AdmissionStats { admitted: next(), degraded: next(), rejected: next() },
-    }
-}
-
 fn request_strategy() -> impl Strategy<Value = Request> {
     let batch = (1usize..=4, 1usize..=4)
         .prop_flat_map(|(n, w)| prop::collection::vec(prop::collection::vec(any::<u64>(), w), n));
-    ((0u8..13, any::<u32>(), any::<u32>()), words(5), batch).prop_map(|((tag, a, b), q, qs)| {
+    ((0u8..12, any::<u32>(), any::<u32>()), words(5), batch).prop_map(|((tag, a, b), q, qs)| {
         match tag {
             0 => Request::Ping,
             1 => Request::Search { tau: a, query: q },
@@ -69,8 +33,7 @@ fn request_strategy() -> impl Strategy<Value = Request> {
             }
             9 => Request::AggregateMetrics,
             10 => Request::Health,
-            11 => Request::SlowQueries { max: a },
-            _ => Request::Stats,
+            _ => Request::SlowQueries { max: a },
         }
     })
 }
@@ -145,6 +108,8 @@ fn health_from_seed(seed: u64) -> NodeHealth {
         slots: (0..(seed % 4) as u32).map(|_| next() as u32).collect(),
         generation: next(),
         rows: next(),
+        dim: next() as u32,
+        tau_max: next() as u32,
         queue_depth: next() as u32,
         queue_capacity: next() as u32,
         degraded: seed.is_multiple_of(2),
@@ -163,7 +128,7 @@ fn scrapes_from_seed(seed: u64) -> Vec<NodeScrape> {
 
 fn response_strategy() -> impl Strategy<Value = Response> {
     (
-        (0u8..12, any::<u64>(), any::<bool>(), any::<bool>()),
+        (0u8..11, any::<u64>(), any::<bool>(), any::<bool>()),
         entry_strategy(),
         prop::collection::vec(entry_strategy(), 0..4),
         prop::collection::vec((any::<u32>(), any::<u32>()), 0..6),
@@ -180,22 +145,15 @@ fn response_strategy() -> impl Strategy<Value = Response> {
                 } else {
                     WireMutation::NotFound
                 }),
-                5 => Response::Stats {
-                    rows: seed,
-                    dim: a,
-                    tau_max: b,
-                    shards: a ^ b,
-                    stats: stats_from_seed(seed),
-                },
-                6 => Response::Metrics {
+                5 => Response::Metrics {
                     text: format!("# HELP gph_x_{a} X.\n# TYPE gph_x_{a} counter\ngph_x_{a} {b}\n"),
                 },
-                7 => Response::TracedSearch { entry, trace: flag_a.then(|| trace_from_seed(seed)) },
-                8 => Response::Health(health_from_seed(seed)),
-                9 => Response::SlowQueries {
+                6 => Response::TracedSearch { entry, trace: flag_a.then(|| trace_from_seed(seed)) },
+                7 => Response::Health(health_from_seed(seed)),
+                8 => Response::SlowQueries {
                     traces: (0..seed % 3).map(|i| trace_from_seed(seed ^ i)).collect(),
                 },
-                10 => Response::AggregateMetrics {
+                9 => Response::AggregateMetrics {
                     merged: format!("# TYPE gph_up gauge\ngph_up {a}\n"),
                     nodes: scrapes_from_seed(seed),
                 },
@@ -230,6 +188,23 @@ fn message_strategy() -> impl Strategy<Value = Message> {
             Message::Response(resp)
         }
     })
+}
+
+/// Opcode `0x08` carried the retired `Stats` op: a well-formed,
+/// correctly checksummed frame naming it is a protocol error in either
+/// direction, like any opcode this build does not know.
+#[test]
+fn retired_stats_opcode_is_a_protocol_error() {
+    for mut frame in [encode_request(7, &Request::Ping), encode_response(7, &Response::Pong)] {
+        frame[6] = 0x08;
+        let crc = frame_crc(&frame[4..20], &frame[HEADER_LEN..]);
+        frame[20..24].copy_from_slice(&crc.to_le_bytes());
+        match decode_frame(&frame) {
+            Err(NetError::Protocol(msg)) => assert!(msg.contains("opcode 0x08"), "{msg}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        assert!(matches!(read_frame(&mut &frame[..]), Err(NetError::Protocol(_))));
+    }
 }
 
 proptest! {

@@ -120,8 +120,7 @@ pub struct QueryTrace {
 }
 
 /// Codec version of the [`QueryTrace`] payload. v2 added the hop
-/// context (trace id, node, start timestamp); v1 blobs still decode,
-/// with the context defaulted to unset.
+/// context (trace id, node, start timestamp); v1 is rejected.
 const TRACE_VERSION: u8 = 2;
 /// Allocation guard: no real deployment has this many shards/segments.
 const MAX_TRACE_ITEMS: u32 = 1 << 16;
@@ -199,28 +198,21 @@ impl QueryTrace {
         Ok(out)
     }
 
-    /// Decodes a trace from the reader's current position. Accepts the
-    /// current codec (v2) and v1 blobs (pre-context), whose hop context
-    /// decodes as unset; any other version is a typed error.
+    /// Decodes a trace from the reader's current position; any version
+    /// but the current one is a typed error.
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self> {
         let version = r.u8("trace version")?;
-        if version != 1 && version != TRACE_VERSION {
+        if version != TRACE_VERSION {
             return Err(HammingError::Corrupt(format!("unsupported trace version {version}")));
         }
-        let (trace_id, node, started_unix_ns) = if version >= 2 {
-            let trace_id = r.u64("trace id")?;
-            let node_len = r.u32("trace node len")?;
-            if node_len > MAX_NODE_LEN {
-                return Err(HammingError::Corrupt(format!(
-                    "trace node length {node_len} implausible"
-                )));
-            }
-            let node = String::from_utf8(r.bytes(node_len as usize, "trace node")?.to_vec())
-                .map_err(|_| HammingError::Corrupt("trace node is not UTF-8".into()))?;
-            (trace_id, node, r.u64("trace started")?)
-        } else {
-            (0, String::new(), 0)
-        };
+        let trace_id = r.u64("trace id")?;
+        let node_len = r.u32("trace node len")?;
+        if node_len > MAX_NODE_LEN {
+            return Err(HammingError::Corrupt(format!("trace node length {node_len} implausible")));
+        }
+        let node = String::from_utf8(r.bytes(node_len as usize, "trace node")?.to_vec())
+            .map_err(|_| HammingError::Corrupt("trace node is not UTF-8".into()))?;
+        let started_unix_ns = r.u64("trace started")?;
         let tau = r.u32("trace tau")?;
         let total_ns = r.u64("trace total")?;
         let n_shards = read_count(r, "trace shards")?;
@@ -432,9 +424,11 @@ mod tests {
         let t = sample_trace(1);
         let bytes = t.encode();
         assert!(QueryTrace::decode(&bytes[..bytes.len() - 1]).is_err(), "truncated");
-        let mut versioned = bytes.clone();
-        versioned[0] = 9;
-        assert!(QueryTrace::decode(&versioned).is_err(), "unknown version");
+        for version in [1u8, 9] {
+            let mut versioned = bytes.clone();
+            versioned[0] = version;
+            assert!(QueryTrace::decode(&versioned).is_err(), "version {version}");
+        }
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(QueryTrace::decode(&trailing).is_err(), "trailing bytes");
@@ -449,33 +443,6 @@ mod tests {
         let mut huge = bytes;
         huge[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(QueryTrace::decode(&huge).is_err(), "implausible count");
-    }
-
-    /// Encodes `t` in the v1 (pre-context) layout.
-    fn encode_v1(t: &QueryTrace) -> Vec<u8> {
-        let mut buf = t.encode();
-        // v2 = version byte, 20 bytes of context + node, then the v1
-        // body verbatim; rewrite the prefix to the v1 form.
-        let body = buf.split_off(1 + 8 + 4 + t.node.len() + 8);
-        vec![1u8].into_iter().chain(body).collect()
-    }
-
-    /// Pins the compatibility choice: v1 blobs (no hop context) still
-    /// decode, with trace id / node / start timestamp defaulting to
-    /// unset.
-    #[test]
-    fn trace_codec_decodes_v1_blobs_with_default_context() {
-        let t = sample_trace(123_456);
-        let v1 = encode_v1(&t);
-        assert_eq!(v1[0], 1);
-        let back = QueryTrace::decode(&v1).unwrap();
-        assert_eq!(back.trace_id, 0);
-        assert_eq!(back.node, "");
-        assert_eq!(back.started_unix_ns, 0);
-        let expect = QueryTrace { trace_id: 0, node: String::new(), started_unix_ns: 0, ..t };
-        assert_eq!(back, expect, "v1 body fields survive unchanged");
-        // Re-encoding a decoded v1 blob produces the current version.
-        assert_eq!(back.encode()[0], 2);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use service::{
 };
 pub use shard::{merge_topk, ShardedIndex, ShardedSearchResult};
 pub use snapshot::{read_manifest, ShardEntry, ShardManifest, MANIFEST_FILE};
-pub use stats::{LatencyHistogram, ServiceSnapshotStats, ServiceStats};
+pub use stats::ServiceStats;
 
 #[cfg(test)]
 mod tests {

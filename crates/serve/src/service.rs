@@ -12,7 +12,7 @@
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionStats};
 use crate::cache::{CacheKey, CacheStats, CachedResult, ResultCache};
 use crate::shard::ShardedIndex;
-use crate::stats::{ServiceMetrics, ServiceSnapshotStats, ServiceStats};
+use crate::stats::{ServiceMetrics, ServiceStats};
 use crossbeam::channel;
 use gph::coldstore::StorageMode;
 use gph_obs::{Gauge, MetricsRegistry, QueryTrace, TraceConfig, Tracer};
@@ -710,16 +710,6 @@ impl QueryService {
         self.shared.admission.stats()
     }
 
-    /// One-call aggregate of service, cache, and admission counters —
-    /// the encodable bundle served by the network protocol's `Stats` op.
-    pub fn snapshot_stats(&self) -> ServiceSnapshotStats {
-        ServiceSnapshotStats {
-            service: self.stats(),
-            cache: self.cache_stats(),
-            admission: self.admission_stats(),
-        }
-    }
-
     /// The build/restore generation stamped via
     /// [`ServiceConfig::generation`].
     pub fn generation(&self) -> u64 {
@@ -1252,5 +1242,68 @@ mod tests {
         // pinned at zero.
         assert!(text.contains("\ngph_pagecache_hits 0\n"));
         assert!(text.contains("\ngph_pagecache_resident_bytes 0\n"));
+    }
+
+    /// The exposition is the only road a server's numbers leave by, so
+    /// every counter the typed snapshots report must be readable from it.
+    #[test]
+    fn exposition_carries_every_typed_counter() {
+        let (index, ds) = fixture(500, 219);
+        let (q, victim) = (ds.row(1), 40u32);
+        let cheap = index.estimate_cost(q, 2).max(index.delete_cost(victim));
+        let dear = index.estimate_cost(q, 12);
+        assert!(dear > cheap, "fixture must price tau 12 above tau 2 and a delete");
+        let cfg = ServiceConfig {
+            admission: AdmissionConfig {
+                cost_budget: (cheap + dear) / 2.0,
+                policy: OverBudgetPolicy::Reject,
+            },
+            ..ServiceConfig::default()
+        };
+        let service = QueryService::new(index, cfg);
+        assert!(!service.query(q, 2).from_cache);
+        assert!(service.query(q, 2).from_cache);
+        assert_eq!(service.submit_batch(&[q, q], 1).wait().len(), 2);
+        assert_eq!(service.delete(victim).outcome, MutationOutcome::Applied { replaced: true });
+        assert!(!service.query(q, 2).from_cache, "the delete invalidated the cache");
+        assert!(matches!(service.query(q, 12).outcome, Outcome::Rejected { .. }));
+
+        let (st, cache, adm) = (service.stats(), service.cache_stats(), service.admission_stats());
+        let exp = gph_obs::Exposition::parse(&service.metrics_text());
+        let get = |series: &str| exp.value(series).unwrap_or_else(|| panic!("{series} missing"));
+        for (series, typed) in [
+            ("gph_responses_total", st.responses),
+            ("gph_executed_total", st.executed),
+            ("gph_batches_total", st.batches),
+            ("gph_queue_rejections_total", st.queue_rejections),
+            ("gph_mutations_total", st.mutations),
+            ("gph_latency_ns{quantile=\"0.5\"}", st.latency_p50_ns),
+            ("gph_latency_ns{quantile=\"0.95\"}", st.latency_p95_ns),
+            ("gph_latency_ns{quantile=\"0.99\"}", st.latency_p99_ns),
+            ("gph_latency_ns_count", st.responses),
+            ("gph_cache_hits", cache.hits),
+            ("gph_cache_misses", cache.misses),
+            ("gph_cache_invalidations", cache.invalidations),
+            ("gph_cache_len", cache.len as u64),
+            ("gph_cache_capacity", cache.capacity as u64),
+            ("gph_admission_admitted", adm.admitted),
+            ("gph_admission_degraded", adm.degraded),
+            ("gph_admission_rejected", adm.rejected),
+        ] {
+            assert_eq!(get(series), typed as f64, "{series}");
+        }
+        // The derived rows of `gph-store stats` are ratios of two series.
+        let executed = get("gph_executed_total");
+        for (series, denominator, typed) in [
+            ("gph_latency_ns_sum", get("gph_latency_ns_count"), st.latency_mean_ns),
+            ("gph_candidates_total", executed, st.candidates_per_query),
+            ("gph_scanned_total", executed, st.scanned_per_query),
+            ("gph_results_total", executed, st.results_per_query),
+        ] {
+            assert!((get(series) / denominator - typed).abs() < 1e-6, "{series}");
+        }
+        // The scenario reached every path it claims to.
+        assert!(cache.hits >= 1 && cache.invalidations == 1 && st.mutations == 1);
+        assert!(adm.rejected == 1 && adm.admitted >= 1 && st.batches >= 1);
     }
 }

@@ -9,17 +9,19 @@
 //! <dir>/shard-<slot>.gphs one SegmentedGph snapshot per non-empty slot
 //! ```
 //!
-//! The manifest (format v2; v1 predates live updates and is rejected)
-//! records the shard count, the id-hash fingerprint (a probe value
+//! The manifest (format v3, two positional slots in the same
+//! offset-addressed framing the shard files use; the tagged-section v1/v2
+//! are rejected by version) records the shard count, the id-hash
+//! fingerprint (a probe value
 //! through [`mix64`], so a changed hash function is detected instead of
 //! silently misrouting records), the build config (so restored shards
 //! keep sealing and compacting with the same recipe), and for every
 //! non-empty shard slot its file's CRC-32 and live-row count. Shard files
 //! carry their ids and tombstones themselves — pending deletes
 //! round-trip — and restore verifies that every live id actually hashes
-//! to the slot that stored it. Shard files are section-framed and
-//! checksummed (see [`gph::segment`]), so corruption anywhere surfaces
-//! as [`HammingError::Corrupt`].
+//! to the slot that stored it. Shard files are checksummed section by
+//! section (see [`gph::segment`]), so corruption anywhere surfaces as
+//! [`HammingError::Corrupt`].
 
 use crate::shard::ShardedIndex;
 use bytes::BufMut;
@@ -27,17 +29,22 @@ use gph::coldstore::StorageMode;
 use gph::segment::{SegmentConfig, SegmentedGph};
 use gph::snapshot::{decode_gph_config, encode_gph_config};
 use hamming_core::error::{HammingError, Result};
-use hamming_core::io::{crc32, ByteReader, SectionReader, SectionWriter};
+use hamming_core::io::{crc32, reject_retired_version, ByteReader, Footer, OffsetWriter};
 use hamming_core::key::mix64;
 use std::path::{Path, PathBuf};
 
 /// Magic of the shard-manifest file.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"GPHM";
 
-/// Current manifest format version. Version 1 (frozen shards, dense ids)
-/// is no longer readable: those fleets predate live updates and must be
-/// rebuilt.
-pub const MANIFEST_VERSION: u32 = 2;
+/// Current (and only loadable) manifest format version: the
+/// offset-addressed layout. Versions 1 and 2 were tagged-section
+/// containers and are rejected by version.
+pub const MANIFEST_VERSION: u32 = 3;
+
+// Fixed slot indices of the manifest container (see `FORMAT.md`).
+const SLOT_SHARDS: usize = 0;
+const SLOT_CONFIG: usize = 1;
+const N_MANIFEST_SLOTS: usize = 2;
 
 /// File name of the manifest inside a snapshot directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -96,14 +103,14 @@ fn encode_manifest(m: &ShardManifest, cfg: &gph::GphConfig, seg_cfg: SegmentConf
         body.put_u64_le(e.rows as u64);
         body.put_u32_le(e.crc);
     }
-    let mut w = SectionWriter::new(MANIFEST_MAGIC, MANIFEST_VERSION);
-    w.section("shards", &body);
+    let mut w = OffsetWriter::new(MANIFEST_MAGIC, MANIFEST_VERSION);
+    w.section(&body);
     // The build recipe for empty slots (non-empty slots carry their own
     // config inside the shard file).
     let mut cfg_body = encode_gph_config(cfg);
     cfg_body.put_u64_le(seg_cfg.seal_rows as u64);
     cfg_body.put_u64_le(seg_cfg.max_sealed as u64);
-    w.section("config", &cfg_body);
+    w.section(&cfg_body);
     w.finish()
 }
 
@@ -116,13 +123,15 @@ fn encode_manifest(m: &ShardManifest, cfg: &gph::GphConfig, seg_cfg: SegmentConf
 const MAX_SHARD_SLOTS: u64 = 1 << 20;
 
 fn decode_manifest(bytes: &[u8]) -> Result<(ShardManifest, gph::GphConfig, SegmentConfig)> {
-    let sections = SectionReader::parse(MANIFEST_MAGIC, MANIFEST_VERSION, bytes)?;
-    if sections.version() < 2 {
-        return Err(HammingError::Corrupt(
-            "manifest version 1 predates live updates; rebuild the snapshot".into(),
-        ));
+    reject_retired_version(MANIFEST_MAGIC, MANIFEST_VERSION, bytes)?;
+    let f = Footer::parse_bytes(MANIFEST_MAGIC, MANIFEST_VERSION, bytes)?;
+    if f.n_slots() != N_MANIFEST_SLOTS {
+        return Err(HammingError::Corrupt(format!(
+            "manifest has {} sections, expected {N_MANIFEST_SLOTS}",
+            f.n_slots()
+        )));
     }
-    let mut r = ByteReader::new(sections.section("shards")?);
+    let mut r = ByteReader::new(f.payload(bytes, SLOT_SHARDS)?);
     let n_shards_raw = r.u64("shard count")?;
     if n_shards_raw == 0 || n_shards_raw > MAX_SHARD_SLOTS {
         return Err(HammingError::Corrupt(format!(
@@ -174,7 +183,7 @@ fn decode_manifest(bytes: &[u8]) -> Result<(ShardManifest, gph::GphConfig, Segme
             HammingError::Corrupt(format!("shard rows do not sum to the declared {len} records"))
         })?;
     debug_assert_eq!(total, len);
-    let cfg_bytes = sections.section("config")?;
+    let cfg_bytes = f.payload(bytes, SLOT_CONFIG)?;
     if cfg_bytes.len() < 16 {
         return Err(HammingError::Corrupt("manifest config section truncated".into()));
     }
@@ -517,6 +526,22 @@ mod tests {
         std::fs::remove_file(dir.join(manifest.shards[1].file_name())).unwrap();
         assert!(ShardedIndex::restore(&dir).is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn retired_gphm_versions_are_rejected_as_unsupported() {
+        // v1/v2 manifests were tagged-section containers: the reader
+        // recognises the header and names the version.
+        for version in [1u32, 2] {
+            let mut old = [&MANIFEST_MAGIC[..], &version.to_le_bytes()].concat();
+            old.extend_from_slice(b"whatever an old writer put here");
+            match decode_manifest(&old).map(|_| ()) {
+                Err(HammingError::Corrupt(msg)) => {
+                    assert!(msg.contains(&format!("unsupported version {version}")), "{msg}")
+                }
+                other => panic!("v{version}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,29 +1,16 @@
 //! Service-level metrics: lock-free counters and the latency histogram
-//! (both registered in a `gph-obs` [`MetricsRegistry`]), the aggregate
-//! snapshot (QPS, p50/p95/p99, candidates per query), and the encodable
-//! [`ServiceSnapshotStats`] bundle the network `Stats` op and
-//! `gph-store stats` ship over the wire.
-//!
-//! The log-linear histogram itself lives in `gph-obs` now
-//! ([`gph_obs::LogHistogram`]); [`LatencyHistogram`] remains as an alias
-//! for API compatibility.
+//! (both registered in a `gph-obs` [`MetricsRegistry`], whose rendering
+//! is the only way they leave the process) and the in-process aggregate
+//! snapshot (QPS, p50/p95/p99, candidates per query).
 
-use crate::admission::AdmissionStats;
-use crate::cache::CacheStats;
 use gph_obs::{Counter, Histogram, MetricsRegistry};
-use hamming_core::error::Result;
-use hamming_core::io::ByteReader;
 use std::time::Instant;
-
-/// The service's latency histogram type (promoted into `gph-obs`).
-pub type LatencyHistogram = gph_obs::LogHistogram;
 
 /// Rolling counters owned by the service, aggregated across workers.
 ///
-/// Every counter is a `gph-obs` handle; construct with
-/// [`ServiceMetrics::registered`] to expose them through a registry's
-/// Prometheus rendering, or [`ServiceMetrics::new`] for detached
-/// counters (tests, embedded use).
+/// Every counter is a `gph-obs` handle registered by
+/// [`ServiceMetrics::registered`], so the registry's Prometheus
+/// rendering and [`ServiceMetrics::snapshot`] read the same cells.
 pub struct ServiceMetrics {
     started: Instant,
     /// Responses produced (cache hits + engine executions; excludes
@@ -50,26 +37,10 @@ pub struct ServiceMetrics {
 }
 
 impl ServiceMetrics {
-    /// Fresh detached metrics anchored at "now" (QPS denominators start
-    /// here).
-    pub fn new() -> Self {
-        ServiceMetrics {
-            started: Instant::now(),
-            responses: Counter::detached(),
-            executed: Counter::detached(),
-            batches: Counter::detached(),
-            queue_rejections: Counter::detached(),
-            mutations: Counter::detached(),
-            candidates: Counter::detached(),
-            scanned: Counter::detached(),
-            results: Counter::detached(),
-            latency: Histogram::detached(),
-        }
-    }
-
-    /// Fresh metrics whose counters and latency summary are registered
-    /// in `registry` (series `gph_responses_total`, `gph_executed_total`,
-    /// …, `gph_latency_ns`).
+    /// Fresh metrics anchored at "now" (QPS denominators start here)
+    /// whose counters and latency summary are registered in `registry`
+    /// (series `gph_responses_total`, `gph_executed_total`, …,
+    /// `gph_latency_ns`).
     pub fn registered(registry: &MetricsRegistry) -> Self {
         let c = |name, help| registry.counter(name, help, &[]);
         ServiceMetrics {
@@ -147,12 +118,6 @@ impl ServiceMetrics {
     }
 }
 
-impl Default for ServiceMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Point-in-time service statistics (one row of a dashboard).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ServiceStats {
@@ -187,120 +152,13 @@ pub struct ServiceStats {
     pub results_per_query: f64,
 }
 
-/// Everything a running service can report about itself in one struct:
-/// throughput/latency counters, result-cache counters, and admission
-/// verdict counters. This is the payload of the network protocol's
-/// `Stats` op, so it carries a versioned binary codec
-/// ([`ServiceSnapshotStats::encode`] / [`ServiceSnapshotStats::decode`])
-/// rather than relying on any serialization framework.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ServiceSnapshotStats {
-    /// Worker-pool throughput and latency counters.
-    pub service: ServiceStats,
-    /// Result-cache hit/miss/invalidation counters.
-    pub cache: CacheStats,
-    /// Admission-control verdict counters.
-    pub admission: AdmissionStats,
-}
-
-/// Codec version of the [`ServiceSnapshotStats`] payload. Version 2
-/// added `scanned_per_query` (the `n_scanned` counter landed in the
-/// engines before the codec learned about it); version 1 is rejected.
-const SNAPSHOT_STATS_VERSION: u8 = 2;
-
-impl ServiceSnapshotStats {
-    /// Encodes the snapshot as a little-endian byte string (leading
-    /// version byte, then every counter in declaration order).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(1 + 22 * 8);
-        self.encode_into(&mut buf);
-        buf
-    }
-
-    /// Appends the encoding to `buf` (the composition point for wire
-    /// payloads that embed a stats snapshot).
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.push(SNAPSHOT_STATS_VERSION);
-        let s = &self.service;
-        for v in [s.responses, s.executed, s.batches, s.queue_rejections, s.mutations] {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        buf.extend_from_slice(&s.qps.to_le_bytes());
-        for v in [s.latency_p50_ns, s.latency_p95_ns, s.latency_p99_ns] {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        buf.extend_from_slice(&s.latency_mean_ns.to_le_bytes());
-        buf.extend_from_slice(&s.latency_max_ns.to_le_bytes());
-        buf.extend_from_slice(&s.candidates_per_query.to_le_bytes());
-        buf.extend_from_slice(&s.scanned_per_query.to_le_bytes());
-        buf.extend_from_slice(&s.results_per_query.to_le_bytes());
-        let c = &self.cache;
-        for v in [c.hits, c.misses, c.invalidations, c.len as u64, c.capacity as u64] {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        let a = &self.admission;
-        for v in [a.admitted, a.degraded, a.rejected] {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Decodes a snapshot produced by [`ServiceSnapshotStats::encode`],
-    /// requiring full consumption of `bytes`.
-    pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut r = ByteReader::new(bytes);
-        let out = Self::decode_from(&mut r)?;
-        r.finish("service stats")?;
-        Ok(out)
-    }
-
-    /// Decodes a snapshot from the reader's current position (the
-    /// composition point for wire payloads that embed one).
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self> {
-        let version = r.u8("stats version")?;
-        if version != SNAPSHOT_STATS_VERSION {
-            return Err(hamming_core::HammingError::Corrupt(format!(
-                "unsupported stats version {version}"
-            )));
-        }
-        let service = ServiceStats {
-            responses: r.u64("responses")?,
-            executed: r.u64("executed")?,
-            batches: r.u64("batches")?,
-            queue_rejections: r.u64("queue rejections")?,
-            mutations: r.u64("mutations")?,
-            qps: r.f64("qps")?,
-            latency_p50_ns: r.u64("p50")?,
-            latency_p95_ns: r.u64("p95")?,
-            latency_p99_ns: r.u64("p99")?,
-            latency_mean_ns: r.f64("mean latency")?,
-            latency_max_ns: r.u64("max latency")?,
-            candidates_per_query: r.f64("candidates per query")?,
-            scanned_per_query: r.f64("scanned per query")?,
-            results_per_query: r.f64("results per query")?,
-        };
-        let cache = CacheStats {
-            hits: r.u64("cache hits")?,
-            misses: r.u64("cache misses")?,
-            invalidations: r.u64("cache invalidations")?,
-            len: r.u64("cache len")? as usize,
-            capacity: r.u64("cache capacity")? as usize,
-        };
-        let admission = AdmissionStats {
-            admitted: r.u64("admitted")?,
-            degraded: r.u64("degraded")?,
-            rejected: r.u64("rejected")?,
-        };
-        Ok(ServiceSnapshotStats { service, cache, admission })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn metrics_snapshot_math() {
-        let m = ServiceMetrics::new();
+        let m = ServiceMetrics::registered(&MetricsRegistry::new());
         m.note_response(1_000);
         m.note_response(2_000);
         m.note_execution(50, 10, 5);
@@ -331,56 +189,5 @@ mod tests {
         assert!(text.contains("\ngph_candidates_total 10\n"));
         assert!(text.contains("\ngph_scanned_total 3\n"));
         assert!(text.contains("gph_latency_ns_count 1"));
-    }
-
-    #[test]
-    fn snapshot_stats_roundtrip() {
-        let snap = ServiceSnapshotStats {
-            service: ServiceStats {
-                responses: 101,
-                executed: 88,
-                batches: 12,
-                queue_rejections: 3,
-                mutations: 7,
-                qps: 1234.5,
-                latency_p50_ns: 40_000,
-                latency_p95_ns: 900_000,
-                latency_p99_ns: 1_500_000,
-                latency_mean_ns: 55_123.25,
-                latency_max_ns: 2_000_001,
-                candidates_per_query: 321.75,
-                scanned_per_query: 17.5,
-                results_per_query: 8.5,
-            },
-            cache: CacheStats { hits: 60, misses: 41, invalidations: 2, len: 39, capacity: 1024 },
-            admission: AdmissionStats { admitted: 95, degraded: 4, rejected: 2 },
-        };
-        let bytes = snap.encode();
-        let back = ServiceSnapshotStats::decode(&bytes).unwrap();
-        assert_eq!(back.encode(), bytes, "re-encoding must be byte-identical");
-        assert_eq!(back.service.responses, 101);
-        assert_eq!(back.service.latency_p95_ns, 900_000);
-        assert!((back.service.qps - 1234.5).abs() < 1e-12);
-        assert!((back.service.latency_mean_ns - 55_123.25).abs() < 1e-12);
-        assert!((back.service.scanned_per_query - 17.5).abs() < 1e-12);
-        assert_eq!(back.cache.hits, 60);
-        assert_eq!(back.cache.capacity, 1024);
-        assert_eq!(back.admission, snap.admission);
-    }
-
-    #[test]
-    fn snapshot_stats_rejects_corruption() {
-        let bytes = ServiceSnapshotStats::default().encode();
-        assert_eq!(bytes[0], 2, "codec version is 2 since scanned_per_query was added");
-        assert!(ServiceSnapshotStats::decode(&bytes[..bytes.len() - 1]).is_err(), "truncated");
-        let mut versioned = bytes.clone();
-        versioned[0] = 99;
-        assert!(ServiceSnapshotStats::decode(&versioned).is_err(), "unknown version");
-        let mut v1 = bytes.clone();
-        v1[0] = 1;
-        assert!(ServiceSnapshotStats::decode(&v1).is_err(), "pre-scanned v1 layout");
-        let mut trailing = bytes;
-        trailing.push(0);
-        assert!(ServiceSnapshotStats::decode(&trailing).is_err(), "trailing bytes");
     }
 }

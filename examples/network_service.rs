@@ -90,14 +90,19 @@ fn main() {
     assert_eq!(client.delete(900_000).unwrap(), WireMutation::NotFound);
     println!("live insert/delete round-tripped over the wire");
 
-    // 5. Remote stats, then graceful shutdown (drains in-flight work).
-    let remote = client.stats().expect("stats");
+    // 5. What the server is (Health) and what it has counted (Metrics),
+    //    then graceful shutdown (drains in-flight work).
+    let health = client.health().expect("health");
+    let exp = gph_suite::obs::Exposition::parse(&client.metrics().expect("metrics"));
+    let val = |series: &str| exp.value(series).unwrap_or(0.0);
+    let (hits, misses) = (val("gph_cache_hits"), val("gph_cache_misses"));
     println!(
-        "server: {} rows, p50 {:.2} ms, p95 {:.2} ms, cache hit rate {:.0}%",
-        remote.rows,
-        remote.stats.service.latency_p50_ns as f64 / 1e6,
-        remote.stats.service.latency_p95_ns as f64 / 1e6,
-        remote.stats.cache.hit_rate() * 100.0
+        "server: {} rows x {} dims, p50 {:.2} ms, p95 {:.2} ms, cache hit rate {:.0}%",
+        health.rows,
+        health.dim,
+        val("gph_latency_ns{quantile=\"0.5\"}") / 1e6,
+        val("gph_latency_ns{quantile=\"0.95\"}") / 1e6,
+        hits / (hits + misses).max(1.0) * 100.0
     );
     let stats = server.shutdown();
     println!(

@@ -377,10 +377,10 @@ fn cmd_query_remote(addr: &str, opts: &HashMap<String, String>) -> Result<(), St
         return Err("--connect and --index are mutually exclusive".into());
     }
     let client = GphClient::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
-    let remote = client.stats().map_err(|e| format!("querying {addr} stats: {e}"))?;
+    let remote = client.health().map_err(|e| format!("querying {addr} health: {e}"))?;
     eprintln!(
-        "connected to {addr}: {} rows x {} dims over {} shard(s), tau_max {}",
-        remote.rows, remote.dim, remote.shards, remote.tau_max
+        "connected to {addr}: {} rows x {} dims, tau_max {}",
+        remote.rows, remote.dim, remote.tau_max
     );
     let tau: u32 = parse(opts, "tau")?;
     if tau > remote.tau_max {
@@ -429,51 +429,64 @@ fn cmd_query_remote(addr: &str, opts: &HashMap<String, String>) -> Result<(), St
     Ok(())
 }
 
-/// `stats --connect`: one `Stats` op, printed as a dashboard row.
+/// `stats --connect`: one `Health` op (what the server is) plus one
+/// `Metrics` op (what it has counted), printed as a dashboard row.
 fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), String> {
     check_flags(opts, &["connect"])?;
     let addr = need(opts, "connect")?;
     let client = GphClient::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
-    let remote = client.stats().map_err(|e| e.to_string())?;
-    let (s, c, a) = (&remote.stats.service, &remote.stats.cache, &remote.stats.admission);
+    let health = client.health().map_err(|e| e.to_string())?;
+    let exp = gph_suite::obs::Exposition::parse(&client.metrics().map_err(|e| e.to_string())?);
+    let val = |series: &str| exp.value(series).unwrap_or(0.0);
+    let per = |total: f64, n: f64| if n > 0.0 { total / n } else { 0.0 };
+    let ms = |series: &str| val(series) / 1e6;
+    let executed = val("gph_executed_total");
     println!("server:     {addr}");
     println!(
-        "index:      {} rows x {} dims, {} shard(s), tau_max {}",
-        remote.rows, remote.dim, remote.shards, remote.tau_max
+        "index:      {} rows x {} dims, {:.0} shard(s), tau_max {}",
+        health.rows,
+        health.dim,
+        val("gph_index_shards"),
+        health.tau_max
     );
     println!(
-        "responses:  {} ({} executed, {} batches, {:.0} QPS)",
-        s.responses, s.executed, s.batches, s.qps
+        "responses:  {:.0} ({executed:.0} executed, {:.0} batches)",
+        val("gph_responses_total"),
+        val("gph_batches_total")
     );
     println!(
-        "latency:    p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  max {:.3} ms",
-        s.latency_p50_ns as f64 / 1e6,
-        s.latency_p95_ns as f64 / 1e6,
-        s.latency_p99_ns as f64 / 1e6,
-        s.latency_max_ns as f64 / 1e6,
+        "latency:    p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  mean {:.3} ms",
+        ms("gph_latency_ns{quantile=\"0.5\"}"),
+        ms("gph_latency_ns{quantile=\"0.95\"}"),
+        ms("gph_latency_ns{quantile=\"0.99\"}"),
+        per(val("gph_latency_ns_sum"), val("gph_latency_ns_count")) / 1e6,
     );
-    println!("mutations:  {} applied, {} shed on full queue", s.mutations, s.queue_rejections);
     println!(
-        "cache:      {} hits / {} misses ({:.0}% hit rate), {} invalidations, {}/{} resident",
-        c.hits,
-        c.misses,
-        remote.stats.cache.hit_rate() * 100.0,
-        c.invalidations,
-        c.len,
-        c.capacity
+        "mutations:  {:.0} applied, {:.0} shed on full queue",
+        val("gph_mutations_total"),
+        val("gph_queue_rejections_total")
+    );
+    let (hits, misses) = (val("gph_cache_hits"), val("gph_cache_misses"));
+    println!(
+        "cache:      {hits:.0} hits / {misses:.0} misses ({:.0}% hit rate), {:.0} invalidations, \
+         {:.0}/{:.0} resident",
+        per(hits, hits + misses) * 100.0,
+        val("gph_cache_invalidations"),
+        val("gph_cache_len"),
+        val("gph_cache_capacity")
     );
     println!(
         "work:       {:.0} candidates, {:.0} scanned, {:.1} results per query",
-        s.candidates_per_query, s.scanned_per_query, s.results_per_query
+        per(val("gph_candidates_total"), executed),
+        per(val("gph_scanned_total"), executed),
+        per(val("gph_results_total"), executed)
     );
     println!(
-        "admission:  {} admitted, {} degraded, {} rejected",
-        a.admitted, a.degraded, a.rejected
+        "admission:  {:.0} admitted, {:.0} degraded, {:.0} rejected",
+        val("gph_admission_admitted"),
+        val("gph_admission_degraded"),
+        val("gph_admission_rejected")
     );
-    // The page cache and the tracer live in the metrics exposition, not
-    // the Stats payload; one Metrics op fills in the rest of the row.
-    let exp = gph_suite::obs::Exposition::parse(&client.metrics().map_err(|e| e.to_string())?);
-    let val = |series: &str| exp.value(series).unwrap_or(0.0);
     let (pc_hits, pc_misses) = (val("gph_pagecache_hits"), val("gph_pagecache_misses"));
     if pc_hits + pc_misses > 0.0 {
         println!(
@@ -808,11 +821,13 @@ fn cmd_query_fleet(addr: &str, opts: &HashMap<String, String>) -> Result<(), Str
     let fleet = FleetClient::connect(addr, FleetConfig::default())
         .map_err(|e| format!("connecting to metastore {addr}: {e}"))?;
     let manifest = fleet.manifest();
-    // Dimensionality comes from any node; the manifest only maps slots.
-    let primary = manifest.nodes[0].addrs[0].clone();
-    let remote = GphClient::connect(&primary)
-        .and_then(|c| c.stats())
-        .map_err(|e| format!("querying node {primary} stats: {e}"))?;
+    // Index shape comes from whichever address answers first (the
+    // manifest only maps slots); the sweep also demotes dead replicas
+    // before the first query has to find them.
+    let remote =
+        fleet.refresh_health().into_iter().find_map(|a| a.health).ok_or_else(|| {
+            format!("no address in manifest v{} answered Health", manifest.version)
+        })?;
     eprintln!(
         "fleet manifest v{}: {} slot(s) over {} node group(s), {} dims",
         manifest.version,
@@ -821,6 +836,9 @@ fn cmd_query_fleet(addr: &str, opts: &HashMap<String, String>) -> Result<(), Str
         remote.dim
     );
     let tau: u32 = parse(opts, "tau")?;
+    if tau > remote.tau_max {
+        return Err(format!("--tau {tau} exceeds the fleet's tau_max {}", remote.tau_max));
+    }
     let queries = load_queries(opts, remote.dim as usize)?;
     let topk: usize = parse_or(opts, "topk", 0)?;
     let trace = opts.contains_key("trace");
