@@ -1,11 +1,10 @@
-//! Hot-path microbenchmark: verification-kernel throughput and
-//! end-to-end QPS, written to `BENCH_hotpath.json`.
+//! Hot-path microbenchmark: verification-kernel throughput, probe cost
+//! and end-to-end QPS, written to `BENCH_hotpath.json`.
 //!
-//! The query hot path spends its time in two places the CSR refactor
-//! targets: probing postings and verifying candidates. This experiment
-//! isolates the second — the same deduplicated candidate buffer is
-//! verified twice against the reference 256-bit profile
-//! ([`Profile::uqvideo_like`], 4 words per row):
+//! The query hot path spends its time in two places: probing postings
+//! and verifying candidates. For the second, the same deduplicated
+//! candidate buffer is verified twice against the reference 256-bit
+//! profile ([`Profile::uqvideo_like`], 4 words per row):
 //!
 //! * **scalar** — the pre-refactor phase 4: one
 //!   [`hamming_core::distance::hamming_within`] call per candidate;
@@ -16,16 +15,20 @@
 //! Both passes produce identical result sets (asserted); the report
 //! carries candidates-verified/sec for each, their ratio, whether the
 //! SIMD kernels were live, and end-to-end engine QPS at the reference
-//! threshold. CI runs this at `--scale tiny --features simd` and uploads
-//! the JSON, making kernel regressions a broken series rather than an
-//! anecdote.
+//! threshold. For the first, a `probe` block times
+//! [`InvertedIndex::postings`] over the engine's own partitioning — ns
+//! per key on stored keys and on their one-bit neighbours (what
+//! enumeration mostly asks for: misses) — and reports what share of the
+//! index's bytes its prefix directory takes. CI runs this at
+//! `--scale tiny --features simd` and uploads the JSON, making kernel
+//! regressions a broken series rather than an anecdote.
 
 use crate::util::{gph_config_for, prepare};
 use crate::Scale;
 use datagen::Profile;
 use gph::engine::Gph;
 use hamming_core::distance::{hamming_within, simd_active};
-use hamming_core::Dataset;
+use hamming_core::{Dataset, InvertedIndex, ProjectedDataset, Projector};
 use std::time::Instant;
 
 /// Reference threshold: the middle of the uqvideo τ sweep.
@@ -64,6 +67,52 @@ fn measure<F: FnMut()>(mut body: F) -> (f64, usize) {
             return (s, rounds);
         }
     }
+}
+
+/// Keys timed per probe round, dealt round-robin over the partitions.
+const PROBE_KEYS: usize = 4096;
+
+/// The `probe` block: ns per [`InvertedIndex::postings`] call on stored
+/// keys and on one-bit-off keys, and `directory_bytes / index_bytes`,
+/// over an index of `data` under the engine's partitioning.
+fn measure_probe(engine: &Gph, data: &Dataset) -> (f64, f64, f64) {
+    let projector = Projector::new(engine.partitioning());
+    let index = InvertedIndex::build(&ProjectedDataset::build(data, &projector));
+    let m = index.num_parts();
+    // Stored keys in a scattered order (Knuth's multiplicative hash of
+    // the draw number), so a round does not walk `keys` sequentially.
+    let stored: Vec<(usize, u64)> = (0..PROBE_KEYS)
+        .map(|i| {
+            let keys = index.part_keys(i % m);
+            (i % m, keys[i.wrapping_mul(2_654_435_761) % keys.len()])
+        })
+        .collect();
+    let near: Vec<(usize, u64)> = stored
+        .iter()
+        .enumerate()
+        .map(|(i, &(p, k))| (p, k ^ (1 << (i % index.part_width(p).clamp(1, 64)))))
+        .collect();
+    assert!(
+        stored.iter().all(|&(p, k)| !index.postings(p, k).is_empty()),
+        "hotpath: a stored key has no postings"
+    );
+    let ns_per_key = |probes: &[(usize, u64)]| {
+        let (s, rounds) = measure(|| {
+            for &(p, k) in probes {
+                std::hint::black_box(index.postings(p, k));
+            }
+        });
+        s * 1e9 / (rounds * probes.len()) as f64
+    };
+    let csr_bytes: usize = (0..m)
+        .map(|p| {
+            size_of_val(index.part_keys(p))
+                + size_of_val(index.part_offsets(p))
+                + size_of_val(index.part_ids(p))
+        })
+        .sum();
+    let directory_share = (index.size_bytes() - csr_bytes) as f64 / index.size_bytes() as f64;
+    (ns_per_key(&stored), ns_per_key(&near), directory_share)
 }
 
 fn run_inner(data: &Dataset, queries: &Dataset) {
@@ -117,13 +166,16 @@ fn run_inner(data: &Dataset, queries: &Dataset) {
     });
     let qps = qrefs.len() as f64 * serve_rounds as f64 / serve_s;
     let st = engine.search_with_stats(qrefs[0], TAU).stats;
+    let (stored_ns, near_ns, directory_share) = measure_probe(&engine, data);
 
     let json = format!(
         "{{\n  \"experiment\": \"hotpath\",\n  \"rows\": {},\n  \"dims\": {},\n  \
          \"queries\": {},\n  \"tau\": {},\n  \"simd_active\": {},\n  \
          \"scalar_cands_per_s\": {:.0},\n  \"batched_cands_per_s\": {:.0},\n  \
          \"speedup\": {:.3},\n  \"qps\": {:.1},\n  \
-         \"sum_postings\": {},\n  \"n_scanned\": {},\n  \"n_candidates\": {}\n}}\n",
+         \"sum_postings\": {},\n  \"n_scanned\": {},\n  \"n_candidates\": {},\n  \
+         \"probe\": {{\"stored_ns_per_key\": {:.1}, \"one_bit_off_ns_per_key\": {:.1}, \
+         \"directory_bytes_over_index_bytes\": {:.4}}}\n}}\n",
         data.len(),
         data.dim(),
         qrefs.len(),
@@ -136,6 +188,9 @@ fn run_inner(data: &Dataset, queries: &Dataset) {
         st.sum_postings,
         st.n_scanned,
         st.n_candidates,
+        stored_ns,
+        near_ns,
+        directory_share,
     );
     let out_path =
         std::env::var("BENCH_HOTPATH_OUT").unwrap_or_else(|_| "BENCH_hotpath.json".into());
@@ -154,5 +209,8 @@ fn run_inner(data: &Dataset, queries: &Dataset) {
     println!("| batched verify | {:.1} M cand/s |", batched_cps / 1e6);
     println!("| speedup | {speedup:.2}x |");
     println!("| end-to-end QPS | {qps:.0} |");
+    println!("| probe, stored key | {stored_ns:.1} ns |");
+    println!("| probe, one bit off | {near_ns:.1} ns |");
+    println!("| directory / index bytes | {:.2}% |", directory_share * 100.0);
     println!("\nreport written to {out_path}");
 }
