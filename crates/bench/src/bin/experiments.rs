@@ -10,12 +10,6 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Hidden re-exec mode: the `fleet` experiment spawns this binary as
-    // its node processes. Not a user-facing experiment id.
-    if args.first().map(String::as_str) == Some("fleet-node") {
-        bench::experiments::fleet::node_main(&args[1..]);
-        return ExitCode::SUCCESS;
-    }
     let mut exp: Option<String> = None;
     let mut scale = Scale::small();
     let mut i = 0;

@@ -8,11 +8,7 @@ pub mod allocation;
 pub mod calibration;
 pub mod comparison;
 pub mod estimators;
-pub mod fleet;
-pub mod hotpath;
 pub mod msweep;
-pub mod netload;
-pub mod obs;
 pub mod partitioning;
 pub mod scalecheck;
 pub mod scaling;
@@ -38,11 +34,6 @@ pub const EXPERIMENTS: &[&str] = &[
     "fig8ef",
     "ablation",
     "scalecheck",
-    "hotpath",
-    "netload",
-    "fleet",
-    "fleetobs",
-    "obs",
     "all",
 ];
 
@@ -64,11 +55,6 @@ pub fn dispatch(exp: &str, scale: Scale) -> bool {
         "fig8ef" => scaling::run_workload_mismatch(scale),
         "ablation" => ablation::run(scale),
         "scalecheck" => scalecheck::run(scale),
-        "hotpath" => hotpath::run(scale),
-        "netload" => netload::run(scale),
-        "fleet" => fleet::run(scale),
-        "fleetobs" => fleet::run_obs(scale),
-        "obs" => obs::run(scale),
         "all" => {
             for exp in EXPERIMENTS.iter().filter(|&&e| e != "all") {
                 dispatch(exp, scale);

@@ -4,7 +4,6 @@
 use baselines::{CandidateStats, SearchIndex};
 use datagen::{sample_queries, Profile, QuerySet};
 use gph::engine::{Gph, GphConfig};
-use gph::partition_opt::{HeuristicConfig, PartitionStrategy, WorkloadSpec};
 use gph::{AllocatorKind, EstimatorKind};
 use hamming_core::Dataset;
 use std::time::Instant;
@@ -141,21 +140,6 @@ pub struct GphEngine {
 }
 
 impl GphEngine {
-    /// Builds GPH with the paper defaults (DP allocation, SP estimation,
-    /// GR partitioning over the given workload).
-    pub fn build_default(
-        data: Dataset,
-        m: usize,
-        tau_max: usize,
-        workload: &Dataset,
-        taus: Vec<u32>,
-    ) -> Self {
-        let mut cfg = GphConfig::new(m, tau_max);
-        cfg.workload = Some(WorkloadSpec::new(workload.clone(), taus));
-        cfg.strategy = PartitionStrategy::Heuristic(HeuristicConfig::default());
-        Self::build_with(data, cfg)
-    }
-
     /// Builds from an explicit config.
     pub fn build_with(data: Dataset, cfg: GphConfig) -> Self {
         let engine = Gph::build(data, &cfg).expect("GPH build failed");
@@ -279,6 +263,7 @@ pub fn count(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gph::partition_opt::PartitionStrategy;
 
     #[test]
     fn scale_parsing_and_rows() {

@@ -12,8 +12,8 @@
 //!   streams a candidate ID list against a flat row slab in one pass,
 //!   with the common 1/2/4-word row widths (64/128/256-bit codes)
 //!   specialized so they avoid the generic slice loop entirely;
-//! * with `--features simd`, `std::arch` AVX2/POPCNT kernels (the
-//!   crate-private `simd` module) behind runtime detection, falling back to the
+//! * on x86-64, `std::arch` AVX2/POPCNT kernels (the crate-private
+//!   `simd` module) behind runtime detection, falling back to the
 //!   portable word loop on any other hardware — results are
 //!   bit-identical by property test.
 
@@ -21,11 +21,11 @@
 ///
 /// Both slices must follow the trailing-zero invariant (bits beyond the
 /// logical dimensionality are zero), which every type in this crate
-/// maintains. With the `simd` feature, wide slices dispatch to the AVX2
-/// kernel when the CPU supports it.
+/// maintains. On x86-64, wide slices dispatch to the AVX2 kernel when
+/// the CPU supports it.
 #[inline]
 pub fn hamming(a: &[u64], b: &[u64]) -> u32 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if let Some(d) = crate::simd::hamming(a, b) {
         return d;
     }
@@ -100,11 +100,11 @@ fn dist4(a: &[u64], b: &[u64]) -> u32 {
 /// candidate list, no per-candidate call or bounds-check overhead, with
 /// the 1/2/4-word row widths fully unrolled (branchless distance, one
 /// compare per row) and the generic width falling back to an early-exit
-/// word loop. With `--features simd` and a capable CPU the whole batch
-/// runs on the AVX2/POPCNT kernels instead; output is identical.
+/// word loop. On an x86-64 CPU with AVX2 and POPCNT the whole batch
+/// runs on the `std::arch` kernels instead; output is identical.
 ///
-/// Panics (in debug builds) if `query.len() != wpv`; candidate IDs must
-/// be valid row indices.
+/// Panics if `query.len() != wpv` or a candidate ID is not a valid row
+/// index.
 pub fn verify_candidates(
     words: &[u64],
     wpv: usize,
@@ -113,13 +113,13 @@ pub fn verify_candidates(
     candidates: &[u32],
     out: &mut Vec<u32>,
 ) {
-    debug_assert_eq!(query.len(), wpv);
+    assert_eq!(query.len(), wpv, "query width must equal the row width");
     if wpv == 0 {
         // Zero-width rows are all at distance 0.
         out.extend_from_slice(candidates);
         return;
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if crate::simd::verify_candidates(words, wpv, query, tau, candidates, out) {
         return;
     }
@@ -173,15 +173,15 @@ pub fn verify_candidates_portable(
     }
 }
 
-/// Whether the accelerated `std::arch` kernels are compiled in **and**
-/// usable on this CPU. `false` in portable builds; benchmark reports
-/// record it so numbers are attributable.
+/// Whether the accelerated `std::arch` kernels are compiled in (x86-64)
+/// **and** usable on this CPU; `false` means every call takes the
+/// portable loops.
 pub fn simd_active() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         crate::simd::available()
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }

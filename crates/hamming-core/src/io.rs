@@ -728,22 +728,6 @@ pub fn decode_partitioning(mut bytes: &[u8]) -> Result<Partitioning> {
     Partitioning::new(dim, parts)
 }
 
-/// Writes a partitioning to `path`.
-pub fn write_partitioning<P: AsRef<Path>>(p: &Partitioning, path: P) -> Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(&encode_partitioning(p))?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads a partitioning from `path`.
-pub fn read_partitioning<P: AsRef<Path>>(path: P) -> Result<Partitioning> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    decode_partitioning(&bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,14 +23,15 @@
 //! * [`tombstone`] — deletion bitmaps ([`Tombstones`]) that let immutable
 //!   indexes serve deletes by filtering instead of rebuilding.
 //!
-//! Portable builds are `#![forbid(unsafe_code)]`; all hot paths rely on
-//! `u64::count_ones`. With `--features simd` (x86-64 only) the distance
-//! and batch-verification kernels additionally dispatch at runtime to
-//! `std::arch` AVX2/POPCNT implementations in the one `unsafe`-allowed
-//! `simd` module, falling back to the portable loops elsewhere.
+//! Every target but x86-64 is `#![forbid(unsafe_code)]`; all hot paths
+//! rely on `u64::count_ones`. On x86-64 the distance and
+//! batch-verification kernels additionally dispatch at run time (CPU
+//! detection, cached) to `std::arch` AVX2/POPCNT implementations in the
+//! one `unsafe`-allowed `simd` module, falling back to the portable
+//! loops on a CPU without them.
 
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![cfg_attr(not(target_arch = "x86_64"), forbid(unsafe_code))]
+#![cfg_attr(target_arch = "x86_64", deny(unsafe_code))]
 #![warn(missing_docs)]
 
 pub mod binomial;
@@ -45,7 +46,7 @@ pub mod io;
 pub mod key;
 pub mod partition;
 pub mod project;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(crate) mod simd;
 pub mod stats;

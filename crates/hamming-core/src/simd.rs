@@ -1,6 +1,6 @@
 //! `std::arch` x86-64 kernels behind runtime detection.
 //!
-//! Compiled only with `--features simd` on x86-64. Every entry point
+//! Compiled only on x86-64. Every entry point
 //! checks [`available`] (AVX2 + POPCNT, detected once and cached) and
 //! reports "not handled" otherwise, so callers in [`crate::distance`]
 //! fall back to the portable word loops on any other hardware. The
@@ -102,12 +102,15 @@ unsafe fn hamming_avx2(a: &[u64], b: &[u64]) -> u32 {
 }
 
 /// Accelerated [`crate::distance::hamming`]: `Some(distance)` when the
-/// kernel ran, `None` when the slice is too narrow to pay for dispatch
-/// or the CPU lacks the features.
+/// kernel ran, `None` when the slice is too narrow to pay for dispatch,
+/// the lengths differ (a caller bug, left to the portable loop), or the
+/// CPU lacks the features.
 #[inline]
 pub(crate) fn hamming(a: &[u64], b: &[u64]) -> Option<u32> {
-    if a.len() >= 4 && available() {
-        // SAFETY: AVX2 + POPCNT presence was verified by `available`.
+    if a.len() >= 4 && a.len() == b.len() && available() {
+        // SAFETY: AVX2 + POPCNT presence was verified by `available`, and
+        // the equal lengths checked above are what keeps `hamming_avx2`'s
+        // loads from `b` inside it.
         Some(unsafe { hamming_avx2(a, b) })
     } else {
         None
@@ -118,9 +121,10 @@ pub(crate) fn hamming(a: &[u64], b: &[u64]) -> Option<u32> {
 unsafe fn verify_w1(words: &[u64], q: u64, tau: u32, candidates: &[u32], out: &mut Vec<u32>) {
     for (i, &id) in candidates.iter().enumerate() {
         if let Some(&nid) = candidates.get(i + PREFETCH_AHEAD) {
-            // SAFETY: candidate IDs index valid rows, so the pointer is
-            // in bounds (prefetch has no memory effect regardless).
-            _mm_prefetch::<_MM_HINT_T0>(words.as_ptr().add(nid as usize).cast());
+            // SAFETY: prefetch is a hint with no memory effect, and
+            // `wrapping_add` keeps even an out-of-range ID (which panics
+            // on its own turn below) from forming an invalid offset.
+            _mm_prefetch::<_MM_HINT_T0>(words.as_ptr().wrapping_add(nid as usize).cast());
         }
         if (words[id as usize] ^ q).count_ones() <= tau {
             out.push(id);
@@ -140,7 +144,7 @@ unsafe fn verify_w2(
     for (i, &id) in candidates.iter().enumerate() {
         if let Some(&nid) = candidates.get(i + PREFETCH_AHEAD) {
             // SAFETY: as in `verify_w1`.
-            _mm_prefetch::<_MM_HINT_T0>(words.as_ptr().add(nid as usize * 2).cast());
+            _mm_prefetch::<_MM_HINT_T0>(words.as_ptr().wrapping_add(nid as usize * 2).cast());
         }
         let s = id as usize * 2;
         let d = (words[s] ^ q0).count_ones() + (words[s + 1] ^ q1).count_ones();
@@ -163,10 +167,13 @@ unsafe fn verify_w4(
     for (i, &id) in candidates.iter().enumerate() {
         if let Some(&nid) = candidates.get(i + PREFETCH_AHEAD) {
             // SAFETY: as in `verify_w1`.
-            _mm_prefetch::<_MM_HINT_T0>(words.as_ptr().add(nid as usize * 4).cast());
+            _mm_prefetch::<_MM_HINT_T0>(words.as_ptr().wrapping_add(nid as usize * 4).cast());
         }
-        // SAFETY: row `id` occupies words[id*4..id*4+4] — one 32-byte load.
-        let row = _mm256_loadu_si256(words.as_ptr().add(id as usize * 4).cast());
+        let s = id as usize * 4;
+        // SAFETY: the slice index bounds-checks row `id` (panicking like
+        // the portable kernel on an invalid ID), so the one 32-byte load
+        // is inside `words`.
+        let row = _mm256_loadu_si256(words[s..s + 4].as_ptr().cast());
         let d = hsum_epi64(popcount_words(_mm256_xor_si256(row, q))) as u32;
         if d <= tau {
             out.push(id);
@@ -186,7 +193,7 @@ unsafe fn verify_generic(
     for (i, &id) in candidates.iter().enumerate() {
         if let Some(&nid) = candidates.get(i + PREFETCH_AHEAD) {
             // SAFETY: as in `verify_w1`.
-            _mm_prefetch::<_MM_HINT_T0>(words.as_ptr().add(nid as usize * wpv).cast());
+            _mm_prefetch::<_MM_HINT_T0>(words.as_ptr().wrapping_add(nid as usize * wpv).cast());
         }
         let s = id as usize * wpv;
         if hamming_avx2(&words[s..s + wpv], query) <= tau {
@@ -209,9 +216,10 @@ pub(crate) fn verify_candidates(
     if !available() {
         return false;
     }
-    debug_assert_eq!(query.len(), wpv);
-    // SAFETY: AVX2 + POPCNT presence was verified by `available`; each
-    // kernel's loads stay within rows addressed by valid candidate IDs.
+    assert_eq!(query.len(), wpv, "query width must equal the row width");
+    // SAFETY: AVX2 + POPCNT presence was verified by `available`; the
+    // assert above makes `query` exactly one row wide, and each kernel
+    // bounds-checks the row a candidate ID addresses before loading it.
     unsafe {
         match wpv {
             1 => verify_w1(words, query[0], tau, candidates, out),

@@ -1,14 +1,15 @@
 //! Property tests pinning every distance/verification kernel to the
 //! portable reference loop.
 //!
-//! CI runs this suite twice: once portable and once with
-//! `--features simd`. With the feature on, [`hamming`] and
-//! [`verify_candidates`] dispatch to the `std::arch` AVX2/POPCNT kernels
-//! (when the CPU has them), so these properties pin the accelerated
-//! paths **bit-identical** to the portable word loops over random widths
-//! — including the specialized 1/2/4-word row paths and the generic
-//! fallback. With the feature off they pin the portable specializations
-//! against the naive definition.
+//! There is one build. On x86-64 it contains both paths: [`hamming`]
+//! and [`verify_candidates`] dispatch at run time to the `std::arch`
+//! AVX2/POPCNT kernels when the CPU has them, so these properties pin
+//! the accelerated paths **bit-identical** to [`hamming_portable`] /
+//! [`verify_candidates_portable`] over random widths — including the
+//! specialized 1/2/4-word row paths and the generic fallback — and
+//! both to the naive definition. On any other target or CPU the
+//! dispatching entry points *are* the portable loops;
+//! `simd_report_matches_compile_config` pins which case a build is in.
 
 use hamming_core::distance::{
     hamming, hamming_portable, hamming_within, verify_candidates, verify_candidates_portable,
@@ -99,10 +100,34 @@ fn empty_slices_and_empty_candidates() {
     assert!(out.is_empty());
 }
 
+/// Bad arguments from safe code end in a panic on every kernel, never in
+/// an out-of-bounds read: an ID past the slab (at each specialized width
+/// and the generic one) and a query narrower than the rows.
+#[test]
+fn invalid_ids_and_short_queries_panic_on_every_width() {
+    for wpv in 1usize..=5 {
+        let words = vec![0u64; 3 * wpv];
+        let query = vec![0u64; wpv];
+        let past_the_slab = std::panic::catch_unwind(|| {
+            verify_candidates(&words, wpv, &query, 64, &[0, 3], &mut Vec::new())
+        });
+        assert!(past_the_slab.is_err(), "wpv={wpv}: id 3 of 3 rows must panic");
+        let short_query = std::panic::catch_unwind(|| {
+            verify_candidates(&words, wpv, &query[1..], 64, &[0], &mut Vec::new())
+        });
+        assert!(short_query.is_err(), "wpv={wpv}: a {}-word query must panic", wpv - 1);
+    }
+}
+
+/// `simd_active()` is exactly "x86-64 build on an AVX2 + POPCNT CPU": a
+/// build that silently stops compiling (or selecting) the kernels fails
+/// here instead of passing the equality properties above vacuously.
 #[test]
 fn simd_report_matches_compile_config() {
-    // `simd_active()` may only ever be true when the feature is on.
     let active = hamming_core::distance::simd_active();
-    let compiled = cfg!(feature = "simd");
-    assert!(!active || compiled, "simd_active() true without the feature compiled in");
+    #[cfg(target_arch = "x86_64")]
+    let expect = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt");
+    #[cfg(not(target_arch = "x86_64"))]
+    let expect = false;
+    assert_eq!(active, expect);
 }

@@ -3,6 +3,8 @@
 //! The build-once / reload-many lifecycle of the snapshot subsystem:
 //!
 //! ```text
+//! gph-store generate --profile gist --rows 20000 --out data.hamd [--seed s]
+//! gph-store binarize --fvecs feats.fvecs --bits 128 --out data.hamd [--seed s]
 //! gph-store build --profile sift --rows 20000 --shards 4 --tau-max 16 --out snap/
 //! gph-store build --data data.hamd --shards 4 --tau-max 16 --out snap/
 //! gph-store info  --index snap/
@@ -17,7 +19,10 @@
 //! segments stay on disk and are paged through a cache capped at the
 //! given budget, so a corpus much larger than RAM still serves exact
 //! results (see `FORMAT.md` for the on-disk layout that makes the lazy
-//! mapping possible).
+//! mapping possible). `generate` and `binarize` write the `HAMD` dataset
+//! files (`hamming_core::io`) that `build --data` and `query --queries`
+//! read: a synthetic profile, or `.fvecs` float features hashed with
+//! random hyperplanes.
 //!
 //! ```text
 //! gph-store stats --connect 127.0.0.1:7471
@@ -65,7 +70,7 @@
 //! --trace` prints a per-shard, per-segment phase breakdown of each
 //! query; `metrics` prints the server's Prometheus text exposition.
 
-use gph_suite::datagen::Profile;
+use gph_suite::datagen::{binarize, Profile};
 use gph_suite::gph::coldstore::StorageMode;
 use gph_suite::gph::engine::GphConfig;
 use gph_suite::hamming_core::io;
@@ -105,6 +110,8 @@ fn main() -> ExitCode {
         opts.insert(k, "true".into());
     }
     let result = match cmd.as_str() {
+        "generate" => cmd_generate(&opts),
+        "binarize" => cmd_binarize(&opts),
         "build" => cmd_build(&opts),
         "info" => cmd_info(&opts),
         "query" => cmd_query(&opts),
@@ -136,6 +143,8 @@ fn usage() {
     eprintln!(
         "gph-store <command> [--opt value]...\n\
          commands:\n\
+         \x20 generate --profile <name> --rows <n> --out <file.hamd> [--seed s]\n\
+         \x20 binarize --fvecs <file.fvecs> --bits <n> --out <file.hamd> [--seed s]\n\
          \x20 build --out <dir> (--data <file.hamd> | --profile <name> --rows <n>)\n\
          \x20       [--shards s] [--m m] [--tau-max t] [--seed s]\n\
          \x20       [--fleet-slots n --owned <slot,slot,...>]\n\
@@ -193,6 +202,41 @@ fn parse_or<T: std::str::FromStr>(
     }
 }
 
+/// The synthetic corpus `--profile <name> --rows <n> [--seed s]` names
+/// (`generate` writes it to a file, `build` indexes it directly).
+fn profile_dataset(opts: &HashMap<String, String>) -> Result<Dataset, String> {
+    let name = need(opts, "profile")?;
+    let profile = Profile::by_name(name).ok_or_else(|| format!("unknown profile {name}"))?;
+    let rows: usize = parse(opts, "rows")?;
+    let seed: u64 = parse_or(opts, "seed", 42)?;
+    Ok(profile.generate(rows, seed))
+}
+
+/// `generate`: write a synthetic profile as a `HAMD` dataset file.
+fn cmd_generate(opts: &HashMap<String, String>) -> Result<(), String> {
+    check_flags(opts, &["profile", "rows", "seed", "out"])?;
+    let out = need(opts, "out")?;
+    let ds = profile_dataset(opts)?;
+    io::write_dataset(&ds, out).map_err(|e| format!("writing {out}: {e}"))?;
+    println!("wrote {} x {} dims to {out}", ds.len(), ds.dim());
+    Ok(())
+}
+
+/// `binarize`: hash `.fvecs` float features to `--bits` binary codes with
+/// random hyperplanes and write them as a `HAMD` dataset file.
+fn cmd_binarize(opts: &HashMap<String, String>) -> Result<(), String> {
+    check_flags(opts, &["fvecs", "bits", "seed", "out"])?;
+    let fvecs = need(opts, "fvecs")?;
+    let bits: usize = parse(opts, "bits")?;
+    let seed: u64 = parse_or(opts, "seed", 7)?;
+    let out = need(opts, "out")?;
+    let x = binarize::read_fvecs(fvecs).map_err(|e| format!("reading {fvecs}: {e}"))?;
+    let ds = binarize::RandomHyperplanes::new(x.dim, bits, seed).encode_all(&x);
+    io::write_dataset(&ds, out).map_err(|e| format!("writing {out}: {e}"))?;
+    println!("binarized {} x {}d floats into {} x {bits} bits -> {out}", x.len(), x.dim, ds.len());
+    Ok(())
+}
+
 fn cmd_build(opts: &HashMap<String, String>) -> Result<(), String> {
     check_flags(
         opts,
@@ -212,13 +256,10 @@ fn cmd_build(opts: &HashMap<String, String>) -> Result<(), String> {
     let out = need(opts, "out")?;
     let ds: Dataset = if let Some(path) = opts.get("data") {
         io::read_dataset(path).map_err(|e| format!("reading {path}: {e}"))?
+    } else if opts.contains_key("profile") {
+        profile_dataset(opts)?
     } else {
-        let name =
-            need(opts, "profile").map_err(|_| "need --data or --profile/--rows".to_string())?;
-        let profile = Profile::by_name(name).ok_or_else(|| format!("unknown profile {name}"))?;
-        let rows: usize = parse(opts, "rows")?;
-        let seed: u64 = parse_or(opts, "seed", 42)?;
-        profile.generate(rows, seed)
+        return Err("need --data or --profile/--rows".into());
     };
     let shards: usize = parse_or(opts, "shards", 1)?;
     let m: usize = parse_or(opts, "m", GphConfig::suggested_m(ds.dim()))?;
