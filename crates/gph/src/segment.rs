@@ -10,15 +10,22 @@
 //!   scan (exact, and cheap while the memtable is small);
 //! * a list of sealed **immutable [`Gph`] segments**, each with its own
 //!   id map and tombstone bitmap; deletes flip a bit, queries filter;
-//! * a size-triggered **seal**: when the memtable reaches
+//! * a size-triggered **seal** (the flush): when the memtable reaches
 //!   [`SegmentConfig::seal_rows`] live rows it is rebuilt into a sealed
-//!   segment (dead rows dropped on the way) using the configured
-//!   partition optimizer;
+//!   segment (dead rows dropped on the way). A flush *inherits* the
+//!   partitioning of the engine's largest sealed segment — the
+//!   partitioning is an offline artifact of the data distribution
+//!   (§V–§VI), which a memtable's worth of new rows does not move, and
+//!   any partitioning is exact (§III) — so it costs what its rows cost
+//!   to index, not a run of the partition optimizer. Only the first
+//!   flush into an engine with no sealed segment runs the configured
+//!   strategy;
 //! * a **compaction policy**: all-dead segments are dropped outright, and
 //!   whenever more than [`SegmentConfig::max_sealed`] segments exist the
 //!   two smallest are merged into one freshly built segment, bounding
 //!   per-query segment fan-out the way LSM level merges bound sstable
-//!   counts.
+//!   counts. Merges always run the configured strategy: flushes are
+//!   cheap, merges are where re-optimisation happens.
 //!
 //! Rows are addressed by caller-chosen `u32` ids, stable across seals and
 //! compactions. Every query is **provably identical** to a fresh [`Gph`]
@@ -30,6 +37,7 @@
 
 use crate::coldstore::{ColdSegment, PageCacheStats, SegmentFile, SpillStore, StorageMode};
 use crate::engine::{Gph, GphConfig, QueryStats, SearchResult};
+use crate::partition_opt::PartitionStrategy;
 use crate::pipeline::Plan;
 use crate::snapshot::{decode_gph_config, encode_gph_config};
 use bytes::BufMut;
@@ -37,7 +45,7 @@ use gph_obs::{PhaseNanos, SegmentTrace};
 use hamming_core::error::{HammingError, Result};
 use hamming_core::io::{reject_retired_version, ByteReader, Footer, OffsetWriter, PAGE_SIZE};
 use hamming_core::tombstone::Tombstones;
-use hamming_core::{hamming_within, words_for, Dataset};
+use hamming_core::{hamming_within, words_for, Dataset, Partitioning};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -329,9 +337,24 @@ impl SegmentedGph {
     /// failed `Gph::build` (e.g. an invalid config) leaves the engine
     /// fully consistent. (Creating the spill store early is harmless on
     /// failure: it is just an empty temp directory.)
-    fn build_segment(&mut self, data: Dataset, ids: Vec<u32>) -> Result<Sealed> {
+    ///
+    /// `inherited` (a flush behind a sealed segment) replaces the
+    /// configured partition strategy; the index and the estimator are
+    /// built from `data` either way.
+    fn build_segment(
+        &mut self,
+        data: Dataset,
+        ids: Vec<u32>,
+        inherited: Option<Partitioning>,
+    ) -> Result<Sealed> {
         let n = data.len();
-        let engine = Gph::build(data, &self.cfg)?;
+        let engine = match inherited {
+            Some(p) => {
+                let strategy = PartitionStrategy::Fixed(p);
+                Gph::build(data, &GphConfig { strategy, ..self.cfg.clone() })?
+            }
+            None => Gph::build(data, &self.cfg)?,
+        };
         let store = self.store_engine(engine)?;
         Ok(Sealed { store, ids, dead: Tombstones::all_live(n) })
     }
@@ -390,7 +413,7 @@ impl SegmentedGph {
                 return Err(HammingError::InvalidParameter(format!("duplicate live id {id}")));
             }
         }
-        let seg = self.build_segment(data, ids)?;
+        let seg = self.build_segment(data, ids, None)?;
         self.commit_segment(seg);
         Ok(())
     }
@@ -410,7 +433,9 @@ impl SegmentedGph {
         self.cfg.tau_max
     }
 
-    /// The build configuration (used for every seal and compaction).
+    /// The build configuration. Bulk loads and compactions use all of it;
+    /// a flush behind a sealed segment takes that segment's partitioning
+    /// in place of [`GphConfig::strategy`].
     pub fn config(&self) -> &GphConfig {
         &self.cfg
     }
@@ -567,17 +592,23 @@ impl SegmentedGph {
     }
 
     /// Flushes the memtable into a sealed segment (dropping its dead
-    /// rows) and runs the compaction policy. A no-op when the memtable
-    /// holds no live rows. On error (a failing `Gph::build`) the engine
-    /// is left untouched and fully consistent.
+    /// rows) under the partitioning of the largest sealed segment — the
+    /// configured strategy runs only when there is none yet — and runs
+    /// the compaction policy. A no-op when the memtable holds no live
+    /// rows. On error (a failing `Gph::build`) the engine is left
+    /// untouched and fully consistent.
     pub fn seal(&mut self) -> Result<()> {
         if self.mem.dead.live() > 0 {
             let mut data = Dataset::with_capacity(self.dim, self.mem.dead.live());
             let mut ids = Vec::with_capacity(self.mem.dead.live());
             self.mem.append_live_to(&mut data, &mut ids)?;
+            // The largest segment's partitioning was optimised over the
+            // most rows (a bulk load or a merge).
+            let largest = self.sealed.iter().max_by_key(|s| s.ids.len());
+            let inherited = largest.map(|s| s.store.plan().partitioning.clone());
             // Build before mutating: commit_segment overwrites the ids'
             // memtable locations only once the segment exists.
-            let seg = self.build_segment(data, ids)?;
+            let seg = self.build_segment(data, ids, inherited)?;
             self.commit_segment(seg);
         }
         self.mem = Memtable::new(self.dim);
@@ -597,7 +628,8 @@ impl SegmentedGph {
         self.mem.append_live_to(&mut data, &mut ids)?;
         // Build the merged segment before dropping anything, so a failed
         // build cannot lose rows.
-        let merged = if data.is_empty() { None } else { Some(self.build_segment(data, ids)?) };
+        let merged =
+            if data.is_empty() { None } else { Some(self.build_segment(data, ids, None)?) };
         self.sealed.clear();
         self.mem = Memtable::new(self.dim);
         self.loc.clear();
@@ -609,7 +641,8 @@ impl SegmentedGph {
 
     /// The compaction policy: drop all-dead segments, then while more
     /// than `max_sealed` segments exist merge the two with the fewest
-    /// live rows into one freshly built segment. Merged segments are
+    /// live rows into one segment freshly built under the configured
+    /// partition strategy. Merged segments are
     /// built before their sources are removed, so an error leaves every
     /// row reachable.
     fn maybe_compact(&mut self) -> Result<()> {
@@ -625,7 +658,7 @@ impl SegmentedGph {
             for idx in [lo, hi] {
                 self.sealed[idx].append_live_to(&mut data, &mut ids)?;
             }
-            let merged = self.build_segment(data, ids)?;
+            let merged = self.build_segment(data, ids, None)?;
             // Remove the higher index first so the lower stays valid.
             self.sealed.remove(hi);
             self.sealed.remove(lo);
@@ -815,7 +848,8 @@ impl SegmentedGph {
 
     /// Estimated cost of the *next* insert: the memtable append plus, if
     /// it would trigger a seal, the cost of building a segment over the
-    /// memtable (every row indexed and verified once). The admission
+    /// memtable (every row indexed and verified once — a flush inherits
+    /// its partitioning, so that is all it does). The admission
     /// controller prices mutations with this.
     pub fn next_insert_cost(&self) -> f64 {
         let base = self.cfg.cost_model.c_verify;
@@ -1390,6 +1424,75 @@ mod tests {
         assert_eq!(eng.len(), 2);
         assert!(eng.delete(2));
         assert_eq!(eng.len(), 1);
+    }
+
+    fn partitionings(eng: &SegmentedGph) -> Vec<Partitioning> {
+        eng.sealed.iter().map(|s| s.store.plan().partitioning.clone()).collect()
+    }
+
+    /// What the configured strategy makes of sealed segment `seg`'s rows.
+    fn configured(eng: &SegmentedGph, seg: usize) -> Partitioning {
+        let mut ds = Dataset::new(eng.dim());
+        for row in 0..eng.sealed[seg].ids.len() {
+            eng.sealed[seg].store.append_row_to(&mut ds, row).unwrap();
+        }
+        crate::partition_opt::build_partitioning(&ds, eng.cfg.m, &eng.cfg.strategy, None).unwrap()
+    }
+
+    #[test]
+    fn flush_inherits_the_partitioning_and_merges_reoptimise() {
+        // OS arranges dimensions by their skew in the rows it is given,
+        // so it tells one batch of rows from another.
+        let mut os_cfg = GphConfig::new(3, 8);
+        os_cfg.strategy = PartitionStrategy::Os;
+        let rows = random_rows(48, 48, 30);
+        for storage in [StorageMode::Resident, StorageMode::FileBacked { budget_bytes: 32 * 1024 }]
+        {
+            let seg_cfg = SegmentConfig { seal_rows: 8, max_sealed: 3, storage };
+            let mut eng = SegmentedGph::new(48, os_cfg.clone(), seg_cfg).unwrap();
+            let mut next = 0u32;
+            let mut flush = |eng: &mut SegmentedGph| {
+                for _ in 0..8 {
+                    eng.insert(next, &rows[next as usize]).unwrap();
+                    next += 1;
+                }
+            };
+            // The first flush finds no sealed segment: configured strategy.
+            flush(&mut eng);
+            let first = partitionings(&eng)[0].clone();
+            assert_eq!(first, configured(&eng, 0));
+            // The next two inherit it, though OS would have chosen otherwise.
+            flush(&mut eng);
+            flush(&mut eng);
+            assert_eq!(partitionings(&eng), vec![first.clone(); 3]);
+            assert_ne!(configured(&eng, 1), first, "fixture: OS must tell the batches apart");
+
+            // So does a flush after a snapshot round-trip; it is the
+            // fourth segment, so the two smallest merge — under the
+            // configured strategy.
+            let mut eng = SegmentedGph::from_bytes_with_storage(&eng.to_bytes(), storage).unwrap();
+            flush(&mut eng);
+            let sizes: Vec<usize> = eng.sealed.iter().map(|s| s.ids.len()).collect();
+            assert_eq!(sizes, [8, 8, 16]);
+            let merged = configured(&eng, 2);
+            assert_ne!(merged, first, "fixture: the merge must re-optimise to something new");
+            assert_eq!(partitionings(&eng), [first.clone(), first.clone(), merged.clone()]);
+
+            // The largest segment is now the merged one: the next flush
+            // takes its partitioning, not the oldest's or the newest's.
+            flush(&mut eng);
+            let merged_again = configured(&eng, 2);
+            assert_eq!(partitionings(&eng), [merged.clone(), merged, merged_again]);
+
+            for q in rows.iter().step_by(5) {
+                for tau in [0u32, 4, 8] {
+                    assert_eq!(eng.search(q, tau), reference_search(&eng, q, tau), "tau={tau}");
+                }
+            }
+            // A full compaction re-optimises over everything.
+            eng.compact().unwrap();
+            assert_eq!(partitionings(&eng), [configured(&eng, 0)]);
+        }
     }
 
     fn assert_same_answers(a: &SegmentedGph, b: &SegmentedGph, queries: &[Vec<u64>]) {

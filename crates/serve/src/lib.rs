@@ -33,7 +33,9 @@
 //!   into service-level stats — QPS, latency p50/p95/p99, candidates per
 //!   query.
 //! * [`ResultCache`] is an LRU keyed by `(query words, τ)` with hit/miss
-//!   counters, checked before dispatch.
+//!   counters, checked before dispatch; a write drops only the entries
+//!   whose answer it changes (the written row within their radius, or
+//!   the removed id among their results).
 //! * [`snapshot`] persists the whole fleet: one checksummed engine
 //!   snapshot per shard plus a manifest, so
 //!   [`QueryService::warm_start`] brings a service up from disk without

@@ -242,7 +242,7 @@ impl ScrapeGauges {
             cache_misses: g("gph_cache_misses", "Result-cache lookup misses."),
             cache_invalidations: g(
                 "gph_cache_invalidations",
-                "Whole-cache invalidations triggered by mutations.",
+                "Cached results dropped because a mutation changed their answer.",
             ),
             cache_len: g("gph_cache_len", "Entries currently resident in the result cache."),
             cache_capacity: g("gph_cache_capacity", "Configured result-cache capacity."),
@@ -312,8 +312,8 @@ struct Shared {
 /// let q = BitVector::parse("0000111100001111").unwrap();
 /// assert_eq!(service.query(q.words(), 3).ids().unwrap(), &[0, 1]);
 ///
-/// // Live updates go through the same front end (and invalidate the
-/// // result cache).
+/// // Live updates go through the same front end (and drop the cached
+/// // answers they change).
 /// service.delete(1);
 /// assert_eq!(service.query(q.words(), 3).ids().unwrap(), &[0]);
 /// service.shutdown();
@@ -535,43 +535,56 @@ impl QueryService {
     }
 
     /// Inserts `row` under `id`. Priced by the admission controller (an
-    /// insert that triggers a segment seal costs a build); applied
-    /// mutations invalidate the result cache. Errors if `id` is already
-    /// live or the row is malformed.
+    /// insert that triggers a segment flush costs that flush); an applied
+    /// insert drops the cached answers within whose radius `row` lies.
+    /// Errors if `id` is already live or the row is malformed.
     pub fn insert(&self, id: u32, row: &[u64]) -> hamming_core::error::Result<MutationResponse> {
-        let submitted = Instant::now();
-        if let Some(resp) = self.price_mutation(self.shared.index.next_insert_cost(id), submitted) {
-            return Ok(resp);
-        }
-        self.shared.index.insert(id, row)?;
-        Ok(self.commit_mutation(MutationOutcome::Applied { replaced: false }, submitted))
+        self.write(id, row, false)
     }
 
     /// Tombstones `id`; [`MutationOutcome::NotFound`] when it was not
-    /// live. Applied deletes invalidate the result cache.
+    /// live. An applied delete drops the cached answers that held `id`.
     pub fn delete(&self, id: u32) -> MutationResponse {
         let submitted = Instant::now();
         if let Some(resp) = self.price_mutation(self.shared.index.delete_cost(id), submitted) {
             return resp;
         }
-        if self.shared.index.delete(id) {
-            self.commit_mutation(MutationOutcome::Applied { replaced: true }, submitted)
+        let outcome = if self.shared.index.delete(id) {
+            self.commit_mutation(None, Some(id));
+            MutationOutcome::Applied { replaced: true }
         } else {
-            MutationResponse {
-                outcome: MutationOutcome::NotFound,
-                latency_ns: submitted.elapsed().as_nanos() as u64,
-            }
-        }
+            MutationOutcome::NotFound
+        };
+        MutationResponse { outcome, latency_ns: submitted.elapsed().as_nanos() as u64 }
     }
 
     /// Inserts `row` under `id`, replacing any live row with that id.
     pub fn upsert(&self, id: u32, row: &[u64]) -> hamming_core::error::Result<MutationResponse> {
+        self.write(id, row, true)
+    }
+
+    fn write(
+        &self,
+        id: u32,
+        row: &[u64],
+        replace: bool,
+    ) -> hamming_core::error::Result<MutationResponse> {
         let submitted = Instant::now();
         if let Some(resp) = self.price_mutation(self.shared.index.next_insert_cost(id), submitted) {
             return Ok(resp);
         }
-        let replaced = self.shared.index.upsert(id, row)?;
-        Ok(self.commit_mutation(MutationOutcome::Applied { replaced }, submitted))
+        let (written, result) = self.shared.index.write(id, row, replace);
+        // Before the error propagates: when the flush behind a write
+        // fails, the row is live all the same (and an upsert's old row
+        // gone), so cached answers are as stale as after a clean write.
+        if written.inserted || written.removed {
+            self.commit_mutation(written.inserted.then_some(row), written.removed.then_some(id));
+        }
+        result?;
+        Ok(MutationResponse {
+            outcome: MutationOutcome::Applied { replaced: written.removed },
+            latency_ns: submitted.elapsed().as_nanos() as u64,
+        })
     }
 
     /// Runs admission on a mutation cost; `Some` is an early rejection.
@@ -585,12 +598,11 @@ impl QueryService {
         }
     }
 
-    /// Books an applied mutation: cached results may now be stale, so
-    /// the whole cache is invalidated.
-    fn commit_mutation(&self, outcome: MutationOutcome, submitted: Instant) -> MutationResponse {
-        self.shared.cache.invalidate_all();
+    /// Books a change of the live set: the cached answers it can have
+    /// changed are dropped, and it counts as one mutation.
+    fn commit_mutation(&self, inserted: Option<&[u64]>, removed: Option<u32>) {
+        self.shared.cache.invalidate(inserted, removed);
         self.shared.metrics.note_mutation();
-        MutationResponse { outcome, latency_ns: submitted.elapsed().as_nanos() as u64 }
     }
 
     fn submit_inner(&self, queries: &[&[u64]], tau: u32, block: bool) -> Ticket {
@@ -796,9 +808,9 @@ fn worker_loop(shared: &Shared, rx: &channel::Receiver<Job>) {
         shared.metrics.note_batch();
         let mut responses = Vec::with_capacity(job.work.len());
         for work in &job.work {
-            // Captured before the search: if a mutation invalidates the
-            // cache while the search runs, the store below is dropped
-            // instead of resurrecting a stale result.
+            // Captured before the search: if a mutation is booked while
+            // the search runs, the store below is dropped instead of
+            // caching a result computed across it.
             let epoch = shared.cache.epoch();
             let response = match work {
                 Work::Range { query, tau, requested_tau, want_trace } => {
@@ -1114,25 +1126,150 @@ mod tests {
         assert!(saw_shed_batch_with_hit || service.stats().queue_rejections == 0);
     }
 
+    /// `q` with its lowest `d` bits flipped: a row at distance exactly `d`.
+    fn at_distance(q: &[u64], d: u32) -> Vec<u64> {
+        vec![q[0] ^ ((1u64 << d) - 1)]
+    }
+
+    /// Reads `(q, tau)` and `(q, k)` once more, checks both answers
+    /// against the index, and returns which of them came from the cache.
+    fn reread(service: &QueryService, q: &[u64], tau: u32, k: usize) -> (bool, bool) {
+        let (range, topk) = (service.query(q, tau), service.query_topk(q, k));
+        assert_eq!(range.ids().unwrap(), service.index().search(q, tau).as_slice());
+        match &topk.outcome {
+            Outcome::TopK { hits, .. } => assert_eq!(**hits, service.index().search_topk(q, k)),
+            other => panic!("expected topk, got {other:?}"),
+        }
+        (range.from_cache, topk.from_cache)
+    }
+
     #[test]
     fn mutations_invalidate_the_cache() {
         let (index, ds) = fixture(300, 212);
         let service = QueryService::new(Arc::clone(&index), ServiceConfig::default());
-        let q = ds.row(3);
-        let before = service.query(q, 6);
-        assert!(service.query(q, 6).from_cache, "repeat hits the cache");
-        // Delete one of the results: the cached entry must not survive.
-        let victim = before.ids().unwrap()[0];
-        let resp = service.delete(victim);
-        assert_eq!(resp.outcome, MutationOutcome::Applied { replaced: true });
-        let after = service.query(q, 6);
-        assert!(!after.from_cache, "mutation invalidated the cache");
-        assert!(!after.ids().unwrap().contains(&victim));
+        let (q, tau, k) = (ds.row(3), 6, 4);
+        let applied = |replaced| MutationOutcome::Applied { replaced };
+        assert_eq!(reread(&service, q, tau, k), (false, false));
+        assert_eq!(reread(&service, q, tau, k), (true, true), "repeats hit the cache");
+
+        // Writes that cannot change either answer leave both cached — and
+        // both still exact: a row beyond every radius (tau_max is 12), an
+        // upsert of it, and deletes of ids neither answer holds.
+        let member = |id: u32| {
+            index.search(q, tau).contains(&id)
+                || index.search_topk(q, k).iter().any(|&(hit, _)| hit == id)
+        };
+        let bystander = (0..300).find(|&id| !member(id)).unwrap();
+        assert_eq!(service.insert(9000, &at_distance(q, 40)).unwrap().outcome, applied(false));
+        assert_eq!(service.upsert(9000, &at_distance(q, 41)).unwrap().outcome, applied(true));
+        assert_eq!(service.delete(bystander).outcome, applied(true));
+        assert_eq!(service.delete(9000).outcome, applied(true));
+        assert_eq!(reread(&service, q, tau, k), (true, true), "far writes keep the cache");
+        assert_eq!(service.cache_stats().invalidations, 0);
+        assert_eq!(service.stats().mutations, 4);
+
+        // A row between the two radii (6 < 9 <= 12) drops the top-k
+        // entry — conservatively: it is not among the 4 nearest — and
+        // leaves the range entry.
+        assert_eq!(service.insert(9001, &at_distance(q, 9)).unwrap().outcome, applied(false));
+        assert_eq!(reread(&service, q, tau, k), (true, false));
         assert_eq!(service.cache_stats().invalidations, 1);
-        assert_eq!(service.stats().mutations, 1);
-        // Deleting an unknown id is NotFound and does not invalidate.
-        assert_eq!(service.delete(victim).outcome, MutationOutcome::NotFound);
-        assert_eq!(service.cache_stats().invalidations, 1);
+
+        // A row inside the executed radius drops both, and both new
+        // answers hold it.
+        assert_eq!(service.insert(9002, &at_distance(q, 1)).unwrap().outcome, applied(false));
+        assert_eq!(reread(&service, q, tau, k), (false, false));
+        assert!(service.query(q, tau).ids().unwrap().contains(&9002));
+        assert_eq!(service.cache_stats().invalidations, 3);
+
+        // Deleting a member of both answers (the query's own row) drops
+        // both; an upsert that moves a member out of range does too.
+        assert_eq!(service.delete(3).outcome, applied(true));
+        assert_eq!(reread(&service, q, tau, k), (false, false));
+        assert!(!service.query(q, tau).ids().unwrap().contains(&3));
+        assert_eq!(service.upsert(9002, &at_distance(q, 40)).unwrap().outcome, applied(true));
+        assert_eq!(reread(&service, q, tau, k), (false, false));
+        assert!(!service.query(q, tau).ids().unwrap().contains(&9002));
+        assert_eq!(service.cache_stats().invalidations, 7);
+
+        // Deleting an unknown id is NotFound, drops and counts nothing.
+        let mutations = service.stats().mutations;
+        assert_eq!(service.delete(3).outcome, MutationOutcome::NotFound);
+        assert_eq!(reread(&service, q, tau, k), (true, true));
+        assert_eq!(service.stats().mutations, mutations);
+    }
+
+    #[test]
+    fn degraded_entries_are_judged_by_their_effective_radius() {
+        let (index, ds) = fixture(500, 205);
+        let q = ds.row(1);
+        let (lo, hi) = (index.estimate_cost(q, 1), index.estimate_cost(q, 12));
+        assert!(hi > lo, "fixture must price tau 12 above tau 1");
+        let cfg = ServiceConfig {
+            admission: AdmissionConfig {
+                cost_budget: (lo + hi) / 2.0,
+                policy: OverBudgetPolicy::Degrade { min_tau: 0 },
+            },
+            ..ServiceConfig::default()
+        };
+        let service = QueryService::new(Arc::clone(&index), cfg);
+        let executed = |resp: &Response| match resp.outcome {
+            Outcome::Ids { tau, degraded_from: Some(12), .. } => tau,
+            ref other => panic!("expected a degraded answer, got {other:?}"),
+        };
+        let tau = executed(&service.query(q, 12));
+        assert!(tau < 12);
+        // Inside the requested radius, outside the executed one: the
+        // entry answers `tau`, so the row cannot be in it.
+        service.insert(9000, &at_distance(q, tau + 1)).unwrap();
+        let again = service.query(q, 12);
+        assert!(again.from_cache, "a row beyond the effective tau keeps the entry");
+        assert_eq!(executed(&again), tau);
+        assert_eq!(again.ids().unwrap(), index.search(q, tau).as_slice());
+        // Inside the executed radius: dropped, and the fresh answer
+        // (whatever threshold admission now affords) holds the row.
+        service.insert(9001, q).unwrap();
+        let fresh = service.query(q, 12);
+        assert!(!fresh.from_cache);
+        assert_eq!(fresh.ids().unwrap(), index.search(q, executed(&fresh)).as_slice());
+        assert!(fresh.ids().unwrap().contains(&9001));
+    }
+
+    #[test]
+    fn failed_seal_still_invalidates_and_counts() {
+        // m > dim makes every `Gph::build` fail, and an engine with no
+        // sealed segment flushes through the configured strategy: the
+        // second insert's flush errors with the row already live.
+        let mut bad_cfg = GphConfig::new(64, 4);
+        bad_cfg.strategy = PartitionStrategy::Original;
+        let seg_cfg =
+            gph::segment::SegmentConfig { seal_rows: 2, max_sealed: 2, ..Default::default() };
+        let index =
+            ShardedIndex::build_with_segments(&Dataset::new(16), 1, &bad_cfg, seg_cfg).unwrap();
+        let service = QueryService::new(Arc::new(index), ServiceConfig::default());
+        let q = [0b1111u64];
+        service.insert(1, &at_distance(&q, 9)).unwrap();
+        assert!(service.query(&q, 2).ids().unwrap().is_empty());
+        assert!(service.query(&q, 2).from_cache);
+
+        assert!(service.insert(2, &at_distance(&q, 1)).is_err(), "the flush must fail");
+        let after = service.query(&q, 2);
+        assert!(!after.from_cache, "the row went live, so the cached answer was stale");
+        assert_eq!(after.ids().unwrap(), &[2]);
+        assert_eq!((service.index().len(), service.stats().mutations), (2, 2));
+
+        // An upsert whose flush fails has tombstoned the old row too.
+        assert!(service.query(&q, 2).from_cache);
+        assert!(service.upsert(2, &at_distance(&q, 8)).is_err());
+        let after = service.query(&q, 2);
+        assert!(!after.from_cache);
+        assert!(after.ids().unwrap().is_empty());
+        assert_eq!((service.index().len(), service.stats().mutations), (2, 3));
+
+        // An insert refused before it touched the engine books nothing.
+        assert!(service.insert(2, &q).is_err(), "id 2 is live");
+        assert!(service.query(&q, 2).from_cache);
+        assert_eq!(service.stats().mutations, 3);
     }
 
     #[test]
@@ -1249,8 +1386,8 @@ mod tests {
     #[test]
     fn exposition_carries_every_typed_counter() {
         let (index, ds) = fixture(500, 219);
-        let (q, victim) = (ds.row(1), 40u32);
-        let cheap = index.estimate_cost(q, 2).max(index.delete_cost(victim));
+        let (q, member, bystander) = (ds.row(1), 1u32, 40u32);
+        let cheap = index.estimate_cost(q, 2).max(index.delete_cost(member));
         let dear = index.estimate_cost(q, 12);
         assert!(dear > cheap, "fixture must price tau 12 above tau 2 and a delete");
         let cfg = ServiceConfig {
@@ -1261,11 +1398,17 @@ mod tests {
             ..ServiceConfig::default()
         };
         let service = QueryService::new(index, cfg);
-        assert!(!service.query(q, 2).from_cache);
+        let first = service.query(q, 2);
+        assert!(!first.from_cache && !first.ids().unwrap().contains(&bystander));
         assert!(service.query(q, 2).from_cache);
         assert_eq!(service.submit_batch(&[q, q], 1).wait().len(), 2);
-        assert_eq!(service.delete(victim).outcome, MutationOutcome::Applied { replaced: true });
-        assert!(!service.query(q, 2).from_cache, "the delete invalidated the cache");
+        // A delete outside the cached answers leaves them hits; deleting
+        // the query's own row drops the tau-2 and the tau-1 entry.
+        assert_eq!(service.delete(bystander).outcome, MutationOutcome::Applied { replaced: true });
+        assert!(service.query(q, 2).from_cache, "the answer does not hold the deleted id");
+        assert_eq!(service.delete(member).outcome, MutationOutcome::Applied { replaced: true });
+        let after = service.query(q, 2);
+        assert!(!after.from_cache && !after.ids().unwrap().contains(&member));
         assert!(matches!(service.query(q, 12).outcome, Outcome::Rejected { .. }));
 
         let (st, cache, adm) = (service.stats(), service.cache_stats(), service.admission_stats());
@@ -1303,7 +1446,7 @@ mod tests {
             assert!((get(series) / denominator - typed).abs() < 1e-6, "{series}");
         }
         // The scenario reached every path it claims to.
-        assert!(cache.hits >= 1 && cache.invalidations == 1 && st.mutations == 1);
+        assert!(cache.hits >= 2 && cache.invalidations == 2 && st.mutations == 2);
         assert!(adm.rejected == 1 && adm.admitted >= 1 && st.batches >= 1);
     }
 }

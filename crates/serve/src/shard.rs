@@ -4,9 +4,11 @@
 //! [`ShardedIndex`] routes every record to one of `S` shards by a stable
 //! hash of its ID and keeps one [`SegmentedGph`] per shard — so the fleet
 //! serves `insert`/`delete`/`upsert` as well as queries. Each shard sits
-//! behind its own `RwLock`: queries take shared locks (scatter still runs
-//! shards concurrently), a mutation takes the write lock of exactly the
-//! one shard that owns the ID. Range search merges trivially (shards
+//! behind its own `RwLock`: a query visits the shards in order on its own
+//! thread under shared locks (different queries run on different cores —
+//! the service's worker pool is where query parallelism is configured), a
+//! mutation takes the write lock of exactly the one shard that owns the
+//! ID. Range search merges trivially (shards
 //! partition the live rows); top-k uses a two-phase threshold-refinement
 //! pass (scatter a cheap per-shard top-k′ to bound the global k-th
 //! distance, then range-refine at that bound) so results are
@@ -22,15 +24,6 @@ use hamming_core::key::mix64;
 use hamming_core::{words_for, Dataset};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Threaded scatter pays off only when each shard holds enough rows that
-/// a per-shard probe outweighs spawning a thread; below this, queries
-/// run the shards sequentially. (Lowered under `cfg(test)` so the unit
-/// tests exercise both paths.)
-#[cfg(not(test))]
-const PAR_SCATTER_MIN_ROWS_PER_SHARD: usize = 4096;
-#[cfg(test)]
-const PAR_SCATTER_MIN_ROWS_PER_SHARD: usize = 64;
 
 /// Per-record shard members for a fleet of `(len, n_shards)` — the pure
 /// function of the stable id hash that bulk build derives its row routing
@@ -71,10 +64,18 @@ pub struct ShardedIndex {
     pub(crate) words_per_vec: usize,
     pub(crate) dim: usize,
     pub(crate) tau_max: usize,
-    /// Live records, maintained by the mutation paths so `len()` (and
-    /// the scatter-threading heuristic on every query) never has to
-    /// take all `S` shard locks just to sum counts.
+    /// Live records, maintained by the mutation paths so `len()` never
+    /// has to take all `S` shard locks just to sum counts.
     live: AtomicUsize,
+}
+
+/// What an insert or upsert did to the live set ([`ShardedIndex::write`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Written {
+    /// The row went live.
+    pub inserted: bool,
+    /// A live row with that id stopped being live.
+    pub removed: bool,
 }
 
 /// Scatter-gather search output: merged global IDs plus one aggregated
@@ -248,14 +249,7 @@ impl ShardedIndex {
 
     /// Inserts `row` under `id` on its shard. Errors if `id` is live.
     pub fn insert(&self, id: u32, row: &[u64]) -> Result<()> {
-        self.check_row(row)?;
-        let mut engine = self.shards[Self::shard_of(id, self.n_shards)].write();
-        // A failing seal still appends the row (the engine documents
-        // this), so count from the engine's own delta, not the Result.
-        let before = engine.len();
-        let result = engine.insert(id, row);
-        self.live.fetch_add(engine.len() - before, Ordering::Relaxed);
-        result
+        self.write(id, row, false).1
     }
 
     /// Tombstones `id`; returns whether it was live.
@@ -270,17 +264,36 @@ impl ShardedIndex {
     /// Inserts `row` under `id`, replacing any live row with that id.
     /// Returns whether a replacement happened.
     pub fn upsert(&self, id: u32, row: &[u64]) -> Result<bool> {
-        self.check_row(row)?;
-        let mut engine = self.shards[Self::shard_of(id, self.n_shards)].write();
-        let before = engine.len();
-        let result = engine.upsert(id, row);
-        let after = engine.len();
-        if after >= before {
-            self.live.fetch_add(after - before, Ordering::Relaxed);
-        } else {
-            self.live.fetch_sub(before - after, Ordering::Relaxed);
+        let (written, result) = self.write(id, row, true);
+        result.map(|()| written.removed)
+    }
+
+    /// The one insert (`replace == false`) / upsert path. Reports what
+    /// the write did to the live set *beside* the engine's `Result`: a
+    /// failing seal still leaves the row live — and, for an upsert, the
+    /// old row tombstoned (the engine documents both) — so the live
+    /// count here and the service's cache invalidation go by the engine's
+    /// own state, read under the shard's write lock, not by the `Result`.
+    pub(crate) fn write(&self, id: u32, row: &[u64], replace: bool) -> (Written, Result<()>) {
+        if let Err(e) = self.check_row(row) {
+            return (Written::default(), Err(e));
         }
-        result
+        let mut engine = self.shards[Self::shard_of(id, self.n_shards)].write();
+        let was_live = engine.contains(id);
+        let result =
+            if replace { engine.upsert(id, row).map(drop) } else { engine.insert(id, row) };
+        // The row is well-formed, so an upsert tombstoned a live `id`
+        // whatever happened next; and the row went live unless the engine
+        // refused it outright (a plain insert of a live id).
+        let removed = replace && was_live;
+        let inserted = engine.contains(id) && (replace || !was_live);
+        if inserted {
+            self.live.fetch_add(1, Ordering::Relaxed);
+        }
+        if removed {
+            self.live.fetch_sub(1, Ordering::Relaxed);
+        }
+        (Written { inserted, removed }, result)
     }
 
     /// Estimated cost of inserting `id` next (the owning shard's memtable
@@ -391,9 +404,8 @@ impl ShardedIndex {
     }
 
     /// Summed per-shard cost estimate for `(query, tau)` — the admission
-    /// controller's signal. Scatter-gather executes every shard, so the
-    /// service pays the *sum* of the shard costs (the wall-clock is the
-    /// max, but admission budgets total work).
+    /// controller's signal. Scatter-gather executes every shard, one
+    /// after the other, so the service pays the *sum* of the shard costs.
     pub fn estimate_cost(&self, query: &[u64], tau: u32) -> f64 {
         self.assert_query(query, tau as usize);
         self.shards.iter().map(|s| s.read().estimate_cost(query, tau)).sum()
@@ -404,31 +416,13 @@ impl ShardedIndex {
         assert_eq!(query.len(), self.words_per_vec, "query width mismatch with indexed data");
     }
 
-    /// Runs `f` on every shard under its read lock (the scatter phase);
-    /// results come back in shard order. Spawns one scoped thread per
-    /// shard only when the shards are large enough that a per-shard
-    /// search dwarfs thread start-up (~tens of µs); small shards run
-    /// sequentially — in the service the worker pool already parallelizes
-    /// across queries, so intra-query threads only pay off once per-shard
-    /// work is substantial.
-    fn scatter<T, F>(&self, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&SegmentedGph) -> T + Sync,
-    {
-        if self.shards.len() <= 1 || self.len() < PAR_SCATTER_MIN_ROWS_PER_SHARD * self.shards.len()
-        {
-            return self.shards.iter().map(|s| f(&s.read())).collect();
-        }
-        let mut out: Vec<T> = Vec::new();
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> =
-                self.shards.iter().map(|shard| scope.spawn(|_| f(&shard.read()))).collect();
-            out =
-                handles.into_iter().map(|h| h.join().expect("shard workers never panic")).collect();
-        })
-        .expect("shard workers never panic");
-        out
+    /// Runs `f` on every shard under its read lock (the scatter phase),
+    /// in shard order on the calling thread: spawning a thread per shard
+    /// costs more than the tens-of-µs search it would parallelise, and
+    /// the service's worker pool already runs different queries on
+    /// different cores.
+    fn scatter<T>(&self, f: impl Fn(&SegmentedGph) -> T) -> Vec<T> {
+        self.shards.iter().map(|s| f(&s.read())).collect()
     }
 }
 

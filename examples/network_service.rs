@@ -1,7 +1,8 @@
 //! Network serving end to end in one process: build a sharded index,
 //! put a [`NetServer`] in front of it on an ephemeral loopback port, and
 //! drive it with four concurrent pipelined [`GphClient`]s — searches,
-//! top-k, a batch, and live mutations — then shut down gracefully.
+//! top-k, a batch, and live mutations (with the result cache's answer to
+//! each) — then shut down gracefully.
 //!
 //! ```text
 //! cargo run --release --example network_service
@@ -81,14 +82,31 @@ fn main() {
         n_queries as f64 / elapsed
     );
 
-    // 4. Live mutations over the wire: insert a row, see it, delete it.
+    // 4. Live mutations over the wire, and what they cost the result
+    //    cache: a write drops only the cached answers it changes.
     let client = GphClient::connect(addr).expect("connect");
-    let fresh = data.row(0).to_vec();
-    assert_eq!(client.insert(900_000, &fresh).unwrap(), WireMutation::Applied { replaced: false });
-    assert!(client.search(&fresh, 0).unwrap().ids.contains(&900_000));
-    assert_eq!(client.delete(900_000).unwrap(), WireMutation::Applied { replaced: true });
-    assert_eq!(client.delete(900_000).unwrap(), WireMutation::NotFound);
-    println!("live insert/delete round-tripped over the wire");
+    let applied = |replaced| WireMutation::Applied { replaced };
+    let q = data.row(0).to_vec();
+    let first = client.search(&q, TAU).unwrap();
+    assert!(client.search(&q, TAU).unwrap().from_cache, "a repeat is a cache hit");
+    // A row 64 bits away and the delete of an id the answer does not
+    // hold cannot change it: the third read is still served from cache.
+    let (mut far, mut near) = (q.clone(), q.clone());
+    far[0] = !far[0];
+    near[0] ^= 1;
+    let bystander = (0..data.len() as u32).find(|id| !first.ids.contains(id)).unwrap();
+    assert_eq!(client.insert(900_000, &far).unwrap(), applied(false));
+    assert_eq!(client.delete(bystander).unwrap(), applied(true));
+    let third = client.search(&q, TAU).unwrap();
+    assert!(third.from_cache && third.ids == first.ids, "far writes keep the cached answer");
+    // A row one bit away lies inside the radius: the entry is dropped
+    // and the fresh answer holds the new id.
+    assert_eq!(client.insert(900_001, &near).unwrap(), applied(false));
+    let fourth = client.search(&q, TAU).unwrap();
+    assert!(!fourth.from_cache && fourth.ids.contains(&900_001), "a near write must be seen");
+    assert_eq!(client.delete(900_001).unwrap(), applied(true));
+    assert_eq!(client.delete(900_001).unwrap(), WireMutation::NotFound);
+    println!("live writes round-tripped over the wire; only the near one cost a cached answer");
 
     // 5. What the server is (Health) and what it has counted (Metrics),
     //    then graceful shutdown (drains in-flight work).

@@ -509,8 +509,8 @@ fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), String> {
     );
     let (hits, misses) = (val("gph_cache_hits"), val("gph_cache_misses"));
     println!(
-        "cache:      {hits:.0} hits / {misses:.0} misses ({:.0}% hit rate), {:.0} invalidations, \
-         {:.0}/{:.0} resident",
+        "cache:      {hits:.0} hits / {misses:.0} misses ({:.0}% hit rate), {:.0} entries dropped \
+         by writes, {:.0}/{:.0} resident",
         per(hits, hits + misses) * 100.0,
         val("gph_cache_invalidations"),
         val("gph_cache_len"),
