@@ -1,11 +1,42 @@
 //! The blocking client: [`GphClient`] pools TCP connections and mirrors
 //! the in-process submit/wait [`gph_serve::Ticket`] API over the wire.
 //!
-//! Every connection runs a background reader thread that demultiplexes
-//! response frames by request id, so any number of requests can be **in
-//! flight at once** on one socket (`submit_*` returns a [`NetTicket`];
-//! `wait` blocks for that request's response only). The convenience
-//! wrappers (`search`, `topk`, `insert`, ...) are submit-then-wait.
+//! Any number of requests can be **in flight at once** on one socket:
+//! `submit_*` writes the frame and returns a [`NetTicket`], `wait`
+//! blocks for that request's response only, and responses are matched
+//! to tickets by request id. The convenience wrappers (`search`, `topk`,
+//! `insert`, ...) are submit-then-wait.
+//!
+//! # Who reads
+//!
+//! No thread belongs to a connection, and [`GphClient::connect`] spawns
+//! none. A connection is a nonblocking socket plus an inbox (a slot per
+//! outstanding request, and the bytes that are not a whole frame yet)
+//! under one mutex, and **whichever thread is blocked on the connection
+//! drives it**. A ticket that waits checks its slot; if nobody is
+//! reading it becomes the reader — waits for the socket up to its
+//! deadline, reads what is there, files every whole frame under its id,
+//! wakes the others, checks again — and otherwise sleeps until the
+//! reader files its frame or leaves, and then takes over. A synchronous
+//! call is thus write, wait for readiness, read, all on the calling
+//! thread: the response crosses no thread on this side of the socket.
+//!
+//! # Pipelining
+//!
+//! A caller may submit any number of requests before waiting on any of
+//! them, from any number of threads. When it gets so far ahead that the
+//! socket refuses a request's bytes (both socket buffers are full, and
+//! the server has stopped reading because *its* responses have nowhere
+//! to go), the `submit_*` that is stuck reads while it waits for space,
+//! so the exchange always makes progress; the responses it collects
+//! wait in the inbox for their tickets, which is the memory a caller
+//! that pipelines without waiting asks for.
+//!
+//! The price of having no reader thread: a response nobody waits for
+//! stays in the kernel's buffer until the next caller blocks on that
+//! connection, and so does the news that the peer closed it. A
+//! connection-level failure is reported by the next `submit_*` or
+//! `wait` that touches the connection, not at the moment it happens.
 //!
 //! Errors are typed: a server-side admission rejection arrives as
 //! [`NetError::Remote`]`(`[`WireError::Rejected`]`)` with the estimated
@@ -14,19 +45,18 @@
 //! ([`NetError::Protocol`]).
 
 use crate::protocol::{
-    encode_request, read_frame, FleetManifest, Message, NodeHealth, NodeScrape, Request, Response,
-    SearchEntry, WireError, WireMutation,
+    decode_frame, encode_request, frame_len, FleetManifest, Message, NodeHealth, NodeScrape,
+    Request, Response, SearchEntry, WireError, WireMutation,
 };
 use crate::NetError;
-use crossbeam::channel;
 use gph_obs::QueryTrace;
-use parking_lot::Mutex;
+use polling::{PollFd, POLLIN, POLLOUT};
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::os::unix::io::AsRawFd;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Client knobs.
@@ -113,38 +143,126 @@ pub struct FleetMetrics {
     pub nodes: Vec<NodeScrape>,
 }
 
-type ReplySender = channel::Sender<Result<Response, NetError>>;
-
-/// State shared between a connection and its reader thread. The reader
-/// holds only this (never the [`Conn`] itself), so dropping a client
-/// can never make the reader thread try to join itself.
-struct ConnState {
-    pending: Mutex<HashMap<u64, ReplySender>>,
-    broken: AtomicBool,
+/// One request's place in a connection's inbox.
+enum Slot {
+    /// Sent; a ticket will claim the response.
+    Waiting,
+    /// The ticket timed out or was dropped; the late response is
+    /// discarded when it arrives.
+    Abandoned,
+    /// The response, waiting for its ticket.
+    Arrived(Response),
 }
 
-impl ConnState {
-    /// Fails every in-flight request and marks the connection dead.
-    fn fail_all(&self, why: &str) {
-        self.broken.store(true, Ordering::SeqCst);
-        let pending: Vec<ReplySender> = self.pending.lock().drain().map(|(_, tx)| tx).collect();
-        for tx in pending {
-            // Waiters may have dropped their tickets; that's fine.
-            let _ = tx.send(Err(if why.is_empty() {
-                NetError::Closed
-            } else {
-                NetError::Protocol(why.to_string())
-            }));
+/// Why a connection died. Kept as data rather than a [`NetError`]
+/// (which holds an `io::Error` and cannot be cloned) so that every
+/// ticket gets its own copy.
+enum Broken {
+    Closed,
+    Protocol(String),
+}
+
+impl Broken {
+    /// A socket error met on the read side.
+    fn read_error(e: std::io::Error) -> Broken {
+        Broken::Protocol(NetError::Io(e).to_string())
+    }
+
+    fn error(&self) -> NetError {
+        match self {
+            Broken::Closed => NetError::Closed,
+            Broken::Protocol(why) => NetError::Protocol(why.clone()),
         }
     }
 }
 
+/// The read side of a connection: everything a response passes through
+/// between the socket and its ticket.
+struct Inbox {
+    slots: HashMap<u64, Slot>,
+    /// Bytes read off the socket that are not a whole frame yet.
+    partial: Vec<u8>,
+    /// A waiter is stationed in `poll` on the socket; the others sleep
+    /// on [`Conn::arrived`] until it files their frame or leaves.
+    reading: bool,
+    /// Waiters asleep on [`Conn::arrived`] (a notify is a syscall even
+    /// with nobody to wake, and the common case is nobody).
+    parked: usize,
+    /// Set once, by whichever thread saw the connection die; slots that
+    /// had `Arrived` by then stay claimable.
+    broken: Option<Broken>,
+}
+
+impl Inbox {
+    fn fail(&mut self, why: Broken) {
+        self.broken.get_or_insert(why);
+    }
+
+    /// Files every whole frame at the front of `partial` under its id.
+    fn file_frames(&mut self) {
+        let mut pos = 0;
+        while self.broken.is_none() {
+            let rest = &self.partial[pos..];
+            let need = match frame_len(rest) {
+                Ok(Some(need)) if need <= rest.len() => need,
+                Ok(_) => break, // header or payload still arriving
+                Err(e) => {
+                    self.fail(Broken::Protocol(e.to_string()));
+                    break;
+                }
+            };
+            match decode_frame(&rest[..need]) {
+                Ok((id, Message::Response(resp))) => match (self.slots.get_mut(&id), resp) {
+                    (Some(slot @ Slot::Waiting), resp) => *slot = Slot::Arrived(resp),
+                    (Some(Slot::Abandoned), _) => {
+                        self.slots.remove(&id);
+                    }
+                    // Servers report connection-level failures (e.g. an
+                    // undecodable frame) on the reserved id 0, which
+                    // matches no ticket: surface the server's reason to
+                    // every waiter instead of a generic unknown-id error.
+                    (None, Response::Error(e)) => {
+                        self.fail(Broken::Protocol(format!("server closed the connection: {e}")))
+                    }
+                    // Never issued, or answered twice.
+                    (None | Some(Slot::Arrived(_)), _) => {
+                        self.fail(Broken::Protocol(format!("response for unknown request id {id}")))
+                    }
+                },
+                Ok((_, Message::Request(_))) => {
+                    self.fail(Broken::Protocol("received a request frame on the client".into()))
+                }
+                Err(e) => self.fail(Broken::Protocol(e.to_string())),
+            }
+            pos += need;
+        }
+        self.partial.drain(..pos);
+    }
+}
+
+/// How much one `read` asks the socket for. A burst of small responses
+/// fits in one; a large response takes several, back to back.
+const READ_CHUNK: usize = 16 * 1024;
+/// Reads per [`Conn::fill`]: 1 MiB, then the inbox is unlocked.
+const READS_PER_FILL: usize = 64;
+
+/// How a connection's byte stream stopped.
+enum Ended {
+    Eof,
+    Failed(std::io::Error),
+}
+
+/// One pooled connection: a nonblocking socket plus its [`Inbox`]. No
+/// thread belongs to it — see the module docs for who reads.
 struct Conn {
-    /// Write half; the mutex makes each frame write atomic.
-    writer: Mutex<TcpStream>,
+    stream: TcpStream,
+    /// Held across one frame's write, so frames never interleave.
+    writing: Mutex<()>,
     next_id: AtomicU64,
-    state: Arc<ConnState>,
-    reader: Option<JoinHandle<()>>,
+    inbox: Mutex<Inbox>,
+    /// Signalled when frames were filed, the connection broke, or the
+    /// stationed reader left while waiters are parked.
+    arrived: Condvar,
 }
 
 impl Conn {
@@ -156,132 +274,254 @@ impl Conn {
         if cfg.nodelay {
             let _ = stream.set_nodelay(true);
         }
-        let read_half = stream.try_clone()?;
-        let state = Arc::new(ConnState {
-            pending: Mutex::new(HashMap::new()),
-            broken: AtomicBool::new(false),
-        });
-        let reader = {
-            let state = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name("gph-net-client-reader".into())
-                .spawn(move || reader_loop(read_half, &state))
-                .expect("spawning the client reader thread")
-        };
+        stream.set_nonblocking(true)?;
         Ok(Conn {
-            writer: Mutex::new(stream),
+            stream,
+            writing: Mutex::new(()),
             next_id: AtomicU64::new(1),
-            state,
-            reader: Some(reader),
+            inbox: Mutex::new(Inbox {
+                slots: HashMap::new(),
+                partial: Vec::new(),
+                reading: false,
+                parked: 0,
+                broken: None,
+            }),
+            arrived: Condvar::new(),
         })
     }
 
-    fn submit(
-        &self,
-        req: &Request,
-    ) -> Result<channel::Receiver<Result<Response, NetError>>, NetError> {
-        if self.state.broken.load(Ordering::SeqCst) {
-            return Err(NetError::Closed);
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = channel::bounded(1);
-        self.state.pending.lock().insert(id, tx);
-        let frame = encode_request(id, req);
-        let write_result = {
-            let mut stream = self.writer.lock();
-            stream.write_all(&frame)
-        };
-        if let Err(e) = write_result {
-            self.state.pending.lock().remove(&id);
-            self.state.fail_all("");
-            return Err(NetError::Io(e));
-        }
-        // The reader may have died between the broken check and the
-        // pending insert; it will never drain an entry registered after
-        // its fail_all, so re-check rather than hand back a ticket that
-        // would block forever.
-        if self.state.broken.load(Ordering::SeqCst) {
-            self.state.pending.lock().remove(&id);
-            return Err(NetError::Closed);
-        }
-        Ok(rx)
+    fn inbox(&self) -> MutexGuard<'_, Inbox> {
+        // Every update leaves the inbox valid at every step (a slot is
+        // one of three states, `partial` only ever loses whole frames),
+        // so a panic elsewhere while it was held poisons nothing.
+        self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
     }
-}
 
-impl Drop for Conn {
-    fn drop(&mut self) {
-        let _ = self.writer.lock().shutdown(Shutdown::Both);
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
+    /// Blocks until the socket is ready for one of `events` or
+    /// `timeout` passes, and returns what it is ready for (`0` on a
+    /// timeout). Hang-ups and socket errors are reported whatever was
+    /// asked for; the read that follows finds out which.
+    fn ready(&self, events: i16, timeout: Option<Duration>) -> std::io::Result<i16> {
+        // poll(2) counts in milliseconds: round up, or a wait that ends
+        // inside the last one would spin.
+        let timeout_ms = timeout
+            .map_or(-1, |t| i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX));
+        let mut fds = [PollFd::new(self.stream.as_raw_fd(), events)];
+        polling::poll(&mut fds, timeout_ms)?;
+        Ok(fds[0].revents)
+    }
+
+    /// Wakes the parked waiters so that each re-checks its slot, the
+    /// connection's health and whether the read side is free. Called
+    /// with the inbox locked, after any change they could be waiting on.
+    fn wake_parked(&self, inbox: &Inbox) {
+        if inbox.parked > 0 {
+            self.arrived.notify_all();
         }
     }
-}
 
-fn reader_loop(mut stream: TcpStream, state: &ConnState) {
-    loop {
-        match read_frame(&mut stream) {
-            Ok(Some((id, Message::Response(resp), _))) => {
-                let tx = state.pending.lock().remove(&id);
-                match (tx, resp) {
-                    (Some(tx), resp) => {
-                        let _ = tx.send(Ok(resp));
-                    }
-                    // Servers report connection-level failures (e.g. an
-                    // undecodable frame) on the reserved id 0, which
-                    // matches no ticket: surface the server's reason to
-                    // every waiter instead of a generic unknown-id error.
-                    (None, Response::Error(e)) => {
-                        state.fail_all(&format!("server closed the connection: {e}"));
-                        return;
-                    }
-                    (None, _) => {
-                        state.fail_all(&format!("response for unknown request id {id}"));
-                        return;
+    /// Reads what the socket holds right now (it is nonblocking) and
+    /// files every whole frame; EOF and read errors break the
+    /// connection *after* the frames that preceded them are filed.
+    fn fill(&self, inbox: &mut Inbox) {
+        let mut buf = [0u8; READ_CHUNK];
+        let mut ended = None;
+        // Bounded, so that a peer streaming at full speed cannot keep
+        // the inbox locked (and undecoded bytes piling up) for as long
+        // as it likes; `poll` is level-triggered and brings us back.
+        for _ in 0..READS_PER_FILL {
+            match (&self.stream).read(&mut buf) {
+                Ok(0) => {
+                    ended = Some(Ended::Eof);
+                    break;
+                }
+                Ok(n) => {
+                    inbox.partial.extend_from_slice(&buf[..n]);
+                    if n < buf.len() {
+                        break; // drained for now
                     }
                 }
-            }
-            Ok(Some((_, Message::Request(_), _))) => {
-                state.fail_all("received a request frame on the client");
-                return;
-            }
-            Ok(None) => {
-                state.fail_all("");
-                return;
-            }
-            Err(e) => {
-                state.fail_all(&e.to_string());
-                return;
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => {
+                    ended = Some(Ended::Failed(e));
+                    break;
+                }
             }
         }
+        inbox.file_frames();
+        match ended {
+            None => {}
+            Some(Ended::Eof) if inbox.partial.is_empty() => inbox.fail(Broken::Closed),
+            Some(Ended::Eof) => inbox.fail(Broken::Protocol(format!(
+                "connection closed mid-frame ({} bytes)",
+                inbox.partial.len()
+            ))),
+            Some(Ended::Failed(e)) => inbox.fail(Broken::read_error(e)),
+        }
+    }
+
+    /// Registers a request and writes its frame; returns the id its
+    /// response will carry.
+    fn submit(&self, req: &Request) -> Result<u64, NetError> {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let frame = encode_request(id, req);
+        {
+            // Registered before the first byte leaves, so the response
+            // can never find its id unknown.
+            let mut inbox = self.inbox();
+            if let Some(why) = &inbox.broken {
+                return Err(why.error());
+            }
+            inbox.slots.insert(id, Slot::Waiting);
+        }
+        let written = {
+            let _one_frame_at_a_time = self.writing.lock().unwrap_or_else(PoisonError::into_inner);
+            self.write_frame(&frame)
+        };
+        if let Err(e) = written {
+            // Part of a frame may be on the wire: framing is lost.
+            let mut inbox = self.inbox();
+            inbox.slots.remove(&id);
+            inbox.fail(Broken::Closed);
+            self.wake_parked(&inbox);
+            return Err(e);
+        }
+        Ok(id)
+    }
+
+    /// Writes one frame. When the socket refuses bytes — the caller has
+    /// pipelined past both socket buffers — this thread reads while it
+    /// waits for space: the server may itself be stalled on *its* write
+    /// buffer until somebody drains this end, and with the caller stuck
+    /// here nobody else will.
+    fn write_frame(&self, frame: &[u8]) -> Result<(), NetError> {
+        let mut sent = 0;
+        while sent < frame.len() {
+            match (&self.stream).write(&frame[sent..]) {
+                Ok(0) => return Err(NetError::Io(ErrorKind::WriteZero.into())),
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    if self.ready(POLLIN | POLLOUT, None)? & !POLLOUT != 0 {
+                        let mut inbox = self.inbox();
+                        if inbox.broken.is_none() {
+                            self.fill(&mut inbox);
+                            self.wake_parked(&inbox);
+                        }
+                        if let Some(why) = &inbox.broken {
+                            return Err(why.error());
+                        }
+                    }
+                }
+                Err(e) => return Err(NetError::Io(e)),
+            }
+        }
+        Ok(())
+    }
+
+    /// Blocks until request `id`'s response is in, the connection dies,
+    /// or `deadline` passes. The slot is left for the ticket's drop to
+    /// settle on every path but success.
+    fn wait(&self, id: u64, deadline: Option<Instant>) -> Result<Response, NetError> {
+        let mut inbox = self.inbox();
+        loop {
+            if let Some(Slot::Arrived(_)) = inbox.slots.get(&id) {
+                let Some(Slot::Arrived(resp)) = inbox.slots.remove(&id) else { unreachable!() };
+                return Ok(resp);
+            }
+            if let Some(why) = &inbox.broken {
+                return Err(why.error());
+            }
+            let left = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                Some(Duration::ZERO) => return Err(NetError::Timeout),
+                left => left,
+            };
+            if inbox.reading {
+                inbox.parked += 1;
+                inbox = match left {
+                    Some(left) => {
+                        self.arrived
+                            .wait_timeout(inbox, left)
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0
+                    }
+                    None => self.arrived.wait(inbox).unwrap_or_else(PoisonError::into_inner),
+                };
+                inbox.parked -= 1;
+                continue;
+            }
+            // Nobody is reading: this thread does, for everyone.
+            inbox.reading = true;
+            drop(inbox);
+            let ready = self.ready(POLLIN, left);
+            inbox = self.inbox();
+            inbox.reading = false;
+            match ready {
+                Ok(revents) if revents != 0 && inbox.broken.is_none() => self.fill(&mut inbox),
+                Ok(_) => {} // timed out, or closed under us meanwhile
+                Err(e) => inbox.fail(Broken::read_error(e)),
+            }
+            // Frames may have been filed for them; and if this thread
+            // now returns, one of them must take the read side over (if
+            // it loops, `reading` is set again before they get the lock).
+            self.wake_parked(&inbox);
+        }
+    }
+
+    /// Settles the slot of a ticket that is going away: a response that
+    /// already arrived is dropped with it, one still on its way is
+    /// marked to be discarded on arrival.
+    fn release(&self, id: u64) {
+        let mut inbox = self.inbox();
+        let dead = inbox.broken.is_some();
+        match inbox.slots.get_mut(&id) {
+            Some(slot @ Slot::Waiting) if !dead => *slot = Slot::Abandoned,
+            Some(_) => {
+                inbox.slots.remove(&id);
+            }
+            None => {} // claimed by `wait`
+        }
+    }
+
+    /// Marks the connection dead and wakes everything blocked on it.
+    fn close(&self) {
+        let mut inbox = self.inbox();
+        inbox.fail(Broken::Closed);
+        self.wake_parked(&inbox);
+        // Brings a reader stationed in `poll` back; it finds `broken`.
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
 
 /// Handle to one in-flight request; [`NetTicket::wait`] blocks for that
 /// request's response only, so several tickets pipeline on one
-/// connection.
+/// connection. A ticket that is dropped unwaited (or times out) has its
+/// late response discarded.
 pub struct NetTicket<T> {
-    rx: channel::Receiver<Result<Response, NetError>>,
+    conn: Arc<Conn>,
+    id: u64,
     map: fn(Response) -> Result<T, NetError>,
 }
 
 impl<T> NetTicket<T> {
     /// Blocks until the response arrives (or the connection dies).
     pub fn wait(self) -> Result<T, NetError> {
-        let resp = self.rx.recv().map_err(|_| NetError::Closed)??;
-        (self.map)(resp)
+        (self.map)(self.conn.wait(self.id, None)?)
     }
 
     /// [`NetTicket::wait`] bounded by `timeout`: [`NetError::Timeout`]
     /// if no response lands in time (the request may still complete on
     /// the server — only retry operations that are idempotent).
     pub fn wait_timeout(self, timeout: Duration) -> Result<T, NetError> {
-        use crossbeam::channel::RecvTimeoutError;
-        let resp = match self.rx.recv_timeout(timeout) {
-            Ok(resp) => resp?,
-            Err(RecvTimeoutError::Timeout) => return Err(NetError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => return Err(NetError::Closed),
-        };
-        (self.map)(resp)
+        // A timeout too large to add to the clock is no deadline.
+        (self.map)(self.conn.wait(self.id, Instant::now().checked_add(timeout))?)
+    }
+}
+
+impl<T> Drop for NetTicket<T> {
+    fn drop(&mut self) {
+        self.conn.release(self.id);
     }
 }
 
@@ -406,7 +646,7 @@ fn expect_manifest_ack(resp: Response) -> Result<u64, NetError> {
 /// A blocking `GPHN` client: a pool of pipelined connections to one
 /// server. Cloneable across threads via `Arc`; all methods take `&self`.
 pub struct GphClient {
-    conns: Vec<Conn>,
+    conns: Vec<Arc<Conn>>,
     next: AtomicUsize,
 }
 
@@ -426,7 +666,8 @@ impl GphClient {
             .next()
             .ok_or_else(|| NetError::Protocol("address resolved to nothing".into()))?;
         let n = cfg.connections.max(1);
-        let conns = (0..n).map(|_| Conn::open(&addr, &cfg)).collect::<Result<Vec<_>, _>>()?;
+        let conns =
+            (0..n).map(|_| Conn::open(&addr, &cfg).map(Arc::new)).collect::<Result<Vec<_>, _>>()?;
         Ok(GphClient { conns, next: AtomicUsize::new(0) })
     }
 
@@ -435,17 +676,15 @@ impl GphClient {
         self.conns.len()
     }
 
-    fn conn(&self) -> &Conn {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.conns.len();
-        &self.conns[i]
-    }
-
     fn submit<T>(
         &self,
         req: &Request,
         map: fn(Response) -> Result<T, NetError>,
     ) -> Result<NetTicket<T>, NetError> {
-        Ok(NetTicket { rx: self.conn().submit(req)?, map })
+        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.conns.len();
+        let conn = Arc::clone(&self.conns[i]);
+        let id = conn.submit(req)?;
+        Ok(NetTicket { conn, id, map })
     }
 
     /// Pipelined liveness probe.
@@ -638,5 +877,299 @@ impl GphClient {
     /// kept.
     pub fn publish_manifest(&self, manifest: &FleetManifest) -> Result<u64, NetError> {
         self.submit_publish_manifest(manifest)?.wait()
+    }
+}
+
+impl Drop for GphClient {
+    /// Shuts every pooled socket; tickets still outstanding (they keep
+    /// their connection alive) resolve to [`NetError::Closed`] unless
+    /// their response had already been read.
+    fn drop(&mut self) {
+        for conn in &self.conns {
+            conn.close();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The connection core against a scripted peer: a thread that owns
+    //! the accepted socket, reads request frames and writes chosen bytes.
+    //! Interleavings are forced by channels and by watching the inbox's
+    //! own state, never by hoping a sleep was long enough.
+
+    use super::*;
+    use crate::protocol::{encode_response, read_frame};
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    /// Connects a client to a peer running `script` on the accepted
+    /// socket; the closure returned waits for the script to run through.
+    fn scripted(script: impl FnOnce(TcpStream) + Send + 'static) -> (GphClient, impl FnOnce()) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || script(listener.accept().unwrap().0));
+        (GphClient::connect(addr).unwrap(), move || peer.join().expect("the script ran through"))
+    }
+
+    /// Reads one request frame off the peer's socket; returns its id.
+    fn request_id(sock: &mut TcpStream) -> u64 {
+        match read_frame(sock).unwrap().expect("a request, not EOF") {
+            (id, Message::Request(_), _) => id,
+            other => panic!("the client sent {other:?}"),
+        }
+    }
+
+    /// A response whose content names the request it answers.
+    fn named(id: u64) -> Vec<u8> {
+        encode_response(id, &Response::Metrics { text: format!("the answer to request {id}") })
+    }
+
+    /// Spins until the inbox satisfies `pred`; the watchdog turns a
+    /// state that never comes into a failure instead of a hang.
+    fn until(conn: &Conn, what: &str, pred: impl Fn(&Inbox) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !pred(&conn.inbox()) {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn waiters_sharing_a_connection_get_their_own_responses_and_hand_the_read_side_on() {
+        let (go, turn) = mpsc::channel::<()>();
+        let (client, peer) = scripted(move |mut sock| {
+            let ids: Vec<u64> = (0..3).map(|_| request_id(&mut sock)).collect();
+            assert_eq!(ids, [1, 2, 3]);
+            for id in [3, 1, 2] {
+                turn.recv().unwrap();
+                sock.write_all(&named(id)).unwrap();
+            }
+        });
+        let conn = Arc::clone(&client.conns[0]);
+        let mut waiters = Vec::new();
+        for _ in 0..3 {
+            let ticket = client.submit_metrics().unwrap();
+            waiters.push(std::thread::spawn(move || ticket.wait().unwrap()));
+            // The first to wait is stationed on the socket, the rest park.
+            let parked = waiters.len() - 1;
+            until(&conn, "the waiter is blocked", |i| i.reading && i.parked == parked);
+        }
+        let mut waiters = waiters.into_iter();
+        let (first, second, third) =
+            (waiters.next().unwrap(), waiters.next().unwrap(), waiters.next().unwrap());
+
+        // Answered last-first: the stationed reader files a frame that
+        // is not its own and stays where it is.
+        go.send(()).unwrap();
+        assert_eq!(third.join().unwrap(), "the answer to request 3");
+        until(&conn, "the first waiter still reads", |i| i.reading && i.parked == 1);
+
+        // The reader's own response: it leaves, and the parked waiter
+        // must take the socket over rather than sleep forever.
+        go.send(()).unwrap();
+        assert_eq!(first.join().unwrap(), "the answer to request 1");
+        until(&conn, "the second waiter reads", |i| i.reading && i.parked == 0);
+
+        go.send(()).unwrap();
+        assert_eq!(second.join().unwrap(), "the answer to request 2");
+        assert!(conn.inbox().slots.is_empty());
+        peer();
+    }
+
+    #[test]
+    fn an_abandoned_tickets_late_response_is_discarded_and_the_connection_serves_on() {
+        let (go, turn) = mpsc::channel::<()>();
+        let (client, peer) = scripted(move |mut sock| {
+            assert_eq!(request_id(&mut sock), 1);
+            turn.recv().unwrap();
+            sock.write_all(&named(1)).unwrap(); // after its ticket gave up
+            assert_eq!(request_id(&mut sock), 2);
+            assert_eq!(request_id(&mut sock), 3);
+            sock.write_all(&named(2)).unwrap(); // nobody holds this ticket
+            sock.write_all(&named(3)).unwrap();
+        });
+        let conn = Arc::clone(&client.conns[0]);
+
+        let timed_out = client.submit_metrics().unwrap().wait_timeout(Duration::from_millis(30));
+        assert!(matches!(timed_out, Err(NetError::Timeout)), "got {timed_out:?}");
+        assert!(matches!(conn.inbox().slots.get(&1), Some(Slot::Abandoned)));
+        go.send(()).unwrap();
+
+        drop(client.submit_metrics().unwrap());
+        assert!(matches!(conn.inbox().slots.get(&2), Some(Slot::Abandoned)));
+        assert_eq!(client.metrics().unwrap(), "the answer to request 3");
+
+        let inbox = conn.inbox();
+        assert!(inbox.slots.is_empty(), "late responses are dropped, not kept");
+        assert!(inbox.partial.is_empty() && inbox.broken.is_none());
+        drop(inbox);
+        peer();
+    }
+
+    #[test]
+    fn a_frame_in_pieces_reassembles_and_a_timeout_mid_frame_loses_no_bytes() {
+        let (go, turn) = mpsc::channel::<()>();
+        let (wrote, written) = mpsc::channel::<()>();
+        let (client, peer) = scripted(move |mut sock| {
+            for id in 1..=3 {
+                assert_eq!(request_id(&mut sock), id);
+            }
+            let frame = named(1);
+            sock.write_all(&frame[..10]).unwrap(); // not even a header
+            wrote.send(()).unwrap();
+            turn.recv().unwrap();
+            sock.write_all(&frame[10..30]).unwrap(); // header, some payload
+            std::thread::sleep(Duration::from_millis(20));
+            // The rest of frame 1, frame 2 and the head of frame 3 in
+            // one write; frame 3's tail after another pause.
+            let frame3 = named(3);
+            sock.write_all(&[&frame[30..], &named(2)[..], &frame3[..7]].concat()).unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+            sock.write_all(&frame3[7..]).unwrap();
+        });
+        let conn = Arc::clone(&client.conns[0]);
+        let one = client.submit_metrics().unwrap();
+        let two = client.submit_metrics().unwrap();
+        let three = client.submit_metrics().unwrap();
+
+        written.recv().unwrap();
+        let timed_out = one.wait_timeout(Duration::from_millis(30));
+        assert!(matches!(timed_out, Err(NetError::Timeout)), "got {timed_out:?}");
+        assert_eq!(conn.inbox().partial.len(), 10, "the piece read so far is kept");
+
+        // The next waiter picks the frame up where the last one left it:
+        // frame 1 completes (and is discarded), frame 2 is its own.
+        go.send(()).unwrap();
+        assert_eq!(two.wait().unwrap(), "the answer to request 2");
+        assert_eq!(three.wait().unwrap(), "the answer to request 3");
+        let inbox = conn.inbox();
+        assert!(inbox.slots.is_empty() && inbox.partial.is_empty() && inbox.broken.is_none());
+        drop(inbox);
+        peer();
+    }
+
+    /// Runs one connection-fatal script: two tickets are outstanding
+    /// when the peer writes `bytes` (and, for `then_eof`, closes); both
+    /// must fail the way `expect` says, and so must the next submit.
+    fn fatal(bytes: Vec<u8>, then_eof: bool, expect: impl Fn(&NetError) -> bool) {
+        let (done, hold) = mpsc::channel::<()>();
+        let (client, peer) = scripted(move |mut sock| {
+            assert_eq!((request_id(&mut sock), request_id(&mut sock)), (1, 2));
+            sock.write_all(&bytes).unwrap();
+            if then_eof {
+                drop(sock);
+            }
+            let _ = hold.recv(); // keep the socket open meanwhile
+        });
+        let tickets = [client.submit_ping().unwrap(), client.submit_ping().unwrap()];
+        for ticket in tickets {
+            let err = ticket.wait().expect_err("the connection is dead");
+            assert!(expect(&err), "ticket failed with {err:?}");
+        }
+        let err = client.submit_ping().map(|_| ()).expect_err("and stays dead");
+        assert!(expect(&err), "submit failed with {err:?}");
+        assert!(client.conns[0].inbox().slots.is_empty());
+        done.send(()).unwrap();
+        peer();
+    }
+
+    fn protocol(needle: &'static str) -> impl Fn(&NetError) -> bool {
+        move |e| matches!(e, NetError::Protocol(why) if why.contains(needle))
+    }
+
+    #[test]
+    fn connection_level_failures_fail_every_outstanding_ticket() {
+        let pong = |id| encode_response(id, &Response::Pong);
+        fatal(pong(99), false, protocol("response for unknown request id 99"));
+        fatal(
+            encode_request(1, &Request::Ping),
+            false,
+            protocol("received a request frame on the client"),
+        );
+        let mut flipped = pong(1);
+        flipped[20] ^= 0x40;
+        fatal(flipped, false, protocol("checksum mismatch"));
+        fatal(Vec::new(), true, |e| matches!(e, NetError::Closed));
+        fatal(pong(1)[..10].to_vec(), true, protocol("connection closed mid-frame (10 bytes)"));
+        // The server's own report of why it is hanging up, on the
+        // reserved id 0, reaches the callers verbatim.
+        let reason = WireError::Malformed("bad frame magic".into());
+        fatal(
+            encode_response(0, &Response::Error(reason)),
+            true,
+            protocol("server closed the connection: malformed frame: bad frame magic"),
+        );
+    }
+
+    #[test]
+    fn a_response_that_arrived_before_the_failure_is_still_delivered() {
+        let (client, peer) = scripted(move |mut sock| {
+            assert_eq!((request_id(&mut sock), request_id(&mut sock)), (1, 2));
+            sock.write_all(&named(1)).unwrap();
+        });
+        let one = client.submit_metrics().unwrap();
+        let two = client.submit_metrics().unwrap();
+        peer(); // frame 1 and the EOF are both in
+        assert!(matches!(two.wait(), Err(NetError::Closed)));
+        assert_eq!(one.wait().unwrap(), "the answer to request 1");
+    }
+
+    #[test]
+    fn dropping_the_client_wakes_its_waiters_with_closed() {
+        let (done, hold) = mpsc::channel::<()>();
+        let (client, peer) = scripted(move |mut sock| {
+            assert_eq!((request_id(&mut sock), request_id(&mut sock)), (1, 2));
+            let _ = hold.recv();
+        });
+        let conn = Arc::clone(&client.conns[0]);
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let ticket = client.submit_ping().unwrap();
+                std::thread::spawn(move || ticket.wait())
+            })
+            .collect();
+        until(&conn, "one waiter reads and one is parked", |i| i.reading && i.parked == 1);
+        let dropped = Instant::now();
+        drop(client);
+        for waiter in waiters {
+            assert!(matches!(waiter.join().unwrap(), Err(NetError::Closed)));
+        }
+        assert!(dropped.elapsed() < Duration::from_secs(5), "took {:?}", dropped.elapsed());
+        done.send(()).unwrap();
+        peer();
+    }
+
+    /// The `Threads:` line of `/proc/self/status`.
+    #[cfg(target_os = "linux")]
+    fn process_threads() -> usize {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap();
+        let line = status.lines().find_map(|l| l.strip_prefix("Threads:")).unwrap();
+        line.trim().parse().unwrap()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn connecting_spawns_no_threads() {
+        // Nobody accepts: the listener's backlog completes the
+        // handshakes, so the only threads that could appear are ours.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let cfg = ClientConfig { connections: 64, ..ClientConfig::default() };
+        // Sibling tests start and stop their own threads in this
+        // process; a thread per connection would show as +64 on every
+        // attempt, their comings and goings do not.
+        let mut seen = Vec::new();
+        for _ in 0..50 {
+            let before = process_threads();
+            let client = GphClient::connect_with(listener.local_addr().unwrap(), cfg).unwrap();
+            let after = process_threads();
+            assert_eq!(client.pool_size(), 64);
+            if before == after {
+                return;
+            }
+            seen.push((before, after));
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        panic!("64 connections never left the thread count alone: {seen:?}");
     }
 }

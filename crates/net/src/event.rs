@@ -13,12 +13,22 @@
 //!   connections and runs `poll(2)` over their sockets plus a
 //!   [`polling::WakePipe`]. A worker reads frames into a per-connection
 //!   buffer, decodes them incrementally, and asks the server's
-//!   [`RequestHandler`] for a [`Reply`]. Immediate replies queue for
-//!   write in place; deferred ones ship to the resolver pool and land
-//!   back via the wake pipe. Responses always leave in request order
-//!   (per-connection sequence slots), whatever order they resolve in.
-//! * [`ServerConfig::resolvers`] **resolvers** — the only threads that
-//!   block, running [`Reply::Later`] closures (engine ticket waits).
+//!   [`RequestHandler`] for a [`Reply`]. A [`Reply::Now`] is encoded and
+//!   written by the worker that decoded the request, in the same loop
+//!   iteration — it crosses no thread; a [`Reply::Later`] ships to the
+//!   resolver pool and lands back via a channel and the wake pipe (two
+//!   crossings, counted by `gph_net_deferred_total`). Responses always
+//!   leave in request order (per-connection sequence slots), whatever
+//!   order they resolve in: a ready reply waits in its slot behind an
+//!   earlier pending one.
+//! * [`ServerConfig::resolvers`] **resolvers** — the threads meant to
+//!   block, running [`Reply::Later`] closures (engine ticket waits, the
+//!   metastore's fleet scrape).
+//!
+//! A worker multiplexes every connection dealt to it, so whatever a
+//! handler does inside [`RequestHandler::handle`] is time none of them
+//! is served. [`crate::NetServer`] keeps that to lookups and encodes
+//! for reads, but still runs mutations there (ROADMAP item 1(b)).
 //!
 //! Backpressure: a connection's write buffer is capped at
 //! [`ServerConfig::max_write_buffer`]; when a slow reader fills it, the
@@ -96,6 +106,9 @@ pub struct NetServerStats {
     pub responses: u64,
     /// Error frames among the responses.
     pub errors_sent: u64,
+    /// Replies that crossed to the resolver pool ([`Reply::Later`]); the
+    /// rest of the responses left on the worker that decoded them.
+    pub deferred: u64,
     /// Inbound frames that failed to decode (each closes its connection).
     pub protocol_errors: u64,
     /// Bytes read off sockets (well-formed frames only).
@@ -122,6 +135,7 @@ struct Counters {
     requests: Counter,
     responses: Counter,
     errors_sent: Counter,
+    deferred: Counter,
     protocol_errors: Counter,
     bytes_in: Counter,
     bytes_out: Counter,
@@ -157,6 +171,11 @@ impl Counters {
             errors_sent: reg.counter(
                 "gph_net_errors_sent_total",
                 "Error frames among the responses.",
+                &[],
+            ),
+            deferred: reg.counter(
+                "gph_net_deferred_total",
+                "Replies that crossed to the resolver pool.",
                 &[],
             ),
             protocol_errors: reg.counter(
@@ -196,6 +215,7 @@ impl Counters {
             requests: self.requests.get(),
             responses: self.responses.get(),
             errors_sent: self.errors_sent.get(),
+            deferred: self.deferred.get(),
             protocol_errors: self.protocol_errors.get(),
             bytes_in: self.bytes_in.get(),
             bytes_out: self.bytes_out.get(),
@@ -212,17 +232,21 @@ impl Counters {
 
 /// How a [`RequestHandler`] answers one request.
 pub enum Reply {
-    /// The response is ready; the worker queues it for write in place.
+    /// The response is ready; the worker that decoded the request
+    /// encodes and writes it, behind any earlier reply of the same
+    /// connection that is still pending.
     Now(Response),
-    /// The response needs blocking work (an engine ticket wait); the
-    /// closure runs on a resolver thread and its result is delivered in
-    /// the request's original position.
+    /// The response needs blocking work (an engine ticket wait, a fleet
+    /// scrape); the closure runs on a resolver thread and its result is
+    /// delivered in the request's original position.
     Later(Box<dyn FnOnce() -> Response + Send>),
 }
 
 /// What an event-loop server actually serves: one decoded request in,
-/// one [`Reply`] out. Implementations must not block in `handle` —
-/// return [`Reply::Later`] for anything that waits.
+/// one [`Reply`] out. `handle` runs on the event worker, which serves
+/// no other connection of its set meanwhile: answer what is already
+/// known as [`Reply::Now`] and return [`Reply::Later`] for anything
+/// that waits.
 pub trait RequestHandler: Send + Sync + 'static {
     /// Produces the reply for one request.
     fn handle(&self, req: crate::protocol::Request) -> Reply;
@@ -300,6 +324,16 @@ impl Conn {
 
     fn buffered_write(&self) -> usize {
         self.write_buf.len() - self.write_pos
+    }
+
+    /// The queued slot holding `seq`, if it has not been retired. Slots
+    /// are pushed with consecutive `seq` and popped from the front, so
+    /// the position is the distance from the front slot's `seq`.
+    fn slot_mut(&mut self, seq: u64) -> Option<&mut Slot> {
+        let offset = seq.checked_sub(self.out.front()?.seq)?;
+        let slot = self.out.get_mut(usize::try_from(offset).ok()?)?;
+        debug_assert_eq!(slot.seq, seq, "slots hold consecutive sequence numbers");
+        Some(slot)
     }
 
     /// All responses delivered and flushed after the peer (or shutdown)
@@ -543,10 +577,8 @@ fn worker_loop(
                     conns.insert(id, conn);
                 }
                 WorkerMsg::Resolved { conn, seq, response } => {
-                    if let Some(c) = conns.get_mut(&conn) {
-                        if let Some(slot) = c.out.iter_mut().find(|s| s.seq == seq) {
-                            slot.response = Some(*response);
-                        }
+                    if let Some(slot) = conns.get_mut(&conn).and_then(|c| c.slot_mut(seq)) {
+                        slot.response = Some(*response);
                     }
                 }
             }
@@ -730,6 +762,7 @@ fn parse_frames(
                         conn.out.push_back(Slot { seq, request_id, response: Some(response) });
                     }
                     Reply::Later(run) => {
+                        c.deferred.inc();
                         conn.out.push_back(Slot { seq, request_id, response: None });
                         let job = ResolveJob { conn: id, seq, worker: worker_idx, run };
                         resolve_tx.send(job).expect("the resolver pool outlives the workers");
@@ -840,5 +873,29 @@ fn try_flush(conn: &mut Conn) {
     } else if conn.write_pos > 64 * 1024 {
         conn.write_buf.drain(..conn.write_pos);
         conn.write_pos = 0;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_resolution_finds_its_slot_by_offset_and_a_stray_one_finds_nothing() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut conn = Conn::new(TcpStream::connect(listener.local_addr().unwrap()).unwrap());
+        assert!(conn.slot_mut(0).is_none(), "nothing is queued");
+        for seq in 5..9 {
+            conn.out.push_back(Slot { seq, request_id: 100 + seq, response: None });
+        }
+        for seq in 5..9 {
+            assert_eq!(conn.slot_mut(seq).expect("queued").request_id, 100 + seq);
+        }
+        assert!(conn.slot_mut(4).is_none(), "retired before the front slot");
+        assert!(conn.slot_mut(9).is_none(), "never issued");
+        assert!(conn.slot_mut(u64::MAX).is_none());
+        conn.out.pop_front();
+        assert!(conn.slot_mut(5).is_none(), "retired just now");
+        assert_eq!(conn.slot_mut(6).expect("the new front").request_id, 106);
     }
 }

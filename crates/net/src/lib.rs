@@ -9,9 +9,11 @@
 //!   GphClient ──(GPHN)──▶ EventLoop: acceptor + W workers    │
 //!      │                │   (nonblocking sockets, poll(2),   │
 //!   connection pool,    │    per-conn buffers, backpressure, │
-//!   submit/wait tickets │    idle eviction, graceful drain)  │
-//!      │                │              │ Reply::Later        │
-//!   FleetClient         │        resolver pool ──▶ Arc<QueryService>
+//!   submit/wait tickets,│    idle eviction, graceful drain)  │
+//!   no thread: whoever  │    │ Reply::Now      │ Reply::Later│
+//!   waits reads         │    │ (hits, pings)   ▼ (misses)    │
+//!      │                │    │           resolver pool       │
+//!   FleetClient         │    └──────────────┬▶ Arc<QueryService>
 //!      │                └────────────────────────────────────┘
 //!      ├──▶ node group A (primary + replicas)   ─ slots {0,3,6}
 //!      ├──▶ node group B                        ─ slots {1,4,7}
@@ -25,12 +27,14 @@
 //!   Corruption anywhere in a frame is a typed error, never a panic.
 //! * [`event`] — the readiness-driven [`EventLoop`]: one acceptor and a
 //!   small worker set multiplex thousands of nonblocking connections
-//!   (no per-connection threads); blocking query waits run on a
-//!   separate resolver pool via [`Reply::Later`]. Write buffers are
-//!   capped (backpressure pauses reading), idle connections can be
-//!   evicted, and shutdown drains in-flight work.
+//!   (no per-connection threads); a reply that is ready leaves on the
+//!   worker that decoded its request ([`Reply::Now`]), blocking query
+//!   waits run on a separate resolver pool via [`Reply::Later`]. Write
+//!   buffers are capped (backpressure pauses reading), idle connections
+//!   can be evicted, and shutdown drains in-flight work.
 //! * [`server`] — [`NetServer`]: the query-node [`RequestHandler`] over
-//!   an [`EventLoop`] and an `Arc<QueryService>`.
+//!   an [`EventLoop`] and an `Arc<QueryService>`; cache hits and
+//!   admission rejections are answered in place, misses deferred.
 //! * [`metastore`] — [`MetastoreServer`]: a tiny manifest server that
 //!   versions the fleet's shard→node map (strictly increasing) and
 //!   federates fleet metrics: `AggregateMetrics` scrapes every node in
@@ -38,7 +42,8 @@
 //!   unreachable nodes as stale instead of failing.
 //! * [`client`] — a blocking [`GphClient`] with connection pooling and
 //!   pipelined `submit_*`/`wait` mirroring the in-process
-//!   [`gph_serve::Ticket`] API.
+//!   [`gph_serve::Ticket`] API. It owns no thread: the caller blocked in
+//!   `wait` reads the socket, for itself and for every other waiter.
 //! * [`fleet`] — [`FleetClient`]: routes by manifest with the same
 //!   stable id hash the in-process shards use, scatter-gathers reads
 //!   with the exact top-k merge, and retries idempotent reads across

@@ -5,12 +5,28 @@
 //! readiness-driven [`EventLoop`] (see [`crate::event`]): a fixed
 //! acceptor + worker + resolver thread set multiplexes every connection
 //! over nonblocking sockets, so thousands of idle clients cost no
-//! threads. Cheap requests (ping, health, metrics, mutations, validation
-//! errors) resolve inline on the worker; searches submit engine work
-//! ([`QueryService::submit`] / [`QueryService::submit_batch`] /
-//! [`QueryService::submit_topk`]) and hand the ticket wait to the
-//! resolver pool, so a slow query never stalls the socket — pipelined
-//! requests keep flowing and responses still leave in request order.
+//! threads. What resolves inline on the event worker, as
+//! [`Reply::Now`]: ping, health, metrics, validation errors, mutations
+//! (see below) — and every search whose [`gph_serve::Ticket`] is ready
+//! when [`QueryService::submit`] / [`QueryService::submit_batch`] /
+//! [`QueryService::submit_topk`] / [`QueryService::submit_traced`]
+//! returns: a cache hit, an admission rejection, a batch whose entries
+//! are all one or the other. A cached read therefore costs a lookup and
+//! never leaves the thread that read its frame. Only a ticket with
+//! queued engine work hands its wait to the resolver pool
+//! ([`Reply::Later`]), so a slow query never stalls the socket —
+//! pipelined requests keep flowing and responses still leave in request
+//! order (a ready reply parks in its sequence slot behind an earlier
+//! pending one).
+//!
+//! Mutations are the exception to "nothing slow runs on an event
+//! worker": `Insert`/`Upsert`/`Delete` execute inline, so a write that
+//! triggers a flush or a merge holds up every connection dealt to that
+//! worker for as long as it takes. What that buys today is ordering —
+//! an insert has executed before the next frame on its connection is
+//! parsed, so a pipelined insert → search reads its own write — and
+//! moving writes to the service's pool needs a rule that keeps it
+//! (ROADMAP item 1(b)).
 //!
 //! Admission-control rejections surface as typed [`WireError::Rejected`]
 //! error frames (in-band entries inside batch responses). Graceful
@@ -143,12 +159,18 @@ fn unsupported(msg: String) -> Reply {
     Reply::Now(Response::Error(WireError::Unsupported(msg)))
 }
 
-/// Defers a ticket wait to the resolver pool.
-fn later(
+/// The one place a ticket becomes a [`Reply`]: a ticket that resolved
+/// at submit time (every entry a cache hit, an admission rejection or
+/// shed load) is answered in place on the event worker; only one with
+/// queued engine work defers its wait to the resolver pool.
+fn reply(
     ticket: Ticket,
     resolve: impl FnOnce(Vec<gph_serve::Response>) -> Response + Send + 'static,
 ) -> Reply {
-    Reply::Later(Box::new(move || resolve(ticket.wait())))
+    match ticket.into_ready() {
+        Ok(responses) => Reply::Now(resolve(responses)),
+        Err(ticket) => Reply::Later(Box::new(move || resolve(ticket.wait()))),
+    }
 }
 
 impl RequestHandler for ServiceHandler {
@@ -162,7 +184,7 @@ impl RequestHandler for ServiceHandler {
                 {
                     return unsupported(msg);
                 }
-                later(self.service.submit(&query, tau), resolve_range)
+                reply(self.service.submit(&query, tau), resolve_range)
             }
             Request::TracedSearch { tau, query, trace_id } => {
                 if let Err(msg) =
@@ -175,7 +197,7 @@ impl RequestHandler for ServiceHandler {
                 // trace, so a fleet client can merge hops across nodes.
                 let node = self.node_name();
                 let started = unix_now_ns();
-                later(self.service.submit_traced(&query, tau), move |responses| {
+                reply(self.service.submit_traced(&query, tau), move |responses| {
                     let mut resp = resolve_traced(responses);
                     if let Response::TracedSearch { trace: Some(t), .. } = &mut resp {
                         t.trace_id = trace_id;
@@ -220,7 +242,7 @@ impl RequestHandler for ServiceHandler {
                 if let Err(msg) = self.check_words("query", &query) {
                     return unsupported(msg);
                 }
-                later(self.service.submit_topk(&query, k as usize), resolve_topk)
+                reply(self.service.submit_topk(&query, k as usize), resolve_topk)
             }
             Request::BatchSearch { tau, queries } => {
                 if let Some(q) = queries.iter().find(|q| q.len() != self.expected_words) {
@@ -234,7 +256,7 @@ impl RequestHandler for ServiceHandler {
                     return unsupported(msg);
                 }
                 let refs: Vec<&[u64]> = queries.iter().map(Vec::as_slice).collect();
-                later(self.service.submit_batch(&refs, tau), resolve_batch)
+                reply(self.service.submit_batch(&refs, tau), resolve_batch)
             }
             Request::Insert { id, row } => {
                 if let Err(msg) = self.check_words("row", &row) {

@@ -7,11 +7,12 @@
 
 use gph_net::protocol::{encode_request, encode_response, read_frame, Message};
 use gph_net::{
-    FleetManifest, FleetNode, GphClient, MetastoreServer, Request, Response, ServerConfig,
-    WireError,
+    EventLoop, FleetManifest, FleetNode, GphClient, MetastoreServer, Reply, Request,
+    RequestHandler, Response, ServerConfig, WireError,
 };
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// A manifest whose encoding is large (~64 KiB): one node owning one
@@ -209,6 +210,10 @@ fn event_loop_counters_appear_in_the_metrics_exposition() {
     assert_eq!(id, 0);
     assert!(matches!(msg, Message::Response(Response::Error(WireError::Malformed(_)))));
 
+    // One reply that crosses to the resolver pool (the fleet scrape, of
+    // an empty fleet here); pings, metrics and errors do not.
+    client.aggregate_metrics().unwrap();
+
     let text = client.metrics().unwrap();
     let exp = gph_obs::Exposition::parse(&text);
     for series in [
@@ -218,6 +223,7 @@ fn event_loop_counters_appear_in_the_metrics_exposition() {
         "gph_net_requests_total",
         "gph_net_responses_total",
         "gph_net_errors_sent_total",
+        "gph_net_deferred_total",
         "gph_net_protocol_errors_total",
         "gph_net_bytes_in_total",
         "gph_net_bytes_out_total",
@@ -230,6 +236,7 @@ fn event_loop_counters_appear_in_the_metrics_exposition() {
     assert!(exp.value("gph_net_connections_opened_total").unwrap() >= 2.0);
     assert_eq!(exp.value("gph_net_protocol_errors_total"), Some(1.0));
     assert_eq!(exp.value("gph_net_errors_sent_total"), Some(1.0));
+    assert_eq!(exp.value("gph_net_deferred_total"), Some(1.0));
     // The ping plus the metrics request itself (reads are counted on
     // arrival, before the response renders).
     assert!(exp.value("gph_net_requests_total").unwrap() >= 2.0);
@@ -237,6 +244,87 @@ fn event_loop_counters_appear_in_the_metrics_exposition() {
 
     let stats = server.shutdown();
     assert_eq!(stats.protocol_errors, 1, "snapshot and exposition agree");
+    assert_eq!(stats.deferred, 1);
+}
+
+/// Answers `Delete { id }` with `ManifestAck { version: id }`: odd ids
+/// in place, even ids on the resolver pool — where each closure of a
+/// window of [`Scripted::WINDOW`] consecutive ones returns only after
+/// its successor has, so deferred replies resolve in *reverse* request
+/// order while ready ones sit in between.
+struct Scripted {
+    /// `finished[k]`: the `k`-th deferred closure has returned.
+    finished: Arc<(Mutex<Vec<bool>>, Condvar)>,
+}
+
+impl Scripted {
+    /// As many closures as the pool has threads: a window's closures all
+    /// run at once, so the chain of waits always has a free end.
+    const WINDOW: usize = 8;
+    const REQUESTS: u32 = 512;
+}
+
+impl RequestHandler for Scripted {
+    fn handle(&self, req: Request) -> Reply {
+        let Request::Delete { id } = req else {
+            return Reply::Now(Response::Error(WireError::Unsupported("not scripted".into())));
+        };
+        let echo = Response::ManifestAck { version: id as u64 };
+        if id % 2 == 1 {
+            return Reply::Now(echo);
+        }
+        let k = id as usize / 2 - 1;
+        let finished = Arc::clone(&self.finished);
+        Reply::Later(Box::new(move || {
+            let (done, changed) = &*finished;
+            let mut done = done.lock().unwrap();
+            if k % Scripted::WINDOW != Scripted::WINDOW - 1 {
+                done = changed.wait_while(done, |done| !done[k + 1]).unwrap();
+            }
+            done[k] = true;
+            changed.notify_all();
+            echo
+        }))
+    }
+}
+
+/// The ordering `NetServer` leans on when it answers a cache hit in
+/// place: responses leave in request order whatever mix of ready and
+/// deferred replies produced them and whatever order the deferred ones
+/// resolve in.
+#[test]
+fn ready_and_deferred_replies_leave_in_request_order() {
+    let deferred = Scripted::REQUESTS as usize / 2;
+    assert_eq!(deferred % Scripted::WINDOW, 0, "whole windows only");
+    let handler = Arc::new(Scripted {
+        finished: Arc::new((Mutex::new(vec![false; deferred]), Condvar::new())),
+    });
+    let cfg = ServerConfig { workers: 1, resolvers: Scripted::WINDOW, ..ServerConfig::default() };
+    let registry = gph_obs::MetricsRegistry::new();
+    let server = EventLoop::bind("127.0.0.1:0", handler, cfg, &registry).unwrap();
+
+    // Everything is on the wire before the first response is read.
+    let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut pipelined = Vec::new();
+    for id in 1..=Scripted::REQUESTS {
+        pipelined.extend_from_slice(&encode_request(1000 + id as u64, &Request::Delete { id }));
+    }
+    sock.write_all(&pipelined).unwrap();
+
+    for id in 1..=Scripted::REQUESTS as u64 {
+        let (got_id, msg, _) = read_frame(&mut sock).expect("clean frame").expect("not EOF yet");
+        assert_eq!(got_id, 1000 + id, "responses leave in request order");
+        match msg {
+            Message::Response(Response::ManifestAck { version }) => assert_eq!(version, id),
+            other => panic!("response {id} was {other:?}"),
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.requests, Scripted::REQUESTS as u64);
+    assert_eq!(stats.responses, stats.requests, "nothing lost, nothing extra");
+    assert_eq!(stats.deferred, deferred as u64);
+    assert_eq!(stats.errors_sent, 0);
 }
 
 #[test]

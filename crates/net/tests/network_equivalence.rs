@@ -6,7 +6,11 @@
 
 use gph::engine::GphConfig;
 use gph::partition_opt::PartitionStrategy;
-use gph_net::{BatchEntry, GphClient, NetError, NetServer, ServerConfig, WireError, WireMutation};
+use gph_net::protocol::{encode_request, read_frame, Message};
+use gph_net::{
+    BatchEntry, ClientConfig, GphClient, NetError, NetServer, Request, Response, SearchEntry,
+    ServerConfig, WireError, WireMutation,
+};
 use gph_serve::{
     AdmissionConfig, Outcome, OverBudgetPolicy, QueryService, ServiceConfig, ShardedIndex,
 };
@@ -14,7 +18,9 @@ use hamming_core::distance::hamming;
 use hamming_core::{BitVector, Dataset};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::io::Write;
 use std::sync::Arc;
+use std::time::Duration;
 
 const DIM: usize = 64;
 const TAU: u32 = 6;
@@ -308,4 +314,165 @@ fn shutdown_drains_pipelined_work() {
 
     // New work after shutdown fails with a transport error.
     assert!(client.search(ds.row(0), TAU).is_err());
+}
+
+/// A reply that is ready when the request is decoded — a cache hit, a
+/// batch of hits, an admission rejection — is answered by the event
+/// worker itself and never visits the resolver pool; a miss does. Either
+/// way responses leave in request order.
+#[test]
+fn ready_replies_skip_the_resolver_pool_and_keep_request_order() {
+    let (index, ds) = fixture(300, 47);
+    let service = Arc::new(QueryService::new(Arc::clone(&index), ServiceConfig::default()));
+    let server =
+        NetServer::bind("127.0.0.1:0", Arc::clone(&service), ServerConfig::default()).unwrap();
+    let client = GphClient::connect(server.local_addr()).unwrap();
+    let deferred = || server.stats().deferred;
+
+    assert!(!client.search(ds.row(0), TAU).unwrap().from_cache);
+    assert_eq!(deferred(), 1, "a miss waits on the resolver pool");
+
+    // [miss, hit, miss, hit] pipelined on one raw socket: the wire order
+    // itself is visible, not just what a ticket demultiplexes.
+    let mut sock = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let rows = [1usize, 0, 2, 0];
+    let mut pipelined = Vec::new();
+    for (i, &qi) in rows.iter().enumerate() {
+        let req = Request::Search { tau: TAU, query: ds.row(qi).to_vec() };
+        pipelined.extend_from_slice(&encode_request(i as u64 + 1, &req));
+    }
+    sock.write_all(&pipelined).unwrap();
+    for (i, &qi) in rows.iter().enumerate() {
+        let (id, msg, _) = read_frame(&mut sock).unwrap().expect("a response, not EOF");
+        assert_eq!(id, i as u64 + 1, "responses leave in request order");
+        match msg {
+            Message::Response(Response::Search(SearchEntry::Ids { ids, from_cache, .. })) => {
+                assert_eq!(ids, index.search(ds.row(qi), TAU), "request {id}");
+                assert_eq!(from_cache, qi == 0, "request {id}");
+            }
+            other => panic!("request {id} got {other:?}"),
+        }
+    }
+    assert_eq!(deferred(), 3, "the two misses moved it, the two hits did not");
+
+    // A batch whose every entry is cached is ready as a whole.
+    let batch: Vec<&[u64]> = (0..3).map(|qi| ds.row(qi)).collect();
+    for (qi, entry) in client.batch_search(&batch, TAU).unwrap().into_iter().enumerate() {
+        match entry {
+            BatchEntry::Ids(r) => {
+                assert!(r.from_cache);
+                assert_eq!(r.ids, index.search(ds.row(qi), TAU));
+            }
+            other => panic!("batch entry {qi} was {other:?}"),
+        }
+    }
+    assert_eq!(deferred(), 3);
+
+    // Top-k: the first read runs the engine, the repeat is a lookup.
+    let cold = client.topk(ds.row(5), 4).unwrap();
+    assert!(!cold.from_cache);
+    assert_eq!(deferred(), 4);
+    let warm = client.topk(ds.row(5), 4).unwrap();
+    assert!(warm.from_cache);
+    assert_eq!(warm.hits, cold.hits);
+    assert_eq!(deferred(), 4);
+    let stats = server.shutdown();
+    assert_eq!(stats.responses, stats.requests);
+
+    // Rejections resolve at admission, before anything is queued.
+    let cfg = ServiceConfig {
+        admission: AdmissionConfig { cost_budget: 0.0, policy: OverBudgetPolicy::Reject },
+        ..ServiceConfig::default()
+    };
+    let service = Arc::new(QueryService::new(index, cfg));
+    let server = NetServer::bind("127.0.0.1:0", service, ServerConfig::default()).unwrap();
+    let client = GphClient::connect(server.local_addr()).unwrap();
+    assert!(client.search(ds.row(0), TAU).expect_err("zero budget").rejected().is_some());
+    assert!(client.search_traced(ds.row(0), TAU).expect_err("zero budget").rejected().is_some());
+    assert!(client.topk(ds.row(0), 3).expect_err("zero budget").rejected().is_some());
+    let entries = client.batch_search(&[ds.row(0), ds.row(1)], TAU).unwrap();
+    assert!(entries.iter().all(|e| matches!(e, BatchEntry::Rejected { .. })), "{entries:?}");
+    let stats = server.shutdown();
+    assert_eq!((stats.responses, stats.deferred), (4, 0));
+}
+
+/// Four threads pipelining on *one* socket: whichever of them is blocked
+/// reads for all, and each still gets exactly its own answers.
+#[test]
+fn four_threads_sharing_one_connection_match_the_in_process_service() {
+    let (index, ds) = fixture(400, 48);
+    let service = Arc::new(QueryService::new(index, ServiceConfig::default()));
+    let server =
+        NetServer::bind("127.0.0.1:0", Arc::clone(&service), ServerConfig::default()).unwrap();
+    let cfg = ClientConfig { connections: 1, ..ClientConfig::default() };
+    let client = Arc::new(GphClient::connect_with(server.local_addr(), cfg).unwrap());
+
+    std::thread::scope(|scope| {
+        for t in 0..CLIENTS {
+            let (client, service, ds) = (&client, &service, &ds);
+            scope.spawn(move || {
+                let mut tickets = std::collections::VecDeque::new();
+                for i in 0..64 {
+                    let qi = (t * 101 + i * 7) % ds.len();
+                    tickets.push_back((qi, client.submit_search(ds.row(qi), TAU).unwrap()));
+                    if tickets.len() >= DEPTH {
+                        let (qi, ticket) = tickets.pop_front().unwrap();
+                        check_search(service, ds, qi, ticket.wait().unwrap());
+                    }
+                }
+                for (qi, ticket) in tickets {
+                    check_search(service, ds, qi, ticket.wait().unwrap());
+                }
+            });
+        }
+    });
+    let stats = server.shutdown();
+    assert_eq!(stats.connections_opened, 1);
+    assert_eq!((stats.requests, stats.responses), (4 * 64, 4 * 64));
+}
+
+/// A client may submit everything before it waits on anything. Here that
+/// is far more than both sockets' buffers and the server's write-buffer
+/// cap hold, so the server stops reading until somebody drains its
+/// responses and the client's `submit` is refused by its own socket: a
+/// client that only read inside `wait` would sit there forever.
+#[test]
+fn pipelining_past_every_buffer_before_the_first_wait_still_completes() {
+    const BATCHES: usize = 1000;
+    const QUERIES: usize = 2048;
+    let (index, _) = fixture(200, 49);
+    let service = Arc::new(QueryService::new(index, ServiceConfig::default()));
+    let cfg = ServerConfig { max_write_buffer: 16 * 1024, ..ServerConfig::default() };
+    let server = NetServer::bind("127.0.0.1:0", service, cfg).unwrap();
+    let client = GphClient::connect(server.local_addr()).unwrap();
+
+    // One query, far from every row (no ids to carry) and cached after
+    // the first read: the work is framing and buffering, not searching.
+    let query = marker_row(7);
+    assert!(client.search(&query, TAU).unwrap().ids.is_empty());
+
+    let (finished, watchdog) = std::sync::mpsc::channel();
+    let pipeliner = std::thread::spawn(move || {
+        let batch = vec![query.as_slice(); QUERIES];
+        let tickets: Vec<_> =
+            (0..BATCHES).map(|_| client.submit_batch_search(&batch, TAU).unwrap()).collect();
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let entries = ticket.wait().unwrap_or_else(|e| panic!("batch {i}: {e}"));
+            assert_eq!(entries.len(), QUERIES, "batch {i}");
+            let hit = |e: &BatchEntry| matches!(e, BatchEntry::Ids(r) if r.ids.is_empty());
+            assert!(entries.iter().all(hit), "batch {i}");
+        }
+        finished.send(()).unwrap();
+    });
+    if watchdog.recv_timeout(Duration::from_secs(60)).is_err() {
+        // Fail rather than hang: the server's graceful drain would wait
+        // on the jammed connection as well.
+        std::mem::forget(server);
+        panic!("the pipelined exchange deadlocked (or a batch came back wrong)");
+    }
+    pipeliner.join().unwrap();
+    let stats = server.shutdown();
+    assert_eq!(stats.responses, BATCHES as u64 + 1);
+    assert!(stats.backpressure_pauses > 0, "the server never hit its cap: {stats:?}");
 }

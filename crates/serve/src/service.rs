@@ -194,6 +194,16 @@ pub struct Ticket {
 }
 
 impl Ticket {
+    /// The responses, if every request resolved at submit time (cache
+    /// hits, admission rejections, shed load) so that nothing was
+    /// queued; the ticket back otherwise. Never blocks.
+    pub fn into_ready(self) -> Result<Vec<Response>, Ticket> {
+        match self.rx {
+            Some(_) => Err(self),
+            None => Ok(self.wait()),
+        }
+    }
+
     /// Blocks until every request in the submission has a response.
     pub fn wait(self) -> Vec<Response> {
         let computed: Vec<Response> = match self.rx {
@@ -923,6 +933,18 @@ mod tests {
         let st = service.stats();
         assert_eq!(st.responses, 2);
         assert_eq!(st.executed, 1);
+
+        // A hit is resolved at submit time; a miss hands the ticket back,
+        // and a batch is ready only when every entry is.
+        let ready = service.submit(q, 5).into_ready().ok().expect("a hit queues nothing");
+        assert_eq!(ready.len(), 1);
+        assert!(ready[0].from_cache);
+        assert_eq!(ready[0].ids().unwrap(), first.ids().unwrap());
+        let Err(queued) = service.submit_batch(&[q, ds.row(4)], 5).into_ready() else {
+            panic!("a batch with a miss has queued work");
+        };
+        let both = queued.wait();
+        assert!(both[0].from_cache && !both[1].from_cache);
     }
 
     #[test]
