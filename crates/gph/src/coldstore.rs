@@ -21,6 +21,14 @@
 //! * [`ColdSegment`] — the query backend itself: the same query
 //!   pipeline as [`Gph`](crate::engine::Gph), run over a store that
 //!   pages postings and rows in instead of holding them on the heap.
+//!
+//! A probe touches one key page. At open, each partition's sorted key
+//! array is cut along the cache's page grid and the first key of every
+//! page is kept in memory as a *fence* (16 bytes per key page); a
+//! probe picks its page from the fences and binary-searches inside that
+//! page only, where the resident store's prefix directory picks a cache
+//! line. Fences are derived from the keys and the run-time page size,
+//! never persisted, so the container format does not know about them.
 
 use std::collections::HashMap;
 use std::fs::{self, File};
@@ -371,18 +379,31 @@ impl PageCache {
         Ok(())
     }
 
-    /// Reads one little-endian `u32` at `offset`.
-    pub fn read_u32(&self, file: &SegmentFile, offset: u64) -> Result<u32> {
-        let mut b = [0u8; 4];
-        self.read_into(file, offset, &mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// Reads one little-endian `u64` at `offset`.
-    pub fn read_u64(&self, file: &SegmentFile, offset: u64) -> Result<u64> {
-        let mut b = [0u8; 8];
-        self.read_into(file, offset, &mut b)?;
-        Ok(u64::from_le_bytes(b))
+    /// Hands `f` the bytes `[offset, offset + len)` of `file` straight
+    /// out of the cached page: one lookup, no copy. The range must lie
+    /// inside one page; a range that leaves its page, or runs past a
+    /// short final page, is [`HammingError::Corrupt`].
+    pub fn with_page_range<R>(
+        &self,
+        file: &SegmentFile,
+        offset: u64,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
+        let ps = self.page_size as u64;
+        let in_page = (offset % ps) as usize;
+        if len > self.page_size - in_page {
+            return Err(HammingError::Corrupt(format!(
+                "range of {len} bytes at offset {offset} leaves its {ps}-byte page"
+            )));
+        }
+        let page = self.page(file, offset / ps)?;
+        let bytes = page.get(in_page..in_page + len).ok_or_else(|| {
+            HammingError::Corrupt(format!(
+                "range of {len} bytes at offset {offset} runs past the end of segment file"
+            ))
+        })?;
+        Ok(f(bytes))
     }
 
     /// Reads `n` little-endian `u32`s starting at `offset`.
@@ -614,6 +635,36 @@ const KEY_SCAN_BATCH: usize = 1024;
 /// Panic message for an operating-system failure under a paged read.
 const READ_FAILED: &str = "cold segment read failed mid-query (file truncated or I/O error)";
 
+/// The first slot and the first key of one run of a partition's keys
+/// that lies inside a single cache page.
+struct Fence {
+    slot: u64,
+    key: u64,
+}
+
+/// Derives the fences of the `n_keys` keys at absolute offset `keys_at`
+/// (8-byte aligned): one direct 8-byte read per key page, around the
+/// cache, so an open leaves nothing resident. Runs follow the absolute
+/// page grid, so a partition that starts mid-page starts with a short
+/// run.
+fn derive_fences(
+    file: &SegmentFile,
+    page_size: u64,
+    keys_at: u64,
+    n_keys: u64,
+) -> Result<Vec<Fence>> {
+    let mut fences = Vec::new();
+    let mut slot = 0;
+    while slot < n_keys {
+        let at = keys_at + slot * 8;
+        let mut key = [0u8; 8];
+        file.read_at(at, &mut key)?;
+        fences.push(Fence { slot, key: u64::from_le_bytes(key) });
+        slot += (page_size - at % page_size) / 8;
+    }
+    Ok(fences)
+}
+
 /// The paged [`Store`]: the row slab and CSR arrays of one GPHE v3
 /// blob, read through the shared [`PageCache`].
 struct Paged {
@@ -630,6 +681,9 @@ struct Paged {
     offs_base: u64,
     ids_base: u64,
     parts: Vec<PartSpan>,
+    /// Per partition, the [`Fence`] of every key page, derived at open
+    /// for the cache's page size and never persisted.
+    fences: Vec<Vec<Fence>>,
 }
 
 impl Paged {
@@ -645,22 +699,37 @@ impl Paged {
         buf.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect()
     }
 
-    /// Binary search for `key` in partition `part`'s paged keys array.
-    fn find_key(&self, part: &PartSpan, key: u64) -> Option<u64> {
-        let (mut lo, mut hi) = (0u64, part.n_keys as u64);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let k = self
-                .cache
-                .read_u64(&self.file, self.keys_base + part.keys_off + mid * 8)
-                .expect(READ_FAILED);
-            match k.cmp(&key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(mid),
-            }
-        }
-        None
+    /// The slot of `key` in partition `part`'s paged keys array: the
+    /// in-memory fences pick the one page the key can be on, and a
+    /// binary search inside that page finds it — one page-cache lookup,
+    /// none for a key below the first fence. Fence slots come from the
+    /// page geometry, never from the payload, so unsorted (corrupt)
+    /// keys can misdirect the search but never move a read off the
+    /// keys array.
+    fn find_key(&self, part: usize, key: u64) -> Option<u64> {
+        let (span, fences) = (&self.parts[part], &self.fences[part]);
+        let i = fences.partition_point(|f| f.key <= key).checked_sub(1)?;
+        let lo = fences[i].slot;
+        let hi = fences.get(i + 1).map_or(span.n_keys as u64, |f| f.slot);
+        let at = self.keys_base + span.keys_off + lo * 8;
+        let found = self
+            .cache
+            .with_page_range(&self.file, at, ((hi - lo) * 8) as usize, |run| {
+                let key_at =
+                    |j: usize| u64::from_le_bytes(run[j * 8..j * 8 + 8].try_into().unwrap());
+                let (mut l, mut h) = (0, run.len() / 8);
+                while l < h {
+                    let mid = l + (h - l) / 2;
+                    match key_at(mid).cmp(&key) {
+                        std::cmp::Ordering::Less => l = mid + 1,
+                        std::cmp::Ordering::Greater => h = mid,
+                        std::cmp::Ordering::Equal => return Some(mid as u64),
+                    }
+                }
+                None
+            })
+            .expect(READ_FAILED);
+        found.map(|j| lo + j)
     }
 
     /// Reads the postings range of key slot `slot` and hands it to `f`.
@@ -669,12 +738,12 @@ impl Paged {
     /// panicking or reading out of bounds (and the pipeline skips any
     /// id outside the row range).
     fn push_postings(&self, part: &PartSpan, slot: u64, f: impl FnOnce(&[u32])) {
-        let offset = |s: u64| -> u64 {
-            self.cache
-                .read_u32(&self.file, self.offs_base + part.offs_off + s * 4)
-                .expect(READ_FAILED) as u64
-        };
-        let (start, end) = (offset(slot), offset(slot + 1));
+        // `offs[slot]` and `offs[slot + 1]` in one read: one lookup
+        // unless the pair straddles a page.
+        let mut pair = [0u8; 8];
+        self.pread(self.offs_base + part.offs_off + slot * 4, &mut pair);
+        let start = u32::from_le_bytes(pair[..4].try_into().unwrap()) as u64;
+        let end = u32::from_le_bytes(pair[4..].try_into().unwrap()) as u64;
         if start > end || end > self.n_rows as u64 {
             return;
         }
@@ -711,12 +780,11 @@ impl Store for Paged {
         self.n_rows
     }
 
-    /// Probes one signature: binary search the paged keys array, then
-    /// read the postings range.
+    /// Probes one signature: find its key on the one page its fence
+    /// names, then read the postings range.
     fn with_postings(&self, part: usize, key: u64, f: impl FnOnce(&[u32])) {
-        let part = &self.parts[part];
         if let Some(slot) = self.find_key(part, key) {
-            self.push_postings(part, slot, f);
+            self.push_postings(&self.parts[part], slot, f);
         }
     }
 
@@ -762,11 +830,14 @@ impl Store for Paged {
 /// A sealed segment served directly from its offset-addressed GPHE v3
 /// container, without decoding the payload into heap.
 ///
-/// `open` reads and CRC-verifies only the *metadata* sections (config,
+/// `open` reads and CRC-verifies the *metadata* sections (config,
 /// partitioning, estimator, row/partition geometry — a few KiB) with
-/// direct positional reads, so opening is near-constant in segment
-/// size; the row slab and CSR postings stay on disk and are paged in
-/// through the shared [`PageCache`] as queries touch them. It is a thin
+/// direct positional reads, plus one 8-byte key per key page to derive
+/// the page fences that let a probe touch one page; the row slab and
+/// CSR postings stay on disk and are paged in through the shared
+/// [`PageCache`] as queries touch them. Opening therefore costs
+/// O(key pages) small reads — 1/2048 of the key bytes at 16 KiB pages —
+/// not strictly footer-only, and leaves no page resident. It is a thin
 /// owner of a query plan and the paged store it runs over — the
 /// pipeline itself is the one [`Gph`](crate::engine::Gph) runs, so
 /// results are bit-identical to the resident engine's.
@@ -787,9 +858,11 @@ pub struct ColdSegment {
 impl ColdSegment {
     /// Opens the GPHE v3 blob at `[blob_off, blob_off + blob_len)` of
     /// `file`: parses and CRC-verifies the footer and every metadata
-    /// section, resolves section geometry to absolute offsets, and
-    /// restores the estimator — without touching the row slab or the
-    /// postings arrays.
+    /// section, resolves section geometry to absolute offsets, restores
+    /// the estimator, and derives each partition's page fences (the
+    /// first key of every key page, for `cache`'s page size) with direct
+    /// reads — without paging anything into the cache and without
+    /// touching the row slab or the postings arrays.
     pub fn open(
         file: Arc<SegmentFile>,
         cache: Arc<PageCache>,
@@ -838,16 +911,31 @@ impl ColdSegment {
             meta.cfg.tau_max,
             &meta.widths(),
         )?;
+        // Keys are 8 bytes on an 8-byte grid, so none straddles a page
+        // and every fence run is whole keys (writers align to 4 KiB).
+        let keys_base = section_off(SLOT_KEYS)?;
+        if !keys_base.is_multiple_of(8) {
+            return Err(HammingError::Corrupt(format!(
+                "keys section at offset {keys_base} is not 8-byte aligned"
+            )));
+        }
+        let parts = std::mem::take(&mut meta.parts);
+        let page_size = cache.page_size() as u64;
+        let fences = parts
+            .iter()
+            .map(|p| derive_fences(&file, page_size, keys_base + p.keys_off, p.n_keys as u64))
+            .collect::<Result<_>>()?;
         let store = Paged {
             file,
             cache,
             wpv: words_for(meta.dim),
             n_rows: meta.n_rows,
             rows_base: section_off(SLOT_ROWS)?,
-            keys_base: section_off(SLOT_KEYS)?,
+            keys_base,
             offs_base: section_off(SLOT_OFFS)?,
             ids_base: section_off(SLOT_IDS)?,
-            parts: std::mem::take(&mut meta.parts),
+            parts,
+            fences,
         };
         let plan = meta.into_plan(estimator);
         Ok(ColdSegment { plan, store, blob_off, blob_len })
@@ -883,11 +971,12 @@ impl ColdSegment {
         &self.plan.cost_model
     }
 
-    /// Resident heap footprint: metadata only — the payload lives in
-    /// the shared page cache, accounted there.
+    /// Resident heap footprint: metadata and page fences only — the
+    /// payload lives in the shared page cache, accounted there.
     pub fn size_bytes(&self) -> usize {
         self.plan.estimator.size_bytes()
             + self.store.parts.len() * std::mem::size_of::<PartSpan>()
+            + self.store.fences.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<Fence>()
             + 256
     }
 
@@ -981,6 +1070,35 @@ mod tests {
         for (i, w) in words.iter().enumerate() {
             let off = 4096 + i * 8;
             assert_eq!(*w, u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()));
+        }
+        fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn page_ranges_stay_inside_one_page_or_are_corrupt() {
+        // 10 000 bytes at 4 KiB pages: the final page holds 1808 bytes.
+        let bytes: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
+        let path = temp_file("page-range", &bytes);
+        let file = SegmentFile::open(&path, false).unwrap();
+        let cache = PageCache::with_page_size(1 << 20, MIN_PAGE_BYTES).unwrap();
+        let read =
+            |offset: u64, len: usize| cache.with_page_range(&file, offset, len, <[u8]>::to_vec);
+
+        assert_eq!(read(4096 + 100, 3996).unwrap(), &bytes[4196..8192]);
+        assert_eq!(read(9990, 10).unwrap(), &bytes[9990..]);
+        assert_eq!(cache.stats().hits + cache.stats().misses, 2, "one lookup per range");
+        for (offset, len) in [
+            (4090, 8),         // leaves its page
+            (0, 4097),         // longer than a page
+            (9992, 16),        // past the short final page
+            (12_288, 1),       // a page past the end of the file
+            (u64::MAX - 2, 8), // offset arithmetic must not overflow
+            (0, usize::MAX),   // nor length arithmetic
+        ] {
+            assert!(
+                matches!(read(offset, len), Err(HammingError::Corrupt(_))),
+                "offset {offset} len {len}"
+            );
         }
         fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
@@ -1280,5 +1398,220 @@ mod tests {
         let file = Arc::new(store.write_blob(&bytes[..bytes.len() - 9]).unwrap());
         let len = file.len();
         assert!(ColdSegment::open(file, store.cache().clone(), 0, len).is_err());
+    }
+
+    /// Page-cache lookups (hits + misses) so far.
+    fn lookups(cache: &PageCache) -> u64 {
+        let s = cache.stats();
+        s.hits + s.misses
+    }
+
+    /// Every partition's fences start at slot 0, ascend, and cut its
+    /// keys into runs that each lie inside one page of the keys array.
+    fn assert_fences_tile_pages(paged: &Paged) {
+        let ps = paged.cache.page_size() as u64;
+        for (span, fences) in paged.parts.iter().zip(&paged.fences) {
+            let n = span.n_keys as u64;
+            assert_eq!(fences.is_empty(), n == 0);
+            for (i, f) in fences.iter().enumerate() {
+                let hi = fences.get(i + 1).map_or(n, |next| next.slot);
+                assert!(f.slot < hi && hi <= n, "fence {i}: {} .. {hi} of {n}", f.slot);
+                let (first, last) = (f.slot * 8, hi * 8 - 1);
+                let at = paged.keys_base + span.keys_off;
+                assert_eq!((at + first) / ps, (at + last) / ps, "fence {i} leaves its page");
+                assert!(i == 0 || (at + first).is_multiple_of(ps), "fence {i} starts mid-page");
+            }
+        }
+    }
+
+    /// A paged store over one hand-laid partition: `lead` filler bytes,
+    /// then `keys`, their offsets (slot `s` posts the one id `s`) and
+    /// the ids, read through a cache of `page_size` pages.
+    fn paged_over(keys: &[u64], lead: u64, page_size: usize) -> (Arc<SpillStore>, Paged) {
+        let n = keys.len() as u64;
+        let mut bytes = vec![0xEE; lead as usize];
+        bytes.extend(keys.iter().flat_map(|k| k.to_le_bytes()));
+        bytes.extend((0..=n as u32).flat_map(u32::to_le_bytes));
+        bytes.extend((0..n as u32).flat_map(u32::to_le_bytes));
+        let store = SpillStore::temp(1 << 20).unwrap();
+        let file = store.write_blob(&bytes).unwrap();
+        let cache = PageCache::with_page_size(1 << 20, page_size).unwrap();
+        let fences = vec![derive_fences(&file, page_size as u64, lead, n).unwrap()];
+        let paged = Paged {
+            file: Arc::new(file),
+            cache: Arc::new(cache),
+            wpv: 1,
+            n_rows: keys.len(),
+            rows_base: 0,
+            keys_base: lead,
+            offs_base: lead + 8 * n,
+            ids_base: lead + 8 * n + 4 * (n + 1),
+            parts: vec![PartSpan {
+                width: 64,
+                n_keys: keys.len(),
+                keys_off: 0,
+                offs_off: 0,
+                ids_off: 0,
+            }],
+            fences,
+        };
+        (store, paged)
+    }
+
+    #[test]
+    fn fences_find_what_a_whole_array_search_finds_at_the_edges() {
+        for page_size in [MIN_PAGE_BYTES, DEFAULT_PAGE_BYTES] {
+            let per_page = page_size / 8;
+            for n in [0, 1, per_page, per_page + 1] {
+                // Spread keys over the whole domain, first one above 0.
+                let keys: Vec<u64> =
+                    (0..n as u64).map(|i| (i + 1) * (u64::MAX / (n as u64 + 2))).collect();
+                // Page-aligned, mid-page (so the first run is three
+                // keys), and one key into a page.
+                for lead in [0, page_size as u64 - 24, 8] {
+                    let (_store, paged) = paged_over(&keys, lead, page_size);
+                    assert_fences_tile_pages(&paged);
+                    let mut probes = vec![0, 1, u64::MAX, u64::MAX - 1];
+                    for &k in &keys {
+                        probes.extend([k - 1, k, k + 1]);
+                        probes.extend((0..64).step_by(9).map(|b| k ^ (1 << b)));
+                    }
+                    for probe in probes {
+                        let before = lookups(&paged.cache);
+                        let found = paged.find_key(0, probe);
+                        let expect = keys.binary_search(&probe).ok().map(|s| s as u64);
+                        assert_eq!(
+                            found, expect,
+                            "ps {page_size} n {n} lead {lead} key {probe:#x}"
+                        );
+                        let cost = lookups(&paged.cache) - before;
+                        let below = keys.first().is_none_or(|&first| probe < first);
+                        assert_eq!(cost, u64::from(!below), "lookups for key {probe:#x}");
+                        if let Some(slot) = found {
+                            let mut ids = Vec::new();
+                            paged.with_postings(0, probe, |p| ids.extend_from_slice(p));
+                            assert_eq!(ids, [slot as u32]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fences_match_the_whole_array_search_on_a_real_segment() {
+        // 24k rows over four 24-bit partitions: nearly every key
+        // distinct, so each partition's ~190 KiB of keys spans many
+        // pages and partitions ≥ 1 start mid-page at every page size.
+        let ds = random_dataset(96, 24_000, 53);
+        let queries = random_dataset(96, 6, 54);
+        let mut cfg = GphConfig::new(4, 8);
+        cfg.strategy = PartitionStrategy::RandomShuffle { seed: 12 };
+        let engine = Gph::build(ds, &cfg).unwrap();
+        let index = &engine.store.index;
+        let store = SpillStore::temp(1 << 20).unwrap();
+        let file = Arc::new(store.write_blob(&engine.to_bytes()).unwrap());
+        let tau_max = engine.tau_max() as u32;
+        for page_size in [MIN_PAGE_BYTES, DEFAULT_PAGE_BYTES, MAX_PAGE_BYTES] {
+            let cache = Arc::new(PageCache::with_page_size(1 << 30, page_size).unwrap());
+            let cold = ColdSegment::open(file.clone(), cache.clone(), 0, file.len()).unwrap();
+            assert_eq!(lookups(&cache), 0, "open reads around the cache");
+            assert_eq!(cache.stats().resident_bytes, 0);
+            let paged = &cold.store;
+            assert_fences_tile_pages(paged);
+            let part1_at = paged.keys_base + paged.parts[1].keys_off;
+            assert!(!part1_at.is_multiple_of(page_size as u64), "partition 1 starts mid-page");
+            for p in 0..index.num_parts() {
+                let keys = index.part_keys(p);
+                assert!(paged.fences[p].len() >= 3, "ps {page_size} part {p}: too few pages");
+                let whole = |k: u64| keys.binary_search(&k).ok().map(|s| s as u64);
+                for (slot, &k) in keys.iter().enumerate() {
+                    assert_eq!(paged.find_key(p, k), Some(slot as u64), "ps {page_size} part {p}");
+                    if slot % 7 == 0 {
+                        for b in 0..paged.parts[p].width.min(64) {
+                            assert_eq!(paged.find_key(p, k ^ (1 << b)), whole(k ^ (1 << b)));
+                        }
+                    }
+                }
+                let (first, last) = (keys[0], keys[keys.len() - 1]);
+                for probe in [first.wrapping_sub(1), last + 1, u64::MAX] {
+                    assert_eq!(paged.find_key(p, probe), whole(probe), "ps {page_size} part {p}");
+                }
+            }
+            // The same answers as the resident twin, at one page per
+            // probed signature.
+            let mut checked = 0;
+            for qi in 0..queries.len() {
+                let q = queries.row(qi);
+                for tau in [0, tau_max / 2, tau_max] {
+                    let before = lookups(&cache);
+                    let chill = cold.search_with_stats(q, tau);
+                    let cost = lookups(&cache) - before;
+                    assert_eq!(
+                        chill.ids,
+                        engine.search(q, tau),
+                        "ps {page_size} qi {qi} tau {tau}"
+                    );
+                    let st = &chill.stats;
+                    if st.n_scanned == 0 {
+                        let bound = 3 * st.n_signatures + st.n_candidates + 1;
+                        assert!(
+                            cost <= bound,
+                            "ps {page_size} tau {tau}: {cost} > {bound}: {st:?}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+            assert!(checked >= queries.len(), "too few index-only searches: {checked}");
+        }
+    }
+
+    #[test]
+    fn corrupt_keys_misdirect_probes_but_never_panic() {
+        // Payload CRCs are deferred: flip bytes inside the keys slab so
+        // keys and fences are no longer sorted. Geometry still bounds
+        // every read, so queries may miss rows but return, and anything
+        // they return is a true match (verification is exact).
+        let ds = random_dataset(64, 6_000, 55);
+        let queries = random_dataset(64, 6, 56);
+        let mut cfg = GphConfig::new(4, 8);
+        cfg.strategy = PartitionStrategy::RandomShuffle { seed: 13 };
+        let engine = Gph::build(ds.clone(), &cfg).unwrap();
+        let mut bytes = engine.to_bytes();
+        let foot = hamming_core::io::Footer::parse_bytes(
+            crate::snapshot::ENGINE_MAGIC,
+            crate::snapshot::SNAPSHOT_VERSION,
+            &bytes,
+        )
+        .unwrap();
+        let keys = foot.slot(crate::snapshot::SLOT_KEYS).unwrap();
+        let (start, len) = (keys.offset as usize, keys.len as usize);
+        // The top byte of every other page's first key (so fence keys
+        // alternate high and low), and a spray of bytes in between.
+        let slab = start..start + len - 7;
+        for at in slab.clone().step_by(2 * 4096).chain(slab.step_by(331)) {
+            bytes[at + 7] ^= 0xA5;
+        }
+        let store = SpillStore::temp(1 << 20).unwrap();
+        let file = Arc::new(store.write_blob(&bytes).unwrap());
+        let cache = Arc::new(PageCache::with_page_size(2 * 4096, MIN_PAGE_BYTES).unwrap());
+        let cold = match ColdSegment::open(file.clone(), cache, 0, file.len()) {
+            Ok(cold) => cold,
+            Err(e) => return assert!(matches!(e, HammingError::Corrupt(_)), "{e:?}"),
+        };
+        assert_fences_tile_pages(&cold.store);
+        let sorted = cold.store.fences.iter().all(|f| f.windows(2).all(|w| w[0].key < w[1].key));
+        assert!(!sorted, "the flips must unsort some partition's fences");
+        for qi in 0..queries.len() {
+            let q = queries.row(qi);
+            for tau in [0, 4, 8] {
+                let truth = ds.linear_scan(q, tau);
+                for id in cold.search(q, tau) {
+                    assert!(truth.binary_search(&id).is_ok(), "qi {qi} tau {tau}: {id}");
+                }
+                cold.search_topk_within(q, 3, tau);
+            }
+        }
     }
 }

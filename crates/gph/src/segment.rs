@@ -1116,9 +1116,10 @@ impl SegmentedGph {
     /// table; a few KiB) are read directly and CRC-verified, while every
     /// sealed segment's blob stays on disk, opened as a
     /// [`ColdSegment`] against the
-    /// snapshot file itself. Restore time is therefore near-constant in
-    /// corpus size, and no blob byte is resident until a query pages it
-    /// in. Blob-payload CRCs are deferred (see `FORMAT.md` §durability);
+    /// snapshot file itself, which reads one key per key page for its
+    /// page fences. Restore time therefore grows only with the number
+    /// of key pages (1/2048 of the key bytes at 16 KiB pages), and no
+    /// blob byte is resident until a query pages it in. Blob-payload CRCs are deferred (see `FORMAT.md` §durability);
     /// [`SegmentedGph::load`] is the fully-verified alternative.
     ///
     /// The engine keeps the snapshot file open for paging. Replacing the

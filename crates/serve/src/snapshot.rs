@@ -264,8 +264,10 @@ impl ShardedIndex {
     /// With [`StorageMode::FileBacked`] the shard files are *mapped*,
     /// not read: each shard validates its snapshot's footer and metadata
     /// checksums, then serves sealed segments by paging blocks from the
-    /// file on demand. Restore time and resident memory stay near
-    /// constant in corpus size; the budget is split evenly across shard
+    /// file on demand. Beyond that, restore reads only one key per key
+    /// page (each cold segment's page fences), so restore time and
+    /// resident memory grow with the number of key pages, 16 bytes of
+    /// memory each; the budget is split evenly across shard
     /// slots (each shard caps its own page cache at `budget / n_shards`).
     /// The manifest's whole-file CRC is deliberately *not* recomputed on
     /// this path — doing so would read every byte and defeat the lazy
