@@ -45,8 +45,8 @@
 //! ([`NetError::Protocol`]).
 
 use crate::protocol::{
-    decode_frame, encode_request, frame_len, FleetManifest, Message, NodeHealth, NodeScrape,
-    Request, Response, SearchEntry, WireError, WireMutation,
+    decode_frame, encode_request, frame_len, FleetManifest, Message, NodeHealth, Request, Response,
+    SearchEntry, WireError, WireMutation,
 };
 use crate::NetError;
 use gph_obs::QueryTrace;
@@ -63,19 +63,19 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Copy, Debug)]
 pub struct ClientConfig {
     /// TCP connections in the pool; requests round-robin across them.
+    /// Every connection disables Nagle's algorithm: frames are whole
+    /// requests, and batching them would add pure latency.
     pub connections: usize,
-    /// Disable Nagle's algorithm (recommended: frames are whole
-    /// requests, batching them adds pure latency).
-    pub nodelay: bool,
     /// Bound on each pooled connection's TCP connect; `None` (the
-    /// default) uses the OS default. Scrapers and health probes set
-    /// this so an unresponsive host costs a bounded wait.
+    /// default) uses the OS default. [`crate::FleetClient`]'s sweeps
+    /// bound it by their probe timeout, so an unresponsive host costs
+    /// a bounded wait.
     pub connect_timeout: Option<Duration>,
 }
 
 impl Default for ClientConfig {
     fn default() -> Self {
-        ClientConfig { connections: 1, nodelay: true, connect_timeout: None }
+        ClientConfig { connections: 1, connect_timeout: None }
     }
 }
 
@@ -130,17 +130,6 @@ pub struct TracedResult {
     /// The query's per-phase trace. `None` only if the server elided it
     /// (current servers always attach one to executed searches).
     pub trace: Option<QueryTrace>,
-}
-
-/// A metastore's `AggregateMetrics` reply: the fleet-merged exposition
-/// plus every node's individual scrape outcome.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FleetMetrics {
-    /// Merged Prometheus exposition over the metastore and every fresh
-    /// node scrape.
-    pub merged: String,
-    /// Per-node outcomes; stale nodes carry their scrape error.
-    pub nodes: Vec<NodeScrape>,
 }
 
 /// One request's place in a connection's inbox.
@@ -271,9 +260,7 @@ impl Conn {
             Some(t) => TcpStream::connect_timeout(addr, t)?,
             None => TcpStream::connect(addr)?,
         };
-        if cfg.nodelay {
-            let _ = stream.set_nodelay(true);
-        }
+        let _ = stream.set_nodelay(true);
         stream.set_nonblocking(true)?;
         Ok(Conn {
             stream,
@@ -622,13 +609,6 @@ fn expect_slow_queries(resp: Response) -> Result<Vec<QueryTrace>, NetError> {
     }
 }
 
-fn expect_fleet_metrics(resp: Response) -> Result<FleetMetrics, NetError> {
-    match resp {
-        Response::AggregateMetrics { merged, nodes } => Ok(FleetMetrics { merged, nodes }),
-        other => unexpected(&other),
-    }
-}
-
 fn expect_manifest(resp: Response) -> Result<Option<FleetManifest>, NetError> {
     match resp {
         Response::Manifest { manifest } => Ok(manifest),
@@ -656,7 +636,7 @@ impl GphClient {
         Self::connect_with(addr, ClientConfig::default())
     }
 
-    /// Connects with explicit knobs (pool size, Nagle).
+    /// Connects with explicit knobs (pool size, connect timeout).
     pub fn connect_with<A: ToSocketAddrs>(
         addr: A,
         cfg: ClientConfig,
@@ -763,18 +743,6 @@ impl GphClient {
     /// Slow-query drain (submit + wait), most recent last.
     pub fn slow_queries(&self, max: u32) -> Result<Vec<QueryTrace>, NetError> {
         self.submit_slow_queries(max)?.wait()
-    }
-
-    /// Pipelined fleet-wide metrics aggregation (metastore servers
-    /// only): the metastore scrapes every live node in its manifest and
-    /// merges the expositions, reporting unreachable nodes as stale.
-    pub fn submit_aggregate_metrics(&self) -> Result<NetTicket<FleetMetrics>, NetError> {
-        self.submit(&Request::AggregateMetrics, expect_fleet_metrics)
-    }
-
-    /// Fleet-wide metrics aggregation (submit + wait).
-    pub fn aggregate_metrics(&self) -> Result<FleetMetrics, NetError> {
-        self.submit_aggregate_metrics()?.wait()
     }
 
     /// Pipelined top-k search.

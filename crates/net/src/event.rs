@@ -22,8 +22,9 @@
 //!   order they resolve in: a ready reply waits in its slot behind an
 //!   earlier pending one.
 //! * [`ServerConfig::resolvers`] **resolvers** — the threads meant to
-//!   block, running [`Reply::Later`] closures (engine ticket waits, the
-//!   metastore's fleet scrape).
+//!   block, running [`Reply::Later`] closures. Engine ticket waits are
+//!   the only ones: the metastore answers every op [`Reply::Now`], so
+//!   its resolvers sit idle.
 //!
 //! A worker multiplexes every connection dealt to it, so whatever a
 //! handler does inside [`RequestHandler::handle`] is time none of them
@@ -127,7 +128,8 @@ pub struct NetServerStats {
 
 /// Event-loop counters, registered as `gph_net_*` series so the server's
 /// network layer shows up in the same `Metrics` exposition as the engine
-/// (and federates across the fleet like everything else).
+/// (and merges across the fleet in [`crate::FleetClient::metrics`] like
+/// everything else).
 struct Counters {
     connections_opened: Counter,
     connections_active: Gauge,
@@ -236,9 +238,9 @@ pub enum Reply {
     /// encodes and writes it, behind any earlier reply of the same
     /// connection that is still pending.
     Now(Response),
-    /// The response needs blocking work (an engine ticket wait, a fleet
-    /// scrape); the closure runs on a resolver thread and its result is
-    /// delivered in the request's original position.
+    /// The response needs blocking work (an engine ticket wait); the
+    /// closure runs on a resolver thread and its result is delivered in
+    /// the request's original position.
     Later(Box<dyn FnOnce() -> Response + Send>),
 }
 

@@ -23,11 +23,23 @@
 //! a rolling restart: the republished manifest points the slots at the
 //! restarted or substitute address). Typed server answers
 //! ([`NetError::Remote`]) are authoritative and never retried.
+//!
+//! Each job reaches the nodes one way:
+//!
+//! * `scatter` — one request per group primary, the retry ladder as the
+//!   fallback; [`FleetClient::search`], [`FleetClient::topk`] and
+//!   [`FleetClient::search_traced`];
+//! * `sweep` — one request to *every* manifest address, primaries and
+//!   replicas alike, answered or not by one shared
+//!   [`FleetConfig::probe_timeout`] deadline;
+//!   [`FleetClient::refresh_health`] and [`FleetClient::metrics`];
+//! * `ladder` — the retry ladder: reads over the owning group's
+//!   addresses, mutations over its primary alone.
 
-use crate::client::{ClientConfig, GphClient, NetTicket, TopKResult, TracedResult};
+use crate::client::{ClientConfig, GphClient, NetTicket};
 use crate::protocol::{FleetManifest, NodeHealth, WireMutation};
 use crate::NetError;
-use gph_obs::{FleetTrace, HopTrace};
+use gph_obs::{merge_expositions, FleetTrace, HopTrace};
 use gph_serve::{merge_topk, ShardedIndex};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -47,8 +59,9 @@ pub struct FleetConfig {
     /// Bound on each request's wait; a timeout counts as a transport
     /// failure and moves on (only idempotent requests are retried).
     pub request_timeout: Duration,
-    /// Bound on each [`FleetClient::refresh_health`] probe: an address
-    /// that cannot answer the cheap `Health` op this fast is demoted.
+    /// Bound on a [`FleetClient::refresh_health`] or
+    /// [`FleetClient::metrics`] sweep: an address that cannot answer
+    /// this fast is demoted, or reported stale.
     pub probe_timeout: Duration,
     /// Per-node connection knobs.
     pub client: ClientConfig,
@@ -109,6 +122,51 @@ pub struct AddressHealth {
     /// self-reported degraded).
     pub demoted: bool,
 }
+
+/// One address's outcome in a [`FleetClient::metrics`] sweep: either a
+/// fresh exposition or a stale marker with the scrape error.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct NodeScrape {
+    /// The scraped address (a primary or a replica).
+    pub node: String,
+    /// `Some` when the scrape failed — the node is reported stale
+    /// rather than failing the whole scrape.
+    pub error: Option<String>,
+    /// The node's Prometheus exposition; empty when stale.
+    pub text: String,
+}
+
+/// A fleet-wide metrics scrape: the merged exposition plus every
+/// address's own outcome.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FleetMetrics {
+    /// [`merge_expositions`] over every fresh scrape; stale nodes add
+    /// nothing.
+    pub merged: String,
+    /// One entry per manifest address, in manifest order.
+    pub nodes: Vec<NodeScrape>,
+}
+
+/// One group's answer to a scatter.
+struct Hop<T> {
+    /// The address that answered (a replica, if the ladder moved on).
+    addr: String,
+    answer: T,
+    /// From submitting the request that answered to its answer.
+    elapsed: Duration,
+}
+
+/// Where the retry ladder may send a request.
+#[derive(Clone, Copy)]
+enum Route {
+    /// An idempotent read for the group owning `slot`: any of its
+    /// addresses, healthy ones first.
+    Read { slot: u32 },
+    /// A mutation of `id`: the owning group's primary, and only it.
+    Write { id: u32 },
+}
+
+type Submit<'a, T> = &'a dyn Fn(&GphClient) -> Result<NetTicket<T>, NetError>;
 
 struct State {
     manifest: FleetManifest,
@@ -186,7 +244,7 @@ impl FleetClient {
         // died since the last fetch.
         let mut last = NetError::Closed;
         for _ in 0..2 {
-            let client = match self.client_for(&self.metastore_addr) {
+            let client = match self.client_for(&self.metastore_addr, None) {
                 Ok(c) => c,
                 Err(e) => {
                     last = e;
@@ -219,13 +277,9 @@ impl FleetClient {
     /// Fleet-wide range search at threshold `tau`: every group's ids,
     /// merged ascending (groups are disjoint, so the merge is a sort).
     pub fn search(&self, query: &[u64], tau: u32) -> Result<FleetSearch, NetError> {
-        let results = self.scatter(&|c| c.submit_search(query, tau))?;
-        let mut ids = Vec::new();
-        let mut degraded = false;
-        for r in results {
-            degraded |= r.degraded_from.is_some();
-            ids.extend(r.ids);
-        }
+        let hops = self.scatter(&|c| c.submit_search(query, tau))?;
+        let degraded = hops.iter().any(|h| h.answer.degraded_from.is_some());
+        let mut ids: Vec<u32> = hops.into_iter().flat_map(|h| h.answer.ids).collect();
         ids.sort_unstable();
         Ok(FleetSearch { ids, degraded })
     }
@@ -238,84 +292,47 @@ impl FleetClient {
     /// including which hop was the straggler that bounded the tail.
     pub fn search_traced(&self, query: &[u64], tau: u32) -> Result<FleetTracedSearch, NetError> {
         let trace_id = self.next_trace_id.fetch_add(1, Ordering::Relaxed);
-        let manifest = self.manifest();
         let t0 = Instant::now();
-        let pending: Vec<(u32, String, Option<NetTicket<TracedResult>>, Instant)> = manifest
-            .nodes
-            .iter()
-            .map(|node| {
-                let addr = node.addrs[0].clone();
-                let submitted = Instant::now();
-                let ticket = self
-                    .client_for(&addr)
-                    .ok()
-                    .and_then(|c| c.submit_search_traced_hop(query, tau, trace_id).ok());
-                (node.slots[0], addr, ticket, submitted)
-            })
-            .collect();
+        let hops = self.scatter(&|c| c.submit_search_traced_hop(query, tau, trace_id))?;
         let mut ids = Vec::new();
         let mut degraded = false;
-        let mut hops = Vec::with_capacity(pending.len());
-        for (slot, addr, ticket, submitted) in pending {
-            let fast = ticket.and_then(|t| match t.wait_timeout(self.cfg.request_timeout) {
-                Ok(v) => Some(Ok((v, submitted.elapsed()))),
-                Err(e @ NetError::Remote(_)) => Some(Err(e)),
-                Err(_) => None,
-            });
-            let (res, e2e) = match fast {
-                Some(result) => result?,
-                None => {
-                    // Retry ladder (replicas, backoff, manifest refresh):
-                    // the hop's e2e restarts with the retried request.
-                    self.evict(&addr);
-                    let retried = Instant::now();
-                    let v = self.slot_request(slot, &|c| {
-                        c.submit_search_traced_hop(query, tau, trace_id)
-                    })?;
-                    (v, retried.elapsed())
-                }
-            };
-            degraded |= res.result.degraded_from.is_some();
-            ids.extend(res.result.ids);
-            let trace = res.trace.unwrap_or_default();
+        let mut traces = Vec::with_capacity(hops.len());
+        for Hop { addr, answer, elapsed } in hops {
+            degraded |= answer.result.degraded_from.is_some();
+            ids.extend(answer.result.ids);
+            let trace = answer.trace.unwrap_or_default();
             // The server stamps its own bound address; fall back to the
-            // address we dialed if the hop answered without a trace.
+            // address that answered if the hop came back without a trace.
             let node = if trace.node.is_empty() { addr } else { trace.node.clone() };
-            hops.push(HopTrace { node, e2e_ns: e2e.as_nanos() as u64, trace });
+            traces.push(HopTrace { node, e2e_ns: elapsed.as_nanos() as u64, trace });
         }
         ids.sort_unstable();
         let total_ns = t0.elapsed().as_nanos() as u64;
-        let trace = FleetTrace::merge(trace_id, tau, total_ns, hops);
+        let trace = FleetTrace::merge(trace_id, tau, total_ns, traces);
         Ok(FleetTracedSearch { ids, degraded, trace })
     }
 
     /// Probes every address in the manifest with the cheap `Health` op
-    /// (bounded by [`FleetConfig::probe_timeout`]) and updates the demotion
-    /// set: unreachable or self-reported-degraded addresses are tried
-    /// **last** by the retry ladder until a later sweep clears them.
-    /// Returns every address's outcome, in manifest order.
+    /// (one sweep, bounded by [`FleetConfig::probe_timeout`]) and updates
+    /// the demotion set: unreachable or self-reported-degraded addresses
+    /// are tried **last** by the retry ladder until a later sweep clears
+    /// them. Returns every address's outcome, in manifest order.
     pub fn refresh_health(&self) -> Vec<AddressHealth> {
-        let manifest = self.manifest();
-        let mut out = Vec::new();
-        for node in &manifest.nodes {
-            for addr in &node.addrs {
-                let health = self.client_for(addr).ok().and_then(|c| {
-                    c.submit_health().and_then(|t| t.wait_timeout(self.cfg.probe_timeout)).ok()
-                });
-                if health.is_none() {
-                    self.evict(addr);
-                }
+        let swept = self.sweep(&|c| c.submit_health());
+        let mut demoted = self.demoted.lock();
+        swept
+            .into_iter()
+            .map(|(addr, probed)| {
+                let health = probed.ok();
                 let demote = health.as_ref().is_none_or(|h| h.degraded);
-                let mut demoted = self.demoted.lock();
                 if demote {
                     demoted.insert(addr.clone());
                 } else {
-                    demoted.remove(addr);
+                    demoted.remove(&addr);
                 }
-                out.push(AddressHealth { addr: addr.clone(), health, demoted: demote });
-            }
-        }
-        out
+                AddressHealth { addr, health, demoted: demote }
+            })
+            .collect()
     }
 
     /// Addresses the last health sweep demoted.
@@ -323,12 +340,31 @@ impl FleetClient {
         self.demoted.lock().clone()
     }
 
+    /// Scrapes every address in the manifest — replicas included — with
+    /// the `Metrics` op (one sweep, bounded by
+    /// [`FleetConfig::probe_timeout`]) and merges the fresh expositions
+    /// with [`merge_expositions`]. An address that fails to answer is
+    /// reported stale with its error; it never fails the scrape.
+    pub fn metrics(&self) -> FleetMetrics {
+        let nodes: Vec<NodeScrape> = self
+            .sweep(&|c| c.submit_metrics())
+            .into_iter()
+            .map(|(node, scraped)| match scraped {
+                Ok(text) => NodeScrape { node, error: None, text },
+                Err(e) => NodeScrape { node, error: Some(e.to_string()), text: String::new() },
+            })
+            .collect();
+        let fresh: Vec<&str> =
+            nodes.iter().filter(|n| n.error.is_none()).map(|n| n.text.as_str()).collect();
+        FleetMetrics { merged: merge_expositions(&fresh), nodes }
+    }
+
     /// Fleet-wide exact top-k: each group answers its own exact top-`k`
     /// and [`merge_topk`] reconstructs the global list.
     pub fn topk(&self, query: &[u64], k: usize) -> Result<FleetTopK, NetError> {
-        let results: Vec<TopKResult> = self.scatter(&|c| c.submit_topk(query, k))?;
-        let degraded = results.iter().any(|r| r.degraded_cap.is_some());
-        let hits = merge_topk(results.into_iter().map(|r| r.hits), k);
+        let hops = self.scatter(&|c| c.submit_topk(query, k))?;
+        let degraded = hops.iter().any(|h| h.answer.degraded_cap.is_some());
+        let hits = merge_topk(hops.into_iter().map(|h| h.answer.hits), k);
         Ok(FleetTopK { hits, degraded })
     }
 
@@ -336,31 +372,41 @@ impl FleetClient {
     /// retried across addresses (an insert is not idempotent); transport
     /// failures reconnect to the primary only.
     pub fn insert(&self, id: u32, row: &[u64]) -> Result<WireMutation, NetError> {
-        self.primary_request(id, &|c| c.submit_insert(id, row))
+        self.ladder(Route::Write { id }, &|c| c.submit_insert(id, row)).map(|(_, m)| m)
     }
 
     /// Inserts-or-replaces `row` under `id` on the owning group's
     /// primary.
     pub fn upsert(&self, id: u32, row: &[u64]) -> Result<WireMutation, NetError> {
-        self.primary_request(id, &|c| c.submit_upsert(id, row))
+        self.ladder(Route::Write { id }, &|c| c.submit_upsert(id, row)).map(|(_, m)| m)
     }
 
     /// Tombstones `id` on the owning group's primary.
     pub fn delete(&self, id: u32) -> Result<WireMutation, NetError> {
-        self.primary_request(id, &|c| c.submit_delete(id))
+        self.ladder(Route::Write { id }, &|c| c.submit_delete(id)).map(|(_, m)| m)
     }
 
     // -----------------------------------------------------------------
     // Routing machinery
     // -----------------------------------------------------------------
 
-    fn client_for(&self, addr: &str) -> Result<Arc<GphClient>, NetError> {
+    /// The pooled client for `addr`, connecting if there is none. A new
+    /// connection's TCP connect is bounded by `connect_within` as well
+    /// as by [`ClientConfig::connect_timeout`].
+    fn client_for(
+        &self,
+        addr: &str,
+        connect_within: Option<Duration>,
+    ) -> Result<Arc<GphClient>, NetError> {
         if let Some(c) = self.state.lock().conns.get(addr) {
             return Ok(Arc::clone(c));
         }
         // Connect outside the lock: a slow handshake must not stall
         // requests to other nodes on other threads.
-        let fresh = Arc::new(GphClient::connect_with(addr, self.cfg.client)?);
+        let connect_timeout =
+            self.cfg.client.connect_timeout.into_iter().chain(connect_within).min();
+        let cfg = ClientConfig { connect_timeout, ..self.cfg.client };
+        let fresh = Arc::new(GphClient::connect_with(addr, cfg)?);
         Ok(Arc::clone(self.state.lock().conns.entry(addr.to_string()).or_insert(fresh)))
     }
 
@@ -370,84 +416,98 @@ impl FleetClient {
 
     /// Scatters one read to every node group and gathers the answers in
     /// group order. The happy path pipelines the request to every
-    /// group's primary at once; a group whose fast answer fails in
-    /// transport falls back to the full per-slot retry ladder.
-    fn scatter<T>(
-        &self,
-        submit: &dyn Fn(&GphClient) -> Result<NetTicket<T>, NetError>,
-    ) -> Result<Vec<T>, NetError> {
+    /// group's primary at once; a group whose answer fails in transport
+    /// falls back to the retry ladder, and its hop is then timed from
+    /// the ladder's start.
+    fn scatter<T>(&self, submit: Submit<'_, T>) -> Result<Vec<Hop<T>>, NetError> {
         let manifest = self.manifest();
-        let pending: Vec<(u32, Option<NetTicket<T>>)> = manifest
+        let pending: Vec<_> = manifest
             .nodes
             .iter()
             .map(|node| {
-                let slot = node.slots[0];
-                let ticket = self.client_for(&node.addrs[0]).ok().and_then(|c| submit(&c).ok());
-                (slot, ticket)
+                let addr = node.addrs[0].clone();
+                let submitted = Instant::now();
+                let ticket = self.client_for(&addr, None).ok().and_then(|c| submit(&c).ok());
+                (node.slots[0], addr, ticket, submitted)
             })
             .collect();
-        let mut out = Vec::with_capacity(pending.len());
-        for (slot, ticket) in pending {
-            let fast = ticket.and_then(|t| match t.wait_timeout(self.cfg.request_timeout) {
-                Ok(v) => Some(Ok(v)),
-                // A typed server answer is authoritative; surface it.
-                Err(e @ NetError::Remote(_)) => Some(Err(e)),
-                // Transport trouble: fall back to the retry ladder.
-                Err(_) => None,
-            });
-            match fast {
-                Some(result) => out.push(result?),
-                None => out.push(self.slot_request(slot, submit)?),
-            }
-        }
-        Ok(out)
+        pending
+            .into_iter()
+            .map(|(slot, addr, ticket, submitted)| {
+                match ticket.map(|t| t.wait_timeout(self.cfg.request_timeout)) {
+                    Some(Ok(answer)) => Ok(Hop { addr, answer, elapsed: submitted.elapsed() }),
+                    // A typed server answer is authoritative; surface it.
+                    Some(Err(e @ NetError::Remote(_))) => Err(e),
+                    // Transport trouble: replicas, backoff, manifest refresh.
+                    _ => {
+                        self.evict(&addr);
+                        let retried = Instant::now();
+                        let (addr, answer) = self.ladder(Route::Read { slot }, submit)?;
+                        Ok(Hop { addr, answer, elapsed: retried.elapsed() })
+                    }
+                }
+            })
+            .collect()
     }
 
-    /// The retry ladder for one idempotent read against the group owning
-    /// `slot`: every address in the group (primary first, replicas
-    /// after), [`FleetConfig::attempts`] passes with doubling backoff,
-    /// then one manifest refresh and the same ladder over the new owner.
-    fn slot_request<T>(
-        &self,
-        slot: u32,
-        submit: &dyn Fn(&GphClient) -> Result<NetTicket<T>, NetError>,
-    ) -> Result<T, NetError> {
+    /// Sends one request to every address in the manifest, primaries
+    /// and replicas alike, and collects the outcomes in manifest order.
+    /// Every request is on the wire before the first wait, and the
+    /// waits share one deadline, [`FleetConfig::probe_timeout`] after
+    /// the last send — so stalled addresses cost one probe timeout
+    /// between them, not one each. A connect is bounded by the probe
+    /// timeout on its own. Failed addresses are evicted from the pool.
+    fn sweep<T>(&self, submit: Submit<'_, T>) -> Vec<(String, Result<T, NetError>)> {
+        let manifest = self.manifest();
+        let pending: Vec<_> = manifest
+            .nodes
+            .iter()
+            .flat_map(|node| &node.addrs)
+            .map(|addr| {
+                let ticket =
+                    self.client_for(addr, Some(self.cfg.probe_timeout)).and_then(|c| submit(&c));
+                (addr.clone(), ticket)
+            })
+            .collect();
+        let deadline = Instant::now() + self.cfg.probe_timeout;
+        pending
+            .into_iter()
+            .map(|(addr, ticket)| {
+                // Past the deadline a wait still gets one poll: an answer
+                // that arrived while an earlier address stalled sits
+                // unread in the socket until somebody waits for it.
+                let left = deadline.saturating_duration_since(Instant::now());
+                let outcome =
+                    ticket.and_then(|t| t.wait_timeout(left.max(Duration::from_millis(1))));
+                if outcome.is_err() {
+                    self.evict(&addr);
+                }
+                (addr, outcome)
+            })
+            .collect()
+    }
+
+    /// The retry ladder for one request on `route`: every address the
+    /// route allows ([`Route::Read`]: the owning group's, demoted ones
+    /// last; [`Route::Write`]: its primary alone),
+    /// [`FleetConfig::attempts`] passes with doubling backoff, then one
+    /// manifest refresh and the same ladder over the new owner. Returns
+    /// the address that answered with the answer.
+    fn ladder<T>(&self, route: Route, submit: Submit<'_, T>) -> Result<(String, T), NetError> {
+        let passes = self.cfg.attempts.max(1);
         let mut last = NetError::Closed;
         for round in 0..2 {
             if round == 1 && self.refresh_manifest().is_err() {
                 break;
             }
-            let mut addrs = {
-                let st = self.state.lock();
-                match st.manifest.node_for_slot(slot) {
-                    Some(ni) => st.manifest.nodes[ni].addrs.clone(),
-                    None => {
-                        return Err(NetError::Protocol(format!("no node owns shard slot {slot}")))
-                    }
-                }
-            };
-            // Health-driven ordering: addresses the last sweep demoted
-            // (unreachable or degraded) go last, so a healthy replica
-            // answers before we burn a timeout on a sick primary. The
-            // sort is stable, so primary-before-replica order survives
-            // within each class.
-            {
-                let demoted = self.demoted.lock();
-                if !demoted.is_empty() {
-                    addrs.sort_by_key(|a| demoted.contains(a));
-                }
-            }
-            for attempt in 0..self.cfg.attempts.max(1) {
+            let addrs = self.addresses(route)?;
+            for pass in 0..passes {
                 for addr in &addrs {
-                    let client = match self.client_for(addr) {
-                        Ok(c) => c,
-                        Err(e) => {
-                            last = e;
-                            continue;
-                        }
-                    };
-                    match submit(&client).and_then(|t| t.wait_timeout(self.cfg.request_timeout)) {
-                        Ok(v) => return Ok(v),
+                    let answered = self
+                        .client_for(addr, None)
+                        .and_then(|c| submit(&c)?.wait_timeout(self.cfg.request_timeout));
+                    match answered {
+                        Ok(v) => return Ok((addr.clone(), v)),
                         Err(e @ NetError::Remote(_)) => return Err(e),
                         Err(e) => {
                             self.evict(addr);
@@ -455,61 +515,45 @@ impl FleetClient {
                         }
                     }
                 }
-                if attempt + 1 < self.cfg.attempts.max(1) {
-                    std::thread::sleep(self.cfg.backoff * (1 << attempt.min(8)) as u32);
+                if pass + 1 < passes {
+                    std::thread::sleep(self.cfg.backoff * (1 << pass.min(8)) as u32);
                 }
             }
         }
         Err(last)
     }
 
-    /// One mutation against the primary of the group owning `id`'s slot,
-    /// with reconnects to the primary only (plus a manifest refresh, for
-    /// primaries that moved in a rolling restart).
-    fn primary_request<T>(
-        &self,
-        id: u32,
-        submit: &dyn Fn(&GphClient) -> Result<NetTicket<T>, NetError>,
-    ) -> Result<T, NetError> {
-        let mut last = NetError::Closed;
-        for round in 0..2 {
-            if round == 1 && self.refresh_manifest().is_err() {
-                break;
-            }
-            let primary = {
-                let st = self.state.lock();
-                let slot = ShardedIndex::shard_of(id, st.manifest.n_shards as usize) as u32;
-                match st.manifest.node_for_slot(slot) {
-                    Some(ni) => st.manifest.nodes[ni].addrs[0].clone(),
-                    None => {
-                        return Err(NetError::Protocol(format!("no node owns shard slot {slot}")))
-                    }
+    /// The addresses `route` may use under the current manifest, in the
+    /// order the ladder tries them.
+    fn addresses(&self, route: Route) -> Result<Vec<String>, NetError> {
+        let mut addrs = {
+            let st = self.state.lock();
+            let slot = match route {
+                Route::Read { slot } => slot,
+                Route::Write { id } => {
+                    ShardedIndex::shard_of(id, st.manifest.n_shards as usize) as u32
                 }
             };
-            for attempt in 0..self.cfg.attempts.max(1) {
-                let client = match self.client_for(&primary) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        last = e;
-                        if attempt + 1 < self.cfg.attempts.max(1) {
-                            std::thread::sleep(self.cfg.backoff * (1 << attempt.min(8)) as u32);
-                        }
-                        continue;
-                    }
-                };
-                match submit(&client).and_then(|t| t.wait_timeout(self.cfg.request_timeout)) {
-                    Ok(v) => return Ok(v),
-                    Err(e @ NetError::Remote(_)) => return Err(e),
-                    Err(e) => {
-                        self.evict(&primary);
-                        last = e;
-                    }
-                }
-                if attempt + 1 < self.cfg.attempts.max(1) {
-                    std::thread::sleep(self.cfg.backoff * (1 << attempt.min(8)) as u32);
+            let Some(ni) = st.manifest.node_for_slot(slot) else {
+                return Err(NetError::Protocol(format!("no node owns shard slot {slot}")));
+            };
+            st.manifest.nodes[ni].addrs.clone()
+        };
+        match route {
+            // A mutation is not idempotent: only the primary takes it.
+            Route::Write { .. } => addrs.truncate(1),
+            // Health-driven ordering: addresses the last sweep demoted
+            // (unreachable or degraded) go last, so a healthy replica
+            // answers before we burn a timeout on a sick primary. The
+            // sort is stable, so primary-before-replica order survives
+            // within each class.
+            Route::Read { .. } => {
+                let demoted = self.demoted.lock();
+                if !demoted.is_empty() {
+                    addrs.sort_by_key(|a| demoted.contains(a));
                 }
             }
         }
-        Err(last)
+        Ok(addrs)
     }
 }

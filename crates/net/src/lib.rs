@@ -15,10 +15,14 @@
 //!      │                │    │           resolver pool       │
 //!   FleetClient         │    └──────────────┬▶ Arc<QueryService>
 //!      │                └────────────────────────────────────┘
+//!      │  scatter (search, topk, traced) ─ one request per group primary
+//!      │  sweep (health, metrics)        ─ one request per address
+//!      │  ladder (retries, mutations)    ─ one group's addresses in turn
 //!      ├──▶ node group A (primary + replicas)   ─ slots {0,3,6}
 //!      ├──▶ node group B                        ─ slots {1,4,7}
 //!      ├──▶ node group C                        ─ slots {2,5}
-//!      └──▶ MetastoreServer: versioned FleetManifest (shard→node map)
+//!      └──▶ MetastoreServer: versioned FleetManifest (shard→node map),
+//!           every op answered Reply::Now
 //! ```
 //!
 //! * [`protocol`] — the `GPHN` length-prefixed, versioned, CRC-32
@@ -37,9 +41,7 @@
 //!   admission rejections are answered in place, misses deferred.
 //! * [`metastore`] — [`MetastoreServer`]: a tiny manifest server that
 //!   versions the fleet's shard→node map (strictly increasing) and
-//!   federates fleet metrics: `AggregateMetrics` scrapes every node in
-//!   the manifest in parallel, merges the expositions, and reports
-//!   unreachable nodes as stale instead of failing.
+//!   keeps nothing else; it never talks to a node.
 //! * [`client`] — a blocking [`GphClient`] with connection pooling and
 //!   pipelined `submit_*`/`wait` mirroring the in-process
 //!   [`gph_serve::Ticket`] API. It owns no thread: the caller blocked in
@@ -49,9 +51,12 @@
 //!   with the exact top-k merge, and retries idempotent reads across
 //!   replicas with timeout and backoff. Traced fleet searches merge
 //!   every node's hop trace into a [`gph_obs::FleetTrace`] (engine vs
-//!   network + queue time per hop, straggler identification), and
-//!   cheap `Health` probes demote saturated or unreachable replicas in
-//!   the retry ladder.
+//!   network + queue time per hop, straggler identification). One
+//!   sweep over every manifest address, under one shared probe
+//!   deadline, serves both `Health` probes — which demote saturated or
+//!   unreachable replicas in the retry ladder — and fleet-wide metrics
+//!   ([`FleetClient::metrics`]: merged exposition, stale nodes reported
+//!   with their error).
 //! * [`testing`] — a deterministic, seeded fault-injection proxy
 //!   ([`FaultProxy`]) for exercising all of the above under partial
 //!   writes, torn frames, stalls, resets, and delayed accepts.
@@ -68,17 +73,17 @@ pub mod server;
 pub mod testing;
 
 pub use client::{
-    BatchEntry, ClientConfig, FleetMetrics, GphClient, NetTicket, RangeResult, TopKResult,
-    TracedResult,
+    BatchEntry, ClientConfig, GphClient, NetTicket, RangeResult, TopKResult, TracedResult,
 };
 pub use event::{EventLoop, NetServerStats, Reply, RequestHandler, ServerConfig};
 pub use fleet::{
-    AddressHealth, FleetClient, FleetConfig, FleetSearch, FleetTopK, FleetTracedSearch,
+    AddressHealth, FleetClient, FleetConfig, FleetMetrics, FleetSearch, FleetTopK,
+    FleetTracedSearch, NodeScrape,
 };
 pub use metastore::MetastoreServer;
 pub use protocol::{
-    FleetManifest, FleetNode, Message, NodeHealth, NodeScrape, Request, Response, SearchEntry,
-    WireError, WireMutation,
+    FleetManifest, FleetNode, Message, NodeHealth, Request, Response, SearchEntry, WireError,
+    WireMutation,
 };
 pub use server::NetServer;
 pub use testing::{FaultPlan, FaultProxy, FaultStats};

@@ -13,40 +13,27 @@
 //! slots, address-less nodes) are rejected outright, so every manifest
 //! a client can ever observe routes every shard exactly once.
 //!
-//! Because the metastore already knows where every node lives, it is
-//! also the fleet's metrics federation point: `AggregateMetrics` fans a
-//! `Metrics` scrape out to every node group's primary in parallel
-//! (bounded per node by [`SCRAPE_TIMEOUT`]), merges the fresh
-//! expositions with [`gph_obs::merge_expositions`], and reports nodes
-//! that failed to answer as **stale** — with the scrape error attached
-//! — rather than failing the whole aggregation. Scrape failures also
-//! bump a per-node `gph_fed_scrape_errors_total` counter in the
-//! metastore's own registry, so a flapping node is visible even to
-//! dashboards that only watch the merged exposition.
+//! Every op is answered in place on the event worker ([`Reply::Now`]):
+//! the metastore never talks to a node. Fleet-wide metrics are the
+//! caller's job — [`crate::FleetClient::metrics`] scrapes the manifest's
+//! addresses itself — and the metastore's own `Metrics` exposition
+//! carries only its event-loop series.
 
-use crate::client::{ClientConfig, GphClient};
 use crate::event::{EventLoop, NetServerStats, Reply, RequestHandler, ServerConfig};
-use crate::protocol::{FleetManifest, NodeScrape, Request, Response, WireError};
-use gph_obs::{merge_expositions, MetricsRegistry};
+use crate::protocol::{FleetManifest, Request, Response, WireError};
+use gph_obs::MetricsRegistry;
 use parking_lot::Mutex;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Per-node budget for one `AggregateMetrics` scrape: connect plus the
-/// metrics round trip. A node that cannot answer within this window is
-/// reported stale for this aggregation.
-pub const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// A manifest server: versions the fleet's shard→node map and federates
-/// fleet-wide metrics.
+/// A manifest server: versions the fleet's shard→node map.
 pub struct MetastoreServer {
     inner: EventLoop,
     state: Arc<MetastoreHandler>,
 }
 
 impl MetastoreServer {
-    /// Binds `addr` and starts serving manifest and federation ops.
+    /// Binds `addr` and starts serving manifest ops.
     pub fn bind<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> std::io::Result<MetastoreServer> {
         let registry = Arc::new(MetricsRegistry::new());
         let state = Arc::new(MetastoreHandler {
@@ -69,12 +56,6 @@ impl MetastoreServer {
         self.state.manifest.lock().clone()
     }
 
-    /// The metastore's own metrics registry (event-loop counters plus
-    /// federation scrape counters).
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.state.registry
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> NetServerStats {
         self.inner.stats()
@@ -89,49 +70,8 @@ impl MetastoreServer {
 
 struct MetastoreHandler {
     manifest: Mutex<Option<FleetManifest>>,
+    /// The event loop's `gph_net_*` series, rendered for `Metrics`.
     registry: Arc<MetricsRegistry>,
-}
-
-/// Scrapes one node's `Metrics` exposition within [`SCRAPE_TIMEOUT`].
-fn scrape_node(addr: &str) -> Result<String, String> {
-    let cfg = ClientConfig { connect_timeout: Some(SCRAPE_TIMEOUT), ..ClientConfig::default() };
-    let client = GphClient::connect_with(addr, cfg).map_err(|e| e.to_string())?;
-    client.submit_metrics().and_then(|t| t.wait_timeout(SCRAPE_TIMEOUT)).map_err(|e| e.to_string())
-}
-
-/// Fans a `Metrics` scrape out to every node group's primary (one
-/// thread per node, so one stalled node costs one timeout, not a sum),
-/// merges the fresh expositions with the metastore's own, and reports
-/// failures as stale scrapes.
-fn aggregate(manifest: Option<FleetManifest>, registry: &Arc<MetricsRegistry>) -> Response {
-    let addrs: Vec<String> =
-        manifest.iter().flat_map(|m| &m.nodes).filter_map(|n| n.addrs.first().cloned()).collect();
-    let outcomes: Vec<Result<String, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> =
-            addrs.iter().map(|addr| scope.spawn(move || scrape_node(addr))).collect();
-        handles.into_iter().map(|h| h.join().expect("scrape threads never panic")).collect()
-    });
-    let mut nodes = Vec::with_capacity(addrs.len());
-    for (addr, outcome) in addrs.into_iter().zip(outcomes) {
-        registry.counter("gph_fed_scrapes_total", "Node scrapes attempted.", &[]).inc();
-        match outcome {
-            Ok(text) => nodes.push(NodeScrape { node: addr, error: None, text }),
-            Err(error) => {
-                registry
-                    .counter(
-                        "gph_fed_scrape_errors_total",
-                        "Node scrapes that failed (node reported stale).",
-                        &[("node", addr.as_str())],
-                    )
-                    .inc();
-                nodes.push(NodeScrape { node: addr, error: Some(error), text: String::new() });
-            }
-        }
-    }
-    let own = registry.render();
-    let mut texts: Vec<&str> = vec![&own];
-    texts.extend(nodes.iter().filter(|s| s.error.is_none()).map(|s| s.text.as_str()));
-    Response::AggregateMetrics { merged: merge_expositions(&texts), nodes }
 }
 
 impl RequestHandler for MetastoreHandler {
@@ -140,13 +80,6 @@ impl RequestHandler for MetastoreHandler {
             Request::Ping => Response::Pong,
             Request::Metrics => Response::Metrics { text: self.registry.render() },
             Request::GetManifest => Response::Manifest { manifest: self.manifest.lock().clone() },
-            Request::AggregateMetrics => {
-                // The fan-out blocks on node round trips; run it on the
-                // resolver pool like any other slow reply.
-                let manifest = self.manifest.lock().clone();
-                let registry = Arc::clone(&self.registry);
-                return Reply::Later(Box::new(move || aggregate(manifest, &registry)));
-            }
             Request::PublishManifest { manifest } => {
                 if let Err(msg) = manifest.validate() {
                     return Reply::Now(Response::Error(WireError::Unsupported(format!(
@@ -166,9 +99,7 @@ impl RequestHandler for MetastoreHandler {
                 }
             }
             _ => Response::Error(WireError::Unsupported(
-                "this server is a metastore; it serves ping, metrics, manifest, and \
-                 federation ops"
-                    .into(),
+                "this server is a metastore; it serves ping, metrics and manifest ops".into(),
             )),
         })
     }

@@ -66,9 +66,6 @@ pub const OP_TRACED_SEARCH: u8 = 0x0B;
 pub const OP_GET_MANIFEST: u8 = 0x0C;
 /// Op code for [`Request::PublishManifest`] / [`Response::ManifestAck`].
 pub const OP_PUBLISH_MANIFEST: u8 = 0x0D;
-/// Op code for [`Request::AggregateMetrics`] /
-/// [`Response::AggregateMetrics`].
-pub const OP_AGGREGATE_METRICS: u8 = 0x0E;
 /// Op code for [`Request::Health`] / [`Response::Health`].
 pub const OP_HEALTH: u8 = 0x0F;
 /// Op code for [`Request::SlowQueries`] / [`Response::SlowQueries`].
@@ -261,9 +258,6 @@ pub enum Request {
         /// trace's hop context; `0` for an untracked local trace.
         trace_id: u64,
     },
-    /// Fan-out scrape of every live node's `Metrics` exposition,
-    /// merged (metastore servers only).
-    AggregateMetrics,
     /// Cheap liveness + capacity probe, answered inline by the worker
     /// (never queued behind engine work).
     Health,
@@ -347,19 +341,6 @@ pub struct NodeHealth {
     /// Whether the node considers itself degraded (worker queue
     /// saturated); healthy fleet clients demote such replicas.
     pub degraded: bool,
-}
-
-/// One node's slice of an `AggregateMetrics` fan-out: either a fresh
-/// exposition or a stale marker with the scrape error.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NodeScrape {
-    /// The address the metastore scraped (the node's primary).
-    pub node: String,
-    /// `Some` when the scrape failed — the node is reported stale
-    /// rather than failing the whole aggregation.
-    pub error: Option<String>,
-    /// The node's Prometheus exposition; empty when stale.
-    pub text: String,
 }
 
 /// A typed error frame.
@@ -457,16 +438,6 @@ pub enum Response {
         /// search reached the engine ([`SearchEntry::Ids`]).
         trace: Option<QueryTrace>,
     },
-    /// Answer to [`Request::AggregateMetrics`]: the fleet-merged
-    /// exposition plus every node's individual scrape outcome.
-    AggregateMetrics {
-        /// [`gph_obs::merge_expositions`] over the metastore's own
-        /// registry and every fresh node scrape.
-        merged: String,
-        /// Per-node scrape outcomes, in manifest order; stale nodes
-        /// carry their error instead of failing the aggregation.
-        nodes: Vec<NodeScrape>,
-    },
     /// Answer to [`Request::Health`].
     Health(NodeHealth),
     /// Answer to [`Request::SlowQueries`]: the slow-query ring's
@@ -537,7 +508,6 @@ fn request_opcode(req: &Request) -> u8 {
         Request::Upsert { .. } => OP_UPSERT,
         Request::Metrics => OP_METRICS,
         Request::TracedSearch { .. } => OP_TRACED_SEARCH,
-        Request::AggregateMetrics => OP_AGGREGATE_METRICS,
         Request::Health => OP_HEALTH,
         Request::SlowQueries { .. } => OP_SLOW_QUERIES,
         Request::GetManifest => OP_GET_MANIFEST,
@@ -554,7 +524,6 @@ fn response_opcode(resp: &Response) -> u8 {
         Response::Mutation(_) => OP_MUTATION,
         Response::Metrics { .. } => OP_METRICS,
         Response::TracedSearch { .. } => OP_TRACED_SEARCH,
-        Response::AggregateMetrics { .. } => OP_AGGREGATE_METRICS,
         Response::Health(_) => OP_HEALTH,
         Response::SlowQueries { .. } => OP_SLOW_QUERIES,
         Response::Manifest { .. } => OP_GET_MANIFEST,
@@ -565,11 +534,7 @@ fn response_opcode(resp: &Response) -> u8 {
 
 fn encode_request_payload(req: &Request, buf: &mut Vec<u8>) {
     match req {
-        Request::Ping
-        | Request::Metrics
-        | Request::GetManifest
-        | Request::AggregateMetrics
-        | Request::Health => {}
+        Request::Ping | Request::Metrics | Request::GetManifest | Request::Health => {}
         Request::PublishManifest { manifest } => manifest.encode_into(buf),
         Request::SlowQueries { max } => put_u32(buf, *max),
         Request::Search { tau, query } => {
@@ -667,21 +632,6 @@ fn encode_response_payload(resp: &Response, buf: &mut Vec<u8>) {
             WireMutation::NotFound => buf.push(1),
         },
         Response::Metrics { text } => put_str(buf, text),
-        Response::AggregateMetrics { merged, nodes } => {
-            put_str(buf, merged);
-            put_u32(buf, nodes.len() as u32);
-            for scrape in nodes {
-                put_str(buf, &scrape.node);
-                match &scrape.error {
-                    Some(e) => {
-                        buf.push(1);
-                        put_str(buf, e);
-                    }
-                    None => buf.push(0),
-                }
-                put_str(buf, &scrape.text);
-            }
-        }
         Response::Health(h) => {
             put_u32(buf, h.slots.len() as u32);
             for &slot in &h.slots {
@@ -814,7 +764,6 @@ fn decode_request_payload(opcode: u8, payload: &[u8]) -> Result<Request, NetErro
             let n = r.u32("search words")? as usize;
             Request::TracedSearch { tau, query: read_words(&mut r, n, "search query")?, trace_id }
         }
-        OP_AGGREGATE_METRICS => Request::AggregateMetrics,
         OP_HEALTH => Request::Health,
         OP_SLOW_QUERIES => Request::SlowQueries { max: r.u32("slow query ceiling")? },
         OP_TOPK => {
@@ -935,23 +884,6 @@ fn decode_response_payload(opcode: u8, payload: &[u8]) -> Result<Response, NetEr
             other => return Err(proto_err(format!("unknown mutation tag {other}"))),
         },
         OP_METRICS => Response::Metrics { text: read_str(&mut r, "metrics text")? },
-        OP_AGGREGATE_METRICS => {
-            let merged = read_str(&mut r, "merged exposition")?;
-            // Each scrape costs at least three length/tag prefixes.
-            let n = read_count(&mut r, 9, "scrape count")?;
-            let mut nodes = Vec::with_capacity(n);
-            for _ in 0..n {
-                let node = read_str(&mut r, "scrape node")?;
-                let error = match r.u8("scrape tag")? {
-                    0 => None,
-                    1 => Some(read_str(&mut r, "scrape error")?),
-                    other => return Err(proto_err(format!("unknown scrape tag {other}"))),
-                };
-                let text = read_str(&mut r, "scrape text")?;
-                nodes.push(NodeScrape { node, error, text });
-            }
-            Response::AggregateMetrics { merged, nodes }
-        }
         OP_HEALTH => {
             let n = read_count(&mut r, 4, "health slot count")?;
             let mut slots = Vec::with_capacity(n);
@@ -1215,7 +1147,6 @@ mod tests {
         );
         roundtrip_request(10, Request::GetManifest);
         roundtrip_request(11, Request::PublishManifest { manifest: sample_manifest() });
-        roundtrip_request(12, Request::AggregateMetrics);
         roundtrip_request(13, Request::Health);
         roundtrip_request(14, Request::SlowQueries { max: 0 });
         roundtrip_request(15, Request::SlowQueries { max: 32 });
@@ -1405,25 +1336,6 @@ mod tests {
             }),
         );
         roundtrip_response(31, Response::Health(NodeHealth::default()));
-        roundtrip_response(
-            32,
-            Response::AggregateMetrics {
-                merged: "# TYPE gph_up gauge\ngph_up 2\n".into(),
-                nodes: vec![
-                    NodeScrape {
-                        node: "127.0.0.1:9001".into(),
-                        error: None,
-                        text: "# TYPE gph_up gauge\ngph_up 1\n".into(),
-                    },
-                    NodeScrape {
-                        node: "127.0.0.1:9002".into(),
-                        error: Some("connection refused".into()),
-                        text: String::new(),
-                    },
-                ],
-            },
-        );
-        roundtrip_response(33, Response::AggregateMetrics { merged: String::new(), nodes: vec![] });
         let slow = QueryTrace {
             trace_id: 9,
             node: "127.0.0.1:9001".into(),

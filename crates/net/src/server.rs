@@ -235,9 +235,6 @@ impl RequestHandler for ServiceHandler {
                 }
                 Reply::Now(Response::SlowQueries { traces })
             }
-            Request::AggregateMetrics => {
-                unsupported("this server is a query node, not a metastore".into())
-            }
             Request::TopK { k, query } => {
                 if let Err(msg) = self.check_words("query", &query) {
                     return unsupported(msg);

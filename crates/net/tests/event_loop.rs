@@ -195,12 +195,18 @@ fn the_connection_cap_refuses_with_a_typed_frame() {
 
 /// The event-loop counters are real metrics, not a side channel: every
 /// series shows up in the server's own `Metrics` exposition under the
-/// `gph_net_` prefix, with values agreeing with the stats snapshot.
+/// `gph_net_` prefix, with values agreeing with the stats snapshot. The
+/// metastore answers every op in place, so nothing it serves is
+/// deferred.
 #[test]
 fn event_loop_counters_appear_in_the_metrics_exposition() {
     let server = MetastoreServer::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
     let client = GphClient::connect(server.local_addr()).unwrap();
     client.ping().unwrap();
+    client.metrics().unwrap();
+    assert_eq!(client.get_manifest().unwrap(), None);
+    assert_eq!(client.publish_manifest(&fat_manifest(1, 1)).unwrap(), 1);
+    assert_eq!(client.get_manifest().unwrap(), Some(fat_manifest(1, 1)));
 
     // Trip one protocol error on a second connection.
     let mut bad = TcpStream::connect(server.local_addr()).unwrap();
@@ -209,10 +215,6 @@ fn event_loop_counters_appear_in_the_metrics_exposition() {
     let (id, msg, _) = read_frame(&mut bad).unwrap().expect("error frame");
     assert_eq!(id, 0);
     assert!(matches!(msg, Message::Response(Response::Error(WireError::Malformed(_)))));
-
-    // One reply that crosses to the resolver pool (the fleet scrape, of
-    // an empty fleet here); pings, metrics and errors do not.
-    client.aggregate_metrics().unwrap();
 
     let text = client.metrics().unwrap();
     let exp = gph_obs::Exposition::parse(&text);
@@ -236,15 +238,15 @@ fn event_loop_counters_appear_in_the_metrics_exposition() {
     assert!(exp.value("gph_net_connections_opened_total").unwrap() >= 2.0);
     assert_eq!(exp.value("gph_net_protocol_errors_total"), Some(1.0));
     assert_eq!(exp.value("gph_net_errors_sent_total"), Some(1.0));
-    assert_eq!(exp.value("gph_net_deferred_total"), Some(1.0));
-    // The ping plus the metrics request itself (reads are counted on
-    // arrival, before the response renders).
-    assert!(exp.value("gph_net_requests_total").unwrap() >= 2.0);
+    assert_eq!(exp.value("gph_net_deferred_total"), Some(0.0));
+    // Ping, metrics, three manifest ops, plus the metrics request itself
+    // (reads are counted on arrival, before the response renders).
+    assert!(exp.value("gph_net_requests_total").unwrap() >= 6.0);
     assert!(exp.value("gph_net_bytes_in_total").unwrap() > 0.0);
 
     let stats = server.shutdown();
     assert_eq!(stats.protocol_errors, 1, "snapshot and exposition agree");
-    assert_eq!(stats.deferred, 1);
+    assert_eq!(stats.deferred, 0);
 }
 
 /// Answers `Delete { id }` with `ManifestAck { version: id }`: odd ids

@@ -10,16 +10,17 @@
 use gph::engine::GphConfig;
 use gph::partition_opt::PartitionStrategy;
 use gph_net::{
-    FaultPlan, FaultProxy, FleetClient, FleetConfig, FleetManifest, FleetNode, GphClient,
-    MetastoreServer, NetError, NetServer, ServerConfig, WireError, WireMutation,
+    FaultPlan, FaultProxy, FleetClient, FleetConfig, FleetManifest, FleetMetrics, FleetNode,
+    GphClient, MetastoreServer, NetError, NetServer, ServerConfig, WireError, WireMutation,
 };
 use gph_serve::{Outcome, QueryService, ServiceConfig, ShardedIndex};
 use hamming_core::{BitVector, Dataset};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::HashSet;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const DIM: usize = 64;
 const TAU: u32 = 6;
@@ -348,28 +349,47 @@ fn traced_fleet_search_holds_hop_invariants_under_faults() {
     metastore.shutdown();
 }
 
-/// Metrics federation: `AggregateMetrics` against the metastore merges
-/// every live node's exposition; killing a node mid-fleet turns it into
-/// a **stale** entry (scrape error attached, no text) without failing
-/// the aggregation or dropping the other nodes' series.
+/// The merged value of `series` must be the sum over the fresh scrapes:
+/// every live node's series survives into the merge, and nothing else
+/// does.
+fn assert_merged_sums_fresh(scrape: &FleetMetrics, series: &str) {
+    let fresh: f64 = scrape
+        .nodes
+        .iter()
+        .filter(|n| n.error.is_none())
+        .map(|n| gph_obs::Exposition::parse(&n.text).value(series).unwrap())
+        .sum();
+    let merged = gph_obs::Exposition::parse(&scrape.merged).value(series);
+    assert_eq!(merged, Some(fresh), "merged {series} sums the fresh scrapes");
+}
+
+/// Metrics federation: [`FleetClient::metrics`] scrapes every manifest
+/// address — the replica included — and merges the expositions; killing
+/// a node mid-fleet turns it into a **stale** entry (scrape error
+/// attached, no text) without failing the scrape or dropping the other
+/// nodes' series.
 #[test]
 fn metrics_federation_reports_killed_node_stale() {
     let _watchdog = Watchdog::arm("metrics_federation", Duration::from_secs(120));
     let ds = dataset(46);
-    let mut nodes: Vec<_> = GROUP_SLOTS
-        .iter()
-        .map(|slots| {
-            NetServer::bind("127.0.0.1:0", node_service(&ds, slots), ServerConfig::default())
-                .unwrap()
-        })
-        .collect();
+    let services: Vec<_> = GROUP_SLOTS.iter().map(|s| node_service(&ds, s)).collect();
+    let bind = |i: usize| {
+        NetServer::bind("127.0.0.1:0", Arc::clone(&services[i]), ServerConfig::default()).unwrap()
+    };
+    let mut nodes: Vec<_> = (0..3).map(bind).collect();
+    let replica0 = bind(0);
     let metastore = MetastoreServer::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
     let m = manifest(
         1,
-        [vec![nodes[0].local_addr()], vec![nodes[1].local_addr()], vec![nodes[2].local_addr()]],
+        [
+            vec![nodes[0].local_addr(), replica0.local_addr()],
+            vec![nodes[1].local_addr()],
+            vec![nodes[2].local_addr()],
+        ],
     );
-    let admin = GphClient::connect(metastore.local_addr()).unwrap();
-    admin.publish_manifest(&m).unwrap();
+    GphClient::connect(metastore.local_addr()).unwrap().publish_manifest(&m).unwrap();
+    let addrs: Vec<String> = m.nodes.iter().flat_map(|n| n.addrs.clone()).collect();
+    let replica_addr = replica0.local_addr().to_string();
 
     // Put some traffic through so the expositions are non-trivial.
     let fleet =
@@ -378,29 +398,103 @@ fn metrics_federation_reports_killed_node_stale() {
         fleet.search(ds.row(qi), TAU).unwrap();
     }
 
-    let all = admin.aggregate_metrics().unwrap();
-    assert_eq!(all.nodes.len(), 3, "one scrape per node group");
+    let all = fleet.metrics();
+    let scraped: Vec<&str> = all.nodes.iter().map(|n| n.node.as_str()).collect();
+    assert_eq!(scraped, addrs, "one scrape per manifest address, in manifest order");
     assert!(all.nodes.iter().all(|n| n.error.is_none()), "all nodes fresh: {:?}", all.nodes);
     assert!(all.nodes.iter().all(|n| n.text.contains("gph_net_requests_total")));
-    assert!(all.merged.contains("gph_net_requests_total"), "merged carries node series");
-    assert!(all.merged.contains("gph_fed_scrapes_total"), "merged carries metastore series");
+    assert_merged_sums_fresh(&all, "gph_net_requests_total");
 
-    // Kill group 1 and aggregate again: stale, not an error.
+    // Kill group 1 and scrape again: stale, not an error.
     let killed = nodes.remove(1);
     let killed_addr = killed.local_addr().to_string();
     killed.shutdown();
-    let after = admin.aggregate_metrics().unwrap();
-    assert_eq!(after.nodes.len(), 3, "stale nodes still appear in the scrape report");
+    let after = fleet.metrics();
+    let scraped: Vec<&str> = after.nodes.iter().map(|n| n.node.as_str()).collect();
+    assert_eq!(scraped, addrs, "stale nodes still appear in the scrape report");
     let stale: Vec<_> = after.nodes.iter().filter(|n| n.error.is_some()).collect();
     assert_eq!(stale.len(), 1, "exactly the killed node is stale: {:?}", after.nodes);
     assert_eq!(stale[0].node, killed_addr);
     assert!(stale[0].text.is_empty(), "a stale scrape carries no exposition");
-    assert!(after.merged.contains("gph_net_requests_total"), "live series survive");
-    assert!(
-        after.merged.contains("gph_fed_scrape_errors_total"),
-        "the failed scrape is itself a series"
-    );
+    let replica = after.nodes.iter().find(|n| n.node == replica_addr).unwrap();
+    assert!(replica.error.is_none(), "the replica is scraped fresh: {replica:?}");
+    assert!(replica.text.contains("gph_net_requests_total"));
+    assert_merged_sums_fresh(&after, "gph_net_requests_total");
 
+    for n in nodes {
+        n.shutdown();
+    }
+    replica0.shutdown();
+    metastore.shutdown();
+}
+
+/// A sweep waits for all of its addresses under one deadline: with two
+/// of four addresses behind proxies that hold every chunk for three
+/// probe timeouts, `refresh_health` and `metrics` each come back within
+/// one and a half probe timeouts — not one timeout per stalled address
+/// — and report exactly the stalled addresses as demoted and stale.
+#[test]
+fn a_stalled_address_costs_one_probe_timeout() {
+    let _watchdog = Watchdog::arm("stalled_sweep", Duration::from_secs(120));
+    const PROBE: Duration = Duration::from_secs(1);
+    let ds = dataset(48);
+    let nodes: Vec<_> = GROUP_SLOTS
+        .iter()
+        .map(|slots| {
+            NetServer::bind("127.0.0.1:0", node_service(&ds, slots), ServerConfig::default())
+                .unwrap()
+        })
+        .collect();
+    let stalled = |i: usize| {
+        let plan = FaultPlan { stall_prob: 1.0, stall: 3 * PROBE, ..FaultPlan::clean(0x57A11) };
+        FaultProxy::launch(nodes[i].local_addr(), plan).unwrap()
+    };
+    let proxies = [stalled(0), stalled(1)];
+    let metastore = MetastoreServer::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let m = manifest(
+        1,
+        [
+            vec![nodes[0].local_addr(), proxies[0].local_addr()],
+            vec![proxies[1].local_addr()],
+            vec![nodes[2].local_addr()],
+        ],
+    );
+    GphClient::connect(metastore.local_addr()).unwrap().publish_manifest(&m).unwrap();
+    let fleet = FleetClient::connect(
+        &metastore.local_addr().to_string(),
+        FleetConfig { probe_timeout: PROBE, ..FleetConfig::default() },
+    )
+    .unwrap();
+    let stalled_addrs: HashSet<String> =
+        proxies.iter().map(|p| p.local_addr().to_string()).collect();
+
+    let t0 = Instant::now();
+    let sweep = fleet.refresh_health();
+    let took = t0.elapsed();
+    assert!(took < PROBE * 3 / 2, "health sweep took {took:?} for two stalled addresses");
+    assert_eq!(sweep.len(), 4);
+    for entry in &sweep {
+        let stalled = stalled_addrs.contains(&entry.addr);
+        assert_eq!(entry.demoted, stalled, "{entry:?}");
+        assert_eq!(entry.health.is_none(), stalled, "{entry:?}");
+    }
+    assert_eq!(fleet.demoted(), stalled_addrs);
+
+    let t0 = Instant::now();
+    let scrape = fleet.metrics();
+    let took = t0.elapsed();
+    assert!(took < PROBE * 3 / 2, "metrics sweep took {took:?} for two stalled addresses");
+    assert_eq!(scrape.nodes.len(), 4);
+    for node in &scrape.nodes {
+        let stalled = stalled_addrs.contains(&node.node);
+        assert_eq!(node.error.is_some(), stalled, "{node:?}");
+        assert_eq!(node.text.is_empty(), stalled, "{node:?}");
+    }
+    assert!(proxies.iter().all(|p| p.stats().stalls > 0), "the stall schedule had no teeth");
+
+    for p in proxies {
+        p.stop();
+    }
     for n in nodes {
         n.shutdown();
     }

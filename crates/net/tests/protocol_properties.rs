@@ -6,7 +6,7 @@
 
 use gph_net::protocol::{
     decode_frame, encode_request, encode_response, frame_crc, read_frame, Message, NodeHealth,
-    NodeScrape, Request, Response, SearchEntry, WireError, WireMutation, HEADER_LEN,
+    Request, Response, SearchEntry, WireError, WireMutation, HEADER_LEN,
 };
 use gph_net::NetError;
 use proptest::prelude::*;
@@ -18,7 +18,7 @@ fn words(max: usize) -> impl Strategy<Value = Vec<u64>> {
 fn request_strategy() -> impl Strategy<Value = Request> {
     let batch = (1usize..=4, 1usize..=4)
         .prop_flat_map(|(n, w)| prop::collection::vec(prop::collection::vec(any::<u64>(), w), n));
-    ((0u8..12, any::<u32>(), any::<u32>()), words(5), batch).prop_map(|((tag, a, b), q, qs)| {
+    ((0u8..11, any::<u32>(), any::<u32>()), words(5), batch).prop_map(|((tag, a, b), q, qs)| {
         match tag {
             0 => Request::Ping,
             1 => Request::Search { tau: a, query: q },
@@ -31,8 +31,7 @@ fn request_strategy() -> impl Strategy<Value = Request> {
             8 => {
                 Request::TracedSearch { tau: a, query: q, trace_id: ((a as u64) << 32) | b as u64 }
             }
-            9 => Request::AggregateMetrics,
-            10 => Request::Health,
+            9 => Request::Health,
             _ => Request::SlowQueries { max: a },
         }
     })
@@ -116,19 +115,9 @@ fn health_from_seed(seed: u64) -> NodeHealth {
     }
 }
 
-fn scrapes_from_seed(seed: u64) -> Vec<NodeScrape> {
-    (0..seed % 4)
-        .map(|i| NodeScrape {
-            node: format!("10.0.0.{i}:9000"),
-            error: (i % 2 == 0).then(|| format!("refused {i}")),
-            text: if i % 2 == 0 { String::new() } else { format!("gph_up {i}\n") },
-        })
-        .collect()
-}
-
 fn response_strategy() -> impl Strategy<Value = Response> {
     (
-        (0u8..11, any::<u64>(), any::<bool>(), any::<bool>()),
+        (0u8..10, any::<u64>(), any::<bool>(), any::<bool>()),
         entry_strategy(),
         prop::collection::vec(entry_strategy(), 0..4),
         prop::collection::vec((any::<u32>(), any::<u32>()), 0..6),
@@ -152,10 +141,6 @@ fn response_strategy() -> impl Strategy<Value = Response> {
                 7 => Response::Health(health_from_seed(seed)),
                 8 => Response::SlowQueries {
                     traces: (0..seed % 3).map(|i| trace_from_seed(seed ^ i)).collect(),
-                },
-                9 => Response::AggregateMetrics {
-                    merged: format!("# TYPE gph_up gauge\ngph_up {a}\n"),
-                    nodes: scrapes_from_seed(seed),
                 },
                 _ => Response::Error(match err_tag {
                     0 => WireError::Malformed(format!("m{a}")),
@@ -190,20 +175,25 @@ fn message_strategy() -> impl Strategy<Value = Message> {
     })
 }
 
-/// Opcode `0x08` carried the retired `Stats` op: a well-formed,
-/// correctly checksummed frame naming it is a protocol error in either
-/// direction, like any opcode this build does not know.
+/// Opcodes `0x08` and `0x0E` carried the retired `Stats` and
+/// `AggregateMetrics` ops: a well-formed, correctly checksummed frame
+/// naming either is a protocol error in either direction, like any
+/// opcode this build does not know.
 #[test]
-fn retired_stats_opcode_is_a_protocol_error() {
-    for mut frame in [encode_request(7, &Request::Ping), encode_response(7, &Response::Pong)] {
-        frame[6] = 0x08;
-        let crc = frame_crc(&frame[4..20], &frame[HEADER_LEN..]);
-        frame[20..24].copy_from_slice(&crc.to_le_bytes());
-        match decode_frame(&frame) {
-            Err(NetError::Protocol(msg)) => assert!(msg.contains("opcode 0x08"), "{msg}"),
-            other => panic!("expected a protocol error, got {other:?}"),
+fn retired_opcodes_are_protocol_errors() {
+    for opcode in [0x08u8, 0x0E] {
+        for mut frame in [encode_request(7, &Request::Ping), encode_response(7, &Response::Pong)] {
+            frame[6] = opcode;
+            let crc = frame_crc(&frame[4..20], &frame[HEADER_LEN..]);
+            frame[20..24].copy_from_slice(&crc.to_le_bytes());
+            match decode_frame(&frame) {
+                Err(NetError::Protocol(msg)) => {
+                    assert!(msg.contains(&format!("opcode {opcode:#04x}")), "{msg}")
+                }
+                other => panic!("expected a protocol error for {opcode:#04x}, got {other:?}"),
+            }
+            assert!(matches!(read_frame(&mut &frame[..]), Err(NetError::Protocol(_))));
         }
-        assert!(matches!(read_frame(&mut &frame[..]), Err(NetError::Protocol(_))));
     }
 }
 

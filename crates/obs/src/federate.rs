@@ -1,9 +1,10 @@
 //! Metrics federation: parsing and merging Prometheus text
 //! expositions.
 //!
-//! The metastore's `AggregateMetrics` op scrapes every live node's
-//! `Metrics` exposition and folds them into one fleet-wide view with
-//! [`merge_expositions`]. Merge rules, per family type:
+//! `gph-net`'s `FleetClient::metrics` scrapes the `Metrics` exposition
+//! of every address in the fleet manifest and folds the fresh ones into
+//! one fleet-wide view with [`merge_expositions`]. Merge rules, per
+//! family type:
 //!
 //! * **counter** — values sum across nodes.
 //! * **gauge** — values sum, except families whose name ends in

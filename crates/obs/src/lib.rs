@@ -19,7 +19,8 @@
 //! * [`FleetTrace`] — per-node [`QueryTrace`]s merged into one
 //!   fleet-wide view attributing engine vs. network+queue time per hop.
 //! * [`federate`] — Prometheus-exposition parsing and cross-node
-//!   merging for the metastore's `AggregateMetrics` fan-out scrape.
+//!   merging for the fleet client's metrics sweep
+//!   (`gph_net::FleetClient::metrics`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -54,9 +54,10 @@
 //! fleet with the exact top-k merge. `query --metastore --trace` merges
 //! every node's hop trace into one distributed view (engine time vs
 //! network + queue time per hop, straggler marked); `metrics
-//! --metastore` asks the metastore to scrape and merge every node's
-//! exposition (unreachable nodes report as stale); `fleettop` prints a
-//! one-shot per-node health summary from two federated scrapes.
+//! --metastore` reads the manifest, then scrapes and merges the
+//! exposition of every address in it itself (unreachable nodes report
+//! as stale); `fleettop` prints a one-shot per-node health summary from
+//! two such scrapes.
 //!
 //! `build` runs the expensive offline phase (partition optimization,
 //! index + estimator construction, one engine per shard) and snapshots
@@ -550,24 +551,25 @@ fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), String> {
 
 /// `metrics --connect`: one `Metrics` op; prints the server's Prometheus
 /// text exposition verbatim (pipe it into a scrape file or `promtool`).
-/// `metrics --metastore`: one `AggregateMetrics` op; the metastore
-/// scrapes every node in the manifest, merges the expositions, and
-/// reports unreachable nodes as stale (listed on stderr) instead of
-/// failing the aggregation.
+/// `metrics --metastore`: fetches the manifest, scrapes every address
+/// in it (replicas included) through [`FleetClient::metrics`], prints
+/// the merged exposition, and reports unreachable nodes as stale
+/// (listed on stderr, with a one-line summary) instead of failing.
 fn cmd_metrics(opts: &HashMap<String, String>) -> Result<(), String> {
     check_flags(opts, &["connect", "metastore"])?;
     if let Some(addr) = opts.get("metastore") {
         if opts.contains_key("connect") {
             return Err("--metastore excludes --connect".into());
         }
-        let client = GphClient::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
-        let fleet = client.aggregate_metrics().map_err(|e| e.to_string())?;
+        let fleet = connect_fleet(addr)?.metrics();
         for node in &fleet.nodes {
             match &node.error {
                 None => eprintln!("node {}: fresh", node.node),
                 Some(e) => eprintln!("node {}: stale ({e})", node.node),
             }
         }
+        let stale = fleet.nodes.iter().filter(|n| n.error.is_some()).count();
+        eprintln!("scraped {} nodes, {stale} stale", fleet.nodes.len());
         print!("{}", fleet.merged);
         return Ok(());
     }
@@ -579,9 +581,9 @@ fn cmd_metrics(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// `fleettop --metastore`: a one-shot fleet health summary. Two
-/// federated scrapes `--interval` seconds apart give per-node QPS
-/// (counter delta over the window); the rest of the row reads straight
-/// from each node's latest exposition.
+/// [`FleetClient::metrics`] scrapes `--interval` seconds apart give
+/// per-node QPS (counter delta over the window); the rest of the row
+/// reads straight from each node's latest exposition.
 fn cmd_fleettop(opts: &HashMap<String, String>) -> Result<(), String> {
     check_flags(opts, &["metastore", "interval"])?;
     let addr = need(opts, "metastore")?;
@@ -589,10 +591,10 @@ fn cmd_fleettop(opts: &HashMap<String, String>) -> Result<(), String> {
     if interval <= 0.0 || !interval.is_finite() {
         return Err("--interval must be positive".into());
     }
-    let client = GphClient::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
-    let first = client.aggregate_metrics().map_err(|e| e.to_string())?;
+    let fleet = connect_fleet(addr)?;
+    let first = fleet.metrics();
     std::thread::sleep(Duration::from_secs_f64(interval));
-    let second = client.aggregate_metrics().map_err(|e| e.to_string())?;
+    let second = fleet.metrics();
 
     let before: HashMap<&str, gph_suite::obs::Exposition> = first
         .nodes
@@ -853,14 +855,20 @@ fn cmd_manifest(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// A [`FleetClient`] routing by the manifest the metastore at `addr`
+/// currently serves.
+fn connect_fleet(addr: &str) -> Result<FleetClient, String> {
+    FleetClient::connect(addr, FleetConfig::default())
+        .map_err(|e| format!("connecting to metastore {addr}: {e}"))
+}
+
 /// `query --metastore`: the query loop routed through a [`FleetClient`]
 /// — scatter-gather over the manifest's nodes with the exact merge.
 fn cmd_query_fleet(addr: &str, opts: &HashMap<String, String>) -> Result<(), String> {
     if opts.contains_key("index") || opts.contains_key("connect") {
         return Err("--metastore excludes --index and --connect".into());
     }
-    let fleet = FleetClient::connect(addr, FleetConfig::default())
-        .map_err(|e| format!("connecting to metastore {addr}: {e}"))?;
+    let fleet = connect_fleet(addr)?;
     let manifest = fleet.manifest();
     // Index shape comes from whichever address answers first (the
     // manifest only maps slots); the sweep also demotes dead replicas
