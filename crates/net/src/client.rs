@@ -11,15 +11,26 @@
 //!
 //! No thread belongs to a connection, and [`GphClient::connect`] spawns
 //! none. A connection is a nonblocking socket plus an inbox (a slot per
-//! outstanding request, and the bytes that are not a whole frame yet)
-//! under one mutex, and **whichever thread is blocked on the connection
-//! drives it**. A ticket that waits checks its slot; if nobody is
-//! reading it becomes the reader — waits for the socket up to its
-//! deadline, reads what is there, files every whole frame under its id,
-//! wakes the others, checks again — and otherwise sleeps until the
-//! reader files its frame or leaves, and then takes over. A synchronous
-//! call is thus write, wait for readiness, read, all on the calling
-//! thread: the response crosses no thread on this side of the socket.
+//! outstanding request, and a [`FrameReader`] holding the bytes that are
+//! not a whole frame yet) under one mutex, and **whichever thread is
+//! blocked on the connection drives it**. A ticket that waits checks its
+//! slot; if nobody is reading it becomes the reader — waits for the
+//! socket up to its deadline, reads what is there, files every whole
+//! frame under its id, wakes the others, checks again — and otherwise
+//! sleeps until the reader files its frame or leaves, and then takes
+//! over. A synchronous call is thus write, wait for readiness, read, all
+//! on the calling thread: the response crosses no thread on this side of
+//! the socket.
+//!
+//! Each decision is a transition of the inbox, free of I/O: `wait`
+//! (take the response, give up, park, or become the reader), `read` (the
+//! reader is back from `poll`: read a burst, file, hand over), `fill`
+//! (the same read for a `submit_*` waiting for write space), `release`
+//! (abandon a slot), `fail` (the first reason the connection died
+//! stands). Those that can change what a parked waiter sleeps on say
+//! whether to wake it; the socket code keeps `poll`, `read`, `write` and
+//! the condvar, and the unit tests run the inbox through every ordering
+//! of up to three waiters.
 //!
 //! # Pipelining
 //!
@@ -45,14 +56,14 @@
 //! ([`NetError::Protocol`]).
 
 use crate::protocol::{
-    decode_frame, encode_request, frame_len, FleetManifest, Message, NodeHealth, Request, Response,
+    encode_request, FleetManifest, FrameReader, Message, NodeHealth, Request, Response,
     SearchEntry, WireError, WireMutation,
 };
 use crate::NetError;
 use gph_obs::QueryTrace;
 use polling::{PollFd, POLLIN, POLLOUT};
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -143,34 +154,26 @@ enum Slot {
     Arrived(Response),
 }
 
-/// Why a connection died. Kept as data rather than a [`NetError`]
-/// (which holds an `io::Error` and cannot be cloned) so that every
-/// ticket gets its own copy.
-enum Broken {
-    Closed,
-    Protocol(String),
-}
-
-impl Broken {
-    /// A socket error met on the read side.
-    fn read_error(e: std::io::Error) -> Broken {
-        Broken::Protocol(NetError::Io(e).to_string())
-    }
-
-    fn error(&self) -> NetError {
-        match self {
-            Broken::Closed => NetError::Closed,
-            Broken::Protocol(why) => NetError::Protocol(why.clone()),
-        }
-    }
+/// What a waiter does next, as [`Inbox::wait`] decides it.
+enum Step {
+    /// The ticket is settled: its response, or why there is none.
+    Done(Result<Response, NetError>),
+    /// Sleep on [`Conn::arrived`] behind the stationed reader (up to the
+    /// deadline), [`Inbox::unpark`], and ask again.
+    Park,
+    /// Become the reader: `poll` the socket up to the deadline, hand the
+    /// outcome to [`Inbox::read`], and ask again.
+    Read,
 }
 
 /// The read side of a connection: everything a response passes through
-/// between the socket and its ticket.
+/// between the socket and its ticket, and every decision about who reads
+/// it. Each method is one transition, taken with the inbox locked.
+#[derive(Default)]
 struct Inbox {
     slots: HashMap<u64, Slot>,
     /// Bytes read off the socket that are not a whole frame yet.
-    partial: Vec<u8>,
+    frames: FrameReader,
     /// A waiter is stationed in `poll` on the socket; the others sleep
     /// on [`Conn::arrived`] until it files their frame or leaves.
     reading: bool,
@@ -178,67 +181,153 @@ struct Inbox {
     /// with nobody to wake, and the common case is nobody).
     parked: usize,
     /// Set once, by whichever thread saw the connection die; slots that
-    /// had `Arrived` by then stay claimable.
-    broken: Option<Broken>,
+    /// had `Arrived` by then stay claimable. Only ever `Closed` or
+    /// `Protocol`, which [`Inbox::health`] can copy for every ticket.
+    broken: Option<NetError>,
 }
 
 impl Inbox {
-    fn fail(&mut self, why: Broken) {
-        self.broken.get_or_insert(why);
-    }
-
-    /// Files every whole frame at the front of `partial` under its id.
-    fn file_frames(&mut self) {
-        let mut pos = 0;
-        while self.broken.is_none() {
-            let rest = &self.partial[pos..];
-            let need = match frame_len(rest) {
-                Ok(Some(need)) if need <= rest.len() => need,
-                Ok(_) => break, // header or payload still arriving
-                Err(e) => {
-                    self.fail(Broken::Protocol(e.to_string()));
-                    break;
-                }
-            };
-            match decode_frame(&rest[..need]) {
-                Ok((id, Message::Response(resp))) => match (self.slots.get_mut(&id), resp) {
-                    (Some(slot @ Slot::Waiting), resp) => *slot = Slot::Arrived(resp),
-                    (Some(Slot::Abandoned), _) => {
-                        self.slots.remove(&id);
-                    }
-                    // Servers report connection-level failures (e.g. an
-                    // undecodable frame) on the reserved id 0, which
-                    // matches no ticket: surface the server's reason to
-                    // every waiter instead of a generic unknown-id error.
-                    (None, Response::Error(e)) => {
-                        self.fail(Broken::Protocol(format!("server closed the connection: {e}")))
-                    }
-                    // Never issued, or answered twice.
-                    (None | Some(Slot::Arrived(_)), _) => {
-                        self.fail(Broken::Protocol(format!("response for unknown request id {id}")))
-                    }
-                },
-                Ok((_, Message::Request(_))) => {
-                    self.fail(Broken::Protocol("received a request frame on the client".into()))
-                }
-                Err(e) => self.fail(Broken::Protocol(e.to_string())),
-            }
-            pos += need;
+    fn health(&self) -> Result<(), NetError> {
+        match &self.broken {
+            None => Ok(()),
+            Some(NetError::Protocol(why)) => Err(NetError::Protocol(why.clone())),
+            Some(_) => Err(NetError::Closed),
         }
-        self.partial.drain(..pos);
     }
-}
 
-/// How much one `read` asks the socket for. A burst of small responses
-/// fits in one; a large response takes several, back to back.
-const READ_CHUNK: usize = 16 * 1024;
-/// Reads per [`Conn::fill`]: 1 MiB, then the inbox is unlocked.
-const READS_PER_FILL: usize = 64;
+    /// Registers request `id` before the first byte of its frame leaves,
+    /// so that the response can never find its id unknown.
+    fn submit(&mut self, id: u64) -> Result<(), NetError> {
+        self.health()?;
+        self.slots.insert(id, Slot::Waiting);
+        Ok(())
+    }
 
-/// How a connection's byte stream stopped.
-enum Ended {
-    Eof,
-    Failed(std::io::Error),
+    /// Request `id`'s frame did not leave whole: part of it may be on the
+    /// wire, so framing is lost.
+    fn unsent(&mut self, id: u64) -> bool {
+        self.slots.remove(&id);
+        self.fail(NetError::Closed)
+    }
+
+    /// One turn of a waiter's loop: its response if it is in, else the
+    /// connection's death, else the deadline (`expired`), else sleep
+    /// behind the stationed reader or become it.
+    fn wait(&mut self, id: u64, expired: bool) -> Step {
+        if let Some(Slot::Arrived(_)) = self.slots.get(&id) {
+            let Some(Slot::Arrived(resp)) = self.slots.remove(&id) else { unreachable!() };
+            return Step::Done(Ok(resp));
+        }
+        if let Err(why) = self.health() {
+            return Step::Done(Err(why));
+        }
+        if expired {
+            return Step::Done(Err(NetError::Timeout));
+        }
+        if self.reading {
+            self.parked += 1;
+            Step::Park
+        } else {
+            self.reading = true;
+            Step::Read
+        }
+    }
+
+    fn unpark(&mut self) {
+        self.parked -= 1;
+    }
+
+    /// The stationed reader is back from `poll` (`Ok(true)`: the socket
+    /// has something) and gives up the read side, reading first if it
+    /// can. The parked waiters are always woken: frames may have been
+    /// filed for them, and if the reader now returns one of them must
+    /// take the read side over (if it loops, it takes it back first).
+    fn read(
+        &mut self,
+        polled: io::Result<bool>,
+        read: impl FnOnce(&mut FrameReader) -> io::Result<bool>,
+    ) -> bool {
+        self.reading = false;
+        match polled {
+            Ok(true) => self.fill(read),
+            Ok(false) => self.parked > 0, // timed out
+            Err(e) => self.fail(NetError::Io(e)),
+        }
+    }
+
+    /// Unless the connection is dead: reads one burst (`read` is
+    /// [`FrameReader::read_from`] on the socket), files every whole frame
+    /// under its id, and only then lets an EOF or a read error break the
+    /// connection. Returns whether to wake the parked waiters.
+    fn fill(&mut self, read: impl FnOnce(&mut FrameReader) -> io::Result<bool>) -> bool {
+        if self.broken.is_none() {
+            let ended = read(&mut self.frames);
+            while self.broken.is_none() {
+                match self.frames.pop() {
+                    Ok(Some((id, message, _))) => self.file(id, message),
+                    Ok(None) => break,
+                    Err(e) => self.broken = Some(e),
+                }
+            }
+            let ended = match ended {
+                Ok(true) => self.frames.finish().and(Err(NetError::Closed)),
+                Ok(false) => Ok(()),
+                Err(e) => Err(NetError::Io(e)),
+            };
+            if let Err(why) = ended {
+                self.fail(why);
+            }
+        }
+        self.parked > 0
+    }
+
+    fn file(&mut self, id: u64, message: Message) {
+        let why = match (message, self.slots.get_mut(&id)) {
+            (Message::Response(resp), Some(slot @ Slot::Waiting)) => {
+                *slot = Slot::Arrived(resp);
+                return;
+            }
+            (Message::Response(_), Some(Slot::Abandoned)) => {
+                self.slots.remove(&id);
+                return;
+            }
+            // Servers report connection-level failures (e.g. an
+            // undecodable frame) on the reserved id 0, which matches no
+            // ticket: surface the server's reason to every waiter instead
+            // of a generic unknown-id error.
+            (Message::Response(Response::Error(e)), None) => {
+                format!("server closed the connection: {e}")
+            }
+            // Never issued, or answered twice.
+            (Message::Response(_), _) => format!("response for unknown request id {id}"),
+            (Message::Request(_), _) => "received a request frame on the client".into(),
+        };
+        self.fail(NetError::Protocol(why));
+    }
+
+    /// Settles the slot of a ticket that is going away: a response that
+    /// already arrived is dropped with it, one still on its way is
+    /// marked to be discarded on arrival.
+    fn release(&mut self, id: u64) {
+        let dead = self.broken.is_some();
+        match self.slots.get_mut(&id) {
+            Some(slot @ Slot::Waiting) if !dead => *slot = Slot::Abandoned,
+            Some(_) => {
+                self.slots.remove(&id);
+            }
+            None => {} // claimed by `wait`
+        }
+    }
+
+    /// Records why the connection died — the first reason stands — and
+    /// returns whether to wake the parked waiters, who must all hear it.
+    fn fail(&mut self, why: NetError) -> bool {
+        self.broken.get_or_insert_with(|| match why {
+            NetError::Closed | NetError::Protocol(_) => why,
+            other => NetError::Protocol(other.to_string()),
+        });
+        self.parked > 0
+    }
 }
 
 /// One pooled connection: a nonblocking socket plus its [`Inbox`]. No
@@ -266,20 +355,14 @@ impl Conn {
             stream,
             writing: Mutex::new(()),
             next_id: AtomicU64::new(1),
-            inbox: Mutex::new(Inbox {
-                slots: HashMap::new(),
-                partial: Vec::new(),
-                reading: false,
-                parked: 0,
-                broken: None,
-            }),
+            inbox: Mutex::new(Inbox::default()),
             arrived: Condvar::new(),
         })
     }
 
     fn inbox(&self) -> MutexGuard<'_, Inbox> {
         // Every update leaves the inbox valid at every step (a slot is
-        // one of three states, `partial` only ever loses whole frames),
+        // one of three states, `frames` only ever loses whole frames),
         // so a panic elsewhere while it was held poisons nothing.
         self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -298,53 +381,11 @@ impl Conn {
         Ok(fds[0].revents)
     }
 
-    /// Wakes the parked waiters so that each re-checks its slot, the
-    /// connection's health and whether the read side is free. Called
-    /// with the inbox locked, after any change they could be waiting on.
-    fn wake_parked(&self, inbox: &Inbox) {
-        if inbox.parked > 0 {
+    /// Wakes the parked waiters when an [`Inbox`] transition says so.
+    /// Called with the inbox locked.
+    fn wake(&self, parked: bool) {
+        if parked {
             self.arrived.notify_all();
-        }
-    }
-
-    /// Reads what the socket holds right now (it is nonblocking) and
-    /// files every whole frame; EOF and read errors break the
-    /// connection *after* the frames that preceded them are filed.
-    fn fill(&self, inbox: &mut Inbox) {
-        let mut buf = [0u8; READ_CHUNK];
-        let mut ended = None;
-        // Bounded, so that a peer streaming at full speed cannot keep
-        // the inbox locked (and undecoded bytes piling up) for as long
-        // as it likes; `poll` is level-triggered and brings us back.
-        for _ in 0..READS_PER_FILL {
-            match (&self.stream).read(&mut buf) {
-                Ok(0) => {
-                    ended = Some(Ended::Eof);
-                    break;
-                }
-                Ok(n) => {
-                    inbox.partial.extend_from_slice(&buf[..n]);
-                    if n < buf.len() {
-                        break; // drained for now
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => {
-                    ended = Some(Ended::Failed(e));
-                    break;
-                }
-            }
-        }
-        inbox.file_frames();
-        match ended {
-            None => {}
-            Some(Ended::Eof) if inbox.partial.is_empty() => inbox.fail(Broken::Closed),
-            Some(Ended::Eof) => inbox.fail(Broken::Protocol(format!(
-                "connection closed mid-frame ({} bytes)",
-                inbox.partial.len()
-            ))),
-            Some(Ended::Failed(e)) => inbox.fail(Broken::read_error(e)),
         }
     }
 
@@ -353,28 +394,15 @@ impl Conn {
     fn submit(&self, req: &Request) -> Result<u64, NetError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let frame = encode_request(id, req);
-        {
-            // Registered before the first byte leaves, so the response
-            // can never find its id unknown.
-            let mut inbox = self.inbox();
-            if let Some(why) = &inbox.broken {
-                return Err(why.error());
-            }
-            inbox.slots.insert(id, Slot::Waiting);
-        }
+        self.inbox().submit(id)?;
         let written = {
             let _one_frame_at_a_time = self.writing.lock().unwrap_or_else(PoisonError::into_inner);
             self.write_frame(&frame)
         };
-        if let Err(e) = written {
-            // Part of a frame may be on the wire: framing is lost.
-            let mut inbox = self.inbox();
-            inbox.slots.remove(&id);
-            inbox.fail(Broken::Closed);
-            self.wake_parked(&inbox);
-            return Err(e);
+        if written.is_err() {
+            self.wake(self.inbox().unsent(id));
         }
-        Ok(id)
+        written.map(|()| id)
     }
 
     /// Writes one frame. When the socket refuses bytes — the caller has
@@ -392,13 +420,8 @@ impl Conn {
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     if self.ready(POLLIN | POLLOUT, None)? & !POLLOUT != 0 {
                         let mut inbox = self.inbox();
-                        if inbox.broken.is_none() {
-                            self.fill(&mut inbox);
-                            self.wake_parked(&inbox);
-                        }
-                        if let Some(why) = &inbox.broken {
-                            return Err(why.error());
-                        }
+                        self.wake(inbox.fill(|frames| frames.read_from(&self.stream)));
+                        inbox.health()?;
                     }
                 }
                 Err(e) => return Err(NetError::Io(e)),
@@ -413,69 +436,34 @@ impl Conn {
     fn wait(&self, id: u64, deadline: Option<Instant>) -> Result<Response, NetError> {
         let mut inbox = self.inbox();
         loop {
-            if let Some(Slot::Arrived(_)) = inbox.slots.get(&id) {
-                let Some(Slot::Arrived(resp)) = inbox.slots.remove(&id) else { unreachable!() };
-                return Ok(resp);
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            match inbox.wait(id, left == Some(Duration::ZERO)) {
+                Step::Done(result) => return result,
+                Step::Park => {
+                    inbox = match left {
+                        Some(left) => {
+                            self.arrived
+                                .wait_timeout(inbox, left)
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .0
+                        }
+                        None => self.arrived.wait(inbox).unwrap_or_else(PoisonError::into_inner),
+                    };
+                    inbox.unpark();
+                }
+                Step::Read => {
+                    drop(inbox);
+                    let polled = self.ready(POLLIN, left).map(|revents| revents != 0);
+                    inbox = self.inbox();
+                    self.wake(inbox.read(polled, |frames| frames.read_from(&self.stream)));
+                }
             }
-            if let Some(why) = &inbox.broken {
-                return Err(why.error());
-            }
-            let left = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
-                Some(Duration::ZERO) => return Err(NetError::Timeout),
-                left => left,
-            };
-            if inbox.reading {
-                inbox.parked += 1;
-                inbox = match left {
-                    Some(left) => {
-                        self.arrived
-                            .wait_timeout(inbox, left)
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .0
-                    }
-                    None => self.arrived.wait(inbox).unwrap_or_else(PoisonError::into_inner),
-                };
-                inbox.parked -= 1;
-                continue;
-            }
-            // Nobody is reading: this thread does, for everyone.
-            inbox.reading = true;
-            drop(inbox);
-            let ready = self.ready(POLLIN, left);
-            inbox = self.inbox();
-            inbox.reading = false;
-            match ready {
-                Ok(revents) if revents != 0 && inbox.broken.is_none() => self.fill(&mut inbox),
-                Ok(_) => {} // timed out, or closed under us meanwhile
-                Err(e) => inbox.fail(Broken::read_error(e)),
-            }
-            // Frames may have been filed for them; and if this thread
-            // now returns, one of them must take the read side over (if
-            // it loops, `reading` is set again before they get the lock).
-            self.wake_parked(&inbox);
-        }
-    }
-
-    /// Settles the slot of a ticket that is going away: a response that
-    /// already arrived is dropped with it, one still on its way is
-    /// marked to be discarded on arrival.
-    fn release(&self, id: u64) {
-        let mut inbox = self.inbox();
-        let dead = inbox.broken.is_some();
-        match inbox.slots.get_mut(&id) {
-            Some(slot @ Slot::Waiting) if !dead => *slot = Slot::Abandoned,
-            Some(_) => {
-                inbox.slots.remove(&id);
-            }
-            None => {} // claimed by `wait`
         }
     }
 
     /// Marks the connection dead and wakes everything blocked on it.
     fn close(&self) {
-        let mut inbox = self.inbox();
-        inbox.fail(Broken::Closed);
-        self.wake_parked(&inbox);
+        self.wake(self.inbox().fail(NetError::Closed));
         // Brings a reader stationed in `poll` back; it finds `broken`.
         let _ = self.stream.shutdown(Shutdown::Both);
     }
@@ -508,7 +496,7 @@ impl<T> NetTicket<T> {
 
 impl<T> Drop for NetTicket<T> {
     fn drop(&mut self) {
-        self.conn.release(self.id);
+        self.conn.inbox().release(self.id);
     }
 }
 
@@ -864,10 +852,13 @@ mod tests {
     //! The connection core against a scripted peer: a thread that owns
     //! the accepted socket, reads request frames and writes chosen bytes.
     //! Interleavings are forced by channels and by watching the inbox's
-    //! own state, never by hoping a sleep was long enough.
+    //! own state, never by hoping a sleep was long enough. Then the inbox
+    //! alone, under a depth-first scheduler that takes every ordering of
+    //! its transitions instead of the few a real socket happens to show.
 
     use super::*;
     use crate::protocol::{encode_response, read_frame};
+    use std::collections::HashSet;
     use std::net::TcpListener;
     use std::sync::mpsc;
 
@@ -970,7 +961,7 @@ mod tests {
 
         let inbox = conn.inbox();
         assert!(inbox.slots.is_empty(), "late responses are dropped, not kept");
-        assert!(inbox.partial.is_empty() && inbox.broken.is_none());
+        assert!(inbox.frames.pending() == 0 && inbox.broken.is_none());
         drop(inbox);
         peer();
     }
@@ -1004,7 +995,7 @@ mod tests {
         written.recv().unwrap();
         let timed_out = one.wait_timeout(Duration::from_millis(30));
         assert!(matches!(timed_out, Err(NetError::Timeout)), "got {timed_out:?}");
-        assert_eq!(conn.inbox().partial.len(), 10, "the piece read so far is kept");
+        assert_eq!(conn.inbox().frames.pending(), 10, "the piece read so far is kept");
 
         // The next waiter picks the frame up where the last one left it:
         // frame 1 completes (and is discarded), frame 2 is its own.
@@ -1012,7 +1003,7 @@ mod tests {
         assert_eq!(two.wait().unwrap(), "the answer to request 2");
         assert_eq!(three.wait().unwrap(), "the answer to request 3");
         let inbox = conn.inbox();
-        assert!(inbox.slots.is_empty() && inbox.partial.is_empty() && inbox.broken.is_none());
+        assert!(inbox.slots.is_empty() && inbox.frames.pending() == 0 && inbox.broken.is_none());
         drop(inbox);
         peer();
     }
@@ -1139,5 +1130,337 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         panic!("64 connections never left the thread count alone: {seen:?}");
+    }
+
+    // -----------------------------------------------------------------
+    // Every interleaving: the inbox's transitions under a depth-first
+    // scheduler, with no socket and no threads.
+    // -----------------------------------------------------------------
+
+    /// Where a modelled waiter is. Waiter `w` holds the ticket of request
+    /// `w + 1`.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    enum At {
+        /// Holds a ticket it has not waited on.
+        Holding,
+        /// Asleep on the condvar; `woken` once a notify has reached it.
+        Parked { woken: bool },
+        /// Stationed in `poll` on the socket.
+        Reading,
+        /// Its `wait` returned.
+        Done,
+        /// Its ticket is dropped.
+        Gone,
+    }
+
+    /// One thing the scheduler can make happen next. Each is one step
+    /// `Conn` takes with the inbox locked, so the steps are atomic.
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+    enum Event {
+        /// Waiter `w` calls `wait`, or wakes from the condvar after a
+        /// notify, and asks the inbox what to do.
+        Wait(usize),
+        /// Waiter `w`'s deadline passes: a ticket not yet waited on is
+        /// waited with none left, a parked waiter's condvar wait times
+        /// out, a reader's `poll` returns empty.
+        Timeout(usize),
+        /// Waiter `w` drops its ticket, unwaited or after `wait` returned.
+        Drop(usize),
+        /// The reader's burst brings the response to request `id`.
+        Bytes(u64),
+        /// `poll` said readable, but the read would block.
+        WouldBlock,
+        /// The peer closes the connection.
+        Eof,
+        /// The peer sends its reason for hanging up on id 0, then the
+        /// read fails.
+        Error,
+    }
+
+    const GOODBYE: &str =
+        "protocol error: server closed the connection: malformed frame: going away";
+
+    /// One inbox, `n` waiters, and a peer that has answered every request:
+    /// the answers sit in the socket until a reader's burst takes them.
+    struct World {
+        inbox: Inbox,
+        at: Vec<At>,
+        expired: Vec<bool>,
+        /// Requests whose response is still in the socket.
+        unread: Vec<u64>,
+        would_block_left: bool,
+        /// What every waiter and the next submit must hear once a
+        /// connection-fatal event happened.
+        fatal: Option<String>,
+        trace: Vec<Event>,
+    }
+
+    impl World {
+        fn new(n: usize) -> World {
+            let mut inbox = Inbox::default();
+            for id in 1..=n as u64 {
+                inbox.submit(id).unwrap();
+            }
+            World {
+                inbox,
+                at: vec![At::Holding; n],
+                expired: vec![false; n],
+                unread: (1..=n as u64).collect(),
+                would_block_left: true,
+                fatal: None,
+                trace: Vec::new(),
+            }
+        }
+
+        fn broken(&self, property: u8, what: String) -> ! {
+            let name = [
+                "each ticket resolves exactly once",
+                "a waiter is parked while bytes are pending only if someone is reading",
+                "an abandoned response is never delivered",
+                "a connection-fatal event reaches every waiter and the next submit",
+            ][usize::from(property) - 1];
+            panic!("property {property} ({name}) broken: {what}\n  after {:?}", self.trace)
+        }
+
+        fn reader(&self) -> Option<usize> {
+            self.at.iter().position(|&at| at == At::Reading)
+        }
+
+        /// Every event that could happen next, in a fixed order.
+        fn enabled(&self) -> Vec<Event> {
+            let mut events = Vec::new();
+            for (w, &at) in self.at.iter().enumerate() {
+                match at {
+                    At::Holding => {
+                        events.extend([Event::Wait(w), Event::Timeout(w), Event::Drop(w)])
+                    }
+                    At::Parked { woken } => {
+                        if woken {
+                            events.push(Event::Wait(w));
+                        }
+                        events.push(Event::Timeout(w));
+                    }
+                    At::Reading => events.push(Event::Timeout(w)),
+                    At::Done => events.push(Event::Drop(w)),
+                    At::Gone => {}
+                }
+            }
+            if self.reader().is_some() && self.fatal.is_none() {
+                events.extend(self.unread.iter().map(|&id| Event::Bytes(id)));
+                if self.would_block_left {
+                    events.push(Event::WouldBlock);
+                }
+                events.extend([Event::Eof, Event::Error]);
+            }
+            events
+        }
+
+        fn apply(&mut self, event: Event) {
+            self.trace.push(event);
+            match event {
+                Event::Wait(w) => {
+                    if let At::Parked { .. } = self.at[w] {
+                        self.inbox.unpark();
+                    }
+                    self.step(w);
+                }
+                Event::Timeout(w) => {
+                    self.expired[w] = true;
+                    match self.at[w] {
+                        At::Parked { .. } => {
+                            self.inbox.unpark();
+                            self.step(w);
+                        }
+                        At::Reading => self.leave(Ok(false), |_| unreachable!("poll was empty")),
+                        _ => self.step(w),
+                    }
+                }
+                Event::Drop(w) => {
+                    self.inbox.release(w as u64 + 1);
+                    self.at[w] = At::Gone;
+                }
+                Event::Bytes(id) => {
+                    self.unread.retain(|&unread| unread != id);
+                    self.leave(Ok(true), |frames| {
+                        frames.push(&named(id));
+                        Ok(false)
+                    });
+                }
+                Event::WouldBlock => {
+                    self.would_block_left = false;
+                    self.leave(Ok(true), |_| Ok(false));
+                }
+                Event::Eof => {
+                    self.fatal = Some(NetError::Closed.to_string());
+                    self.leave(Ok(true), |_| Ok(true));
+                }
+                Event::Error => {
+                    self.fatal = Some(GOODBYE.into());
+                    let why = WireError::Malformed("going away".into());
+                    self.leave(Ok(true), |frames| {
+                        frames.push(&encode_response(0, &Response::Error(why)));
+                        Err(ErrorKind::ConnectionReset.into())
+                    });
+                }
+            }
+            self.check();
+        }
+
+        /// The stationed reader comes back from `poll` with `polled`, as
+        /// `Conn::wait` does: the inbox reads through `read`, the condvar
+        /// is notified if the inbox says so, and the reader asks again.
+        fn leave(
+            &mut self,
+            polled: io::Result<bool>,
+            read: impl FnOnce(&mut FrameReader) -> io::Result<bool>,
+        ) {
+            let w = self.reader().expect("a reader is stationed");
+            if self.inbox.read(polled, read) {
+                for at in &mut self.at {
+                    if let At::Parked { woken } = at {
+                        *woken = true;
+                    }
+                }
+            }
+            self.step(w);
+        }
+
+        fn step(&mut self, w: usize) {
+            self.at[w] = match self.inbox.wait(w as u64 + 1, self.expired[w]) {
+                Step::Done(result) => {
+                    self.settled(w, result);
+                    At::Done
+                }
+                Step::Park => At::Parked { woken: false },
+                Step::Read => At::Reading,
+            };
+        }
+
+        /// Waiter `w`'s `wait` returned `result`.
+        fn settled(&self, w: usize, result: Result<Response, NetError>) {
+            let id = w as u64 + 1;
+            let in_socket = self.unread.contains(&id);
+            match result {
+                Ok(Response::Metrics { text }) if text == format!("the answer to request {id}") => {
+                    if in_socket {
+                        self.broken(1, format!("waiter {w} got a response nobody read"));
+                    }
+                }
+                Ok(other) => self.broken(1, format!("waiter {w} got {other:?}")),
+                Err(_) if !in_socket => {
+                    self.broken(1, format!("waiter {w} lost the response that was read for it"))
+                }
+                Err(NetError::Timeout) if self.fatal.is_some() => {
+                    self.broken(4, format!("waiter {w} timed out on a dead connection"))
+                }
+                Err(NetError::Timeout) if !self.expired[w] => {
+                    self.broken(1, format!("waiter {w} timed out before its deadline"))
+                }
+                Err(NetError::Timeout) => {}
+                Err(e) if self.fatal.as_deref() == Some(e.to_string().as_str()) => {}
+                Err(e) => self.broken(4, format!("waiter {w} heard {e:?}, not {:?}", self.fatal)),
+            }
+        }
+
+        /// The invariants every state must keep.
+        fn check(&mut self) {
+            let (reading, parked) = (
+                self.at.iter().filter(|&&at| at == At::Reading).count(),
+                self.at.iter().filter(|at| matches!(at, At::Parked { .. })).count(),
+            );
+            if self.inbox.reading != (reading == 1) || reading > 1 || self.inbox.parked != parked {
+                self.broken(
+                    2,
+                    format!("the inbox counts {reading} readers and {parked} parked wrong"),
+                );
+            }
+            if reading == 0 && self.at.contains(&At::Parked { woken: false }) {
+                let pending = if self.unread.is_empty() { "" } else { " with bytes pending" };
+                self.broken(2, format!("a waiter sleeps{pending} and nobody reads"));
+            }
+            for (w, &at) in self.at.iter().enumerate() {
+                if at == At::Gone
+                    && matches!(self.inbox.slots.get(&(w as u64 + 1)), Some(Slot::Arrived(_)))
+                {
+                    self.broken(3, format!("the response of dropped waiter {w} was filed"));
+                }
+            }
+            if let Some(fatal) = &self.fatal {
+                // Refused, so it leaves the inbox as it was.
+                match self.inbox.submit(99) {
+                    Err(e) if &e.to_string() == fatal => {}
+                    other => self.broken(4, format!("the next submit got {other:?}, not {fatal}")),
+                }
+            }
+        }
+
+        /// Everything that decides what can happen next.
+        fn key(&self) -> String {
+            let mut slots: Vec<_> = (self.inbox.slots.iter())
+                .map(|(id, slot)| {
+                    (*id, matches!(slot, Slot::Abandoned), matches!(slot, Slot::Arrived(_)))
+                })
+                .collect();
+            slots.sort_unstable();
+            format!(
+                "{:?} {:?} {:?} {} {:?} {slots:?} {} {} {:?} {}",
+                self.at,
+                self.expired,
+                self.unread,
+                self.would_block_left,
+                self.fatal,
+                self.inbox.reading,
+                self.inbox.parked,
+                self.inbox.broken,
+                self.inbox.frames.pending(),
+            )
+        }
+
+        /// What is left when every ticket is gone.
+        fn finish(&self) {
+            for (id, slot) in &self.inbox.slots {
+                if !matches!(slot, Slot::Abandoned) || !self.unread.contains(id) {
+                    self.broken(3, format!("slot {id} outlived its ticket"));
+                }
+            }
+        }
+    }
+
+    /// Depth-first over every ordering of the enabled events, replaying
+    /// `path` from the start to reach each state. An ordering that
+    /// reaches a state already explored stops there: what can happen
+    /// next, and every check made on it, depends on the state alone.
+    fn explore(
+        n: usize,
+        path: &mut Vec<Event>,
+        seen: &mut HashSet<String>,
+        fired: &mut HashSet<std::mem::Discriminant<Event>>,
+    ) {
+        let mut world = World::new(n);
+        for &event in path.iter() {
+            world.apply(event);
+        }
+        if !seen.insert(world.key()) {
+            return;
+        }
+        let events = world.enabled();
+        if events.is_empty() {
+            world.finish();
+        }
+        for event in events {
+            fired.insert(std::mem::discriminant(&event));
+            path.push(event);
+            explore(n, path, seen, fired);
+            path.pop();
+        }
+    }
+
+    #[test]
+    fn every_interleaving_of_up_to_three_waiters_keeps_the_inboxs_four_properties() {
+        for n in 1..=3 {
+            let (mut seen, mut fired) = (HashSet::new(), HashSet::new());
+            explore(n, &mut Vec::new(), &mut seen, &mut fired);
+            assert_eq!(fired.len(), 7, "{n} waiter(s): every kind of event happened somewhere");
+        }
     }
 }

@@ -11,9 +11,12 @@
 //!   and deals new connections round-robin to the workers;
 //! * [`ServerConfig::workers`] **workers** — each owns a set of
 //!   connections and runs `poll(2)` over their sockets plus a
-//!   [`polling::WakePipe`]. A worker reads frames into a per-connection
-//!   buffer, decodes them incrementally, and asks the server's
-//!   [`RequestHandler`] for a [`Reply`]. A [`Reply::Now`] is encoded and
+//!   [`polling::WakePipe`]. A worker reads each readable socket in one
+//!   bounded burst into that connection's [`FrameReader`] (the decoder
+//!   the client parses with too), pops every whole frame, and asks the
+//!   server's [`RequestHandler`] for a [`Reply`]. A read error drops the
+//!   connection; EOF closes its read side after the frames before it
+//!   are served. A [`Reply::Now`] is encoded and
 //!   written by the worker that decoded the request, in the same loop
 //!   iteration — it crosses no thread; a [`Reply::Later`] ships to the
 //!   resolver pool and lands back via a channel and the wake pipe (two
@@ -29,7 +32,7 @@
 //! A worker multiplexes every connection dealt to it, so whatever a
 //! handler does inside [`RequestHandler::handle`] is time none of them
 //! is served. [`crate::NetServer`] keeps that to lookups and encodes
-//! for reads, but still runs mutations there (ROADMAP item 1(b)).
+//! for reads, but still runs mutations there (ROADMAP item 3(a)).
 //!
 //! Backpressure: a connection's write buffer is capped at
 //! [`ServerConfig::max_write_buffer`]; when a slow reader fills it, the
@@ -42,12 +45,12 @@
 //! arrived bytes, resolves and flushes everything in flight, then joins
 //! all threads.
 
-use crate::protocol::{decode_frame, encode_response, frame_len, Message, Response, WireError};
+use crate::protocol::{encode_response, FrameReader, Message, Response, WireError};
 use crossbeam::channel::{Receiver, Sender};
 use gph_obs::{Counter, Gauge, MetricsRegistry};
 use polling::{PollFd, WakePipe, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -289,16 +292,13 @@ struct Slot {
 
 struct Conn {
     stream: TcpStream,
-    read_buf: Vec<u8>,
+    frames: FrameReader,
     /// Encoded frames awaiting the socket; `write_pos..` is unsent.
     write_buf: Vec<u8>,
     write_pos: usize,
     out: VecDeque<Slot>,
     next_seq: u64,
     last_activity: Instant,
-    /// Peer sent FIN; frames already buffered still get parsed and
-    /// served before the connection winds down.
-    eof: bool,
     /// No more reads will be parsed: EOF fully processed, framing lost
     /// to a protocol error, or server-side drain.
     read_closed: bool,
@@ -311,13 +311,12 @@ impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            read_buf: Vec::new(),
+            frames: FrameReader::default(),
             write_buf: Vec::new(),
             write_pos: 0,
             out: VecDeque::new(),
             next_seq: 0,
             last_activity: Instant::now(),
-            eof: false,
             read_closed: false,
             paused: false,
             dead: false,
@@ -670,7 +669,7 @@ fn worker_loop(
             if revents & POLLNVAL != 0 {
                 conn.dead = true;
             } else {
-                if revents & (POLLIN | POLLHUP | POLLERR) != 0 && !conn.read_closed {
+                if revents & (POLLIN | POLLHUP | POLLERR) != 0 {
                     read_pump(id, &mut conn, worker_idx, resolve_tx, shared);
                 }
                 if revents & POLLOUT != 0 {
@@ -682,9 +681,10 @@ fn worker_loop(
     }
 }
 
-/// Reads everything currently available (bounded per pass), parses
-/// complete frames out of the connection's read buffer, and dispatches
-/// them through the handler.
+/// Reads one bounded burst off the socket and dispatches every whole
+/// frame through the handler. A read error drops the connection; EOF
+/// closes the read side once the frames before it are served, with one
+/// protocol error if it cut a frame short.
 fn read_pump(
     id: u64,
     conn: &mut Conn,
@@ -692,70 +692,23 @@ fn read_pump(
     resolve_tx: &Sender<ResolveJob>,
     shared: &Arc<Shared>,
 ) {
-    let mut tmp = [0u8; 16 * 1024];
-    // Cap one pass at ~1 MiB so a firehose peer cannot starve the other
-    // connections on this worker; level-triggered poll resumes the rest.
-    for _ in 0..64 {
-        match conn.stream.read(&mut tmp) {
-            Ok(0) => {
-                conn.eof = true;
-                break;
-            }
-            Ok(n) => {
-                conn.read_buf.extend_from_slice(&tmp[..n]);
-                conn.last_activity = Instant::now();
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.dead = true;
-                return;
-            }
-        }
+    if conn.read_closed || conn.dead {
+        return;
     }
-    parse_frames(id, conn, worker_idx, resolve_tx, shared);
-    if conn.read_closed {
-        // Framing is lost: whatever else the peer buffered is garbage,
-        // and must not trigger a second error below.
-        conn.read_buf.clear();
-    } else if conn.eof {
-        if !conn.read_buf.is_empty() {
-            // EOF mid-frame: report the truncation once, like the
-            // blocking reader used to.
-            protocol_error(
-                conn,
-                &shared.counters,
-                format!("connection closed mid-frame ({} bytes)", conn.read_buf.len()),
-            );
-            conn.read_buf.clear();
-        }
-        conn.read_closed = true;
+    let before = conn.frames.pending();
+    let Ok(eof) = conn.frames.read_from(&conn.stream) else {
+        conn.dead = true;
+        return;
+    };
+    if conn.frames.pending() > before {
+        conn.last_activity = Instant::now();
     }
-}
-
-/// Consumes every complete frame at the front of `conn.read_buf`.
-fn parse_frames(
-    id: u64,
-    conn: &mut Conn,
-    worker_idx: usize,
-    resolve_tx: &Sender<ResolveJob>,
-    shared: &Arc<Shared>,
-) {
-    let mut pos = 0;
-    while !conn.read_closed && !conn.dead {
-        let rest = &conn.read_buf[pos..];
-        let need = match frame_len(rest) {
-            Ok(Some(need)) if need <= rest.len() => need,
-            Ok(_) => break, // header or payload still arriving
-            Err(e) => {
-                protocol_error(conn, &shared.counters, e.to_string());
-                break;
-            }
-        };
-        match decode_frame(&rest[..need]) {
-            Ok((request_id, Message::Request(req))) => {
+    while !conn.read_closed {
+        match conn.frames.pop() {
+            Ok(None) => break, // header or payload still arriving
+            Ok(Some((request_id, Message::Request(req), wire_len))) => {
                 let c = &shared.counters;
-                c.bytes_in.add(need as u64);
+                c.bytes_in.add(wire_len as u64);
                 c.requests.inc();
                 let seq = conn.next_seq;
                 conn.next_seq += 1;
@@ -771,28 +724,26 @@ fn parse_frames(
                     }
                 }
             }
-            Ok((request_id, Message::Response(_))) => {
+            Ok(Some((request_id, Message::Response(_), _))) => {
                 let msg = "received a response frame on the server".to_string();
-                shared.counters.protocol_errors.inc();
-                push_error(conn, request_id, msg);
+                protocol_error(conn, &shared.counters, request_id, msg);
             }
-            Err(e) => {
-                protocol_error(conn, &shared.counters, e.to_string());
-            }
+            Err(e) => protocol_error(conn, &shared.counters, 0, e.to_string()),
         }
-        pos += need;
     }
-    conn.read_buf.drain(..pos);
+    if eof && !conn.read_closed {
+        if let Err(e) = conn.frames.finish() {
+            protocol_error(conn, &shared.counters, 0, e.to_string());
+        }
+        conn.read_closed = true;
+    }
 }
 
-/// Framing is lost: count it, queue one `Malformed` reply (on the
-/// reserved id 0), and stop reading — pending work still drains.
-fn protocol_error(conn: &mut Conn, counters: &Counters, msg: String) {
+/// The peer broke the protocol: count it, queue one `Malformed` reply
+/// (on the reserved id 0 when framing is lost), and stop reading —
+/// pending work still drains.
+fn protocol_error(conn: &mut Conn, counters: &Counters, request_id: u64, msg: String) {
     counters.protocol_errors.inc();
-    push_error(conn, 0, msg);
-}
-
-fn push_error(conn: &mut Conn, request_id: u64, msg: String) {
     let seq = conn.next_seq;
     conn.next_seq += 1;
     let response = Some(Response::Error(WireError::Malformed(msg)));

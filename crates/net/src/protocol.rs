@@ -22,11 +22,18 @@
 //! as [`NetError::Protocol`] — never a panic, never silently wrong data.
 //! Encoding is canonical: decoding a frame and re-encoding it reproduces
 //! the input byte-for-byte, which the protocol property tests pin down.
+//!
+//! [`decode_frame`] decodes exactly one frame. Both ends of a socket —
+//! the client's inbox and the server's event workers — parse a stream
+//! with a [`FrameReader`], which sizes the frame at the front of its
+//! buffer from the header and decodes it once whole; each end keeps its
+//! own end-of-stream policy. [`read_frame`] is the blocking one-frame
+//! case, for tests and tools.
 
 use crate::NetError;
 use gph_obs::QueryTrace;
 use hamming_core::io::{ByteReader, Crc32};
-use std::io::Read;
+use std::io::{ErrorKind, Read};
 
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"GPHN";
@@ -971,30 +978,12 @@ fn parse_message(kind: u8, opcode: u8, payload: &[u8]) -> Result<Message, NetErr
     }
 }
 
-/// Validates the fixed fields of a 24-byte header (after the CRC has
-/// been verified by the caller's chosen path).
-fn check_header(version: u8, reserved: u8, payload_len: u32) -> Result<(), NetError> {
-    if version != VERSION {
-        return Err(proto_err(format!(
-            "unsupported protocol version {version} (this build speaks {VERSION})"
-        )));
-    }
-    if reserved != 0 {
-        return Err(proto_err(format!("reserved header byte is {reserved:#04x}, want 0")));
-    }
-    if payload_len > MAX_PAYLOAD {
-        return Err(proto_err(format!("payload of {payload_len} bytes exceeds {MAX_PAYLOAD}")));
-    }
-    Ok(())
-}
-
-/// Sizes the frame at the front of `buf` without decoding it, for
-/// incremental parsing off a nonblocking read buffer: `Ok(None)` means
-/// the header is still incomplete, `Ok(Some(n))` that the frame occupies
-/// the first `n` bytes (which may not all have arrived yet). Bad magic
-/// and oversized payloads fail here, before any allocation, so a
-/// desynced peer is detected from the first header.
-pub fn frame_len(buf: &[u8]) -> Result<Option<usize>, NetError> {
+/// Sizes the frame at the front of `buf` without decoding it:
+/// `Ok(None)` means the header is still incomplete, `Ok(Some(n))` that
+/// the frame occupies the first `n` bytes (which may not all have
+/// arrived yet). Bad magic and oversized payloads fail here, before any
+/// allocation, so a desynced peer is detected from the first header.
+fn frame_len(buf: &[u8]) -> Result<Option<usize>, NetError> {
     if !buf.is_empty() && buf[..buf.len().min(4)] != MAGIC[..buf.len().min(4)] {
         return Err(proto_err(format!("bad frame magic {:?}", &buf[..buf.len().min(4)])));
     }
@@ -1011,92 +1000,151 @@ pub fn frame_len(buf: &[u8]) -> Result<Option<usize>, NetError> {
 /// Decodes exactly one frame from `bytes` (trailing bytes are an error).
 /// Returns the request id and the parsed body.
 pub fn decode_frame(bytes: &[u8]) -> Result<(u64, Message), NetError> {
-    if bytes.len() < HEADER_LEN {
+    if frame_len(bytes)? != Some(bytes.len()) {
         return Err(proto_err(format!(
-            "frame header: need {HEADER_LEN} bytes, got {}",
+            "{} bytes are not the one frame the header sizes",
             bytes.len()
         )));
     }
-    if bytes[..4] != MAGIC {
-        return Err(proto_err(format!("bad frame magic {:?}", &bytes[..4])));
-    }
-    let mut r = ByteReader::new(&bytes[4..]);
+    let mut r = ByteReader::new(&bytes[4..HEADER_LEN]);
     let version = r.u8("frame version")?;
     let kind = r.u8("frame kind")?;
     let opcode = r.u8("frame opcode")?;
     let reserved = r.u8("frame reserved")?;
     let request_id = r.u64("frame request id")?;
-    let payload_len = r.u32("frame payload length")?;
+    r.u32("frame payload length")?; // checked by `frame_len`
     let crc = r.u32("frame crc")?;
-    // CRC first: a corrupted length or opcode must read as corruption,
-    // not as a confusing secondary error.
+    // CRC before the other fields: a corrupted opcode or version must
+    // read as corruption, not as a confusing secondary error.
     let got = Crc32::new().update(&bytes[4..20]).update(&bytes[HEADER_LEN..]).finish();
     if got != crc {
         return Err(proto_err(format!("frame checksum mismatch ({got:#010x} != {crc:#010x})")));
     }
-    check_header(version, reserved, payload_len)?;
-    let payload = r.bytes(payload_len as usize, "frame payload")?;
-    r.finish("frame")?;
-    Ok((request_id, parse_message(kind, opcode, payload)?))
-}
-
-/// Reads until `buf` is full. `Ok(false)` means EOF landed exactly on a
-/// frame boundary (nothing read); EOF mid-buffer is an error.
-fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool, NetError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(false);
-                }
-                return Err(proto_err(format!(
-                    "connection closed mid-frame ({filled}/{} bytes)",
-                    buf.len()
-                )));
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(NetError::Io(e)),
-        }
+    if version != VERSION {
+        return Err(proto_err(format!(
+            "unsupported protocol version {version} (this build speaks {VERSION})"
+        )));
     }
-    Ok(true)
+    if reserved != 0 {
+        return Err(proto_err(format!("reserved header byte is {reserved:#04x}, want 0")));
+    }
+    Ok((request_id, parse_message(kind, opcode, &bytes[HEADER_LEN..])?))
 }
 
-/// Reads one frame from a stream. Returns `Ok(None)` on a clean EOF at a
-/// frame boundary; mid-frame EOF, corruption, and oversized payloads are
-/// [`NetError`]s. On success also returns the frame's total wire size.
+fn closed_mid_frame(buffered: usize) -> NetError {
+    proto_err(format!("connection closed mid-frame ({buffered} bytes)"))
+}
+
+/// Reads one frame from a blocking stream: exactly a header, then exactly
+/// the rest of the frame it sizes, never a byte past it. Returns
+/// `Ok(None)` on a clean EOF at a frame boundary; mid-frame EOF,
+/// corruption, and oversized payloads are [`NetError`]s. On success also
+/// returns the frame's total wire size.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u64, Message, usize)>, NetError> {
-    let mut header = [0u8; HEADER_LEN];
-    if !read_full(r, &mut header)? {
+    let mut frame = Vec::with_capacity(HEADER_LEN);
+    r.by_ref().take(HEADER_LEN as u64).read_to_end(&mut frame)?;
+    if frame.is_empty() {
         return Ok(None);
     }
-    if header[..4] != MAGIC {
-        return Err(proto_err(format!("bad frame magic {:?}", &header[..4])));
+    // A header cut short sizes as a bare header, so the read below finds
+    // the EOF and reports the truncation.
+    let len = frame_len(&frame)?.unwrap_or(HEADER_LEN);
+    r.by_ref().take((len - frame.len()) as u64).read_to_end(&mut frame)?;
+    if frame.len() < len {
+        return Err(closed_mid_frame(frame.len()));
     }
-    let version = header[4];
-    let kind = header[5];
-    let opcode = header[6];
-    let reserved = header[7];
-    let request_id = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-    let payload_len = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(header[20..24].try_into().expect("4 bytes"));
-    // The length ceiling must hold before the allocation; version/reserved
-    // checks wait for the CRC so corruption reports as corruption.
-    if payload_len > MAX_PAYLOAD {
-        return Err(proto_err(format!("payload of {payload_len} bytes exceeds {MAX_PAYLOAD}")));
+    let (request_id, message) = decode_frame(&frame)?;
+    Ok(Some((request_id, message, len)))
+}
+
+/// Incremental `GPHN` parsing with no I/O of its own: bytes go in
+/// ([`FrameReader::push`], or one bounded [`FrameReader::read_from`]
+/// burst), whole frames come out ([`FrameReader::pop`]), and a frame
+/// still arriving stays buffered in between. The first malformed frame
+/// is the last thing it returns: framing is lost, so it drops what it
+/// buffered and ignores later bytes.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    buf: Vec<u8>,
+    /// Where the bytes not popped yet start; the next push drops the rest.
+    start: usize,
+    failed: bool,
+}
+
+impl FrameReader {
+    /// Buffers bytes received from the peer.
+    pub fn push(&mut self, bytes: &[u8]) {
+        if !self.failed {
+            self.buf.drain(..self.start);
+            self.start = 0;
+            self.buf.extend_from_slice(bytes);
+        }
     }
-    let mut payload = vec![0u8; payload_len as usize];
-    if !read_full(r, &mut payload)? && payload_len > 0 {
-        return Err(proto_err("connection closed before the frame payload"));
+
+    /// Reads one bounded burst from `src` — 16 KiB at a time, at most 64
+    /// reads, stopping early on a short read or `WouldBlock` — and buffers
+    /// what arrived. `Ok(true)` means the stream ended. Bytes read before
+    /// an error stay buffered, so the frames they complete still pop.
+    /// The bound keeps a peer streaming at full speed from holding its
+    /// reader (and what the reader has locked); a level-triggered `poll`
+    /// brings the caller back for the rest.
+    pub fn read_from(&mut self, mut src: impl Read) -> std::io::Result<bool> {
+        let mut chunk = [0u8; 16 * 1024];
+        for _ in 0..64 {
+            match src.read(&mut chunk) {
+                Ok(0) => return Ok(true),
+                Ok(n) => {
+                    self.push(&chunk[..n]);
+                    if n < chunk.len() {
+                        break; // drained for now
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(false)
     }
-    let got = Crc32::new().update(&header[4..20]).update(&payload).finish();
-    if got != crc {
-        return Err(proto_err(format!("frame checksum mismatch ({got:#010x} != {crc:#010x})")));
+
+    /// Pops the next whole frame as `(request id, message, wire length)`;
+    /// `Ok(None)` while it is still arriving. Bad magic and oversized
+    /// length claims fail from the header, before the payload is waited
+    /// for.
+    pub fn pop(&mut self) -> Result<Option<(u64, Message, usize)>, NetError> {
+        let rest = &self.buf[self.start..];
+        let decoded = match frame_len(rest) {
+            Ok(Some(len)) if len <= rest.len() => {
+                decode_frame(&rest[..len]).map(|(id, message)| (id, message, len))
+            }
+            Ok(_) => return Ok(None),
+            Err(e) => Err(e),
+        };
+        match decoded {
+            Ok(frame) => {
+                self.start += frame.2;
+                Ok(Some(frame))
+            }
+            Err(e) => {
+                *self = FrameReader { failed: true, ..FrameReader::default() };
+                Err(e)
+            }
+        }
     }
-    check_header(version, reserved, payload_len)?;
-    let message = parse_message(kind, opcode, &payload)?;
-    Ok(Some((request_id, message, HEADER_LEN + payload.len())))
+
+    /// Bytes buffered and not popped yet.
+    pub fn pending(&self) -> usize {
+        self.buf.len() - self.start
+    }
+
+    /// The end-of-stream check, once the peer has closed: anything still
+    /// buffered is a frame cut short.
+    pub fn finish(&self) -> Result<(), NetError> {
+        match self.pending() {
+            0 => Ok(()),
+            buffered => Err(closed_mid_frame(buffered)),
+        }
+    }
 }
 
 /// The frame checksum: CRC-32 over the header bytes after the magic

@@ -26,7 +26,7 @@
 //! an insert has executed before the next frame on its connection is
 //! parsed, so a pipelined insert → search reads its own write — and
 //! moving writes to the service's pool needs a rule that keeps it
-//! (ROADMAP item 1(b)).
+//! (ROADMAP item 3(a)).
 //!
 //! Admission-control rejections surface as typed [`WireError::Rejected`]
 //! error frames (in-band entries inside batch responses). Graceful

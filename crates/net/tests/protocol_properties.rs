@@ -5,8 +5,8 @@
 //! (never a panic, never a silently-wrong decode).
 
 use gph_net::protocol::{
-    decode_frame, encode_request, encode_response, frame_crc, read_frame, Message, NodeHealth,
-    Request, Response, SearchEntry, WireError, WireMutation, HEADER_LEN,
+    decode_frame, encode_request, encode_response, frame_crc, read_frame, FrameReader, Message,
+    NodeHealth, Request, Response, SearchEntry, WireError, WireMutation, HEADER_LEN,
 };
 use gph_net::NetError;
 use proptest::prelude::*;
@@ -175,6 +175,44 @@ fn message_strategy() -> impl Strategy<Value = Message> {
     })
 }
 
+fn stream_strategy() -> impl Strategy<Value = Vec<(u64, Message)>> {
+    prop::collection::vec((any::<u64>(), message_strategy()), 1..=16)
+}
+
+/// Pushes `stream` into a [`FrameReader`] in pieces of 1 to `max_piece`
+/// bytes (sizes drawn from `seed`), popping after every piece, and
+/// returns every frame popped plus the first error — from a pop, or from
+/// the end-of-stream check. Nothing may pop after the error.
+fn pop_in_pieces(
+    stream: &[u8],
+    max_piece: usize,
+    seed: u64,
+) -> (Vec<(u64, Message, usize)>, Option<NetError>) {
+    let mut reader = FrameReader::default();
+    let (mut popped, mut error) = (Vec::new(), None);
+    let (mut x, mut at) = (seed, 0);
+    while at < stream.len() {
+        x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+        let end = stream.len().min(at + 1 + (x >> 33) as usize % max_piece);
+        reader.push(&stream[at..end]);
+        at = end;
+        loop {
+            match reader.pop() {
+                Ok(Some(frame)) => {
+                    assert!(error.is_none(), "{frame:?} popped after {error:?}");
+                    popped.push(frame);
+                }
+                Ok(None) => break,
+                Err(e) => {
+                    assert!(error.is_none(), "{e:?} after {error:?}");
+                    error = Some(e);
+                }
+            }
+        }
+    }
+    (popped, error.or(reader.finish().err()))
+}
+
 /// Opcodes `0x08` and `0x0E` carried the retired `Stats` and
 /// `AggregateMetrics` ops: a well-formed, correctly checksummed frame
 /// naming either is a protocol error in either direction, like any
@@ -263,5 +301,64 @@ proptest! {
         let mut bytes = encode_message(id, &msg);
         bytes.extend(std::iter::repeat_n(0xA5, extra));
         prop_assert!(decode_frame(&bytes).is_err());
+    }
+
+    /// However a stream of whole frames is cut into pieces — one byte at
+    /// a time up to all at once — the incremental reader pops exactly
+    /// `decode_frame` of each frame, in order, and their wire lengths add
+    /// up to the stream.
+    #[test]
+    fn a_frame_reader_pops_every_frame_however_the_stream_is_cut(
+        frames in stream_strategy(),
+        max_piece in any::<prop::sample::Index>(),
+        seed in any::<u64>(),
+    ) {
+        let encoded: Vec<Vec<u8>> = frames.iter().map(|(id, msg)| encode_message(*id, msg)).collect();
+        let stream = encoded.concat();
+        let (popped, error) = pop_in_pieces(&stream, max_piece.index(stream.len()) + 1, seed);
+        prop_assert!(error.is_none(), "{:?}", error);
+        prop_assert_eq!(popped.len(), encoded.len());
+        for ((id, msg, len), bytes) in popped.iter().zip(&encoded) {
+            let (want_id, want_msg) = decode_frame(bytes).expect("a whole frame");
+            prop_assert_eq!((*id, msg, *len), (want_id, &want_msg, bytes.len()));
+        }
+        prop_assert_eq!(popped.iter().map(|frame| frame.2).sum::<usize>(), stream.len());
+    }
+
+    /// One flipped byte, or a cut inside a frame: the reader pops the
+    /// frames that were whole before the damage, then one protocol error,
+    /// and nothing after it.
+    #[test]
+    fn a_frame_reader_stops_at_the_first_damage(
+        frames in stream_strategy(),
+        max_piece in any::<prop::sample::Index>(),
+        seed in any::<u64>(),
+        at in any::<prop::sample::Index>(),
+        xor in 0u8..=255,
+    ) {
+        let encoded: Vec<Vec<u8>> = frames.iter().map(|(id, msg)| encode_message(*id, msg)).collect();
+        let mut stream = encoded.concat();
+        let starts: Vec<usize> = encoded.iter().scan(0, |end, frame| {
+            *end += frame.len();
+            Some(*end - frame.len())
+        }).collect();
+        let mut pos = at.index(stream.len());
+        if xor == 0 {
+            // A cut on a frame boundary leaves whole frames: move it inside.
+            if starts.contains(&pos) {
+                pos += 1;
+            }
+            stream.truncate(pos);
+        } else {
+            stream[pos] ^= xor;
+        }
+        let whole = starts.partition_point(|&start| start <= pos) - 1;
+        let (popped, error) = pop_in_pieces(&stream, max_piece.index(stream.len()) + 1, seed);
+        prop_assert!(matches!(error, Some(NetError::Protocol(_))), "got {:?}", error);
+        prop_assert_eq!(popped.len(), whole, "frames popped before damage in frame {}", whole);
+        for ((id, msg, _), bytes) in popped.iter().zip(&encoded) {
+            let (want_id, want_msg) = decode_frame(bytes).expect("a whole frame");
+            prop_assert_eq!((*id, msg), (want_id, &want_msg));
+        }
     }
 }
