@@ -18,7 +18,6 @@ use parking_lot::Mutex;
 pub struct Mih {
     data: Dataset,
     projector: Projector,
-    projected: ProjectedDataset,
     index: hamming_core::InvertedIndex,
     m: usize,
     stamp: Mutex<Stamp>,
@@ -37,17 +36,9 @@ impl Mih {
     /// baselines with the OS rearrangement).
     pub fn build_with_partitioning(data: Dataset, p: Partitioning) -> Result<Self> {
         let projector = Projector::new(&p);
-        let projected = ProjectedDataset::build(&data, &projector);
-        let index = hamming_core::InvertedIndex::build(&projected);
+        let index = hamming_core::InvertedIndex::build(&ProjectedDataset::build(&data, &projector));
         let n = data.len();
-        Ok(Mih {
-            data,
-            projector,
-            projected,
-            index,
-            m: p.num_parts(),
-            stamp: Mutex::new(Stamp::new(n)),
-        })
+        Ok(Mih { data, projector, index, m: p.num_parts(), stamp: Mutex::new(Stamp::new(n)) })
     }
 
     /// MIH's rule-of-thumb partition count `m ≈ n / log₂ N` (from \[25\]).
@@ -74,17 +65,22 @@ impl SearchIndex for Mih {
             let width = shape.width;
             let radius = tau_part.min(width);
             let q_proj = self.projector.project(i, query);
-            // Same guard as GPH's engine: when the ball outnumbers the
-            // data, scan the projected column instead of enumerating.
+            // Same guard and same scan as GPH's resident store: when the
+            // ball outnumbers the data, walk the distinct keys (or, for
+            // hashed keys wider than a word, project the rows on the fly)
+            // instead of enumerating.
             if ball_size(width, radius) > self.data.len() as u64 && !self.data.is_empty() {
-                let col = self.projected.column(i);
-                for id in 0..self.data.len() {
-                    if hamming_core::distance::hamming(col.value(id), &q_proj) as usize <= radius {
-                        stats.sum_postings += 1;
-                        if stamp.mark(id) {
-                            candidates.push(id as u32);
-                        }
+                let admit = |id: u32| {
+                    stats.sum_postings += 1;
+                    if stamp.mark(id as usize) {
+                        candidates.push(id);
                     }
+                };
+                if width <= 64 {
+                    let qk = q_proj.first().copied().unwrap_or(0);
+                    self.index.for_each_posting_within(i, qk, radius, admit);
+                } else {
+                    self.projector.for_each_row_within(i, &self.data, &q_proj, radius, admit);
                 }
                 continue;
             }
@@ -120,7 +116,7 @@ impl SearchIndex for Mih {
     }
 
     fn size_bytes(&self) -> usize {
-        self.index.size_bytes() + self.projected.size_bytes()
+        self.index.size_bytes()
     }
 }
 
@@ -149,6 +145,36 @@ mod tests {
             for qi in 0..queries.len() {
                 let q = queries.row(qi);
                 assert_eq!(mih.search(q, tau), ds.linear_scan(q, tau), "tau={tau}");
+            }
+        }
+    }
+
+    #[test]
+    fn scan_fallback_equals_linear_scan_at_every_partition_width() {
+        // 60 rows: a partition's ball outnumbers them from radius 1 at
+        // 64 and 80 bits and radius 2 at 32, so at these taus every
+        // partition takes the fallback — the key walk at 32 and 64 bits,
+        // the on-the-fly projection at 80.
+        for (dim, m, taus) in
+            [(32, 1, [2, 5]), (64, 1, [1, 3]), (80, 1, [1, 3]), (64, 2, [4, 6]), (160, 2, [2, 4])]
+        {
+            let ds = random_dataset(dim, 60, 5);
+            let mih = Mih::build(ds.clone(), m).unwrap();
+            let scan = crate::LinearScan::build(ds.clone());
+            for tau in taus {
+                // Every row in turn, so every key is some query's own.
+                for qi in 0..ds.len() {
+                    let q = ds.row(qi).to_vec();
+                    let (ids, st) = mih.search_with_stats(&q, tau);
+                    assert_eq!(ids, scan.search(&q, tau), "dim={dim} tau={tau} qi={qi}");
+                    assert_eq!(st.n_signatures, 0, "dim={dim} tau={tau}: every partition scans");
+                    assert!(st.n_candidates <= st.sum_postings);
+                    if m == 1 {
+                        // One partition is the row itself: the scan admits
+                        // exactly the answer.
+                        assert_eq!(st.sum_postings, ids.len() as u64, "dim={dim} tau={tau}");
+                    }
+                }
             }
         }
     }

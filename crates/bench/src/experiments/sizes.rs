@@ -1,8 +1,10 @@
 //! Fig. 6 (index sizes) and Table IV (index construction times).
 //!
 //! Expected shapes (paper): GPH and MIH are the smallest (query-side
-//! enumeration only; GPH slightly larger than MIH because the CN
-//! estimator is charged to it); HmSearch/PartAlloc are far larger
+//! enumeration only, and neither keeps a projected copy of the rows —
+//! both count postings plus prefix directories; GPH is larger than MIH
+//! by the CN estimator charged to it, 4-byte counts whose table sizes do
+//! not depend on the row count); HmSearch/PartAlloc are far larger
 //! (data-side 1-deletion variants); LSH varies with τ through `l`.
 //! Table IV: MIH builds fastest; GPH's partitioning dominates its build
 //! but is τ-independent (computed once for all thresholds).

@@ -14,6 +14,13 @@
 //! ```
 //!
 //! which costs `O(w · 2^w)` per radius level.
+//!
+//! The recurrence runs in `u64`, but a table entry is a count of rows,
+//! never more than `n`, and row ids are `u32` everywhere else — so
+//! tables hold `u32` counts (half the bytes of the estimator, which on
+//! small segments outweighs the index) and widen them on read. Snapshots
+//! still write each count as a `u64` word; a decoder narrows it after
+//! checking that it is at most `n` and that each row grows with `e`.
 
 use super::CnEstimator;
 use bytes::BufMut;
@@ -26,9 +33,15 @@ use hamming_core::project::ProjectedDataset;
 pub(crate) struct ExactPart {
     pub width: usize,
     pub e_max: usize,
+    /// Rows counted; at most `u32::MAX`, like every row id.
     pub n: u64,
-    /// Row-major `2^width × (e_max + 1)`: `table[v][e] = CN(v, e)`.
-    pub table: Vec<u64>,
+    /// Row-major `2^width × (e_max + 1)`: `table[v][e] = CN(v, e) ≤ n`.
+    pub table: Vec<u32>,
+}
+
+/// Narrows a count of rows to the table's `u32`.
+fn narrow(count: u64) -> u32 {
+    u32::try_from(count).expect("a CN count never exceeds the row count, which fits a u32")
 }
 
 impl ExactPart {
@@ -42,9 +55,9 @@ impl ExactPart {
         // Exact-distance levels t_{k-2}, t_{k-1} (rolling).
         let mut t_prev2: Vec<u64> = Vec::new(); // t_{k-2}
         let mut t_prev: Vec<u64> = freqs.to_vec(); // t_0
-        let mut table = vec![0u64; size * (e_max + 1)];
+        let mut table = vec![0u32; size * (e_max + 1)];
         for v in 0..size {
-            table[v * (e_max + 1)] = t_prev[v]; // CN(v, 0) = t_0(v)
+            table[v * (e_max + 1)] = narrow(t_prev[v]); // CN(v, 0) = t_0(v)
         }
         for k in 1..=e_max {
             let mut t_k = vec![0u64; size];
@@ -61,7 +74,7 @@ impl ExactPart {
             }
             for (v, &tk) in t_k.iter().enumerate() {
                 let row = v * (e_max + 1);
-                table[row + k] = table[row + k - 1] + tk;
+                table[row + k] = narrow(u64::from(table[row + k - 1]) + tk);
             }
             t_prev2 = std::mem::replace(&mut t_prev, t_k);
         }
@@ -82,7 +95,7 @@ impl ExactPart {
             return self.n;
         }
         let e = e.min(self.e_max);
-        self.table[v as usize * (self.e_max + 1) + e]
+        u64::from(self.table[v as usize * (self.e_max + 1) + e])
     }
 
     /// Exact-distance count `t_e(v) = CN(v, e) − CN(v, e−1)`.
@@ -96,22 +109,27 @@ impl ExactPart {
     }
 
     pub fn size_bytes(&self) -> usize {
-        self.table.len() * 8
+        self.table.len() * 4
     }
 
     /// Appends this table's snapshot encoding: `width u64, e_max u64,
-    /// n u64`, then the `2^width × (e_max + 1)` table words.
+    /// n u64`, then the `2^width × (e_max + 1)` counts, one `u64` word
+    /// each.
     pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.put_u64_le(self.width as u64);
         buf.put_u64_le(self.e_max as u64);
         buf.put_u64_le(self.n);
         for &v in &self.table {
-            buf.put_u64_le(v);
+            buf.put_u64_le(u64::from(v));
         }
     }
 
     /// Decodes one table written by [`ExactPart::encode_into`],
-    /// validating the declared shape before reading the table words.
+    /// validating the declared shape before reading the table words and
+    /// every word before narrowing it: a CRC-valid state spliced
+    /// together from other bytes can declare `n > u32::MAX`, a count
+    /// above `n`, or a row that shrinks as `e` grows — none of which a
+    /// build can produce.
     pub(crate) fn decode_from(r: &mut ByteReader<'_>) -> Result<Self> {
         let width = r.u64("exact-table width")? as usize;
         if width >= usize::BITS as usize - 1 {
@@ -124,6 +142,9 @@ impl ExactPart {
             )));
         }
         let n = r.u64("exact-table n")?;
+        if n > u64::from(u32::MAX) {
+            return Err(HammingError::Corrupt(format!("exact-table n {n} exceeds u32::MAX")));
+        }
         let table_len = (1usize << width)
             .checked_mul(e_max + 1)
             .filter(|&words| words <= r.remaining() / 8)
@@ -133,8 +154,37 @@ impl ExactPart {
                     e_max + 1
                 ))
             })?;
-        let table = r.u64s(table_len, "exact-table words")?;
-        Ok(ExactPart { width, e_max, n, table })
+        let words = r.bytes(table_len * 8, "exact-table words")?;
+        let count = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8 bytes"));
+        // One branch-free pass narrows every count and notes whether any
+        // row decreases or ends above `n` (a monotone row's largest count
+        // is its last, so no other count can exceed `n` then).
+        let mut table = Vec::with_capacity(table_len);
+        let mut bad = false;
+        for row in words.chunks_exact((e_max + 1) * 8) {
+            let mut prev = 0;
+            table.extend(row.chunks_exact(8).map(|w| {
+                let c = count(w);
+                bad |= c < prev;
+                prev = c;
+                c as u32
+            }));
+            bad |= prev > n;
+        }
+        if !bad {
+            return Ok(ExactPart { width, e_max, n, table });
+        }
+        // Name the first bad count.
+        let counts: Vec<u64> = words.chunks_exact(8).map(count).collect();
+        let i = (0..table_len)
+            .find(|&i| counts[i] > n || (i % (e_max + 1) > 0 && counts[i] < counts[i - 1]))
+            .expect("a table that fails the check has a first bad count");
+        let (v, e, c) = (i / (e_max + 1), i % (e_max + 1), counts[i]);
+        Err(HammingError::Corrupt(if c > n {
+            format!("exact-table CN({v}, {e}) = {c} exceeds n = {n}")
+        } else {
+            format!("exact-table CN({v}, {e}) = {c} is below CN({v}, {})", e - 1)
+        }))
     }
 }
 
@@ -270,6 +320,46 @@ mod tests {
         assert_eq!(part.cn(1, 7), 10);
         assert_eq!(part.exact_count(0, 0), 2);
         assert_eq!(part.exact_count(0, 1), 3); // values 1 and 2
+    }
+
+    /// A one-partition exact-estimator state over width 2 (`e_max` 2),
+    /// written by hand: the count `n`, then the table words.
+    fn state(n: u64, words: &[u64]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for header in [1, 2, 2, n] {
+            buf.put_u64_le(header); // parts, width, e_max, n
+        }
+        words.iter().for_each(|&w| buf.put_u64_le(w));
+        buf
+    }
+
+    #[test]
+    fn decode_rejects_counts_no_build_can_produce() {
+        let built = ExactPart::build_from_freqs(2, &[2, 3, 0, 5], 2);
+        let words: Vec<u64> = built.table.iter().map(|&c| u64::from(c)).collect();
+        assert_eq!(words, [2, 5, 10, 3, 10, 10, 0, 7, 10, 5, 8, 10]);
+        // Counts are stored in 32 bits and written as 64-bit words.
+        assert_eq!(built.size_bytes(), 12 * 4);
+        assert_eq!(ExactCn { parts: vec![built.clone()] }.encode_state(), state(10, &words));
+        let decoded = ExactCn::decode_state(&state(10, &words), &[2]).unwrap();
+        assert_eq!(decoded.parts[0].table, built.table);
+
+        let reject = |n: u64, at: usize, word: u64, needle: &str| {
+            let mut bad = words.clone();
+            bad[at] = word;
+            match ExactCn::decode_state(&state(n, &bad), &[2]) {
+                Err(HammingError::Corrupt(msg)) => assert!(msg.contains(needle), "{msg}"),
+                other => panic!("{needle}: expected Corrupt, got {:?}", other.map(|_| ())),
+            }
+        };
+        // CN(1, 2) = 11 of 10 rows: still monotone, but above n.
+        reject(10, 5, 11, "exceeds n = 10");
+        // CN(0, 1) = 1 < CN(0, 0) = 2: a ball that loses rows as it grows.
+        reject(10, 1, 1, "is below CN(0, 0)");
+        // A count past u32::MAX would be truncated by the narrowing.
+        reject(10, 2, 1 << 32, "exceeds n = 10");
+        // So would an `n` past it, however consistent the table.
+        reject(1 << 33, 2, 10, "exceeds u32::MAX");
     }
 
     #[test]

@@ -175,10 +175,15 @@ pub(crate) fn decode_kind(bytes: &[u8]) -> Result<EstimatorKind> {
     Ok(kind)
 }
 
-/// Restores an estimator for a loaded engine: from its persisted state
-/// when one was snapshotted (the table-based kinds), otherwise by a
-/// deterministic rebuild over the restored projections — seeds live in
-/// the kind, so the rebuilt estimator answers exactly as the saved one.
+/// Restores an estimator for a loaded engine from its persisted state
+/// when one was snapshotted (the table-based kinds); otherwise `rebuild`
+/// makes it, and is only then called. A resident load rebuilds
+/// deterministically over projections it makes for the purpose — seeds
+/// live in the kind, so the rebuilt estimator answers exactly as the
+/// saved one. A cold (file-backed) segment has no rows in memory to
+/// project and falls back to the closed-form
+/// [`crate::coldstore::FlatCn`] — the pigeonhole filter is exact under
+/// any valid allocation, so only cost estimates shift, never results.
 ///
 /// `widths` are the partition widths of the snapshot's partitioning;
 /// decoded state must match them exactly, so a state section that is
@@ -188,9 +193,8 @@ pub(crate) fn decode_kind(bytes: &[u8]) -> Result<EstimatorKind> {
 pub(crate) fn restore_estimator(
     kind: &EstimatorKind,
     state: Option<&[u8]>,
-    pd: &ProjectedDataset,
-    tau_max: usize,
     widths: &[usize],
+    rebuild: impl FnOnce() -> Result<Box<dyn CnEstimator>>,
 ) -> Result<Box<dyn CnEstimator>> {
     match (kind, state) {
         (EstimatorKind::Exact { .. }, Some(bytes)) => {
@@ -199,32 +203,7 @@ pub(crate) fn restore_estimator(
         (EstimatorKind::SubPartition { .. }, Some(bytes)) => {
             Ok(Box::new(subpart::SubPartitionCn::decode_state(bytes, widths)?))
         }
-        _ => build_estimator(kind, pd, tau_max),
-    }
-}
-
-/// Restores an estimator for a *cold* (file-backed) segment, which has
-/// no resident projected dataset to rebuild from. Table-based kinds
-/// restore from their persisted state exactly as in
-/// [`restore_estimator`]; kinds without state (`Learned`, `SampleScan`)
-/// fall back to the closed-form [`crate::coldstore::FlatCn`] — the
-/// pigeonhole filter is exact under any valid allocation, so only cost
-/// estimates shift, never results.
-pub(crate) fn restore_estimator_cold(
-    kind: &EstimatorKind,
-    state: Option<&[u8]>,
-    n_rows: usize,
-    tau_max: usize,
-    widths: &[usize],
-) -> Result<Box<dyn CnEstimator>> {
-    match (kind, state) {
-        (EstimatorKind::Exact { .. }, Some(bytes)) => {
-            Ok(Box::new(exact::ExactCn::decode_state(bytes, widths)?))
-        }
-        (EstimatorKind::SubPartition { .. }, Some(bytes)) => {
-            Ok(Box::new(subpart::SubPartitionCn::decode_state(bytes, widths)?))
-        }
-        _ => Ok(Box::new(crate::coldstore::FlatCn::new(n_rows, widths, tau_max))),
+        _ => rebuild(),
     }
 }
 

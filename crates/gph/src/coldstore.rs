@@ -626,7 +626,7 @@ use crate::snapshot::{
     SNAPSHOT_VERSION,
 };
 use hamming_core::io::{crc32, Footer, OFFSET_HEADER_LEN};
-use hamming_core::{hamming, hamming_within, words_for};
+use hamming_core::{hamming, hamming_within, words_for, Projector};
 use std::borrow::Cow;
 
 /// Keys scanned per paged batch on the cold scan-fallback path.
@@ -788,14 +788,21 @@ impl Store for Paged {
         }
     }
 
-    /// The resident store scans the projected column; paged, the
-    /// distinct-keys array plays that role for narrow partitions (key ==
-    /// projected value, and the postings of all matching keys are
-    /// exactly the rows within `radius`). Wide partitions store hashed
-    /// keys, so distance on keys is meaningless — flood every row as a
-    /// candidate and let verification (which is exact) keep the result
-    /// set identical.
-    fn scan_part(&self, part: usize, q_proj: &[u64], radius: usize, emit: impl FnMut(u32)) {
+    /// The distinct-keys walk the resident store runs, over paged keys,
+    /// for narrow partitions (key == projected value, and the postings
+    /// of all matching keys are exactly the rows within `radius`). Wide
+    /// partitions store hashed keys, so distance on keys is meaningless;
+    /// projecting every row would page the whole slab in, so flood every
+    /// row as a candidate instead and let verification (which is exact)
+    /// keep the result set identical.
+    fn scan_part(
+        &self,
+        _projector: &Projector,
+        part: usize,
+        q_proj: &[u64],
+        radius: usize,
+        emit: impl FnMut(u32),
+    ) {
         let part = &self.parts[part];
         if part.width <= 64 {
             self.scan_keys(part, q_proj.first().copied().unwrap_or(0), radius, emit);
@@ -904,13 +911,11 @@ impl ColdSegment {
         })?;
         let section_off =
             |slot: usize| Ok::<u64, HammingError>(blob_off + footer.slot(slot)?.offset);
-        let estimator = crate::cn::restore_estimator_cold(
-            &meta.estimator_kind,
-            meta.est_state()?,
-            meta.n_rows,
-            meta.cfg.tau_max,
-            &meta.widths(),
-        )?;
+        let widths = meta.widths();
+        let estimator =
+            crate::cn::restore_estimator(&meta.estimator_kind, meta.est_state()?, &widths, || {
+                Ok(Box::new(FlatCn::new(meta.n_rows, &widths, meta.cfg.tau_max)))
+            })?;
         // Keys are 8 bytes on an 8-byte grid, so none straddles a page
         // and every fence run is whole keys (writers align to 4 KiB).
         let keys_base = section_off(SLOT_KEYS)?;

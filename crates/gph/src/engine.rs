@@ -13,7 +13,6 @@ use crate::cost::CostModel;
 use crate::index::InvertedIndex;
 use crate::partition_opt::{build_partitioning, PartitionStrategy, WorkloadSpec};
 use crate::pipeline::{Plan, Store};
-use hamming_core::distance::hamming;
 use hamming_core::error::{HammingError, Result};
 use hamming_core::project::{ProjectedDataset, Projector};
 use hamming_core::{Dataset, Partitioning};
@@ -93,8 +92,8 @@ pub struct QueryStats {
     /// reported in [`QueryStats::n_scanned`] so this keeps its paper
     /// meaning.
     pub sum_postings: u64,
-    /// Rows examined by the projected-column scan fallback (the path
-    /// taken when a partition's signature ball outnumbers the data).
+    /// Rows examined by the scan fallback (the path taken when a
+    /// partition's signature ball outnumbers the data).
     /// Zero for queries answered purely through the index.
     pub n_scanned: u64,
     /// Distinct candidates verified (`|S_cand|`).
@@ -121,12 +120,12 @@ pub struct SearchResult {
     pub stats: QueryStats,
 }
 
-/// The resident [`Store`]: rows, CSR postings and projected columns
-/// all on the heap.
+/// The resident [`Store`]: rows and CSR postings on the heap. No
+/// projection of the rows is kept: the scan fallback reads the index's
+/// keys, or projects rows as it goes.
 pub(crate) struct Resident {
     pub(crate) data: Dataset,
     pub(crate) index: InvertedIndex,
-    pub(crate) projected: ProjectedDataset,
 }
 
 impl Store for Resident {
@@ -139,14 +138,23 @@ impl Store for Resident {
         f(self.index.postings(part, key))
     }
 
-    /// Scans the projected column — exactly the rows a full enumeration
-    /// would have probed.
-    fn scan_part(&self, part: usize, q_proj: &[u64], radius: usize, mut emit: impl FnMut(u32)) {
-        let col = self.projected.column(part);
-        for id in 0..self.data.len() {
-            if hamming(col.value(id), q_proj) as usize <= radius {
-                emit(id as u32);
-            }
+    /// Exactly the rows a full enumeration would have probed. Up to 64
+    /// bits a key is the projected value, so the distinct keys are
+    /// walked; wider keys are hashes, so each row is projected on the
+    /// fly.
+    fn scan_part(
+        &self,
+        projector: &Projector,
+        part: usize,
+        q_proj: &[u64],
+        radius: usize,
+        emit: impl FnMut(u32),
+    ) {
+        if self.index.part_width(part) <= 64 {
+            let qk = q_proj.first().copied().unwrap_or(0);
+            self.index.for_each_posting_within(part, qk, radius, emit);
+        } else {
+            projector.for_each_row_within(part, &self.data, q_proj, radius, emit);
         }
     }
 
@@ -225,6 +233,8 @@ impl Gph {
 
         let t1 = Instant::now();
         let projector = Projector::new(&partitioning);
+        // Build-time only: the index and the estimator are made from it,
+        // and it is dropped when they are.
         let projected = ProjectedDataset::build(&data, &projector);
         let index = InvertedIndex::build(&projected);
         stats.index_ms = t1.elapsed().as_millis() as u64;
@@ -232,6 +242,7 @@ impl Gph {
         let t2 = Instant::now();
         let estimator = build_estimator(&cfg.estimator, &projected, cfg.tau_max)?;
         stats.estimator_ms = t2.elapsed().as_millis() as u64;
+        drop(projected);
 
         let plan = Plan {
             partitioning,
@@ -243,7 +254,7 @@ impl Gph {
             tau_max: cfg.tau_max,
             scratch_pool: Default::default(),
         };
-        Ok(Gph { plan, store: Resident { data, index, projected }, build_stats: stats })
+        Ok(Gph { plan, store: Resident { data, index }, build_stats: stats })
     }
 
     /// Serializes the built engine into a checksummed snapshot: the
@@ -406,12 +417,11 @@ impl Gph {
         &self.plan.cost_model
     }
 
-    /// Index + estimator heap size (Fig. 6 accounting: GPH is charged for
-    /// its estimator state on top of the postings).
+    /// Index + estimator heap size, and nothing else (Fig. 6 accounting:
+    /// GPH is charged for its estimator state on top of the postings;
+    /// the rows themselves are the corpus, not the index).
     pub fn size_bytes(&self) -> usize {
-        self.store.index.size_bytes()
-            + self.plan.estimator.size_bytes()
-            + self.store.projected.size_bytes()
+        self.store.index.size_bytes() + self.plan.estimator.size_bytes()
     }
 
     /// Size of the inverted index alone.
@@ -647,6 +657,24 @@ mod tests {
         let gph = Gph::build(ds, &cfg).unwrap();
         assert!(gph.size_bytes() > 0);
         assert!(gph.index_size_bytes() <= gph.size_bytes());
+    }
+
+    #[test]
+    fn size_bytes_is_the_index_plus_the_estimator_and_nothing_else() {
+        // The benchmark's shape: 128 bits in partitions of 26, 26, 26,
+        // 25 and 25 bits, tau_max 16, the default SP estimator. Each
+        // partition splits into two sub-tables of 2^13 (or 2^12) values
+        // × 14 (or 13) radii: 1 024 000 counts whatever the row count,
+        // at 4 bytes each.
+        let ds = random_dataset(128, 300, 0.5, 55);
+        let cfg = GphConfig { strategy: PartitionStrategy::Original, ..GphConfig::new(5, 16) };
+        let gph = Gph::build(ds, &cfg).unwrap();
+        let widths: Vec<usize> = gph.partitioning().parts().iter().map(|p| p.len()).collect();
+        assert_eq!(widths, [26, 26, 26, 25, 25]);
+        let estimator = gph.plan.estimator.size_bytes();
+        assert_eq!(estimator, 4_096_000);
+        // No hidden copy of the rows rides along.
+        assert_eq!(gph.size_bytes(), gph.index_size_bytes() + estimator);
     }
 
     #[test]

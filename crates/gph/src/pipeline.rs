@@ -34,9 +34,16 @@ pub(crate) trait Store {
 
     /// Scan fallback for one partition, taken when the signature ball
     /// outnumbers the rows: emits a superset of the ids whose
-    /// projection on `part` lies within `radius` of `q_proj`, without
-    /// enumerating signatures.
-    fn scan_part(&self, part: usize, q_proj: &[u64], radius: usize, emit: impl FnMut(u32));
+    /// projection on `part` (by the plan's `projector`) lies within
+    /// `radius` of `q_proj`, without enumerating signatures.
+    fn scan_part(
+        &self,
+        projector: &Projector,
+        part: usize,
+        q_proj: &[u64],
+        radius: usize,
+        emit: impl FnMut(u32),
+    );
 
     /// Appends to `out`, ascending, every id of `candidates` (distinct)
     /// whose row is within `tau` of `query`. May reorder `candidates`.
@@ -169,7 +176,7 @@ impl Plan {
             if ball_size(width, radius) > n as u64 && n > 0 {
                 let t2 = Instant::now();
                 stats.n_scanned += n as u64;
-                store.scan_part(i, &q_proj[i], radius, &mut admit);
+                store.scan_part(&self.projector, i, &q_proj[i], radius, &mut admit);
                 stats.candgen_ns += t2.elapsed().as_nanos() as u64;
                 continue;
             }

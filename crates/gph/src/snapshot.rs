@@ -30,11 +30,13 @@
 //! | 8    | `offs`     | page-aligned: concatenated per-partition offset arrays |
 //! | 9    | `ids`      | page-aligned: concatenated per-partition postings arrays |
 //!
-//! Loading resident reconstructs the projector and projected columns
-//! from the dataset + partitioning (a cheap, deterministic bit-gather)
-//! and takes everything else verbatim, so a loaded engine answers every
-//! query byte-identically to the engine that was saved — the round-trip
-//! property test in `tests/snapshot_roundtrip.rs` pins this down.
+//! Loading resident reconstructs the projector from the partitioning
+//! and takes everything else verbatim; no projection of the rows is
+//! made or kept, except a temporary one when an estimator kind that
+//! stores no tables (`Learned`, `SampleScan`) is rebuilt from its
+//! seeds. A loaded engine answers every query byte-identically to the
+//! engine that was saved — the round-trip property test in
+//! `tests/snapshot_roundtrip.rs` pins this down.
 //!
 //! **Version policy:** the reader loads version [`SNAPSHOT_VERSION`]
 //! only. The tagged-section generations 1 and 2 are retired — nothing
@@ -43,7 +45,9 @@
 //! newer than this reader.
 
 use crate::alloc::AllocatorKind;
-use crate::cn::{decode_kind, encode_kind, restore_estimator, CnEstimator, EstimatorKind};
+use crate::cn::{
+    build_estimator, decode_kind, encode_kind, restore_estimator, CnEstimator, EstimatorKind,
+};
 use crate::cost::CostModel;
 use crate::engine::{BuildStats, Gph, GphConfig, Resident};
 use crate::partition_opt::{HeuristicConfig, InitKind, PartitionStrategy, WorkloadSpec};
@@ -573,22 +577,15 @@ pub(crate) fn decode_engine(bytes: &[u8]) -> Result<Gph> {
         ));
     }
     let index = InvertedIndex::from_csr(n, csr)?;
-    // The projected columns are a deterministic bit-gather of the rows —
-    // cheap to recompute, so they are not stored.
-    let projected = ProjectedDataset::build(&data, &meta.projector);
-    let estimator = restore_estimator(
-        &meta.estimator_kind,
-        meta.est_state()?,
-        &projected,
-        meta.cfg.tau_max,
-        &meta.widths(),
-    )?;
+    // Only the kinds without stored tables need the rows projected, and
+    // only for as long as their rebuild takes.
+    let estimator =
+        restore_estimator(&meta.estimator_kind, meta.est_state()?, &meta.widths(), || {
+            let projected = ProjectedDataset::build(&data, &meta.projector);
+            build_estimator(&meta.estimator_kind, &projected, meta.cfg.tau_max)
+        })?;
     let build_stats = meta.cfg.build_stats;
-    Ok(Gph {
-        plan: meta.into_plan(estimator),
-        store: Resident { data, index, projected },
-        build_stats,
-    })
+    Ok(Gph { plan: meta.into_plan(estimator), store: Resident { data, index }, build_stats })
 }
 
 /// Writes `bytes` to `path` via a same-directory temp file + rename, so

@@ -183,6 +183,30 @@ impl InvertedIndex {
         self.parts[p].keys.len()
     }
 
+    /// Hands `emit` every posting of partition `p` whose key lies within
+    /// Hamming distance `radius` of `qk`, in key order: exactly the rows
+    /// whose projection is in that ball, found by one walk of the
+    /// distinct keys instead of an enumeration of the ball. This is the
+    /// scan fallback for a ball that outnumbers the rows. Only partitions
+    /// at most 64 bits wide have keys that *are* projected values (wider
+    /// ones hash), so it panics on a wider partition.
+    pub fn for_each_posting_within(
+        &self,
+        p: usize,
+        qk: u64,
+        radius: usize,
+        mut emit: impl FnMut(u32),
+    ) {
+        let pi = &self.parts[p];
+        assert!(pi.width <= 64, "part {p} is {} bits wide: its keys are hashes", pi.width);
+        for (s, &k) in pi.keys.iter().enumerate() {
+            if (k ^ qk).count_ones() as usize <= radius {
+                let ids = &pi.ids[pi.offsets[s] as usize..pi.offsets[s + 1] as usize];
+                ids.iter().for_each(|&id| emit(id));
+            }
+        }
+    }
+
     /// Partition `p`'s sorted distinct signature keys (CSR `keys` array).
     pub fn part_keys(&self, p: usize) -> &[u64] {
         &self.parts[p].keys
@@ -317,6 +341,26 @@ mod tests {
         assert_eq!(idx.postings(1, 0b0000), &[0]);
         assert_eq!(idx.postings(1, 0b1110), &[1]); // dims 5,6,7 set
         assert_eq!(idx.postings(1, 0b1111), &[2, 3]);
+    }
+
+    #[test]
+    fn key_walk_emits_the_rows_of_the_ball() {
+        let (ds, idx, proj) = build_table1();
+        let pd = ProjectedDataset::build(&ds, &proj);
+        for part in 0..2 {
+            for qk in 0..16u64 {
+                for radius in 0..=4 {
+                    let mut got = Vec::new();
+                    idx.for_each_posting_within(part, qk, radius, |id| got.push(id));
+                    got.sort_unstable();
+                    let col = pd.column(part);
+                    let expect: Vec<u32> = (0..ds.len() as u32)
+                        .filter(|&id| (col.key(id as usize) ^ qk).count_ones() as usize <= radius)
+                        .collect();
+                    assert_eq!(got, expect, "part={part} qk={qk} radius={radius}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! candidate-number scans and index builds iterate over.
 
 use crate::dataset::Dataset;
+use crate::distance::hamming;
 use crate::key::key_of;
 use crate::partition::Partitioning;
 use crate::words_for;
@@ -76,6 +77,28 @@ impl Projector {
         let mut out = vec![0u64; self.shapes[part].words.max(1)];
         self.project_into(part, row, &mut out);
         out
+    }
+
+    /// Hands `emit` the id of every row of `ds` whose projection onto
+    /// partition `part` lies within `radius` of `q_val` (a
+    /// [`Projector::project`] buffer), projecting one row at a time: the
+    /// scan fallback of a partition too wide for its index keys to be
+    /// its values, with no projected copy of `ds` kept anywhere.
+    pub fn for_each_row_within(
+        &self,
+        part: usize,
+        ds: &Dataset,
+        q_val: &[u64],
+        radius: usize,
+        mut emit: impl FnMut(u32),
+    ) {
+        let mut val = vec![0u64; self.shapes[part].words.max(1)];
+        for (id, row) in ds.iter_rows().enumerate() {
+            self.project_into(part, row, &mut val);
+            if hamming(&val, q_val) as usize <= radius {
+                emit(id as u32);
+            }
+        }
     }
 
     /// Projects `row` onto every partition, returning per-partition buffers.
@@ -240,6 +263,28 @@ mod tests {
         let pd = ProjectedDataset::build(&ds, &Projector::new(&p));
         // x4 = 10011111: partition 0 (dims 0..4) = 1001 -> key 0b1001 = 9.
         assert_eq!(pd.column(0).key(3), 0b1001);
+    }
+
+    #[test]
+    fn row_scan_matches_the_projected_column() {
+        let ds = table1();
+        let p = Partitioning::new(8, vec![(0..6).collect::<Vec<u32>>(), vec![6, 7]]).unwrap();
+        let proj = Projector::new(&p);
+        let pd = ProjectedDataset::build(&ds, &proj);
+        let q = BitVector::parse("10000011").unwrap();
+        for part in 0..2 {
+            let qv = proj.project(part, q.words());
+            for radius in 0..=6 {
+                let mut got = Vec::new();
+                proj.for_each_row_within(part, &ds, &qv, radius, |id| got.push(id));
+                let expect: Vec<u32> = (0..ds.len() as u32)
+                    .filter(|&id| {
+                        hamming(pd.column(part).value(id as usize), &qv) as usize <= radius
+                    })
+                    .collect();
+                assert_eq!(got, expect, "part={part} radius={radius}");
+            }
+        }
     }
 
     #[test]
