@@ -80,7 +80,10 @@ impl Stamp {
     pub(crate) fn next_epoch(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.stamps.iter_mut().for_each(|s| *s = u32::MAX);
+            // Wrapped: refill with 0, the one value no live epoch takes.
+            // Any other fill value is reached again by a later epoch, and
+            // would then read every untouched id as already marked.
+            self.stamps.fill(0);
             self.epoch = 1;
         }
     }
@@ -119,5 +122,12 @@ mod tests {
         assert_eq!(s.epoch, 1);
         assert!(s.mark(0));
         assert!(!s.mark(0));
+        // 2³² − 2 epochs on, id 1 has not been marked since the wrap: the
+        // epoch that reaches u32::MAX must still see it as unmarked.
+        s.epoch = u32::MAX - 1;
+        s.next_epoch();
+        assert_eq!(s.epoch, u32::MAX);
+        assert!(s.mark(1), "an id untouched since the wrap reads as already seen");
+        assert!(!s.mark(1));
     }
 }

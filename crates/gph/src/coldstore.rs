@@ -620,7 +620,7 @@ impl crate::cn::CnEstimator for FlatCn {
 use crate::cn::EstimatorKind;
 use crate::cost::CostModel;
 use crate::engine::SearchResult;
-use crate::pipeline::{Plan, Store};
+use crate::pipeline::{topk_by_escalation, Plan, Store};
 use crate::snapshot::{
     decode_engine_meta, PartSpan, ENGINE_MAGIC, SLOT_IDS, SLOT_KEYS, SLOT_OFFS, SLOT_ROWS,
     SNAPSHOT_VERSION,
@@ -667,7 +667,7 @@ fn derive_fences(
 
 /// The paged [`Store`]: the row slab and CSR arrays of one GPHE v3
 /// blob, read through the shared [`PageCache`].
-struct Paged {
+pub(crate) struct Paged {
     file: Arc<SegmentFile>,
     cache: Arc<PageCache>,
     wpv: usize,
@@ -857,7 +857,7 @@ impl Store for Paged {
 /// panics with context — the same contract as a faulted mmap.
 pub struct ColdSegment {
     pub(crate) plan: Plan,
-    store: Paged,
+    pub(crate) store: Paged,
     blob_off: u64,
     blob_len: u64,
 }
@@ -1004,11 +1004,6 @@ impl ColdSegment {
         self.store.row(id)
     }
 
-    /// Exact Hamming distance from `query` to row `id`.
-    pub fn distance_to(&self, id: usize, query: &[u64]) -> u32 {
-        self.store.distance_to(id, query)
-    }
-
     /// All vectors within `tau` of `query` (exact; ascending IDs).
     pub fn search(&self, query: &[u64], tau: u32) -> Vec<u32> {
         self.search_with_stats(query, tau).ids
@@ -1029,7 +1024,8 @@ impl ColdSegment {
     /// Top-k within a capped escalation radius — see
     /// [`Gph::search_topk_within`](crate::engine::Gph::search_topk_within).
     pub fn search_topk_within(&self, query: &[u64], k: usize, tau_cap: u32) -> Vec<(u32, u32)> {
-        self.plan.search_topk_within(&self.store, query, k, tau_cap)
+        self.plan.check_query(query, tau_cap);
+        topk_by_escalation(k, tau_cap, |tau| self.plan.search_hits(&self.store, query, tau, true).0)
     }
 }
 

@@ -12,7 +12,7 @@ use crate::cn::{build_estimator, EstimatorKind};
 use crate::cost::CostModel;
 use crate::index::InvertedIndex;
 use crate::partition_opt::{build_partitioning, PartitionStrategy, WorkloadSpec};
-use crate::pipeline::{Plan, Store};
+use crate::pipeline::{topk_by_escalation, Plan, Store};
 use hamming_core::error::{HammingError, Result};
 use hamming_core::project::{ProjectedDataset, Projector};
 use hamming_core::{Dataset, Partitioning};
@@ -307,10 +307,11 @@ impl Gph {
         self.plan.estimate_cost(query, tau)
     }
 
-    /// Top-k search by threshold escalation: grows τ until at least `k`
-    /// results exist (or `tau_max` is reached), then returns the `k`
-    /// nearest by exact distance. The common retrieval mode of MIH-style
-    /// systems, reused by the image-retrieval example.
+    /// Top-k search by threshold escalation ([`crate::topk_by_escalation`]):
+    /// grows τ until at least `k` results exist (or `tau_max` is
+    /// reached), then returns the `k` nearest by exact distance, ties
+    /// broken by id. The common retrieval mode of MIH-style systems,
+    /// reused by the image-retrieval example.
     pub fn search_topk(&self, query: &[u64], k: usize) -> Vec<(u32, u32)> {
         self.search_topk_within(query, k, self.plan.tau_max as u32)
     }
@@ -321,7 +322,8 @@ impl Gph {
     /// are the serving layer's degraded mode — admission control bounds
     /// the worst-case escalation cost by shrinking the radius.
     pub fn search_topk_within(&self, query: &[u64], k: usize, tau_cap: u32) -> Vec<(u32, u32)> {
-        self.plan.search_topk_within(&self.store, query, k, tau_cap)
+        self.plan.check_query(query, tau_cap);
+        topk_by_escalation(k, tau_cap, |tau| self.plan.search_hits(&self.store, query, tau, true).0)
     }
 
     /// Similarity self-join: every unordered pair `(a, b)`, `a < b`, of

@@ -70,5 +70,6 @@ pub use engine::{Gph, GphConfig, QueryStats, SearchResult};
 pub use hamming_core::{fasthash, invindex as index};
 pub use partition_opt::{HeuristicConfig, InitKind, PartitionStrategy, WorkloadSpec};
 pub use pigeonhole::ThresholdVector;
+pub use pipeline::{merge_topk, topk_by_escalation};
 pub use segment::{SegmentConfig, SegmentedGph};
 pub use snapshot::{ENGINE_MAGIC, SNAPSHOT_VERSION};

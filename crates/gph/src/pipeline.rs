@@ -10,6 +10,11 @@
 //! reads through a page cache) — and the loop is generic over them, so
 //! each compiles to its own monomorphic copy with no dynamic dispatch
 //! per key. `ARCHITECTURE.md` ("The query pipeline") has the diagram.
+//!
+//! Top-k is written here once too, as [`topk_by_escalation`]: a loop
+//! that grows τ over any layer's range search with distances. The
+//! engine, a cold segment, the segmented engine and the sharded index
+//! each call it over their own.
 
 use crate::alloc::{allocate, AllocatorKind};
 use crate::cn::{CnEstimator, CnTable, EstimatorKind};
@@ -87,7 +92,8 @@ impl Scratch {
 
 /// The storage-independent half of a built engine: how a query is
 /// turned into per-partition probes. Owns the one implementation of
-/// search, cost estimation and top-k escalation.
+/// search and cost estimation; top-k is [`topk_by_escalation`] over its
+/// search.
 pub(crate) struct Plan {
     pub(crate) partitioning: Partitioning,
     pub(crate) projector: Projector,
@@ -114,13 +120,8 @@ impl Plan {
         (tv, cost)
     }
 
-    /// Search with per-phase instrumentation.
-    pub(crate) fn search_with_stats<S: Store>(
-        &self,
-        store: &S,
-        query: &[u64],
-        tau: u32,
-    ) -> SearchResult {
+    /// Panics unless `query` has the indexed width and `tau ≤ tau_max`.
+    pub(crate) fn check_query(&self, query: &[u64], tau: u32) {
         assert!(
             tau as usize <= self.tau_max,
             "tau {tau} exceeds the configured tau_max {}",
@@ -131,6 +132,16 @@ impl Plan {
             words_for(self.partitioning.dim()),
             "query width mismatch with indexed data"
         );
+    }
+
+    /// Search with per-phase instrumentation.
+    pub(crate) fn search_with_stats<S: Store>(
+        &self,
+        store: &S,
+        query: &[u64],
+        tau: u32,
+    ) -> SearchResult {
+        self.check_query(query, tau);
         let mut stats = QueryStats::default();
         let n = store.len();
 
@@ -217,11 +228,28 @@ impl Plan {
         SearchResult { ids, stats }
     }
 
+    /// [`Plan::search_with_stats`] as `(id, distance)` pairs, ascending
+    /// by id: the form callers merge (segments) or rank (top-k) in. With
+    /// `distances`, each result's exact distance is taken, one
+    /// `distance_to` per result; without, it is left 0, so a range read
+    /// pays for no distance it does not return.
+    pub(crate) fn search_hits<S: Store>(
+        &self,
+        store: &S,
+        query: &[u64],
+        tau: u32,
+        distances: bool,
+    ) -> (Vec<(u32, u32)>, QueryStats) {
+        let SearchResult { ids, stats } = self.search_with_stats(store, query, tau);
+        let distance = |id: u32| if distances { store.distance_to(id as usize, query) } else { 0 };
+        (ids.into_iter().map(|id| (id, distance(id))).collect(), stats)
+    }
+
     /// Estimated query-processing cost for `(query, tau)` without
     /// running the search — Equation 1 applied to the allocation the
     /// optimizer would choose. Needs no storage at all.
     pub(crate) fn estimate_cost(&self, query: &[u64], tau: u32) -> f64 {
-        assert!(tau as usize <= self.tau_max, "tau exceeds tau_max");
+        self.check_query(query, tau);
         let q_proj = self.project(query);
         let sum_cn = if q_proj.len() == 1 {
             let mut row = vec![0.0; tau as usize + 2];
@@ -232,35 +260,45 @@ impl Plan {
         };
         self.cost_model.query_cost(sum_cn, tau)
     }
+}
 
-    /// Top-k by threshold escalation: grows τ until at least `k`
-    /// results exist (or `tau_cap` is reached), then returns the `k`
-    /// nearest by exact distance, ties broken by id.
-    pub(crate) fn search_topk_within<S: Store>(
-        &self,
-        store: &S,
-        query: &[u64],
-        k: usize,
-        tau_cap: u32,
-    ) -> Vec<(u32, u32)> {
-        assert!(
-            tau_cap as usize <= self.tau_max,
-            "tau_cap {tau_cap} exceeds the configured tau_max {}",
-            self.tau_max
-        );
-        let mut tau = 0u32;
-        loop {
-            let ids = self.search_with_stats(store, query, tau).ids;
-            if ids.len() >= k || tau >= tau_cap {
-                let mut scored: Vec<(u32, u32)> =
-                    ids.iter().map(|&id| (id, store.distance_to(id as usize, query))).collect();
-                scored.sort_by_key(|&(id, d)| (d, id));
-                scored.truncate(k);
-                return scored;
-            }
-            tau = (tau * 2).max(tau + 1).min(tau_cap);
-        }
+/// Top-k by threshold escalation, the one top-k loop of every layer
+/// (engine, cold segment, segmented engine, sharded index). `within(τ)`
+/// is the layer's range search with exact distances: every live
+/// `(id, distance)` within `τ`, in any order. τ grows 0, 1, 2, 4, …
+/// up to `tau_cap` and stops at the first τ holding at least `k` rows;
+/// the `k` nearest of those, ties broken by id, are the `k` nearest
+/// within `tau_cap`, since every row nearer than the k-th lies within
+/// the same τ. `k == 0` returns nothing without searching.
+pub fn topk_by_escalation(
+    k: usize,
+    tau_cap: u32,
+    mut within: impl FnMut(u32) -> Vec<(u32, u32)>,
+) -> Vec<(u32, u32)> {
+    if k == 0 {
+        return Vec::new();
     }
+    let mut tau = 0u32;
+    loop {
+        let hits = within(tau);
+        if hits.len() >= k || tau >= tau_cap {
+            return merge_topk(hits, k);
+        }
+        tau = (tau * 2).max(tau + 1).min(tau_cap);
+    }
+}
+
+/// The `k` nearest of `hits` by `(distance, id)`: the last step of
+/// [`topk_by_escalation`], and the fleet's gather of its nodes' answers.
+/// When the hits come from sources that partition the live rows and
+/// each source contributed its exact top-`k`, this is the global
+/// top-`k`: every true member beats the global k-th distance, so it
+/// beats its own source's k-th and is among that source's hits.
+pub fn merge_topk(hits: impl IntoIterator<Item = (u32, u32)>, k: usize) -> Vec<(u32, u32)> {
+    let mut hits: Vec<(u32, u32)> = hits.into_iter().collect();
+    hits.sort_unstable_by_key(|&(id, d)| (d, id));
+    hits.truncate(k);
+    hits
 }
 
 #[cfg(test)]

@@ -25,7 +25,12 @@
 //!   two smallest are merged into one freshly built segment, bounding
 //!   per-query segment fan-out the way LSM level merges bound sstable
 //!   counts. Merges always run the configured strategy: flushes are
-//!   cheap, merges are where re-optimisation happens.
+//!   cheap, merges are where re-optimisation happens;
+//! * **one query walk**: a range search visits every sealed segment and
+//!   then the memtable, drops tombstoned hits and maps local rows to
+//!   external ids, in one place. Top-k is the shared escalation loop
+//!   ([`crate::topk_by_escalation`]) over that walk, so it never sees a
+//!   dead row and needs no per-segment over-fetch.
 //!
 //! Rows are addressed by caller-chosen `u32` ids, stable across seals and
 //! compactions. Every query is **provably identical** to a fresh [`Gph`]
@@ -36,9 +41,9 @@
 //! snapshot/restore round-trip.
 
 use crate::coldstore::{ColdSegment, PageCacheStats, SegmentFile, SpillStore, StorageMode};
-use crate::engine::{Gph, GphConfig, QueryStats, SearchResult};
+use crate::engine::{Gph, GphConfig, QueryStats};
 use crate::partition_opt::PartitionStrategy;
-use crate::pipeline::Plan;
+use crate::pipeline::{topk_by_escalation, Plan};
 use crate::snapshot::{decode_gph_config, encode_gph_config};
 use bytes::BufMut;
 use gph_obs::{PhaseNanos, SegmentTrace};
@@ -164,24 +169,12 @@ impl SegStore {
         }
     }
 
-    fn search_with_stats(&self, query: &[u64], tau: u32) -> SearchResult {
+    /// The segment's range search as `(local row, distance)` pairs —
+    /// see [`Plan::search_hits`].
+    fn search(&self, query: &[u64], tau: u32, distances: bool) -> (Vec<(u32, u32)>, QueryStats) {
         match self {
-            SegStore::Resident(g) => g.search_with_stats(query, tau),
-            SegStore::Cold(c) => c.search_with_stats(query, tau),
-        }
-    }
-
-    fn search_topk_within(&self, query: &[u64], k: usize, tau_cap: u32) -> Vec<(u32, u32)> {
-        match self {
-            SegStore::Resident(g) => g.search_topk_within(query, k, tau_cap),
-            SegStore::Cold(c) => c.search_topk_within(query, k, tau_cap),
-        }
-    }
-
-    fn distance_to(&self, row: usize, query: &[u64]) -> u32 {
-        match self {
-            SegStore::Resident(g) => g.data().distance_to(row, query),
-            SegStore::Cold(c) => c.distance_to(row, query),
+            SegStore::Resident(g) => g.plan.search_hits(&g.store, query, tau, distances),
+            SegStore::Cold(c) => c.plan.search_hits(&c.store, query, tau, distances),
         }
     }
 
@@ -712,38 +705,62 @@ impl SegmentedGph {
         &self,
         query: &[u64],
         tau: u32,
-        mut sink: Option<&mut Vec<SegmentTrace>>,
+        sink: Option<&mut Vec<SegmentTrace>>,
     ) -> (Vec<u32>, QueryStats) {
+        let (hits, stats) = self.walk(query, tau, sink, false);
+        let mut ids: Vec<u32> = hits.into_iter().map(|(id, _)| id).collect();
+        ids.sort_unstable();
+        (ids, stats)
+    }
+
+    /// Live rows within `tau` of `query` as `(id, distance)` pairs,
+    /// ascending by id — the range search top-k escalates over.
+    pub fn search_with_distances(&self, query: &[u64], tau: u32) -> Vec<(u32, u32)> {
+        let mut hits = self.walk(query, tau, None, true).0;
+        hits.sort_unstable();
+        hits
+    }
+
+    /// The one walk over the sealed segments and the memtable: every
+    /// live row within `tau` of `query` as `(id, distance)`, unordered,
+    /// with instrumentation summed across segments and, when `sink` is
+    /// `Some`, traced per segment. Sealed hits carry their exact
+    /// distance only when `distances` is set (0 otherwise); memtable
+    /// hits always do, since the scan computes it anyway.
+    fn walk(
+        &self,
+        query: &[u64],
+        tau: u32,
+        mut sink: Option<&mut Vec<SegmentTrace>>,
+        distances: bool,
+    ) -> (Vec<(u32, u32)>, QueryStats) {
         self.assert_query(query, tau);
-        let mut out = Vec::new();
+        let mut hits = Vec::new();
         let mut agg = QueryStats::default();
         for (seg_idx, seg) in self.sealed.iter().enumerate() {
-            let res = seg.store.search_with_stats(query, tau);
-            agg.alloc_ns += res.stats.alloc_ns;
-            agg.enumerate_ns += res.stats.enumerate_ns;
-            agg.candgen_ns += res.stats.candgen_ns;
-            agg.verify_ns += res.stats.verify_ns;
-            agg.n_signatures += res.stats.n_signatures;
-            agg.sum_postings += res.stats.sum_postings;
-            agg.n_scanned += res.stats.n_scanned;
-            agg.n_candidates += res.stats.n_candidates;
-            agg.estimated_cost += res.stats.estimated_cost;
+            let (local, st) = seg.store.search(query, tau, distances);
+            agg.alloc_ns += st.alloc_ns;
+            agg.enumerate_ns += st.enumerate_ns;
+            agg.candgen_ns += st.candgen_ns;
+            agg.verify_ns += st.verify_ns;
+            agg.n_signatures += st.n_signatures;
+            agg.sum_postings += st.sum_postings;
+            agg.n_scanned += st.n_scanned;
+            agg.n_candidates += st.n_candidates;
+            agg.estimated_cost += st.estimated_cost;
             if let Some(traces) = sink.as_deref_mut() {
-                traces.push(Self::trace_of(seg_idx as u32, seg.store.len(), &res.stats));
+                traces.push(Self::trace_of(seg_idx as u32, seg.store.len(), &st));
             }
-            for local in res.ids {
-                if !seg.dead.is_dead(local as usize) {
-                    out.push(seg.ids[local as usize]);
-                }
-            }
+            let live = local.into_iter().filter(|&(row, _)| !seg.dead.is_dead(row as usize));
+            hits.extend(live.map(|(row, d)| (seg.ids[row as usize], d)));
         }
         let t = std::time::Instant::now();
         // Memtable rows are found by scanning, not by index probes: they
         // count toward both `n_scanned` and `n_candidates`.
         let mem_rows = self.mem.dead.live() as u64;
-        let sealed_results = out.len();
-        out.extend(self.mem.hits(query, tau).map(|(id, _)| id));
-        let mem_results = (out.len() - sealed_results) as u64;
+        let sealed_results = hits.len();
+        hits.extend(self.mem.hits(query, tau));
+        let mem_results = (hits.len() - sealed_results) as u64;
         agg.n_scanned += mem_rows;
         agg.n_candidates += mem_rows;
         let scan_ns = t.elapsed().as_nanos() as u64;
@@ -759,9 +776,8 @@ impl SegmentedGph {
                 ..SegmentTrace::default()
             });
         }
-        out.sort_unstable();
-        agg.n_results = out.len() as u64;
-        (out, agg)
+        agg.n_results = hits.len() as u64;
+        (hits, agg)
     }
 
     /// Maps one sealed engine's [`QueryStats`] onto a trace entry. The
@@ -787,25 +803,6 @@ impl SegmentedGph {
         }
     }
 
-    /// Live rows within `tau` of `query` as `(id, distance)` pairs,
-    /// ascending by `(distance, id)` — the refinement primitive the
-    /// sharded top-k merge uses.
-    pub fn search_with_distances(&self, query: &[u64], tau: u32) -> Vec<(u32, u32)> {
-        self.assert_query(query, tau);
-        let mut out = Vec::new();
-        for seg in &self.sealed {
-            for local in seg.store.search_with_stats(query, tau).ids {
-                if !seg.dead.is_dead(local as usize) {
-                    let d = seg.store.distance_to(local as usize, query);
-                    out.push((seg.ids[local as usize], d));
-                }
-            }
-        }
-        out.extend(self.mem.hits(query, tau));
-        out.sort_unstable_by_key(|&(id, d)| (d, id));
-        out
-    }
-
     /// The `k` nearest live rows within `tau_max`, ties broken by id —
     /// identical to [`Gph::search_topk`] over the surviving rows.
     pub fn search_topk(&self, query: &[u64], k: usize) -> Vec<(u32, u32)> {
@@ -814,27 +811,11 @@ impl SegmentedGph {
 
     /// [`SegmentedGph::search_topk`] with the escalation radius capped at
     /// `tau_cap` — identical to [`Gph::search_topk_within`] over the
-    /// surviving rows.
+    /// surviving rows. Escalation runs over the whole engine's live rows,
+    /// so tombstones are filtered where every range search filters them.
     pub fn search_topk_within(&self, query: &[u64], k: usize, tau_cap: u32) -> Vec<(u32, u32)> {
         self.assert_query(query, tau_cap);
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut hits: Vec<(u32, u32)> = Vec::new();
-        for seg in &self.sealed {
-            // Over-fetch by the segment's dead count: at most that many
-            // tombstoned rows can occupy top slots, so k live survivors
-            // (when they exist within the cap) are always retained.
-            for (local, d) in seg.store.search_topk_within(query, k + seg.dead.dead(), tau_cap) {
-                if !seg.dead.is_dead(local as usize) {
-                    hits.push((seg.ids[local as usize], d));
-                }
-            }
-        }
-        hits.extend(self.mem.hits(query, tau_cap));
-        hits.sort_unstable_by_key(|&(id, d)| (d, id));
-        hits.truncate(k);
-        hits
+        topk_by_escalation(k, tau_cap, |tau| self.walk(query, tau, None, true).0)
     }
 
     /// Estimated query cost: the sealed engines' allocator estimates plus

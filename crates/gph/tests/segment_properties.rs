@@ -6,7 +6,7 @@
 use gph::engine::{Gph, GphConfig};
 use gph::partition_opt::PartitionStrategy;
 use gph::segment::{SegmentConfig, SegmentedGph};
-use hamming_core::{BitVector, Dataset};
+use hamming_core::{hamming, BitVector, Dataset};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -96,17 +96,65 @@ fn assert_equivalent(
             };
             assert_eq!(got, expect, "tau={tau}");
         }
-        for k in [1usize, 5] {
-            let got = engine.search_topk(&q, k);
-            let expect: Vec<(u32, u32)> = match &fresh {
-                None => Vec::new(),
-                Some((g, ids)) => {
-                    g.search_topk(&q, k).into_iter().map(|(l, d)| (ids[l as usize], d)).collect()
-                }
-            };
-            assert_eq!(got, expect, "k={k}");
+        for k in [0usize, 1, 5, model.len() + 1] {
+            for cap in [0u32, 3, 8] {
+                let got = engine.search_topk_within(&q, k, cap);
+                assert_eq!(got, brute_force_topk(model, &q, k, cap), "k={k} cap={cap}");
+            }
         }
     }
+}
+
+/// Top-k by brute force over the model: the live rows within `cap`,
+/// sorted by `(distance, id)`, truncated to `k`.
+fn brute_force_topk(
+    model: &BTreeMap<u32, Vec<u64>>,
+    q: &[u64],
+    k: usize,
+    cap: u32,
+) -> Vec<(u32, u32)> {
+    let mut hits: Vec<(u32, u32)> =
+        model.iter().map(|(&id, row)| (id, hamming(row, q))).filter(|&(_, d)| d <= cap).collect();
+    hits.sort_unstable_by_key(|&(id, d)| (d, id));
+    hits.truncate(k);
+    hits
+}
+
+/// One sealed segment with most of its rows tombstoned, and `k` above
+/// its live rows: a top-k taken per segment would need to over-fetch
+/// past the dead rows to find `k` live ones.
+#[test]
+fn topk_past_a_mostly_dead_segment_is_exact() {
+    let cfg = cfg(7);
+    let seg_cfg = SegmentConfig { seal_rows: 64, max_sealed: 4, ..SegmentConfig::default() };
+    let mut engine = SegmentedGph::new(DIM, cfg.clone(), seg_cfg).expect("new engine");
+    let mut model: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
+    // Row `id` lies `id % 8` bits from the query, inside every cap but
+    // the smallest: 40 sealed rows, then 6 in the memtable.
+    let q = words(&[false; DIM]);
+    for id in 0..46u32 {
+        let bits: Vec<bool> = (0..DIM).map(|b| b < id as usize % 8).collect();
+        apply(&mut engine, &mut model, &Op::Upsert(id, bits));
+        if id == 39 {
+            apply(&mut engine, &mut model, &Op::Seal);
+        }
+    }
+    // Kill 36 of the segment's 40 rows, nearest first, so the dead rows
+    // would fill any per-segment top-k.
+    let mut sealed: Vec<(u32, u32)> = (0..40u32).map(|id| (id, hamming(&model[&id], &q))).collect();
+    sealed.sort_unstable_by_key(|&(id, d)| (d, id));
+    for &(id, _) in &sealed[..36] {
+        apply(&mut engine, &mut model, &Op::Delete(id));
+    }
+    assert_eq!(engine.num_sealed(), 1, "fixture: the segment keeps its 4 live rows");
+    assert_eq!(engine.len(), 10);
+    for k in [1usize, 4, 5, 8, 10, 11] {
+        for cap in [0u32, 3, 8] {
+            let got = engine.search_topk_within(&q, k, cap);
+            assert_eq!(got, brute_force_topk(&model, &q, k, cap), "k={k} cap={cap}");
+        }
+    }
+    assert_equivalent(&engine, &model, &cfg, &[vec![false; DIM], vec![true; DIM]]);
 }
 
 proptest! {

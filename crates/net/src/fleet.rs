@@ -12,7 +12,7 @@
 //!
 //! * range search — groups hold disjoint ids, so the union is a sort;
 //! * top-k — each group answers its own exact top-`k`, and
-//!   [`merge_topk`] (the same merge the in-process scatter-gather uses)
+//!   [`merge_topk`] (the last step of the engine's top-k loop)
 //!   provably reconstructs the global top-`k` from those lists.
 //!
 //! Mutations route to the single group owning the id's slot, primary
@@ -364,7 +364,7 @@ impl FleetClient {
     pub fn topk(&self, query: &[u64], k: usize) -> Result<FleetTopK, NetError> {
         let hops = self.scatter(&|c| c.submit_topk(query, k))?;
         let degraded = hops.iter().any(|h| h.answer.degraded_cap.is_some());
-        let hits = merge_topk(hops.into_iter().map(|h| h.answer.hits), k);
+        let hits = merge_topk(hops.into_iter().flat_map(|h| h.answer.hits), k);
         Ok(FleetTopK { hits, degraded })
     }
 

@@ -23,9 +23,11 @@
 //!   shard behind an `RwLock`, so the fleet serves
 //!   `insert`/`delete`/`upsert` alongside queries. Scatter-gather answers
 //!   `search`/`search_topk` with a merge that is provably identical to a
-//!   single index over the surviving rows (top-k uses a two-phase
-//!   threshold-refinement pass; property tests pin the equivalence down,
-//!   including under interleaved mutations).
+//!   single index over the surviving rows (top-k is the engine's one
+//!   escalation loop, [`gph::topk_by_escalation`], over the sharded range
+//!   search; property tests pin the equivalence down, including under
+//!   interleaved mutations). [`merge_topk`], re-exported from `gph`,
+//!   gathers the exact top-k answers of a fleet's nodes.
 //! * [`QueryService`] runs a worker pool over a bounded MPMC queue,
 //!   accepts single and batched requests, applies cost-based admission
 //!   control from [`gph::Gph::estimate_cost`] (reject or degrade
@@ -55,10 +57,11 @@ pub use admission::{
     AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionStats, OverBudgetPolicy,
 };
 pub use cache::{CacheKey, CacheStats, CachedResult, LruCache, ResultCache};
+pub use gph::merge_topk;
 pub use service::{
     MutationOutcome, MutationResponse, Outcome, QueryService, Response, ServiceConfig, Ticket,
 };
-pub use shard::{merge_topk, ShardedIndex, ShardedSearchResult};
+pub use shard::{ShardedIndex, ShardedSearchResult};
 pub use snapshot::{read_manifest, ShardEntry, ShardManifest, MANIFEST_FILE};
 pub use stats::ServiceStats;
 

@@ -8,22 +8,24 @@
 //! thread under shared locks (different queries run on different cores —
 //! the service's worker pool is where query parallelism is configured), a
 //! mutation takes the write lock of exactly the one shard that owns the
-//! ID. Range search merges trivially (shards
-//! partition the live rows); top-k uses a two-phase threshold-refinement
-//! pass (scatter a cheap per-shard top-k′ to bound the global k-th
-//! distance, then range-refine at that bound) so results are
+//! ID. Range search merges trivially (shards partition the live rows,
+//! so the gather is a sort). Top-k is the engine's one escalation loop
+//! ([`gph::topk_by_escalation`]) over that same sharded range search:
+//! τ grows until the shards together hold `k` rows, so results are
 //! **identical** to a single engine over the surviving rows — the
 //! shard-merge and mutation property tests pin this down.
 
 use gph::coldstore::PageCacheStats;
 use gph::engine::{GphConfig, QueryStats};
 use gph::segment::{SegmentConfig, SegmentedGph};
+use gph::topk_by_escalation;
 use gph_obs::{QueryTrace, ShardTrace};
 use hamming_core::error::{HammingError, Result};
 use hamming_core::key::mix64;
 use hamming_core::{words_for, Dataset};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 /// Per-record shard members for a fleet of `(len, n_shards)` — the pure
 /// function of the stable id hash that bulk build derives its row routing
@@ -34,24 +36,6 @@ pub(crate) fn shard_members(len: usize, n_shards: usize) -> Vec<Vec<u32>> {
         members[ShardedIndex::shard_of(id as u32, n_shards)].push(id as u32);
     }
     members
-}
-
-/// The exact top-k gather: merges per-source `(id, distance)` candidate
-/// lists into the global top-`k` by `(distance, id)`. When the sources
-/// partition the live rows (shards of one index, or node groups of a
-/// fleet) and each list is its source's exact top-`k`, the merge is
-/// provably the global top-`k`: every true member beats the global k-th
-/// distance, so it beats its own source's k-th and appears in that
-/// source's list. Both the in-process scatter-gather and the networked
-/// `FleetClient` merge through this one function.
-pub fn merge_topk<I>(lists: I, k: usize) -> Vec<(u32, u32)>
-where
-    I: IntoIterator<Item = Vec<(u32, u32)>>,
-{
-    let mut hits: Vec<(u32, u32)> = lists.into_iter().flatten().collect();
-    hits.sort_unstable_by_key(|&(id, d)| (d, id));
-    hits.truncate(k);
-    hits
 }
 
 /// A GPH index sharded by record id, queried scatter-gather and mutated
@@ -320,61 +304,65 @@ impl ShardedIndex {
 
     /// Scatter-gather range search with per-shard instrumentation.
     pub fn search_with_stats(&self, query: &[u64], tau: u32) -> ShardedSearchResult {
-        self.assert_query(query, tau as usize);
-        let per_shard = self.scatter(|engine| engine.search_with_stats(query, tau));
-        let mut ids: Vec<u32> = Vec::new();
-        let mut shard_stats = Vec::with_capacity(per_shard.len());
-        for (shard_ids, stats) in per_shard {
-            ids.extend_from_slice(&shard_ids);
-            shard_stats.push(stats);
-        }
-        // Shards hold disjoint id sets, so the gather is a sort, not a
-        // dedup.
-        ids.sort_unstable();
-        ShardedSearchResult { ids, shard_stats }
+        self.gather(query, tau, None)
     }
 
     /// [`ShardedIndex::search_with_stats`] plus a structured
     /// [`QueryTrace`]: per-phase wall time and counters for every
     /// segment of every shard, shard-local wall clocks, and the total
-    /// scatter-gather wall clock. The untraced path is unchanged — this
-    /// method exists so tracing costs nothing unless asked for.
+    /// scatter-gather wall clock. Both run the one gather; untraced, it
+    /// pays one branch per shard for tracing, and reads no clock.
     pub fn search_traced(&self, query: &[u64], tau: u32) -> (ShardedSearchResult, QueryTrace) {
+        let t0 = Instant::now();
+        let mut shards = Vec::with_capacity(self.n_shards);
+        let res = self.gather(query, tau, Some(&mut shards));
+        let total_ns = t0.elapsed().as_nanos() as u64;
+        (res, QueryTrace { tau, total_ns, shards, ..QueryTrace::default() })
+    }
+
+    /// The one range gather: each shard's search under its read lock, in
+    /// shard order on the calling thread (spawning a thread per shard
+    /// costs more than the tens-of-µs search it would parallelise, and
+    /// the service's worker pool already runs different queries on
+    /// different cores). Shards hold disjoint id sets, so the gather is
+    /// a sort, not a dedup. With `traces`, each shard's segments are
+    /// traced and its search timed into one [`ShardTrace`].
+    fn gather(
+        &self,
+        query: &[u64],
+        tau: u32,
+        mut traces: Option<&mut Vec<ShardTrace>>,
+    ) -> ShardedSearchResult {
         self.assert_query(query, tau as usize);
-        let t0 = std::time::Instant::now();
-        let per_shard = self.scatter(|engine| {
-            let t = std::time::Instant::now();
-            let mut segments = Vec::new();
-            let (ids, stats) = engine.search_with_trace(query, tau, Some(&mut segments));
-            (ids, stats, segments, t.elapsed().as_nanos() as u64)
-        });
         let mut ids: Vec<u32> = Vec::new();
-        let mut shard_stats = Vec::with_capacity(per_shard.len());
-        let mut shards = Vec::with_capacity(per_shard.len());
-        for (shard, (shard_ids, stats, segments, shard_ns)) in per_shard.into_iter().enumerate() {
-            ids.extend_from_slice(&shard_ids);
+        let mut shard_stats = Vec::with_capacity(self.n_shards);
+        for (shard, engine) in self.shards.iter().enumerate() {
+            let engine = engine.read();
+            let (shard_ids, stats) = match traces.as_deref_mut() {
+                None => engine.search_with_stats(query, tau),
+                Some(traces) => {
+                    let t = Instant::now();
+                    let mut segments = Vec::new();
+                    let res = engine.search_with_trace(query, tau, Some(&mut segments));
+                    let total_ns = t.elapsed().as_nanos() as u64;
+                    traces.push(ShardTrace { shard: shard as u32, total_ns, segments });
+                    res
+                }
+            };
+            ids.extend(shard_ids);
             shard_stats.push(stats);
-            shards.push(ShardTrace { shard: shard as u32, total_ns: shard_ns, segments });
         }
         ids.sort_unstable();
-        let trace = QueryTrace {
-            tau,
-            total_ns: t0.elapsed().as_nanos() as u64,
-            shards,
-            ..QueryTrace::default()
-        };
-        (ShardedSearchResult { ids, shard_stats }, trace)
+        ShardedSearchResult { ids, shard_stats }
     }
 
     /// The `k` nearest live records by exact Hamming distance (ties
     /// broken by ID), considering records within `tau_max` — identical
     /// output to [`gph::Gph::search_topk`] on the surviving rows.
     ///
-    /// Two phases: (1) scatter a per-shard top-`⌈k/S⌉` to cheaply bound
-    /// the global k-th distance `τ*`; (2) range-refine every shard at
-    /// `τ*`, which provably covers the true top-k (each true member has
-    /// distance ≤ true k-th ≤ `τ*`), then merge, sort by `(distance,
-    /// id)`, and truncate.
+    /// [`gph::topk_by_escalation`] over the sharded range search with
+    /// distances: each round gathers every shard's live rows within τ,
+    /// and the first τ holding `k` of them holds the global top-`k`.
     pub fn search_topk(&self, query: &[u64], k: usize) -> Vec<(u32, u32)> {
         self.search_topk_within(query, k, self.tau_max as u32)
     }
@@ -384,23 +372,9 @@ impl ShardedIndex {
     /// degraded top-k mode.
     pub fn search_topk_within(&self, query: &[u64], k: usize, tau_cap: u32) -> Vec<(u32, u32)> {
         self.assert_query(query, tau_cap as usize);
-        if k == 0 {
-            return Vec::new();
-        }
-        if self.shards.len() == 1 {
-            return self.shards[0].read().search_topk_within(query, k, tau_cap);
-        }
-
-        // Phase 1: bound τ*. Each shard's local top-k′ is a subset of the
-        // live records, so the pool's k-th smallest distance is an upper
-        // bound on the true k-th; with fewer than k pooled hits fall back
-        // to tau_cap (the widest radius this search considers).
-        let k_local = k.div_ceil(self.shards.len());
-        let pool = merge_topk(self.scatter(|e| e.search_topk_within(query, k_local, tau_cap)), k);
-        let tau_star = if pool.len() >= k { pool[k - 1].1 } else { tau_cap };
-
-        // Phase 2: exact refinement at τ*.
-        merge_topk(self.scatter(|engine| engine.search_with_distances(query, tau_star)), k)
+        topk_by_escalation(k, tau_cap, |tau| {
+            self.shards.iter().flat_map(|s| s.read().search_with_distances(query, tau)).collect()
+        })
     }
 
     /// Summed per-shard cost estimate for `(query, tau)` — the admission
@@ -414,15 +388,6 @@ impl ShardedIndex {
     fn assert_query(&self, query: &[u64], tau: usize) {
         assert!(tau <= self.tau_max, "tau {tau} exceeds the configured tau_max {}", self.tau_max);
         assert_eq!(query.len(), self.words_per_vec, "query width mismatch with indexed data");
-    }
-
-    /// Runs `f` on every shard under its read lock (the scatter phase),
-    /// in shard order on the calling thread: spawning a thread per shard
-    /// costs more than the tens-of-µs search it would parallelise, and
-    /// the service's worker pool already runs different queries on
-    /// different cores.
-    fn scatter<T>(&self, f: impl Fn(&SegmentedGph) -> T) -> Vec<T> {
-        self.shards.iter().map(|s| f(&s.read())).collect()
     }
 }
 

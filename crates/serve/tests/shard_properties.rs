@@ -8,6 +8,8 @@ use hamming_core::{BitVector, Dataset};
 use proptest::prelude::*;
 
 const DIM: usize = 48;
+/// The engines' `tau_max`: `search_topk`'s escalation cap.
+const TAU_MAX: u32 = 10;
 
 fn dataset_strategy() -> impl Strategy<Value = Dataset> {
     prop::collection::vec(prop::collection::vec(any::<bool>(), DIM), 1..120).prop_map(|rows| {
@@ -17,11 +19,21 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
 }
 
 fn cfg(seed: u64) -> GphConfig {
-    let mut cfg = GphConfig::new(3, 10);
+    let mut cfg = GphConfig::new(3, TAU_MAX as usize);
     // RandomShuffle keeps build time trivial; exactness is
     // partitioning-independent so any strategy exercises the merge.
     cfg.strategy = PartitionStrategy::RandomShuffle { seed };
     cfg
+}
+
+/// Top-k by linear scan: every row within `cap`, sorted by
+/// `(distance, id)`, truncated to `k`.
+fn scan_topk(ds: &Dataset, q: &[u64], k: usize, cap: u32) -> Vec<(u32, u32)> {
+    let mut hits: Vec<(u32, u32)> =
+        ds.linear_scan(q, cap).into_iter().map(|id| (id, ds.distance_to(id as usize, q))).collect();
+    hits.sort_unstable_by_key(|&(id, d)| (d, id));
+    hits.truncate(k);
+    hits
 }
 
 proptest! {
@@ -63,6 +75,9 @@ proptest! {
             sharded.search_topk_within(&q, k, tau_cap),
             single.search_topk_within(&q, k, tau_cap)
         );
+        // The engine runs the same escalation loop; linear scan does not.
+        prop_assert_eq!(sharded.search_topk(&q, k), scan_topk(&ds, &q, k, TAU_MAX));
+        prop_assert_eq!(sharded.search_topk_within(&q, k, tau_cap), scan_topk(&ds, &q, k, tau_cap));
     }
 
     /// Perturbed (non-member) queries are exact too, including queries
