@@ -275,7 +275,7 @@ impl Gph {
 
     /// Writes [`Gph::to_bytes`] to `path`.
     pub fn save<P: AsRef<std::path::Path>>(&self, path: P) -> Result<()> {
-        crate::snapshot::write_atomic(path.as_ref(), &self.to_bytes())
+        hamming_core::io::write_atomic(path.as_ref(), &self.to_bytes())
     }
 
     /// Reads an engine snapshot from `path` — the warm-start path: every

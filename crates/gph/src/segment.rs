@@ -1080,7 +1080,7 @@ impl SegmentedGph {
 
     /// Writes [`SegmentedGph::to_bytes`] to `path` atomically.
     pub fn save<P: AsRef<std::path::Path>>(&self, path: P) -> Result<()> {
-        crate::snapshot::write_atomic(path.as_ref(), &self.to_bytes())
+        hamming_core::io::write_atomic(path.as_ref(), &self.to_bytes())
     }
 
     /// Reads an engine snapshot from `path`, fully resident.

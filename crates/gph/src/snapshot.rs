@@ -62,7 +62,6 @@ use hamming_core::io::{
 use hamming_core::project::{ProjectedDataset, Projector};
 use hamming_core::{words_for, InvertedIndex, Partitioning};
 use std::borrow::Cow;
-use std::path::Path;
 
 /// Magic of a single-engine snapshot file.
 pub const ENGINE_MAGIC: [u8; 4] = *b"GPHE";
@@ -586,16 +585,6 @@ pub(crate) fn decode_engine(bytes: &[u8]) -> Result<Gph> {
         })?;
     let build_stats = meta.cfg.build_stats;
     Ok(Gph { plan: meta.into_plan(estimator), store: Resident { data, index }, build_stats })
-}
-
-/// Writes `bytes` to `path` via a same-directory temp file + rename, so
-/// a crashed save can never leave a half-written snapshot behind under
-/// the final name.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
 }
 
 #[cfg(test)]

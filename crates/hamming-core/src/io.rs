@@ -648,6 +648,27 @@ pub fn read_dataset<P: AsRef<Path>>(path: P) -> Result<Dataset> {
     decode_dataset(&bytes)
 }
 
+/// Writes `bytes` to `path` so that a crash can never leave a
+/// half-written file under the final name: the bytes go to a
+/// same-directory temp file, which is synced to disk before it is
+/// renamed over `path`; on unix the directory is synced after the
+/// rename, so the rename is durable too. `Gph::save`,
+/// `SegmentedGph::save` and `ShardedIndex::snapshot` write through here.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
+    let tmp = path.with_extension("tmp");
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    #[cfg(unix)]
+    if let Some(dir) = path.parent() {
+        let dir = if dir.as_os_str().is_empty() { Path::new(".") } else { dir };
+        File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
 const PART_MAGIC: [u8; 4] = *b"HAMP";
 
 /// Encodes a partitioning (the expensive offline artifact of GPH's GR
@@ -771,6 +792,18 @@ mod tests {
         assert_eq!(decoded.len(), 20);
         assert_eq!(decoded.row(19), ds.row(19));
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_file_and_leaves_no_temp() {
+        let dir = std::env::temp_dir().join(format!("hamming_core_atomic_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.gphe");
+        write_atomic(&path, b"first").unwrap();
+        write_atomic(&path, b"second").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        assert!(!path.with_extension("tmp").exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! over nonblocking sockets, so thousands of idle clients cost no
 //! threads. What resolves inline on the event worker, as
 //! [`Reply::Now`]: ping, health, metrics, validation errors, mutations
-//! (see below) — and every search whose [`gph_serve::Ticket`] is ready
-//! when [`QueryService::submit`] / [`QueryService::submit_batch`] /
-//! [`QueryService::submit_topk`] / [`QueryService::submit_traced`]
-//! returns: a cache hit, an admission rejection, a batch whose entries
-//! are all one or the other. A cached read therefore costs a lookup and
-//! never leaves the thread that read its frame. Only a ticket with
+//! (see below) — and every read whose [`gph_serve::Ticket`] is ready
+//! when the service returns it. Range, batch, top-k and traced reads
+//! all take the service's one read path, so a ticket is ready when
+//! each of its reads is a cache hit or an admission rejection. A cached
+//! read therefore costs a lookup and never leaves the thread that read
+//! its frame. Only a ticket with
 //! queued engine work hands its wait to the resolver pool
 //! ([`Reply::Later`]), so a slow query never stalls the socket —
 //! pipelined requests keep flowing and responses still leave in request
@@ -184,7 +184,10 @@ impl RequestHandler for ServiceHandler {
                 {
                     return unsupported(msg);
                 }
-                reply(self.service.submit(&query, tau), resolve_range)
+                reply(
+                    self.service.submit(&query, tau),
+                    single(|r| Response::Search(range_entry(&r))),
+                )
             }
             Request::TracedSearch { tau, query, trace_id } => {
                 if let Err(msg) =
@@ -197,15 +200,18 @@ impl RequestHandler for ServiceHandler {
                 // trace, so a fleet client can merge hops across nodes.
                 let node = self.node_name();
                 let started = unix_now_ns();
-                reply(self.service.submit_traced(&query, tau), move |responses| {
-                    let mut resp = resolve_traced(responses);
-                    if let Response::TracedSearch { trace: Some(t), .. } = &mut resp {
-                        t.trace_id = trace_id;
-                        t.node = node;
-                        t.started_unix_ns = started;
-                    }
-                    resp
-                })
+                reply(
+                    self.service.submit_traced(&query, tau),
+                    single(move |r| Response::TracedSearch {
+                        entry: range_entry(&r),
+                        trace: r.trace.map(|mut t| {
+                            t.trace_id = trace_id;
+                            t.node = node;
+                            t.started_unix_ns = started;
+                            *t
+                        }),
+                    }),
+                )
             }
             Request::Health => {
                 let index = self.service.index();
@@ -239,7 +245,17 @@ impl RequestHandler for ServiceHandler {
                 if let Err(msg) = self.check_words("query", &query) {
                     return unsupported(msg);
                 }
-                reply(self.service.submit_topk(&query, k as usize), resolve_topk)
+                reply(
+                    self.service.submit_topk(&query, k as usize),
+                    single(|r| match r.outcome {
+                        Outcome::TopK { hits, degraded_cap } => Response::TopK {
+                            hits: hits.as_ref().clone(),
+                            degraded_cap,
+                            from_cache: r.from_cache,
+                        },
+                        _ => unreachable!("top-k submissions answer with top-k outcomes"),
+                    }),
+                )
             }
             Request::BatchSearch { tau, queries } => {
                 if let Some(q) = queries.iter().find(|q| q.len() != self.expected_words) {
@@ -253,7 +269,9 @@ impl RequestHandler for ServiceHandler {
                     return unsupported(msg);
                 }
                 let refs: Vec<&[u64]> = queries.iter().map(Vec::as_slice).collect();
-                reply(self.service.submit_batch(&refs, tau), resolve_batch)
+                reply(self.service.submit_batch(&refs, tau), |responses| {
+                    Response::Batch(responses.iter().map(range_entry).collect())
+                })
             }
             Request::Insert { id, row } => {
                 if let Err(msg) = self.check_words("row", &row) {
@@ -315,55 +333,23 @@ fn range_entry(resp: &gph_serve::Response) -> SearchEntry {
     }
 }
 
-/// Maps a single-query outcome's failure modes onto typed error frames
-/// (shared by the range, traced, and top-k resolvers).
-fn failure_response(outcome: &Outcome) -> Response {
-    match outcome {
-        Outcome::Rejected { estimated_cost, budget } => Response::Error(WireError::Rejected {
-            estimated_cost: *estimated_cost,
-            budget: *budget,
-        }),
-        Outcome::Overloaded => Response::Error(WireError::Overloaded),
-        _ => Response::Error(WireError::ShuttingDown),
-    }
-}
-
-fn resolve_range(responses: Vec<gph_serve::Response>) -> Response {
-    match responses.first() {
-        None => Response::Error(WireError::ShuttingDown),
-        Some(r) => match &r.outcome {
-            Outcome::Ids { .. } => Response::Search(range_entry(r)),
-            other => failure_response(other),
-        },
-    }
-}
-
-fn resolve_traced(responses: Vec<gph_serve::Response>) -> Response {
-    match responses.first() {
-        None => Response::Error(WireError::ShuttingDown),
-        Some(r) => match &r.outcome {
-            Outcome::Ids { .. } => {
-                Response::TracedSearch { entry: range_entry(r), trace: r.trace.as_deref().cloned() }
+/// The resolver of every single-read ticket: `ok` builds the frame for
+/// an answered read, and each way a read goes unanswered is one typed
+/// error frame.
+fn single(
+    ok: impl FnOnce(gph_serve::Response) -> Response + Send + 'static,
+) -> impl FnOnce(Vec<gph_serve::Response>) -> Response + Send + 'static {
+    move |responses| {
+        let Some(r) = responses.into_iter().next() else {
+            return Response::Error(WireError::ShuttingDown);
+        };
+        match r.outcome {
+            Outcome::Ids { .. } | Outcome::TopK { .. } => ok(r),
+            Outcome::Rejected { estimated_cost, budget } => {
+                Response::Error(WireError::Rejected { estimated_cost, budget })
             }
-            other => failure_response(other),
-        },
-    }
-}
-
-fn resolve_batch(responses: Vec<gph_serve::Response>) -> Response {
-    Response::Batch(responses.iter().map(range_entry).collect())
-}
-
-fn resolve_topk(responses: Vec<gph_serve::Response>) -> Response {
-    match responses.first() {
-        None => Response::Error(WireError::ShuttingDown),
-        Some(r) => match &r.outcome {
-            Outcome::TopK { hits, degraded_cap } => Response::TopK {
-                hits: hits.as_ref().clone(),
-                degraded_cap: *degraded_cap,
-                from_cache: r.from_cache,
-            },
-            other => failure_response(other),
-        },
+            Outcome::Overloaded => Response::Error(WireError::Overloaded),
+            Outcome::Dropped => Response::Error(WireError::ShuttingDown),
+        }
     }
 }

@@ -8,14 +8,17 @@
 //!
 //! ```text
 //!                 ┌────────────────────── QueryService ─────────────────────┐
-//!  submit(q, τ) ─▶│ result cache ──▶ admission control ──▶ bounded queue    │
-//!  (single/batch) │   (LRU,             (cost budget:        (MPMC,         │
-//!                 │    hit/miss)         reject/degrade)      backpressure) │
-//!                 │                                             │           │
-//!                 │                                      worker pool        │
+//!  submit ───────▶│ submit_reads, the one read path; per read:              │
+//!  submit_batch ─▶│ result cache ──▶ admission control ──▶ bounded queue    │
+//!  submit_topk ──▶│   (LRU, hit/      (cost at τ, or at     (MPMC,          │
+//!  submit_traced ▶│    miss; traced    tau_max for top-k:    backpressure)  │
+//!                 │    reads skip)     reject/degrade)          │           │
+//!                 │        ▲                                    │           │
+//!  insert/delete/ │ priced, applied, drops the entries     worker pool      │
+//!  upsert ───────▶│ it changes                                  │           │
 //!                 └─────────────────────────────────────────────┼───────────┘
 //!                                                               ▼
-//!                                     ShardedIndex: scatter ▶ S × Gph ▶ gather
+//!                                ShardedIndex: gather over S × RwLock<SegmentedGph>
 //! ```
 //!
 //! * [`ShardedIndex`] routes records to `S` shards by stable hash of the
@@ -29,7 +32,8 @@
 //!   interleaved mutations). [`merge_topk`], re-exported from `gph`,
 //!   gathers the exact top-k answers of a fleet's nodes.
 //! * [`QueryService`] runs a worker pool over a bounded MPMC queue,
-//!   accepts single and batched requests, applies cost-based admission
+//!   takes range (single or batched), top-k and traced reads through
+//!   one cache → admission → queue path, applies cost-based admission
 //!   control from [`gph::Gph::estimate_cost`] (reject or degrade
 //!   over-budget queries), and aggregates per-shard [`gph::QueryStats`]
 //!   into service-level stats — QPS, latency p50/p95/p99, candidates per

@@ -1,13 +1,14 @@
-//! The query service: a worker pool over a bounded MPMC queue, fed by
-//! single or batched submissions.
+//! The query service: a worker pool over a bounded MPMC queue.
 //!
-//! Flow per request: **cache lookup** (hit returns immediately) →
-//! **admission** (reject / degrade / admit, from the cost estimate) →
-//! **enqueue** (bounded queue; `try_submit` sheds load when full) →
-//! **worker** scatter-gathers on the [`ShardedIndex`], records metrics,
-//! and populates the cache. A [`Ticket`] joins the immediate outcomes
-//! (cache hits, rejections) with worker-produced responses in submission
-//! order.
+//! Every read — a range query, a batch of them, a top-k query, a traced
+//! range query — takes one path: **cache lookup** (a hit returns
+//! immediately; a traced read skips it) → **admission** (reject /
+//! degrade / admit, from the cost estimate at the radius the read asks
+//! for: τ for range, `tau_max` for top-k) → **enqueue** (bounded queue;
+//! [`QueryService::try_submit_batch`] sheds load when full) → **worker**
+//! runs the read on the [`ShardedIndex`], records metrics, and populates
+//! the cache. A [`Ticket`] joins the immediate outcomes (cache hits,
+//! rejections) with worker-produced responses in submission order.
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionStats};
 use crate::cache::{CacheKey, CacheStats, CachedResult, ResultCache};
@@ -16,6 +17,7 @@ use crate::stats::{ServiceMetrics, ServiceStats};
 use crossbeam::channel;
 use gph::coldstore::StorageMode;
 use gph_obs::{Gauge, MetricsRegistry, QueryTrace, TraceConfig, Tracer};
+use std::iter;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -151,29 +153,28 @@ impl Response {
     }
 }
 
-/// A queued unit of engine work.
-enum Work {
-    Range {
-        query: Vec<u64>,
-        /// Threshold to execute (post-admission).
-        tau: u32,
-        /// Threshold requested (differs when degraded).
-        requested_tau: u32,
-        /// Always run the traced search and attach the trace to the
-        /// response (set by [`QueryService::submit_traced`]).
-        want_trace: bool,
-    },
-    TopK {
-        query: Vec<u64>,
-        k: usize,
-        /// Escalation cap to execute (post-admission; `tau_max` unless
-        /// degraded).
-        tau_cap: u32,
-    },
+/// A queued read: the key it answers (and is cached under), the radius
+/// admission lets it run at (τ for range, the escalation cap for
+/// top-k), and whether its trace rides the response (set by
+/// [`QueryService::submit_traced`]).
+struct Read {
+    key: CacheKey,
+    radius: u32,
+    traced: bool,
+}
+
+/// A read's query words and the radius it asks for: τ for range, the
+/// full escalation radius `tau_max` for top-k. Admission prices the read
+/// there, and its response reports a degrade against it.
+fn asked(key: &CacheKey, tau_max: u32) -> (&[u64], u32) {
+    match key {
+        CacheKey::Range { query, tau } => (query, *tau),
+        CacheKey::TopK { query, .. } => (query, tau_max),
+    }
 }
 
 struct Job {
-    work: Vec<Work>,
+    reads: Vec<Read>,
     submitted: Instant,
     reply: channel::Sender<Vec<Response>>,
 }
@@ -292,6 +293,46 @@ struct Shared {
     registry: Arc<MetricsRegistry>,
     tracer: Tracer,
     gauges: ScrapeGauges,
+}
+
+impl Shared {
+    /// The response to an answered read, from the cache and from a
+    /// worker alike: a degrade is reported against the radius the read
+    /// `asked` for, and the response is counted.
+    fn answered(
+        &self,
+        result: CachedResult,
+        asked: u32,
+        from_cache: bool,
+        submitted: Instant,
+        trace: Option<Box<QueryTrace>>,
+    ) -> Response {
+        let outcome = match result {
+            CachedResult::Range { ids, effective_tau } => Outcome::Ids {
+                ids,
+                tau: effective_tau,
+                degraded_from: (effective_tau != asked).then_some(asked),
+            },
+            CachedResult::TopK { hits, effective_cap } => Outcome::TopK {
+                hits,
+                degraded_cap: (effective_cap != asked).then_some(effective_cap),
+            },
+        };
+        let latency_ns = submitted.elapsed().as_nanos() as u64;
+        self.metrics.note_response(latency_ns);
+        Response { outcome, from_cache, latency_ns, trace }
+    }
+}
+
+/// The response to a read that admission refused or the full queue
+/// shed: not counted as a response.
+fn unanswered(outcome: Outcome, submitted: Instant) -> Response {
+    Response {
+        outcome,
+        from_cache: false,
+        latency_ns: submitted.elapsed().as_nanos() as u64,
+        trace: None,
+    }
 }
 
 /// The serving front end: admission control + result cache in front of a
@@ -423,14 +464,18 @@ impl QueryService {
 
     /// Submits one range query; blocks only if the queue is full.
     pub fn submit(&self, query: &[u64], tau: u32) -> Ticket {
-        self.submit_batch(&[query], tau)
+        self.submit_reads(iter::once(CacheKey::Range { query: query.to_vec(), tau }), false, true)
     }
 
     /// Submits a batch of range queries at a shared threshold as one
     /// job — workers execute the whole batch back-to-back, amortizing
     /// dispatch. Blocks only if the queue is full.
     pub fn submit_batch(&self, queries: &[&[u64]], tau: u32) -> Ticket {
-        self.submit_inner(queries, tau, true)
+        self.submit_reads(
+            queries.iter().map(|q| CacheKey::Range { query: q.to_vec(), tau }),
+            false,
+            true,
+        )
     }
 
     /// Like [`QueryService::submit_batch`] but sheds load instead of
@@ -438,56 +483,22 @@ impl QueryService {
     /// queued resolve to [`Outcome::Overloaded`] (cache hits and
     /// admission rejections still resolve normally).
     pub fn try_submit_batch(&self, queries: &[&[u64]], tau: u32) -> Ticket {
-        self.submit_inner(queries, tau, false)
+        self.submit_reads(
+            queries.iter().map(|q| CacheKey::Range { query: q.to_vec(), tau }),
+            false,
+            false,
+        )
     }
 
     /// Submits one top-k query. Admission prices it at the full
     /// escalation radius (`tau_max`, the cost ceiling threshold
     /// escalation can reach); over-budget queries are degraded to a
     /// smaller escalation cap or rejected per the configured policy.
+    /// A `k` past `u32::MAX` runs (and is cached) as `u32::MAX`: every
+    /// `k` at or past the row count returns the same rows.
     pub fn submit_topk(&self, query: &[u64], k: usize) -> Ticket {
-        let submitted = Instant::now();
-        let tau_max = self.shared.index.tau_max() as u32;
-        let key = CacheKey::TopK { query: query.to_vec(), k: k as u32 };
-        if let Some(CachedResult::TopK { hits, effective_cap }) = self.shared.cache.lookup(&key) {
-            let latency_ns = submitted.elapsed().as_nanos() as u64;
-            self.shared.metrics.note_response(latency_ns);
-            return Ticket {
-                slots: vec![Slot::Ready(Response {
-                    outcome: Outcome::TopK {
-                        hits,
-                        degraded_cap: (effective_cap != tau_max).then_some(effective_cap),
-                    },
-                    from_cache: true,
-                    latency_ns,
-                    trace: None,
-                })],
-                rx: None,
-            };
-        }
-        let tau_cap = match self.shared.admission.evaluate(&self.shared.index, query, tau_max) {
-            AdmissionDecision::Admit { .. } => tau_max,
-            AdmissionDecision::Degrade { tau, .. } => tau,
-            AdmissionDecision::Reject { estimated_cost, budget } => {
-                return Ticket {
-                    slots: vec![Slot::Ready(Response {
-                        outcome: Outcome::Rejected { estimated_cost, budget },
-                        from_cache: false,
-                        latency_ns: submitted.elapsed().as_nanos() as u64,
-                        trace: None,
-                    })],
-                    rx: None,
-                };
-            }
-        };
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        let job = Job {
-            work: vec![Work::TopK { query: query.to_vec(), k, tau_cap }],
-            submitted,
-            reply: reply_tx,
-        };
-        self.send_blocking(job);
-        Ticket { slots: vec![Slot::Pending(0)], rx: Some(reply_rx) }
+        let k = u32::try_from(k).unwrap_or(u32::MAX);
+        self.submit_reads(iter::once(CacheKey::TopK { query: query.to_vec(), k }), false, true)
     }
 
     /// Convenience: submit one range query and wait.
@@ -506,37 +517,7 @@ impl QueryService {
     /// the result is still stored for later plain queries. Admission
     /// applies as usual; rejected queries have no trace.
     pub fn submit_traced(&self, query: &[u64], tau: u32) -> Ticket {
-        let submitted = Instant::now();
-        match self.shared.admission.evaluate(&self.shared.index, query, tau) {
-            AdmissionDecision::Reject { estimated_cost, budget } => Ticket {
-                slots: vec![Slot::Ready(Response {
-                    outcome: Outcome::Rejected { estimated_cost, budget },
-                    from_cache: false,
-                    latency_ns: submitted.elapsed().as_nanos() as u64,
-                    trace: None,
-                })],
-                rx: None,
-            },
-            decision => {
-                let executed = match decision {
-                    AdmissionDecision::Degrade { tau: degraded, .. } => degraded,
-                    _ => tau,
-                };
-                let (reply_tx, reply_rx) = channel::bounded(1);
-                let job = Job {
-                    work: vec![Work::Range {
-                        query: query.to_vec(),
-                        tau: executed,
-                        requested_tau: tau,
-                        want_trace: true,
-                    }],
-                    submitted,
-                    reply: reply_tx,
-                };
-                self.send_blocking(job);
-                Ticket { slots: vec![Slot::Pending(0)], rx: Some(reply_rx) }
-            }
-        }
+        self.submit_reads(iter::once(CacheKey::Range { query: query.to_vec(), tau }), true, true)
     }
 
     /// Convenience: submit one traced range query and wait.
@@ -615,91 +596,61 @@ impl QueryService {
         self.shared.metrics.note_mutation();
     }
 
-    fn submit_inner(&self, queries: &[&[u64]], tau: u32, block: bool) -> Ticket {
+    /// The one read path. Per read: a cache lookup (skipped when
+    /// `traced`), then admission at the radius the read asks for; an
+    /// admitted read queues at the radius admission allows. The queued
+    /// reads go as one job, which a full queue sheds unless `block`.
+    fn submit_reads(
+        &self,
+        keys: impl IntoIterator<Item = CacheKey>,
+        traced: bool,
+        block: bool,
+    ) -> Ticket {
         let submitted = Instant::now();
-        let mut slots = Vec::with_capacity(queries.len());
-        let mut work = Vec::new();
-        for &query in queries {
-            let key = CacheKey::Range { query: query.to_vec(), tau };
-            if let Some(CachedResult::Range { ids, effective_tau }) = self.shared.cache.lookup(&key)
-            {
-                let latency_ns = submitted.elapsed().as_nanos() as u64;
-                self.shared.metrics.note_response(latency_ns);
-                slots.push(Slot::Ready(Response {
-                    outcome: Outcome::Ids {
-                        ids,
-                        tau: effective_tau,
-                        degraded_from: (effective_tau != tau).then_some(tau),
-                    },
-                    from_cache: true,
-                    latency_ns,
-                    trace: None,
-                }));
+        let shared = &*self.shared;
+        let tau_max = shared.index.tau_max() as u32;
+        let keys = keys.into_iter();
+        let mut slots = Vec::with_capacity(keys.size_hint().0);
+        let mut reads = Vec::new();
+        for key in keys {
+            let (query, asked) = asked(&key, tau_max);
+            let hit = if traced { None } else { shared.cache.lookup(&key) };
+            if let Some(hit) = hit {
+                slots.push(Slot::Ready(shared.answered(hit, asked, true, submitted, None)));
                 continue;
             }
-            match self.shared.admission.evaluate(&self.shared.index, query, tau) {
-                AdmissionDecision::Admit { .. } => {
-                    slots.push(Slot::Pending(work.len()));
-                    work.push(Work::Range {
-                        query: query.to_vec(),
-                        tau,
-                        requested_tau: tau,
-                        want_trace: false,
-                    });
-                }
-                AdmissionDecision::Degrade { tau: degraded, .. } => {
-                    slots.push(Slot::Pending(work.len()));
-                    work.push(Work::Range {
-                        query: query.to_vec(),
-                        tau: degraded,
-                        requested_tau: tau,
-                        want_trace: false,
-                    });
-                }
+            let radius = match shared.admission.evaluate(&shared.index, query, asked) {
+                AdmissionDecision::Admit { .. } => asked,
+                AdmissionDecision::Degrade { tau, .. } => tau,
                 AdmissionDecision::Reject { estimated_cost, budget } => {
-                    slots.push(Slot::Ready(Response {
-                        outcome: Outcome::Rejected { estimated_cost, budget },
-                        from_cache: false,
-                        latency_ns: submitted.elapsed().as_nanos() as u64,
-                        trace: None,
-                    }));
+                    let refused = Outcome::Rejected { estimated_cost, budget };
+                    slots.push(Slot::Ready(unanswered(refused, submitted)));
+                    continue;
                 }
-            }
+            };
+            slots.push(Slot::Pending(reads.len()));
+            reads.push(Read { key, radius, traced });
         }
-        if work.is_empty() {
+        if reads.is_empty() {
             return Ticket { slots, rx: None };
         }
         let (reply_tx, reply_rx) = channel::bounded(1);
-        let job = Job { work, submitted, reply: reply_tx };
+        let job = Job { reads, submitted, reply: reply_tx };
         if block {
             self.send_blocking(job);
-        } else if self.try_send(job).is_err() {
-            // Queue full: shed exactly the requests that would have
-            // queued; already-resolved cache hits and rejections keep
-            // their responses.
+        } else if self.tx.as_ref().expect("service is live").try_send(job).is_err() {
+            // Queue full: shed exactly the reads that would have queued;
+            // already-resolved cache hits and rejections keep their
+            // responses.
             for slot in &mut slots {
                 if matches!(slot, Slot::Pending(_)) {
-                    self.shared.metrics.note_queue_rejection();
-                    *slot = Slot::Ready(Response {
-                        outcome: Outcome::Overloaded,
-                        from_cache: false,
-                        latency_ns: submitted.elapsed().as_nanos() as u64,
-                        trace: None,
-                    });
+                    shared.metrics.note_queue_rejection();
+                    *slot = Slot::Ready(unanswered(Outcome::Overloaded, submitted));
                 }
             }
             return Ticket { slots, rx: None };
         }
         Ticket { slots, rx: Some(reply_rx) }
-    }
-
-    fn try_send(&self, job: Job) -> Result<(), ()> {
-        match self.tx.as_ref().expect("service is live").try_send(job) {
-            Ok(()) => Ok(()),
-            Err(channel::TrySendError::Full(_)) | Err(channel::TrySendError::Disconnected(_)) => {
-                Err(())
-            }
-        }
     }
 
     fn send_blocking(&self, job: Job) {
@@ -814,69 +765,42 @@ impl Drop for QueryService {
 }
 
 fn worker_loop(shared: &Shared, rx: &channel::Receiver<Job>) {
+    let tau_max = shared.index.tau_max() as u32;
     for job in rx.iter() {
         shared.metrics.note_batch();
-        let mut responses = Vec::with_capacity(job.work.len());
-        for work in &job.work {
+        let mut responses = Vec::with_capacity(job.reads.len());
+        for Read { key, radius, traced } in job.reads {
             // Captured before the search: if a mutation is booked while
             // the search runs, the store below is dropped instead of
             // caching a result computed across it.
             let epoch = shared.cache.epoch();
-            let response = match work {
-                Work::Range { query, tau, requested_tau, want_trace } => {
+            let (result, trace) = match &key {
+                CacheKey::Range { query, .. } => {
                     // Traced either on request or by the sampler; the
                     // trace feeds the phase histograms and slow-query
                     // ring either way, but rides the response only when
                     // the client asked for it.
-                    let (res, trace) = if *want_trace || shared.tracer.should_sample() {
-                        let (res, trace) = shared.index.search_traced(query, *tau);
+                    let (res, trace) = if traced || shared.tracer.should_sample() {
+                        let (res, trace) = shared.index.search_traced(query, radius);
                         shared.tracer.record(&trace);
-                        (res, want_trace.then(|| Box::new(trace)))
+                        (res, traced.then(|| Box::new(trace)))
                     } else {
-                        (shared.index.search_with_stats(query, *tau), None)
+                        (shared.index.search_with_stats(query, radius), None)
                     };
                     let candidates: u64 = res.shard_stats.iter().map(|s| s.n_candidates).sum();
                     let scanned: u64 = res.shard_stats.iter().map(|s| s.n_scanned).sum();
-                    let ids = Arc::new(res.ids);
-                    shared.metrics.note_execution(candidates, scanned, ids.len() as u64);
-                    shared.cache.store_if_current(
-                        epoch,
-                        CacheKey::Range { query: query.clone(), tau: *requested_tau },
-                        CachedResult::Range { ids: Arc::clone(&ids), effective_tau: *tau },
-                    );
-                    Response {
-                        outcome: Outcome::Ids {
-                            ids,
-                            tau: *tau,
-                            degraded_from: (tau != requested_tau).then_some(*requested_tau),
-                        },
-                        from_cache: false,
-                        latency_ns: job.submitted.elapsed().as_nanos() as u64,
-                        trace,
-                    }
+                    shared.metrics.note_execution(candidates, scanned, res.ids.len() as u64);
+                    (CachedResult::Range { ids: Arc::new(res.ids), effective_tau: radius }, trace)
                 }
-                Work::TopK { query, k, tau_cap } => {
-                    let hits = Arc::new(shared.index.search_topk_within(query, *k, *tau_cap));
+                CacheKey::TopK { query, k } => {
+                    let hits = shared.index.search_topk_within(query, *k as usize, radius);
                     shared.metrics.note_execution(0, 0, hits.len() as u64);
-                    shared.cache.store_if_current(
-                        epoch,
-                        CacheKey::TopK { query: query.clone(), k: *k as u32 },
-                        CachedResult::TopK { hits: Arc::clone(&hits), effective_cap: *tau_cap },
-                    );
-                    let tau_max = shared.index.tau_max() as u32;
-                    Response {
-                        outcome: Outcome::TopK {
-                            hits,
-                            degraded_cap: (*tau_cap != tau_max).then_some(*tau_cap),
-                        },
-                        from_cache: false,
-                        latency_ns: job.submitted.elapsed().as_nanos() as u64,
-                        trace: None,
-                    }
+                    (CachedResult::TopK { hits: Arc::new(hits), effective_cap: radius }, None)
                 }
             };
-            shared.metrics.note_response(response.latency_ns);
-            responses.push(response);
+            let (_, asked) = asked(&key, tau_max);
+            shared.cache.store_if_current(epoch, key, result.clone());
+            responses.push(shared.answered(result, asked, false, job.submitted, trace));
         }
         // The ticket may have been dropped without waiting; that's fine.
         let _ = job.reply.send(responses);
@@ -894,10 +818,16 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     fn fixture(n: usize, seed: u64) -> (Arc<ShardedIndex>, Dataset) {
+        fixture_at(n, seed, 0.4)
+    }
+
+    /// `n` 64-bit rows whose bits are set with probability `density`,
+    /// over 3 shards at `tau_max` 12.
+    fn fixture_at(n: usize, seed: u64, density: f64) -> (Arc<ShardedIndex>, Dataset) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut ds = Dataset::new(64);
         for _ in 0..n {
-            let v = BitVector::from_bits((0..64).map(|_| rng.random_bool(0.4)));
+            let v = BitVector::from_bits((0..64).map(|_| rng.random_bool(density)));
             ds.push(&v).unwrap();
         }
         let mut cfg = GphConfig::new(4, 12);
@@ -1025,6 +955,24 @@ mod tests {
         assert!(service.query_topk(q, 5).from_cache);
         // Different k is a different key.
         assert!(!service.query_topk(q, 4).from_cache);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn topk_k_past_u32_does_not_alias_a_small_k() {
+        // Sparse rows lie within tau_max of one another, so a k past
+        // every row returns them all; cached under a truncated k, that
+        // answer would be served to the next small-k read.
+        let (index, ds) = fixture_at(200, 211, 0.05);
+        let service = QueryService::new(Arc::clone(&index), ServiceConfig::default());
+        let q = ds.row(0);
+        let all = service.query_topk(q, (1 << 32) + 1);
+        assert!(matches!(all.outcome, Outcome::TopK { degraded_cap: None, .. }));
+        let one = service.query_topk(q, 1);
+        match &one.outcome {
+            Outcome::TopK { hits, .. } => assert_eq!(**hits, index.search_topk(q, 1)),
+            other => panic!("expected topk, got {other:?}"),
+        }
     }
 
     #[test]

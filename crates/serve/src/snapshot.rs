@@ -29,7 +29,9 @@ use gph::coldstore::StorageMode;
 use gph::segment::{SegmentConfig, SegmentedGph};
 use gph::snapshot::{decode_gph_config, encode_gph_config};
 use hamming_core::error::{HammingError, Result};
-use hamming_core::io::{crc32, reject_retired_version, ByteReader, Footer, OffsetWriter};
+use hamming_core::io::{
+    crc32, reject_retired_version, write_atomic, ByteReader, Footer, OffsetWriter,
+};
 use hamming_core::key::mix64;
 use std::path::{Path, PathBuf};
 
@@ -203,13 +205,6 @@ fn decode_manifest(bytes: &[u8]) -> Result<(ShardManifest, gph::GphConfig, Segme
 /// loading any shard engines) — what `gph-store info` prints.
 pub fn read_manifest<P: AsRef<Path>>(dir: P) -> Result<ShardManifest> {
     decode_manifest(&std::fs::read(dir.as_ref().join(MANIFEST_FILE))?).map(|(m, _, _)| m)
-}
-
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
 }
 
 impl ShardedIndex {
