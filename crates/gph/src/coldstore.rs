@@ -1,4 +1,5 @@
-//! Out-of-core storage for sealed segments.
+//! Out-of-core storage for sealed segments: the file-backed
+//! [`StorageMode`].
 //!
 //! A sealed segment is normally decoded into heap memory ([`crate::engine::Gph`]).
 //! This module provides the *file-backed* alternative: the GPHE v3
@@ -6,7 +7,10 @@
 //! postings arrays out as page-aligned, offset-addressed sections, so a
 //! segment can answer probes and verification by paging fixed-size
 //! blocks through a shared [`PageCache`] instead of holding the payload
-//! resident.
+//! resident. It is a storage mode, not a second engine: the public way
+//! in is [`crate::segment::SegmentedGph`] configured with
+//! [`StorageMode::FileBacked`], and the paged store runs the one query
+//! pipeline `Gph` runs.
 //!
 //! The pieces:
 //!
@@ -18,9 +22,11 @@
 //!   `SegmentConfig`, `ShardedIndex`, and `ServiceConfig`.
 //! * [`SpillStore`] — the directory where seal/compaction spill freshly
 //!   encoded segments when running file-backed.
-//! * [`ColdSegment`] — the query backend itself: the same query
-//!   pipeline as [`Gph`](crate::engine::Gph), run over a store that
-//!   pages postings and rows in instead of holding them on the heap.
+//! * `ColdSegment` (crate-private) — one sealed segment opened from its
+//!   blob: the query plan plus the paged store, which reads postings and
+//!   rows through the cache instead of holding them on the heap. It
+//!   opens its blob as a file region through the one container reader,
+//!   [`hamming_core::io::Container`].
 //!
 //! A probe touches one key page. At open, each partition's sorted key
 //! array is cut along the cache's page grid and the first key of every
@@ -130,19 +136,6 @@ impl SegmentFile {
         }
         read_exact_at_impl(&self.file, offset, buf)?;
         Ok(())
-    }
-
-    /// Reads section `slot` of the container that starts at byte `base`
-    /// of this file with a direct (uncached) read, and verifies its
-    /// CRC — how open paths load metadata without paging payload in.
-    pub(crate) fn read_section(&self, base: u64, footer: &Footer, slot: usize) -> Result<Vec<u8>> {
-        let s = footer.slot(slot)?;
-        let mut buf = vec![0u8; s.len as usize];
-        self.read_at(base + s.offset, &mut buf)?;
-        if crc32(&buf) != s.crc {
-            return Err(HammingError::Corrupt(format!("section {slot} checksum mismatch")));
-        }
-        Ok(buf)
     }
 }
 
@@ -617,17 +610,12 @@ impl crate::cn::CnEstimator for FlatCn {
 // ColdSegment
 // ---------------------------------------------------------------------------
 
-use crate::cn::EstimatorKind;
-use crate::cost::CostModel;
-use crate::engine::SearchResult;
-use crate::pipeline::{topk_by_escalation, Plan, Store};
+use crate::pipeline::{Plan, Store};
 use crate::snapshot::{
-    decode_engine_meta, PartSpan, ENGINE_MAGIC, SLOT_IDS, SLOT_KEYS, SLOT_OFFS, SLOT_ROWS,
-    SNAPSHOT_VERSION,
+    decode_engine_meta, open_engine, PartSpan, SLOT_IDS, SLOT_KEYS, SLOT_OFFS, SLOT_ROWS,
 };
-use hamming_core::io::{crc32, Footer, OFFSET_HEADER_LEN};
+use hamming_core::io::Source;
 use hamming_core::{hamming, hamming_within, words_for, Projector};
-use std::borrow::Cow;
 
 /// Keys scanned per paged batch on the cold scan-fallback path.
 const KEY_SCAN_BATCH: usize = 1024;
@@ -835,7 +823,8 @@ impl Store for Paged {
 }
 
 /// A sealed segment served directly from its offset-addressed GPHE v3
-/// container, without decoding the payload into heap.
+/// container, without decoding the payload into heap — the store behind
+/// a file-backed segment of `SegmentedGph`.
 ///
 /// `open` reads and CRC-verifies the *metadata* sections (config,
 /// partitioning, estimator, row/partition geometry — a few KiB) with
@@ -855,7 +844,7 @@ impl Store for Paged {
 /// payload are skipped rather than trusted. A mid-query I/O failure
 /// from the operating system (e.g. the file truncated externally)
 /// panics with context — the same contract as a faulted mmap.
-pub struct ColdSegment {
+pub(crate) struct ColdSegment {
     pub(crate) plan: Plan,
     pub(crate) store: Paged,
     blob_off: u64,
@@ -864,53 +853,25 @@ pub struct ColdSegment {
 
 impl ColdSegment {
     /// Opens the GPHE v3 blob at `[blob_off, blob_off + blob_len)` of
-    /// `file`: parses and CRC-verifies the footer and every metadata
-    /// section, resolves section geometry to absolute offsets, restores
-    /// the estimator, and derives each partition's page fences (the
-    /// first key of every key page, for `cache`'s page size) with direct
-    /// reads — without paging anything into the cache and without
-    /// touching the row slab or the postings arrays.
-    pub fn open(
+    /// `file` (an extent the caller has bounded by the file) through
+    /// the one container reader as a file region: header, footer and
+    /// every metadata section are checked, the estimator restored, and
+    /// each partition's page fences (the first key of every key page,
+    /// for `cache`'s page size) derived with direct reads — without
+    /// paging anything into the cache and without touching the row
+    /// slab or the postings arrays.
+    pub(crate) fn open(
         file: Arc<SegmentFile>,
         cache: Arc<PageCache>,
         blob_off: u64,
         blob_len: u64,
     ) -> Result<ColdSegment> {
-        if blob_off.checked_add(blob_len).filter(|&e| e <= file.len()).is_none() {
-            return Err(HammingError::Corrupt(format!(
-                "engine blob {blob_off}+{blob_len} exceeds segment file of {} bytes",
-                file.len()
-            )));
-        }
-        // Footer first: it indexes everything else. Open-time metadata
-        // uses direct reads (not the page cache) so a freshly restored
-        // index starts with zero resident payload bytes.
-        let tail_len = (Footer::MAX_LEN as u64).min(blob_len) as usize;
-        let mut tail = vec![0u8; tail_len];
-        file.read_at(blob_off + blob_len - tail_len as u64, &mut tail)?;
-        let footer = Footer::parse(ENGINE_MAGIC, SNAPSHOT_VERSION, blob_len, &tail)?;
-        if footer.version() < 3 {
-            return Err(HammingError::Corrupt(format!(
-                "version {} snapshots are not offset-addressed; load resident",
-                footer.version()
-            )));
-        }
-        // Header cross-check (Footer::parse only saw the tail).
-        let mut header = [0u8; OFFSET_HEADER_LEN];
-        file.read_at(blob_off, &mut header)?;
-        if header[..4] != ENGINE_MAGIC
-            || u32::from_le_bytes(header[4..8].try_into().unwrap()) != footer.version()
-            || u32::from_le_bytes(header[8..12].try_into().unwrap()) != footer.n_slots() as u32
-        {
-            return Err(HammingError::Corrupt("header does not match footer".into()));
-        }
-
-        // Metadata sections: read directly, verify each CRC.
-        let mut meta = decode_engine_meta(&footer, |slot| {
-            file.read_section(blob_off, &footer, slot).map(Cow::Owned)
-        })?;
-        let section_off =
-            |slot: usize| Ok::<u64, HammingError>(blob_off + footer.slot(slot)?.offset);
+        // Open-time reads go around the page cache, so a freshly
+        // restored index starts with zero resident payload bytes.
+        let read_at = |offset: u64, buf: &mut [u8]| file.read_at(blob_off + offset, buf);
+        let c = open_engine(Source::Region { len: blob_len, read_at: &read_at })?;
+        let mut meta = decode_engine_meta(&c)?;
+        let section_off = |slot: usize| blob_off + c.slot(slot).offset;
         let widths = meta.widths();
         let estimator =
             crate::cn::restore_estimator(&meta.estimator_kind, meta.est_state()?, &widths, || {
@@ -918,7 +879,7 @@ impl ColdSegment {
             })?;
         // Keys are 8 bytes on an 8-byte grid, so none straddles a page
         // and every fence run is whole keys (writers align to 4 KiB).
-        let keys_base = section_off(SLOT_KEYS)?;
+        let keys_base = section_off(SLOT_KEYS);
         if !keys_base.is_multiple_of(8) {
             return Err(HammingError::Corrupt(format!(
                 "keys section at offset {keys_base} is not 8-byte aligned"
@@ -930,15 +891,17 @@ impl ColdSegment {
             .iter()
             .map(|p| derive_fences(&file, page_size, keys_base + p.keys_off, p.n_keys as u64))
             .collect::<Result<_>>()?;
+        let (rows_base, offs_base, ids_base) =
+            (section_off(SLOT_ROWS), section_off(SLOT_OFFS), section_off(SLOT_IDS));
         let store = Paged {
-            file,
+            file: Arc::clone(&file),
             cache,
             wpv: words_for(meta.dim),
             n_rows: meta.n_rows,
-            rows_base: section_off(SLOT_ROWS)?,
+            rows_base,
             keys_base,
-            offs_base: section_off(SLOT_OFFS)?,
-            ids_base: section_off(SLOT_IDS)?,
+            offs_base,
+            ids_base,
             parts,
             fences,
         };
@@ -947,96 +910,30 @@ impl ColdSegment {
     }
 
     /// Number of rows in the segment.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.store.n_rows
-    }
-
-    /// True when the segment holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.store.n_rows == 0
-    }
-
-    /// Vector dimensionality.
-    pub fn dim(&self) -> usize {
-        self.plan.partitioning.dim()
-    }
-
-    /// Largest supported query threshold.
-    pub fn tau_max(&self) -> usize {
-        self.plan.tau_max
-    }
-
-    /// The estimator kind the segment was built with.
-    pub fn estimator_kind(&self) -> &EstimatorKind {
-        &self.plan.estimator_kind
-    }
-
-    /// The cost model the segment was built with.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.plan.cost_model
     }
 
     /// Resident heap footprint: metadata and page fences only — the
     /// payload lives in the shared page cache, accounted there.
-    pub fn size_bytes(&self) -> usize {
+    pub(crate) fn size_bytes(&self) -> usize {
         self.plan.estimator.size_bytes()
             + self.store.parts.len() * std::mem::size_of::<PartSpan>()
             + self.store.fences.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<Fence>()
             + 256
     }
 
-    /// Counters of the page cache this segment reads through (shared
-    /// with every other segment on the same [`SpillStore`]).
-    pub fn cache_stats(&self) -> PageCacheStats {
-        self.store.cache.stats()
-    }
-
     /// The raw GPHE v3 blob, read back verbatim (for re-snapshotting a
     /// file-backed index without decoding it).
-    pub fn engine_blob(&self) -> Result<Vec<u8>> {
+    pub(crate) fn engine_blob(&self) -> Result<Vec<u8>> {
         let mut buf = vec![0u8; self.blob_len as usize];
         self.store.file.read_at(self.blob_off, &mut buf)?;
         Ok(buf)
     }
 
     /// Copies row `id` out of the paged row slab.
-    pub fn row(&self, id: usize) -> Vec<u64> {
+    pub(crate) fn row(&self, id: usize) -> Vec<u64> {
         self.store.row(id)
-    }
-
-    /// All vectors within `tau` of `query` (exact; ascending IDs).
-    pub fn search(&self, query: &[u64], tau: u32) -> Vec<u32> {
-        self.search_with_stats(query, tau).ids
-    }
-
-    /// Search with per-phase instrumentation — see
-    /// [`Gph::search_with_stats`](crate::engine::Gph::search_with_stats).
-    pub fn search_with_stats(&self, query: &[u64], tau: u32) -> SearchResult {
-        self.plan.search_with_stats(&self.store, query, tau)
-    }
-
-    /// Estimated query cost — see
-    /// [`Gph::estimate_cost`](crate::engine::Gph::estimate_cost).
-    pub fn estimate_cost(&self, query: &[u64], tau: u32) -> f64 {
-        self.plan.estimate_cost(query, tau)
-    }
-
-    /// Top-k within a capped escalation radius — see
-    /// [`Gph::search_topk_within`](crate::engine::Gph::search_topk_within).
-    pub fn search_topk_within(&self, query: &[u64], k: usize, tau_cap: u32) -> Vec<(u32, u32)> {
-        self.plan.check_query(query, tau_cap);
-        topk_by_escalation(k, tau_cap, |tau| self.plan.search_hits(&self.store, query, tau, true).0)
-    }
-}
-
-impl std::fmt::Debug for ColdSegment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ColdSegment")
-            .field("path", &self.store.file.path())
-            .field("rows", &self.store.n_rows)
-            .field("dim", &self.dim())
-            .field("blob_len", &self.blob_len)
-            .finish()
     }
 }
 
@@ -1230,7 +1127,7 @@ mod tests {
             let q = queries.row(qi);
             for &tau in taus {
                 let hot = engine.search_with_stats(q, tau);
-                let chill = cold.search_with_stats(q, tau);
+                let chill = cold.plan.search_with_stats(&cold.store, q, tau);
                 assert_eq!(hot.ids, chill.ids, "qi={qi} tau={tau}");
                 for st in [&hot.stats, &chill.stats] {
                     assert!(st.n_candidates <= st.sum_postings + st.n_scanned, "{st:?}");
@@ -1244,6 +1141,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Top-k over the cold segment's plan and store, as `Gph` runs it.
+    fn cold_topk(cold: &ColdSegment, q: &[u64], k: usize, tau_cap: u32) -> Vec<(u32, u32)> {
+        crate::topk_by_escalation(k, tau_cap, |tau| {
+            cold.plan.search_hits(&cold.store, q, tau, true).0
+        })
     }
 
     #[test]
@@ -1283,22 +1187,18 @@ mod tests {
         // Budget of a single page forces constant eviction churn.
         let (_store, cold) = spill(&engine, DEFAULT_PAGE_BYTES as u64);
         assert_eq!(cold.len(), engine.data().len());
-        assert_eq!(cold.dim(), 64);
-        assert_eq!(cold.tau_max(), engine.tau_max());
+        assert_eq!(cold.plan.partitioning.dim(), 64);
+        assert_eq!(cold.plan.tau_max, engine.tau_max());
         assert_cold_matches(&engine, &cold, &queries, &[0, 1, 3, 8]);
         // The default SubPartition estimator snapshots its state, so the
         // cold side restores the identical tables: cost estimates and
         // top-k agree too (`assert_cold_matches` compared thresholds).
         for qi in 0..queries.len() {
             let q = queries.row(qi);
-            assert_eq!(engine.estimate_cost(q, 5), cold.estimate_cost(q, 5), "qi={qi}");
-            assert_eq!(
-                engine.search_topk_within(q, 3, 8),
-                cold.search_topk_within(q, 3, 8),
-                "qi={qi}"
-            );
+            assert_eq!(engine.estimate_cost(q, 5), cold.plan.estimate_cost(q, 5), "qi={qi}");
+            assert_eq!(engine.search_topk_within(q, 3, 8), cold_topk(&cold, q, 3, 8), "qi={qi}");
         }
-        let stats = cold.cache_stats();
+        let stats = cold.store.cache.stats();
         assert!(stats.evictions > 0, "a 1-page budget must evict: {stats:?}");
         assert!(stats.resident_bytes <= DEFAULT_PAGE_BYTES as u64);
     }
@@ -1382,23 +1282,31 @@ mod tests {
         // Flip one byte in the partitioning section (slot 1): the cold
         // open CRC-checks every metadata slot even though payload slots
         // stay deferred.
-        let foot = hamming_core::io::Footer::parse_bytes(
-            crate::snapshot::ENGINE_MAGIC,
-            crate::snapshot::SNAPSHOT_VERSION,
-            &bytes,
-        )
-        .unwrap();
-        let target = foot.slot(crate::snapshot::SLOT_PARTIT).unwrap().offset as usize;
+        let container = open_engine(Source::Bytes(&bytes)).unwrap();
+        let target = container.slot(crate::snapshot::SLOT_PARTIT).offset as usize;
         let mut bad = bytes.clone();
         bad[target] ^= 0x40;
         let file = Arc::new(store.write_blob(&bad).unwrap());
         let len = file.len();
-        let err = ColdSegment::open(file, store.cache().clone(), 0, len).unwrap_err();
-        assert!(matches!(err, HammingError::Corrupt(_)), "{err:?}");
+        let err = ColdSegment::open(file, store.cache().clone(), 0, len).err();
+        assert!(matches!(err, Some(HammingError::Corrupt(_))), "{err:?}");
         // Truncated files fail footer parsing, not panic.
         let file = Arc::new(store.write_blob(&bytes[..bytes.len() - 9]).unwrap());
         let len = file.len();
         assert!(ColdSegment::open(file, store.cache().clone(), 0, len).is_err());
+        // A flip anywhere in the header or the footer fails the cold
+        // open and the resident decode alike.
+        let footer_at = bytes.len() - hamming_core::io::footer_len(10); // GPHE has 10 slots
+        for i in (0..hamming_core::io::OFFSET_HEADER_LEN).chain(footer_at..bytes.len()) {
+            let mut bad = bytes.clone();
+            bad[i] ^= 0xFF;
+            let file = Arc::new(store.write_blob(&bad).unwrap());
+            let len = file.len();
+            let cold = ColdSegment::open(file, store.cache().clone(), 0, len).err();
+            assert!(matches!(cold, Some(HammingError::Corrupt(_))), "byte {i}: {cold:?}");
+            let resident = Gph::from_bytes(&bad).err();
+            assert!(matches!(resident, Some(HammingError::Corrupt(_))), "byte {i}: {resident:?}");
+        }
     }
 
     /// Page-cache lookups (hits + misses) so far.
@@ -1546,7 +1454,7 @@ mod tests {
                 let q = queries.row(qi);
                 for tau in [0, tau_max / 2, tau_max] {
                     let before = lookups(&cache);
-                    let chill = cold.search_with_stats(q, tau);
+                    let chill = cold.plan.search_with_stats(&cold.store, q, tau);
                     let cost = lookups(&cache) - before;
                     assert_eq!(
                         chill.ids,
@@ -1580,13 +1488,7 @@ mod tests {
         cfg.strategy = PartitionStrategy::RandomShuffle { seed: 13 };
         let engine = Gph::build(ds.clone(), &cfg).unwrap();
         let mut bytes = engine.to_bytes();
-        let foot = hamming_core::io::Footer::parse_bytes(
-            crate::snapshot::ENGINE_MAGIC,
-            crate::snapshot::SNAPSHOT_VERSION,
-            &bytes,
-        )
-        .unwrap();
-        let keys = foot.slot(crate::snapshot::SLOT_KEYS).unwrap();
+        let keys = open_engine(Source::Bytes(&bytes)).unwrap().slot(SLOT_KEYS);
         let (start, len) = (keys.offset as usize, keys.len as usize);
         // The top byte of every other page's first key (so fence keys
         // alternate high and low), and a spray of bytes in between.
@@ -1608,10 +1510,10 @@ mod tests {
             let q = queries.row(qi);
             for tau in [0, 4, 8] {
                 let truth = ds.linear_scan(q, tau);
-                for id in cold.search(q, tau) {
+                for id in cold.plan.search_with_stats(&cold.store, q, tau).ids {
                     assert!(truth.binary_search(&id).is_ok(), "qi {qi} tau {tau}: {id}");
                 }
-                cold.search_topk_within(q, 3, tau);
+                cold_topk(&cold, q, 3, tau);
             }
         }
     }

@@ -39,6 +39,14 @@
 //! `tests/segment_properties.rs` pins this over arbitrary
 //! insert/delete/seal/compact interleavings, including through a
 //! snapshot/restore round-trip.
+//!
+//! Where sealed segments live is [`SegmentConfig::storage`]: decoded on
+//! the heap, or file-backed and paged on demand ([`crate::coldstore`]).
+//! A snapshot (`GPHS`) restores one of two ways, both through the one
+//! container reader ([`hamming_core::io::Container`]):
+//! [`SegmentedGph::from_bytes`] decodes everything resident, and
+//! [`SegmentedGph::load_with_storage`] is the one file-backed restore,
+//! serving each sealed segment from its blob inside the snapshot file.
 
 use crate::coldstore::{ColdSegment, PageCacheStats, SegmentFile, SpillStore, StorageMode};
 use crate::engine::{Gph, GphConfig, QueryStats};
@@ -48,10 +56,9 @@ use crate::snapshot::{decode_gph_config, encode_gph_config};
 use bytes::BufMut;
 use gph_obs::{PhaseNanos, SegmentTrace};
 use hamming_core::error::{HammingError, Result};
-use hamming_core::io::{reject_retired_version, ByteReader, Footer, OffsetWriter, PAGE_SIZE};
+use hamming_core::io::{ByteReader, Container, OffsetWriter, Source, PAGE_SIZE};
 use hamming_core::tombstone::Tombstones;
 use hamming_core::{hamming_within, words_for, Dataset, Partitioning};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -65,14 +72,14 @@ pub const SEGMENT_MAGIC: [u8; 4] = *b"GPHS";
 pub const SEGMENT_VERSION: u32 = 3;
 
 // GPHS v3 slot indices (see `FORMAT.md`).
-pub(crate) const SEG_SLOT_CONFIG: usize = 0;
-pub(crate) const SEG_SLOT_SEGHDR: usize = 1;
-pub(crate) const SEG_SLOT_MEMDATA: usize = 2;
-pub(crate) const SEG_SLOT_MEMIDS: usize = 3;
-pub(crate) const SEG_SLOT_MEMDEAD: usize = 4;
-pub(crate) const SEG_SLOT_BLOBS: usize = 5;
-pub(crate) const SEG_SLOT_SEGTAB: usize = 6;
-pub(crate) const N_SEG_SLOTS: usize = 7;
+const SEG_SLOT_CONFIG: usize = 0;
+const SEG_SLOT_SEGHDR: usize = 1;
+const SEG_SLOT_MEMDATA: usize = 2;
+const SEG_SLOT_MEMIDS: usize = 3;
+const SEG_SLOT_MEMDEAD: usize = 4;
+const SEG_SLOT_BLOBS: usize = 5;
+const SEG_SLOT_SEGTAB: usize = 6;
+const N_SEG_SLOTS: usize = 7;
 
 /// Knobs of the segment lifecycle.
 #[derive(Clone, Copy, Debug)]
@@ -356,28 +363,16 @@ impl SegmentedGph {
     /// [`StorageMode`]: kept resident, or encoded to a GPHE v3 blob in
     /// the spill store and reopened cold.
     fn store_engine(&mut self, engine: Gph) -> Result<SegStore> {
-        match self.seg_cfg.storage {
-            StorageMode::Resident => Ok(SegStore::Resident(engine)),
-            StorageMode::FileBacked { budget_bytes } => {
-                self.spill_cold(budget_bytes, &engine.to_bytes())
-            }
-        }
-    }
-
-    /// Writes a GPHE `blob` to the spill store and reopens it cold.
-    fn spill_cold(&mut self, budget_bytes: u64, blob: &[u8]) -> Result<SegStore> {
-        let spill = self.spill_store(budget_bytes)?;
-        let file = Arc::new(spill.write_blob(blob)?);
-        let len = file.len();
-        Ok(SegStore::Cold(ColdSegment::open(file, Arc::clone(spill.cache()), 0, len)?))
-    }
-
-    /// The spill store, created on first use.
-    fn spill_store(&mut self, budget_bytes: u64) -> Result<Arc<SpillStore>> {
+        let StorageMode::FileBacked { budget_bytes } = self.seg_cfg.storage else {
+            return Ok(SegStore::Resident(engine));
+        };
         if self.spill.is_none() {
             self.spill = Some(SpillStore::temp(budget_bytes)?);
         }
-        Ok(Arc::clone(self.spill.as_ref().unwrap()))
+        let spill = self.spill.as_ref().expect("created above when missing");
+        let file = Arc::new(spill.write_blob(&engine.to_bytes())?);
+        let len = file.len();
+        Ok(SegStore::Cold(ColdSegment::open(file, Arc::clone(spill.cache()), 0, len)?))
     }
 
     /// Page-cache counters when any segment is file-backed; `None` while
@@ -857,18 +852,12 @@ impl SegmentedGph {
     /// segment table mapping each segment to its arena extent plus its
     /// ids and tombstones. Pending tombstones round-trip; nothing is
     /// compacted away. See `FORMAT.md` for the byte-level layout.
-    ///
-    /// # Panics
-    ///
-    /// File-backed segments read their blob back from disk here; an
-    /// operating-system I/O failure doing so panics (the same contract
-    /// as mid-query paged reads).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let blobs: Vec<Vec<u8>> = self
-            .sealed
-            .iter()
-            .map(|s| s.store.engine_bytes().expect("segment blob read failed during snapshot"))
-            .collect();
+    /// File-backed segments read their blob back from disk here; a blob
+    /// that cannot be read back (the file truncated, an I/O error) is
+    /// the error.
+    pub fn to_bytes(&self) -> Result<Vec<u8>> {
+        let blobs =
+            self.sealed.iter().map(|s| s.store.engine_bytes()).collect::<Result<Vec<_>>>()?;
         // The arena is assembled first so the segment table can carry
         // arena-relative offsets. Each blob starts on a PAGE_SIZE
         // boundary; the arena section itself is page-aligned, so blob
@@ -913,56 +902,35 @@ impl SegmentedGph {
         w.section(&self.mem.dead.encode());
         w.aligned_section(&arena);
         w.section(&segtab);
-        w.finish()
+        Ok(w.finish())
     }
 
     /// Restores an engine from [`SegmentedGph::to_bytes`] bytes, fully
-    /// resident. The restored engine is query-for-query identical to
-    /// the saved one, and — because the build config travels with the
-    /// data — behaves identically under further mutations too.
+    /// resident, every payload CRC verified up front. The restored
+    /// engine is query-for-query identical to the saved one, and —
+    /// because the build config travels with the data — behaves
+    /// identically under further mutations too.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        Self::from_bytes_with_storage(bytes, StorageMode::Resident)
-    }
-
-    /// [`SegmentedGph::from_bytes`] with an explicit [`StorageMode`] for
-    /// the restored sealed segments. Under
-    /// [`StorageMode::FileBacked`] each segment blob is spilled to a
-    /// temp file and served through a shared page cache instead of being
-    /// decoded onto the heap. Every payload CRC is verified up front.
-    pub fn from_bytes_with_storage(bytes: &[u8], storage: StorageMode) -> Result<Self> {
-        reject_retired_version(SEGMENT_MAGIC, SEGMENT_VERSION, bytes)?;
-        let f = Footer::parse_bytes(SEGMENT_MAGIC, SEGMENT_VERSION, bytes)?;
-        let arena = f.payload(bytes, SEG_SLOT_BLOBS)?;
-        let section = |slot: usize| Ok(Cow::Borrowed(f.payload(bytes, slot)?));
-        Self::restore(&f, storage, section, |out, rel, len| {
+        let c = Container::open(Source::Bytes(bytes), SEGMENT_MAGIC, SEGMENT_VERSION, N_SEG_SLOTS)?;
+        let arena = c.section(SEG_SLOT_BLOBS)?;
+        Self::restore(&c, StorageMode::Resident, |rel, len| {
             // `restore` bounds-checked the extent against the arena.
-            let blob = &arena[rel as usize..rel as usize + len];
-            match storage {
-                StorageMode::Resident => Ok(SegStore::Resident(Gph::from_bytes(blob)?)),
-                StorageMode::FileBacked { budget_bytes } => out.spill_cold(budget_bytes, blob),
-            }
+            Ok(SegStore::Resident(Gph::from_bytes(&arena[rel as usize..][..len])?))
         })
     }
 
-    /// Rebuilds an engine from the GPHS container indexed by `f` — the
-    /// one restore both the in-memory and the file-mapped path run.
-    /// `section` returns the CRC-verified payload of a metadata slot;
-    /// `open_blob` materialises the sealed segment whose GPHE blob sits
-    /// at `(offset, len)` of the blob arena.
-    fn restore<'a>(
-        f: &Footer,
+    /// Rebuilds an engine from the GPHS container `c` — the one restore
+    /// behind [`SegmentedGph::from_bytes`] and
+    /// [`SegmentedGph::load_with_storage`]. `open_blob` materialises the
+    /// sealed segment whose GPHE blob sits at `(offset, len)` of the
+    /// blob arena.
+    fn restore(
+        c: &Container,
         storage: StorageMode,
-        section: impl Fn(usize) -> Result<Cow<'a, [u8]>>,
-        mut open_blob: impl FnMut(&mut Self, u64, usize) -> Result<SegStore>,
+        mut open_blob: impl FnMut(u64, usize) -> Result<SegStore>,
     ) -> Result<Self> {
-        if f.n_slots() != N_SEG_SLOTS {
-            return Err(HammingError::Corrupt(format!(
-                "segmented snapshot has {} sections, expected {N_SEG_SLOTS}",
-                f.n_slots()
-            )));
-        }
-        let cfg = decode_gph_config(&section(SEG_SLOT_CONFIG)?)?;
-        let seghdr = section(SEG_SLOT_SEGHDR)?;
+        let cfg = decode_gph_config(&c.section(SEG_SLOT_CONFIG)?)?;
+        let seghdr = c.section(SEG_SLOT_SEGHDR)?;
         let mut hr = ByteReader::new(&seghdr);
         let dim = hr.u64("dim")? as usize;
         let seal_rows = hr.u64("seal_rows")? as usize;
@@ -972,14 +940,14 @@ impl SegmentedGph {
         let mut out =
             SegmentedGph::new(dim, cfg, SegmentConfig { seal_rows, max_sealed, storage })?;
         out.mem = Self::decode_memtable(
-            &section(SEG_SLOT_MEMDATA)?,
-            &section(SEG_SLOT_MEMIDS)?,
-            &section(SEG_SLOT_MEMDEAD)?,
+            &c.section(SEG_SLOT_MEMDATA)?,
+            &c.section(SEG_SLOT_MEMIDS)?,
+            &c.section(SEG_SLOT_MEMDEAD)?,
             dim,
         )?;
 
-        let arena_len = f.slot(SEG_SLOT_BLOBS)?.len;
-        let segtab = section(SEG_SLOT_SEGTAB)?;
+        let arena_len = c.slot(SEG_SLOT_BLOBS).len;
+        let segtab = c.section(SEG_SLOT_SEGTAB)?;
         let mut tr = ByteReader::new(&segtab);
         for i in 0..n_sealed {
             // Arena-relative blob extent, external ids, tombstones.
@@ -994,7 +962,7 @@ impl SegmentedGph {
                     "segment {i} blob extent exceeds the arena"
                 )));
             }
-            let store = open_blob(&mut out, rel, blob_len)?;
+            let store = open_blob(rel, blob_len)?;
             Self::check_segment(i, &store, &ids, &dead, dim, out.cfg.tau_max)?;
             out.sealed.push(Sealed { store, ids, dead });
         }
@@ -1080,7 +1048,7 @@ impl SegmentedGph {
 
     /// Writes [`SegmentedGph::to_bytes`] to `path` atomically.
     pub fn save<P: AsRef<std::path::Path>>(&self, path: P) -> Result<()> {
-        hamming_core::io::write_atomic(path.as_ref(), &self.to_bytes())
+        hamming_core::io::write_atomic(path.as_ref(), &self.to_bytes()?)
     }
 
     /// Reads an engine snapshot from `path`, fully resident.
@@ -1089,18 +1057,19 @@ impl SegmentedGph {
     }
 
     /// Reads an engine snapshot from `path` under an explicit
-    /// [`StorageMode`].
+    /// [`StorageMode`] — the one file-backed restore.
     ///
     /// This is the out-of-core warm-start path: under
     /// [`StorageMode::FileBacked`] the snapshot is *mapped, not read* —
-    /// the footer and the metadata sections (config, memtable, segment
-    /// table; a few KiB) are read directly and CRC-verified, while every
-    /// sealed segment's blob stays on disk, opened as a
-    /// [`ColdSegment`] against the
+    /// its header, footer and metadata sections (config, memtable,
+    /// segment table; a few KiB) are read directly and checked by the
+    /// one container reader ([`Container`]), while every sealed
+    /// segment's blob stays on disk, opened as a file region of the
     /// snapshot file itself, which reads one key per key page for its
     /// page fences. Restore time therefore grows only with the number
     /// of key pages (1/2048 of the key bytes at 16 KiB pages), and no
-    /// blob byte is resident until a query pages it in. Blob-payload CRCs are deferred (see `FORMAT.md` §durability);
+    /// blob byte is resident until a query pages it in. Blob-payload
+    /// CRCs are deferred (see `FORMAT.md` §durability);
     /// [`SegmentedGph::load`] is the fully-verified alternative.
     ///
     /// The engine keeps the snapshot file open for paging. Replacing the
@@ -1115,36 +1084,20 @@ impl SegmentedGph {
             return SegmentedGph::load(path);
         };
         let file = Arc::new(SegmentFile::open(path.as_ref(), false)?);
-        if file.len() < 8 {
-            return Err(HammingError::Corrupt("snapshot shorter than its header".into()));
-        }
-        let mut header = [0u8; 8];
-        file.read_at(0, &mut header)?;
-        if header[..4] != SEGMENT_MAGIC {
-            return Err(HammingError::Corrupt(format!(
-                "bad magic {:?}, expected {SEGMENT_MAGIC:?}",
-                &header[..4]
-            )));
-        }
-        reject_retired_version(SEGMENT_MAGIC, SEGMENT_VERSION, &header)?;
-
-        // Footer + metadata slots via direct reads, blobs deferred.
-        let tail_len = Footer::MAX_LEN.min(file.len() as usize);
-        let mut tail = vec![0u8; tail_len];
-        file.read_at(file.len() - tail_len as u64, &mut tail)?;
-        let f = Footer::parse(SEGMENT_MAGIC, SEGMENT_VERSION, file.len(), &tail)?;
-        let arena_off = f.slot(SEG_SLOT_BLOBS)?.offset;
-        let section = |slot: usize| file.read_section(0, &f, slot).map(Cow::Owned);
-        let mut out = Self::restore(&f, storage, section, |out, rel, len| {
-            // Snapshot-mapped segments and future seals share one spill
-            // store: its page cache, and its byte budget.
-            let cache = Arc::clone(out.spill_store(budget_bytes)?.cache());
+        let read_at = |offset: u64, buf: &mut [u8]| file.read_at(offset, buf);
+        let region = Source::Region { len: file.len(), read_at: &read_at };
+        let c = Container::open(region, SEGMENT_MAGIC, SEGMENT_VERSION, N_SEG_SLOTS)?;
+        let arena_off = c.slot(SEG_SLOT_BLOBS).offset;
+        // Snapshot-mapped segments and future seals share one spill
+        // store: its page cache, and its byte budget. It exists even with
+        // no sealed segment, so the page-cache counters do too.
+        let spill = SpillStore::temp(budget_bytes)?;
+        let mut out = Self::restore(&c, storage, |rel, len| {
+            let cache = Arc::clone(spill.cache());
             let cold = ColdSegment::open(Arc::clone(&file), cache, arena_off + rel, len as u64)?;
             Ok(SegStore::Cold(cold))
         })?;
-        // Also with no sealed segment yet, so the page-cache counters
-        // exist from the first moment of a file-backed engine.
-        out.spill_store(budget_bytes)?;
+        out.spill = Some(spill);
         Ok(out)
     }
 }
@@ -1313,7 +1266,7 @@ mod tests {
         // memtable (25 rows over seal_rows=8 leaves a partial memtable).
         eng.delete(2);
         eng.delete(24);
-        let restored = SegmentedGph::from_bytes(&eng.to_bytes()).unwrap();
+        let restored = SegmentedGph::from_bytes(&eng.to_bytes().unwrap()).unwrap();
         assert_eq!(restored.len(), eng.len());
         assert_eq!(restored.live_ids(), eng.live_ids());
         assert_eq!(restored.num_sealed(), eng.num_sealed());
@@ -1346,7 +1299,7 @@ mod tests {
             eng.insert(i as u32, row).unwrap();
         }
         eng.delete(3);
-        let bytes = eng.to_bytes();
+        let bytes = eng.to_bytes().unwrap();
         assert!(SegmentedGph::from_bytes(&bytes).is_ok());
         for i in (0..bytes.len()).step_by(53) {
             let mut bad = bytes.clone();
@@ -1452,7 +1405,10 @@ mod tests {
             // So does a flush after a snapshot round-trip; it is the
             // fourth segment, so the two smallest merge — under the
             // configured strategy.
-            let mut eng = SegmentedGph::from_bytes_with_storage(&eng.to_bytes(), storage).unwrap();
+            let path = std::env::temp_dir()
+                .join(format!("gph-segtest-inherit-{}.gphs", std::process::id()));
+            eng.save(&path).unwrap();
+            let mut eng = SegmentedGph::load_with_storage(&path, storage).unwrap();
             flush(&mut eng);
             let sizes: Vec<usize> = eng.sealed.iter().map(|s| s.ids.len()).collect();
             assert_eq!(sizes, [8, 8, 16]);
@@ -1474,6 +1430,7 @@ mod tests {
             // A full compaction re-optimises over everything.
             eng.compact().unwrap();
             assert_eq!(partitionings(&eng), [configured(&eng, 0)]);
+            std::fs::remove_file(&path).ok();
         }
     }
 
@@ -1522,15 +1479,15 @@ mod tests {
         hot.compact().unwrap();
         assert_same_answers(&hot, &cold, &rows);
         // Snapshots of both modes are interchangeable.
+        let path =
+            std::env::temp_dir().join(format!("gph-segtest-modes-{}.gphs", std::process::id()));
+        hot.save(&path).unwrap();
         assert_same_answers(
-            &SegmentedGph::from_bytes(&cold.to_bytes()).unwrap(),
-            &SegmentedGph::from_bytes_with_storage(
-                &hot.to_bytes(),
-                StorageMode::FileBacked { budget_bytes: 32 * 1024 },
-            )
-            .unwrap(),
+            &SegmentedGph::from_bytes(&cold.to_bytes().unwrap()).unwrap(),
+            &SegmentedGph::load_with_storage(&path, cold_cfg.storage).unwrap(),
             &rows,
         );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1579,7 +1536,7 @@ mod tests {
         assert_same_answers(&eng, &restored, &rows);
         // An unmodified file-backed restore re-serializes byte-for-byte:
         // cold blobs are copied out verbatim.
-        assert_eq!(restored.to_bytes(), eng.to_bytes());
+        assert_eq!(restored.to_bytes().unwrap(), eng.to_bytes().unwrap());
         // Further mutations seal into the spill store and keep working.
         let mut restored = restored;
         let extra = random_rows(48, 12, 23);
@@ -1595,12 +1552,44 @@ mod tests {
     }
 
     #[test]
+    fn saving_a_truncated_mapped_snapshot_is_an_error_not_a_panic() {
+        let rows = random_rows(48, 30, 24);
+        let mut eng = SegmentedGph::new(48, cfg(), seg_cfg()).unwrap();
+        for (i, row) in rows.iter().enumerate() {
+            eng.insert(i as u32, row).unwrap();
+        }
+        let dir = std::env::temp_dir().join(format!("gph-segtest-trunc-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.gphs");
+        eng.save(&path).unwrap();
+        let mapped = SegmentedGph::load_with_storage(
+            &path,
+            StorageMode::FileBacked { budget_bytes: 1 << 20 },
+        )
+        .unwrap();
+        assert!(mapped.num_sealed() > 0, "the blobs must be mapped from the file");
+        // Cut the file inside the blob arena, which starts past the
+        // first page: the blobs can no longer be read back.
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(PAGE_SIZE as u64)
+            .unwrap();
+        let copy = dir.join("copy.gphs");
+        assert!(mapped.save(&copy).is_err());
+        assert!(!copy.exists());
+        drop(mapped);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn empty_engine_serves_and_roundtrips() {
         let eng = SegmentedGph::new(32, cfg(), seg_cfg()).unwrap();
         assert!(eng.search(&[0u64], 4).is_empty());
         assert!(eng.search_topk(&[0u64], 3).is_empty());
         assert_eq!(eng.estimate_cost(&[0u64], 4), 0.0);
-        let restored = SegmentedGph::from_bytes(&eng.to_bytes()).unwrap();
+        let restored = SegmentedGph::from_bytes(&eng.to_bytes().unwrap()).unwrap();
         assert!(restored.is_empty());
     }
 }

@@ -56,8 +56,8 @@ use bytes::BufMut;
 use hamming_core::dataset::Dataset;
 use hamming_core::error::{HammingError, Result};
 use hamming_core::io::{
-    decode_dataset, decode_partitioning, encode_dataset, encode_partitioning,
-    reject_retired_version, ByteReader, Footer, OffsetWriter,
+    decode_dataset, decode_partitioning, encode_dataset, encode_partitioning, ByteReader,
+    Container, OffsetWriter, Source,
 };
 use hamming_core::project::{ProjectedDataset, Projector};
 use hamming_core::{words_for, InvertedIndex, Partitioning};
@@ -82,7 +82,7 @@ pub(crate) const SLOT_ROWS: usize = 6;
 pub(crate) const SLOT_KEYS: usize = 7;
 pub(crate) const SLOT_OFFS: usize = 8;
 pub(crate) const SLOT_IDS: usize = 9;
-pub(crate) const N_ENGINE_SLOTS: usize = 10;
+const N_ENGINE_SLOTS: usize = 10;
 
 fn encode_allocator(kind: AllocatorKind) -> u8 {
     match kind {
@@ -405,8 +405,8 @@ pub(crate) struct PartSpan {
 /// Everything a GPHE container says about its engine short of the
 /// payload arrays, decoded and cross-validated once for both load
 /// paths: the resident decode ([`decode_engine`]) and the cold open
-/// ([`crate::coldstore::ColdSegment::open`]) differ only in what they
-/// do with the row slab and the CSR sections afterwards.
+/// (`coldstore::ColdSegment::open`) differ only in what they do with
+/// the row slab and the CSR sections afterwards.
 pub(crate) struct EngineMeta<'a> {
     pub(crate) cfg: DecodedConfig,
     pub(crate) partitioning: Partitioning,
@@ -449,33 +449,28 @@ impl EngineMeta<'_> {
     }
 }
 
-/// Decodes the metadata sections of the container indexed by `f` and
-/// checks that they describe one consistent engine — every section CRC
-/// can be intact while the sections belong to different engines, or
-/// while the partition table disagrees with the payload sections it
-/// tiles. `section` returns the CRC-verified payload of a metadata
-/// slot; the payload slots (rows, keys, offs, ids) are only measured,
-/// never read.
-pub(crate) fn decode_engine_meta<'a>(
-    f: &Footer,
-    section: impl Fn(usize) -> Result<Cow<'a, [u8]>>,
-) -> Result<EngineMeta<'a>> {
-    if f.n_slots() != N_ENGINE_SLOTS {
-        return Err(HammingError::Corrupt(format!(
-            "engine snapshot has {} sections, expected {N_ENGINE_SLOTS}",
-            f.n_slots()
-        )));
-    }
-    let cfg = decode_config(&section(SLOT_CONFIG)?)?;
-    let partitioning = decode_partitioning(&section(SLOT_PARTIT)?)?;
-    let estimator_kind = decode_kind(&section(SLOT_ESTKIND)?)?;
-    let est_state = section(SLOT_ESTSTATE)?;
-    let rowmeta = section(SLOT_ROWMETA)?;
+/// Opens a GPHE container, resident or file-backed by the kind of
+/// `source` (see [`Container`]).
+pub(crate) fn open_engine(source: Source<'_>) -> Result<Container<'_>> {
+    Container::open(source, ENGINE_MAGIC, SNAPSHOT_VERSION, N_ENGINE_SLOTS)
+}
+
+/// Decodes the metadata sections of the GPHE container `c` and checks
+/// that they describe one consistent engine — every section CRC can be
+/// intact while the sections belong to different engines, or while the
+/// partition table disagrees with the payload sections it tiles. The
+/// payload slots (rows, keys, offs, ids) are only measured, never read.
+pub(crate) fn decode_engine_meta<'a>(c: &Container<'a>) -> Result<EngineMeta<'a>> {
+    let cfg = decode_config(&c.section(SLOT_CONFIG)?)?;
+    let partitioning = decode_partitioning(&c.section(SLOT_PARTIT)?)?;
+    let estimator_kind = decode_kind(&c.section(SLOT_ESTKIND)?)?;
+    let est_state = c.section(SLOT_ESTSTATE)?;
+    let rowmeta = c.section(SLOT_ROWMETA)?;
     let mut r = ByteReader::new(&rowmeta);
     let dim = r.u64("row dim")? as usize;
     let n_rows = r.u64("row count")? as usize;
     r.finish("row metadata")?;
-    let parttab = section(SLOT_PARTTAB)?;
+    let parttab = c.section(SLOT_PARTTAB)?;
 
     if dim == 0 {
         return Err(HammingError::Corrupt("snapshot declares dim 0".into()));
@@ -498,7 +493,7 @@ pub(crate) fn decode_engine_meta<'a>(
         .checked_mul(words_for(dim) as u64)
         .and_then(|w| w.checked_mul(8))
         .ok_or_else(|| HammingError::Corrupt("row slab size overflow".into()))?;
-    let rows_len = f.slot(SLOT_ROWS)?.len;
+    let rows_len = c.slot(SLOT_ROWS).len;
     if rows_len != expect_rows {
         return Err(HammingError::Corrupt(format!(
             "row slab is {rows_len} bytes, expected {expect_rows} for {n_rows} rows of dim {dim}"
@@ -508,7 +503,7 @@ pub(crate) fn decode_engine_meta<'a>(
     // One `(width, n_keys, n_ids)` row per partition; together the
     // declared extents must tile each CSR section exactly.
     let projector = Projector::new(&partitioning);
-    let sections = [f.slot(SLOT_KEYS)?.len, f.slot(SLOT_OFFS)?.len, f.slot(SLOT_IDS)?.len];
+    let sections = [SLOT_KEYS, SLOT_OFFS, SLOT_IDS].map(|slot| c.slot(slot).len);
     let mut at = [0u64; 3];
     let mut parts = Vec::with_capacity(partitioning.num_parts());
     let mut r = ByteReader::new(&parttab);
@@ -555,17 +550,16 @@ pub(crate) fn decode_engine_meta<'a>(
 /// Restores an engine from [`encode_engine`] bytes, every payload CRC
 /// verified up front.
 pub(crate) fn decode_engine(bytes: &[u8]) -> Result<Gph> {
-    reject_retired_version(ENGINE_MAGIC, SNAPSHOT_VERSION, bytes)?;
-    let f = Footer::parse_bytes(ENGINE_MAGIC, SNAPSHOT_VERSION, bytes)?;
-    let meta = decode_engine_meta(&f, |slot| Ok(Cow::Borrowed(f.payload(bytes, slot)?)))?;
+    let c = open_engine(Source::Bytes(bytes))?;
+    let meta = decode_engine_meta(&c)?;
     let n = meta.n_rows;
-    let data = dataset_from_slab(meta.dim, n, f.payload(bytes, SLOT_ROWS)?)?;
+    let data = dataset_from_slab(meta.dim, n, &c.section(SLOT_ROWS)?)?;
 
     // `decode_engine_meta` proved the partition table tiles these
     // sections exactly, so reading them front to back consumes each.
-    let mut keys = ByteReader::new(f.payload(bytes, SLOT_KEYS)?);
-    let mut offs = ByteReader::new(f.payload(bytes, SLOT_OFFS)?);
-    let mut ids = ByteReader::new(f.payload(bytes, SLOT_IDS)?);
+    let (keys, offs, ids) = (c.section(SLOT_KEYS)?, c.section(SLOT_OFFS)?, c.section(SLOT_IDS)?);
+    let (mut keys, mut offs, mut ids) =
+        (ByteReader::new(&keys), ByteReader::new(&offs), ByteReader::new(&ids));
     let mut csr = Vec::with_capacity(meta.parts.len());
     for s in &meta.parts {
         csr.push((
@@ -725,19 +719,19 @@ mod tests {
             Gph::build(ds.clone(), &cfg).unwrap().to_bytes()
         };
         let (a, b) = (build(2), build(4));
-        let fa = Footer::parse_bytes(ENGINE_MAGIC, SNAPSHOT_VERSION, &a).unwrap();
-        let fb = Footer::parse_bytes(ENGINE_MAGIC, SNAPSHOT_VERSION, &b).unwrap();
+        let ca = open_engine(Source::Bytes(&a)).unwrap();
+        let cb = open_engine(Source::Bytes(&b)).unwrap();
         // Engine B's container, slot for slot, with A's estimator state.
         let mut w = OffsetWriter::new(ENGINE_MAGIC, SNAPSHOT_VERSION);
         for slot in 0..N_ENGINE_SLOTS {
             let payload = match slot {
-                SLOT_ESTSTATE => fa.payload(&a, slot).unwrap(),
-                _ => fb.payload(&b, slot).unwrap(),
+                SLOT_ESTSTATE => ca.section(slot).unwrap(),
+                _ => cb.section(slot).unwrap(),
             };
             if slot >= SLOT_ROWS {
-                w.aligned_section(payload);
+                w.aligned_section(&payload);
             } else {
-                w.section(payload);
+                w.section(&payload);
             }
         }
         match Gph::from_bytes(&w.finish()) {
@@ -812,15 +806,22 @@ mod tests {
     #[test]
     fn retired_gphe_versions_are_rejected_as_unsupported() {
         // A v1/v2 file is a tagged-section container: all this reader
-        // must recognise is the header, and say so — never misparse it.
+        // must recognise is the header, and say so — never misparse it —
+        // whether it is decoded in memory or opened cold.
+        let spill = crate::coldstore::SpillStore::temp(1 << 20).unwrap();
         for version in [1u32, 2] {
             let mut old = [&ENGINE_MAGIC[..], &version.to_le_bytes()].concat();
             old.extend_from_slice(b"whatever an old writer put here");
-            match Gph::from_bytes(&old).map(|_| ()) {
-                Err(HammingError::Corrupt(msg)) => {
-                    assert!(msg.contains(&format!("unsupported version {version}")), "{msg}")
+            let file = std::sync::Arc::new(spill.write_blob(&old).unwrap());
+            let len = file.len();
+            let cold = crate::coldstore::ColdSegment::open(file, spill.cache().clone(), 0, len);
+            for got in [Gph::from_bytes(&old).map(|_| ()), cold.map(|_| ())] {
+                match got {
+                    Err(HammingError::Corrupt(msg)) => {
+                        assert!(msg.contains(&format!("unsupported version {version}")), "{msg}")
+                    }
+                    other => panic!("v{version}: expected Corrupt, got {other:?}"),
                 }
-                other => panic!("v{version}: expected Corrupt, got {other:?}"),
             }
         }
     }
@@ -833,15 +834,13 @@ mod tests {
         cfg.strategy = PartitionStrategy::RandomShuffle { seed: 5 };
         let built = Gph::build(ds, &cfg).unwrap();
         let bytes = built.to_bytes();
-        let f = Footer::parse_bytes(ENGINE_MAGIC, SNAPSHOT_VERSION, &bytes).unwrap();
-        assert_eq!(f.n_slots(), N_ENGINE_SLOTS);
+        let c = open_engine(Source::Bytes(&bytes)).unwrap();
         for slot in [SLOT_ROWS, SLOT_KEYS, SLOT_OFFS, SLOT_IDS] {
-            let s = f.slot(slot).unwrap();
-            assert_eq!(s.offset % PAGE_SIZE as u64, 0, "slot {slot} unaligned");
+            assert_eq!(c.slot(slot).offset % PAGE_SIZE as u64, 0, "slot {slot} unaligned");
         }
         // The row slab is the dataset words verbatim: the whole point of
         // the layout is that a pager can read rows without decoding.
-        let rows = f.payload(&bytes, SLOT_ROWS).unwrap();
+        let rows = c.section(SLOT_ROWS).unwrap();
         let wpv = built.data().words_per_vec();
         let row7 = built.data().row(7);
         let start = 7 * wpv * 8;

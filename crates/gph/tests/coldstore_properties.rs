@@ -164,7 +164,10 @@ proptest! {
             .expect("lazy file-backed restore");
         // Before any payload is paged, re-serialization must be
         // byte-identical to the file on disk (blobs stream verbatim).
-        prop_assert_eq!(cold.to_bytes(), std::fs::read(&path).expect("read snapshot back"));
+        prop_assert_eq!(
+            cold.to_bytes().expect("re-serialize"),
+            std::fs::read(&path).expect("read snapshot back")
+        );
         assert_identical(&hot, &cold, &queries);
         for op in &ops_after {
             apply(&mut hot, &mut cold, op);
@@ -204,10 +207,10 @@ fn sealed_snapshot_bytes() -> (Vec<u8>, usize) {
         eng.upsert(id, &words(&bits)).expect("upsert");
     }
     eng.seal().expect("seal");
-    let bytes = eng.to_bytes();
+    let bytes = eng.to_bytes().expect("snapshot");
     // Trailer layout: version u32 | n_slots u32 | magic echo | crc | magic.
     let n_slots = u32::from_le_bytes(bytes[bytes.len() - 16..bytes.len() - 12].try_into().unwrap());
-    let flen = hamming_core::io::Footer::footer_len(n_slots as usize);
+    let flen = hamming_core::io::footer_len(n_slots as usize);
     (bytes, flen)
 }
 
@@ -222,21 +225,29 @@ fn try_cold_load(bytes: &[u8], tag: &str) -> Result<SegmentedGph, hamming_core::
     out
 }
 
-/// Exhaustive sweep: inverting any single byte of the v3 footer makes
-/// the lazy (cold) open fail with `Corrupt` — never a panic, a huge
-/// allocation, or a silently wrong mapping. The footer checksum covers
-/// the slot table and the trailer fields, so no flip can hide.
+/// Exhaustive sweep: inverting any single byte of the v3 header or
+/// footer makes the lazy (cold) open fail with `Corrupt` — never a
+/// panic, a huge allocation, or a silently wrong mapping — as it does
+/// the resident decode. The footer checksum covers the slot table and
+/// the trailer fields, and the header must equal the footer's echo of
+/// it, so no flip can hide.
 #[test]
 fn every_footer_byte_flip_is_rejected_by_the_cold_open() {
     let (bytes, flen) = sealed_snapshot_bytes();
     assert!(try_cold_load(&bytes, "pristine").is_ok(), "pristine snapshot must load");
-    for i in bytes.len() - flen..bytes.len() {
+    let header = 0..hamming_core::io::OFFSET_HEADER_LEN;
+    for i in header.chain(bytes.len() - flen..bytes.len()) {
         let mut corrupt = bytes.clone();
         corrupt[i] ^= 0xFF;
-        match try_cold_load(&corrupt, "sweep") {
-            Err(hamming_core::HammingError::Corrupt(_)) => {}
-            Err(other) => panic!("footer byte {i}: expected Corrupt, got {other}"),
-            Ok(_) => panic!("footer byte {i}: corruption loaded cleanly"),
+        for (path, got) in [
+            ("cold", try_cold_load(&corrupt, "sweep")),
+            ("resident", SegmentedGph::from_bytes(&corrupt)),
+        ] {
+            match got {
+                Err(hamming_core::HammingError::Corrupt(_)) => {}
+                Err(other) => panic!("{path} byte {i}: expected Corrupt, got {other}"),
+                Ok(_) => panic!("{path} byte {i}: corruption loaded cleanly"),
+            }
         }
     }
 }

@@ -5,13 +5,15 @@
 //! are hashes); it keeps no projected copy of the rows. Either way it
 //! must admit exactly the rows a full enumeration would have — counted
 //! here from a `ProjectedDataset` built inside the test — and return the
-//! linear-scan answer, as must a file-backed segment opened from the
-//! same snapshot (which floods wide partitions instead of projecting).
+//! linear-scan answer, as must a file-backed segment built from the
+//! same rows and config (which floods wide partitions instead of
+//! projecting).
 
 use gph::cn::EstimatorKind;
-use gph::coldstore::{ColdSegment, SpillStore};
+use gph::coldstore::StorageMode;
 use gph::engine::{Gph, GphConfig};
 use gph::partition_opt::PartitionStrategy;
+use gph::segment::{SegmentConfig, SegmentedGph};
 use hamming_core::distance::hamming;
 use hamming_core::enumerate::ball_size;
 use hamming_core::project::{ProjectedDataset, Projector};
@@ -19,7 +21,6 @@ use hamming_core::{BitVector, Dataset};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::sync::Arc;
 
 fn random_dataset(dim: usize, n: usize, rng: &mut ChaCha8Rng) -> Dataset {
     let mut ds = Dataset::new(dim);
@@ -67,10 +68,12 @@ proptest! {
         let built = Gph::build(ds.clone(), &cfg).unwrap();
         let bytes = built.to_bytes();
         let loaded = Gph::from_bytes(&bytes).unwrap();
-        let spill = SpillStore::temp(1 << 20).unwrap();
-        let file = Arc::new(spill.write_blob(&bytes).unwrap());
-        let len = file.len();
-        let cold = ColdSegment::open(file, spill.cache().clone(), 0, len).unwrap();
+        // One file-backed sealed segment under ids 0..n, so its ids are
+        // the rows' local ids.
+        let storage = StorageMode::FileBacked { budget_bytes: 1 << 20 };
+        let ids = (0..n as u32).collect();
+        let cold_cfg = SegmentConfig { storage, ..SegmentConfig::default() };
+        let cold = SegmentedGph::build_sealed(ds.clone(), ids, cfg.clone(), cold_cfg).unwrap();
 
         let projector = Projector::new(built.partitioning());
         let pd = ProjectedDataset::build(&ds, &projector);

@@ -199,8 +199,8 @@ proptest! {
         for op in &ops_before {
             apply(&mut engine, &mut model, op);
         }
-        let mut restored =
-            SegmentedGph::from_bytes(&engine.to_bytes()).expect("snapshot round-trip");
+        let bytes = engine.to_bytes().expect("snapshot");
+        let mut restored = SegmentedGph::from_bytes(&bytes).expect("snapshot round-trip");
         prop_assert_eq!(restored.len(), engine.len());
         prop_assert_eq!(restored.live_ids(), engine.live_ids());
         assert_equivalent(&restored, &model, &cfg, &queries);

@@ -1,7 +1,8 @@
 //! Binary serialization: flat formats for datasets and partitionings,
-//! plus the **offset-addressed container** ([`OffsetWriter`] /
-//! [`Footer`]) that frames every snapshot artifact in the workspace
-//! (`GPHE` engines, `GPHS` segmented engines, `GPHM` shard manifests).
+//! plus the **offset-addressed container** ([`OffsetWriter`] writes it,
+//! [`Container`] is its one reader) that frames every snapshot artifact
+//! in the workspace (`GPHE` engines, `GPHS` segmented engines, `GPHM`
+//! shard manifests).
 //!
 //! Dataset format (little-endian):
 //!
@@ -28,6 +29,7 @@ use crate::error::{HammingError, Result};
 use crate::partition::Partitioning;
 use crate::words_for;
 use bytes::{Buf, BufMut};
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -266,7 +268,7 @@ pub struct SectionSlot {
 
 /// Builds an offset-addressed container: a 12-byte header, sections
 /// written back to back (payload sections optionally zero-padded to
-/// [`PAGE_SIZE`] boundaries), and a fixed-size [`Footer`] at EOF:
+/// [`PAGE_SIZE`] boundaries), and a fixed-size footer at EOF:
 ///
 /// ```text
 /// magic    [u8; 4]      caller-chosen file type
@@ -326,7 +328,6 @@ impl OffsetWriter {
     /// appends the footer.
     pub fn finish(mut self) -> Vec<u8> {
         let n = u32::try_from(self.slots.len()).expect("slot count fits u32");
-        assert!(n <= Footer::MAX_SLOTS, "{n} slots exceed Footer::MAX_SLOTS");
         self.buf[8..OFFSET_HEADER_LEN].copy_from_slice(&n.to_le_bytes());
         let footer_start = self.buf.len();
         for s in &self.slots {
@@ -344,164 +345,163 @@ impl OffsetWriter {
     }
 }
 
-/// The parsed footer of an offset-addressed container: the format
-/// version and the slot table. Obtained via [`Footer::parse`] (from a
-/// file tail, without touching payloads — the cold open path) or
-/// [`Footer::parse_bytes`] (from a full in-memory container, with every
-/// payload CRC and padding byte validated — the resident decode path).
-#[derive(Clone, Debug)]
-pub struct Footer {
-    version: u32,
+/// Footer length in bytes for a container with `n_slots` sections.
+pub const fn footer_len(n_slots: usize) -> usize {
+    n_slots * SLOT_LEN + FOOTER_TRAILER_LEN
+}
+
+/// Where an offset-addressed container's bytes come from. The kind of
+/// source decides how much [`Container::open`] validates up front.
+#[derive(Clone, Copy)]
+pub enum Source<'a> {
+    /// The whole container, in memory.
+    Bytes(&'a [u8]),
+    /// A `len`-byte container read on demand: `read_at(offset, buf)`
+    /// fills `buf` from `offset` bytes past the container's start (a
+    /// positional read of a file region).
+    Region {
+        /// Container length in bytes.
+        len: u64,
+        /// Positional read relative to the container's first byte.
+        read_at: &'a dyn Fn(u64, &mut [u8]) -> Result<()>,
+    },
+}
+
+impl Source<'_> {
+    fn len(&self) -> u64 {
+        match self {
+            Source::Bytes(bytes) => bytes.len() as u64,
+            Source::Region { len, .. } => *len,
+        }
+    }
+
+    fn read(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        match self {
+            // Callers read inside `0..len()` only.
+            Source::Bytes(bytes) => {
+                buf.copy_from_slice(&bytes[offset as usize..offset as usize + buf.len()]);
+                Ok(())
+            }
+            Source::Region { read_at, .. } => read_at(offset, buf),
+        }
+    }
+}
+
+/// An opened offset-addressed container: the one reader of the
+/// framing, for every format built on it (`GPHE`, `GPHS`, `GPHM`).
+///
+/// [`Container::open`] enforces every rule of `FORMAT.md` that does not
+/// need the payloads: the header names the expected magic, the one
+/// current version (an older or newer one fails as "unsupported version
+/// N") and the slot count the format defines; the footer's echo of all
+/// three equals the header; the footer CRC holds; every slot lies inside
+/// the data region. What else is checked depends on the [`Source`]:
+///
+/// * [`Source::Bytes`] — every payload CRC, and that every byte between
+///   sections is zero padding, up front; so any single-byte corruption
+///   anywhere in the buffer is rejected at open.
+/// * [`Source::Region`] — nothing more at open; [`Container::section`]
+///   CRC-checks a section when it is read, and sections nobody reads
+///   (the payload slabs a file-backed segment pages in) stay unread.
+pub struct Container<'a> {
+    source: Source<'a>,
     slots: Vec<SectionSlot>,
 }
 
-impl Footer {
-    /// Most slots any container declares. Bounds the footer length a
-    /// reader will trust before validating anything else, so a corrupt
-    /// slot count cannot drive a huge allocation.
-    pub const MAX_SLOTS: u32 = 64;
-
-    /// Largest possible footer length in bytes. Reading this many bytes
-    /// from EOF (or the whole file if shorter) always captures the
-    /// complete footer of a valid container.
-    pub const MAX_LEN: usize = Self::MAX_SLOTS as usize * SLOT_LEN + FOOTER_TRAILER_LEN;
-
-    /// Footer length in bytes for a container with `n_slots` sections.
-    pub fn footer_len(n_slots: usize) -> usize {
-        n_slots * SLOT_LEN + FOOTER_TRAILER_LEN
-    }
-
-    /// Parses a footer from the tail of a file of total length
-    /// `file_len`, where `tail` holds the file's **last** `tail.len()`
-    /// bytes (at least [`Footer::MAX_LEN`], or the whole file when
-    /// shorter). Validates the trailing magic, the magic echo, the
-    /// version, the footer CRC, and that every slot lies inside
-    /// `[OFFSET_HEADER_LEN, file_len - footer_len)` with checked
-    /// arithmetic — a corrupt offset or length yields
-    /// [`HammingError::Corrupt`], never a panic or an out-of-file read.
-    /// Payload CRCs are **not** checked here; cold readers verify each
-    /// section as they first touch it.
-    pub fn parse(magic: [u8; 4], max_version: u32, file_len: u64, tail: &[u8]) -> Result<Footer> {
-        if (tail.len() as u64) > file_len {
+impl<'a> Container<'a> {
+    /// Opens and validates the container in `source` as a `magic`
+    /// container of `version` with exactly `n_slots` sections. Any
+    /// violation is [`HammingError::Corrupt`], never a panic or a read
+    /// outside the container.
+    pub fn open(source: Source<'a>, magic: [u8; 4], version: u32, n_slots: usize) -> Result<Self> {
+        let len = source.len();
+        if len < OFFSET_HEADER_LEN as u64 {
             return Err(HammingError::Corrupt(format!(
-                "footer tail of {} bytes exceeds the {file_len}-byte file",
-                tail.len()
+                "{len} bytes cannot hold a container header"
             )));
         }
-        if tail.len() < FOOTER_TRAILER_LEN {
-            return Err(HammingError::Corrupt(format!(
-                "file tail of {} bytes cannot hold a footer trailer",
-                tail.len()
-            )));
-        }
-        let (rest, trailer) = tail.split_at(tail.len() - FOOTER_TRAILER_LEN);
-        let mut r = ByteReader::new(trailer);
-        let version = r.u32("footer version")?;
-        let n_slots = r.u32("footer slot count")?;
-        let magic_echo = r.bytes(4, "footer magic echo")?;
-        let crc = r.u32("footer crc")?;
-        let end_magic = r.bytes(4, "footer magic")?;
-        if end_magic != FOOTER_MAGIC {
-            return Err(HammingError::Corrupt(format!(
-                "bad footer magic {end_magic:?}, expected {FOOTER_MAGIC:?}"
-            )));
-        }
-        if magic_echo != magic {
-            return Err(HammingError::Corrupt(format!(
-                "footer for a {magic_echo:?} container, expected {magic:?}"
-            )));
-        }
-        if version == 0 || version > max_version {
-            return Err(HammingError::Corrupt(format!(
-                "unsupported container version {version} (reader supports 1..={max_version})"
-            )));
-        }
-        if n_slots > Self::MAX_SLOTS {
-            return Err(HammingError::Corrupt(format!(
-                "footer declares {n_slots} slots (supported: 0..={})",
-                Self::MAX_SLOTS
-            )));
-        }
-        let footer_len = Self::footer_len(n_slots as usize);
-        if footer_len > tail.len() {
-            return Err(HammingError::Corrupt(format!(
-                "footer of {footer_len} bytes truncated to the {}-byte tail",
-                tail.len()
-            )));
-        }
-        let data_end = file_len
-            .checked_sub(footer_len as u64)
-            .filter(|&e| e >= OFFSET_HEADER_LEN as u64)
-            .ok_or_else(|| {
-                HammingError::Corrupt(format!(
-                    "footer of {footer_len} bytes does not fit the {file_len}-byte file"
-                ))
-            })?;
-        let table = &rest[rest.len() - (footer_len - FOOTER_TRAILER_LEN)..];
-        // The footer CRC covers the slot table and the trailer fields
-        // before the CRC itself.
-        let covered_crc =
-            Crc32::new().update(table).update(&trailer[..FOOTER_TRAILER_LEN - 8]).finish();
-        if covered_crc != crc {
-            return Err(HammingError::Corrupt("footer checksum mismatch".into()));
-        }
-        let mut tr = ByteReader::new(table);
-        let mut slots = Vec::with_capacity(n_slots as usize);
-        for i in 0..n_slots {
-            let offset = tr.u64("slot offset")?;
-            let len = tr.u64("slot length")?;
-            let slot_crc = tr.u32("slot crc")?;
-            let end = offset.checked_add(len).ok_or_else(|| {
-                HammingError::Corrupt(format!("slot {i} offset+len overflows u64"))
-            })?;
-            if offset < OFFSET_HEADER_LEN as u64 || end > data_end {
-                return Err(HammingError::Corrupt(format!(
-                    "slot {i} spans {offset}..{end}, outside the data region \
-                     {OFFSET_HEADER_LEN}..{data_end}"
-                )));
-            }
-            slots.push(SectionSlot { offset, len, crc: slot_crc });
-        }
-        tr.finish("footer slot table")?;
-        Ok(Footer { version, slots })
-    }
-
-    /// Parses and **fully validates** an in-memory container: the
-    /// header (magic, version, and slot count must match the footer),
-    /// the footer itself, every slot's payload CRC, and that every gap
-    /// between sections is zero padding — so any single-byte corruption
-    /// anywhere in the container is detected.
-    pub fn parse_bytes(magic: [u8; 4], max_version: u32, bytes: &[u8]) -> Result<Footer> {
-        let footer = Self::parse(magic, max_version, bytes.len() as u64, bytes)?;
-        let mut h = ByteReader::new(bytes);
+        let mut header = [0u8; OFFSET_HEADER_LEN];
+        source.read(0, &mut header)?;
+        let mut h = ByteReader::new(&header);
         let got = h.bytes(4, "container magic")?;
         if got != magic {
             return Err(HammingError::Corrupt(format!("bad magic {got:?}, expected {magic:?}")));
         }
-        let h_version = h.u32("container version")?;
-        let h_slots = h.u32("container slot count")?;
-        if h_version != footer.version || h_slots as usize != footer.slots.len() {
+        let got_version = h.u32("container version")?;
+        if got_version != version {
             return Err(HammingError::Corrupt(format!(
-                "header declares version {h_version} / {h_slots} slots, footer says {} / {}",
-                footer.version,
-                footer.slots.len()
+                "unsupported version {got_version} (this reader loads version {version} only)"
             )));
         }
-        for (i, slot) in footer.slots.iter().enumerate() {
-            let payload = footer.payload(bytes, i)?;
-            if crc32(payload) != slot.crc {
+        let got_slots = h.u32("container slot count")?;
+        if got_slots as usize != n_slots {
+            return Err(HammingError::Corrupt(format!(
+                "header declares {got_slots} sections, expected {n_slots}"
+            )));
+        }
+
+        let footer_len = footer_len(n_slots);
+        let data_end = len
+            .checked_sub(footer_len as u64)
+            .filter(|&e| e >= OFFSET_HEADER_LEN as u64)
+            .ok_or_else(|| {
+                HammingError::Corrupt(format!(
+                    "footer of {footer_len} bytes does not fit the {len}-byte container"
+                ))
+            })?;
+        let mut footer = vec![0u8; footer_len];
+        source.read(data_end, &mut footer)?;
+        // The footer CRC covers the slot table and the three echoes.
+        let (covered, tail) = footer.split_at(footer_len - 8);
+        if tail[4..] != FOOTER_MAGIC {
+            return Err(HammingError::Corrupt(format!(
+                "bad footer magic {:?}, expected {FOOTER_MAGIC:?}",
+                &tail[4..]
+            )));
+        }
+        if crc32(covered) != u32::from_le_bytes(tail[..4].try_into().expect("4 bytes")) {
+            return Err(HammingError::Corrupt("footer checksum mismatch".into()));
+        }
+        let (table, echo) = covered.split_at(footer_len - FOOTER_TRAILER_LEN);
+        if echo[..8] != header[4..] || echo[8..] != magic {
+            return Err(HammingError::Corrupt("footer does not match the header".into()));
+        }
+        let mut r = ByteReader::new(table);
+        let mut slots = Vec::with_capacity(n_slots);
+        for i in 0..n_slots {
+            let offset = r.u64("slot offset")?;
+            let len = r.u64("slot length")?;
+            let crc = r.u32("slot crc")?;
+            let end = offset.checked_add(len).filter(|&e| e <= data_end);
+            if offset < OFFSET_HEADER_LEN as u64 || end.is_none() {
+                return Err(HammingError::Corrupt(format!(
+                    "slot {i} at {offset}+{len} leaves the data region \
+                     {OFFSET_HEADER_LEN}..{data_end}"
+                )));
+            }
+            slots.push(SectionSlot { offset, len, crc });
+        }
+        let container = Container { source, slots };
+        if let Source::Bytes(bytes) = source {
+            container.check_payloads(bytes, data_end)?;
+        }
+        Ok(container)
+    }
+
+    /// The in-memory profile: every payload CRC, no overlapping slots,
+    /// and zeros in every byte outside the header, the payloads and the
+    /// footer — corruption there is invisible to the CRCs.
+    fn check_payloads(&self, bytes: &[u8], data_end: u64) -> Result<()> {
+        for i in 0..self.slots.len() {
+            if crc32(&self.section(i)?) != self.slots[i].crc {
                 return Err(HammingError::Corrupt(format!("checksum mismatch in slot {i}")));
             }
         }
-        // Every byte outside the header, the payloads, and the footer
-        // must be zero padding; anything else is corruption the CRCs
-        // cannot see.
-        let data_end = bytes.len() - Self::footer_len(footer.slots.len());
         let mut spans: Vec<(u64, u64)> =
-            footer.slots.iter().map(|s| (s.offset, s.offset + s.len)).collect();
+            self.slots.iter().map(|s| (s.offset, s.offset + s.len)).collect();
         spans.sort_unstable();
         let mut cursor = OFFSET_HEADER_LEN as u64;
-        for (start, end) in spans.into_iter().chain([(data_end as u64, data_end as u64)]) {
+        for (start, end) in spans.into_iter().chain([(data_end, data_end)]) {
             if start < cursor {
                 return Err(HammingError::Corrupt(format!(
                     "slots overlap at offset {start} (previous section ends at {cursor})"
@@ -512,62 +512,34 @@ impl Footer {
             }
             cursor = cursor.max(end);
         }
-        Ok(footer)
+        Ok(())
     }
 
-    /// The container's format version.
-    pub fn version(&self) -> u32 {
-        self.version
+    /// Where section `i` lives. Panics unless `i` is below the slot
+    /// count passed to [`Container::open`].
+    pub fn slot(&self, i: usize) -> SectionSlot {
+        self.slots[i]
     }
 
-    /// Number of slots in the footer.
-    pub fn n_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Slot `i`, or [`HammingError::Corrupt`] when the footer has fewer
-    /// slots than the format requires.
-    pub fn slot(&self, i: usize) -> Result<SectionSlot> {
-        self.slots.get(i).copied().ok_or_else(|| {
-            HammingError::Corrupt(format!(
-                "footer has {} slots, slot {i} required",
-                self.slots.len()
-            ))
-        })
-    }
-
-    /// The payload of slot `i` within an in-memory container,
-    /// bounds-checked against the buffer (no CRC check — use after
-    /// [`Footer::parse_bytes`], which verifies every payload).
-    pub fn payload<'a>(&self, bytes: &'a [u8], i: usize) -> Result<&'a [u8]> {
-        let slot = self.slot(i)?;
-        let start = usize::try_from(slot.offset)
-            .ok()
-            .filter(|&s| s <= bytes.len())
-            .ok_or_else(|| HammingError::Corrupt(format!("slot {i} offset out of range")))?;
-        let len = usize::try_from(slot.len)
-            .ok()
-            .filter(|&l| l <= bytes.len() - start)
-            .ok_or_else(|| HammingError::Corrupt(format!("slot {i} length out of range")))?;
-        Ok(&bytes[start..start + len])
-    }
-}
-
-/// Rejects a container whose header carries `magic` but a retired
-/// version below `current` (the tagged-section generations of `GPHE`,
-/// `GPHS` and `GPHM`). Those files have no footer, so without this check
-/// they would surface as a confusing "bad footer magic"; anything else
-/// falls through to [`Footer`]'s validation.
-pub fn reject_retired_version(magic: [u8; 4], current: u32, header: &[u8]) -> Result<()> {
-    if header.len() >= 8 && header[..4] == magic {
-        let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if version < current {
-            return Err(HammingError::Corrupt(format!(
-                "unsupported version {version} (this reader loads version {current} only)"
-            )));
+    /// The payload of section `i`: borrowed from a [`Source::Bytes`]
+    /// buffer (verified at open), or read from a [`Source::Region`] and
+    /// CRC-checked now. Panics unless `i` is below the slot count.
+    pub fn section(&self, i: usize) -> Result<Cow<'a, [u8]>> {
+        let s = self.slots[i];
+        match self.source {
+            Source::Bytes(bytes) => {
+                Ok(Cow::Borrowed(&bytes[s.offset as usize..(s.offset + s.len) as usize]))
+            }
+            Source::Region { read_at, .. } => {
+                let mut buf = vec![0u8; s.len as usize];
+                read_at(s.offset, &mut buf)?;
+                if crc32(&buf) != s.crc {
+                    return Err(HammingError::Corrupt(format!("checksum mismatch in slot {i}")));
+                }
+                Ok(Cow::Owned(buf))
+            }
         }
     }
-    Ok(())
 }
 
 /// Encodes `ds` into a byte buffer.
@@ -891,6 +863,26 @@ mod tests {
         assert_eq!(Crc32::new().finish(), 0);
     }
 
+    /// A positional read over `bytes`, as a file region would serve it.
+    fn reader(bytes: &[u8]) -> impl Fn(u64, &mut [u8]) -> Result<()> + '_ {
+        move |offset, buf| {
+            let start = offset as usize;
+            let src = bytes.get(start..start + buf.len()).ok_or_else(|| {
+                HammingError::Corrupt(format!("read of {} at {offset} past the end", buf.len()))
+            })?;
+            buf.copy_from_slice(src);
+            Ok(())
+        }
+    }
+
+    /// Opens `bytes` through both sources.
+    fn open_both(bytes: &[u8], magic: [u8; 4], version: u32, n: usize) -> [Result<()>; 2] {
+        let read = reader(bytes);
+        let region = Source::Region { len: bytes.len() as u64, read_at: &read };
+        [Source::Bytes(bytes), region]
+            .map(|src| Container::open(src, magic, version, n).map(|_| ()))
+    }
+
     #[test]
     fn offset_container_roundtrip_and_alignment() {
         let mut w = OffsetWriter::new(*b"TSTO", 3);
@@ -902,19 +894,16 @@ mod tests {
         assert_eq!(rows_off % PAGE_SIZE as u64, 0);
         assert_eq!(keys_off % PAGE_SIZE as u64, 0);
         assert!(keys_off > rows_off);
-        let f = Footer::parse_bytes(*b"TSTO", 3, &bytes).unwrap();
-        assert_eq!(f.version(), 3);
-        assert_eq!(f.n_slots(), 4);
-        assert_eq!(f.payload(&bytes, 0).unwrap(), b"meta payload");
-        assert_eq!(f.payload(&bytes, 1).unwrap(), b"");
-        assert_eq!(f.payload(&bytes, 2).unwrap(), &[0xAB; 100][..]);
-        assert_eq!(f.payload(&bytes, 3).unwrap(), &[0xCD; 16][..]);
-        assert!(f.slot(4).is_err());
-        // The cold open path: footer parsed from a bounded tail only.
-        let tail_start = bytes.len().saturating_sub(Footer::MAX_LEN);
-        let cold = Footer::parse(*b"TSTO", 3, bytes.len() as u64, &bytes[tail_start..]).unwrap();
-        assert_eq!(cold.n_slots(), 4);
-        assert_eq!(cold.slot(2).unwrap(), f.slot(2).unwrap());
+        let read = reader(&bytes);
+        let region = Source::Region { len: bytes.len() as u64, read_at: &read };
+        for source in [Source::Bytes(&bytes), region] {
+            let c = Container::open(source, *b"TSTO", 3, 4).unwrap();
+            assert_eq!(&*c.section(0).unwrap(), b"meta payload");
+            assert_eq!(&*c.section(1).unwrap(), b"");
+            assert_eq!(&*c.section(2).unwrap(), &[0xAB; 100][..]);
+            assert_eq!(&*c.section(3).unwrap(), &[0xCD; 16][..]);
+            assert_eq!(c.slot(2).offset, rows_off);
+        }
     }
 
     #[test]
@@ -923,17 +912,20 @@ mod tests {
         w.section(b"small meta");
         w.aligned_section(&[7u8; 64]);
         let bytes = w.finish();
-        assert!(Footer::parse_bytes(*b"TSTO", 1, &bytes).is_ok());
+        assert!(Container::open(Source::Bytes(&bytes), *b"TSTO", 1, 2).is_ok());
+        let flen = footer_len(2);
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x40;
-            assert!(
-                Footer::parse_bytes(*b"TSTO", 1, &bad).is_err(),
-                "flip at byte {i} went undetected"
-            );
+            let [resident, region] = open_both(&bad, *b"TSTO", 1, 2);
+            assert!(resident.is_err(), "flip at byte {i} went undetected");
+            // A region checks the header and footer at open, payloads
+            // when they are read.
+            let framing = i < OFFSET_HEADER_LEN || i >= bytes.len() - flen;
+            assert_eq!(region.is_err(), framing, "flip at byte {i}");
         }
         for cut in 0..bytes.len() {
-            assert!(Footer::parse_bytes(*b"TSTO", 1, &bytes[..cut]).is_err());
+            assert!(open_both(&bytes[..cut], *b"TSTO", 1, 2).iter().all(Result::is_err));
         }
     }
 
@@ -943,8 +935,7 @@ mod tests {
         w.section(b"abc");
         w.aligned_section(&[1u8; 32]);
         let bytes = w.finish();
-        let footer_len = Footer::footer_len(2);
-        let footer_start = bytes.len() - footer_len;
+        let footer_start = bytes.len() - footer_len(2);
         // Forge each slot field in turn, re-sealing the footer CRC so
         // only the bounds checks can catch it.
         let forge = |patch: &dyn Fn(&mut Vec<u8>)| {
@@ -955,39 +946,29 @@ mod tests {
             bad[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
             bad
         };
+        let corrupt = |bad: &[u8]| {
+            open_both(bad, *b"TSTO", 1, 2)
+                .iter()
+                .all(|r| matches!(r, Err(HammingError::Corrupt(_))))
+        };
         // Slot 0 offset pushed past EOF.
-        let bad = forge(&|b: &mut Vec<u8>| {
+        assert!(corrupt(&forge(&|b: &mut Vec<u8>| {
             b[footer_start..footer_start + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        });
-        assert!(matches!(
-            Footer::parse(*b"TSTO", 1, bad.len() as u64, &bad),
-            Err(HammingError::Corrupt(_))
-        ));
+        })));
         // Slot 0 length forged huge (offset+len overflows / exceeds file).
-        let bad = forge(&|b: &mut Vec<u8>| {
+        assert!(corrupt(&forge(&|b: &mut Vec<u8>| {
             b[footer_start + 8..footer_start + 16].copy_from_slice(&(u64::MAX - 8).to_le_bytes());
-        });
-        assert!(matches!(
-            Footer::parse(*b"TSTO", 1, bad.len() as u64, &bad),
-            Err(HammingError::Corrupt(_))
-        ));
+        })));
         // Slot 0 offset inside the header.
-        let bad = forge(&|b: &mut Vec<u8>| {
+        assert!(corrupt(&forge(&|b: &mut Vec<u8>| {
             b[footer_start..footer_start + 8].copy_from_slice(&3u64.to_le_bytes());
-        });
-        assert!(matches!(
-            Footer::parse(*b"TSTO", 1, bad.len() as u64, &bad),
-            Err(HammingError::Corrupt(_))
-        ));
-        // Slot count forged beyond MAX_SLOTS: rejected before any
-        // slot-table allocation.
-        let mut bad = bytes.clone();
-        let n_at = bad.len() - 16;
-        bad[n_at..n_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            Footer::parse(*b"TSTO", 1, bad.len() as u64, &bad),
-            Err(HammingError::Corrupt(_))
-        ));
+        })));
+        // The footer's slot-count echo forged huge, CRC re-sealed: it
+        // must equal the header's, and nothing is sized from it.
+        assert!(corrupt(&forge(&|b: &mut Vec<u8>| {
+            let n_at = b.len() - 16;
+            b[n_at..n_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        })));
         // A slot overlapping another is caught by full validation.
         let bad = forge(&|b: &mut Vec<u8>| {
             let second = footer_start + SLOT_LEN;
@@ -997,7 +978,7 @@ mod tests {
             b[second + 8..second + 16].copy_from_slice(&3u64.to_le_bytes());
             b[second + 16..second + 20].copy_from_slice(&crc32(b"abc").to_le_bytes());
         });
-        assert!(Footer::parse_bytes(*b"TSTO", 1, &bad).is_err());
+        assert!(Container::open(Source::Bytes(&bad), *b"TSTO", 1, 2).is_err());
     }
 
     #[test]
@@ -1005,11 +986,24 @@ mod tests {
         let mut w = OffsetWriter::new(*b"TSTO", 3);
         w.section(b"x");
         let bytes = w.finish();
-        assert!(Footer::parse(*b"ELSE", 3, bytes.len() as u64, &bytes).is_err());
-        assert!(Footer::parse(*b"TSTO", 2, bytes.len() as u64, &bytes).is_err());
-        assert!(Footer::parse(*b"TSTO", 3, bytes.len() as u64, &bytes).is_ok());
-        // A tail longer than the declared file length is inconsistent.
-        assert!(Footer::parse(*b"TSTO", 3, 4, &bytes).is_err());
+        assert!(open_both(&bytes, *b"TSTO", 3, 1).iter().all(Result::is_ok));
+        assert!(open_both(&bytes, *b"ELSE", 3, 1).iter().all(Result::is_err));
+        assert!(open_both(&bytes, *b"TSTO", 3, 2).iter().all(Result::is_err));
+        // Older and newer versions alike are named, on both sources.
+        for reader_version in [2, 4] {
+            for got in open_both(&bytes, *b"TSTO", reader_version, 1) {
+                match got {
+                    Err(HammingError::Corrupt(msg)) => {
+                        assert!(msg.contains("unsupported version 3"), "{msg}")
+                    }
+                    other => panic!("expected Corrupt, got {other:?}"),
+                }
+            }
+        }
+        // A region shorter than a header is rejected before any read.
+        let read = reader(&bytes);
+        let short = Source::Region { len: 4, read_at: &read };
+        assert!(Container::open(short, *b"TSTO", 3, 1).is_err());
     }
 
     #[test]

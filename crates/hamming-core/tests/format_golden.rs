@@ -7,7 +7,7 @@
 //! either the framing changed (bump the container versions and update
 //! FORMAT.md) or the spec rotted.
 
-use hamming_core::io::{Footer, OffsetWriter, OFFSET_HEADER_LEN, PAGE_SIZE};
+use hamming_core::io::{footer_len, Container, OffsetWriter, Source, OFFSET_HEADER_LEN, PAGE_SIZE};
 
 /// Builds the spec's example: magic "GPHX", version 3, section 0 =
 /// b"GPH!" (unaligned), section 1 = [1..=8] (page-aligned).
@@ -67,15 +67,20 @@ fn worked_example_round_trips_through_both_open_paths() {
     let bytes = example_container();
 
     // Resident open: full validation including payload CRCs + padding.
-    let f = Footer::parse_bytes(*b"GPHX", 3, &bytes).expect("resident open");
-    assert_eq!(f.n_slots(), 2);
-    assert_eq!(f.payload(&bytes, 0).expect("slot 0"), b"GPH!");
-    assert_eq!(f.payload(&bytes, 1).expect("slot 1"), &[1, 2, 3, 4, 5, 6, 7, 8]);
+    let c = Container::open(Source::Bytes(&bytes), *b"GPHX", 3, 2).expect("resident open");
+    assert_eq!(&*c.section(0).expect("slot 0"), b"GPH!");
+    assert_eq!(&*c.section(1).expect("slot 1"), &[1, 2, 3, 4, 5, 6, 7, 8]);
 
-    // Cold open: footer-only validation from the file tail, as the
-    // file-backed restore does. footer_len(2) = 2*20 + 20 = 60.
-    assert_eq!(Footer::footer_len(2), 60);
-    let f = Footer::parse(*b"GPHX", 3, bytes.len() as u64, &bytes[bytes.len() - 60..])
-        .expect("cold open");
-    assert_eq!(f.n_slots(), 2);
+    // Cold open: header and footer validated through positional reads,
+    // as the file-backed restore does. footer_len(2) = 2*20 + 20 = 60.
+    assert_eq!(footer_len(2), 60);
+    let read_at = |offset: u64, buf: &mut [u8]| {
+        let at = offset as usize;
+        buf.copy_from_slice(&bytes[at..at + buf.len()]);
+        Ok(())
+    };
+    let region = Source::Region { len: bytes.len() as u64, read_at: &read_at };
+    let c = Container::open(region, *b"GPHX", 3, 2).expect("cold open");
+    assert_eq!(c.slot(1).offset, PAGE_SIZE as u64);
+    assert_eq!(&*c.section(0).expect("slot 0"), b"GPH!");
 }

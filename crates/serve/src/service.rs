@@ -422,8 +422,8 @@ impl QueryService {
     ///
     /// [`ServiceConfig::storage`] picks the restore path. The default
     /// keeps everything resident. With [`StorageMode::FileBacked`] the
-    /// shard snapshots are mapped rather than read — only footers,
-    /// metadata and one key per key page load eagerly, so startup grows
+    /// shard snapshots are mapped rather than read — only headers,
+    /// footers, metadata and one key per key page load eagerly, so startup grows
     /// only with the number of key pages and the fleet serves corpora
     /// larger than the page-cache budget:
     ///

@@ -10,18 +10,21 @@
 //! ```
 //!
 //! The manifest (format v3, two positional slots in the same
-//! offset-addressed framing the shard files use; the tagged-section v1/v2
-//! are rejected by version) records the shard count, the id-hash
-//! fingerprint (a probe value
-//! through [`mix64`], so a changed hash function is detected instead of
-//! silently misrouting records), the build config (so restored shards
-//! keep sealing and compacting with the same recipe), and for every
-//! non-empty shard slot its file's CRC-32 and live-row count. Shard files
-//! carry their ids and tombstones themselves — pending deletes
-//! round-trip — and restore verifies that every live id actually hashes
-//! to the slot that stored it. Shard files are checksummed section by
-//! section (see [`gph::segment`]), so corruption anywhere surfaces as
-//! [`HammingError::Corrupt`].
+//! offset-addressed framing the shard files use, opened by the same one
+//! reader, [`Container`]; the tagged-section v1/v2 are rejected by
+//! version) records the shard count, the id-hash fingerprint (a probe
+//! value through [`mix64`], so a changed hash function is detected
+//! instead of silently misrouting records), the build config (so
+//! restored shards keep sealing and compacting with the same recipe),
+//! and for every non-empty shard slot its file's CRC-32 and live-row
+//! count. Shard files carry their ids and tombstones themselves —
+//! pending deletes round-trip — and restore verifies that every live id
+//! actually hashes to the slot that stored it. Shard files are
+//! checksummed section by section (see [`gph::segment`]), so corruption
+//! anywhere surfaces as [`HammingError::Corrupt`]. A resident restore
+//! decodes each shard file in memory ([`SegmentedGph::from_bytes`]); a
+//! file-backed one maps it ([`SegmentedGph::load_with_storage`], the
+//! one file-backed restore).
 
 use crate::shard::ShardedIndex;
 use bytes::BufMut;
@@ -29,9 +32,7 @@ use gph::coldstore::StorageMode;
 use gph::segment::{SegmentConfig, SegmentedGph};
 use gph::snapshot::{decode_gph_config, encode_gph_config};
 use hamming_core::error::{HammingError, Result};
-use hamming_core::io::{
-    crc32, reject_retired_version, write_atomic, ByteReader, Footer, OffsetWriter,
-};
+use hamming_core::io::{crc32, write_atomic, ByteReader, Container, OffsetWriter, Source};
 use hamming_core::key::mix64;
 use std::path::{Path, PathBuf};
 
@@ -125,15 +126,10 @@ fn encode_manifest(m: &ShardManifest, cfg: &gph::GphConfig, seg_cfg: SegmentConf
 const MAX_SHARD_SLOTS: u64 = 1 << 20;
 
 fn decode_manifest(bytes: &[u8]) -> Result<(ShardManifest, gph::GphConfig, SegmentConfig)> {
-    reject_retired_version(MANIFEST_MAGIC, MANIFEST_VERSION, bytes)?;
-    let f = Footer::parse_bytes(MANIFEST_MAGIC, MANIFEST_VERSION, bytes)?;
-    if f.n_slots() != N_MANIFEST_SLOTS {
-        return Err(HammingError::Corrupt(format!(
-            "manifest has {} sections, expected {N_MANIFEST_SLOTS}",
-            f.n_slots()
-        )));
-    }
-    let mut r = ByteReader::new(f.payload(bytes, SLOT_SHARDS)?);
+    let c =
+        Container::open(Source::Bytes(bytes), MANIFEST_MAGIC, MANIFEST_VERSION, N_MANIFEST_SLOTS)?;
+    let shards_bytes = c.section(SLOT_SHARDS)?;
+    let mut r = ByteReader::new(&shards_bytes);
     let n_shards_raw = r.u64("shard count")?;
     if n_shards_raw == 0 || n_shards_raw > MAX_SHARD_SLOTS {
         return Err(HammingError::Corrupt(format!(
@@ -185,7 +181,7 @@ fn decode_manifest(bytes: &[u8]) -> Result<(ShardManifest, gph::GphConfig, Segme
             HammingError::Corrupt(format!("shard rows do not sum to the declared {len} records"))
         })?;
     debug_assert_eq!(total, len);
-    let cfg_bytes = f.payload(bytes, SLOT_CONFIG)?;
+    let cfg_bytes = c.section(SLOT_CONFIG)?;
     if cfg_bytes.len() < 16 {
         return Err(HammingError::Corrupt("manifest config section truncated".into()));
     }
@@ -226,7 +222,7 @@ impl ShardedIndex {
             if engine.stored_rows() == 0 {
                 continue;
             }
-            let bytes = engine.to_bytes();
+            let bytes = engine.to_bytes()?;
             let entry = ShardEntry { slot, rows: engine.len(), crc: crc32(&bytes) };
             write_atomic(&dir.join(entry.file_name()), &bytes)?;
             entries.push(entry);
@@ -257,9 +253,9 @@ impl ShardedIndex {
     /// [`ShardedIndex::restore`] with an explicit [`StorageMode`].
     ///
     /// With [`StorageMode::FileBacked`] the shard files are *mapped*,
-    /// not read: each shard validates its snapshot's footer and metadata
-    /// checksums, then serves sealed segments by paging blocks from the
-    /// file on demand. Beyond that, restore reads only one key per key
+    /// not read: each shard validates its snapshot's header, footer and
+    /// metadata checksums, then serves sealed segments by paging blocks
+    /// from the file on demand. Beyond that, restore reads only one key per key
     /// page (each cold segment's page fences), so restore time and
     /// resident memory grow with the number of key pages, 16 bytes of
     /// memory each; the budget is split evenly across shard
@@ -514,6 +510,12 @@ mod tests {
         let manifest = built.snapshot(&dir).unwrap();
         let mpath = dir.join(MANIFEST_FILE);
         let mut bytes = std::fs::read(&mpath).unwrap();
+        // Every byte is covered, header and footer included.
+        for i in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[i] ^= 0x01;
+            assert!(matches!(decode_manifest(&bad), Err(HammingError::Corrupt(_))), "byte {i}");
+        }
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         std::fs::write(&mpath, &bytes).unwrap();
