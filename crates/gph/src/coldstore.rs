@@ -28,13 +28,14 @@
 //!   opens its blob as a file region through the one container reader,
 //!   [`hamming_core::io::Container`].
 //!
-//! A probe touches one key page. At open, each partition's sorted key
-//! array is cut along the cache's page grid and the first key of every
-//! page is kept in memory as a *fence* (16 bytes per key page); a
-//! probe picks its page from the fences and binary-searches inside that
-//! page only, where the resident store's prefix directory picks a cache
-//! line. Fences are derived from the keys and the run-time page size,
-//! never persisted, so the container format does not know about them.
+//! The paged store reads its CSR arrays with the resident index's own
+//! reader, [`hamming_core::invindex`]: each partition is a [`CsrPart`]
+//! handing out little-endian runs of cached pages. Only the lookup is
+//! its own: at open, the first key of every key page is kept as a
+//! *fence* (16 bytes per page, derived for the run-time page size and
+//! never persisted), so a probe reads one key page and the key walk
+//! reads each key page once. A failed read is handled in one place,
+//! `read_ok`.
 
 use std::collections::HashMap;
 use std::fs::{self, File};
@@ -81,6 +82,7 @@ static NEXT_FILE_ID: AtomicU64 = AtomicU64::new(1);
 /// with `owns = true` deletes the underlying file when dropped — spill
 /// files written during seal/compaction are cleaned up this way, while
 /// snapshot files opened for a file-backed restore are left alone.
+#[derive(Debug)]
 pub struct SegmentFile {
     file: File,
     path: PathBuf,
@@ -110,43 +112,24 @@ impl SegmentFile {
         self.len == 0
     }
 
-    /// Process-unique id used as the page-cache key prefix.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// The path this handle was opened from.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Reads exactly `buf.len()` bytes starting at `offset`, rejecting
     /// reads past the end of the file as [`HammingError::Corrupt`]
     /// (a forged section offset must never turn into a panic or an
     /// unbounded read).
     pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let end = offset.checked_add(buf.len() as u64).filter(|&e| e <= self.len);
-        if end.is_none() {
-            return Err(HammingError::Corrupt(format!(
-                "read of {} bytes at offset {} exceeds segment file of {} bytes",
-                buf.len(),
-                offset,
-                self.len
-            )));
-        }
-        read_exact_at_impl(&self.file, offset, buf)?;
-        Ok(())
+        self.check_extent(offset, buf.len())?;
+        Ok(read_exact_at_impl(&self.file, offset, buf)?)
     }
-}
 
-impl std::fmt::Debug for SegmentFile {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SegmentFile")
-            .field("path", &self.path)
-            .field("len", &self.len)
-            .field("id", &self.id)
-            .field("owns", &self.owns)
-            .finish()
+    /// `Corrupt` unless `[offset, offset + len)` lies inside the file.
+    fn check_extent(&self, offset: u64, len: usize) -> Result<()> {
+        match offset.checked_add(len as u64) {
+            Some(end) if end <= self.len => Ok(()),
+            _ => Err(HammingError::Corrupt(format!(
+                "read of {len} bytes at offset {offset} exceeds segment file of {} bytes",
+                self.len
+            ))),
+        }
     }
 }
 
@@ -186,8 +169,16 @@ pub struct PageCacheStats {
 
 struct Slot {
     key: (u64, u64),
-    data: Arc<Vec<u8>>,
+    data: Arc<Page>,
     referenced: bool,
+}
+
+/// One cached page, held as 8-byte words so that an 8-aligned run of
+/// keys is a typed slice. Its first `len` bytes are the file's (a final
+/// page may be short).
+struct Page {
+    words: Vec<[u8; 8]>,
+    len: usize,
 }
 
 struct Inner {
@@ -273,11 +264,6 @@ impl PageCache {
         self.page_size
     }
 
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget
-    }
-
     /// Snapshot of the hit/miss/eviction/residency counters.
     pub fn stats(&self) -> PageCacheStats {
         PageCacheStats {
@@ -290,8 +276,8 @@ impl PageCache {
 
     /// Returns page `page_no` of `file`, loading and caching it on miss.
     /// The final page of a file may be shorter than the page size.
-    fn page(&self, file: &SegmentFile, page_no: u64) -> Result<Arc<Vec<u8>>> {
-        let key = (file.id(), page_no);
+    fn page(&self, file: &SegmentFile, page_no: u64) -> Result<Arc<Page>> {
+        let key = (file.id, page_no);
         let mut inner = self.inner.lock().unwrap();
         if let Some(&idx) = inner.map.get(&key) {
             inner.slots[idx].referenced = true;
@@ -309,9 +295,9 @@ impl PageCache {
                 ))
             })?;
         let n = (file.len() - off).min(self.page_size as u64) as usize;
-        let mut data = vec![0u8; n];
-        file.read_at(off, &mut data)?;
-        let data = Arc::new(data);
+        let mut words = vec![[0u8; 8]; n.div_ceil(8)];
+        file.read_at(off, &mut words.as_flattened_mut()[..n])?;
+        let data = Arc::new(Page { words, len: n });
 
         let idx = inner.slots.len();
         inner.slots.push(Slot { key, data: data.clone(), referenced: true });
@@ -334,7 +320,7 @@ impl PageCache {
                 let moved = inner.slots[i].key;
                 inner.map.insert(moved, i);
             }
-            inner.bytes -= victim.data.len() as u64;
+            inner.bytes -= victim.data.len as u64;
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         self.resident.store(inner.bytes, Ordering::Relaxed);
@@ -345,29 +331,28 @@ impl PageCache {
     /// as needed. Reads crossing page boundaries are stitched together;
     /// reads past the end of the file are [`HammingError::Corrupt`].
     pub fn read_into(&self, file: &SegmentFile, offset: u64, out: &mut [u8]) -> Result<()> {
-        if offset.checked_add(out.len() as u64).filter(|&e| e <= file.len()).is_none() {
-            return Err(HammingError::Corrupt(format!(
-                "read of {} bytes at offset {} exceeds segment file of {} bytes",
-                out.len(),
-                offset,
-                file.len()
-            )));
-        }
-        let ps = self.page_size as u64;
-        let mut off = offset;
-        let mut pos = 0usize;
-        while pos < out.len() {
-            let page = self.page(file, off / ps)?;
-            let in_page = (off % ps) as usize;
-            if in_page >= page.len() {
-                return Err(HammingError::Corrupt(format!(
-                    "offset {off} points into truncated page of segment file"
-                )));
-            }
-            let n = (out.len() - pos).min(page.len() - in_page);
-            out[pos..pos + n].copy_from_slice(&page[in_page..in_page + n]);
-            pos += n;
-            off += n as u64;
+        file.check_extent(offset, out.len())?;
+        let mut filled = 0;
+        self.for_each_run(file, offset, out.len(), |run| {
+            out[filled..filled + run.len()].copy_from_slice(run);
+            filled += run.len();
+        })
+    }
+
+    /// Hands `f` the bytes `[offset, offset + len)` of `file` as
+    /// in-page runs, in order, straight out of the cached pages.
+    fn for_each_run(
+        &self,
+        file: &SegmentFile,
+        offset: u64,
+        len: usize,
+        mut f: impl FnMut(&[u8]),
+    ) -> Result<()> {
+        let (mut at, mut left) = (offset, len);
+        while left > 0 {
+            let n = left.min(self.page_size - (at % self.page_size as u64) as usize);
+            self.with_page_range(file, at, n, &mut f)?;
+            (at, left) = (at + n as u64, left - n);
         }
         Ok(())
     }
@@ -383,6 +368,13 @@ impl PageCache {
         len: usize,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R> {
+        let (page, at) = self.page_run(file, offset, len)?;
+        Ok(f(&page.words.as_flattened()[at..at + len]))
+    }
+
+    /// The page holding `[offset, offset + len)` and the range's start in
+    /// it, or `Corrupt` as [`PageCache::with_page_range`] says.
+    fn page_run(&self, file: &SegmentFile, offset: u64, len: usize) -> Result<(Arc<Page>, usize)> {
         let ps = self.page_size as u64;
         let in_page = (offset % ps) as usize;
         if len > self.page_size - in_page {
@@ -391,42 +383,12 @@ impl PageCache {
             )));
         }
         let page = self.page(file, offset / ps)?;
-        let bytes = page.get(in_page..in_page + len).ok_or_else(|| {
-            HammingError::Corrupt(format!(
-                "range of {len} bytes at offset {offset} runs past the end of segment file"
-            ))
-        })?;
-        Ok(f(bytes))
-    }
-
-    /// Reads `n` little-endian `u32`s starting at `offset`.
-    pub fn read_u32s(&self, file: &SegmentFile, offset: u64, n: usize) -> Result<Vec<u32>> {
-        self.check_run(file, offset, n, 4)?;
-        let mut bytes = vec![0u8; n * 4];
-        self.read_into(file, offset, &mut bytes)?;
-        Ok(bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect())
-    }
-
-    /// Reads `n` little-endian `u64`s starting at `offset`.
-    pub fn read_u64s(&self, file: &SegmentFile, offset: u64, n: usize) -> Result<Vec<u64>> {
-        self.check_run(file, offset, n, 8)?;
-        let mut bytes = vec![0u8; n * 8];
-        self.read_into(file, offset, &mut bytes)?;
-        Ok(bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect())
-    }
-
-    /// Bounds-checks an `n × per_item` run *before* allocating for it,
-    /// so a forged element count cannot trigger a huge allocation.
-    fn check_run(&self, file: &SegmentFile, offset: u64, n: usize, per_item: usize) -> Result<()> {
-        let total = (n as u64).checked_mul(per_item as u64);
-        if total.and_then(|t| offset.checked_add(t)).filter(|&e| e <= file.len()).is_none() {
+        if in_page + len > page.len {
             return Err(HammingError::Corrupt(format!(
-                "run of {n} x {per_item}-byte items at offset {offset} exceeds \
-                 segment file of {} bytes",
-                file.len()
+                "range of {len} bytes at offset {offset} runs past the end of segment file"
             )));
         }
-        Ok(())
+        Ok((page, in_page))
     }
 }
 
@@ -482,37 +444,27 @@ static NEXT_SPILL_DIR: AtomicU64 = AtomicU64::new(0);
 /// Directory + shared [`PageCache`] backing a file-backed index.
 ///
 /// Seal and compaction write freshly encoded GPHE v3 blobs here
-/// ("spill files") and immediately reopen them cold. A store created
-/// with [`SpillStore::temp`] owns its directory and removes it on drop;
-/// one created with [`SpillStore::at`] leaves the directory in place.
+/// ("spill files") and immediately reopen them cold. The store owns
+/// its directory and removes it on drop.
+#[derive(Debug)]
 pub struct SpillStore {
     dir: PathBuf,
-    owned: bool,
     cache: Arc<PageCache>,
     counter: AtomicU64,
 }
 
 impl SpillStore {
-    /// Creates a store in a fresh process-unique temp directory, owned
-    /// (removed on drop), with a cache bounded by `budget_bytes`.
+    /// Creates a store in a fresh process-unique temp directory, with a
+    /// cache bounded by `budget_bytes`.
     pub fn temp(budget_bytes: u64) -> Result<Arc<SpillStore>> {
         let dir = std::env::temp_dir().join(format!(
             "gph-spill-{}-{}",
             std::process::id(),
             NEXT_SPILL_DIR.fetch_add(1, Ordering::Relaxed)
         ));
-        SpillStore::create(dir, true, budget_bytes)
-    }
-
-    /// Creates (or reuses) a store at an explicit directory, not owned.
-    pub fn at(dir: impl AsRef<Path>, budget_bytes: u64) -> Result<Arc<SpillStore>> {
-        SpillStore::create(dir.as_ref().to_path_buf(), false, budget_bytes)
-    }
-
-    fn create(dir: PathBuf, owned: bool, budget_bytes: u64) -> Result<Arc<SpillStore>> {
         fs::create_dir_all(&dir)?;
         let cache = Arc::new(PageCache::new(budget_bytes));
-        Ok(Arc::new(SpillStore { dir, owned, cache, counter: AtomicU64::new(0) }))
+        Ok(Arc::new(SpillStore { dir, cache, counter: AtomicU64::new(0) }))
     }
 
     /// The shared page cache.
@@ -535,17 +487,9 @@ impl SpillStore {
     }
 }
 
-impl std::fmt::Debug for SpillStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpillStore").field("dir", &self.dir).field("owned", &self.owned).finish()
-    }
-}
-
 impl Drop for SpillStore {
     fn drop(&mut self) {
-        if self.owned {
-            let _ = fs::remove_dir_all(&self.dir);
-        }
+        let _ = fs::remove_dir_all(&self.dir);
     }
 }
 
@@ -614,14 +558,25 @@ use crate::pipeline::{Plan, Store};
 use crate::snapshot::{
     decode_engine_meta, open_engine, PartSpan, SLOT_IDS, SLOT_KEYS, SLOT_OFFS, SLOT_ROWS,
 };
+use hamming_core::invindex::CsrPart;
 use hamming_core::io::Source;
 use hamming_core::{hamming, hamming_within, words_for, Projector};
-
-/// Keys scanned per paged batch on the cold scan-fallback path.
-const KEY_SCAN_BATCH: usize = 1024;
+use std::convert::Infallible;
+use std::ops::Range;
 
 /// Panic message for an operating-system failure under a paged read.
 const READ_FAILED: &str = "cold segment read failed mid-query (file truncated or I/O error)";
+
+/// The one place a failed paged read is handled: a mid-query I/O
+/// failure (say, the file truncated under the segment) panics with
+/// context, the contract of a faulted mmap. Every read of a [`Paged`]
+/// store, rows and CSR runs alike, passes through here.
+fn read_ok<T>(read: Result<T>) -> T {
+    read.expect(READ_FAILED)
+}
+
+/// A paged read, whose failure `read_ok` has handled.
+type Read<T> = std::result::Result<T, Infallible>;
 
 /// The first slot and the first key of one run of a partition's keys
 /// that lies inside a single cache page.
@@ -630,21 +585,15 @@ struct Fence {
     key: u64,
 }
 
-/// Derives the fences of the `n_keys` keys at absolute offset `keys_at`
-/// (8-byte aligned): one direct 8-byte read per key page, around the
-/// cache, so an open leaves nothing resident. Runs follow the absolute
-/// page grid, so a partition that starts mid-page starts with a short
-/// run.
-fn derive_fences(
-    file: &SegmentFile,
-    page_size: u64,
-    keys_at: u64,
-    n_keys: u64,
-) -> Result<Vec<Fence>> {
+/// Derives the fences of `span`'s keys (at an absolute, 8-byte aligned
+/// offset): one direct 8-byte read per key page, around the cache, so
+/// an open leaves nothing resident. Runs follow the absolute page grid,
+/// so a partition that starts mid-page starts with a short run.
+fn derive_fences(file: &SegmentFile, page_size: u64, span: &PartSpan) -> Result<Vec<Fence>> {
     let mut fences = Vec::new();
     let mut slot = 0;
-    while slot < n_keys {
-        let at = keys_at + slot * 8;
+    while slot < span.n_keys as u64 {
+        let at = span.keys_off + slot * 8;
         let mut key = [0u8; 8];
         file.read_at(at, &mut key)?;
         fences.push(Fence { slot, key: u64::from_le_bytes(key) });
@@ -660,14 +609,11 @@ pub(crate) struct Paged {
     cache: Arc<PageCache>,
     wpv: usize,
     n_rows: usize,
-    /// Absolute file offsets of the rows / keys / offs / ids sections.
-    /// The footer bounds them and `decode_engine_meta` proved the
-    /// per-partition spans tile them, so probe-time arithmetic on
-    /// `section base + span offset` cannot escape the file.
-    rows_base: u64,
-    keys_base: u64,
-    offs_base: u64,
-    ids_base: u64,
+    /// Absolute file offset of the row slab.
+    rows_at: u64,
+    /// Per partition, its span with *absolute* file offsets. The footer
+    /// bounds the sections and `decode_engine_meta` proved the spans
+    /// tile them, so read arithmetic on them cannot escape the file.
     parts: Vec<PartSpan>,
     /// Per partition, the [`Fence`] of every key page, derived at open
     /// for the cache's page size and never persisted.
@@ -675,128 +621,120 @@ pub(crate) struct Paged {
 }
 
 impl Paged {
-    fn pread(&self, offset: u64, out: &mut [u8]) {
-        self.cache.read_into(&self.file, offset, out).expect(READ_FAILED)
+    /// Hands `f` the `len` bytes at absolute offset `at` as in-page
+    /// runs, in order.
+    fn read(&self, at: u64, len: usize, f: impl FnMut(&[u8])) {
+        read_ok(self.cache.for_each_run(&self.file, at, len, f))
+    }
+
+    /// Decodes row `id` into `row` (`wpv` words).
+    fn read_row(&self, id: usize, row: &mut [u64]) {
+        assert!(id < self.n_rows, "row {id} out of range for {} rows", self.n_rows);
+        let mut words = row.iter_mut();
+        self.read(self.rows_at + (id * self.wpv * 8) as u64, self.wpv * 8, |run| {
+            for (w, bytes) in words.by_ref().zip(run.chunks_exact(8)) {
+                *w = u64::from_le_bytes(bytes.try_into().unwrap());
+            }
+        });
     }
 
     /// Copies row `id` out of the paged row slab.
-    fn row(&self, id: usize) -> Vec<u64> {
-        assert!(id < self.n_rows, "row {id} out of range for {} rows", self.n_rows);
-        let mut buf = vec![0u8; self.wpv * 8];
-        self.pread(self.rows_base + (id * self.wpv * 8) as u64, &mut buf);
-        buf.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect()
+    pub(crate) fn row(&self, id: usize) -> Vec<u64> {
+        let mut row = vec![0; self.wpv];
+        self.read_row(id, &mut row);
+        row
+    }
+}
+
+/// One partition of a [`Paged`] store, as the CSR reader sees it.
+#[derive(Clone, Copy)]
+pub(crate) struct PagedPart<'a> {
+    paged: &'a Paged,
+    span: &'a PartSpan,
+    fences: &'a [Fence],
+}
+
+impl PagedPart<'_> {
+    /// The slots of fence `i`'s run.
+    fn fence_run(&self, i: usize) -> Range<usize> {
+        let hi = self.fences.get(i + 1).map_or(self.span.n_keys as u64, |f| f.slot);
+        self.fences[i].slot as usize..hi as usize
+    }
+}
+
+impl CsrPart for PagedPart<'_> {
+    type Error = Infallible;
+    type Key = [u8; 8];
+
+    fn n_ids(&self) -> usize {
+        self.paged.n_rows
     }
 
-    /// The slot of `key` in partition `part`'s paged keys array: the
-    /// in-memory fences pick the one page the key can be on, and a
-    /// binary search inside that page finds it — one page-cache lookup,
-    /// none for a key below the first fence. Fence slots come from the
-    /// page geometry, never from the payload, so unsorted (corrupt)
-    /// keys can misdirect the search but never move a read off the
-    /// keys array.
-    fn find_key(&self, part: usize, key: u64) -> Option<u64> {
-        let (span, fences) = (&self.parts[part], &self.fences[part]);
-        let i = fences.partition_point(|f| f.key <= key).checked_sub(1)?;
-        let lo = fences[i].slot;
-        let hi = fences.get(i + 1).map_or(span.n_keys as u64, |f| f.slot);
-        let at = self.keys_base + span.keys_off + lo * 8;
-        let found = self
-            .cache
-            .with_page_range(&self.file, at, ((hi - lo) * 8) as usize, |run| {
-                let key_at =
-                    |j: usize| u64::from_le_bytes(run[j * 8..j * 8 + 8].try_into().unwrap());
-                let (mut l, mut h) = (0, run.len() / 8);
-                while l < h {
-                    let mid = l + (h - l) / 2;
-                    match key_at(mid).cmp(&key) {
-                        std::cmp::Ordering::Less => l = mid + 1,
-                        std::cmp::Ordering::Greater => h = mid,
-                        std::cmp::Ordering::Equal => return Some(mid as u64),
-                    }
-                }
-                None
-            })
-            .expect(READ_FAILED);
-        found.map(|j| lo + j)
-    }
-
-    /// Reads the postings range of key slot `slot` and hands it to `f`.
-    /// Range values come from the (deferred-CRC) payload, so they are
-    /// checked, not trusted: a corrupt range is skipped instead of
-    /// panicking or reading out of bounds (and the pipeline skips any
-    /// id outside the row range).
-    fn push_postings(&self, part: &PartSpan, slot: u64, f: impl FnOnce(&[u32])) {
-        // `offs[slot]` and `offs[slot + 1]` in one read: one lookup
-        // unless the pair straddles a page.
-        let mut pair = [0u8; 8];
-        self.pread(self.offs_base + part.offs_off + slot * 4, &mut pair);
-        let start = u32::from_le_bytes(pair[..4].try_into().unwrap()) as u64;
-        let end = u32::from_le_bytes(pair[4..].try_into().unwrap()) as u64;
-        if start > end || end > self.n_rows as u64 {
-            return;
+    /// The fence run `key` can be on: one page, and no page at all for
+    /// a key below the first fence. Fence slots come from the page
+    /// geometry, never from the payload.
+    fn bucket(&self, key: u64) -> Range<usize> {
+        match self.fences.partition_point(|f| f.key <= key).checked_sub(1) {
+            Some(i) => self.fence_run(i),
+            None => 0..0,
         }
-        let ids = self
-            .cache
-            .read_u32s(&self.file, self.ids_base + part.ids_off + start * 4, (end - start) as usize)
-            .expect(READ_FAILED);
-        f(&ids)
     }
 
-    /// Scan fallback for narrow partitions: walk the distinct-keys
-    /// array in paged batches, and take the postings of every key
-    /// within `radius` of the query key.
-    fn scan_keys(&self, part: &PartSpan, qk: u64, radius: usize, mut emit: impl FnMut(u32)) {
-        let mut slot = 0u64;
-        let (keys_at, n_keys) = (self.keys_base + part.keys_off, part.n_keys as u64);
-        while slot < n_keys {
-            let n = (n_keys - slot).min(KEY_SCAN_BATCH as u64) as usize;
-            let keys = self.cache.read_u64s(&self.file, keys_at + slot * 8, n).expect(READ_FAILED);
-            for (j, &k) in keys.iter().enumerate() {
-                if (k ^ qk).count_ones() as usize <= radius {
-                    self.push_postings(part, slot + j as u64, |ids| {
-                        ids.iter().for_each(|&id| emit(id))
-                    });
-                }
-            }
-            slot += n as u64;
-        }
+    /// The fence runs, one page each.
+    fn runs(&self) -> impl Iterator<Item = Range<usize>> {
+        (0..self.fences.len()).map(move |i| self.fence_run(i))
+    }
+
+    /// One page-cache lookup: a bucket or run lies inside one page, and
+    /// keys are 8-aligned, so the run is whole words of it.
+    fn with_keys<R>(&self, slots: Range<usize>, f: impl FnOnce(&[[u8; 8]]) -> R) -> Read<R> {
+        let (at, n) = (self.span.keys_off + slots.start as u64 * 8, slots.len());
+        let (page, i) = read_ok(self.paged.cache.page_run(&self.paged.file, at, n * 8));
+        Ok(f(&page.words[i / 8..i / 8 + n]))
+    }
+
+    /// Both entries in one read: one lookup unless the pair straddles
+    /// a page.
+    fn offsets_pair(&self, slot: usize) -> Read<(u32, u32)> {
+        let (mut pair, at) = ([0u8; 8], self.span.offs_off + slot as u64 * 4);
+        read_ok(self.paged.cache.read_into(&self.paged.file, at, &mut pair));
+        let [start, end] = [0, 4].map(|i| u32::from_le_bytes(pair[i..i + 4].try_into().unwrap()));
+        Ok((start, end))
+    }
+
+    /// Decodes the ids straight out of the cached pages.
+    fn for_each_id(&self, ids: Range<usize>, mut emit: impl FnMut(u32)) -> Read<()> {
+        let at = self.span.ids_off + ids.start as u64 * 4;
+        self.paged.read(at, ids.len() * 4, |run| {
+            run.chunks_exact(4).for_each(|id| emit(u32::from_le_bytes(id.try_into().unwrap())))
+        });
+        Ok(())
     }
 }
 
 impl Store for Paged {
+    type Part<'a> = PagedPart<'a>;
+
+    fn part(&self, part: usize) -> PagedPart<'_> {
+        PagedPart { paged: self, span: &self.parts[part], fences: &self.fences[part] }
+    }
+
     fn len(&self) -> usize {
         self.n_rows
     }
 
-    /// Probes one signature: find its key on the one page its fence
-    /// names, then read the postings range.
-    fn with_postings(&self, part: usize, key: u64, f: impl FnOnce(&[u32])) {
-        if let Some(slot) = self.find_key(part, key) {
-            self.push_postings(&self.parts[part], slot, f);
-        }
-    }
-
-    /// The distinct-keys walk the resident store runs, over paged keys,
-    /// for narrow partitions (key == projected value, and the postings
-    /// of all matching keys are exactly the rows within `radius`). Wide
-    /// partitions store hashed keys, so distance on keys is meaningless;
-    /// projecting every row would page the whole slab in, so flood every
-    /// row as a candidate instead and let verification (which is exact)
-    /// keep the result set identical.
-    fn scan_part(
+    /// Projecting every row would page the whole slab in, so every row
+    /// is flooded as a candidate instead; verification, which is exact,
+    /// keeps the result set identical.
+    fn scan_wide(
         &self,
         _projector: &Projector,
-        part: usize,
-        q_proj: &[u64],
-        radius: usize,
+        _part: usize,
+        _q_proj: &[u64],
+        _radius: usize,
         emit: impl FnMut(u32),
     ) {
-        let part = &self.parts[part];
-        if part.width <= 64 {
-            self.scan_keys(part, q_proj.first().copied().unwrap_or(0), radius, emit);
-        } else {
-            (0..self.n_rows as u32).for_each(emit);
-        }
+        (0..self.n_rows as u32).for_each(emit);
     }
 
     /// Candidates are verified in ascending id order for page locality;
@@ -804,13 +742,9 @@ impl Store for Paged {
     /// candidates, same exact distance test).
     fn verify(&self, query: &[u64], tau: u32, candidates: &mut Vec<u32>, out: &mut Vec<u32>) {
         candidates.sort_unstable();
-        let mut row_buf = vec![0u8; self.wpv * 8];
-        let mut row = vec![0u64; self.wpv];
+        let mut row = vec![0; self.wpv];
         for &id in candidates.iter() {
-            self.pread(self.rows_base + (id as usize * self.wpv * 8) as u64, &mut row_buf);
-            for (w, c) in row.iter_mut().zip(row_buf.chunks_exact(8)) {
-                *w = u64::from_le_bytes(c.try_into().unwrap());
-            }
+            self.read_row(id as usize, &mut row);
             if hamming_within(&row, query, tau).is_some() {
                 out.push(id);
             }
@@ -824,26 +758,18 @@ impl Store for Paged {
 
 /// A sealed segment served directly from its offset-addressed GPHE v3
 /// container, without decoding the payload into heap — the store behind
-/// a file-backed segment of `SegmentedGph`.
+/// a file-backed segment of `SegmentedGph`: a query plan and the paged
+/// store it runs over, through the pipeline [`Gph`](crate::engine::Gph)
+/// runs, so results are bit-identical to the resident engine's.
 ///
-/// `open` reads and CRC-verifies the *metadata* sections (config,
-/// partitioning, estimator, row/partition geometry — a few KiB) with
-/// direct positional reads, plus one 8-byte key per key page to derive
-/// the page fences that let a probe touch one page; the row slab and
-/// CSR postings stay on disk and are paged in through the shared
-/// [`PageCache`] as queries touch them. Opening therefore costs
-/// O(key pages) small reads — 1/2048 of the key bytes at 16 KiB pages —
-/// not strictly footer-only, and leaves no page resident. It is a thin
-/// owner of a query plan and the paged store it runs over — the
-/// pipeline itself is the one [`Gph`](crate::engine::Gph) runs, so
-/// results are bit-identical to the resident engine's.
-///
-/// Payload CRCs are deliberately *deferred* (validating them would read
-/// the whole file, defeating the lazy open); probe-time reads are
-/// bounds-checked, and out-of-range values decoded from an unverified
-/// payload are skipped rather than trusted. A mid-query I/O failure
-/// from the operating system (e.g. the file truncated externally)
-/// panics with context — the same contract as a faulted mmap.
+/// Opening reads and CRC-checks only the *metadata* sections (a few
+/// KiB) and one key per key page for the fences — 1/2048 of the key
+/// bytes at 16 KiB pages — with direct reads, leaving no page resident.
+/// Payload CRCs are deliberately *deferred* (checking them would read
+/// the whole file): payload bytes are read under the CSR reader's trust
+/// model (`hamming_core::invindex`), and a mid-query I/O failure (the
+/// file truncated externally, say) panics with context in `read_ok`,
+/// the contract of a faulted mmap.
 pub(crate) struct ColdSegment {
     pub(crate) plan: Plan,
     pub(crate) store: Paged,
@@ -853,13 +779,10 @@ pub(crate) struct ColdSegment {
 
 impl ColdSegment {
     /// Opens the GPHE v3 blob at `[blob_off, blob_off + blob_len)` of
-    /// `file` (an extent the caller has bounded by the file) through
-    /// the one container reader as a file region: header, footer and
-    /// every metadata section are checked, the estimator restored, and
-    /// each partition's page fences (the first key of every key page,
-    /// for `cache`'s page size) derived with direct reads — without
-    /// paging anything into the cache and without touching the row
-    /// slab or the postings arrays.
+    /// `file` (an extent the caller has bounded by the file) as a file
+    /// region of the one container reader: header, footer and metadata
+    /// are checked, the estimator restored, and the fences for `cache`'s
+    /// page size derived, without paging anything into the cache.
     pub(crate) fn open(
         file: Arc<SegmentFile>,
         cache: Arc<PageCache>,
@@ -871,47 +794,37 @@ impl ColdSegment {
         let read_at = |offset: u64, buf: &mut [u8]| file.read_at(blob_off + offset, buf);
         let c = open_engine(Source::Region { len: blob_len, read_at: &read_at })?;
         let mut meta = decode_engine_meta(&c)?;
-        let section_off = |slot: usize| blob_off + c.slot(slot).offset;
         let widths = meta.widths();
         let estimator =
             crate::cn::restore_estimator(&meta.estimator_kind, meta.est_state()?, &widths, || {
                 Ok(Box::new(FlatCn::new(meta.n_rows, &widths, meta.cfg.tau_max)))
             })?;
-        // Keys are 8 bytes on an 8-byte grid, so none straddles a page
-        // and every fence run is whole keys (writers align to 4 KiB).
-        let keys_base = section_off(SLOT_KEYS);
-        if !keys_base.is_multiple_of(8) {
-            return Err(HammingError::Corrupt(format!(
-                "keys section at offset {keys_base} is not 8-byte aligned"
-            )));
+        // Every word sits on its own size's grid, so none straddles a
+        // page and every fence run is whole keys (writers align to 4 KiB).
+        let [rows_at, keys_at, offs_at, ids_at] =
+            [SLOT_ROWS, SLOT_KEYS, SLOT_OFFS, SLOT_IDS].map(|slot| blob_off + c.slot(slot).offset);
+        if [rows_at % 8, keys_at % 8, offs_at % 4, ids_at % 4] != [0; 4] {
+            return Err(HammingError::Corrupt("a payload section is misaligned".into()));
         }
-        let parts = std::mem::take(&mut meta.parts);
+        let mut parts = std::mem::take(&mut meta.parts);
+        for span in &mut parts {
+            (span.keys_off, span.offs_off, span.ids_off) =
+                (keys_at + span.keys_off, offs_at + span.offs_off, ids_at + span.ids_off);
+        }
         let page_size = cache.page_size() as u64;
-        let fences = parts
-            .iter()
-            .map(|p| derive_fences(&file, page_size, keys_base + p.keys_off, p.n_keys as u64))
-            .collect::<Result<_>>()?;
-        let (rows_base, offs_base, ids_base) =
-            (section_off(SLOT_ROWS), section_off(SLOT_OFFS), section_off(SLOT_IDS));
+        let fences =
+            parts.iter().map(|p| derive_fences(&file, page_size, p)).collect::<Result<_>>()?;
         let store = Paged {
             file: Arc::clone(&file),
             cache,
             wpv: words_for(meta.dim),
             n_rows: meta.n_rows,
-            rows_base,
-            keys_base,
-            offs_base,
-            ids_base,
+            rows_at,
             parts,
             fences,
         };
         let plan = meta.into_plan(estimator);
         Ok(ColdSegment { plan, store, blob_off, blob_len })
-    }
-
-    /// Number of rows in the segment.
-    pub(crate) fn len(&self) -> usize {
-        self.store.n_rows
     }
 
     /// Resident heap footprint: metadata and page fences only — the
@@ -930,17 +843,13 @@ impl ColdSegment {
         self.store.file.read_at(self.blob_off, &mut buf)?;
         Ok(buf)
     }
-
-    /// Copies row `id` out of the paged row slab.
-    pub(crate) fn row(&self, id: usize) -> Vec<u64> {
-        self.store.row(id)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cn::CnEstimator;
+    use hamming_core::invindex::{for_each_posting, slot_of};
 
     fn temp_file(name: &str, bytes: &[u8]) -> PathBuf {
         let dir =
@@ -963,11 +872,12 @@ mod tests {
         cache.read_into(&file, 3000, &mut buf).unwrap();
         assert_eq!(&buf[..], &bytes[3000..12_000]);
 
-        // Typed runs agree with a direct decode.
-        let words = cache.read_u64s(&file, 4096, 512).unwrap();
-        for (i, w) in words.iter().enumerate() {
-            let off = 4096 + i * 8;
-            assert_eq!(*w, u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()));
+        // Words read across a page boundary agree with a direct decode.
+        let mut words = [0u8; 64 * 8];
+        cache.read_into(&file, 4096 - 256, &mut words).unwrap();
+        for (i, w) in words.chunks_exact(8).enumerate() {
+            let off = 4096 - 256 + i * 8;
+            assert_eq!(w, &bytes[off..off + 8]);
         }
         fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
@@ -1035,8 +945,9 @@ mod tests {
             cache.read_into(&file, u64::MAX - 2, &mut buf),
             Err(HammingError::Corrupt(_))
         ));
-        // A forged count cannot allocate before the bounds check.
-        assert!(matches!(cache.read_u64s(&file, 0, usize::MAX / 2), Err(HammingError::Corrupt(_))));
+        // A forged run length is rejected before anything is allocated.
+        let run = cache.with_page_range(&file, 0, usize::MAX / 2, |b| b.len());
+        assert!(matches!(run, Err(HammingError::Corrupt(_))));
         assert!(matches!(file.read_at(101, &mut []), Err(HammingError::Corrupt(_))));
         fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
@@ -1117,12 +1028,16 @@ mod tests {
         (store, cold)
     }
 
-    /// Both stores run the one pipeline, so they must agree on the
-    /// result set always, and — when the estimator kind snapshots its
-    /// state, so the cold side restores the identical tables — on every
-    /// decision the plan makes.
+    /// Both stores run the one pipeline over the one CSR reader, so they
+    /// must agree on the result set always, and — when the estimator
+    /// kind snapshots its state, so the cold side restores the identical
+    /// tables — on every decision the plan makes and on the work done:
+    /// the same postings and scanned rows, and the same candidates
+    /// unless a partition is wider than 64 bits (there the paged store
+    /// floods every row where the resident one projects them).
     fn assert_cold_matches(engine: &Gph, cold: &ColdSegment, queries: &Dataset, taus: &[u32]) {
         let same_estimator = engine.plan.estimator.snapshot_state().is_some();
+        let narrow = cold.store.parts.iter().all(|p| p.width <= 64);
         for qi in 0..queries.len() {
             let q = queries.row(qi);
             for &tau in taus {
@@ -1138,6 +1053,11 @@ mod tests {
                     assert_eq!(h.estimated_cost, c.estimated_cost, "qi={qi} tau={tau}");
                     assert_eq!(h.n_signatures, c.n_signatures, "qi={qi} tau={tau}");
                     assert_eq!(h.n_results, c.n_results, "qi={qi} tau={tau}");
+                    assert_eq!(h.sum_postings, c.sum_postings, "qi={qi} tau={tau}");
+                    assert_eq!(h.n_scanned, c.n_scanned, "qi={qi} tau={tau}");
+                    if narrow {
+                        assert_eq!(h.n_candidates, c.n_candidates, "qi={qi} tau={tau}");
+                    }
                 }
             }
         }
@@ -1186,7 +1106,7 @@ mod tests {
         let engine = Gph::build(ds, &cfg).unwrap();
         // Budget of a single page forces constant eviction churn.
         let (_store, cold) = spill(&engine, DEFAULT_PAGE_BYTES as u64);
-        assert_eq!(cold.len(), engine.data().len());
+        assert_eq!(cold.store.len(), engine.data().len());
         assert_eq!(cold.plan.partitioning.dim(), 64);
         assert_eq!(cold.plan.tau_max, engine.tau_max());
         assert_cold_matches(&engine, &cold, &queries, &[0, 1, 3, 8]);
@@ -1267,7 +1187,7 @@ mod tests {
         assert_eq!(reloaded.data().len(), engine.data().len());
         // Row reads come back verbatim.
         for id in [0usize, 57, 99] {
-            assert_eq!(cold.row(id), reloaded.data().row(id));
+            assert_eq!(cold.store.row(id), reloaded.data().row(id));
         }
     }
 
@@ -1326,7 +1246,7 @@ mod tests {
                 let hi = fences.get(i + 1).map_or(n, |next| next.slot);
                 assert!(f.slot < hi && hi <= n, "fence {i}: {} .. {hi} of {n}", f.slot);
                 let (first, last) = (f.slot * 8, hi * 8 - 1);
-                let at = paged.keys_base + span.keys_off;
+                let at = span.keys_off;
                 assert_eq!((at + first) / ps, (at + last) / ps, "fence {i} leaves its page");
                 assert!(i == 0 || (at + first).is_multiple_of(ps), "fence {i} starts mid-page");
             }
@@ -1345,23 +1265,21 @@ mod tests {
         let store = SpillStore::temp(1 << 20).unwrap();
         let file = store.write_blob(&bytes).unwrap();
         let cache = PageCache::with_page_size(1 << 20, page_size).unwrap();
-        let fences = vec![derive_fences(&file, page_size as u64, lead, n).unwrap()];
+        let span = PartSpan {
+            width: 64,
+            n_keys: keys.len(),
+            keys_off: lead,
+            offs_off: lead + 8 * n,
+            ids_off: lead + 8 * n + 4 * (n + 1),
+        };
+        let fences = vec![derive_fences(&file, page_size as u64, &span).unwrap()];
         let paged = Paged {
             file: Arc::new(file),
             cache: Arc::new(cache),
             wpv: 1,
             n_rows: keys.len(),
-            rows_base: 0,
-            keys_base: lead,
-            offs_base: lead + 8 * n,
-            ids_base: lead + 8 * n + 4 * (n + 1),
-            parts: vec![PartSpan {
-                width: 64,
-                n_keys: keys.len(),
-                keys_off: 0,
-                offs_off: 0,
-                ids_off: 0,
-            }],
+            rows_at: 0,
+            parts: vec![span],
             fences,
         };
         (store, paged)
@@ -1387,8 +1305,8 @@ mod tests {
                     }
                     for probe in probes {
                         let before = lookups(&paged.cache);
-                        let found = paged.find_key(0, probe);
-                        let expect = keys.binary_search(&probe).ok().map(|s| s as u64);
+                        let Ok(found) = slot_of(paged.part(0), probe);
+                        let expect = keys.binary_search(&probe).ok();
                         assert_eq!(
                             found, expect,
                             "ps {page_size} n {n} lead {lead} key {probe:#x}"
@@ -1398,8 +1316,8 @@ mod tests {
                         assert_eq!(cost, u64::from(!below), "lookups for key {probe:#x}");
                         if let Some(slot) = found {
                             let mut ids = Vec::new();
-                            paged.with_postings(0, probe, |p| ids.extend_from_slice(p));
-                            assert_eq!(ids, [slot as u32]);
+                            let Ok(n) = for_each_posting(paged.part(0), probe, |id| ids.push(id));
+                            assert_eq!((n, ids), (1, vec![slot as u32]));
                         }
                     }
                 }
@@ -1428,23 +1346,27 @@ mod tests {
             assert_eq!(cache.stats().resident_bytes, 0);
             let paged = &cold.store;
             assert_fences_tile_pages(paged);
-            let part1_at = paged.keys_base + paged.parts[1].keys_off;
+            let part1_at = paged.parts[1].keys_off;
             assert!(!part1_at.is_multiple_of(page_size as u64), "partition 1 starts mid-page");
             for p in 0..index.num_parts() {
                 let keys = index.part_keys(p);
                 assert!(paged.fences[p].len() >= 3, "ps {page_size} part {p}: too few pages");
-                let whole = |k: u64| keys.binary_search(&k).ok().map(|s| s as u64);
+                let whole = |k: u64| keys.binary_search(&k).ok();
+                let find = |k: u64| {
+                    let Ok(slot) = slot_of(paged.part(p), k);
+                    slot
+                };
                 for (slot, &k) in keys.iter().enumerate() {
-                    assert_eq!(paged.find_key(p, k), Some(slot as u64), "ps {page_size} part {p}");
+                    assert_eq!(find(k), Some(slot), "ps {page_size} part {p}");
                     if slot % 7 == 0 {
                         for b in 0..paged.parts[p].width.min(64) {
-                            assert_eq!(paged.find_key(p, k ^ (1 << b)), whole(k ^ (1 << b)));
+                            assert_eq!(find(k ^ (1 << b)), whole(k ^ (1 << b)));
                         }
                     }
                 }
                 let (first, last) = (keys[0], keys[keys.len() - 1]);
                 for probe in [first.wrapping_sub(1), last + 1, u64::MAX] {
-                    assert_eq!(paged.find_key(p, probe), whole(probe), "ps {page_size} part {p}");
+                    assert_eq!(find(probe), whole(probe), "ps {page_size} part {p}");
                 }
             }
             // The same answers as the resident twin, at one page per
@@ -1477,43 +1399,56 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_keys_misdirect_probes_but_never_panic() {
-        // Payload CRCs are deferred: flip bytes inside the keys slab so
-        // keys and fences are no longer sorted. Geometry still bounds
-        // every read, so queries may miss rows but return, and anything
-        // they return is a true match (verification is exact).
+    fn corrupt_keys_offs_and_ids_misdirect_probes_but_never_panic() {
+        // Payload CRCs are deferred: flip bytes inside one CSR slab at a
+        // time. Corrupt keys unsort keys and fences, corrupt offsets
+        // make bad pairs, corrupt ids point anywhere. Geometry still
+        // bounds every read, so the open succeeds or is `Corrupt`, and
+        // queries may miss rows but return, and anything they return is
+        // a true match (verification is exact).
         let ds = random_dataset(64, 6_000, 55);
         let queries = random_dataset(64, 6, 56);
         let mut cfg = GphConfig::new(4, 8);
         cfg.strategy = PartitionStrategy::RandomShuffle { seed: 13 };
         let engine = Gph::build(ds.clone(), &cfg).unwrap();
-        let mut bytes = engine.to_bytes();
-        let keys = open_engine(Source::Bytes(&bytes)).unwrap().slot(SLOT_KEYS);
-        let (start, len) = (keys.offset as usize, keys.len as usize);
-        // The top byte of every other page's first key (so fence keys
-        // alternate high and low), and a spray of bytes in between.
-        let slab = start..start + len - 7;
-        for at in slab.clone().step_by(2 * 4096).chain(slab.step_by(331)) {
-            bytes[at + 7] ^= 0xA5;
-        }
-        let store = SpillStore::temp(1 << 20).unwrap();
-        let file = Arc::new(store.write_blob(&bytes).unwrap());
-        let cache = Arc::new(PageCache::with_page_size(2 * 4096, MIN_PAGE_BYTES).unwrap());
-        let cold = match ColdSegment::open(file.clone(), cache, 0, file.len()) {
-            Ok(cold) => cold,
-            Err(e) => return assert!(matches!(e, HammingError::Corrupt(_)), "{e:?}"),
-        };
-        assert_fences_tile_pages(&cold.store);
-        let sorted = cold.store.fences.iter().all(|f| f.windows(2).all(|w| w[0].key < w[1].key));
-        assert!(!sorted, "the flips must unsort some partition's fences");
-        for qi in 0..queries.len() {
-            let q = queries.row(qi);
-            for tau in [0, 4, 8] {
-                let truth = ds.linear_scan(q, tau);
-                for id in cold.plan.search_with_stats(&cold.store, q, tau).ids {
-                    assert!(truth.binary_search(&id).is_ok(), "qi {qi} tau {tau}: {id}");
+        let clean = engine.to_bytes();
+        for slot in [SLOT_KEYS, SLOT_OFFS, SLOT_IDS] {
+            let mut bytes = clean.clone();
+            let slab = open_engine(Source::Bytes(&bytes)).unwrap().slot(slot);
+            let (start, len) = (slab.offset as usize, slab.len as usize);
+            // The top byte of every other page's first key (so fence
+            // keys alternate high and low), and a spray of bytes in
+            // between.
+            let slab = start..start + len - 7;
+            for at in slab.clone().step_by(2 * 4096).chain(slab.step_by(331)) {
+                bytes[at + 7] ^= 0xA5;
+            }
+            let store = SpillStore::temp(1 << 20).unwrap();
+            let file = Arc::new(store.write_blob(&bytes).unwrap());
+            let cache = Arc::new(PageCache::with_page_size(2 * 4096, MIN_PAGE_BYTES).unwrap());
+            let cold = match ColdSegment::open(file.clone(), cache, 0, file.len()) {
+                Ok(cold) => cold,
+                Err(e) => {
+                    assert!(matches!(e, HammingError::Corrupt(_)), "slot {slot}: {e:?}");
+                    continue;
                 }
-                cold_topk(&cold, q, 3, tau);
+            };
+            assert_fences_tile_pages(&cold.store);
+            if slot == SLOT_KEYS {
+                let fences = &cold.store.fences;
+                let sorted = fences.iter().all(|f| f.windows(2).all(|w| w[0].key < w[1].key));
+                assert!(!sorted, "the flips must unsort some partition's fences");
+            }
+            for qi in 0..queries.len() {
+                let q = queries.row(qi);
+                for tau in [0, 4, 8] {
+                    let truth = ds.linear_scan(q, tau);
+                    let range = cold.plan.search_with_stats(&cold.store, q, tau).ids;
+                    let topk = cold_topk(&cold, q, 3, tau).into_iter().map(|(id, _)| id);
+                    for id in range.into_iter().chain(topk) {
+                        assert!(truth.binary_search(&id).is_ok(), "slot {slot} qi {qi} tau {tau}");
+                    }
+                }
             }
         }
     }

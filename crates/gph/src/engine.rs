@@ -10,7 +10,7 @@
 use crate::alloc::AllocatorKind;
 use crate::cn::{build_estimator, EstimatorKind};
 use crate::cost::CostModel;
-use crate::index::InvertedIndex;
+use crate::index::{InvertedIndex, PartIndex};
 use crate::partition_opt::{build_partitioning, PartitionStrategy, WorkloadSpec};
 use crate::pipeline::{topk_by_escalation, Plan, Store};
 use hamming_core::error::{HammingError, Result};
@@ -121,28 +121,27 @@ pub struct SearchResult {
 }
 
 /// The resident [`Store`]: rows and CSR postings on the heap. No
-/// projection of the rows is kept: the scan fallback reads the index's
-/// keys, or projects rows as it goes.
+/// projection of the rows is kept: the scan fallback of a partition
+/// wider than a word projects rows as it goes.
 pub(crate) struct Resident {
     pub(crate) data: Dataset,
     pub(crate) index: InvertedIndex,
 }
 
 impl Store for Resident {
+    type Part<'a> = &'a PartIndex;
+
+    fn part(&self, part: usize) -> &PartIndex {
+        self.index.part(part)
+    }
+
     fn len(&self) -> usize {
         self.data.len()
     }
 
-    #[inline]
-    fn with_postings(&self, part: usize, key: u64, f: impl FnOnce(&[u32])) {
-        f(self.index.postings(part, key))
-    }
-
-    /// Exactly the rows a full enumeration would have probed. Up to 64
-    /// bits a key is the projected value, so the distinct keys are
-    /// walked; wider keys are hashes, so each row is projected on the
-    /// fly.
-    fn scan_part(
+    /// Exactly the rows a full enumeration would have probed: each row
+    /// is projected on the fly.
+    fn scan_wide(
         &self,
         projector: &Projector,
         part: usize,
@@ -150,12 +149,7 @@ impl Store for Resident {
         radius: usize,
         emit: impl FnMut(u32),
     ) {
-        if self.index.part_width(part) <= 64 {
-            let qk = q_proj.first().copied().unwrap_or(0);
-            self.index.for_each_posting_within(part, qk, radius, emit);
-        } else {
-            projector.for_each_row_within(part, &self.data, q_proj, radius, emit);
-        }
+        projector.for_each_row_within(part, &self.data, q_proj, radius, emit);
     }
 
     /// The deduplicated candidate buffer goes to the batched kernel in
@@ -284,11 +278,6 @@ impl Gph {
         Gph::from_bytes(&std::fs::read(path)?)
     }
 
-    /// The estimator kind this engine was built with.
-    pub fn estimator_kind(&self) -> &EstimatorKind {
-        &self.plan.estimator_kind
-    }
-
     /// All vectors within `tau` of `query` (exact; ascending IDs).
     pub fn search(&self, query: &[u64], tau: u32) -> Vec<u32> {
         self.search_with_stats(query, tau).ids
@@ -329,38 +318,14 @@ impl Gph {
     /// Similarity self-join: every unordered pair `(a, b)`, `a < b`, of
     /// indexed vectors with `H(a, b) ≤ tau` — the set-similarity-join
     /// workload PartAlloc was designed for, answered with the GPH index
-    /// by querying each vector and keeping pairs `(id, hit)` with
-    /// `hit > id`. `threads > 1` splits the probe loop with scoped
-    /// threads.
+    /// by querying each vector ([`Gph::par_search`] over `threads`
+    /// workers) and keeping pairs `(id, hit)` with `hit > id`, ascending.
     pub fn self_join(&self, tau: u32, threads: usize) -> Vec<(u32, u32)> {
-        let n = self.store.data.len();
-        let threads = threads.max(1).min(n.max(1));
-        let chunk = n.div_ceil(threads);
-        let mut shards: Vec<Vec<(u32, u32)>> = Vec::new();
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                handles.push(scope.spawn(move |_| {
-                    let mut out: Vec<(u32, u32)> = Vec::new();
-                    for id in lo..hi {
-                        let q = self.store.data.row(id);
-                        for hit in self.search(q, tau) {
-                            if hit > id as u32 {
-                                out.push((id as u32, hit));
-                            }
-                        }
-                    }
-                    out
-                }));
-            }
-            shards = handles.into_iter().map(|h| h.join().expect("no panics")).collect();
-        })
-        .expect("join workers never panic");
-        let mut pairs: Vec<(u32, u32)> = shards.into_iter().flatten().collect();
-        pairs.sort_unstable();
-        pairs
+        let rows: Vec<&[u64]> =
+            (0..self.store.data.len()).map(|id| self.store.data.row(id)).collect();
+        let hits = self.par_search(&rows, tau, threads).into_iter().enumerate();
+        let pairs = hits.flat_map(|(id, hits)| hits.into_iter().map(move |hit| (id as u32, hit)));
+        pairs.filter(|&(id, hit)| hit > id).collect()
     }
 
     /// Batched parallel search over `queries` with `threads` workers
@@ -412,11 +377,6 @@ impl Gph {
     /// Offline build timing decomposition.
     pub fn build_stats(&self) -> BuildStats {
         self.build_stats
-    }
-
-    /// Cost model (for experiment reporting).
-    pub fn cost_model(&self) -> &CostModel {
-        &self.plan.cost_model
     }
 
     /// Index + estimator heap size, and nothing else (Fig. 6 accounting:

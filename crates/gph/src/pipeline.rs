@@ -3,13 +3,14 @@
 //! A query runs a [`Plan`] over a [`Store`]. The plan is everything
 //! that decides *what* to probe and is independent of where bytes live:
 //! the partitioning and its projector, the CN estimator, the threshold
-//! allocator, the cost model. The store is what the loop needs *from*
-//! bytes: posting lists, a scan fallback, verification, distances. Two
-//! stores exist — the resident one in [`crate::engine`] (heap CSR +
-//! `Dataset`) and the paged one in [`crate::coldstore`] (positional
-//! reads through a page cache) — and the loop is generic over them, so
-//! each compiles to its own monomorphic copy with no dynamic dispatch
-//! per key. `ARCHITECTURE.md` ("The query pipeline") has the diagram.
+//! allocator, the cost model. The store is where the bytes live: CSR
+//! arrays that the one reader in [`hamming_core::invindex`] probes and
+//! walks, and rows. Two stores exist — the resident one in
+//! [`crate::engine`] (heap CSR + `Dataset`) and the paged one in
+//! [`crate::coldstore`] (reads through a page cache) — and the loop is
+//! generic over them, so each compiles to its own monomorphic copy with
+//! no dynamic dispatch per key. `ARCHITECTURE.md` ("The query
+//! pipeline") has the diagram.
 //!
 //! Top-k is written here once too, as [`topk_by_escalation`]: a loop
 //! that grows τ over any layer's range search with distances. The
@@ -22,6 +23,7 @@ use crate::cost::CostModel;
 use crate::engine::{QueryStats, SearchResult};
 use crate::pigeonhole::ThresholdVector;
 use hamming_core::enumerate::{ball_size, for_each_in_ball_u64, for_each_in_ball_words};
+use hamming_core::invindex::{for_each_posting, for_each_posting_within, CsrPart};
 use hamming_core::key::key_of;
 use hamming_core::project::Projector;
 use hamming_core::{words_for, Partitioning};
@@ -30,18 +32,22 @@ use std::time::Instant;
 
 /// What the pipeline needs from wherever a segment's bytes live.
 pub(crate) trait Store {
+    /// A partition's CSR arrays. Reads cannot fail here: the paged
+    /// source handles a failed read itself.
+    type Part<'a>: CsrPart<Error = std::convert::Infallible>
+    where
+        Self: 'a;
+
+    /// Partition `part`'s CSR arrays.
+    fn part(&self, part: usize) -> Self::Part<'_>;
+
     /// Rows stored; ids are `0..len()`.
     fn len(&self) -> usize;
 
-    /// Hands `f` the posting list of signature `key` in partition
-    /// `part`. A store may skip the call when the key is absent.
-    fn with_postings(&self, part: usize, key: u64, f: impl FnOnce(&[u32]));
-
-    /// Scan fallback for one partition, taken when the signature ball
-    /// outnumbers the rows: emits a superset of the ids whose
-    /// projection on `part` (by the plan's `projector`) lies within
-    /// `radius` of `q_proj`, without enumerating signatures.
-    fn scan_part(
+    /// Scan fallback for a partition wider than 64 bits, whose keys are
+    /// hashes: emits a superset of the ids whose projection on `part`
+    /// (by the plan's `projector`) lies within `radius` of `q_proj`.
+    fn scan_wide(
         &self,
         projector: &Projector,
         part: usize,
@@ -162,9 +168,9 @@ impl Plan {
         let mut scratch = self.scratch_pool.lock().pop().unwrap_or_else(|| Scratch::new(n));
         scratch.begin(n);
         let epoch = scratch.epoch;
-        // Ids outside `0..n` are skipped, not trusted: the paged store's
-        // payload CRCs are deferred, so a corrupt posting must not index
-        // out of bounds (resident indexes are validated when built or
+        // Ids outside `0..n` are skipped, not trusted: the reader hands
+        // ids on as stored, and the paged store's payload CRCs are
+        // deferred (resident indexes are validated when built or
         // decoded, so the branch never fires there).
         let mut admit = |id: u32| {
             if let Some(stamp) = scratch.stamps.get_mut(id as usize) {
@@ -187,7 +193,12 @@ impl Plan {
             if ball_size(width, radius) > n as u64 && n > 0 {
                 let t2 = Instant::now();
                 stats.n_scanned += n as u64;
-                store.scan_part(&self.projector, i, &q_proj[i], radius, &mut admit);
+                if width <= 64 {
+                    let qk = q_proj[i].first().copied().unwrap_or(0);
+                    let Ok(()) = for_each_posting_within(store.part(i), qk, radius, &mut admit);
+                } else {
+                    store.scan_wide(&self.projector, i, &q_proj[i], radius, &mut admit);
+                }
                 stats.candgen_ns += t2.elapsed().as_nanos() as u64;
                 continue;
             }
@@ -207,11 +218,10 @@ impl Plan {
             stats.enumerate_ns += t1.elapsed().as_nanos() as u64;
 
             let t2 = Instant::now();
+            let part = store.part(i);
             for &key in &scratch.keys {
-                store.with_postings(i, key, |postings| {
-                    stats.sum_postings += postings.len() as u64;
-                    postings.iter().for_each(|&id| admit(id));
-                });
+                let Ok(n) = for_each_posting(part, key, &mut admit);
+                stats.sum_postings += n as u64;
             }
             stats.candgen_ns += t2.elapsed().as_nanos() as u64;
         }

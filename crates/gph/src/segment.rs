@@ -51,7 +51,7 @@
 use crate::coldstore::{ColdSegment, PageCacheStats, SegmentFile, SpillStore, StorageMode};
 use crate::engine::{Gph, GphConfig, QueryStats};
 use crate::partition_opt::PartitionStrategy;
-use crate::pipeline::{topk_by_escalation, Plan};
+use crate::pipeline::{topk_by_escalation, Plan, Store};
 use crate::snapshot::{decode_gph_config, encode_gph_config};
 use bytes::BufMut;
 use gph_obs::{PhaseNanos, SegmentTrace};
@@ -165,7 +165,7 @@ impl SegStore {
     fn len(&self) -> usize {
         match self {
             SegStore::Resident(g) => g.data().len(),
-            SegStore::Cold(c) => c.len(),
+            SegStore::Cold(c) => c.store.len(),
         }
     }
 
@@ -190,7 +190,7 @@ impl SegStore {
     fn row_of(&self, row: usize) -> Vec<u64> {
         match self {
             SegStore::Resident(g) => g.data().row(row).to_vec(),
-            SegStore::Cold(c) => c.row(row),
+            SegStore::Cold(c) => c.store.row(row),
         }
     }
 
@@ -198,7 +198,7 @@ impl SegStore {
     fn append_row_to(&self, ds: &mut Dataset, row: usize) -> Result<()> {
         match self {
             SegStore::Resident(g) => ds.push_row_from(g.data(), row).map(|_| ()),
-            SegStore::Cold(c) => ds.push_row(&c.row(row)).map(|_| ()),
+            SegStore::Cold(c) => ds.push_row(&c.store.row(row)).map(|_| ()),
         }
     }
 

@@ -1,4 +1,5 @@
-//! The partition-signature inverted index.
+//! The partition-signature inverted index, and the one reader of its
+//! CSR arrays.
 //!
 //! Like MIH, GPH maps each data vector's projection on each partition to
 //! the vector's ID (§II-C, §VI). The index is immutable after build, so
@@ -8,35 +9,154 @@
 //! the query hot path, and no per-key `Vec` churn at build time.
 //! Signatures are enumerated **on the query side only** — the property
 //! that keeps GPH's index smaller than HmSearch's and PartAlloc's in
-//! Fig. 6.
+//! Fig. 6. Sorted keys make the layout a *canonical* function of the
+//! data: two builds are identical word for word, and so are their
+//! snapshots.
 //!
-//! A probe is **direct-addressed**: a dense *prefix directory* `dir`,
-//! indexed by the top `b` bits of the key, bounds the few key slots
-//! that share that prefix, so a signature costs one directory load, a
-//! binary search inside one cache line of `keys`, and a contiguous
-//! `ids` slice — two dependent cache misses where a search of the whole
-//! array paid about log₂(n_keys). `b = ⌊log₂ n_keys⌋ − 3` (clamped to
-//! the key's bits), i.e. about eight keys — 64 bytes — per bucket:
-//! measured on the benchmark's 400k-row corpus, a finer directory buys
-//! little speed for a lot of memory and a coarser one gives the gain
-//! back. A degenerate prefix (every key in one bucket) degrades to the
-//! whole-array search, never below it. The directory is derived state:
-//! a function of `keys`, rebuilt by [`InvertedIndex::build`] and
-//! [`InvertedIndex::from_csr`] alike and never stored in a snapshot.
+//! **One reader, two sources.** The arrays are read only by this
+//! module's [`slot_of`] (the search inside a run of keys), [`ids_of`]
+//! (an offsets pair becomes an ids run), [`for_each_posting`] (both) and
+//! [`for_each_posting_within`] (the distinct-key walk of the scan
+//! fallback), generic over a [`CsrPart`] source of runs of the arrays:
+//! [`InvertedIndex`] lends heap slices, and `gph::coldstore` hands out
+//! little-endian runs of cached pages. Each source gets its own
+//! monomorphic copy, so the resident probe has no dynamic dispatch, no
+//! allocation and, its error type being [`Infallible`], no `Result`.
 //!
-//! Because keys are sorted, the in-memory layout is a *canonical*
-//! function of the indexed data: two builds over the same dataset and
-//! partitioning are identical word for word, and therefore produce
-//! byte-identical snapshots (the old hash-map layout assigned posting
-//! ranges in iteration order, so it wasn't).
+//! **The lookup is the source's** ([`CsrPart::bucket`]), derived from
+//! the keys and never persisted. The resident index keeps a dense
+//! *prefix directory* over the top `b = ⌊log₂ n_keys⌋ − 3` bits of a
+//! key (clamped to its bits): about eight keys, one cache line, per
+//! bucket, so a probe is a directory load, a search in one line of
+//! `keys` and an `ids` slice. On the benchmark's 400k-row corpus a
+//! finer directory buys little speed for a lot of memory and a coarser
+//! one gives the gain back; keys sharing one prefix cost a whole-array
+//! search, never more. The paged store keeps *page fences* (the first
+//! key of each key page) instead: a directory bucket's size follows the
+//! key distribution, so over a page cache a skewed prefix would cost
+//! several page reads per probe, where a fence run is one page.
+//!
+//! **Trust model.** The reader trusts no byte it reads. A reversed
+//! offsets pair, or one ending past the ids array, yields no postings,
+//! so an ids run is sized from a checked pair before it is read.
+//! Unsorted keys can misdirect a search, but a search reads only the
+//! run the lookup gave, so no read leaves the partition's section. Ids
+//! go out as stored; callers drop ids `≥ n` (the query pipeline does).
+//! `validate_csr_part` still rejects bad arrays entering a resident
+//! index, early, at load.
 
-use crate::error::{HammingError, Result};
+use crate::error::HammingError;
 use crate::fasthash::FastMap;
 use crate::project::ProjectedDataset;
+use std::convert::Infallible;
+use std::ops::Range;
 
-/// One partition's postings in CSR form.
+/// A key as a source stores it: a native `u64` on the heap, or eight
+/// little-endian bytes in a cached page.
+pub trait StoredKey: Copy {
+    /// The key's value.
+    fn value(self) -> u64;
+}
+
+impl StoredKey for u64 {
+    fn value(self) -> u64 {
+        self
+    }
+}
+
+impl StoredKey for [u8; 8] {
+    fn value(self) -> u64 {
+        u64::from_le_bytes(self)
+    }
+}
+
+/// One partition's CSR arrays, wherever they live. A source only hands
+/// out runs; the search, the checks and the walk are the reader's.
+pub trait CsrPart: Copy {
+    /// What a failed read returns.
+    type Error;
+    /// How the source stores a key.
+    type Key: StoredKey;
+    /// Length of the ids array.
+    fn n_ids(&self) -> usize;
+    /// The source's lookup: the slots of the one run of keys that can
+    /// hold `key`, empty if none can.
+    fn bucket(&self, key: u64) -> Range<usize>;
+    /// Runs that tile the keys array in slot order, for the walk.
+    fn runs(&self) -> impl Iterator<Item = Range<usize>>;
+    /// Hands `f` the keys at `slots`, a run from `bucket` or `runs`.
+    fn with_keys<R>(
+        &self,
+        slots: Range<usize>,
+        f: impl FnOnce(&[Self::Key]) -> R,
+    ) -> Result<R, Self::Error>;
+    /// `(offsets[slot], offsets[slot + 1])` as stored, for a key slot.
+    fn offsets_pair(&self, slot: usize) -> Result<(u32, u32), Self::Error>;
+    /// Hands `emit` the ids at `ids`, a range below `n_ids()`.
+    fn for_each_id(&self, ids: Range<usize>, emit: impl FnMut(u32)) -> Result<(), Self::Error>;
+}
+
+/// The slot of `key`: the source's bucket, then a binary search inside
+/// it. `None` when the key is not stored, with no read at all when the
+/// bucket is empty.
+pub fn slot_of<S: CsrPart>(part: S, key: u64) -> Result<Option<usize>, S::Error> {
+    let run = part.bucket(key);
+    if run.is_empty() {
+        return Ok(None);
+    }
+    let lo = run.start;
+    part.with_keys(run, |keys| keys.binary_search_by(|k| k.value().cmp(&key)).ok().map(|j| lo + j))
+}
+
+/// The ids run of key slot `slot`: its offsets pair, checked.
+pub fn ids_of<S: CsrPart>(part: S, slot: usize) -> Result<Range<usize>, S::Error> {
+    let (start, end) = part.offsets_pair(slot)?;
+    let (start, end) = (start as usize, end as usize);
+    Ok(if start <= end && end <= part.n_ids() { start..end } else { 0..0 })
+}
+
+/// Probes `key`: hands `emit` its postings and returns how many.
+pub fn for_each_posting<S: CsrPart>(
+    part: S,
+    key: u64,
+    emit: impl FnMut(u32),
+) -> Result<usize, S::Error> {
+    let Some(slot) = slot_of(part, key)? else { return Ok(0) };
+    let ids = ids_of(part, slot)?;
+    part.for_each_id(ids.clone(), emit)?;
+    Ok(ids.len())
+}
+
+/// Hands `emit` every posting whose key lies within Hamming distance
+/// `radius` of `qk`, in key order: exactly the rows whose projection is
+/// in that ball, found by one walk of the distinct keys instead of an
+/// enumeration of the ball — the scan fallback for a ball that
+/// outnumbers the rows. Only keys of partitions at most 64 bits wide
+/// *are* projected values (wider ones hash); callers check the width.
+pub fn for_each_posting_within<S: CsrPart>(
+    part: S,
+    qk: u64,
+    radius: usize,
+    mut emit: impl FnMut(u32),
+) -> Result<(), S::Error> {
+    for run in part.runs() {
+        let lo = run.start;
+        part.with_keys(run, |keys| {
+            for (j, k) in keys.iter().enumerate() {
+                if (k.value() ^ qk).count_ones() as usize <= radius {
+                    part.for_each_id(ids_of(part, lo + j)?, &mut emit)?;
+                }
+            }
+            Ok(())
+        })??;
+    }
+    Ok(())
+}
+
+/// One partition's postings in CSR form under its prefix directory:
+/// the resident [`CsrPart`], lent by [`InvertedIndex::part`].
 #[derive(Clone, Debug)]
-struct PartIndex {
+pub struct PartIndex {
     width: usize,
     /// Distinct signature keys, ascending.
     keys: Vec<u64>,
@@ -86,22 +206,45 @@ impl PartIndex {
         }
         PartIndex { width, keys, offsets, ids, dir, shift }
     }
+}
 
-    #[inline]
-    fn postings(&self, key: u64) -> &[u32] {
-        let h = prefix(key, self.shift);
-        if h >= self.dir.len() as u64 - 1 {
-            // Not a `width`-bit key: nothing is stored under it.
-            return &[];
+impl CsrPart for &PartIndex {
+    type Error = Infallible;
+    type Key = u64;
+
+    fn n_ids(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The directory bucket of `key`'s prefix; empty for a key that is
+    /// not a `width`-bit value, under which nothing is stored.
+    fn bucket(&self, key: u64) -> Range<usize> {
+        let h = prefix(key, self.shift) as usize;
+        if h >= self.dir.len() - 1 {
+            return 0..0;
         }
-        let (lo, hi) = (self.dir[h as usize] as usize, self.dir[h as usize + 1] as usize);
-        match self.keys[lo..hi].binary_search(&key) {
-            Ok(s) => {
-                let s = lo + s;
-                &self.ids[self.offsets[s] as usize..self.offsets[s + 1] as usize]
-            }
-            Err(_) => &[],
-        }
+        self.dir[h] as usize..self.dir[h + 1] as usize
+    }
+
+    fn runs(&self) -> impl Iterator<Item = Range<usize>> {
+        std::iter::once(0..self.keys.len())
+    }
+
+    fn with_keys<R>(
+        &self,
+        slots: Range<usize>,
+        f: impl FnOnce(&[u64]) -> R,
+    ) -> Result<R, Infallible> {
+        Ok(f(&self.keys[slots]))
+    }
+
+    fn offsets_pair(&self, slot: usize) -> Result<(u32, u32), Infallible> {
+        Ok((self.offsets[slot], self.offsets[slot + 1]))
+    }
+
+    fn for_each_id(&self, ids: Range<usize>, emit: impl FnMut(u32)) -> Result<(), Infallible> {
+        self.ids[ids].iter().copied().for_each(emit);
+        Ok(())
     }
 }
 
@@ -167,6 +310,11 @@ impl InvertedIndex {
         self.parts.len()
     }
 
+    /// Partition `p`, the source the reader functions run over.
+    pub fn part(&self, p: usize) -> &PartIndex {
+        &self.parts[p]
+    }
+
     /// Width of partition `p`.
     pub fn part_width(&self, p: usize) -> usize {
         self.parts[p].width
@@ -175,36 +323,18 @@ impl InvertedIndex {
     /// Postings list for signature `key` in partition `p` (IDs ascending).
     #[inline]
     pub fn postings(&self, p: usize, key: u64) -> &[u32] {
-        self.parts[p].postings(key)
+        let part = &self.parts[p];
+        let Ok(Some(slot)) = slot_of(part, key) else { return &[] };
+        let Ok(ids) = ids_of(part, slot);
+        &part.ids[ids]
     }
 
-    /// Number of distinct signatures in partition `p`.
-    pub fn distinct_signatures(&self, p: usize) -> usize {
-        self.parts[p].keys.len()
-    }
-
-    /// Hands `emit` every posting of partition `p` whose key lies within
-    /// Hamming distance `radius` of `qk`, in key order: exactly the rows
-    /// whose projection is in that ball, found by one walk of the
-    /// distinct keys instead of an enumeration of the ball. This is the
-    /// scan fallback for a ball that outnumbers the rows. Only partitions
-    /// at most 64 bits wide have keys that *are* projected values (wider
-    /// ones hash), so it panics on a wider partition.
-    pub fn for_each_posting_within(
-        &self,
-        p: usize,
-        qk: u64,
-        radius: usize,
-        mut emit: impl FnMut(u32),
-    ) {
-        let pi = &self.parts[p];
-        assert!(pi.width <= 64, "part {p} is {} bits wide: its keys are hashes", pi.width);
-        for (s, &k) in pi.keys.iter().enumerate() {
-            if (k ^ qk).count_ones() as usize <= radius {
-                let ids = &pi.ids[pi.offsets[s] as usize..pi.offsets[s + 1] as usize];
-                ids.iter().for_each(|&id| emit(id));
-            }
-        }
+    /// [`for_each_posting_within`] over partition `p`, which must be at
+    /// most 64 bits wide.
+    pub fn for_each_posting_within(&self, p: usize, qk: u64, radius: usize, emit: impl FnMut(u32)) {
+        let part = &self.parts[p];
+        assert!(part.width <= 64, "part {p} is {} bits wide: its keys are hashes", part.width);
+        let Ok(()) = for_each_posting_within(part, qk, radius, emit);
     }
 
     /// Partition `p`'s sorted distinct signature keys (CSR `keys` array).
@@ -222,21 +352,17 @@ impl InvertedIndex {
         &self.parts[p].ids
     }
 
-    /// Assembles an index directly from raw CSR arrays (one
-    /// `(width, keys, offsets, ids)` tuple per partition — what
-    /// [`InvertedIndex::part_keys`] / [`InvertedIndex::part_offsets`] /
-    /// [`InvertedIndex::part_ids`] export), validating the key order,
-    /// the offset monotonicity, and every ID against the declared
-    /// cardinality so a corrupt payload cannot cause panics (or
-    /// out-of-bounds postings) later. This is how snapshots rebuild the
-    /// index from sections read straight off disk. Because keys are
-    /// sorted and [`InvertedIndex::build`] is canonical, identical data
-    /// always exports identical arrays.
+    /// Assembles an index from raw CSR arrays, one `(width, keys,
+    /// offsets, ids)` per partition as [`InvertedIndex::part_keys`] and
+    /// its siblings export them: how snapshots rebuild the index from
+    /// sections read off disk. Each partition is checked by
+    /// `validate_csr_part` first, so a corrupt payload is rejected
+    /// here rather than answered later.
     #[allow(clippy::type_complexity)]
     pub fn from_csr(
         len: usize,
         parts: Vec<(usize, Vec<u64>, Vec<u32>, Vec<u32>)>,
-    ) -> Result<InvertedIndex> {
+    ) -> Result<InvertedIndex, HammingError> {
         let parts = parts
             .into_iter()
             .enumerate()
@@ -244,7 +370,7 @@ impl InvertedIndex {
                 validate_csr_part(p, len, width, &keys, &offsets, &ids)?;
                 Ok(PartIndex::new(width, keys, offsets, ids))
             })
-            .collect::<Result<Vec<_>>>()?;
+            .collect::<Result<Vec<_>, HammingError>>()?;
         Ok(InvertedIndex { parts, len })
     }
 
@@ -272,39 +398,32 @@ fn validate_csr_part(
     keys: &[u64],
     offsets: &[u32],
     ids: &[u32],
-) -> Result<()> {
+) -> Result<(), HammingError> {
     let n_ids = ids.len();
+    let corrupt = |what: String| Err(HammingError::Corrupt(format!("part {p} {what}")));
     if n_ids != len {
-        return Err(HammingError::Corrupt(format!(
-            "part {p} holds {n_ids} postings for {len} vectors"
-        )));
+        return corrupt(format!("holds {n_ids} postings for {len} vectors"));
     }
     if keys.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(HammingError::Corrupt(format!("part {p} keys are not sorted")));
+        return corrupt("keys are not sorted".into());
     }
     // Sorted, so the last key is the largest.
     if keys.last().is_some_and(|&k| prefix(k, key_bits(width)) != 0) {
-        return Err(HammingError::Corrupt(format!("part {p} key exceeds width {width}")));
+        return corrupt(format!("key exceeds width {width}"));
     }
     if offsets.len() != keys.len() + 1 {
-        return Err(HammingError::Corrupt(format!(
-            "part {p} has {} offsets for {} keys",
-            offsets.len(),
-            keys.len()
-        )));
+        return corrupt(format!("has {} offsets for {} keys", offsets.len(), keys.len()));
     }
     if offsets.first() != Some(&0) || offsets.last().copied() != Some(n_ids as u32) {
-        return Err(HammingError::Corrupt(format!("part {p} offsets do not span 0..{n_ids}")));
+        return corrupt(format!("offsets do not span 0..{n_ids}"));
     }
     if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(HammingError::Corrupt(format!("part {p} offsets are not monotone")));
+        return corrupt("offsets are not monotone".into());
     }
-    if let Some(&id) = ids.iter().find(|&&id| id as usize >= len) {
-        return Err(HammingError::Corrupt(format!(
-            "posting id {id} out of range for {len} vectors"
-        )));
+    match ids.iter().find(|&&id| id as usize >= len) {
+        Some(id) => corrupt(format!("posting id {id} out of range for {len} vectors")),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -336,7 +455,7 @@ mod tests {
         assert_eq!(idx.postings(0, 0b0000), &[0, 1, 2]);
         assert_eq!(idx.postings(0, 0b1001), &[3]);
         assert_eq!(idx.postings(0, 0b1111), &[] as &[u32]);
-        assert_eq!(idx.distinct_signatures(0), 2);
+        assert_eq!(idx.part_keys(0).len(), 2);
         // Partition 1 (dims 4..8): 0000, 0111->bits 1,2,3, 1111, 1111.
         assert_eq!(idx.postings(1, 0b0000), &[0]);
         assert_eq!(idx.postings(1, 0b1110), &[1]); // dims 5,6,7 set
