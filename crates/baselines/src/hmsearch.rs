@@ -15,10 +15,10 @@
 //! as the original system does).
 
 use crate::variants::VariantIndex;
-use crate::{CandidateStats, SearchIndex, Stamp};
+use crate::{CandidateStats, SearchIndex};
 use hamming_core::error::{HammingError, Result};
 use hamming_core::project::{ProjectedDataset, Projector};
-use hamming_core::{Dataset, Partitioning};
+use hamming_core::{Dataset, Partitioning, Visited};
 use parking_lot::Mutex;
 
 /// A built HmSearch index for a fixed `tau_build`.
@@ -29,7 +29,7 @@ pub struct HmSearch {
     tau_build: u32,
     /// Scratch: (global candidate stamp, per-partition dedup stamp,
     /// per-id ≤1-partition counter, per-id exact flag).
-    scratch: Mutex<(Stamp, Stamp, Vec<u8>, Vec<bool>)>,
+    scratch: Mutex<(Visited, Visited, Vec<u8>, Vec<bool>)>,
 }
 
 /// HmSearch's partition count for a threshold.
@@ -64,7 +64,7 @@ impl HmSearch {
             projector,
             parts,
             tau_build,
-            scratch: Mutex::new((Stamp::new(n), Stamp::new(n), vec![0; n], vec![false; n])),
+            scratch: Mutex::new((Visited::new(n), Visited::new(n), vec![0; n], vec![false; n])),
         })
     }
 
@@ -89,7 +89,7 @@ impl SearchIndex for HmSearch {
         let even = tau.is_multiple_of(2);
         let mut guard = self.scratch.lock();
         let (cand_stamp, part_stamp, counts, exacts) = &mut *guard;
-        cand_stamp.next_epoch();
+        cand_stamp.clear();
         let mut candidates: Vec<u32> = Vec::new();
         // Per-id state is lazily reset via the candidate stamp's "touched"
         // trick: the `touched` list records which slots to clear after.
@@ -97,14 +97,14 @@ impl SearchIndex for HmSearch {
 
         for (i, vi) in self.parts.iter().enumerate() {
             let q_proj = self.projector.project(i, query);
-            part_stamp.next_epoch();
+            part_stamp.clear();
             // Exact postings: distance 0.
             let exact = vi.exact_postings(&q_proj);
             stats.n_signatures += 1;
             stats.sum_postings += exact.len() as u64;
             for &id in exact {
                 let idu = id as usize;
-                if part_stamp.mark(idu) {
+                if part_stamp.insert(id) {
                     if counts[idu] == 0 && !exacts[idu] {
                         touched.push(id);
                     }
@@ -118,7 +118,7 @@ impl SearchIndex for HmSearch {
                 stats.sum_postings += ids.len() as u64;
                 for &id in ids {
                     let idu = id as usize;
-                    if part_stamp.mark(idu) {
+                    if part_stamp.insert(id) {
                         if counts[idu] == 0 && !exacts[idu] {
                             touched.push(id);
                         }
@@ -130,20 +130,15 @@ impl SearchIndex for HmSearch {
         for &id in &touched {
             let idu = id as usize;
             let is_cand = if even { exacts[idu] || counts[idu] >= 2 } else { counts[idu] >= 1 };
-            if is_cand && cand_stamp.mark(idu) {
+            if is_cand && cand_stamp.insert(id) {
                 candidates.push(id);
             }
             counts[idu] = 0;
             exacts[idu] = false;
         }
         stats.n_candidates = candidates.len() as u64;
-        let mut ids: Vec<u32> = candidates
-            .into_iter()
-            .filter(|&id| {
-                hamming_core::distance::hamming_within(self.data.row(id as usize), query, tau)
-                    .is_some()
-            })
-            .collect();
+        let mut ids = Vec::with_capacity(candidates.len());
+        self.data.verify_candidates(query, tau, &candidates, &mut ids);
         ids.sort_unstable();
         stats.n_results = ids.len() as u64;
         (ids, stats)

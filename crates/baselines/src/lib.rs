@@ -6,7 +6,9 @@
 //!
 //! * [`scan::LinearScan`] — the naïve exact algorithm (ground truth).
 //! * [`mih::Mih`] — Multi-Index Hashing \[25\]: equi-width partitions,
-//!   `⌊τ/m⌋` thresholds, query-side enumeration.
+//!   `⌊τ/m⌋` thresholds, query-side enumeration — GPH's own probe loop
+//!   (`gph::engine::Resident::search_at`) run at Lemma 1's vector, so
+//!   the two differ only in `m`, the vector and the partitioning.
 //! * [`hmsearch::HmSearch`] — \[43\]: `⌊(τ+3)/2⌋` partitions, thresholds
 //!   in {0, 1}, data-side 1-deletion variants, even-τ enhancement.
 //! * [`partalloc::PartAlloc`] — \[11\] adapted to Hamming space: `τ + 1`
@@ -16,7 +18,9 @@
 //!   Jaccard transform \[1\], k = 3, table count from a recall target.
 //!
 //! All exact methods return precisely the linear-scan result set; the
-//! cross-algorithm property test in `/tests` enforces it.
+//! cross-algorithm property test in `/tests` enforces it. Every
+//! candidate generator dedups with the one visited set,
+//! [`hamming_core::Visited`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,18 +38,38 @@ pub use mih::Mih;
 pub use partalloc::PartAlloc;
 pub use scan::LinearScan;
 
+use gph::QueryStats;
+
 /// Candidate-level instrumentation shared by all engines (the quantities
 /// Fig. 2(b) and Fig. 7 report).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CandidateStats {
     /// Signatures (index probes) issued.
     pub n_signatures: u64,
-    /// Postings entries touched (`Σ_s |I_s|`).
+    /// Postings entries touched by index probes (`Σ_s |I_s|`).
     pub sum_postings: u64,
+    /// Rows examined by a scan instead of index probes: every row for
+    /// [`LinearScan`], and MIH's and GPH's scan fallback (taken when a
+    /// partition's signature ball outnumbers the data).
+    pub n_scanned: u64,
     /// Distinct candidates verified.
     pub n_candidates: u64,
     /// Results returned.
     pub n_results: u64,
+}
+
+/// GPH's counters and MIH's, which run the same loop, mean the same
+/// thing: this is the one reading of a [`QueryStats`] as candidates.
+impl From<&QueryStats> for CandidateStats {
+    fn from(st: &QueryStats) -> Self {
+        CandidateStats {
+            n_signatures: st.n_signatures,
+            sum_postings: st.sum_postings,
+            n_scanned: st.n_scanned,
+            n_candidates: st.n_candidates,
+            n_results: st.n_results,
+        }
+    }
 }
 
 /// A built Hamming-threshold search index.
@@ -63,71 +87,4 @@ pub trait SearchIndex {
 
     /// Heap footprint of the index structures (Fig. 6).
     fn size_bytes(&self) -> usize;
-}
-
-/// Epoch-stamped visited set used by every candidate generator here.
-pub(crate) struct Stamp {
-    stamps: Vec<u32>,
-    epoch: u32,
-}
-
-impl Stamp {
-    pub(crate) fn new(n: usize) -> Self {
-        Stamp { stamps: vec![0; n], epoch: 0 }
-    }
-
-    /// Starts a new generation; all marks are implicitly cleared.
-    pub(crate) fn next_epoch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Wrapped: refill with 0, the one value no live epoch takes.
-            // Any other fill value is reached again by a later epoch, and
-            // would then read every untouched id as already marked.
-            self.stamps.fill(0);
-            self.epoch = 1;
-        }
-    }
-
-    /// Marks `id`; returns true the first time within this epoch.
-    #[inline]
-    pub(crate) fn mark(&mut self, id: usize) -> bool {
-        if self.stamps[id] != self.epoch {
-            self.stamps[id] = self.epoch;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stamp_marks_once_per_epoch() {
-        let mut s = Stamp::new(4);
-        s.next_epoch();
-        assert!(s.mark(2));
-        assert!(!s.mark(2));
-        s.next_epoch();
-        assert!(s.mark(2));
-    }
-
-    #[test]
-    fn stamp_epoch_wraparound_resets() {
-        let mut s = Stamp::new(2);
-        s.epoch = u32::MAX;
-        s.next_epoch(); // wraps to 0 -> resets to 1
-        assert_eq!(s.epoch, 1);
-        assert!(s.mark(0));
-        assert!(!s.mark(0));
-        // 2³² − 2 epochs on, id 1 has not been marked since the wrap: the
-        // epoch that reaches u32::MAX must still see it as unmarked.
-        s.epoch = u32::MAX - 1;
-        s.next_epoch();
-        assert_eq!(s.epoch, u32::MAX);
-        assert!(s.mark(1), "an id untouched since the wrap reads as already seen");
-        assert!(!s.mark(1));
-    }
 }

@@ -11,10 +11,10 @@
 //! positives, possible misses).
 
 use crate::variants::CompactPostings;
-use crate::{CandidateStats, SearchIndex, Stamp};
+use crate::{CandidateStats, SearchIndex};
 use hamming_core::error::{HammingError, Result};
 use hamming_core::key::mix64;
-use hamming_core::Dataset;
+use hamming_core::{Dataset, Visited};
 use parking_lot::Mutex;
 
 /// One LSH table: `k` hash functions and the banded postings.
@@ -31,7 +31,7 @@ pub struct MinHashLsh {
     tables: Vec<Table>,
     k: usize,
     tau_build: u32,
-    scratch: Mutex<Stamp>,
+    scratch: Mutex<Visited>,
 }
 
 /// Number of tables for a recall target: `⌈log_{1−t^k}(1−recall)⌉`,
@@ -89,7 +89,7 @@ impl MinHashLsh {
             tables.push(Table { elem_hash, postings: CompactPostings::build(&pairs) });
         }
         let n_rows = data.len();
-        Ok(MinHashLsh { data, tables, k, tau_build, scratch: Mutex::new(Stamp::new(n_rows)) })
+        Ok(MinHashLsh { data, tables, k, tau_build, scratch: Mutex::new(Visited::new(n_rows)) })
     }
 
     /// Number of tables `l`.
@@ -135,7 +135,7 @@ impl SearchIndex for MinHashLsh {
         let mut stats = CandidateStats::default();
         let n = self.data.dim();
         let mut stamp = self.scratch.lock();
-        stamp.next_epoch();
+        stamp.clear();
         let mut candidates: Vec<u32> = Vec::new();
         for table in &self.tables {
             let sig = signature(query, n, &table.elem_hash);
@@ -143,19 +143,14 @@ impl SearchIndex for MinHashLsh {
             let ids = table.postings.get(sig);
             stats.sum_postings += ids.len() as u64;
             for &id in ids {
-                if stamp.mark(id as usize) {
+                if stamp.insert(id) {
                     candidates.push(id);
                 }
             }
         }
         stats.n_candidates = candidates.len() as u64;
-        let mut ids: Vec<u32> = candidates
-            .into_iter()
-            .filter(|&id| {
-                hamming_core::distance::hamming_within(self.data.row(id as usize), query, tau)
-                    .is_some()
-            })
-            .collect();
+        let mut ids = Vec::with_capacity(candidates.len());
+        self.data.verify_candidates(query, tau, &candidates, &mut ids);
         ids.sort_unstable();
         stats.n_results = ids.len() as u64;
         (ids, stats)

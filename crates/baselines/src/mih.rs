@@ -5,22 +5,24 @@
 //! basic pigeonhole principle (Lemma 1) — a uniform per-partition
 //! threshold `⌊τ/m⌋`. Signatures are enumerated on the query side only.
 //! The index is τ-independent, so one build serves every threshold.
+//!
+//! MIH is GPH's online phase at one vector: phases 2–4 of §VI
+//! (enumeration or the scan fallback, probe, dedup, verify) run by
+//! [`Resident::search_at`] at [`ThresholdVector::basic`]. It builds no
+//! estimator, cost model or allocator, and its counters are GPH's.
 
-use crate::{CandidateStats, SearchIndex, Stamp};
-use hamming_core::enumerate::{ball_size, for_each_in_ball_u64, for_each_in_ball_words};
+use crate::{CandidateStats, SearchIndex};
+use gph::engine::Resident;
+use gph::ThresholdVector;
 use hamming_core::error::Result;
-use hamming_core::key::key_of;
 use hamming_core::project::{ProjectedDataset, Projector};
-use hamming_core::{Dataset, Partitioning};
-use parking_lot::Mutex;
+use hamming_core::{Dataset, InvertedIndex, Partitioning};
 
 /// A built MIH index.
 pub struct Mih {
-    data: Dataset,
+    /// Rows, the inverted index and the pooled query scratch.
+    store: Resident,
     projector: Projector,
-    index: hamming_core::InvertedIndex,
-    m: usize,
-    stamp: Mutex<Stamp>,
 }
 
 impl Mih {
@@ -36,9 +38,8 @@ impl Mih {
     /// baselines with the OS rearrangement).
     pub fn build_with_partitioning(data: Dataset, p: Partitioning) -> Result<Self> {
         let projector = Projector::new(&p);
-        let index = hamming_core::InvertedIndex::build(&ProjectedDataset::build(&data, &projector));
-        let n = data.len();
-        Ok(Mih { data, projector, index, m: p.num_parts(), stamp: Mutex::new(Stamp::new(n)) })
+        let index = InvertedIndex::build(&ProjectedDataset::build(&data, &projector));
+        Ok(Mih { store: Resident::new(data, index), projector })
     }
 
     /// MIH's rule-of-thumb partition count `m ≈ n / log₂ N` (from \[25\]).
@@ -54,69 +55,13 @@ impl SearchIndex for Mih {
     }
 
     fn search_with_stats(&self, query: &[u64], tau: u32) -> (Vec<u32>, CandidateStats) {
-        let mut stats = CandidateStats::default();
-        let tau_part = (tau as usize) / self.m; // ⌊τ/m⌋ (Lemma 1)
-        let mut stamp = self.stamp.lock();
-        stamp.next_epoch();
-        let mut candidates: Vec<u32> = Vec::new();
-        let mut keys: Vec<u64> = Vec::new();
-        for i in 0..self.m {
-            let shape = self.projector.shape(i);
-            let width = shape.width;
-            let radius = tau_part.min(width);
-            let q_proj = self.projector.project(i, query);
-            // Same guard and same scan as GPH's resident store: when the
-            // ball outnumbers the data, walk the distinct keys (or, for
-            // hashed keys wider than a word, project the rows on the fly)
-            // instead of enumerating.
-            if ball_size(width, radius) > self.data.len() as u64 && !self.data.is_empty() {
-                let admit = |id: u32| {
-                    stats.sum_postings += 1;
-                    if stamp.mark(id as usize) {
-                        candidates.push(id);
-                    }
-                };
-                if width <= 64 {
-                    let qk = q_proj.first().copied().unwrap_or(0);
-                    self.index.for_each_posting_within(i, qk, radius, admit);
-                } else {
-                    self.projector.for_each_row_within(i, &self.data, &q_proj, radius, admit);
-                }
-                continue;
-            }
-            keys.clear();
-            if width <= 64 {
-                let center = q_proj.first().copied().unwrap_or(0);
-                for_each_in_ball_u64(center, width, radius, |v| keys.push(v));
-            } else {
-                for_each_in_ball_words(&q_proj, width, radius, |w| keys.push(key_of(w, width)));
-            }
-            stats.n_signatures += keys.len() as u64;
-            for &key in &keys {
-                let postings = self.index.postings(i, key);
-                stats.sum_postings += postings.len() as u64;
-                for &id in postings {
-                    if stamp.mark(id as usize) {
-                        candidates.push(id);
-                    }
-                }
-            }
-        }
-        stats.n_candidates = candidates.len() as u64;
-        let mut ids: Vec<u32> = candidates
-            .into_iter()
-            .filter(|&id| {
-                hamming_core::distance::hamming_within(self.data.row(id as usize), query, tau)
-                    .is_some()
-            })
-            .collect();
-        ids.sort_unstable();
-        stats.n_results = ids.len() as u64;
-        (ids, stats)
+        let tv = ThresholdVector::basic(tau, self.projector.num_parts());
+        let res = self.store.search_at(&self.projector, query, tau, tv);
+        (res.ids, CandidateStats::from(&res.stats))
     }
 
     fn size_bytes(&self) -> usize {
-        self.index.size_bytes()
+        self.store.index().size_bytes()
     }
 }
 
@@ -168,11 +113,14 @@ mod tests {
                     let (ids, st) = mih.search_with_stats(&q, tau);
                     assert_eq!(ids, scan.search(&q, tau), "dim={dim} tau={tau} qi={qi}");
                     assert_eq!(st.n_signatures, 0, "dim={dim} tau={tau}: every partition scans");
-                    assert!(st.n_candidates <= st.sum_postings);
+                    assert!(st.n_candidates <= st.n_scanned);
                     if m == 1 {
                         // One partition is the row itself: the scan admits
-                        // exactly the answer.
-                        assert_eq!(st.sum_postings, ids.len() as u64, "dim={dim} tau={tau}");
+                        // exactly the answer, and probes no postings.
+                        assert!(
+                            st.sum_postings == 0 && st.n_candidates == ids.len() as u64,
+                            "dim={dim} tau={tau}"
+                        );
                     }
                 }
             }

@@ -11,10 +11,10 @@
 //! candidates before verification.
 
 use crate::variants::VariantIndex;
-use crate::{CandidateStats, SearchIndex, Stamp};
+use crate::{CandidateStats, SearchIndex};
 use hamming_core::error::{HammingError, Result};
 use hamming_core::project::{ProjectedDataset, Projector};
-use hamming_core::{Dataset, Partitioning};
+use hamming_core::{Dataset, Partitioning, Visited};
 use parking_lot::Mutex;
 
 /// A built PartAlloc index for a fixed `tau_build`.
@@ -25,7 +25,7 @@ pub struct PartAlloc {
     /// Per-partition popcounts of every data vector (positional filter).
     weights: Vec<Vec<u16>>,
     tau_build: u32,
-    scratch: Mutex<Stamp>,
+    scratch: Mutex<Visited>,
 }
 
 /// PartAlloc's partition count: `τ + 1`, clamped to the dimensionality.
@@ -70,7 +70,7 @@ impl PartAlloc {
             parts,
             weights,
             tau_build,
-            scratch: Mutex::new(Stamp::new(n)),
+            scratch: Mutex::new(Visited::new(n)),
         })
     }
 
@@ -159,7 +159,7 @@ impl SearchIndex for PartAlloc {
         let q_weights: Vec<u16> =
             q_projs.iter().map(|v| v.iter().map(|w| w.count_ones()).sum::<u32>() as u16).collect();
         let mut stamp = self.scratch.lock();
-        stamp.next_epoch();
+        stamp.clear();
         let mut candidates: Vec<u32> = Vec::new();
         for i in 0..m {
             if alloc[i] < 0 {
@@ -170,7 +170,7 @@ impl SearchIndex for PartAlloc {
             stats.n_signatures += 1;
             stats.sum_postings += exact.len() as u64;
             for &id in exact {
-                if stamp.mark(id as usize) {
+                if stamp.insert(id) {
                     candidates.push(id);
                 }
             }
@@ -179,7 +179,7 @@ impl SearchIndex for PartAlloc {
                     stats.n_signatures += 1;
                     stats.sum_postings += ids.len() as u64;
                     for &id in ids {
-                        if stamp.mark(id as usize) {
+                        if stamp.insert(id) {
                             candidates.push(id);
                         }
                     }
@@ -201,13 +201,8 @@ impl SearchIndex for PartAlloc {
             true
         });
         stats.n_candidates = before; // generated candidates (pre-filter)
-        let mut ids: Vec<u32> = candidates
-            .into_iter()
-            .filter(|&id| {
-                hamming_core::distance::hamming_within(self.data.row(id as usize), query, tau)
-                    .is_some()
-            })
-            .collect();
+        let mut ids = Vec::with_capacity(candidates.len());
+        self.data.verify_candidates(query, tau, &candidates, &mut ids);
         ids.sort_unstable();
         stats.n_results = ids.len() as u64;
         (ids, stats)

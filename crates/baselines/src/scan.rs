@@ -30,7 +30,8 @@ impl SearchIndex for LinearScan {
         let ids = self.data.linear_scan(query, tau);
         let stats = CandidateStats {
             n_signatures: 0,
-            sum_postings: self.data.len() as u64,
+            sum_postings: 0,
+            n_scanned: self.data.len() as u64,
             n_candidates: self.data.len() as u64,
             n_results: ids.len() as u64,
         };

@@ -94,3 +94,37 @@ fn engines_agree_on_pubchem_profile() {
         assert_eq!(g.search(q, tau), truth, "GPH qi={qi}");
     }
 }
+
+/// At `m = 1` GPH's plan and Lemma 1's vector are both `[τ]`, and MIH
+/// runs GPH's probe loop, so the two do the same work, not only return
+/// the same rows: at τ = 1 they probe, past it (a 32-bit ball of radius
+/// 2 outnumbers 60 rows) they take the scan fallback, which counts
+/// scanned rows and no postings on both.
+#[test]
+fn gph_and_mih_do_the_same_work_at_one_partition() {
+    use baselines::CandidateStats;
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(37);
+    let rows = (0..60).map(|_| BitVector::from_bits((0..32).map(|_| rng.random_bool(0.5))));
+    let ds = Dataset::from_vectors(32, rows).unwrap();
+    let mih = Mih::build(ds.clone(), 1).unwrap();
+    let mut cfg = GphConfig::new(1, 5);
+    cfg.strategy = PartitionStrategy::Original;
+    let g = Gph::build(ds.clone(), &cfg).unwrap();
+    let work = |st: CandidateStats| {
+        (st.n_signatures, st.sum_postings, st.n_scanned, st.n_candidates, st.n_results)
+    };
+    for tau in [1u32, 2, 5] {
+        for qi in 0..ds.len() {
+            let q = ds.row(qi);
+            let (mih_ids, mih_stats) = mih.search_with_stats(q, tau);
+            let gph = g.search_with_stats(q, tau);
+            assert_eq!(mih_ids, gph.ids, "tau={tau} qi={qi}");
+            assert_eq!(
+                work(mih_stats),
+                work(CandidateStats::from(&gph.stats)),
+                "tau={tau} qi={qi}: (signatures, postings, scanned, candidates, results)"
+            );
+        }
+    }
+}

@@ -159,13 +159,7 @@ impl SearchIndex for GphEngine {
 
     fn search_with_stats(&self, query: &[u64], tau: u32) -> (Vec<u32>, CandidateStats) {
         let res = self.engine.search_with_stats(query, tau);
-        let st = CandidateStats {
-            n_signatures: res.stats.n_signatures,
-            sum_postings: res.stats.sum_postings,
-            n_candidates: res.stats.n_candidates,
-            n_results: res.stats.n_results,
-        };
-        (res.ids, st)
+        (res.ids, CandidateStats::from(&res.stats))
     }
 
     fn size_bytes(&self) -> usize {

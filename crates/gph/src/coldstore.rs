@@ -554,7 +554,7 @@ impl crate::cn::CnEstimator for FlatCn {
 // ColdSegment
 // ---------------------------------------------------------------------------
 
-use crate::pipeline::{Plan, Store};
+use crate::pipeline::{Plan, ScratchPool, Store};
 use crate::snapshot::{
     decode_engine_meta, open_engine, PartSpan, SLOT_IDS, SLOT_KEYS, SLOT_OFFS, SLOT_ROWS,
 };
@@ -618,6 +618,7 @@ pub(crate) struct Paged {
     /// Per partition, the [`Fence`] of every key page, derived at open
     /// for the cache's page size and never persisted.
     fences: Vec<Vec<Fence>>,
+    scratch_pool: ScratchPool,
 }
 
 impl Paged {
@@ -723,6 +724,10 @@ impl Store for Paged {
         self.n_rows
     }
 
+    fn scratch_pool(&self) -> &ScratchPool {
+        &self.scratch_pool
+    }
+
     /// Projecting every row would page the whole slab in, so every row
     /// is flooded as a candidate instead; verification, which is exact,
     /// keeps the result set identical.
@@ -822,6 +827,7 @@ impl ColdSegment {
             rows_at,
             parts,
             fences,
+            scratch_pool: Default::default(),
         };
         let plan = meta.into_plan(estimator);
         Ok(ColdSegment { plan, store, blob_off, blob_len })
@@ -1005,6 +1011,7 @@ mod tests {
 
     use crate::engine::{Gph, GphConfig};
     use crate::partition_opt::PartitionStrategy;
+    use crate::pipeline::set_pooled_epoch;
     use hamming_core::{BitVector, Dataset};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -1086,9 +1093,9 @@ mod tests {
 
         fn wrap_then_search(plan: &Plan, store: &impl Store, ds: &Dataset) -> Vec<u32> {
             plan.search_with_stats(store, ds.row(0), 0); // pools one scratch
-            plan.set_pooled_epoch(u32::MAX);
+            set_pooled_epoch(store, u32::MAX);
             plan.search_with_stats(store, ds.row(0), 0); // wraps: stamps reset
-            plan.set_pooled_epoch(u32::MAX - 1);
+            set_pooled_epoch(store, u32::MAX - 1);
             // This query runs at epoch u32::MAX, over rows the two
             // queries above never stamped.
             plan.search_with_stats(store, ds.row(200), 0).ids
@@ -1281,6 +1288,7 @@ mod tests {
             rows_at: 0,
             parts: vec![span],
             fences,
+            scratch_pool: Default::default(),
         };
         (store, paged)
     }

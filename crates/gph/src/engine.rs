@@ -12,7 +12,8 @@ use crate::cn::{build_estimator, EstimatorKind};
 use crate::cost::CostModel;
 use crate::index::{InvertedIndex, PartIndex};
 use crate::partition_opt::{build_partitioning, PartitionStrategy, WorkloadSpec};
-use crate::pipeline::{topk_by_escalation, Plan, Store};
+use crate::pigeonhole::ThresholdVector;
+use crate::pipeline::{probe_and_verify, topk_by_escalation, Plan, ScratchPool, Store};
 use hamming_core::error::{HammingError, Result};
 use hamming_core::project::{ProjectedDataset, Projector};
 use hamming_core::{Dataset, Partitioning};
@@ -120,12 +121,42 @@ pub struct SearchResult {
     pub stats: QueryStats,
 }
 
-/// The resident [`Store`]: rows and CSR postings on the heap. No
-/// projection of the rows is kept: the scan fallback of a partition
-/// wider than a word projects rows as it goes.
-pub(crate) struct Resident {
+/// The resident store: rows, CSR postings and the query scratch, on
+/// the heap. No projection of the rows is kept: the scan fallback of a
+/// partition wider than a word projects rows as it goes. [`Gph`] runs
+/// its allocated vectors over one, and `baselines::Mih` Lemma 1's.
+pub struct Resident {
     pub(crate) data: Dataset,
     pub(crate) index: InvertedIndex,
+    scratch_pool: ScratchPool,
+}
+
+impl Resident {
+    /// A store over `data` and an index of its projections.
+    pub fn new(data: Dataset, index: InvertedIndex) -> Self {
+        Resident { data, index, scratch_pool: Default::default() }
+    }
+
+    /// Phases 2–4 of §VI at a caller's vector: [`Gph`]'s probe loop,
+    /// counters and verification, probing partition `i` of `projector`
+    /// (the index's partitioning) within `thresholds[i]`. Exact when
+    /// `‖T‖₁ ≥ τ − m + 1` (Theorem 1), as Lemma 1's `[⌊τ/m⌋; m]` is.
+    pub fn search_at(
+        &self,
+        projector: &Projector,
+        query: &[u64],
+        tau: u32,
+        thresholds: ThresholdVector,
+    ) -> SearchResult {
+        assert_eq!(thresholds.len(), self.index.num_parts(), "one threshold per partition");
+        let q_proj = projector.project_all(query);
+        probe_and_verify(self, projector, query, tau, &q_proj, thresholds, QueryStats::default())
+    }
+
+    /// The inverted index.
+    pub fn index(&self) -> &InvertedIndex {
+        &self.index
+    }
 }
 
 impl Store for Resident {
@@ -137,6 +168,10 @@ impl Store for Resident {
 
     fn len(&self) -> usize {
         self.data.len()
+    }
+
+    fn scratch_pool(&self) -> &ScratchPool {
+        &self.scratch_pool
     }
 
     /// Exactly the rows a full enumeration would have probed: each row
@@ -246,9 +281,8 @@ impl Gph {
             allocator: cfg.allocator,
             cost_model: cfg.cost_model.clone(),
             tau_max: cfg.tau_max,
-            scratch_pool: Default::default(),
         };
-        Ok(Gph { plan, store: Resident { data, index }, build_stats: stats })
+        Ok(Gph { plan, store: Resident::new(data, index), build_stats: stats })
     }
 
     /// Serializes the built engine into a checksummed snapshot: the

@@ -5,11 +5,14 @@
 //! the partitioning and its projector, the CN estimator, the threshold
 //! allocator, the cost model. The store is where the bytes live: CSR
 //! arrays that the one reader in [`hamming_core::invindex`] probes and
-//! walks, and rows. Two stores exist — the resident one in
-//! [`crate::engine`] (heap CSR + `Dataset`) and the paged one in
-//! [`crate::coldstore`] (reads through a page cache) — and the loop is
-//! generic over them, so each compiles to its own monomorphic copy with
-//! no dynamic dispatch per key. `ARCHITECTURE.md` ("The query
+//! walks, rows, and the query scratch sized by them. Phases 2–4 are
+//! one loop, [`probe_and_verify`], with three callers:
+//! [`Plan::search_with_stats`] over the resident store in
+//! [`crate::engine`] (heap CSR + `Dataset`) and over the paged one in
+//! [`crate::coldstore`] (reads through a page cache), and
+//! `Resident::search_at`, which MIH runs at Lemma 1's vector. The loop
+//! is generic over the store, so each store gets its own monomorphic
+//! copy with no dynamic dispatch per key. `ARCHITECTURE.md` ("The query
 //! pipeline") has the diagram.
 //!
 //! Top-k is written here once too, as [`topk_by_escalation`]: a loop
@@ -26,7 +29,7 @@ use hamming_core::enumerate::{ball_size, for_each_in_ball_u64, for_each_in_ball_
 use hamming_core::invindex::{for_each_posting, for_each_posting_within, CsrPart};
 use hamming_core::key::key_of;
 use hamming_core::project::Projector;
-use hamming_core::{words_for, Partitioning};
+use hamming_core::{words_for, Partitioning, Visited};
 use parking_lot::Mutex;
 use std::time::Instant;
 
@@ -43,6 +46,9 @@ pub(crate) trait Store {
 
     /// Rows stored; ids are `0..len()`.
     fn len(&self) -> usize;
+
+    /// The store's pool of query scratch, sized by its rows.
+    fn scratch_pool(&self) -> &ScratchPool;
 
     /// Scan fallback for a partition wider than 64 bits, whose keys are
     /// hashes: emits a superset of the ids whose projection on `part`
@@ -64,41 +70,112 @@ pub(crate) trait Store {
     fn distance_to(&self, id: usize, query: &[u64]) -> u32;
 }
 
-/// Query-time scratch (visited stamps + buffers), pooled per plan to
-/// keep searches allocation-free after warm-up.
+/// Query-time scratch, pooled per store to keep searches
+/// allocation-free after warm-up.
 pub(crate) struct Scratch {
-    /// `stamps[id] == epoch` ⇔ `id` is already a candidate of the
-    /// running query; bumping the epoch clears the set in O(1).
-    stamps: Vec<u32>,
-    epoch: u32,
+    visited: Visited,
     candidates: Vec<u32>,
     keys: Vec<u64>,
 }
 
-impl Scratch {
-    fn new(n: usize) -> Self {
-        Scratch { stamps: vec![0; n], epoch: 0, candidates: Vec::new(), keys: Vec::new() }
-    }
+/// A store's pool of [`Scratch`]; starts empty (`Default`).
+pub(crate) type ScratchPool = Mutex<Vec<Scratch>>;
 
-    /// Starts a query over `n` rows with an empty candidate set.
-    fn begin(&mut self, n: usize) {
-        self.stamps.resize(n, 0);
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Wrapped: old stamps could collide with reused epochs.
-            // Reset to 0, the one value no live epoch ever takes (any
-            // other fill value is reached again by a later epoch, and
-            // would then mark every untouched row as already seen).
-            self.stamps.fill(0);
-            self.epoch = 1;
+/// Phases 2–4 of §VI at `thresholds`: enumeration (or the scan
+/// fallback), probing with dedup, verification. `q_proj` is `query`
+/// projected on every partition; `stats` arrives with phase 1's fields.
+pub(crate) fn probe_and_verify<S: Store>(
+    store: &S,
+    projector: &Projector,
+    query: &[u64],
+    tau: u32,
+    q_proj: &[Vec<u64>],
+    thresholds: ThresholdVector,
+    mut stats: QueryStats,
+) -> SearchResult {
+    let n = store.len();
+
+    // --- Phases 2+3: signature enumeration + candidate generation ------
+    let pool = store.scratch_pool();
+    let mut scratch = pool.lock().pop().unwrap_or_else(|| Scratch {
+        visited: Visited::new(n),
+        candidates: Vec::new(),
+        keys: Vec::new(),
+    });
+    scratch.visited.clear();
+    scratch.candidates.clear();
+    // Ids outside `0..n` are skipped, not trusted: the reader hands ids
+    // on as stored, and the paged store's payload CRCs are deferred
+    // (resident indexes are validated when built or decoded, so the
+    // branch never fires there).
+    let mut admit = |id: u32| {
+        if scratch.visited.insert(id) {
+            scratch.candidates.push(id);
         }
-        self.candidates.clear();
+    };
+
+    for (i, &ti) in thresholds.0.iter().enumerate() {
+        if ti < 0 {
+            continue;
+        }
+        let width = projector.shape(i).width;
+        let radius = (ti as usize).min(width);
+        // When the signature ball outnumbers the data, scanning is
+        // strictly cheaper than enumerating and probing; equivalent
+        // output, bounded worst case.
+        if ball_size(width, radius) > n as u64 && n > 0 {
+            let t2 = Instant::now();
+            stats.n_scanned += n as u64;
+            if width <= 64 {
+                let qk = q_proj[i].first().copied().unwrap_or(0);
+                let Ok(()) = for_each_posting_within(store.part(i), qk, radius, &mut admit);
+            } else {
+                store.scan_wide(projector, i, &q_proj[i], radius, &mut admit);
+            }
+            stats.candgen_ns += t2.elapsed().as_nanos() as u64;
+            continue;
+        }
+        // Enumerate signatures first (timed separately, as the paper
+        // decomposes), then probe.
+        let t1 = Instant::now();
+        scratch.keys.clear();
+        if width <= 64 {
+            let center = q_proj[i].first().copied().unwrap_or(0);
+            for_each_in_ball_u64(center, width, radius, |v| scratch.keys.push(v));
+        } else {
+            for_each_in_ball_words(&q_proj[i], width, radius, |w| {
+                scratch.keys.push(key_of(w, width))
+            });
+        }
+        stats.n_signatures += scratch.keys.len() as u64;
+        stats.enumerate_ns += t1.elapsed().as_nanos() as u64;
+
+        let t2 = Instant::now();
+        let part = store.part(i);
+        for &key in &scratch.keys {
+            let Ok(n) = for_each_posting(part, key, &mut admit);
+            stats.sum_postings += n as u64;
+        }
+        stats.candgen_ns += t2.elapsed().as_nanos() as u64;
     }
+    stats.n_candidates = scratch.candidates.len() as u64;
+
+    // --- Phase 4: verification -----------------------------------------
+    let t3 = Instant::now();
+    let mut ids: Vec<u32> = Vec::with_capacity(scratch.candidates.len());
+    store.verify(query, tau, &mut scratch.candidates, &mut ids);
+    stats.verify_ns = t3.elapsed().as_nanos() as u64;
+    stats.n_results = ids.len() as u64;
+    stats.thresholds = thresholds.0;
+
+    pool.lock().push(scratch);
+    SearchResult { ids, stats }
 }
 
 /// The storage-independent half of a built engine: how a query is
-/// turned into per-partition probes. Owns the one implementation of
-/// search and cost estimation; top-k is [`topk_by_escalation`] over its
+/// turned into per-partition probes. Owns phase 1 (CN estimation and
+/// threshold allocation) and cost estimation; phases 2–4 are
+/// [`probe_and_verify`], and top-k is [`topk_by_escalation`] over its
 /// search.
 pub(crate) struct Plan {
     pub(crate) partitioning: Partitioning,
@@ -108,15 +185,9 @@ pub(crate) struct Plan {
     pub(crate) allocator: AllocatorKind,
     pub(crate) cost_model: CostModel,
     pub(crate) tau_max: usize,
-    /// Starts empty (`Default`); searches pool their scratch here.
-    pub(crate) scratch_pool: Mutex<Vec<Scratch>>,
 }
 
 impl Plan {
-    fn project(&self, query: &[u64]) -> Vec<Vec<u64>> {
-        (0..self.partitioning.num_parts()).map(|i| self.projector.project(i, query)).collect()
-    }
-
     /// CN estimation + threshold allocation for `m ≥ 2` partitions: the
     /// chosen vector and its estimated `Σ CN`.
     fn allocate(&self, q_proj: &[Vec<u64>], tau: u32) -> (ThresholdVector, f64) {
@@ -140,7 +211,8 @@ impl Plan {
         );
     }
 
-    /// Search with per-phase instrumentation.
+    /// Search with per-phase instrumentation: phase 1, then
+    /// [`probe_and_verify`] at the allocated vector.
     pub(crate) fn search_with_stats<S: Store>(
         &self,
         store: &S,
@@ -149,11 +221,10 @@ impl Plan {
     ) -> SearchResult {
         self.check_query(query, tau);
         let mut stats = QueryStats::default();
-        let n = store.len();
 
         // --- Phase 1: CN estimation + threshold allocation ------------
         let t0 = Instant::now();
-        let q_proj = self.project(query);
+        let q_proj = self.projector.project_all(query);
         let thresholds = if q_proj.len() == 1 {
             ThresholdVector(vec![tau as i32])
         } else {
@@ -162,80 +233,8 @@ impl Plan {
             tv
         };
         stats.alloc_ns = t0.elapsed().as_nanos() as u64;
-        stats.thresholds = thresholds.0.clone();
 
-        // --- Phases 2+3: signature enumeration + candidate generation --
-        let mut scratch = self.scratch_pool.lock().pop().unwrap_or_else(|| Scratch::new(n));
-        scratch.begin(n);
-        let epoch = scratch.epoch;
-        // Ids outside `0..n` are skipped, not trusted: the reader hands
-        // ids on as stored, and the paged store's payload CRCs are
-        // deferred (resident indexes are validated when built or
-        // decoded, so the branch never fires there).
-        let mut admit = |id: u32| {
-            if let Some(stamp) = scratch.stamps.get_mut(id as usize) {
-                if *stamp != epoch {
-                    *stamp = epoch;
-                    scratch.candidates.push(id);
-                }
-            }
-        };
-
-        for (i, &ti) in thresholds.0.iter().enumerate() {
-            if ti < 0 {
-                continue;
-            }
-            let width = self.projector.shape(i).width;
-            let radius = (ti as usize).min(width);
-            // When the signature ball outnumbers the data, scanning is
-            // strictly cheaper than enumerating and probing; equivalent
-            // output, bounded worst case.
-            if ball_size(width, radius) > n as u64 && n > 0 {
-                let t2 = Instant::now();
-                stats.n_scanned += n as u64;
-                if width <= 64 {
-                    let qk = q_proj[i].first().copied().unwrap_or(0);
-                    let Ok(()) = for_each_posting_within(store.part(i), qk, radius, &mut admit);
-                } else {
-                    store.scan_wide(&self.projector, i, &q_proj[i], radius, &mut admit);
-                }
-                stats.candgen_ns += t2.elapsed().as_nanos() as u64;
-                continue;
-            }
-            // Enumerate signatures first (timed separately, as the paper
-            // decomposes), then probe.
-            let t1 = Instant::now();
-            scratch.keys.clear();
-            if width <= 64 {
-                let center = q_proj[i].first().copied().unwrap_or(0);
-                for_each_in_ball_u64(center, width, radius, |v| scratch.keys.push(v));
-            } else {
-                for_each_in_ball_words(&q_proj[i], width, radius, |w| {
-                    scratch.keys.push(key_of(w, width))
-                });
-            }
-            stats.n_signatures += scratch.keys.len() as u64;
-            stats.enumerate_ns += t1.elapsed().as_nanos() as u64;
-
-            let t2 = Instant::now();
-            let part = store.part(i);
-            for &key in &scratch.keys {
-                let Ok(n) = for_each_posting(part, key, &mut admit);
-                stats.sum_postings += n as u64;
-            }
-            stats.candgen_ns += t2.elapsed().as_nanos() as u64;
-        }
-        stats.n_candidates = scratch.candidates.len() as u64;
-
-        // --- Phase 4: verification -------------------------------------
-        let t3 = Instant::now();
-        let mut ids: Vec<u32> = Vec::with_capacity(scratch.candidates.len());
-        store.verify(query, tau, &mut scratch.candidates, &mut ids);
-        stats.verify_ns = t3.elapsed().as_nanos() as u64;
-        stats.n_results = ids.len() as u64;
-
-        self.scratch_pool.lock().push(scratch);
-        SearchResult { ids, stats }
+        probe_and_verify(store, &self.projector, query, tau, &q_proj, thresholds, stats)
     }
 
     /// [`Plan::search_with_stats`] as `(id, distance)` pairs, ascending
@@ -260,7 +259,7 @@ impl Plan {
     /// optimizer would choose. Needs no storage at all.
     pub(crate) fn estimate_cost(&self, query: &[u64], tau: u32) -> f64 {
         self.check_query(query, tau);
-        let q_proj = self.project(query);
+        let q_proj = self.projector.project_all(query);
         let sum_cn = if q_proj.len() == 1 {
             let mut row = vec![0.0; tau as usize + 2];
             self.estimator.fill(0, &q_proj[0], tau as usize, &mut row);
@@ -311,13 +310,11 @@ pub fn merge_topk(hits: impl IntoIterator<Item = (u32, u32)>, k: usize) -> Vec<(
     hits
 }
 
+/// Test hook: overwrites the visited-set epoch of a store's one pooled
+/// scratch, so a test can reach the wrap without running 2³² queries.
 #[cfg(test)]
-impl Plan {
-    /// Test hook: overwrites the epoch of the one pooled scratch, so a
-    /// test can reach the wrap without running 2³² queries.
-    pub(crate) fn set_pooled_epoch(&self, epoch: u32) {
-        let mut pool = self.scratch_pool.lock();
-        assert_eq!(pool.len(), 1, "expected exactly one pooled scratch");
-        pool[0].epoch = epoch;
-    }
+pub(crate) fn set_pooled_epoch(store: &impl Store, epoch: u32) {
+    let mut pool = store.scratch_pool().lock();
+    assert_eq!(pool.len(), 1, "expected exactly one pooled scratch");
+    pool[0].visited.set_epoch(epoch);
 }

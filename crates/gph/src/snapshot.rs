@@ -444,7 +444,6 @@ impl EngineMeta<'_> {
             allocator: self.cfg.allocator,
             cost_model: self.cfg.cost_model,
             tau_max: self.cfg.tau_max,
-            scratch_pool: Default::default(),
         }
     }
 }
@@ -578,7 +577,7 @@ pub(crate) fn decode_engine(bytes: &[u8]) -> Result<Gph> {
             build_estimator(&meta.estimator_kind, &projected, meta.cfg.tau_max)
         })?;
     let build_stats = meta.cfg.build_stats;
-    Ok(Gph { plan: meta.into_plan(estimator), store: Resident { data, index }, build_stats })
+    Ok(Gph { plan: meta.into_plan(estimator), store: Resident::new(data, index), build_stats })
 }
 
 #[cfg(test)]

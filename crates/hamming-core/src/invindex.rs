@@ -329,14 +329,6 @@ impl InvertedIndex {
         &part.ids[ids]
     }
 
-    /// [`for_each_posting_within`] over partition `p`, which must be at
-    /// most 64 bits wide.
-    pub fn for_each_posting_within(&self, p: usize, qk: u64, radius: usize, emit: impl FnMut(u32)) {
-        let part = &self.parts[p];
-        assert!(part.width <= 64, "part {p} is {} bits wide: its keys are hashes", part.width);
-        let Ok(()) = for_each_posting_within(part, qk, radius, emit);
-    }
-
     /// Partition `p`'s sorted distinct signature keys (CSR `keys` array).
     pub fn part_keys(&self, p: usize) -> &[u64] {
         &self.parts[p].keys
@@ -470,7 +462,8 @@ mod tests {
             for qk in 0..16u64 {
                 for radius in 0..=4 {
                     let mut got = Vec::new();
-                    idx.for_each_posting_within(part, qk, radius, |id| got.push(id));
+                    let Ok(()) =
+                        for_each_posting_within(idx.part(part), qk, radius, |id| got.push(id));
                     got.sort_unstable();
                     let col = pd.column(part);
                     let expect: Vec<u32> = (0..ds.len() as u32)

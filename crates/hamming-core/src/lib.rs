@@ -22,6 +22,8 @@
 //! * [`io`] — a compact binary serialization for datasets.
 //! * [`tombstone`] — deletion bitmaps ([`Tombstones`]) that let immutable
 //!   indexes serve deletes by filtering instead of rebuilding.
+//! * [`visited`] — the epoch-stamped candidate set ([`Visited`]) every
+//!   search dedups with.
 //!
 //! Every target but x86-64 is `#![forbid(unsafe_code)]`; all hot paths
 //! rely on `u64::count_ones`. On x86-64 the distance and
@@ -51,6 +53,7 @@ pub mod project;
 pub(crate) mod simd;
 pub mod stats;
 pub mod tombstone;
+pub mod visited;
 
 pub use binomial::BinomialTable;
 pub use bitvec::BitVector;
@@ -62,6 +65,7 @@ pub use invindex::InvertedIndex;
 pub use partition::Partitioning;
 pub use project::{PartitionShape, ProjectedDataset, Projector};
 pub use tombstone::Tombstones;
+pub use visited::Visited;
 
 /// Number of 64-bit words needed to store `dim` bits.
 #[inline]
