@@ -1,19 +1,19 @@
-//! A fast `u64` hasher for postings maps.
+//! A fast `u64` hasher for the deletion-variant postings maps.
 //!
 //! Signature keys are already well-mixed (or identity) `u64` values; the
-//! default SipHash is needless overhead on the hottest lookup path of
-//! every index in this workspace. `FastMap` finalizes with splitmix64,
+//! default SipHash is needless overhead on the lookup path of
+//! HmSearch and PartAlloc. `FastMap` finalizes with splitmix64,
 //! which is ample for hash-table bucketing and immune to the degenerate
 //! identity-key clustering that `HashMap<u64, _, Identity>` would suffer
 //! on low-entropy signatures.
 
-use crate::key::mix64;
-use std::collections::{HashMap, HashSet};
+use hamming_core::key::mix64;
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Hasher state: accumulates the written words, finalizes with splitmix64.
 #[derive(Default)]
-pub struct Mix64Hasher(u64);
+pub(crate) struct Mix64Hasher(u64);
 
 impl Hasher for Mix64Hasher {
     #[inline]
@@ -48,9 +48,7 @@ impl Hasher for Mix64Hasher {
 }
 
 /// `HashMap` keyed by pre-mixed integers.
-pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<Mix64Hasher>>;
-/// `HashSet` counterpart of [`FastMap`].
-pub type FastSet<K> = HashSet<K, BuildHasherDefault<Mix64Hasher>>;
+pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<Mix64Hasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,7 @@
 //! an index `n+1` times larger than the data, which is exactly the
 //! index-size gap Fig. 6 shows for these methods.
 
-use hamming_core::fasthash::FastMap;
+use crate::fasthash::FastMap;
 use hamming_core::key::{key_of, mix64};
 use hamming_core::project::ProjectedDataset;
 

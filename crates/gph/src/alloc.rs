@@ -171,21 +171,44 @@ pub fn allocate_dp_budget(
 /// ```
 pub fn allocate_dp(cn: &CnTable, tau: u32) -> ThresholdVector {
     assert!(cn.tau() as u32 >= tau, "CN table covers tau <= {}, asked {tau}", cn.tau());
-    let rows: Vec<&[f64]> = (0..cn.m()).map(|i| cn.row(i)).collect();
-    let (_, path) = dp_core(&rows, tau);
-    let tv = ThresholdVector(path);
+    let m = cn.m();
+    let width = tau as usize + 2;
+    let mut path = vec![0i32; m * width];
+    dp_fill(m, tau, |i| cn.row(i), &mut Vec::new(), Some(&mut path), 0);
+    // Trace back from t = τ − m + 1.
+    let mut t = tau as i32 - m as i32 + 1;
+    let mut out = vec![0i32; m];
+    for i in (0..m).rev() {
+        let e = path[i * width + (t + i as i32 + 1) as usize];
+        out[i] = e;
+        t -= e;
+    }
+    debug_assert_eq!(t, 0);
+    let tv = ThresholdVector(out);
     debug_assert!(tv.satisfies_general_budget(tau));
     tv
 }
 
-/// Minimum `Σ CN` over all general-budget threshold vectors, with per-
-/// partition CN rows given directly (`rows[i][e + 1] = CN(qᵢ, e)`,
-/// `rows[i]\[0\]` being the `e = −1` slot, conventionally 0). Rows shorter
-/// than `τ + 2` are clamped at their last entry. Used by the offline
-/// partitioner, which evaluates thousands of candidate partitionings and
-/// cannot afford materializing a [`CnTable`] per evaluation.
-pub fn dp_min_cost_rows(rows: &[&[f64]], tau: u32) -> f64 {
-    dp_core(rows, tau).0
+/// Minimum `Σ CN` over all general-budget threshold vectors: the DP of
+/// [`allocate_dp`] without its argmin path, over `m` partition CN rows
+/// given directly (`row(i)[e + 1] = CN(qᵢ, e)`, `row(i)\[0\]` being the
+/// `e = −1` slot, conventionally 0). Rows shorter than `τ + 2` are
+/// clamped at their last entry. Used by the offline partitioner, which
+/// scores thousands of candidate partitionings and cannot afford
+/// materializing a [`CnTable`] per evaluation.
+///
+/// `opt` is the DP table, `m` rows of `τ + 2`: once it has grown, a call
+/// allocates nothing. Rows below `start` are taken as they are, so a
+/// caller that changes only rows `start..m` of an earlier call at the
+/// same `m` and τ reuses its prefix and gets the same sums.
+pub fn dp_min_cost_rows<'r>(
+    m: usize,
+    tau: u32,
+    row: impl Fn(usize) -> &'r [f64],
+    opt: &mut Vec<f64>,
+    start: usize,
+) -> f64 {
+    dp_fill(m, tau, row, opt, None, start)
 }
 
 /// Row lookup with tail clamping.
@@ -196,31 +219,40 @@ fn row_cn(row: &[f64], e: i32) -> f64 {
     row[idx.min(row.len() - 1)]
 }
 
-/// Shared DP: returns `(min cost, argmin threshold vector)`.
-fn dp_core(rows: &[&[f64]], tau: u32) -> (f64, Vec<i32>) {
-    let m = rows.len();
+/// The DP over `m ≥ 1` rows: returns the minimum cost at `t = τ − m + 1`,
+/// leaving `opt[i][t + i + 1]` = the minimum cost over partitions
+/// `0..=i` with partial sum `t` (rows `τ + 2` wide, every entry written)
+/// and, when asked, each entry's argmin in `path`. Rows below `start`
+/// are kept as the caller left them. One partition takes the whole
+/// budget.
+fn dp_fill<'r>(
+    m: usize,
+    tau: u32,
+    row: impl Fn(usize) -> &'r [f64],
+    opt: &mut Vec<f64>,
+    mut path: Option<&mut [i32]>,
+    start: usize,
+) -> f64 {
     assert!(m >= 1, "need at least one partition");
     let tau_i = tau as i32;
-    if m == 1 {
-        // Budget is τ itself.
-        return (row_cn(rows[0], tau_i), vec![tau_i]);
-    }
     let width = tau as usize + 2;
-    // opt[i][t + i] = min cost over partitions 0..=i with partial sum t.
-    let mut opt = vec![f64::INFINITY; m * width];
-    let mut path = vec![0i32; m * width];
-    // Row 0 (paper's i = 1): OPT[0, t] = CN(q_0, t), t ∈ [−1, τ].
-    for t in -1..=tau_i {
-        let idx = (t + 1) as usize;
-        opt[idx] = row_cn(rows[0], t);
-        path[idx] = t;
+    opt.resize(m * width, f64::INFINITY);
+    if start == 0 {
+        // Row 0 (paper's i = 1): OPT[0, t] = CN(q_0, t), t ∈ [−1, τ].
+        let row0 = row(0);
+        for t in -1..=tau_i {
+            let idx = (t + 1) as usize;
+            opt[idx] = row_cn(row0, t);
+            if let Some(path) = path.as_deref_mut() {
+                path[idx] = t;
+            }
+        }
     }
-    for i in 1..m {
+    for i in start.max(1)..m {
         let (prev_opt, cur) = opt.split_at_mut(i * width);
         let prev_opt = &prev_opt[(i - 1) * width..];
         let cur = &mut cur[..width];
-        let cur_path = &mut path[i * width..(i + 1) * width];
-        let cn_row = rows[i];
+        let cn_row = row(i);
         for t in -(i as i32 + 1)..=(tau_i - i as i32) {
             let idx = (t + i as i32 + 1) as usize;
             // e ∈ [e_lo, e_hi]: rest = t − e must lie in [−i, τ − i + 1],
@@ -239,21 +271,13 @@ fn dp_core(rows: &[&[f64]], tau: u32) -> (f64, Vec<i32>) {
                 }
             }
             cur[idx] = best;
-            cur_path[idx] = best_e;
+            if let Some(path) = path.as_deref_mut() {
+                path[i * width + idx] = best_e;
+            }
         }
     }
-    // Trace back from t = τ − m + 1.
-    let mut t = tau_i - m as i32 + 1;
-    let final_cost = opt[(m - 1) * width + (t + m as i32) as usize];
-    let mut out = vec![0i32; m];
-    for i in (0..m).rev() {
-        let idx = i * width + (t + i as i32 + 1) as usize;
-        let e = path[idx];
-        out[i] = e;
-        t -= e;
-    }
-    debug_assert_eq!(t, 0);
-    (final_cost, out)
+    // The last row at t = τ − m + 1.
+    opt[(m - 1) * width + (tau_i + 1) as usize]
 }
 
 /// Minimum estimated `Σ CN` achieved by the DP (Fig. 3's "estimated

@@ -90,9 +90,8 @@ impl SubPartitionCn {
                 // Histogram of the sub-partition's values.
                 let mut freqs = vec![0u64; 1usize << sub_w];
                 if sub_w > 0 {
-                    for id in 0..pd.len() {
-                        let v = extract_bits(col.value(id), start, end);
-                        freqs[v as usize] += 1;
+                    for value in col.iter() {
+                        freqs[extract_bits(value, start, end) as usize] += 1;
                     }
                 } else {
                     freqs[0] = pd.len() as u64;
@@ -194,14 +193,23 @@ fn split_ranges(width: usize, mi: usize) -> Vec<(usize, usize)> {
 }
 
 /// Extracts bits `[start, end)` of a multi-word value as a u64
-/// (`end - start <= 64`).
+/// (`end - start <= 64`): one or two word shifts and a mask.
 fn extract_bits(words: &[u64], start: usize, end: usize) -> u64 {
-    debug_assert!(end - start <= 64);
-    let mut v = 0u64;
-    for (out_bit, bit) in (start..end).enumerate() {
-        v |= ((words[bit / 64] >> (bit % 64)) & 1) << out_bit;
+    let width = end - start;
+    debug_assert!(width <= 64);
+    if width == 0 {
+        return 0;
     }
-    v
+    let (w, shift) = (start / 64, start % 64);
+    let mut v = words[w] >> shift;
+    if shift + width > 64 {
+        v |= words[w + 1] << (64 - shift);
+    }
+    if width < 64 {
+        v & ((1 << width) - 1)
+    } else {
+        v
+    }
 }
 
 impl CnEstimator for SubPartitionCn {
@@ -355,6 +363,31 @@ mod tests {
         // bits 56..65 = 8 ones then the next word's bit 0 (=1).
         assert_eq!(extract_bits(&words, 56, 65), 0x1FF);
         assert_eq!(extract_bits(&words, 0, 8), 0);
+    }
+
+    #[test]
+    fn extract_bits_matches_the_per_bit_loop() {
+        // The reference: one shift and mask per bit.
+        let per_bit = |words: &[u64], start: usize, end: usize| {
+            (start..end)
+                .enumerate()
+                .fold(0u64, |v, (out, bit)| v | ((words[bit / 64] >> (bit % 64)) & 1) << out)
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        for _ in 0..8 {
+            let words: Vec<u64> = (0..3).map(|_| rng.random()).collect();
+            // Every range of up to 64 bits, those that cross a word
+            // boundary included.
+            for start in 0..192 {
+                for end in start..=(start + 64).min(192) {
+                    assert_eq!(
+                        extract_bits(&words, start, end),
+                        per_bit(&words, start, end),
+                        "{start}..{end}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

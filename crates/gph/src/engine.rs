@@ -737,4 +737,44 @@ mod tests {
         // [2, 1, 2, 3, 4] because dedup only removes adjacent repeats.
         assert_eq!(default_workload_taus(4), vec![1, 2, 3, 4]);
     }
+
+    /// 128-bit rows in eight blocks of sixteen dimensions. Each block
+    /// follows a latent bit of its own, and each dimension copies it
+    /// with its own noise rate, so entropy, skew and correlation all
+    /// vary across the dimensions.
+    fn correlated_blocks(n: usize, seed: u64) -> Dataset {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let noise: Vec<f64> =
+            (0..128).map(|d| 0.02 + 0.4 * ((d * 37 % 128) as f64 / 128.0)).collect();
+        let mut ds = Dataset::new(128);
+        for _ in 0..n {
+            let latent: Vec<bool> =
+                (0..8).map(|b| rng.random_bool(0.2 + 0.08 * b as f64)).collect();
+            let v = hamming_core::BitVector::from_bits(
+                (0..128).map(|d| latent[d / 16] ^ rng.random_bool(noise[d])),
+            );
+            ds.push(&v).unwrap();
+        }
+        ds
+    }
+
+    #[test]
+    fn built_bytes_are_pinned() {
+        // The offline phase is deterministic: GR, the projection, the
+        // CSR arrays and the SP tables of a seeded build are the same
+        // bytes on every machine. Only the build timings vary, so they
+        // are zeroed before the bytes are checksummed.
+        use crate::partition_opt::{greedy_entropy_init, HeuristicConfig};
+        let ds = correlated_blocks(3000, 41);
+        let HeuristicConfig { sample_rows, seed, .. } = HeuristicConfig::default();
+        for (m, want) in [(5, 0xf00e_f42f_u32), (7, 0x39f9_65b1)] {
+            let mut g = Gph::build(ds.clone(), &GphConfig::new(m, 16)).unwrap();
+            // The hill climb moved dimensions, so the pin covers it and
+            // not only the initialisation.
+            let init = greedy_entropy_init(&ds, m, sample_rows, seed).unwrap();
+            assert_ne!(g.partitioning().assignment(), init.assignment(), "m = {m}");
+            g.build_stats = BuildStats::default();
+            assert_eq!(hamming_core::io::crc32(&g.to_bytes()), want, "m = {m}");
+        }
+    }
 }

@@ -67,7 +67,7 @@ pub use cn::{CnEstimator, CnTable, EstimatorKind};
 pub use coldstore::{PageCache, PageCacheStats, SegmentFile, SpillStore, StorageMode};
 pub use cost::CostModel;
 pub use engine::{Gph, GphConfig, QueryStats, SearchResult};
-pub use hamming_core::{fasthash, invindex as index};
+pub use hamming_core::invindex as index;
 pub use partition_opt::{HeuristicConfig, InitKind, PartitionStrategy, WorkloadSpec};
 pub use pigeonhole::ThresholdVector;
 pub use pipeline::{merge_topk, topk_by_escalation};

@@ -15,9 +15,17 @@
 //!    DP-allocated cost of a query workload (Equation 2), with candidate
 //!    numbers from distance histograms over a data sample.
 //!
-//! Scoring is incremental: a move touches two partitions, so only their
-//! distance arrays are rebuilt (per-dimension query/sample bit diffs make
-//! that an O(|S|) update), though the DP re-runs per workload query.
+//! Scoring is incremental. A full evaluation keeps, per (query,
+//! partition), the count of sample rows within each distance `e ≤ τ`
+//! and one bitset per distance level `a ≤ τ + 1` marking the rows at
+//! exactly `a`. Moving dimension `d` touches two partitions, and each of
+//! their CN entries changes by one popcount against `d`'s query/sample
+//! diff mask: in the source, `within[e] + |level[e + 1] & diff[d]|`; in
+//! the target, `within[e] − |level[e] & diff[d]|`. The counts are exact
+//! integers and the DP (cost only, no argmin) runs the same `f64`
+//! operations in the same order, reusing the rows below the first moved
+//! partition, so a move scores bit-identically to a full evaluation of
+//! the moved partitioning.
 
 use crate::alloc::dp_min_cost_rows;
 use hamming_core::error::{HammingError, Result};
@@ -291,8 +299,8 @@ pub fn greedy_entropy_init(
 // ---------------------------------------------------------------------
 
 /// Cached per-(query, dimension) difference masks against the data
-/// sample, from which per-partition distance arrays, CN rows, and the DP
-/// cost are derived.
+/// sample, from which per-partition distance levels, CN rows, and the
+/// DP cost are derived.
 struct Evaluator {
     /// Sample row count.
     s: usize,
@@ -352,143 +360,134 @@ impl Evaluator {
         }
     }
 
-    /// CN row (cumulative scaled histogram) from a distance array.
-    fn cn_row(&self, dist: &[u16], tau: u32, out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(tau as usize + 2, 0.0);
-        let mut hist = vec![0u32; tau as usize + 1];
-        for &d in dist {
-            if (d as usize) < hist.len() {
-                hist[d as usize] += 1;
-            }
-        }
-        let scale = if self.s == 0 { 0.0 } else { self.n_total as f64 / self.s as f64 };
-        let mut acc = 0u32;
-        for e in 0..=tau as usize {
-            acc += hist[e];
-            out[e + 1] = acc as f64 * scale;
+    /// `N / |S|`: what one sample row counts for.
+    fn scale(&self) -> f64 {
+        if self.s == 0 {
+            0.0
+        } else {
+            self.n_total as f64 / self.s as f64
         }
     }
 
     /// Workload cost (Eq. 2) of a full partitioning: Σ_q DP-min Σ CN.
+    /// Leaves in `cache` what [`Evaluator::move_cost`] scores moves from.
     fn full_cost(&self, p: &Partitioning, cache: &mut CostCache) -> f64 {
         let m = p.num_parts();
-        cache.resize(self.diff.len(), m, self.s);
+        let words = self.s.div_ceil(64);
+        cache.m = m;
+        cache.slots.resize_with(self.diff.len() * m, Slot::default);
+        cache.opts.resize_with(self.diff.len(), Vec::new);
+        let mut dist = vec![0u16; self.s];
         let mut total = 0.0;
         for q in 0..self.diff.len() {
-            let tau = self.taus[q];
+            let tau = self.taus[q] as usize;
             for i in 0..m {
-                let (dist, row) = cache.slot(q, i);
-                self.distances(q, p.part(i), dist);
-                self.cn_row(dist, tau, row);
+                self.distances(q, p.part(i), &mut dist);
+                let Slot { levels, within, row } = &mut cache.slots[q * m + i];
+                levels.clear();
+                levels.resize((tau + 2) * words, 0);
+                for (r, &d) in dist.iter().enumerate() {
+                    if d as usize <= tau + 1 {
+                        levels[d as usize * words + r / 64] |= 1 << (r % 64);
+                    }
+                }
+                within.clear();
+                let mut acc = 0u32;
+                for e in 0..=tau {
+                    acc += levels[e * words..][..words].iter().map(|w| w.count_ones()).sum::<u32>();
+                    within.push(acc);
+                }
+                fill_row(row, tau, self.scale(), |e| within[e]);
             }
-            total += self.dp_for(q, m, cache, tau);
+            let query = &cache.slots[q * m..][..m];
+            let opt = &mut cache.opts[q];
+            total += dp_min_cost_rows(m, tau as u32, |i| &query[i].row, opt, 0);
         }
         total
-    }
-
-    fn dp_for(&self, q: usize, m: usize, cache: &CostCache, tau: u32) -> f64 {
-        let rows: Vec<&[f64]> = (0..m).map(|i| cache.row(q, i)).collect();
-        dp_min_cost_rows(&rows, tau)
     }
 
     /// Cost after hypothetically moving dimension `d` from partition
-    /// `from` to `to`. Only those two partitions' rows are recomputed;
-    /// scratch buffers avoid allocation.
-    fn move_cost(
-        &self,
-        p: &Partitioning,
-        cache: &CostCache,
-        mv: (u32, usize, usize),
-        scratch_dist: &mut [u16],
-        scratch_rows: &mut (Vec<f64>, Vec<f64>),
-    ) -> f64 {
-        let (d, from, to) = mv;
-        let m = p.num_parts();
+    /// `from` to `to`, bit-identical to [`Evaluator::full_cost`] of the
+    /// moved partitioning. Only those two partitions' CN rows change,
+    /// each entry by one popcount: the sample rows that differ from the
+    /// query on `d` drop one level in `from` and climb one in `to`.
+    fn move_cost(&self, cache: &mut CostCache, (d, from, to): (u32, usize, usize)) -> f64 {
+        let words = self.s.div_ceil(64);
+        let CostCache { m, slots, opts, opt, moved } = cache;
+        let (from_row, to_row) = moved;
+        // The DP rows below the first moved partition are the base's.
+        let start = from.min(to);
         let mut total = 0.0;
-        for q in 0..self.diff.len() {
-            let tau = self.taus[q];
+        for (q, query) in slots.chunks_exact(*m).enumerate() {
+            let tau = self.taus[q] as usize;
             let mask = &self.diff[q][d as usize];
-            let (row_from, row_to) = (&mut scratch_rows.0, &mut scratch_rows.1);
-            // from': subtract d's diffs.
-            {
-                let dist = &mut scratch_dist[..self.s];
-                dist.copy_from_slice(cache.dist(q, from));
-                for (wi, &bits0) in mask.iter().enumerate() {
-                    let mut bits = bits0;
-                    while bits != 0 {
-                        let b = bits.trailing_zeros() as usize;
-                        dist[wi * 64 + b] -= 1;
-                        bits &= bits - 1;
-                    }
+            // Sample rows at `level` that differ from the query on `d`.
+            let moving = |level: &[u64]| -> u32 {
+                level.iter().zip(mask).map(|(l, k)| (l & k).count_ones()).sum()
+            };
+            let (f, t) = (&query[from], &query[to]);
+            // Rows one level above `e` in `from` come down within it.
+            fill_row(from_row, tau, self.scale(), |e| {
+                f.within[e] + moving(&f.levels[(e + 1) * words..][..words])
+            });
+            // Rows at level `e` in `to` climb past it.
+            fill_row(to_row, tau, self.scale(), |e| {
+                t.within[e] - moving(&t.levels[e * words..][..words])
+            });
+            let (from_row, to_row): (&[f64], &[f64]) = (from_row, to_row);
+            let row = |i: usize| {
+                if i == from {
+                    from_row
+                } else if i == to {
+                    to_row
+                } else {
+                    &query[i].row[..]
                 }
-                self.cn_row(dist, tau, row_from);
-            }
-            // to': add d's diffs.
-            {
-                let dist = &mut scratch_dist[..self.s];
-                dist.copy_from_slice(cache.dist(q, to));
-                for (wi, &bits0) in mask.iter().enumerate() {
-                    let mut bits = bits0;
-                    while bits != 0 {
-                        let b = bits.trailing_zeros() as usize;
-                        dist[wi * 64 + b] += 1;
-                        bits &= bits - 1;
-                    }
-                }
-                self.cn_row(dist, tau, row_to);
-            }
-            let rows: Vec<&[f64]> = (0..m)
-                .map(|i| -> &[f64] {
-                    if i == from {
-                        row_from
-                    } else if i == to {
-                        row_to
-                    } else {
-                        cache.row(q, i)
-                    }
-                })
-                .collect();
-            total += dp_min_cost_rows(&rows, tau);
+            };
+            let width = tau + 2;
+            opt.clear();
+            opt.extend_from_slice(&opts[q][..start * width]);
+            total += dp_min_cost_rows(*m, tau as u32, row, opt, start);
         }
         total
     }
 }
 
-/// Per-(query, partition) distance and CN-row cache.
-struct CostCache {
-    m: usize,
-    s: usize,
-    dists: Vec<u16>,
-    rows: Vec<Vec<f64>>,
+/// A CN row from the counts of sample rows within each distance
+/// `e ≤ τ`: `row[0] = 0` (the `e = −1` slot), `row[e + 1] = within(e) ·
+/// scale`.
+fn fill_row(row: &mut Vec<f64>, tau: usize, scale: f64, within: impl Fn(usize) -> u32) {
+    row.clear();
+    row.push(0.0);
+    row.extend((0..=tau).map(|e| within(e) as f64 * scale));
 }
 
-impl CostCache {
-    fn new() -> Self {
-        CostCache { m: 0, s: 0, dists: Vec::new(), rows: Vec::new() }
-    }
+/// What [`Evaluator::full_cost`] leaves for one (query, partition).
+#[derive(Default)]
+struct Slot {
+    /// `τ + 2` bitsets over the sample rows, one per distance `0..=τ + 1`:
+    /// the rows at exactly that distance from the query on the
+    /// partition's dimensions.
+    levels: Vec<u64>,
+    /// `within[e]`: sample rows within distance `e ≤ τ`.
+    within: Vec<u32>,
+    /// The CN row ([`fill_row`] of `within`).
+    row: Vec<f64>,
+}
 
-    fn resize(&mut self, nq: usize, m: usize, s: usize) {
-        self.m = m;
-        self.s = s;
-        self.dists.clear();
-        self.dists.resize(nq * m * s, 0);
-        self.rows.resize(nq * m, Vec::new());
-    }
-
-    fn slot(&mut self, q: usize, i: usize) -> (&mut [u16], &mut Vec<f64>) {
-        let off = (q * self.m + i) * self.s;
-        (&mut self.dists[off..off + self.s], &mut self.rows[q * self.m + i])
-    }
-
-    fn dist(&self, q: usize, i: usize) -> &[u16] {
-        let off = (q * self.m + i) * self.s;
-        &self.dists[off..off + self.s]
-    }
-
-    fn row(&self, q: usize, i: usize) -> &[f64] {
-        &self.rows[q * self.m + i]
-    }
+/// Per-(query, partition) slots of the current partitioning, plus the
+/// scratch a move is scored in.
+#[derive(Default)]
+struct CostCache {
+    m: usize,
+    /// `slots[q * m + i]`.
+    slots: Vec<Slot>,
+    /// Per query, the DP table of the current partitioning.
+    opts: Vec<Vec<f64>>,
+    /// The DP table of a move.
+    opt: Vec<f64>,
+    /// The moved `from` and `to` rows.
+    moved: (Vec<f64>, Vec<f64>),
 }
 
 /// Algorithm 2: hill-climbing partition refinement over a workload.
@@ -513,12 +512,9 @@ pub fn heuristic_partition(
         InitKind::Random { seed } => Partitioning::random_shuffle(data.dim(), m, seed)?,
     };
     let eval = Evaluator::new(data, wl, cfg.sample_rows, cfg.seed ^ 0x5151);
-    let mut cache = CostCache::new();
+    let mut cache = CostCache::default();
     let mut cmin = eval.full_cost(&p, &mut cache);
-    let _dim = data.dim();
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xC11B);
-    let mut scratch_dist = vec![0u16; eval.s];
-    let mut scratch_rows = (Vec::new(), Vec::new());
     for _iter in 0..cfg.max_iters {
         // Enumerate candidate moves: (dim, source, target partition).
         let assignment = p.assignment();
@@ -545,7 +541,7 @@ pub fn heuristic_partition(
         }
         let mut best: Option<((u32, usize, usize), f64)> = None;
         for &mv in &moves {
-            let c = eval.move_cost(&p, &cache, mv, &mut scratch_dist, &mut scratch_rows);
+            let c = eval.move_cost(&mut cache, mv);
             if c < cmin - 1e-9 && best.as_ref().is_none_or(|(_, bc)| c < *bc) {
                 best = Some((mv, c));
             }
@@ -570,8 +566,7 @@ pub fn workload_cost(
     seed: u64,
 ) -> f64 {
     let eval = Evaluator::new(data, wl, sample_rows, seed);
-    let mut cache = CostCache::new();
-    eval.full_cost(p, &mut cache)
+    eval.full_cost(p, &mut CostCache::default())
 }
 
 #[cfg(test)]
@@ -660,22 +655,36 @@ mod tests {
 
     #[test]
     fn move_cost_matches_full_recompute() {
-        let ds = correlated_dataset(200, 5);
-        let wl = WorkloadSpec::from_sample(&ds, 6, vec![3], 6);
-        let p = Partitioning::equi_width(16, 2).unwrap();
+        // Every move of a small instance scores bit-identically to a
+        // fresh evaluation of the moved partitioning: the counts are
+        // exact integers and the DP runs the same f64 operations in the
+        // same order, so GR picks the same moves as a full rescoring.
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut ds = Dataset::new(64);
+        for _ in 0..300 {
+            let latent: Vec<bool> = (0..4).map(|_| rng.random_bool(0.4)).collect();
+            let v = BitVector::from_bits(
+                (0..64).map(|d| latent[d / 16] ^ rng.random_bool(0.05 + d as f64 / 200.0)),
+            );
+            ds.push(&v).unwrap();
+        }
+        let wl = WorkloadSpec::from_sample(&ds, 6, vec![2, 5, 9], 6);
+        let p = Partitioning::random_shuffle(64, 4, 3).unwrap();
         let eval = Evaluator::new(&ds, &wl, 200, 7);
-        let mut cache = CostCache::new();
+        let mut cache = CostCache::default();
         let _ = eval.full_cost(&p, &mut cache);
-        let mut scratch = vec![0u16; eval.s];
-        let mut rows = (Vec::new(), Vec::new());
-        // Move dim 3 from partition 0 to 1 and compare against a fresh
-        // full evaluation of the moved partitioning.
-        let inc = eval.move_cost(&p, &cache, (3, 0, 1), &mut scratch, &mut rows);
-        let mut p2 = p.clone();
-        p2.move_dim(3, 0, 1).unwrap();
-        let mut cache2 = CostCache::new();
-        let full = eval.full_cost(&p2, &mut cache2);
-        assert!((inc - full).abs() < 1e-9, "inc={inc} full={full}");
+        let mut checked = 0;
+        for (d, &from) in p.assignment().iter().enumerate() {
+            for to in (0..4).filter(|&to| to != from) {
+                let inc = eval.move_cost(&mut cache, (d as u32, from, to));
+                let mut moved = p.clone();
+                moved.move_dim(d as u32, from, to).unwrap();
+                let full = eval.full_cost(&moved, &mut CostCache::default());
+                assert_eq!(inc.to_bits(), full.to_bits(), "d={d} {from}->{to}: {inc} vs {full}");
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 192);
     }
 
     #[test]

@@ -46,7 +46,6 @@
 //! index, early, at load.
 
 use crate::error::HammingError;
-use crate::fasthash::FastMap;
 use crate::project::ProjectedDataset;
 use std::convert::Infallible;
 use std::ops::Range;
@@ -256,42 +255,32 @@ pub struct InvertedIndex {
 }
 
 impl InvertedIndex {
-    /// Builds the index from a projected dataset (two passes per
-    /// partition: count, then fill the CSR arrays in sorted-key order).
+    /// Builds the index from a projected dataset: per partition, one
+    /// sort of the `(key, id)` pairs, then one sweep that emits `keys`,
+    /// `offsets` and `ids`. Sorting by the pair keeps ids ascending
+    /// within each key. Keys of partitions at most 32 bits wide pack
+    /// with their id into one `u64` as `key << 32 | id`; wider keys
+    /// (hashes, past 64 bits) sort as `(key, id)` pairs.
     pub fn build(pd: &ProjectedDataset) -> Self {
         let n = pd.len();
-        let mut parts = Vec::with_capacity(pd.num_parts());
-        for p in 0..pd.num_parts() {
-            let col = pd.column(p);
-            // Pass 1: count postings per key.
-            let mut counts: FastMap<u64, u32> = FastMap::default();
-            for id in 0..n {
-                *counts.entry(col.key(id)).or_insert(0) += 1;
-            }
-            // Canonical slot order: sorted keys.
-            let mut keys: Vec<u64> = counts.keys().copied().collect();
-            keys.sort_unstable();
-            let mut offsets = Vec::with_capacity(keys.len() + 1);
-            offsets.push(0u32);
-            let mut acc = 0u32;
-            for &k in &keys {
-                acc += counts[&k];
-                offsets.push(acc);
-            }
-            // Pass 2: fill IDs in vector order (postings stay sorted
-            // within each key group). `counts` is reused as a write
-            // cursor per key.
-            for (s, &k) in keys.iter().enumerate() {
-                counts.insert(k, offsets[s]);
-            }
-            let mut ids = vec![0u32; n];
-            for id in 0..n {
-                let cursor = counts.get_mut(&col.key(id)).expect("counted in pass 1");
-                ids[*cursor as usize] = id as u32;
-                *cursor += 1;
-            }
-            parts.push(PartIndex::new(col.width(), keys, offsets, ids));
-        }
+        assert!(u32::try_from(n).is_ok(), "posting ids are u32");
+        let parts = (0..pd.num_parts())
+            .map(|p| {
+                let col = pd.column(p);
+                let (keys, offsets, ids) = if col.width() <= 32 {
+                    let mut packed: Vec<u64> =
+                        (0..n).map(|id| col.key(id) << 32 | id as u64).collect();
+                    packed.sort_unstable();
+                    csr_of_sorted(n, packed.into_iter().map(|kv| (kv >> 32, kv as u32)))
+                } else {
+                    let mut pairs: Vec<(u64, u32)> =
+                        (0..n).map(|id| (col.key(id), id as u32)).collect();
+                    pairs.sort_unstable();
+                    csr_of_sorted(n, pairs)
+                };
+                PartIndex::new(col.width(), keys, offsets, ids)
+            })
+            .collect();
         InvertedIndex { parts, len: n }
     }
 
@@ -376,6 +365,24 @@ impl InvertedIndex {
             })
             .sum()
     }
+}
+
+/// One partition's CSR arrays from its `n` postings sorted by
+/// `(key, id)`: a key opens a slot where it differs from the last one.
+fn csr_of_sorted(
+    n: usize,
+    sorted: impl IntoIterator<Item = (u64, u32)>,
+) -> (Vec<u64>, Vec<u32>, Vec<u32>) {
+    let (mut keys, mut offsets, mut ids) = (Vec::new(), Vec::new(), Vec::with_capacity(n));
+    for (key, id) in sorted {
+        if keys.last() != Some(&key) {
+            keys.push(key);
+            offsets.push(ids.len() as u32);
+        }
+        ids.push(id);
+    }
+    offsets.push(n as u32);
+    (keys, offsets, ids)
 }
 
 /// Structural validation of one partition's CSR arrays for

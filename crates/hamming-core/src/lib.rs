@@ -42,7 +42,6 @@ pub mod dataset;
 pub mod distance;
 pub mod enumerate;
 pub mod error;
-pub mod fasthash;
 pub mod invindex;
 pub mod io;
 pub mod key;
@@ -60,7 +59,6 @@ pub use bitvec::BitVector;
 pub use dataset::Dataset;
 pub use distance::{hamming, hamming_within};
 pub use error::HammingError;
-pub use fasthash::{FastMap, FastSet};
 pub use invindex::InvertedIndex;
 pub use partition::Partitioning;
 pub use project::{PartitionShape, ProjectedDataset, Projector};

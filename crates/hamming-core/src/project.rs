@@ -161,27 +161,47 @@ impl ProjectedColumn {
 }
 
 impl ProjectedDataset {
-    /// Projects every row of `ds` onto every partition of `projector`.
+    /// Projects every row of `ds` onto every partition of `projector`,
+    /// equal word for word to [`Projector::project`] per row.
+    ///
+    /// Each projected word is built through a table made for this one
+    /// build: for each source byte that feeds the word and each of the
+    /// byte's 256 values, the bits that value sets in the word. A row
+    /// then costs one table read and OR per source byte, not one shift
+    /// and mask per dimension.
     pub fn build(ds: &Dataset, projector: &Projector) -> Self {
         assert_eq!(ds.dim(), projector.dim(), "projector built for another dim");
         let len = ds.len();
-        let mut columns = Vec::with_capacity(projector.num_parts());
-        for part in 0..projector.num_parts() {
-            let shape = projector.shape(part);
-            let words = shape.words.max(1);
-            let mut data = vec![0u64; len * words];
-            for (id, row) in ds.iter_rows().enumerate() {
-                let out = &mut data[id * words..(id + 1) * words];
-                // Inline gather (avoids the bounds re-checks of project_into
-                // in this hot build loop).
-                for (out_bit, &d) in shape.dims.iter().enumerate() {
-                    let d = d as usize;
-                    let bit = (row[d / 64] >> (d % 64)) & 1;
-                    out[out_bit / 64] |= bit << (out_bit % 64);
+        let columns = projector
+            .shapes
+            .iter()
+            .map(|shape| {
+                let words = shape.words.max(1);
+                let mut data = vec![0u64; len * words];
+                for (w, dims) in shape.dims.chunks(64).enumerate() {
+                    // The source bytes that feed word `w`, ascending, and
+                    // `table[slot * 256 + v]`: what value `v` of source
+                    // byte `bytes[slot]` sets in it.
+                    let mut bytes: Vec<usize> = dims.iter().map(|&d| d as usize / 8).collect();
+                    bytes.sort_unstable();
+                    bytes.dedup();
+                    let mut table = vec![0u64; bytes.len() * 256];
+                    for (bit, &d) in dims.iter().enumerate() {
+                        let slot = bytes.binary_search(&(d as usize / 8)).expect("listed above");
+                        for v in (0..256).filter(|v| v >> (d % 8) & 1 == 1) {
+                            table[slot * 256 + v] |= 1 << bit;
+                        }
+                    }
+                    let out = data.iter_mut().skip(w).step_by(words);
+                    for (row, out) in ds.iter_rows().zip(out) {
+                        *out = bytes.iter().enumerate().fold(0, |acc, (slot, &b)| {
+                            acc | table[slot * 256 + (row[b / 8] >> (b % 8 * 8)) as u8 as usize]
+                        });
+                    }
                 }
-            }
-            columns.push(ProjectedColumn { width: shape.width, words, data });
-        }
+                ProjectedColumn { width: shape.width, words, data }
+            })
+            .collect();
         ProjectedDataset { len, columns }
     }
 

@@ -4,10 +4,13 @@ use hamming_core::bitvec::BitVector;
 use hamming_core::dataset::Dataset;
 use hamming_core::distance::{hamming, hamming_within};
 use hamming_core::enumerate::{ball_size, for_each_in_ball_u64, for_each_in_ball_words};
+use hamming_core::invindex::InvertedIndex;
 use hamming_core::io::{decode_dataset, encode_dataset};
+use hamming_core::key::key_of;
 use hamming_core::partition::Partitioning;
 use hamming_core::project::{ProjectedDataset, Projector};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Strategy: a bit vector of the given dimensionality as a Vec<bool>.
 fn bits(dim: usize) -> impl Strategy<Value = Vec<bool>> {
@@ -16,6 +19,23 @@ fn bits(dim: usize) -> impl Strategy<Value = Vec<bool>> {
 
 fn bv(b: &[bool]) -> BitVector {
     BitVector::from_bits(b.iter().copied())
+}
+
+/// The dims `0..dim` shuffled by `seed` and cut into parts: the first
+/// `first` wide, the rest into up to three parts at seeded cuts.
+fn cut_partitioning(dim: usize, first: usize, seed: u64) -> Partitioning {
+    let mut dims: Vec<u32> = (0..dim as u32).collect();
+    dims.sort_by_key(|&d| hamming_core::key::mix64(seed ^ d as u64));
+    let mut parts = vec![dims[..first].to_vec()];
+    let mut rest = &dims[first..];
+    let mut s = seed;
+    while !rest.is_empty() {
+        s = hamming_core::key::mix64(s);
+        let take = if parts.len() == 3 { rest.len() } else { 1 + s as usize % rest.len() };
+        parts.push(rest[..take].to_vec());
+        rest = &rest[take..];
+    }
+    Partitioning::new(dim, parts).unwrap()
 }
 
 proptest! {
@@ -90,6 +110,66 @@ proptest! {
             .map(|i| hamming(pd.column(i).value(0), pd.column(i).value(1)))
             .sum();
         prop_assert_eq!(full, sum);
+    }
+
+    #[test]
+    fn projected_build_matches_project_per_row(
+        dim_at in 0usize..6,
+        rows in prop::collection::vec(bits(130), 0..24),
+        first in any::<usize>(),
+        seed in any::<u64>(),
+    ) {
+        // The byte-table build against the per-dimension gather, over
+        // `dim`s that are not multiples of 8 and, past 64 dims, a first
+        // part wider than a word.
+        let dim = [1, 7, 37, 64, 65, 130][dim_at];
+        let first = if dim > 64 { 65 + first % (dim - 64) } else { 1 + first % dim };
+        let ds = Dataset::from_vectors(dim, rows.iter().map(|r| bv(&r[..dim]))).unwrap();
+        let proj = Projector::new(&cut_partitioning(dim, first, seed));
+        let pd = ProjectedDataset::build(&ds, &proj);
+        prop_assert_eq!(pd.len(), ds.len());
+        for part in 0..proj.num_parts() {
+            prop_assert_eq!(pd.column(part).width(), proj.shape(part).width);
+            for (id, row) in ds.iter_rows().enumerate() {
+                prop_assert_eq!(pd.column(part).value(id), &proj.project(part, row)[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn csr_build_matches_a_btreemap_reference(
+        widths in (1usize..=32, 33usize..=64, 65usize..=70),
+        pool in prop::collection::vec(bits(70), 1..8),
+        picks in prop::collection::vec(any::<usize>(), 0..=300),
+        seed in any::<u64>(),
+    ) {
+        // Rows drawn with repeats from a small pool, so keys carry long
+        // postings lists, at a width on each key path — packed with the
+        // id (≤ 32 bits), sorted as pairs (≤ 64) and hashed (> 64) —
+        // and at both edges of each.
+        let (a, b, c) = widths;
+        for width in [a, b, c, 32, 33, 64, 65] {
+            let ds = Dataset::from_vectors(
+                width,
+                picks.iter().map(|&i| bv(&pool[i % pool.len()][..width])),
+            )
+            .unwrap();
+            let proj = Projector::new(&Partitioning::random_shuffle(width, 1, seed).unwrap());
+            let idx = InvertedIndex::build(&ProjectedDataset::build(&ds, &proj));
+            let mut reference: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+            for (id, row) in ds.iter_rows().enumerate() {
+                reference.entry(key_of(&proj.project(0, row), width)).or_default().push(id as u32);
+            }
+            let keys: Vec<u64> = reference.keys().copied().collect();
+            let mut offsets = vec![0u32];
+            for ids in reference.values() {
+                offsets.push(offsets.last().unwrap() + ids.len() as u32);
+            }
+            let ids: Vec<u32> = reference.into_values().flatten().collect();
+            prop_assert_eq!(idx.part_keys(0), &keys[..], "width {}", width);
+            prop_assert_eq!(idx.part_offsets(0), &offsets[..], "width {}", width);
+            prop_assert_eq!(idx.part_ids(0), &ids[..], "width {}", width);
+        }
     }
 
     #[test]
