@@ -1,5 +1,6 @@
 //! Fig. 7 — the headline comparison: candidates and query time for GPH
-//! vs MIH, HmSearch, PartAlloc, and LSH on all five datasets.
+//! vs MIH, HmSearch, PartAlloc, and LSH on all five datasets, plus a
+//! linear scan of the same rows: the floor any index has to beat.
 //!
 //! Expected shapes (paper): GPH smallest candidate sets and fastest
 //! everywhere (up to 22×/21×/135×/32×/8× over the runner-up on
@@ -12,15 +13,24 @@ use crate::util::{
     count, gph_config_for, measure_recall, mih_best_m, ms, prepare, tau_sweep, time_queries,
     GphEngine, Scale, Table,
 };
-use baselines::{HmSearch, Mih, MinHashLsh, PartAlloc, SearchIndex};
+use baselines::{HmSearch, LinearScan, Mih, MinHashLsh, PartAlloc, SearchIndex};
 use datagen::Profile;
 use gph::partition_opt::{PartitionStrategy, WorkloadSpec};
 
 /// Runs the full comparison.
 pub fn run(scale: Scale) {
     println!("## Fig. 7 — candidates & query time vs alternatives\n");
-    let mut table =
-        Table::new(&["dataset", "tau", "metric", "GPH", "MIH", "HmSearch", "PartAlloc", "LSH"]);
+    let mut table = Table::new(&[
+        "dataset",
+        "tau",
+        "metric",
+        "GPH",
+        "MIH",
+        "HmSearch",
+        "PartAlloc",
+        "LSH",
+        "Scan",
+    ]);
     let mut recall_table = Table::new(&["dataset", "tau", "LSH recall"]);
     for profile in Profile::paper_suite() {
         let qs = prepare(&profile, scale, 0xF7);
@@ -40,12 +50,13 @@ pub fn run(scale: Scale) {
             &[base_m.saturating_sub(base_m / 2).max(1), base_m, base_m * 2],
         );
         let mih = Mih::build(qs.data.clone(), m).expect("mih");
+        let scan = LinearScan::build(qs.data.clone());
 
         for &tau in &taus {
             let hm = HmSearch::build(qs.data.clone(), tau).expect("hm");
             let pa = PartAlloc::build(qs.data.clone(), tau).expect("pa");
             let lsh = MinHashLsh::build(qs.data.clone(), tau).expect("lsh");
-            let engines: [&dyn SearchIndex; 5] = [&gph_engine, &mih, &hm, &pa, &lsh];
+            let engines: [&dyn SearchIndex; 6] = [&gph_engine, &mih, &hm, &pa, &lsh, &scan];
             let timings: Vec<_> =
                 engines.iter().map(|e| time_queries(*e, &qs.queries, tau)).collect();
             let mut cand_cells = vec![profile.name.clone(), tau.to_string(), "cands".into()];

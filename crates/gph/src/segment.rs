@@ -6,26 +6,25 @@
 //! engine mutable the way log-structured stores do:
 //!
 //! * a mutable front **memtable** — rows appended to a [`Dataset`] with a
-//!   [`Tombstones`] bitmap for deletes, answered by early-exit linear
-//!   scan (exact, and cheap while the memtable is small);
-//! * a list of sealed **immutable [`Gph`] segments**, each with its own
-//!   id map and tombstone bitmap; deletes flip a bit, queries filter;
+//!   [`Tombstones`] bitmap for deletes, answered by a linear scan;
+//! * a list of **sealed segments**, each with its own id map and
+//!   tombstone bitmap; deletes flip a bit, queries filter. A sealed
+//!   segment is either a **row slab** — the memtable's representation,
+//!   frozen, answered by the same scan — or an immutable [`Gph`];
 //! * a size-triggered **seal** (the flush): when the memtable reaches
-//!   [`SegmentConfig::seal_rows`] live rows it is rebuilt into a sealed
-//!   segment (dead rows dropped on the way). A flush *inherits* the
-//!   partitioning of the engine's largest sealed segment — the
-//!   partitioning is an offline artifact of the data distribution
-//!   (§V–§VI), which a memtable's worth of new rows does not move, and
-//!   any partitioning is exact (§III) — so it costs what its rows cost
-//!   to index, not a run of the partition optimizer. Only the first
-//!   flush into an engine with no sealed segment runs the configured
-//!   strategy;
+//!   [`SegmentConfig::seal_rows`] live rows its live rows are frozen
+//!   into a slab. A seal builds nothing: no partitioning, no index, no
+//!   estimator. Eq. 1 prices probes and candidates, not an index's
+//!   fixed cost, and below [`crossover_rows`] rows a scan answers more
+//!   cheaply than that fixed cost buys;
 //! * a **compaction policy**: all-dead segments are dropped outright, and
 //!   whenever more than [`SegmentConfig::max_sealed`] segments exist the
-//!   two smallest are merged into one freshly built segment, bounding
-//!   per-query segment fan-out the way LSM level merges bound sstable
-//!   counts. Merges always run the configured strategy: flushes are
-//!   cheap, merges are where re-optimisation happens;
+//!   two smallest are merged into one, bounding per-query segment
+//!   fan-out the way LSM level merges bound sstable counts. A merge is
+//!   where indexing happens: when its live rows reach the crossover it
+//!   builds a GPH segment under the configured strategy, and below it
+//!   the merge output is another slab. Bulk loads
+//!   ([`SegmentedGph::build_sealed`]) always build GPH;
 //! * **one query walk**: a range search visits every sealed segment and
 //!   then the memtable, drops tombstoned hits and maps local rows to
 //!   external ids, in one place. Top-k is the shared escalation loop
@@ -35,43 +34,49 @@
 //! Rows are addressed by caller-chosen `u32` ids, stable across seals and
 //! compactions. Every query is **provably identical** to a fresh [`Gph`]
 //! built over the surviving rows (the pigeonhole filter is exact for any
-//! partitioning, and tombstone filtering removes exactly the dead rows);
-//! `tests/segment_properties.rs` pins this over arbitrary
-//! insert/delete/seal/compact interleavings, including through a
-//! snapshot/restore round-trip.
+//! partitioning, a scan is trivially exact, and tombstone filtering
+//! removes exactly the dead rows); `tests/segment_properties.rs` pins
+//! this over arbitrary insert/delete/seal/compact interleavings,
+//! including through a snapshot/restore round-trip, and
+//! `tests/crossover_properties.rs` on both sides of the crossover,
+//! resident and file-backed.
 //!
-//! Where sealed segments live is [`SegmentConfig::storage`]: decoded on
-//! the heap, or file-backed and paged on demand ([`crate::coldstore`]).
-//! A snapshot (`GPHS`) restores one of two ways, both through the one
-//! container reader ([`hamming_core::io::Container`]):
-//! [`SegmentedGph::from_bytes`] decodes everything resident, and
-//! [`SegmentedGph::load_with_storage`] is the one file-backed restore,
-//! serving each sealed segment from its blob inside the snapshot file.
+//! Where GPH segments live is [`SegmentConfig::storage`]: decoded on the
+//! heap, or file-backed and paged on demand ([`crate::coldstore`]).
+//! Slabs, like the memtable, are always resident. A snapshot (`GPHS`)
+//! restores one of two ways, both through the one container reader
+//! ([`hamming_core::io::Container`]): [`SegmentedGph::from_bytes`]
+//! decodes everything resident, and [`SegmentedGph::load_with_storage`]
+//! is the one file-backed restore, serving each GPH segment from its
+//! blob inside the snapshot file.
 
 use crate::coldstore::{ColdSegment, PageCacheStats, SegmentFile, SpillStore, StorageMode};
 use crate::engine::{Gph, GphConfig, QueryStats};
-use crate::partition_opt::PartitionStrategy;
 use crate::pipeline::{topk_by_escalation, Plan, Store};
 use crate::snapshot::{decode_gph_config, encode_gph_config};
 use bytes::BufMut;
 use gph_obs::{PhaseNanos, SegmentTrace};
+use hamming_core::distance::verify_candidates;
+use hamming_core::enumerate::ball_size;
 use hamming_core::error::{HammingError, Result};
-use hamming_core::io::{ByteReader, Container, OffsetWriter, Source, PAGE_SIZE};
+use hamming_core::io::{
+    decode_dataset, encode_dataset, ByteReader, Container, OffsetWriter, Source, PAGE_SIZE,
+};
 use hamming_core::tombstone::Tombstones;
-use hamming_core::{hamming_within, words_for, Dataset, Partitioning};
+use hamming_core::{hamming, words_for, Dataset};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Magic of a segmented-engine snapshot.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"GPHS";
 
-/// Current (and only loadable) segmented-snapshot format version. It
-/// shares its generation number with the other offset-addressed format
-/// (GPHE) — see `FORMAT.md`; the tagged-section version 1 is retired
-/// and rejected, and a version 2 never existed.
-pub const SEGMENT_VERSION: u32 = 3;
+/// Current (and only loadable) segmented-snapshot format version: v4
+/// tags each segment-table entry as an engine blob or a row slab. The
+/// tagged-section version 1 and the blob-only version 3 are retired and
+/// rejected, and a version 2 never existed — see `FORMAT.md`.
+pub const SEGMENT_VERSION: u32 = 4;
 
-// GPHS v3 slot indices (see `FORMAT.md`).
+// GPHS v4 slot indices (see `FORMAT.md`).
 const SEG_SLOT_CONFIG: usize = 0;
 const SEG_SLOT_SEGHDR: usize = 1;
 const SEG_SLOT_MEMDATA: usize = 2;
@@ -81,19 +86,64 @@ const SEG_SLOT_BLOBS: usize = 5;
 const SEG_SLOT_SEGTAB: usize = 6;
 const N_SEG_SLOTS: usize = 7;
 
+/// GPHS v4: the head word of a row slab's segment-table entry. A GPH
+/// segment's entry starts with its blob's arena offset instead, which
+/// is page-aligned and so never this value. A GPH entry keeps v3's
+/// layout, so a snapshot without slabs is as long as in v3.
+const SLAB_MARK: u64 = u64::MAX;
+
+/// The cost of one enumerated-and-probed signature, in rows of the
+/// batched scan kernel — the one constant behind [`crossover_rows`].
+///
+/// Calibrated once, not measured at run time. On an x86-64 box with
+/// AVX2, a traced `engine-range` run (400k rows × 128 bits, `m = 5`)
+/// reads `hamming-core.enumerate_ns_per_sig` 7.5 ns plus
+/// `probe_ns_per_key` 40.8 ns per signature, against 3.1 ns per
+/// candidate for the batched verify kernel (`verify_mcand_per_s` 318):
+/// 15 rows per signature. The crossover concerns segments of a few
+/// thousand rows, whose CSR arrays sit in cache: on a 50k-row segment
+/// a signature costs ~28 ns at τ = 16, and the kernel scans a 128-bit
+/// row in 2.4–3.1 ns, so 9–12 rows. Rounded toward indexing: 9.
+const SIG_COST_ROWS: u64 = 9;
+
+/// Live rows from which a merge builds a GPH segment; below it the
+/// merged rows stay a scanned slab.
+///
+/// A GPH read pays at least for its signatures, a scan for its rows.
+/// The signatures are priced at Lemma 1's split for `τ_max / 2`: `m`
+/// equi-width parts (widths `⌊dim/m⌋` or one more), each enumerated to
+/// radius `⌊τ/m⌋`, every signature at [`SIG_COST_ROWS`] rows. So the
+/// crossover is `SIG_COST_ROWS × Σ ball_size(widthᵢ, ⌊τ/m⌋)` — at 128
+/// bits, `m = 5`, `τ_max = 16` that is `9 × (3 × 27 + 2 × 26) = 1197`.
+/// It never changes an answer (a slab and a GPH segment answer
+/// identically), adds no configuration and is not persisted: restored
+/// segments keep their kind. `m` is clamped to `1..=dim`, so an invalid
+/// config still has a crossover (its builds fail as they always did).
+pub fn crossover_rows(dim: usize, m: usize, tau_max: usize) -> usize {
+    let dim = dim.max(1);
+    let m = m.clamp(1, dim);
+    let radius = (tau_max / 2) / m;
+    let signatures: u64 = (0..m)
+        .map(|i| ball_size(dim / m + usize::from(i < dim % m), radius))
+        .fold(0u64, u64::saturating_add);
+    SIG_COST_ROWS.saturating_mul(signatures).try_into().unwrap_or(usize::MAX)
+}
+
 /// Knobs of the segment lifecycle.
 #[derive(Clone, Copy, Debug)]
 pub struct SegmentConfig {
-    /// Live memtable rows that trigger a seal (build into an immutable
-    /// segment). Smaller values keep scans short but build more often.
+    /// Live memtable rows that trigger a seal (a freeze into a row
+    /// slab). Smaller values keep the memtable's scans short but leave
+    /// more, smaller segments for compaction to merge.
     pub seal_rows: usize,
     /// Sealed segments tolerated before compaction merges the two
     /// smallest; bounds per-query fan-out.
     pub max_sealed: usize,
-    /// Where sealed segments live: decoded on the heap
+    /// Where GPH segments live: decoded on the heap
     /// ([`StorageMode::Resident`], the default) or paged on demand from
     /// their snapshot blobs ([`StorageMode::FileBacked`]). The memtable
-    /// is always resident. Runtime policy, not persisted in snapshots.
+    /// and row slabs are always resident. Runtime policy, not persisted
+    /// in snapshots.
     pub storage: StorageMode,
 }
 
@@ -114,24 +164,79 @@ struct Loc {
 
 const MEMTABLE: usize = usize::MAX;
 
-/// The mutable front segment.
-struct Memtable {
+/// Rows per call of the batched kernel in [`Slab::scan`].
+const SCAN_CHUNK: usize = 256;
+
+/// Row offsets `0..SCAN_CHUNK`: the candidate list that turns the
+/// batched verify kernel into a scan of one chunk of rows.
+const CHUNK_ROWS: [u32; SCAN_CHUNK] = {
+    let mut rows = [0u32; SCAN_CHUNK];
+    let mut i = 0;
+    while i < SCAN_CHUNK {
+        rows[i] = i as u32;
+        i += 1;
+    }
+    rows
+};
+
+/// Rows held without an index: the mutable memtable, and every slab a
+/// seal freezes it into (or a merge below the crossover writes).
+struct Slab {
     data: Dataset,
     ids: Vec<u32>,
     dead: Tombstones,
 }
 
-impl Memtable {
+impl Slab {
     fn new(dim: usize) -> Self {
-        Memtable { data: Dataset::new(dim), ids: Vec::new(), dead: Tombstones::new() }
+        Slab { data: Dataset::new(dim), ids: Vec::new(), dead: Tombstones::new() }
     }
 
-    /// Early-exit scan: `(id, distance)` of every live row within `tau`
-    /// of `query`.
-    fn hits<'a>(&'a self, query: &'a [u64], tau: u32) -> impl Iterator<Item = (u32, u32)> + 'a {
-        self.dead.iter_live().filter_map(move |row| {
-            hamming_within(self.data.row(row), query, tau).map(|d| (self.ids[row], d))
-        })
+    /// A slab of `data` under `ids`, every row live.
+    fn frozen(data: Dataset, ids: Vec<u32>) -> Self {
+        let dead = Tombstones::all_live(data.len());
+        Slab { data, ids, dead }
+    }
+
+    /// Rows, ids and tombstones decoded apart, cross-checked against
+    /// each other and the engine's `dim`.
+    fn decoded(data: Dataset, ids: Vec<u32>, dead: Tombstones, dim: usize) -> Result<Self> {
+        if data.dim() != dim {
+            return Err(HammingError::Corrupt(format!(
+                "row slab holds {}-dimensional rows, header says {dim}",
+                data.dim()
+            )));
+        }
+        if ids.len() != data.len() || dead.len() != data.len() {
+            return Err(HammingError::Corrupt(format!(
+                "row slab sections disagree: {} rows, {} ids, {} tombstone slots",
+                data.len(),
+                ids.len(),
+                dead.len()
+            )));
+        }
+        Ok(Slab { data, ids, dead })
+    }
+
+    /// The one scan: appends `(id, distance)` of every live row within
+    /// `tau` of `query` to `out`. Every row, dead or live, goes through
+    /// the batched verify kernel a chunk at a time; the rare hit is then
+    /// checked against the tombstones and given its distance.
+    fn scan(&self, query: &[u64], tau: u32, out: &mut Vec<(u32, u32)>) {
+        let wpv = self.data.words_per_vec();
+        let mut near = Vec::new();
+        for start in (0..self.data.len()).step_by(SCAN_CHUNK) {
+            let rows = (self.data.len() - start).min(SCAN_CHUNK);
+            near.clear();
+            let words = &self.data.words()[start * wpv..];
+            verify_candidates(words, wpv, query, tau, &CHUNK_ROWS[..rows], &mut near);
+            for &r in &near {
+                let row = start + r as usize;
+                if !self.dead.is_dead(row) {
+                    out.push((self.ids[row], hamming(self.data.row(row), query)));
+                }
+            }
+        }
     }
 
     /// Appends every live row, and its id, to `data` / `ids`.
@@ -144,7 +249,26 @@ impl Memtable {
     }
 }
 
-/// Where a sealed segment's engine actually lives: decoded on the heap,
+/// `n u64` then the `n` ids, little-endian: the memtable's id encoding.
+fn encode_ids(ids: &[u32]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(8 + ids.len() * 4);
+    buf.put_u64_le(ids.len() as u64);
+    for &id in ids {
+        buf.put_u32_le(id);
+    }
+    buf
+}
+
+/// Decodes [`encode_ids`] bytes, which must hold nothing else.
+fn decode_ids(bytes: &[u8]) -> Result<Vec<u32>> {
+    let mut r = ByteReader::new(bytes);
+    let n = r.len(4, "id count")?;
+    let ids = r.u32s(n, "ids")?;
+    r.finish("ids")?;
+    Ok(ids)
+}
+
+/// Where a GPH segment's engine actually lives: decoded on the heap,
 /// or paged on demand from its GPHE v3 blob. Both answer every query
 /// identically; `Cold` trades latency for a bounded memory footprint.
 enum SegStore {
@@ -194,7 +318,7 @@ impl SegStore {
         }
     }
 
-    /// Appends local row `row` to `ds` (the seal/compaction merge path).
+    /// Appends local row `row` to `ds` (the merge path).
     fn append_row_to(&self, ds: &mut Dataset, row: usize) -> Result<()> {
         match self {
             SegStore::Resident(g) => ds.push_row_from(g.data(), row).map(|_| ()),
@@ -212,23 +336,71 @@ impl SegStore {
     }
 }
 
-/// One sealed, immutable segment: a frozen engine (resident or
-/// file-backed) plus the map from its dense local row ids to external
-/// ids, and the tombstones accumulated since it was built.
-struct Sealed {
+/// A GPH segment: a frozen engine (resident or file-backed) plus the
+/// map from its dense local row ids to external ids, and the tombstones
+/// accumulated since it was built.
+struct Indexed {
     store: SegStore,
     ids: Vec<u32>,
     dead: Tombstones,
 }
 
+/// One sealed, immutable segment: a row slab or a GPH segment (boxed:
+/// an engine is several times a slab's size).
+enum Sealed {
+    Slab(Slab),
+    Indexed(Box<Indexed>),
+}
+
 impl Sealed {
+    fn ids(&self) -> &[u32] {
+        match self {
+            Sealed::Slab(s) => &s.ids,
+            Sealed::Indexed(s) => &s.ids,
+        }
+    }
+
+    fn dead(&self) -> &Tombstones {
+        match self {
+            Sealed::Slab(s) => &s.dead,
+            Sealed::Indexed(s) => &s.dead,
+        }
+    }
+
+    fn dead_mut(&mut self) -> &mut Tombstones {
+        match self {
+            Sealed::Slab(s) => &mut s.dead,
+            Sealed::Indexed(s) => &mut s.dead,
+        }
+    }
+
+    fn size_bytes(&self) -> usize {
+        match self {
+            Sealed::Slab(s) => s.data.size_bytes(),
+            Sealed::Indexed(s) => s.store.size_bytes(),
+        }
+    }
+
+    /// Local row `row`, owned.
+    fn row_of(&self, row: usize) -> Vec<u64> {
+        match self {
+            Sealed::Slab(s) => s.data.row(row).to_vec(),
+            Sealed::Indexed(s) => s.store.row_of(row),
+        }
+    }
+
     /// Appends every live row, and its id, to `data` / `ids`.
     fn append_live_to(&self, data: &mut Dataset, ids: &mut Vec<u32>) -> Result<()> {
-        for row in self.dead.iter_live() {
-            self.store.append_row_to(data, row)?;
-            ids.push(self.ids[row]);
+        match self {
+            Sealed::Slab(s) => s.append_live_to(data, ids),
+            Sealed::Indexed(s) => {
+                for row in s.dead.iter_live() {
+                    s.store.append_row_to(data, row)?;
+                    ids.push(s.ids[row]);
+                }
+                Ok(())
+            }
         }
-        Ok(())
     }
 }
 
@@ -244,7 +416,8 @@ pub struct SegmentInfo {
 }
 
 /// A live-updatable GPH engine: a scan-served memtable in front of
-/// sealed immutable [`Gph`] segments, merged at query time.
+/// sealed segments (scanned row slabs and immutable [`Gph`] segments),
+/// merged at query time.
 ///
 /// # Example
 ///
@@ -275,12 +448,12 @@ pub struct SegmentedGph {
     seg_cfg: SegmentConfig,
     dim: usize,
     words_per_vec: usize,
-    mem: Memtable,
+    mem: Slab,
     sealed: Vec<Sealed>,
     /// External id → current location, live rows only.
     loc: HashMap<u32, Loc>,
-    /// Spill directory + shared page cache for file-backed segments,
-    /// created lazily on the first cold seal (or eagerly by a
+    /// Spill directory + shared page cache for file-backed GPH segments,
+    /// created lazily on the first file-backed build (or eagerly by a
     /// file-backed restore). `None` while fully resident.
     spill: Option<Arc<SpillStore>>,
 }
@@ -301,7 +474,7 @@ impl SegmentedGph {
             seg_cfg,
             dim,
             words_per_vec: words_for(dim),
-            mem: Memtable::new(dim),
+            mem: Slab::new(dim),
             sealed: Vec::new(),
             loc: HashMap::new(),
             spill: None,
@@ -309,9 +482,9 @@ impl SegmentedGph {
     }
 
     /// Builds an engine whose initial contents are `data` under external
-    /// ids `ids`, sealed immediately into one segment — the bulk-load
-    /// path the serving layer uses when constructing a fleet from a
-    /// frozen dataset.
+    /// ids `ids`, sealed immediately into one GPH segment, whatever its
+    /// size — the bulk-load path the serving layer uses when
+    /// constructing a fleet from a frozen dataset.
     pub fn build_sealed(
         data: Dataset,
         ids: Vec<u32>,
@@ -327,36 +500,36 @@ impl SegmentedGph {
         }
         let mut out = SegmentedGph::new(data.dim(), cfg, seg_cfg)?;
         if !data.is_empty() {
-            out.push_built_segment(data, ids)?;
+            let mut seen = std::collections::HashSet::with_capacity(ids.len());
+            if let Some(id) = ids.iter().find(|&&id| !seen.insert(id)) {
+                return Err(HammingError::InvalidParameter(format!("duplicate live id {id}")));
+            }
+            let seg = out.build_segment(data, ids)?;
+            out.commit_segment(seg);
         }
         Ok(out)
     }
 
-    /// Builds a sealed segment over `data` without touching any engine
-    /// state — the build-then-commit half of every seal/compaction, so a
-    /// failed `Gph::build` (e.g. an invalid config) leaves the engine
-    /// fully consistent. (Creating the spill store early is harmless on
-    /// failure: it is just an empty temp directory.)
-    ///
-    /// `inherited` (a flush behind a sealed segment) replaces the
-    /// configured partition strategy; the index and the estimator are
-    /// built from `data` either way.
-    fn build_segment(
-        &mut self,
-        data: Dataset,
-        ids: Vec<u32>,
-        inherited: Option<Partitioning>,
-    ) -> Result<Sealed> {
+    /// Builds a GPH segment over `data` under the configured strategy
+    /// without touching any engine state — the build-then-commit half of
+    /// every bulk load and indexed merge, so a failed `Gph::build` (e.g.
+    /// an invalid config) leaves the engine fully consistent. (Creating
+    /// the spill store early is harmless on failure: it is just an empty
+    /// temp directory.)
+    fn build_segment(&mut self, data: Dataset, ids: Vec<u32>) -> Result<Sealed> {
         let n = data.len();
-        let engine = match inherited {
-            Some(p) => {
-                let strategy = PartitionStrategy::Fixed(p);
-                Gph::build(data, &GphConfig { strategy, ..self.cfg.clone() })?
-            }
-            None => Gph::build(data, &self.cfg)?,
-        };
-        let store = self.store_engine(engine)?;
-        Ok(Sealed { store, ids, dead: Tombstones::all_live(n) })
+        let store = self.store_engine(Gph::build(data, &self.cfg)?)?;
+        Ok(Sealed::Indexed(Box::new(Indexed { store, ids, dead: Tombstones::all_live(n) })))
+    }
+
+    /// The segment a merge of `data` makes: a GPH segment when its rows
+    /// reach [`crossover_rows`], a slab below it.
+    fn merged_segment(&mut self, data: Dataset, ids: Vec<u32>) -> Result<Sealed> {
+        if data.len() >= crossover_rows(self.dim, self.cfg.m, self.cfg.tau_max) {
+            self.build_segment(data, ids)
+        } else {
+            Ok(Sealed::Slab(Slab::frozen(data, ids)))
+        }
     }
 
     /// Places a freshly built engine according to the configured
@@ -375,35 +548,21 @@ impl SegmentedGph {
         Ok(SegStore::Cold(ColdSegment::open(file, Arc::clone(spill.cache()), 0, len)?))
     }
 
-    /// Page-cache counters when any segment is file-backed; `None` while
-    /// fully resident.
+    /// Page-cache counters when any GPH segment is file-backed; `None`
+    /// while fully resident.
     pub fn page_cache_stats(&self) -> Option<PageCacheStats> {
         self.spill.as_ref().map(|s| s.cache().stats())
     }
 
-    /// Registers a built segment's ids in the location map (overwriting
+    /// Registers a sealed segment's ids in the location map (overwriting
     /// any stale entries, e.g. memtable rows that just sealed) and
     /// appends it.
     fn commit_segment(&mut self, seg: Sealed) {
         let seg_idx = self.sealed.len();
-        for (row, &id) in seg.ids.iter().enumerate() {
+        for (row, &id) in seg.ids().iter().enumerate() {
             self.loc.insert(id, Loc { seg: seg_idx, row });
         }
         self.sealed.push(seg);
-    }
-
-    /// Builds a `Gph` over `data` and appends it as a sealed segment,
-    /// registering its ids (which must be globally fresh and distinct).
-    fn push_built_segment(&mut self, data: Dataset, ids: Vec<u32>) -> Result<()> {
-        let mut seen = std::collections::HashSet::with_capacity(ids.len());
-        for &id in &ids {
-            if self.loc.contains_key(&id) || !seen.insert(id) {
-                return Err(HammingError::InvalidParameter(format!("duplicate live id {id}")));
-            }
-        }
-        let seg = self.build_segment(data, ids, None)?;
-        self.commit_segment(seg);
-        Ok(())
     }
 
     /// Dimensionality of every row.
@@ -421,9 +580,8 @@ impl SegmentedGph {
         self.cfg.tau_max
     }
 
-    /// The build configuration. Bulk loads and compactions use all of it;
-    /// a flush behind a sealed segment takes that segment's partitioning
-    /// in place of [`GphConfig::strategy`].
+    /// The build configuration of every GPH segment: bulk loads and
+    /// merges past [`crossover_rows`] use all of it.
     pub fn config(&self) -> &GphConfig {
         &self.cfg
     }
@@ -446,7 +604,7 @@ impl SegmentedGph {
     /// Rows held in storage, including tombstoned ones awaiting
     /// compaction.
     pub fn stored_rows(&self) -> usize {
-        self.mem.data.len() + self.sealed.iter().map(|s| s.ids.len()).sum::<usize>()
+        self.mem.data.len() + self.sealed.iter().map(|s| s.ids().len()).sum::<usize>()
     }
 
     /// Whether `id` is live.
@@ -468,16 +626,17 @@ impl SegmentedGph {
         Some(if loc.seg == MEMTABLE {
             self.mem.data.row(loc.row).to_vec()
         } else {
-            self.sealed[loc.seg].store.row_of(loc.row)
+            self.sealed[loc.seg].row_of(loc.row)
         })
     }
 
-    /// Per-segment diagnostics, sealed segments first, memtable last.
+    /// Per-segment diagnostics, sealed segments (slabs and GPH segments
+    /// alike) first, memtable last.
     pub fn segment_info(&self) -> Vec<SegmentInfo> {
         let mut out: Vec<SegmentInfo> = self
             .sealed
             .iter()
-            .map(|s| SegmentInfo { rows: s.ids.len(), live: s.dead.live(), memtable: false })
+            .map(|s| SegmentInfo { rows: s.ids().len(), live: s.dead().live(), memtable: false })
             .collect();
         out.push(SegmentInfo {
             rows: self.mem.data.len(),
@@ -487,17 +646,17 @@ impl SegmentedGph {
         out
     }
 
-    /// Sealed segments currently held.
+    /// Sealed segments currently held, slabs included.
     pub fn num_sealed(&self) -> usize {
         self.sealed.len()
     }
 
-    /// Heap size of all segment engines plus the memtable payload. For
-    /// file-backed segments this counts only their resident metadata;
-    /// paged bytes are accounted by the shared cache
-    /// ([`SegmentedGph::page_cache_stats`]).
+    /// Heap size of all GPH segment engines plus the memtable's and
+    /// slabs' row payloads. For file-backed segments this counts only
+    /// their resident metadata; paged bytes are accounted by the shared
+    /// cache ([`SegmentedGph::page_cache_stats`]).
     pub fn size_bytes(&self) -> usize {
-        self.mem.data.size_bytes() + self.sealed.iter().map(|s| s.store.size_bytes()).sum::<usize>()
+        self.mem.data.size_bytes() + self.sealed.iter().map(Sealed::size_bytes).sum::<usize>()
     }
 
     fn assert_query(&self, query: &[u64], tau: u32) {
@@ -516,8 +675,8 @@ impl SegmentedGph {
     /// Inserts `row` under `id`. Errors if `id` is already live (use
     /// [`SegmentedGph::upsert`] to replace) or the row is malformed. May
     /// trigger a seal (and then compaction) when the memtable fills; if
-    /// that seal fails the error propagates but the inserted row stays
-    /// live in the memtable and the engine remains consistent.
+    /// a merge fails the error propagates, but the inserted row stays
+    /// live and the engine remains consistent.
     pub fn insert(&mut self, id: u32, row: &[u64]) -> Result<()> {
         if self.loc.contains_key(&id) {
             return Err(HammingError::InvalidParameter(format!(
@@ -544,12 +703,12 @@ impl SegmentedGph {
             let was_live = self.mem.dead.kill(loc.row);
             debug_assert!(was_live, "loc map pointed at a dead memtable row");
             if self.mem.dead.all_dead() {
-                self.mem = Memtable::new(self.dim);
+                self.mem = Slab::new(self.dim);
             }
         } else {
-            let was_live = self.sealed[loc.seg].dead.kill(loc.row);
+            let was_live = self.sealed[loc.seg].dead_mut().kill(loc.row);
             debug_assert!(was_live, "loc map pointed at a dead sealed row");
-            if self.sealed[loc.seg].dead.all_dead() {
+            if self.sealed[loc.seg].dead().all_dead() {
                 self.sealed.remove(loc.seg);
                 // Removing a segment shifts the indices of its successors.
                 for l in self.loc.values_mut() {
@@ -579,34 +738,29 @@ impl SegmentedGph {
         Ok(replaced)
     }
 
-    /// Flushes the memtable into a sealed segment (dropping its dead
-    /// rows) under the partitioning of the largest sealed segment — the
-    /// configured strategy runs only when there is none yet — and runs
-    /// the compaction policy. A no-op when the memtable holds no live
-    /// rows. On error (a failing `Gph::build`) the engine is left
-    /// untouched and fully consistent.
+    /// Freezes the memtable's live rows into a row slab — a copy of the
+    /// rows and a location update per row, no index build — and runs
+    /// the compaction policy. The slab is committed before any merge,
+    /// so only a merge's `Gph::build` can fail, and that leaves every
+    /// row reachable.
     pub fn seal(&mut self) -> Result<()> {
-        if self.mem.dead.live() > 0 {
-            let mut data = Dataset::with_capacity(self.dim, self.mem.dead.live());
-            let mut ids = Vec::with_capacity(self.mem.dead.live());
+        let live = self.mem.dead.live();
+        if live > 0 {
+            let mut data = Dataset::with_capacity(self.dim, live);
+            let mut ids = Vec::with_capacity(live);
             self.mem.append_live_to(&mut data, &mut ids)?;
-            // The largest segment's partitioning was optimised over the
-            // most rows (a bulk load or a merge).
-            let largest = self.sealed.iter().max_by_key(|s| s.ids.len());
-            let inherited = largest.map(|s| s.store.plan().partitioning.clone());
-            // Build before mutating: commit_segment overwrites the ids'
-            // memtable locations only once the segment exists.
-            let seg = self.build_segment(data, ids, inherited)?;
-            self.commit_segment(seg);
+            self.commit_segment(Sealed::Slab(Slab::frozen(data, ids)));
         }
-        self.mem = Memtable::new(self.dim);
+        self.mem = Slab::new(self.dim);
         self.maybe_compact()
     }
 
-    /// Rebuilds everything — memtable and every sealed segment — into a
-    /// single sealed segment over the live rows. The heavyweight path a
-    /// deployment runs off-peak; [`SegmentedGph::seal`]'s incremental
-    /// policy keeps day-to-day fan-out bounded without it.
+    /// Rewrites everything — memtable and every sealed segment — into a
+    /// single sealed segment over the live rows: a GPH segment under
+    /// the configured strategy from [`crossover_rows`] rows on, a slab
+    /// below. The heavyweight path a deployment runs off-peak;
+    /// [`SegmentedGph::seal`]'s incremental policy keeps day-to-day
+    /// fan-out bounded without it.
     pub fn compact(&mut self) -> Result<()> {
         let mut data = Dataset::with_capacity(self.dim, self.len());
         let mut ids = Vec::with_capacity(self.len());
@@ -616,10 +770,9 @@ impl SegmentedGph {
         self.mem.append_live_to(&mut data, &mut ids)?;
         // Build the merged segment before dropping anything, so a failed
         // build cannot lose rows.
-        let merged =
-            if data.is_empty() { None } else { Some(self.build_segment(data, ids, None)?) };
+        let merged = if data.is_empty() { None } else { Some(self.merged_segment(data, ids)?) };
         self.sealed.clear();
-        self.mem = Memtable::new(self.dim);
+        self.mem = Slab::new(self.dim);
         self.loc.clear();
         if let Some(seg) = merged {
             self.commit_segment(seg);
@@ -629,35 +782,46 @@ impl SegmentedGph {
 
     /// The compaction policy: drop all-dead segments, then while more
     /// than `max_sealed` segments exist merge the two with the fewest
-    /// live rows into one segment freshly built under the configured
-    /// partition strategy. Merged segments are
-    /// built before their sources are removed, so an error leaves every
-    /// row reachable.
+    /// live rows into one (see [`SegmentedGph::compact`] for what a
+    /// merge makes). Merged segments are built before their sources are
+    /// removed, so an error leaves every row reachable.
     fn maybe_compact(&mut self) -> Result<()> {
         let before = self.sealed.len();
-        self.sealed.retain(|s| !s.dead.all_dead());
+        self.sealed.retain(|s| !s.dead().all_dead());
         let mut changed = self.sealed.len() != before;
-        while self.sealed.len() > self.seg_cfg.max_sealed {
+        let result = loop {
+            if self.sealed.len() <= self.seg_cfg.max_sealed {
+                break Ok(());
+            }
             let (a, b) = smallest_two(&self.sealed);
             let (hi, lo) = (a.max(b), a.min(b));
-            let live = self.sealed[lo].dead.live() + self.sealed[hi].dead.live();
-            let mut data = Dataset::with_capacity(self.dim, live);
-            let mut ids = Vec::with_capacity(live);
-            for idx in [lo, hi] {
-                self.sealed[idx].append_live_to(&mut data, &mut ids)?;
-            }
-            let merged = self.build_segment(data, ids, None)?;
+            let merged = match self.merge_pair(lo, hi) {
+                Ok(seg) => seg,
+                Err(e) => break Err(e),
+            };
             // Remove the higher index first so the lower stays valid.
             self.sealed.remove(hi);
             self.sealed.remove(lo);
             self.sealed.push(merged);
             changed = true;
-        }
+        };
+        // Segment indices shifted — also before a merge that failed after
+        // an earlier one — so recompute every location once.
         if changed {
-            // Segment indices shifted; recompute every location once.
             self.rebuild_loc();
         }
-        Ok(())
+        result
+    }
+
+    /// The merge of sealed segments `lo` and `hi`, built beside them.
+    fn merge_pair(&mut self, lo: usize, hi: usize) -> Result<Sealed> {
+        let live = self.sealed[lo].dead().live() + self.sealed[hi].dead().live();
+        let mut data = Dataset::with_capacity(self.dim, live);
+        let mut ids = Vec::with_capacity(live);
+        for idx in [lo, hi] {
+            self.sealed[idx].append_live_to(&mut data, &mut ids)?;
+        }
+        self.merged_segment(data, ids)
     }
 
     /// Recomputes the id → location map from the segments (used after
@@ -665,8 +829,8 @@ impl SegmentedGph {
     fn rebuild_loc(&mut self) {
         self.loc.clear();
         for (seg, s) in self.sealed.iter().enumerate() {
-            for row in s.dead.iter_live() {
-                self.loc.insert(s.ids[row], Loc { seg, row });
+            for row in s.dead().iter_live() {
+                self.loc.insert(s.ids()[row], Loc { seg, row });
             }
         }
         for row in self.mem.dead.iter_live() {
@@ -719,9 +883,9 @@ impl SegmentedGph {
     /// The one walk over the sealed segments and the memtable: every
     /// live row within `tau` of `query` as `(id, distance)`, unordered,
     /// with instrumentation summed across segments and, when `sink` is
-    /// `Some`, traced per segment. Sealed hits carry their exact
-    /// distance only when `distances` is set (0 otherwise); memtable
-    /// hits always do, since the scan computes it anyway.
+    /// `Some`, traced per segment. GPH hits carry their exact distance
+    /// only when `distances` is set (0 otherwise); scanned hits (slabs
+    /// and the memtable) always do, since the scan computes it anyway.
     fn walk(
         &self,
         query: &[u64],
@@ -732,7 +896,16 @@ impl SegmentedGph {
         self.assert_query(query, tau);
         let mut hits = Vec::new();
         let mut agg = QueryStats::default();
-        for (seg_idx, seg) in self.sealed.iter().enumerate() {
+        for (i, seg) in self.sealed.iter().enumerate() {
+            let i = i as u32;
+            let seg = match seg {
+                Sealed::Indexed(seg) => seg,
+                Sealed::Slab(slab) => {
+                    let traces = sink.as_deref_mut();
+                    Self::scan_traced(i, slab, query, tau, &mut hits, &mut agg, traces);
+                    continue;
+                }
+            };
             let (local, st) = seg.store.search(query, tau, distances);
             agg.alloc_ns += st.alloc_ns;
             agg.enumerate_ns += st.enumerate_ns;
@@ -744,41 +917,55 @@ impl SegmentedGph {
             agg.n_candidates += st.n_candidates;
             agg.estimated_cost += st.estimated_cost;
             if let Some(traces) = sink.as_deref_mut() {
-                traces.push(Self::trace_of(seg_idx as u32, seg.store.len(), &st));
+                traces.push(Self::trace_of(i, seg.store.len(), &st));
             }
             let live = local.into_iter().filter(|&(row, _)| !seg.dead.is_dead(row as usize));
             hits.extend(live.map(|(row, d)| (seg.ids[row as usize], d)));
         }
-        let t = std::time::Instant::now();
-        // Memtable rows are found by scanning, not by index probes: they
-        // count toward both `n_scanned` and `n_candidates`.
-        let mem_rows = self.mem.dead.live() as u64;
-        let sealed_results = hits.len();
-        hits.extend(self.mem.hits(query, tau));
-        let mem_results = (hits.len() - sealed_results) as u64;
-        agg.n_scanned += mem_rows;
-        agg.n_candidates += mem_rows;
-        let scan_ns = t.elapsed().as_nanos() as u64;
-        agg.verify_ns += scan_ns;
-        if let Some(traces) = sink {
-            traces.push(SegmentTrace {
-                segment: gph_obs::trace::MEMTABLE_SEGMENT,
-                rows: mem_rows,
-                phases: PhaseNanos { scan_ns, ..PhaseNanos::default() },
-                n_scanned: mem_rows,
-                n_candidates: mem_rows,
-                n_results: mem_results,
-                ..SegmentTrace::default()
-            });
-        }
+        let memtable = gph_obs::trace::MEMTABLE_SEGMENT;
+        Self::scan_traced(memtable, &self.mem, query, tau, &mut hits, &mut agg, sink);
         agg.n_results = hits.len() as u64;
         (hits, agg)
     }
 
-    /// Maps one sealed engine's [`QueryStats`] onto a trace entry. The
+    /// One slab's (or the memtable's) part of [`SegmentedGph::walk`]:
+    /// its scan, timed as `verify_ns`, and its trace entry under
+    /// `scan_ns`. Scanned rows are found without index probes, so they
+    /// count toward both `n_scanned` and `n_candidates`.
+    fn scan_traced(
+        segment: u32,
+        slab: &Slab,
+        query: &[u64],
+        tau: u32,
+        hits: &mut Vec<(u32, u32)>,
+        agg: &mut QueryStats,
+        sink: Option<&mut Vec<SegmentTrace>>,
+    ) {
+        let t = std::time::Instant::now();
+        let rows = slab.dead.live() as u64;
+        let before = hits.len();
+        slab.scan(query, tau, hits);
+        let scan_ns = t.elapsed().as_nanos() as u64;
+        agg.n_scanned += rows;
+        agg.n_candidates += rows;
+        agg.verify_ns += scan_ns;
+        if let Some(traces) = sink {
+            traces.push(SegmentTrace {
+                segment,
+                rows,
+                phases: PhaseNanos { scan_ns, ..PhaseNanos::default() },
+                n_scanned: rows,
+                n_candidates: rows,
+                n_results: (hits.len() - before) as u64,
+                ..SegmentTrace::default()
+            });
+        }
+    }
+
+    /// Maps one GPH segment's [`QueryStats`] onto a trace entry. The
     /// engine's candidate-generation time (probe + dedup, or the scan
     /// fallback when the signature ball outgrows the segment) lands in
-    /// `probe_ns`; memtable scans are traced separately under `scan_ns`.
+    /// `probe_ns`; slab and memtable scans are traced under `scan_ns`.
     fn trace_of(segment: u32, rows: usize, st: &QueryStats) -> SegmentTrace {
         SegmentTrace {
             segment,
@@ -813,25 +1000,30 @@ impl SegmentedGph {
         topk_by_escalation(k, tau_cap, |tau| self.walk(query, tau, None, true).0)
     }
 
-    /// Estimated query cost: the sealed engines' allocator estimates plus
-    /// the memtable's scan cost (every live row is verified).
+    /// Estimated query cost: the GPH segments' allocator estimates plus
+    /// the scan cost of the slabs and the memtable (every live row is
+    /// verified).
     pub fn estimate_cost(&self, query: &[u64], tau: u32) -> f64 {
         self.assert_query(query, tau);
-        let sealed: f64 =
-            self.sealed.iter().map(|s| s.store.plan().estimate_cost(query, tau)).sum();
-        sealed + self.mem.dead.live() as f64 * self.cfg.cost_model.c_verify
+        let mut scanned = self.mem.dead.live();
+        let mut indexed = 0.0;
+        for seg in &self.sealed {
+            match seg {
+                Sealed::Slab(s) => scanned += s.dead.live(),
+                Sealed::Indexed(s) => indexed += s.store.plan().estimate_cost(query, tau),
+            }
+        }
+        indexed + scanned as f64 * self.cfg.cost_model.c_verify
     }
 
     /// Estimated cost of the *next* insert: the memtable append plus, if
-    /// it would trigger a seal, the cost of building a segment over the
-    /// memtable (every row indexed and verified once — a flush inherits
-    /// its partitioning, so that is all it does). The admission
-    /// controller prices mutations with this.
+    /// it would trigger a seal, the freeze — one location update per
+    /// sealed row, each priced as an access. The admission controller
+    /// prices mutations with this.
     pub fn next_insert_cost(&self) -> f64 {
         let base = self.cfg.cost_model.c_verify;
         if self.mem.dead.live() + 1 >= self.seg_cfg.seal_rows {
-            base + self.seg_cfg.seal_rows as f64
-                * (self.cfg.cost_model.c_access + self.cfg.cost_model.c_verify)
+            base + self.seg_cfg.seal_rows as f64 * self.cfg.cost_model.c_access
         } else {
             base
         }
@@ -846,40 +1038,42 @@ impl SegmentedGph {
     // Snapshots
     // -----------------------------------------------------------------
 
-    /// Serializes the engine as a GPHS v3 offset-addressed container:
-    /// the build config, the memtable (rows, ids, tombstones), every
-    /// sealed segment's GPHE blob in a page-aligned blob arena, and a
-    /// segment table mapping each segment to its arena extent plus its
-    /// ids and tombstones. Pending tombstones round-trip; nothing is
-    /// compacted away. See `FORMAT.md` for the byte-level layout.
-    /// File-backed segments read their blob back from disk here; a blob
-    /// that cannot be read back (the file truncated, an I/O error) is
-    /// the error.
+    /// Serializes the engine as a GPHS v4 offset-addressed container:
+    /// the build config, the memtable (rows, ids, tombstones), every GPH
+    /// segment's GPHE blob in a page-aligned blob arena, and a segment
+    /// table holding, per sealed segment, either its arena extent or
+    /// its slab rows, then its ids and tombstones. Pending tombstones
+    /// round-trip; nothing is compacted away. See `FORMAT.md` for the
+    /// byte-level layout. File-backed segments read their blob back
+    /// from disk here; a blob that cannot be read back (the file
+    /// truncated, an I/O error) is the error.
     pub fn to_bytes(&self) -> Result<Vec<u8>> {
-        let blobs =
-            self.sealed.iter().map(|s| s.store.engine_bytes()).collect::<Result<Vec<_>>>()?;
         // The arena is assembled first so the segment table can carry
         // arena-relative offsets. Each blob starts on a PAGE_SIZE
         // boundary; the arena section itself is page-aligned, so blob
         // starts are file-page-aligned too and a file-backed restore
         // can map them in place.
         let mut arena = Vec::new();
-        let mut rel = Vec::with_capacity(blobs.len());
-        for blob in &blobs {
-            let pos = arena.len().next_multiple_of(PAGE_SIZE);
-            arena.resize(pos, 0);
-            rel.push(pos as u64);
-            arena.extend_from_slice(blob);
-        }
         let mut segtab = Vec::new();
-        for (i, seg) in self.sealed.iter().enumerate() {
-            segtab.put_u64_le(rel[i]);
-            segtab.put_u64_le(blobs[i].len() as u64);
-            segtab.put_u64_le(seg.ids.len() as u64);
-            for &id in &seg.ids {
-                segtab.put_u32_le(id);
+        for seg in &self.sealed {
+            match seg {
+                Sealed::Slab(slab) => {
+                    let rows = encode_dataset(&slab.data);
+                    segtab.put_u64_le(SLAB_MARK);
+                    segtab.put_u64_le(rows.len() as u64);
+                    segtab.put_slice(&rows);
+                }
+                Sealed::Indexed(seg) => {
+                    let blob = seg.store.engine_bytes()?;
+                    let pos = arena.len().next_multiple_of(PAGE_SIZE);
+                    arena.resize(pos, 0);
+                    arena.extend_from_slice(&blob);
+                    segtab.put_u64_le(pos as u64);
+                    segtab.put_u64_le(blob.len() as u64);
+                }
             }
-            let dead = seg.dead.encode();
+            segtab.put_slice(&encode_ids(seg.ids()));
+            let dead = seg.dead().encode();
             segtab.put_u64_le(dead.len() as u64);
             segtab.put_slice(&dead);
         }
@@ -892,13 +1086,8 @@ impl SegmentedGph {
         hdr.put_u64_le(self.seg_cfg.max_sealed as u64);
         hdr.put_u64_le(self.sealed.len() as u64);
         w.section(&hdr);
-        w.section(&hamming_core::io::encode_dataset(&self.mem.data));
-        let mut mem_ids = Vec::with_capacity(8 + self.mem.ids.len() * 4);
-        mem_ids.put_u64_le(self.mem.ids.len() as u64);
-        for &id in &self.mem.ids {
-            mem_ids.put_u32_le(id);
-        }
-        w.section(&mem_ids);
+        w.section(&encode_dataset(&self.mem.data));
+        w.section(&encode_ids(&self.mem.ids));
         w.section(&self.mem.dead.encode());
         w.aligned_section(&arena);
         w.section(&segtab);
@@ -921,9 +1110,9 @@ impl SegmentedGph {
 
     /// Rebuilds an engine from the GPHS container `c` — the one restore
     /// behind [`SegmentedGph::from_bytes`] and
-    /// [`SegmentedGph::load_with_storage`]. `open_blob` materialises the
-    /// sealed segment whose GPHE blob sits at `(offset, len)` of the
-    /// blob arena.
+    /// [`SegmentedGph::load_with_storage`]. Slabs are decoded from the
+    /// segment table; `open_blob` materialises the GPH segment whose
+    /// GPHE blob sits at `(offset, len)` of the blob arena.
     fn restore(
         c: &Container,
         storage: StorageMode,
@@ -939,10 +1128,10 @@ impl SegmentedGph {
         hr.finish("segment header")?;
         let mut out =
             SegmentedGph::new(dim, cfg, SegmentConfig { seal_rows, max_sealed, storage })?;
-        out.mem = Self::decode_memtable(
-            &c.section(SEG_SLOT_MEMDATA)?,
-            &c.section(SEG_SLOT_MEMIDS)?,
-            &c.section(SEG_SLOT_MEMDEAD)?,
+        out.mem = Slab::decoded(
+            decode_dataset(&c.section(SEG_SLOT_MEMDATA)?)?,
+            decode_ids(&c.section(SEG_SLOT_MEMIDS)?)?,
+            Tombstones::decode(&c.section(SEG_SLOT_MEMDEAD)?)?,
             dim,
         )?;
 
@@ -950,53 +1139,38 @@ impl SegmentedGph {
         let segtab = c.section(SEG_SLOT_SEGTAB)?;
         let mut tr = ByteReader::new(&segtab);
         for i in 0..n_sealed {
-            // Arena-relative blob extent, external ids, tombstones.
-            let rel = tr.u64("blob offset")?;
-            let blob_len = tr.u64("blob length")? as usize;
+            // A slab's rows, or a GPH segment's blob extent; then the
+            // external ids and tombstones.
+            let head = tr.u64("blob offset or slab mark")?;
+            let (rows, blob_len) = if head == SLAB_MARK {
+                let len = tr.len(1, "slab rows length")?;
+                (Some(decode_dataset(tr.bytes(len, "slab rows")?)?), 0)
+            } else {
+                (None, tr.u64("blob length")? as usize)
+            };
             let n = tr.len(4, "segment id count")?;
             let ids = tr.u32s(n, "segment ids")?;
             let dead_len = tr.len(1, "segment tombstone length")?;
             let dead = Tombstones::decode(tr.bytes(dead_len, "segment tombstones")?)?;
-            if rel.checked_add(blob_len as u64).filter(|&e| e <= arena_len).is_none() {
-                return Err(HammingError::Corrupt(format!(
-                    "segment {i} blob extent exceeds the arena"
-                )));
-            }
-            let store = open_blob(rel, blob_len)?;
-            Self::check_segment(i, &store, &ids, &dead, dim, out.cfg.tau_max)?;
-            out.sealed.push(Sealed { store, ids, dead });
+            let seg = if let Some(data) = rows {
+                Sealed::Slab(Slab::decoded(data, ids, dead, dim)?)
+            } else {
+                if head.checked_add(blob_len as u64).filter(|&e| e <= arena_len).is_none() {
+                    return Err(HammingError::Corrupt(format!(
+                        "segment {i} blob extent exceeds the arena"
+                    )));
+                }
+                let store = open_blob(head, blob_len)?;
+                Self::check_segment(i, &store, &ids, &dead, dim, out.cfg.tau_max)?;
+                Sealed::Indexed(Box::new(Indexed { store, ids, dead }))
+            };
+            out.sealed.push(seg);
         }
         tr.finish("segment table")?;
         out.finish_restore()
     }
 
-    /// Decodes the three memtable sections and cross-checks their
-    /// lengths.
-    fn decode_memtable(data: &[u8], ids: &[u8], dead: &[u8], dim: usize) -> Result<Memtable> {
-        let mem_data = hamming_core::io::decode_dataset(data)?;
-        if mem_data.dim() != dim {
-            return Err(HammingError::Corrupt(format!(
-                "memtable holds {}-dimensional rows, header says {dim}",
-                mem_data.dim()
-            )));
-        }
-        let mut ir = ByteReader::new(ids);
-        let n_ids = ir.len(4, "memtable id count")?;
-        let mem_ids = ir.u32s(n_ids, "memtable ids")?;
-        ir.finish("memtable ids")?;
-        let mem_dead = Tombstones::decode(dead)?;
-        if mem_ids.len() != mem_data.len() || mem_dead.len() != mem_data.len() {
-            return Err(HammingError::Corrupt(format!(
-                "memtable sections disagree: {} rows, {} ids, {} tombstone slots",
-                mem_data.len(),
-                mem_ids.len(),
-                mem_dead.len()
-            )));
-        }
-        Ok(Memtable { data: mem_data, ids: mem_ids, dead: mem_dead })
-    }
-
-    /// Cross-checks a restored segment against the container header.
+    /// Cross-checks a restored GPH segment against the container header.
     fn check_segment(
         i: usize,
         store: &SegStore,
@@ -1035,7 +1209,7 @@ impl SegmentedGph {
     fn finish_restore(mut self) -> Result<Self> {
         self.rebuild_loc();
         let live_sum =
-            self.mem.dead.live() + self.sealed.iter().map(|s| s.dead.live()).sum::<usize>();
+            self.mem.dead.live() + self.sealed.iter().map(|s| s.dead().live()).sum::<usize>();
         if self.loc.len() != live_sum {
             return Err(HammingError::Corrupt(format!(
                 "{} distinct live ids across segments, but {} live rows",
@@ -1062,15 +1236,16 @@ impl SegmentedGph {
     /// This is the out-of-core warm-start path: under
     /// [`StorageMode::FileBacked`] the snapshot is *mapped, not read* —
     /// its header, footer and metadata sections (config, memtable,
-    /// segment table; a few KiB) are read directly and checked by the
-    /// one container reader ([`Container`]), while every sealed
-    /// segment's blob stays on disk, opened as a file region of the
+    /// segment table with its slabs' rows) are read directly and
+    /// checked by the one container reader ([`Container`]), while every
+    /// GPH segment's blob stays on disk, opened as a file region of the
     /// snapshot file itself, which reads one key per key page for its
-    /// page fences. Restore time therefore grows only with the number
-    /// of key pages (1/2048 of the key bytes at 16 KiB pages), and no
-    /// blob byte is resident until a query pages it in. Blob-payload
-    /// CRCs are deferred (see `FORMAT.md` §durability);
-    /// [`SegmentedGph::load`] is the fully-verified alternative.
+    /// page fences. Restore time therefore grows only with the resident
+    /// rows and the number of key pages (1/2048 of the key bytes at
+    /// 16 KiB pages), and no blob byte is resident until a query pages
+    /// it in. Blob-payload CRCs are deferred (see `FORMAT.md`
+    /// §durability); [`SegmentedGph::load`] is the fully-verified
+    /// alternative.
     ///
     /// The engine keeps the snapshot file open for paging. Replacing the
     /// snapshot via [`SegmentedGph::save`] is safe on platforms where
@@ -1088,9 +1263,9 @@ impl SegmentedGph {
         let region = Source::Region { len: file.len(), read_at: &read_at };
         let c = Container::open(region, SEGMENT_MAGIC, SEGMENT_VERSION, N_SEG_SLOTS)?;
         let arena_off = c.slot(SEG_SLOT_BLOBS).offset;
-        // Snapshot-mapped segments and future seals share one spill
+        // Snapshot-mapped segments and future builds share one spill
         // store: its page cache, and its byte budget. It exists even with
-        // no sealed segment, so the page-cache counters do too.
+        // no GPH segment, so the page-cache counters do too.
         let spill = SpillStore::temp(budget_bytes)?;
         let mut out = Self::restore(&c, storage, |rel, len| {
             let cache = Arc::clone(spill.cache());
@@ -1106,7 +1281,7 @@ impl SegmentedGph {
 /// `sealed.len() >= 2`.
 fn smallest_two(sealed: &[Sealed]) -> (usize, usize) {
     let mut order: Vec<usize> = (0..sealed.len()).collect();
-    order.sort_by_key(|&i| (sealed[i].dead.live(), i));
+    order.sort_by_key(|&i| (sealed[i].dead().live(), i));
     (order[0], order[1])
 }
 
@@ -1114,7 +1289,7 @@ fn smallest_two(sealed: &[Sealed]) -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::partition_opt::PartitionStrategy;
-    use hamming_core::BitVector;
+    use hamming_core::{BitVector, Partitioning};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -1133,6 +1308,17 @@ mod tests {
         (0..n)
             .map(|_| BitVector::from_bits((0..dim).map(|_| rng.random_bool(0.4))).words().to_vec())
             .collect()
+    }
+
+    /// An engine bulk-loaded with `rows` under ids `0..rows.len()`: one
+    /// GPH segment, however few the rows.
+    fn bulk(dim: usize, rows: &[Vec<u64>], seg_cfg: SegmentConfig) -> SegmentedGph {
+        let mut ds = Dataset::new(dim);
+        for row in rows {
+            ds.push_row(row).unwrap();
+        }
+        let ids = (0..rows.len() as u32).collect();
+        SegmentedGph::build_sealed(ds, ids, cfg(), seg_cfg).unwrap()
     }
 
     /// Reference: a fresh Gph over the surviving rows, ids mapped back.
@@ -1334,102 +1520,170 @@ mod tests {
 
     #[test]
     fn failed_seal_leaves_engine_consistent() {
-        // m > dim makes every Gph::build fail; the seal must error
-        // without corrupting the location map or losing rows.
+        // m > dim makes every Gph::build fail. A seal freezes a slab
+        // without building; the merge it then runs passes the crossover
+        // and builds, so the seal errors — and must do so without
+        // corrupting the location map or losing rows.
         let mut bad_cfg = GphConfig::new(64, 4);
         bad_cfg.strategy = PartitionStrategy::Original;
-        let mut eng = SegmentedGph::new(
-            16,
-            bad_cfg,
-            SegmentConfig { seal_rows: 2, max_sealed: 2, ..SegmentConfig::default() },
-        )
-        .unwrap();
-        let rows = random_rows(16, 3, 11);
-        eng.insert(1, &rows[0]).unwrap();
-        // The second insert triggers a seal, which fails.
-        assert!(eng.insert(2, &rows[1]).is_err());
-        // Both rows stay live and addressable in the memtable; no panic,
-        // no phantom segment.
-        assert_eq!(eng.len(), 2);
-        assert_eq!(eng.num_sealed(), 0);
-        assert_eq!(eng.get(1).unwrap(), rows[0].as_slice());
-        assert_eq!(eng.get(2).unwrap(), rows[1].as_slice());
-        assert_eq!(eng.search(&rows[1], 0), vec![2]);
+        let cross = crossover_rows(16, 64, 4);
+        let seg_cfg = SegmentConfig { seal_rows: cross, max_sealed: 1, ..SegmentConfig::default() };
+        let mut eng = SegmentedGph::new(16, bad_cfg, seg_cfg).unwrap();
+        let rows = random_rows(16, 2 * cross, 11);
+        for (i, row) in rows.iter().enumerate().take(2 * cross - 1) {
+            eng.insert(i as u32, row).unwrap();
+        }
+        assert_eq!(eng.num_sealed(), 1, "the first seal froze a slab");
+        // The last insert seals a second slab; merging both builds GPH,
+        // which fails.
+        let (last, last_row) = (2 * cross as u32 - 1, &rows[2 * cross - 1]);
+        assert!(eng.insert(last, last_row).is_err());
+        // Every row stays live and addressable; no panic, no phantom
+        // merged segment.
+        assert_eq!(eng.len(), 2 * cross);
+        assert_eq!(eng.num_sealed(), 2);
+        assert_eq!(eng.get(1).unwrap(), rows[1].as_slice());
+        assert_eq!(eng.get(last).unwrap(), last_row.as_slice());
+        let twins = (0..2 * cross as u32).filter(|&i| rows[i as usize] == *last_row);
+        assert_eq!(eng.search(last_row, 0), twins.collect::<Vec<_>>());
         assert!(eng.compact().is_err(), "compaction fails too, but harmlessly");
-        assert_eq!(eng.len(), 2);
-        assert!(eng.delete(2));
-        assert_eq!(eng.len(), 1);
+        assert_eq!(eng.len(), 2 * cross);
+        assert!(eng.delete(last));
+        assert_eq!(eng.len(), 2 * cross - 1);
     }
 
-    fn partitionings(eng: &SegmentedGph) -> Vec<Partitioning> {
-        eng.sealed.iter().map(|s| s.store.plan().partitioning.clone()).collect()
+    #[test]
+    fn a_merge_failing_after_one_that_succeeded_keeps_every_location() {
+        // As above, every build fails; seals happen only when called.
+        let mut bad_cfg = GphConfig::new(64, 4);
+        bad_cfg.strategy = PartitionStrategy::Original;
+        let cross = crossover_rows(16, 64, 4);
+        let seg_cfg =
+            SegmentConfig { seal_rows: 10 * cross, max_sealed: 2, ..SegmentConfig::default() };
+        let mut eng = SegmentedGph::new(16, bad_cfg, seg_cfg).unwrap();
+        // Slabs P and Q hold two thirds of the crossover each, R half of
+        // it, T a handful: R + P passes the crossover, T + R does not.
+        let (p, r, t) = (2 * cross / 3, cross / 2, 4);
+        let rows = random_rows(16, 2 * p + r + t, 12);
+        let mut next = 0;
+        let mut flush = |eng: &mut SegmentedGph, n: usize| {
+            for _ in 0..n {
+                eng.insert(next as u32, &rows[next]).unwrap();
+                next += 1;
+            }
+            eng.seal()
+        };
+        flush(&mut eng, p).unwrap();
+        flush(&mut eng, p).unwrap();
+        assert!(flush(&mut eng, r).is_err(), "R + P builds");
+        // T + R merges into a slab, shifting T's rows to a new segment;
+        // then RT + P builds and fails.
+        assert!(flush(&mut eng, t).is_err(), "RT + P builds");
+        assert_eq!(eng.num_sealed(), 3);
+        for (id, row) in rows.iter().enumerate() {
+            assert_eq!(eng.get(id as u32).unwrap(), row.as_slice(), "id={id}");
+        }
+        for id in 0..rows.len() as u32 {
+            assert!(eng.delete(id), "id={id}");
+        }
+        assert!(eng.is_empty());
+        assert_eq!(eng.num_sealed(), 0);
+    }
+
+    #[test]
+    fn crossover_prices_lemma_1_signatures() {
+        // 128 bits at m = 5: widths 26, 26, 26, 25, 25, each enumerated to
+        // radius ⌊8/5⌋ = 1 at τ_max = 16.
+        assert_eq!(crossover_rows(128, 5, 16), 9 * (3 * 27 + 2 * 26));
+        // τ_max / 2 below m: radius 0, one signature per part.
+        assert_eq!(crossover_rows(16, 64, 4), 9 * 16);
+        assert!(crossover_rows(128, 5, 32) > crossover_rows(128, 5, 16));
+    }
+
+    /// Each sealed segment's partitioning; `None` for a slab.
+    fn partitionings(eng: &SegmentedGph) -> Vec<Option<Partitioning>> {
+        let plan = |s: &Sealed| match s {
+            Sealed::Slab(_) => None,
+            Sealed::Indexed(s) => Some(s.store.plan().partitioning.clone()),
+        };
+        eng.sealed.iter().map(plan).collect()
     }
 
     /// What the configured strategy makes of sealed segment `seg`'s rows.
     fn configured(eng: &SegmentedGph, seg: usize) -> Partitioning {
         let mut ds = Dataset::new(eng.dim());
-        for row in 0..eng.sealed[seg].ids.len() {
-            eng.sealed[seg].store.append_row_to(&mut ds, row).unwrap();
-        }
+        eng.sealed[seg].append_live_to(&mut ds, &mut Vec::new()).unwrap();
         crate::partition_opt::build_partitioning(&ds, eng.cfg.m, &eng.cfg.strategy, None).unwrap()
     }
 
     #[test]
-    fn flush_inherits_the_partitioning_and_merges_reoptimise() {
+    fn seals_freeze_and_merges_index_past_the_crossover() {
         // OS arranges dimensions by their skew in the rows it is given,
         // so it tells one batch of rows from another.
         let mut os_cfg = GphConfig::new(3, 8);
         os_cfg.strategy = PartitionStrategy::Os;
-        let rows = random_rows(48, 48, 30);
+        // Two flushes of `half` rows reach the crossover; one does not.
+        let half = crossover_rows(48, 3, 8) / 2 + 1;
+        let rows = random_rows(48, 5 * half, 30);
         for storage in [StorageMode::Resident, StorageMode::FileBacked { budget_bytes: 32 * 1024 }]
         {
-            let seg_cfg = SegmentConfig { seal_rows: 8, max_sealed: 3, storage };
+            let seg_cfg = SegmentConfig { seal_rows: half, max_sealed: 2, storage };
             let mut eng = SegmentedGph::new(48, os_cfg.clone(), seg_cfg).unwrap();
             let mut next = 0u32;
             let mut flush = |eng: &mut SegmentedGph| {
-                for _ in 0..8 {
+                for _ in 0..half {
                     eng.insert(next, &rows[next as usize]).unwrap();
                     next += 1;
                 }
             };
-            // The first flush finds no sealed segment: configured strategy.
-            flush(&mut eng);
-            let first = partitionings(&eng)[0].clone();
-            assert_eq!(first, configured(&eng, 0));
-            // The next two inherit it, though OS would have chosen otherwise.
+            // Flushes freeze slabs: no partitioning, no page cache.
             flush(&mut eng);
             flush(&mut eng);
-            assert_eq!(partitionings(&eng), vec![first.clone(); 3]);
-            assert_ne!(configured(&eng, 1), first, "fixture: OS must tell the batches apart");
+            assert_eq!(partitionings(&eng), [None, None]);
+            assert!(eng.page_cache_stats().is_none(), "slabs stay resident");
 
-            // So does a flush after a snapshot round-trip; it is the
-            // fourth segment, so the two smallest merge — under the
-            // configured strategy.
+            // The third is one too many: the two oldest merge past the
+            // crossover, into GPH under the configured strategy.
+            flush(&mut eng);
+            let merged = configured(&eng, 1);
+            assert_eq!(partitionings(&eng), [None, Some(merged.clone())]);
+            assert_eq!(
+                eng.page_cache_stats().is_some(),
+                storage != StorageMode::Resident,
+                "a file-backed build spills"
+            );
+
+            // Through a snapshot round-trip, a fourth flush merges the
+            // two slabs — past the crossover again.
             let path = std::env::temp_dir()
-                .join(format!("gph-segtest-inherit-{}.gphs", std::process::id()));
+                .join(format!("gph-segtest-freeze-{}.gphs", std::process::id()));
             eng.save(&path).unwrap();
             let mut eng = SegmentedGph::load_with_storage(&path, storage).unwrap();
             flush(&mut eng);
-            let sizes: Vec<usize> = eng.sealed.iter().map(|s| s.ids.len()).collect();
-            assert_eq!(sizes, [8, 8, 16]);
-            let merged = configured(&eng, 2);
-            assert_ne!(merged, first, "fixture: the merge must re-optimise to something new");
-            assert_eq!(partitionings(&eng), [first.clone(), first.clone(), merged.clone()]);
-
-            // The largest segment is now the merged one: the next flush
-            // takes its partitioning, not the oldest's or the newest's.
-            flush(&mut eng);
-            let merged_again = configured(&eng, 2);
-            assert_eq!(partitionings(&eng), [merged.clone(), merged, merged_again]);
-
-            for q in rows.iter().step_by(5) {
+            let sizes: Vec<usize> = eng.sealed.iter().map(|s| s.ids().len()).collect();
+            assert_eq!(sizes, [2 * half, 2 * half]);
+            let merged_again = configured(&eng, 1);
+            assert_ne!(merged_again, merged, "fixture: OS must tell the batches apart");
+            assert_eq!(partitionings(&eng), [Some(merged), Some(merged_again)]);
+            for q in rows.iter().step_by(37) {
                 for tau in [0u32, 4, 8] {
                     assert_eq!(eng.search(q, tau), reference_search(&eng, q, tau), "tau={tau}");
                 }
             }
+
             // A full compaction re-optimises over everything.
             eng.compact().unwrap();
-            assert_eq!(partitionings(&eng), [configured(&eng, 0)]);
+            assert_eq!(partitionings(&eng), [Some(configured(&eng, 0))]);
+            // Below the crossover, a merge is a slab.
+            for id in half as u32..next {
+                eng.delete(id);
+            }
+            eng.compact().unwrap();
+            assert_eq!(partitionings(&eng), [None]);
+            assert_eq!(eng.len(), half);
+            for q in rows.iter().step_by(37) {
+                assert_eq!(eng.search(q, 8), reference_search(&eng, q, 8));
+            }
             std::fs::remove_file(&path).ok();
         }
     }
@@ -1458,9 +1712,10 @@ mod tests {
         let rows = random_rows(48, 40, 20);
         let mut cold_cfg = seg_cfg();
         cold_cfg.storage = StorageMode::FileBacked { budget_bytes: 32 * 1024 };
-        let mut hot = SegmentedGph::new(48, cfg(), seg_cfg()).unwrap();
-        let mut cold = SegmentedGph::new(48, cfg(), cold_cfg).unwrap();
-        for (i, row) in rows.iter().enumerate() {
+        // A bulk-loaded GPH segment (paged when cold), then slabs.
+        let mut hot = bulk(48, &rows[..20], seg_cfg());
+        let mut cold = bulk(48, &rows[..20], cold_cfg);
+        for (i, row) in rows.iter().enumerate().skip(20) {
             hot.insert(i as u32, row).unwrap();
             cold.insert(i as u32, row).unwrap();
         }
@@ -1492,29 +1747,39 @@ mod tests {
 
     #[test]
     fn retired_gphs_version_is_rejected_as_unsupported() {
-        // A v1 file is a tagged-section container; the reader must name
-        // the version, on the in-memory and the file-mapped path alike.
+        // A v1 file is a tagged-section container, a v3 file an
+        // offset-addressed one with an untagged segment table; the
+        // reader must name the version, on the in-memory and the
+        // file-mapped path alike.
         let mut v1 = [&SEGMENT_MAGIC[..], &1u32.to_le_bytes()].concat();
         v1.extend_from_slice(b"whatever an old writer put here");
-        let path = std::env::temp_dir().join(format!("gph-segtest-v1-{}.gphs", std::process::id()));
-        std::fs::write(&path, &v1).unwrap();
-        let cold = StorageMode::FileBacked { budget_bytes: 1 << 20 };
-        for got in [SegmentedGph::from_bytes(&v1), SegmentedGph::load_with_storage(&path, cold)] {
-            match got.map(|_| ()) {
-                Err(HammingError::Corrupt(msg)) => {
-                    assert!(msg.contains("unsupported version 1"), "{msg}")
+        let v3 = OffsetWriter::new(SEGMENT_MAGIC, 3).finish();
+        for (version, bytes) in [(1, v1), (3, v3)] {
+            let path = std::env::temp_dir()
+                .join(format!("gph-segtest-v{version}-{}.gphs", std::process::id()));
+            std::fs::write(&path, &bytes).unwrap();
+            let cold = StorageMode::FileBacked { budget_bytes: 1 << 20 };
+            for got in
+                [SegmentedGph::from_bytes(&bytes), SegmentedGph::load_with_storage(&path, cold)]
+            {
+                match got.map(|_| ()) {
+                    Err(HammingError::Corrupt(msg)) => {
+                        assert!(msg.contains(&format!("unsupported version {version}")), "{msg}")
+                    }
+                    other => panic!("v{version}: expected Corrupt, got {other:?}"),
                 }
-                other => panic!("expected Corrupt, got {other:?}"),
             }
+            std::fs::remove_file(&path).ok();
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn load_with_storage_maps_blobs_lazily() {
         let rows = random_rows(48, 30, 22);
-        let mut eng = SegmentedGph::new(48, cfg(), seg_cfg()).unwrap();
-        for (i, row) in rows.iter().enumerate() {
+        // A bulk-loaded GPH segment, whose blob the restore maps, then
+        // slabs and a memtable.
+        let mut eng = bulk(48, &rows[..15], seg_cfg());
+        for (i, row) in rows.iter().enumerate().skip(15) {
             eng.insert(i as u32, row).unwrap();
         }
         eng.delete(4);
@@ -1554,8 +1819,8 @@ mod tests {
     #[test]
     fn saving_a_truncated_mapped_snapshot_is_an_error_not_a_panic() {
         let rows = random_rows(48, 30, 24);
-        let mut eng = SegmentedGph::new(48, cfg(), seg_cfg()).unwrap();
-        for (i, row) in rows.iter().enumerate() {
+        let mut eng = bulk(48, &rows[..15], seg_cfg());
+        for (i, row) in rows.iter().enumerate().skip(15) {
             eng.insert(i as u32, row).unwrap();
         }
         let dir = std::env::temp_dir().join(format!("gph-segtest-trunc-{}", std::process::id()));

@@ -8,8 +8,9 @@
 use gph::coldstore::StorageMode;
 use gph::engine::GphConfig;
 use gph::partition_opt::PartitionStrategy;
-use gph::segment::{SegmentConfig, SegmentedGph};
-use hamming_core::BitVector;
+use gph::segment::{crossover_rows, SegmentConfig, SegmentedGph};
+use hamming_core::key::mix64;
+use hamming_core::{BitVector, Dataset};
 use proptest::prelude::*;
 
 const DIM: usize = 40;
@@ -49,6 +50,13 @@ fn cfg(seed: u64) -> GphConfig {
 
 fn words(bits: &[bool]) -> Vec<u64> {
     BitVector::from_bits(bits.iter().copied()).words().to_vec()
+}
+
+/// `n` pseudo-random `DIM`-bit rows drawn from `seed`.
+fn bulk_rows(n: usize, seed: u64) -> Dataset {
+    let row = |i: u64| (0..DIM as u64).map(move |b| mix64(seed ^ (i << 8 | b)) & 1 == 1);
+    Dataset::from_vectors(DIM, (0..n as u64).map(|i| BitVector::from_bits(row(i))))
+        .expect("well-formed rows")
 }
 
 /// Applies `op` to both engines and checks the mutation outcomes agree.
@@ -113,14 +121,22 @@ proptest! {
         max_sealed in 1usize..4,
         seed in any::<u64>(),
     ) {
+        // Both engines start from one bulk-loaded GPH segment at the
+        // crossover, which the ops never shrink (their ids lie below
+        // it), so every merge into it stays GPH and there is always a
+        // paged segment; the ops' own seals freeze slabs.
         let cfg = cfg(seed);
-        let mut hot = SegmentedGph::new(
-            DIM,
+        let base = bulk_rows(crossover_rows(DIM, cfg.m, cfg.tau_max), seed);
+        let ids: Vec<u32> = (ID_UNIVERSE..ID_UNIVERSE + base.len() as u32).collect();
+        let mut hot = SegmentedGph::build_sealed(
+            base.clone(),
+            ids.clone(),
             cfg.clone(),
             SegmentConfig { seal_rows, max_sealed, ..SegmentConfig::default() },
         ).expect("resident engine");
-        let mut cold = SegmentedGph::new(
-            DIM,
+        let mut cold = SegmentedGph::build_sealed(
+            base,
+            ids,
             cfg,
             SegmentConfig { seal_rows, max_sealed, storage: TINY_BUDGET },
         ).expect("file-backed engine");
@@ -128,10 +144,8 @@ proptest! {
             apply(&mut hot, &mut cold, op);
         }
         assert_identical(&hot, &cold, &queries);
-        if cold.num_sealed() > 0 {
-            let stats = cold.page_cache_stats().expect("sealed cold segments have a cache");
-            prop_assert!(stats.hits + stats.misses > 0, "queries never paged");
-        }
+        let stats = cold.page_cache_stats().expect("sealed cold segments have a cache");
+        prop_assert!(stats.hits + stats.misses > 0, "queries never paged");
     }
 
     /// The same equivalence holds when the file-backed engine is a lazy

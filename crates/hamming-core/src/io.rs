@@ -41,9 +41,12 @@ const VERSION: u32 = 1;
 // CRC-32
 // ---------------------------------------------------------------------
 
-/// 256-entry lookup table for the reflected IEEE 802.3 polynomial.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 lookup tables for the reflected IEEE 802.3 polynomial.
+/// `T[0]` is the classic byte-at-a-time table; `T[k][i]` is the CRC
+/// of byte `i` followed by `k` zero bytes, so one step folds eight
+/// input bytes with eight independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -52,13 +55,23 @@ const fn crc32_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC-32 (IEEE 802.3) of `bytes` — the per-section checksum of the
 /// container format, also what shard manifests record per shard file.
@@ -67,10 +80,25 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Streaming CRC-32 step over the raw (pre-inverted) register, so a
-/// checksum can cover several non-contiguous slices.
+/// checksum can cover several non-contiguous slices. Eight bytes per
+/// step (slicing-by-8), then the tail a byte at a time; the value does
+/// not depend on how the input is split.
 fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let t = &CRC32_TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     crc
 }

@@ -5,7 +5,7 @@ use hamming_core::dataset::Dataset;
 use hamming_core::distance::{hamming, hamming_within};
 use hamming_core::enumerate::{ball_size, for_each_in_ball_u64, for_each_in_ball_words};
 use hamming_core::invindex::InvertedIndex;
-use hamming_core::io::{decode_dataset, encode_dataset};
+use hamming_core::io::{crc32, decode_dataset, encode_dataset, Crc32};
 use hamming_core::key::key_of;
 use hamming_core::partition::Partitioning;
 use hamming_core::project::{ProjectedDataset, Projector};
@@ -198,6 +198,31 @@ proptest! {
     }
 
     #[test]
+    fn crc32_matches_the_bitwise_reference(
+        data in prop::collection::vec(any::<u8>(), 0..300),
+        cuts in (any::<usize>(), any::<usize>()),
+        shift in 0usize..8,
+    ) {
+        // `shift` moves the slice start off the allocation's alignment;
+        // the cuts split it into three streamed pieces.
+        let mut buf = vec![0xA5u8; shift];
+        buf.extend_from_slice(&data);
+        let bytes = &buf[shift..];
+        let want = crc32_bitwise(bytes);
+        prop_assert_eq!(crc32(bytes), want);
+        let (lo, hi) = {
+            let (a, b) = (cuts.0 % (bytes.len() + 1), cuts.1 % (bytes.len() + 1));
+            (a.min(b), a.max(b))
+        };
+        let streamed = Crc32::new()
+            .update(&bytes[..lo])
+            .update(&bytes[lo..hi])
+            .update(&bytes[hi..])
+            .finish();
+        prop_assert_eq!(streamed, want, "cuts at {} and {}", lo, hi);
+    }
+
+    #[test]
     fn select_dims_then_distance_matches_projection(
         rows in prop::collection::vec(bits(30), 2..5),
         mask in prop::collection::vec(any::<bool>(), 30),
@@ -212,4 +237,17 @@ proptest! {
             .count() as u32;
         prop_assert_eq!(hamming(sub.row(0), sub.row(1)), naive);
     }
+}
+
+/// CRC-32 (IEEE 802.3, reflected) one bit at a time, with no table: the
+/// reference the table-driven checksum is tested against.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = u32::MAX;
+    for &b in bytes {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+        }
+    }
+    !crc
 }

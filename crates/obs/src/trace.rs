@@ -32,7 +32,7 @@ pub struct PhaseNanos {
     pub probe_ns: u64,
     /// Batched candidate verification.
     pub verify_ns: u64,
-    /// Memtable linear scan.
+    /// Linear scan of a row slab or the memtable.
     pub scan_ns: u64,
 }
 
@@ -55,8 +55,8 @@ impl PhaseNanos {
 /// The sentinel segment id a memtable trace carries.
 pub const MEMTABLE_SEGMENT: u32 = u32::MAX;
 
-/// One segment's contribution to a query (a sealed engine, or the
-/// memtable when `segment == MEMTABLE_SEGMENT`).
+/// One segment's contribution to a query (a sealed segment, GPH or row
+/// slab, or the memtable when `segment == MEMTABLE_SEGMENT`).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SegmentTrace {
     /// Segment ordinal within its shard; [`MEMTABLE_SEGMENT`] for the

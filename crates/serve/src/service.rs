@@ -36,11 +36,13 @@ pub struct ServiceConfig {
     pub admission: AdmissionConfig,
     /// Query-tracing policy (sampling rate, slow-query ring).
     pub trace: TraceConfig,
-    /// Where sealed segments live: [`StorageMode::Resident`] keeps every
-    /// engine in memory; [`StorageMode::FileBacked`] serves sealed
+    /// Where GPH segments live: [`StorageMode::Resident`] keeps every
+    /// engine in memory; [`StorageMode::FileBacked`] serves GPH
     /// segments out-of-core from snapshot files through a bounded page
-    /// cache. Applied by [`QueryService::warm_start`] at restore time and
-    /// inherited by segments sealed while serving.
+    /// cache. Row slabs (what a seal freezes, or a merge below the
+    /// crossover writes) stay resident in either mode, as the memtable
+    /// does. Applied by [`QueryService::warm_start`] at restore time and
+    /// inherited by GPH segments that merges build while serving.
     pub storage: StorageMode,
     /// Build/restore generation the operator stamps on this service
     /// (bumped per rebuild or warm restart). Reported verbatim by the
@@ -1207,17 +1209,23 @@ mod tests {
 
     #[test]
     fn failed_seal_still_invalidates_and_counts() {
-        // m > dim makes every `Gph::build` fail, and an engine with no
-        // sealed segment flushes through the configured strategy: the
-        // second insert's flush errors with the row already live.
+        // m > dim makes every `Gph::build` fail. Each insert seals a
+        // one-row slab and, at max_sealed = 1, merges it at once; a seal
+        // builds nothing, so only a merge reaching the crossover builds.
+        // Filled to two rows short of it, the second insert's flush
+        // errors with the row already live.
         let mut bad_cfg = GphConfig::new(64, 4);
         bad_cfg.strategy = PartitionStrategy::Original;
         let seg_cfg =
-            gph::segment::SegmentConfig { seal_rows: 2, max_sealed: 2, ..Default::default() };
+            gph::segment::SegmentConfig { seal_rows: 1, max_sealed: 1, ..Default::default() };
         let index =
             ShardedIndex::build_with_segments(&Dataset::new(16), 1, &bad_cfg, seg_cfg).unwrap();
-        let service = QueryService::new(Arc::new(index), ServiceConfig::default());
         let q = [0b1111u64];
+        let fill = gph::segment::crossover_rows(16, 64, 4) - 2;
+        for id in 100..100 + fill as u32 {
+            index.insert(id, &at_distance(&q, 9)).unwrap();
+        }
+        let service = QueryService::new(Arc::new(index), ServiceConfig::default());
         service.insert(1, &at_distance(&q, 9)).unwrap();
         assert!(service.query(&q, 2).ids().unwrap().is_empty());
         assert!(service.query(&q, 2).from_cache);
@@ -1226,7 +1234,7 @@ mod tests {
         let after = service.query(&q, 2);
         assert!(!after.from_cache, "the row went live, so the cached answer was stale");
         assert_eq!(after.ids().unwrap(), &[2]);
-        assert_eq!((service.index().len(), service.stats().mutations), (2, 2));
+        assert_eq!((service.index().len(), service.stats().mutations), (fill + 2, 2));
 
         // An upsert whose flush fails has tombstoned the old row too.
         assert!(service.query(&q, 2).from_cache);
@@ -1234,7 +1242,7 @@ mod tests {
         let after = service.query(&q, 2);
         assert!(!after.from_cache);
         assert!(after.ids().unwrap().is_empty());
-        assert_eq!((service.index().len(), service.stats().mutations), (2, 3));
+        assert_eq!((service.index().len(), service.stats().mutations), (fill + 2, 3));
 
         // An insert refused before it touched the engine books nothing.
         assert!(service.insert(2, &q).is_err(), "id 2 is live");

@@ -254,7 +254,7 @@ impl ShardedIndex {
 
     /// The one insert (`replace == false`) / upsert path. Reports what
     /// the write did to the live set *beside* the engine's `Result`: a
-    /// failing seal still leaves the row live — and, for an upsert, the
+    /// seal whose merge fails still leaves the row live — and, for an upsert, the
     /// old row tombstoned (the engine documents both) — so the live
     /// count here and the service's cache invalidation go by the engine's
     /// own state, read under the shard's write lock, not by the `Result`.
