@@ -137,9 +137,7 @@ impl SearchIndex for HmSearch {
             exacts[idu] = false;
         }
         stats.n_candidates = candidates.len() as u64;
-        let mut ids = Vec::with_capacity(candidates.len());
-        self.data.verify_candidates(query, tau, &candidates, &mut ids);
-        ids.sort_unstable();
+        let ids = crate::verified_ids(&self.data, query, tau, &candidates);
         stats.n_results = ids.len() as u64;
         (ids, stats)
     }

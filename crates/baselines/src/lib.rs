@@ -40,6 +40,7 @@ pub use partalloc::PartAlloc;
 pub use scan::LinearScan;
 
 use gph::QueryStats;
+use hamming_core::Dataset;
 
 /// Candidate-level instrumentation shared by all engines (the quantities
 /// Fig. 2(b) and Fig. 7 report).
@@ -88,4 +89,15 @@ pub trait SearchIndex {
 
     /// Heap footprint of the index structures (Fig. 6).
     fn size_bytes(&self) -> usize;
+}
+
+/// Phase-4 verification for the baselines that answer with ids only:
+/// the `candidates` within `tau` of `query`, ascending, with the
+/// distances the batched kernel measured dropped.
+fn verified_ids(data: &Dataset, query: &[u64], tau: u32, candidates: &[u32]) -> Vec<u32> {
+    let mut hits = Vec::with_capacity(candidates.len());
+    data.verify_candidates(query, tau, candidates, &mut hits);
+    let mut ids: Vec<u32> = hits.into_iter().map(|(id, _)| id).collect();
+    ids.sort_unstable();
+    ids
 }

@@ -201,9 +201,7 @@ impl SearchIndex for PartAlloc {
             true
         });
         stats.n_candidates = before; // generated candidates (pre-filter)
-        let mut ids = Vec::with_capacity(candidates.len());
-        self.data.verify_candidates(query, tau, &candidates, &mut ids);
-        ids.sort_unstable();
+        let ids = crate::verified_ids(&self.data, query, tau, &candidates);
         stats.n_results = ids.len() as u64;
         (ids, stats)
     }

@@ -560,7 +560,7 @@ use crate::snapshot::{
 };
 use hamming_core::invindex::CsrPart;
 use hamming_core::io::Source;
-use hamming_core::{hamming, hamming_within, words_for, Projector};
+use hamming_core::{hamming_within, words_for, Projector};
 use std::convert::Infallible;
 use std::ops::Range;
 
@@ -745,19 +745,21 @@ impl Store for Paged {
     /// Candidates are verified in ascending id order for page locality;
     /// the result set is identical to the resident store's (same
     /// candidates, same exact distance test).
-    fn verify(&self, query: &[u64], tau: u32, candidates: &mut Vec<u32>, out: &mut Vec<u32>) {
+    fn verify(
+        &self,
+        query: &[u64],
+        tau: u32,
+        candidates: &mut Vec<u32>,
+        out: &mut Vec<(u32, u32)>,
+    ) {
         candidates.sort_unstable();
         let mut row = vec![0; self.wpv];
         for &id in candidates.iter() {
             self.read_row(id as usize, &mut row);
-            if hamming_within(&row, query, tau).is_some() {
-                out.push(id);
+            if let Some(d) = hamming_within(&row, query, tau) {
+                out.push((id, d));
             }
         }
-    }
-
-    fn distance_to(&self, id: usize, query: &[u64]) -> u32 {
-        hamming(&self.row(id), query)
     }
 }
 
@@ -1009,7 +1011,7 @@ mod tests {
         assert!((out[17] - 1000.0).abs() < 1e-6);
     }
 
-    use crate::engine::{Gph, GphConfig};
+    use crate::engine::{Gph, GphConfig, SearchResult};
     use crate::partition_opt::PartitionStrategy;
     use crate::pipeline::set_pooled_epoch;
     use hamming_core::{BitVector, Dataset};
@@ -1049,7 +1051,7 @@ mod tests {
             let q = queries.row(qi);
             for &tau in taus {
                 let hot = engine.search_with_stats(q, tau);
-                let chill = cold.plan.search_with_stats(&cold.store, q, tau);
+                let chill = SearchResult::from_hits(cold.plan.search(&cold.store, q, tau));
                 assert_eq!(hot.ids, chill.ids, "qi={qi} tau={tau}");
                 for st in [&hot.stats, &chill.stats] {
                     assert!(st.n_candidates <= st.sum_postings + st.n_scanned, "{st:?}");
@@ -1072,9 +1074,7 @@ mod tests {
 
     /// Top-k over the cold segment's plan and store, as `Gph` runs it.
     fn cold_topk(cold: &ColdSegment, q: &[u64], k: usize, tau_cap: u32) -> Vec<(u32, u32)> {
-        crate::topk_by_escalation(k, tau_cap, |tau| {
-            cold.plan.search_hits(&cold.store, q, tau, true).0
-        })
+        crate::topk_by_escalation(k, tau_cap, |tau| cold.plan.search(&cold.store, q, tau).0)
     }
 
     #[test]
@@ -1092,13 +1092,13 @@ mod tests {
         assert_eq!(expect, vec![200]);
 
         fn wrap_then_search(plan: &Plan, store: &impl Store, ds: &Dataset) -> Vec<u32> {
-            plan.search_with_stats(store, ds.row(0), 0); // pools one scratch
+            plan.search(store, ds.row(0), 0); // pools one scratch
             set_pooled_epoch(store, u32::MAX);
-            plan.search_with_stats(store, ds.row(0), 0); // wraps: stamps reset
+            plan.search(store, ds.row(0), 0); // wraps: stamps reset
             set_pooled_epoch(store, u32::MAX - 1);
             // This query runs at epoch u32::MAX, over rows the two
             // queries above never stamped.
-            plan.search_with_stats(store, ds.row(200), 0).ids
+            SearchResult::from_hits(plan.search(store, ds.row(200), 0)).ids
         }
         assert_eq!(wrap_then_search(&engine.plan, &engine.store, &ds), expect, "resident");
         assert_eq!(wrap_then_search(&cold.plan, &cold.store, &ds), expect, "paged");
@@ -1384,7 +1384,7 @@ mod tests {
                 let q = queries.row(qi);
                 for tau in [0, tau_max / 2, tau_max] {
                     let before = lookups(&cache);
-                    let chill = cold.plan.search_with_stats(&cold.store, q, tau);
+                    let chill = SearchResult::from_hits(cold.plan.search(&cold.store, q, tau));
                     let cost = lookups(&cache) - before;
                     assert_eq!(
                         chill.ids,
@@ -1451,7 +1451,7 @@ mod tests {
                 let q = queries.row(qi);
                 for tau in [0, 4, 8] {
                     let truth = ds.linear_scan(q, tau);
-                    let range = cold.plan.search_with_stats(&cold.store, q, tau).ids;
+                    let range = SearchResult::from_hits(cold.plan.search(&cold.store, q, tau)).ids;
                     let topk = cold_topk(&cold, q, 3, tau).into_iter().map(|(id, _)| id);
                     for id in range.into_iter().chain(topk) {
                         assert!(truth.binary_search(&id).is_ok(), "slot {slot} qi {qi} tau {tau}");

@@ -13,7 +13,7 @@ use crate::cost::CostModel;
 use crate::index::{InvertedIndex, PartIndex};
 use crate::partition_opt::{build_partitioning, PartitionStrategy, WorkloadSpec};
 use crate::pigeonhole::ThresholdVector;
-use crate::pipeline::{probe_and_verify, topk_by_escalation, Plan, ScratchPool, Store};
+use crate::pipeline::{probe_and_verify, topk_by_escalation, Hits, Plan, ScratchPool, Store};
 use hamming_core::error::{HammingError, Result};
 use hamming_core::project::{ProjectedDataset, Projector};
 use hamming_core::{Dataset, Partitioning};
@@ -121,6 +121,13 @@ pub struct SearchResult {
     pub stats: QueryStats,
 }
 
+impl SearchResult {
+    /// A search's hits with their distances dropped.
+    pub(crate) fn from_hits((hits, stats): Hits) -> Self {
+        SearchResult { ids: hits.into_iter().map(|(id, _)| id).collect(), stats }
+    }
+}
+
 /// The resident store: rows, CSR postings and the query scratch, on
 /// the heap. No projection of the rows is kept: the scan fallback of a
 /// partition wider than a word projects rows as it goes. [`Gph`] runs
@@ -150,7 +157,9 @@ impl Resident {
     ) -> SearchResult {
         assert_eq!(thresholds.len(), self.index.num_parts(), "one threshold per partition");
         let q_proj = projector.project_all(query);
-        probe_and_verify(self, projector, query, tau, &q_proj, thresholds, QueryStats::default())
+        let stats = QueryStats::default();
+        let hits = probe_and_verify(self, projector, query, tau, &q_proj, thresholds, stats);
+        SearchResult::from_hits(hits)
     }
 
     /// The inverted index.
@@ -190,13 +199,15 @@ impl Store for Resident {
     /// The deduplicated candidate buffer goes to the batched kernel in
     /// one streaming pass (width-specialized, SIMD when enabled)
     /// instead of a per-candidate `hamming_within` call.
-    fn verify(&self, query: &[u64], tau: u32, candidates: &mut Vec<u32>, out: &mut Vec<u32>) {
+    fn verify(
+        &self,
+        query: &[u64],
+        tau: u32,
+        candidates: &mut Vec<u32>,
+        out: &mut Vec<(u32, u32)>,
+    ) {
         self.data.verify_candidates(query, tau, candidates, out);
         out.sort_unstable();
-    }
-
-    fn distance_to(&self, id: usize, query: &[u64]) -> u32 {
-        self.data.distance_to(id, query)
     }
 }
 
@@ -319,7 +330,7 @@ impl Gph {
 
     /// Search with per-phase instrumentation.
     pub fn search_with_stats(&self, query: &[u64], tau: u32) -> SearchResult {
-        self.plan.search_with_stats(&self.store, query, tau)
+        SearchResult::from_hits(self.plan.search(&self.store, query, tau))
     }
 
     /// Estimated query-processing cost for `(query, tau)` without running
@@ -346,7 +357,7 @@ impl Gph {
     /// the worst-case escalation cost by shrinking the radius.
     pub fn search_topk_within(&self, query: &[u64], k: usize, tau_cap: u32) -> Vec<(u32, u32)> {
         self.plan.check_query(query, tau_cap);
-        topk_by_escalation(k, tau_cap, |tau| self.plan.search_hits(&self.store, query, tau, true).0)
+        topk_by_escalation(k, tau_cap, |tau| self.plan.search(&self.store, query, tau).0)
     }
 
     /// Similarity self-join: every unordered pair `(a, b)`, `a < b`, of
@@ -363,7 +374,7 @@ impl Gph {
     }
 
     /// Batched parallel search over `queries` with `threads` workers
-    /// (crossbeam scoped threads; each worker owns its scratch). Order of
+    /// (std scoped threads; each worker owns its scratch). Order of
     /// results matches query order. The paper lists the parallel case as
     /// future work — this is the straightforward data-parallel reading.
     pub fn par_search(&self, queries: &[&[u64]], tau: u32, threads: usize) -> Vec<Vec<u32>> {
@@ -376,20 +387,19 @@ impl Gph {
         }
         let mut results: Vec<Vec<u32>> = vec![Vec::new(); queries.len()];
         let chunk = queries.len().div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             // `chunks_mut` pairs each output chunk with its query range;
             // the final chunk carries the remainder (`len % chunk`), so
             // every query is covered exactly once.
             for (ci, out_chunk) in results.chunks_mut(chunk).enumerate() {
                 let qs = &queries[ci * chunk..(ci * chunk + out_chunk.len())];
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (slot, q) in out_chunk.iter_mut().zip(qs) {
                         *slot = self.search(q, tau);
                     }
                 });
             }
-        })
-        .expect("search workers never panic");
+        });
         results
     }
 

@@ -7,7 +7,7 @@
 //! arrays that the one reader in [`hamming_core::invindex`] probes and
 //! walks, rows, and the query scratch sized by them. Phases 2–4 are
 //! one loop, [`probe_and_verify`], with three callers:
-//! [`Plan::search_with_stats`] over the resident store in
+//! [`Plan::search`] over the resident store in
 //! [`crate::engine`] (heap CSR + `Dataset`) and over the paged one in
 //! [`crate::coldstore`] (reads through a page cache), and
 //! `Resident::search_at`, which MIH runs at Lemma 1's vector. The loop
@@ -15,15 +15,17 @@
 //! copy with no dynamic dispatch per key. `ARCHITECTURE.md` ("The query
 //! pipeline") has the diagram.
 //!
-//! Top-k is written here once too, as [`topk_by_escalation`]: a loop
-//! that grows τ over any layer's range search with distances. The
-//! engine, a cold segment, the segmented engine and the sharded index
-//! each call it over their own.
+//! Verification measures every row it accepts, so a search answers
+//! with [`Hits`]: each id within τ carries its exact distance, and
+//! nothing downstream measures a row again. Top-k is written here once
+//! too, as [`topk_by_escalation`]: a loop that grows τ over any
+//! layer's range search. The engine, a cold segment, the segmented
+//! engine and the sharded index each call it over their own.
 
 use crate::alloc::{allocate, AllocatorKind};
 use crate::cn::{CnEstimator, CnTable, EstimatorKind};
 use crate::cost::CostModel;
-use crate::engine::{QueryStats, SearchResult};
+use crate::engine::QueryStats;
 use crate::pigeonhole::ThresholdVector;
 use hamming_core::enumerate::{ball_size, for_each_in_ball_u64, for_each_in_ball_words};
 use hamming_core::invindex::{for_each_posting, for_each_posting_within, CsrPart};
@@ -62,13 +64,16 @@ pub(crate) trait Store {
         emit: impl FnMut(u32),
     );
 
-    /// Appends to `out`, ascending, every id of `candidates` (distinct)
-    /// whose row is within `tau` of `query`. May reorder `candidates`.
-    fn verify(&self, query: &[u64], tau: u32, candidates: &mut Vec<u32>, out: &mut Vec<u32>);
-
-    /// Exact Hamming distance from `query` to row `id`.
-    fn distance_to(&self, id: usize, query: &[u64]) -> u32;
+    /// Appends to `out`, ascending by id, `(id, distance)` for every id
+    /// of `candidates` (distinct) whose row is within `tau` of `query`.
+    /// May reorder `candidates`.
+    fn verify(&self, query: &[u64], tau: u32, candidates: &mut Vec<u32>, out: &mut Vec<(u32, u32)>);
 }
+
+/// A range search's answer: `(id, distance)` for every row within τ,
+/// ascending by id, each distance the one verification measured, and
+/// the query's instrumentation.
+pub(crate) type Hits = (Vec<(u32, u32)>, QueryStats);
 
 /// Query-time scratch, pooled per store to keep searches
 /// allocation-free after warm-up.
@@ -92,7 +97,7 @@ pub(crate) fn probe_and_verify<S: Store>(
     q_proj: &[Vec<u64>],
     thresholds: ThresholdVector,
     mut stats: QueryStats,
-) -> SearchResult {
+) -> Hits {
     let n = store.len();
 
     // --- Phases 2+3: signature enumeration + candidate generation ------
@@ -162,14 +167,14 @@ pub(crate) fn probe_and_verify<S: Store>(
 
     // --- Phase 4: verification -----------------------------------------
     let t3 = Instant::now();
-    let mut ids: Vec<u32> = Vec::with_capacity(scratch.candidates.len());
-    store.verify(query, tau, &mut scratch.candidates, &mut ids);
+    let mut hits = Vec::with_capacity(scratch.candidates.len());
+    store.verify(query, tau, &mut scratch.candidates, &mut hits);
     stats.verify_ns = t3.elapsed().as_nanos() as u64;
-    stats.n_results = ids.len() as u64;
+    stats.n_results = hits.len() as u64;
     stats.thresholds = thresholds.0;
 
     pool.lock().push(scratch);
-    SearchResult { ids, stats }
+    (hits, stats)
 }
 
 /// The storage-independent half of a built engine: how a query is
@@ -213,12 +218,7 @@ impl Plan {
 
     /// Search with per-phase instrumentation: phase 1, then
     /// [`probe_and_verify`] at the allocated vector.
-    pub(crate) fn search_with_stats<S: Store>(
-        &self,
-        store: &S,
-        query: &[u64],
-        tau: u32,
-    ) -> SearchResult {
+    pub(crate) fn search<S: Store>(&self, store: &S, query: &[u64], tau: u32) -> Hits {
         self.check_query(query, tau);
         let mut stats = QueryStats::default();
 
@@ -235,23 +235,6 @@ impl Plan {
         stats.alloc_ns = t0.elapsed().as_nanos() as u64;
 
         probe_and_verify(store, &self.projector, query, tau, &q_proj, thresholds, stats)
-    }
-
-    /// [`Plan::search_with_stats`] as `(id, distance)` pairs, ascending
-    /// by id: the form callers merge (segments) or rank (top-k) in. With
-    /// `distances`, each result's exact distance is taken, one
-    /// `distance_to` per result; without, it is left 0, so a range read
-    /// pays for no distance it does not return.
-    pub(crate) fn search_hits<S: Store>(
-        &self,
-        store: &S,
-        query: &[u64],
-        tau: u32,
-        distances: bool,
-    ) -> (Vec<(u32, u32)>, QueryStats) {
-        let SearchResult { ids, stats } = self.search_with_stats(store, query, tau);
-        let distance = |id: u32| if distances { store.distance_to(id as usize, query) } else { 0 };
-        (ids.into_iter().map(|id| (id, distance(id))).collect(), stats)
     }
 
     /// Estimated query-processing cost for `(query, tau)` without
@@ -273,8 +256,8 @@ impl Plan {
 
 /// Top-k by threshold escalation, the one top-k loop of every layer
 /// (engine, cold segment, segmented engine, sharded index). `within(τ)`
-/// is the layer's range search with exact distances: every live
-/// `(id, distance)` within `τ`, in any order. τ grows 0, 1, 2, 4, …
+/// is the layer's range search: every live `(id, distance)` within
+/// `τ`, in any order. τ grows 0, 1, 2, 4, …
 /// up to `tau_cap` and stops at the first τ holding at least `k` rows;
 /// the `k` nearest of those, ties broken by id, are the `k` nearest
 /// within `tau_cap`, since every row nearer than the k-th lies within

@@ -25,11 +25,14 @@
 //!   builds a GPH segment under the configured strategy, and below it
 //!   the merge output is another slab. Bulk loads
 //!   ([`SegmentedGph::build_sealed`]) always build GPH;
-//! * **one query walk**: a range search visits every sealed segment and
-//!   then the memtable, drops tombstoned hits and maps local rows to
-//!   external ids, in one place. Top-k is the shared escalation loop
-//!   ([`crate::topk_by_escalation`]) over that walk, so it never sees a
-//!   dead row and needs no per-segment over-fetch.
+//! * **one query walk**: every segment kind answers a range search the
+//!   same way, with `(local row, distance)` hits whose distances its
+//!   verification measured. The walk visits every sealed segment and
+//!   then the memtable with one body: search, drop tombstoned hits, map
+//!   local rows to external ids, sum the stats, trace. Top-k is the
+//!   shared escalation loop ([`crate::topk_by_escalation`]) over that
+//!   walk, so it never sees a dead row and needs no per-segment
+//!   over-fetch.
 //!
 //! Rows are addressed by caller-chosen `u32` ids, stable across seals and
 //! compactions. Every query is **provably identical** to a fresh [`Gph`]
@@ -52,7 +55,7 @@
 
 use crate::coldstore::{ColdSegment, PageCacheStats, SegmentFile, SpillStore, StorageMode};
 use crate::engine::{Gph, GphConfig, QueryStats};
-use crate::pipeline::{topk_by_escalation, Plan, Store};
+use crate::pipeline::{topk_by_escalation, Hits, Plan, Store};
 use crate::snapshot::{decode_gph_config, encode_gph_config};
 use bytes::BufMut;
 use gph_obs::{PhaseNanos, SegmentTrace};
@@ -63,9 +66,10 @@ use hamming_core::io::{
     decode_dataset, encode_dataset, ByteReader, Container, OffsetWriter, Source, PAGE_SIZE,
 };
 use hamming_core::tombstone::Tombstones;
-use hamming_core::{hamming, words_for, Dataset};
+use hamming_core::{words_for, Dataset};
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Magic of a segmented-engine snapshot.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"GPHS";
@@ -164,7 +168,7 @@ struct Loc {
 
 const MEMTABLE: usize = usize::MAX;
 
-/// Rows per call of the batched kernel in [`Slab::scan`].
+/// Rows per call of the batched kernel in [`Slab::search`].
 const SCAN_CHUNK: usize = 256;
 
 /// Row offsets `0..SCAN_CHUNK`: the candidate list that turns the
@@ -218,25 +222,34 @@ impl Slab {
         Ok(Slab { data, ids, dead })
     }
 
-    /// The one scan: appends `(id, distance)` of every live row within
-    /// `tau` of `query` to `out`. Every row, dead or live, goes through
-    /// the batched verify kernel a chunk at a time; the rare hit is then
-    /// checked against the tombstones and given its distance.
-    fn scan(&self, query: &[u64], tau: u32, out: &mut Vec<(u32, u32)>) {
+    /// The one scan, as a segment's range search: `(row, distance)` of
+    /// every live row within `tau` of `query`, ascending by row. Every
+    /// row, dead or live, goes through the batched verify kernel a chunk
+    /// at a time, and the rare hit is checked against the tombstones.
+    /// Scanned rows are found without index probes, so every live row
+    /// counts toward both `n_scanned` and `n_candidates`; the scan's
+    /// time is its `verify_ns`.
+    fn search(&self, query: &[u64], tau: u32) -> Hits {
+        let t = Instant::now();
         let wpv = self.data.words_per_vec();
-        let mut near = Vec::new();
+        let (mut hits, mut near) = (Vec::new(), Vec::new());
         for start in (0..self.data.len()).step_by(SCAN_CHUNK) {
             let rows = (self.data.len() - start).min(SCAN_CHUNK);
             near.clear();
             let words = &self.data.words()[start * wpv..];
             verify_candidates(words, wpv, query, tau, &CHUNK_ROWS[..rows], &mut near);
-            for &r in &near {
-                let row = start + r as usize;
-                if !self.dead.is_dead(row) {
-                    out.push((self.ids[row], hamming(self.data.row(row), query)));
-                }
-            }
+            let found = near.iter().map(|&(r, d)| (start as u32 + r, d));
+            hits.extend(found.filter(|&(row, _)| !self.dead.is_dead(row as usize)));
         }
+        let live = self.dead.live() as u64;
+        let stats = QueryStats {
+            verify_ns: t.elapsed().as_nanos() as u64,
+            n_scanned: live,
+            n_candidates: live,
+            n_results: hits.len() as u64,
+            ..QueryStats::default()
+        };
+        (hits, stats)
     }
 
     /// Appends every live row, and its id, to `data` / `ids`.
@@ -300,12 +313,12 @@ impl SegStore {
         }
     }
 
-    /// The segment's range search as `(local row, distance)` pairs —
-    /// see [`Plan::search_hits`].
-    fn search(&self, query: &[u64], tau: u32, distances: bool) -> (Vec<(u32, u32)>, QueryStats) {
+    /// The segment's range search over its local rows — see
+    /// [`Plan::search`].
+    fn search(&self, query: &[u64], tau: u32) -> Hits {
         match self {
-            SegStore::Resident(g) => g.plan.search_hits(&g.store, query, tau, distances),
-            SegStore::Cold(c) => c.plan.search_hits(&c.store, query, tau, distances),
+            SegStore::Resident(g) => g.plan.search(&g.store, query, tau),
+            SegStore::Cold(c) => c.plan.search(&c.store, query, tau),
         }
     }
 
@@ -353,18 +366,19 @@ enum Sealed {
 }
 
 impl Sealed {
-    fn ids(&self) -> &[u32] {
+    fn segment(&self) -> Segment<'_> {
         match self {
-            Sealed::Slab(s) => &s.ids,
-            Sealed::Indexed(s) => &s.ids,
+            Sealed::Slab(s) => Segment::Scanned(s),
+            Sealed::Indexed(s) => Segment::Indexed(s),
         }
     }
 
+    fn ids(&self) -> &[u32] {
+        self.segment().ids()
+    }
+
     fn dead(&self) -> &Tombstones {
-        match self {
-            Sealed::Slab(s) => &s.dead,
-            Sealed::Indexed(s) => &s.dead,
-        }
+        self.segment().dead()
     }
 
     fn dead_mut(&mut self) -> &mut Tombstones {
@@ -400,6 +414,74 @@ impl Sealed {
                 }
                 Ok(())
             }
+        }
+    }
+}
+
+/// A segment as a query reads it: the memtable or a slab, scanned, or
+/// a GPH segment, searched through its index. Each kind answers a range
+/// search with its live local `(row, distance)` hits and
+/// [`QueryStats`].
+#[derive(Clone, Copy)]
+enum Segment<'a> {
+    Scanned(&'a Slab),
+    Indexed(&'a Indexed),
+}
+
+impl<'a> Segment<'a> {
+    fn ids(self) -> &'a [u32] {
+        match self {
+            Segment::Scanned(s) => &s.ids,
+            Segment::Indexed(s) => &s.ids,
+        }
+    }
+
+    fn dead(self) -> &'a Tombstones {
+        match self {
+            Segment::Scanned(s) => &s.dead,
+            Segment::Indexed(s) => &s.dead,
+        }
+    }
+
+    /// Live rows within `tau` of `query`. The index knows nothing of
+    /// tombstones, so a GPH segment's hits are filtered here; a scan
+    /// filters as it goes.
+    fn search(self, query: &[u64], tau: u32) -> Hits {
+        match self {
+            Segment::Scanned(s) => s.search(query, tau),
+            Segment::Indexed(s) => {
+                let (mut hits, st) = s.store.search(query, tau);
+                hits.retain(|&(row, _)| !s.dead.is_dead(row as usize));
+                (hits, st)
+            }
+        }
+    }
+
+    /// The segment's trace entry for a search that gave `st`. A GPH
+    /// segment's candidate-generation time (probe + dedup, or the scan
+    /// fallback when the signature ball outgrows the segment) lands in
+    /// `probe_ns`; a scan's time lands in `scan_ns`, and its rows are
+    /// its live rows.
+    fn trace(self, segment: u32, st: &QueryStats) -> SegmentTrace {
+        let (rows, verify_ns, scan_ns) = match self {
+            Segment::Scanned(s) => (s.dead.live(), 0, st.verify_ns),
+            Segment::Indexed(s) => (s.store.len(), st.verify_ns, 0),
+        };
+        SegmentTrace {
+            segment,
+            rows: rows as u64,
+            phases: PhaseNanos {
+                alloc_ns: st.alloc_ns,
+                enumerate_ns: st.enumerate_ns,
+                probe_ns: st.candgen_ns,
+                verify_ns,
+                scan_ns,
+            },
+            n_signatures: st.n_signatures,
+            sum_postings: st.sum_postings,
+            n_scanned: st.n_scanned,
+            n_candidates: st.n_candidates,
+            n_results: st.n_results,
         }
     }
 }
@@ -866,7 +948,7 @@ impl SegmentedGph {
         tau: u32,
         sink: Option<&mut Vec<SegmentTrace>>,
     ) -> (Vec<u32>, QueryStats) {
-        let (hits, stats) = self.walk(query, tau, sink, false);
+        let (hits, stats) = self.walk(query, tau, sink);
         let mut ids: Vec<u32> = hits.into_iter().map(|(id, _)| id).collect();
         ids.sort_unstable();
         (ids, stats)
@@ -875,7 +957,7 @@ impl SegmentedGph {
     /// Live rows within `tau` of `query` as `(id, distance)` pairs,
     /// ascending by id — the range search top-k escalates over.
     pub fn search_with_distances(&self, query: &[u64], tau: u32) -> Vec<(u32, u32)> {
-        let mut hits = self.walk(query, tau, None, true).0;
+        let mut hits = self.walk(query, tau, None).0;
         hits.sort_unstable();
         hits
     }
@@ -883,30 +965,18 @@ impl SegmentedGph {
     /// The one walk over the sealed segments and the memtable: every
     /// live row within `tau` of `query` as `(id, distance)`, unordered,
     /// with instrumentation summed across segments and, when `sink` is
-    /// `Some`, traced per segment. GPH hits carry their exact distance
-    /// only when `distances` is set (0 otherwise); scanned hits (slabs
-    /// and the memtable) always do, since the scan computes it anyway.
-    fn walk(
-        &self,
-        query: &[u64],
-        tau: u32,
-        mut sink: Option<&mut Vec<SegmentTrace>>,
-        distances: bool,
-    ) -> (Vec<(u32, u32)>, QueryStats) {
+    /// `Some`, traced per segment. Every segment goes through the same
+    /// body, whatever its kind: its live hits, mapped to ids.
+    fn walk(&self, query: &[u64], tau: u32, mut sink: Option<&mut Vec<SegmentTrace>>) -> Hits {
         self.assert_query(query, tau);
         let mut hits = Vec::new();
         let mut agg = QueryStats::default();
-        for (i, seg) in self.sealed.iter().enumerate() {
-            let i = i as u32;
-            let seg = match seg {
-                Sealed::Indexed(seg) => seg,
-                Sealed::Slab(slab) => {
-                    let traces = sink.as_deref_mut();
-                    Self::scan_traced(i, slab, query, tau, &mut hits, &mut agg, traces);
-                    continue;
-                }
-            };
-            let (local, st) = seg.store.search(query, tau, distances);
+        let sealed = self.sealed.iter().enumerate().map(|(i, seg)| (i as u32, seg.segment()));
+        let memtable = (gph_obs::trace::MEMTABLE_SEGMENT, Segment::Scanned(&self.mem));
+        for (segment, seg) in sealed.chain(std::iter::once(memtable)) {
+            let (live, st) = seg.search(query, tau);
+            let ids = seg.ids();
+            hits.extend(live.into_iter().map(|(row, d)| (ids[row as usize], d)));
             agg.alloc_ns += st.alloc_ns;
             agg.enumerate_ns += st.enumerate_ns;
             agg.candgen_ns += st.candgen_ns;
@@ -917,72 +987,11 @@ impl SegmentedGph {
             agg.n_candidates += st.n_candidates;
             agg.estimated_cost += st.estimated_cost;
             if let Some(traces) = sink.as_deref_mut() {
-                traces.push(Self::trace_of(i, seg.store.len(), &st));
+                traces.push(seg.trace(segment, &st));
             }
-            let live = local.into_iter().filter(|&(row, _)| !seg.dead.is_dead(row as usize));
-            hits.extend(live.map(|(row, d)| (seg.ids[row as usize], d)));
         }
-        let memtable = gph_obs::trace::MEMTABLE_SEGMENT;
-        Self::scan_traced(memtable, &self.mem, query, tau, &mut hits, &mut agg, sink);
         agg.n_results = hits.len() as u64;
         (hits, agg)
-    }
-
-    /// One slab's (or the memtable's) part of [`SegmentedGph::walk`]:
-    /// its scan, timed as `verify_ns`, and its trace entry under
-    /// `scan_ns`. Scanned rows are found without index probes, so they
-    /// count toward both `n_scanned` and `n_candidates`.
-    fn scan_traced(
-        segment: u32,
-        slab: &Slab,
-        query: &[u64],
-        tau: u32,
-        hits: &mut Vec<(u32, u32)>,
-        agg: &mut QueryStats,
-        sink: Option<&mut Vec<SegmentTrace>>,
-    ) {
-        let t = std::time::Instant::now();
-        let rows = slab.dead.live() as u64;
-        let before = hits.len();
-        slab.scan(query, tau, hits);
-        let scan_ns = t.elapsed().as_nanos() as u64;
-        agg.n_scanned += rows;
-        agg.n_candidates += rows;
-        agg.verify_ns += scan_ns;
-        if let Some(traces) = sink {
-            traces.push(SegmentTrace {
-                segment,
-                rows,
-                phases: PhaseNanos { scan_ns, ..PhaseNanos::default() },
-                n_scanned: rows,
-                n_candidates: rows,
-                n_results: (hits.len() - before) as u64,
-                ..SegmentTrace::default()
-            });
-        }
-    }
-
-    /// Maps one GPH segment's [`QueryStats`] onto a trace entry. The
-    /// engine's candidate-generation time (probe + dedup, or the scan
-    /// fallback when the signature ball outgrows the segment) lands in
-    /// `probe_ns`; slab and memtable scans are traced under `scan_ns`.
-    fn trace_of(segment: u32, rows: usize, st: &QueryStats) -> SegmentTrace {
-        SegmentTrace {
-            segment,
-            rows: rows as u64,
-            phases: PhaseNanos {
-                alloc_ns: st.alloc_ns,
-                enumerate_ns: st.enumerate_ns,
-                probe_ns: st.candgen_ns,
-                verify_ns: st.verify_ns,
-                scan_ns: 0,
-            },
-            n_signatures: st.n_signatures,
-            sum_postings: st.sum_postings,
-            n_scanned: st.n_scanned,
-            n_candidates: st.n_candidates,
-            n_results: st.n_results,
-        }
     }
 
     /// The `k` nearest live rows within `tau_max`, ties broken by id —
@@ -997,7 +1006,7 @@ impl SegmentedGph {
     /// so tombstones are filtered where every range search filters them.
     pub fn search_topk_within(&self, query: &[u64], k: usize, tau_cap: u32) -> Vec<(u32, u32)> {
         self.assert_query(query, tau_cap);
-        topk_by_escalation(k, tau_cap, |tau| self.walk(query, tau, None, true).0)
+        topk_by_escalation(k, tau_cap, |tau| self.walk(query, tau, None).0)
     }
 
     /// Estimated query cost: the GPH segments' allocator estimates plus
@@ -1743,6 +1752,35 @@ mod tests {
             &rows,
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Distances cost a paged GPH segment no page reads of their own:
+    /// verification reads each candidate row once and hands every hit
+    /// its distance, so a range search with distances makes exactly the
+    /// page-cache lookups the plain one makes.
+    #[test]
+    fn distances_cost_a_paged_segment_no_extra_lookups() {
+        let rows = random_rows(48, 200, 31);
+        let storage = StorageMode::FileBacked { budget_bytes: 32 * 1024 };
+        let cold = bulk(48, &rows, SegmentConfig { storage, ..seg_cfg() });
+        let lookups = || {
+            let st = cold.page_cache_stats().expect("file-backed engine has a page cache");
+            st.hits + st.misses
+        };
+        for (qi, query) in rows.iter().enumerate().step_by(10) {
+            let before = lookups();
+            let ids = cold.search(query, 8);
+            let plain = lookups() - before;
+            let before = lookups();
+            let hits = cold.search_with_distances(query, 8);
+            let with_distances = lookups() - before;
+            assert!(ids.contains(&(qi as u32)), "a row finds itself: qi={qi}");
+            assert_eq!(hits.iter().map(|&(id, _)| id).collect::<Vec<_>>(), ids, "qi={qi}");
+            for &(id, d) in &hits {
+                assert_eq!(d, hamming_core::hamming(&rows[id as usize], query), "qi={qi}");
+            }
+            assert_eq!(with_distances, plain, "qi={qi}: {} results", ids.len());
+        }
     }
 
     #[test]

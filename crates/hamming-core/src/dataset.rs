@@ -143,8 +143,8 @@ impl Dataset {
     }
 
     /// Batched phase-4 verification: streams `candidates` against the
-    /// row slab in one pass and appends every ID within `tau` of `query`
-    /// to `out` (input order preserved). See
+    /// row slab in one pass and appends `(id, distance)` for every ID
+    /// within `tau` of `query` to `out` (input order preserved). See
     /// [`crate::distance::verify_candidates`]; candidate IDs must be
     /// valid row indices.
     #[inline]
@@ -153,7 +153,7 @@ impl Dataset {
         query: &[u64],
         tau: u32,
         candidates: &[u32],
-        out: &mut Vec<u32>,
+        out: &mut Vec<(u32, u32)>,
     ) {
         assert_eq!(query.len(), self.words_per_vec, "query width mismatch");
         crate::distance::verify_candidates(

@@ -9,9 +9,11 @@
 //! * scalar kernels ([`hamming`], [`hamming_within`]) for one-off
 //!   distances;
 //! * the **batched verification kernel** ([`verify_candidates`]), which
-//!   streams a candidate ID list against a flat row slab in one pass,
-//!   with the common 1/2/4-word row widths (64/128/256-bit codes)
-//!   specialized so they avoid the generic slice loop entirely;
+//!   streams a candidate ID list against a flat row slab in one pass and
+//!   hands back each accepted ID with its exact distance, so no caller
+//!   measures a verified row twice; the common 1/2/4-word row widths
+//!   (64/128/256-bit codes) are specialized so they avoid the generic
+//!   slice loop entirely;
 //! * on x86-64, `std::arch` AVX2/POPCNT kernels (the crate-private
 //!   `simd` module) behind runtime detection, falling back to the
 //!   portable word loop on any other hardware — results are
@@ -93,15 +95,18 @@ fn dist4(a: &[u64], b: &[u64]) -> u32 {
 }
 
 /// Streams `candidates` against the flat row slab `words` (row `id`
-/// occupies `words[id * wpv .. (id + 1) * wpv]`), appending every ID
-/// within Hamming distance `tau` of `query` to `out` in input order.
+/// occupies `words[id * wpv .. (id + 1) * wpv]`), appending
+/// `(id, distance)` for every ID within Hamming distance `tau` of
+/// `query` to `out` in input order.
 ///
 /// This is the batch form of phase-4 verification: one pass over the
 /// candidate list, no per-candidate call or bounds-check overhead, with
 /// the 1/2/4-word row widths fully unrolled (branchless distance, one
 /// compare per row) and the generic width falling back to an early-exit
-/// word loop. On an x86-64 CPU with AVX2 and POPCNT the whole batch
-/// runs on the `std::arch` kernels instead; output is identical.
+/// word loop. Verifying a row measures it, so the exact distance of
+/// every accepted row comes out with its ID. On an x86-64 CPU with AVX2
+/// and POPCNT the whole batch runs on the `std::arch` kernels instead;
+/// output is identical.
 ///
 /// Panics if `query.len() != wpv` or a candidate ID is not a valid row
 /// index.
@@ -111,12 +116,12 @@ pub fn verify_candidates(
     query: &[u64],
     tau: u32,
     candidates: &[u32],
-    out: &mut Vec<u32>,
+    out: &mut Vec<(u32, u32)>,
 ) {
     assert_eq!(query.len(), wpv, "query width must equal the row width");
     if wpv == 0 {
         // Zero-width rows are all at distance 0.
-        out.extend_from_slice(candidates);
+        out.extend(candidates.iter().map(|&id| (id, 0)));
         return;
     }
     #[cfg(target_arch = "x86_64")]
@@ -134,39 +139,42 @@ pub fn verify_candidates_portable(
     query: &[u64],
     tau: u32,
     candidates: &[u32],
-    out: &mut Vec<u32>,
+    out: &mut Vec<(u32, u32)>,
 ) {
     match wpv {
-        0 => out.extend_from_slice(candidates),
+        0 => out.extend(candidates.iter().map(|&id| (id, 0))),
         1 => {
             let q = query[0];
             for &id in candidates {
-                if (words[id as usize] ^ q).count_ones() <= tau {
-                    out.push(id);
+                let d = (words[id as usize] ^ q).count_ones();
+                if d <= tau {
+                    out.push((id, d));
                 }
             }
         }
         2 => {
             for &id in candidates {
                 let row = &words[id as usize * 2..id as usize * 2 + 2];
-                if dist2(row, query) <= tau {
-                    out.push(id);
+                let d = dist2(row, query);
+                if d <= tau {
+                    out.push((id, d));
                 }
             }
         }
         4 => {
             for &id in candidates {
                 let row = &words[id as usize * 4..id as usize * 4 + 4];
-                if dist4(row, query) <= tau {
-                    out.push(id);
+                let d = dist4(row, query);
+                if d <= tau {
+                    out.push((id, d));
                 }
             }
         }
         _ => {
             for &id in candidates {
                 let s = id as usize * wpv;
-                if hamming_within(&words[s..s + wpv], query, tau).is_some() {
-                    out.push(id);
+                if let Some(d) = hamming_within(&words[s..s + wpv], query, tau) {
+                    out.push((id, d));
                 }
             }
         }
@@ -265,7 +273,7 @@ mod tests {
         assert_eq!(hamming_within(&[], &[], 0), Some(0));
         let mut out = Vec::new();
         verify_candidates(&[], 0, &[], 0, &[0, 1, 2], &mut out);
-        assert_eq!(out, vec![0, 1, 2]);
+        assert_eq!(out, vec![(0, 0), (1, 0), (2, 0)]);
     }
 
     #[test]
@@ -291,12 +299,11 @@ mod tests {
             let query: Vec<u64> = (0..wpv).map(|_| next()).collect();
             let candidates: Vec<u32> = (0..n as u32).rev().collect();
             for tau in [0u32, 3, 31, 64 * wpv as u32] {
-                let expect: Vec<u32> = candidates
+                let expect: Vec<(u32, u32)> = candidates
                     .iter()
-                    .copied()
-                    .filter(|&id| {
+                    .filter_map(|&id| {
                         let s = id as usize * wpv;
-                        hamming_within(&words[s..s + wpv], &query, tau).is_some()
+                        hamming_within(&words[s..s + wpv], &query, tau).map(|d| (id, d))
                     })
                     .collect();
                 let mut got = Vec::new();

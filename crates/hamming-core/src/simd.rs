@@ -118,7 +118,13 @@ pub(crate) fn hamming(a: &[u64], b: &[u64]) -> Option<u32> {
 }
 
 #[target_feature(enable = "avx2,popcnt")]
-unsafe fn verify_w1(words: &[u64], q: u64, tau: u32, candidates: &[u32], out: &mut Vec<u32>) {
+unsafe fn verify_w1(
+    words: &[u64],
+    q: u64,
+    tau: u32,
+    candidates: &[u32],
+    out: &mut Vec<(u32, u32)>,
+) {
     for (i, &id) in candidates.iter().enumerate() {
         if let Some(&nid) = candidates.get(i + PREFETCH_AHEAD) {
             // SAFETY: prefetch is a hint with no memory effect, and
@@ -126,8 +132,9 @@ unsafe fn verify_w1(words: &[u64], q: u64, tau: u32, candidates: &[u32], out: &m
             // on its own turn below) from forming an invalid offset.
             _mm_prefetch::<_MM_HINT_T0>(words.as_ptr().wrapping_add(nid as usize).cast());
         }
-        if (words[id as usize] ^ q).count_ones() <= tau {
-            out.push(id);
+        let d = (words[id as usize] ^ q).count_ones();
+        if d <= tau {
+            out.push((id, d));
         }
     }
 }
@@ -138,7 +145,7 @@ unsafe fn verify_w2(
     query: &[u64],
     tau: u32,
     candidates: &[u32],
-    out: &mut Vec<u32>,
+    out: &mut Vec<(u32, u32)>,
 ) {
     let (q0, q1) = (query[0], query[1]);
     for (i, &id) in candidates.iter().enumerate() {
@@ -149,7 +156,7 @@ unsafe fn verify_w2(
         let s = id as usize * 2;
         let d = (words[s] ^ q0).count_ones() + (words[s + 1] ^ q1).count_ones();
         if d <= tau {
-            out.push(id);
+            out.push((id, d));
         }
     }
 }
@@ -160,7 +167,7 @@ unsafe fn verify_w4(
     query: &[u64],
     tau: u32,
     candidates: &[u32],
-    out: &mut Vec<u32>,
+    out: &mut Vec<(u32, u32)>,
 ) {
     // SAFETY: the dispatcher guarantees `query.len() == 4`.
     let q = _mm256_loadu_si256(query.as_ptr().cast());
@@ -176,7 +183,7 @@ unsafe fn verify_w4(
         let row = _mm256_loadu_si256(words[s..s + 4].as_ptr().cast());
         let d = hsum_epi64(popcount_words(_mm256_xor_si256(row, q))) as u32;
         if d <= tau {
-            out.push(id);
+            out.push((id, d));
         }
     }
 }
@@ -188,7 +195,7 @@ unsafe fn verify_generic(
     query: &[u64],
     tau: u32,
     candidates: &[u32],
-    out: &mut Vec<u32>,
+    out: &mut Vec<(u32, u32)>,
 ) {
     for (i, &id) in candidates.iter().enumerate() {
         if let Some(&nid) = candidates.get(i + PREFETCH_AHEAD) {
@@ -196,8 +203,9 @@ unsafe fn verify_generic(
             _mm_prefetch::<_MM_HINT_T0>(words.as_ptr().wrapping_add(nid as usize * wpv).cast());
         }
         let s = id as usize * wpv;
-        if hamming_avx2(&words[s..s + wpv], query) <= tau {
-            out.push(id);
+        let d = hamming_avx2(&words[s..s + wpv], query);
+        if d <= tau {
+            out.push((id, d));
         }
     }
 }
@@ -211,7 +219,7 @@ pub(crate) fn verify_candidates(
     query: &[u64],
     tau: u32,
     candidates: &[u32],
-    out: &mut Vec<u32>,
+    out: &mut Vec<(u32, u32)>,
 ) -> bool {
     if !available() {
         return false;

@@ -54,8 +54,9 @@ proptest! {
 
     /// The batched verifier (dispatched and portable) returns exactly
     /// the candidates the scalar early-exit kernel accepts, in input
-    /// order, over random slabs, widths, thresholds, and candidate
-    /// lists (with repeats and in arbitrary order).
+    /// order, each paired with its naive distance, over random slabs,
+    /// widths, thresholds, and candidate lists (with repeats and in
+    /// arbitrary order).
     #[test]
     fn batch_verify_matches_scalar_reference(
         wpv in 1usize..6,
@@ -74,12 +75,11 @@ proptest! {
         let candidates: Vec<u32> =
             (0..n_rows * 2).map(|_| (cnext() % n_rows as u64) as u32).collect();
 
-        let expect: Vec<u32> = candidates
+        let expect: Vec<(u32, u32)> = candidates
             .iter()
-            .copied()
-            .filter(|&id| {
-                let s = id as usize * wpv;
-                hamming_within(&words[s..s + wpv], &query, tau).is_some()
+            .filter_map(|&id| {
+                let row = &words[id as usize * wpv..(id as usize + 1) * wpv];
+                hamming_within(row, &query, tau).is_some().then(|| (id, naive_hamming(row, &query)))
             })
             .collect();
         let mut got = Vec::new();

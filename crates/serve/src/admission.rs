@@ -30,7 +30,8 @@ pub enum OverBudgetPolicy {
 pub struct AdmissionConfig {
     /// Maximum estimated cost (the engines' cost-model units — expected
     /// candidate accesses + verifications) a single query may incur.
-    /// `f64::INFINITY` disables admission control.
+    /// `f64::INFINITY` (the default) disables admission control: every
+    /// read is admitted, and counted, without being priced.
     pub cost_budget: f64,
     /// Policy for queries over budget.
     pub policy: OverBudgetPolicy,
@@ -46,10 +47,7 @@ impl Default for AdmissionConfig {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum AdmissionDecision {
     /// Run at the requested threshold.
-    Admit {
-        /// Estimated cost at the requested threshold.
-        estimated_cost: f64,
-    },
+    Admit,
     /// Run at a reduced threshold.
     Degrade {
         /// The threshold to execute.
@@ -104,12 +102,19 @@ impl AdmissionController {
     }
 
     /// Decides (and counts) what to do with `(query, tau)` against
-    /// `index`.
+    /// `index`. An unlimited budget admits without pricing the query;
+    /// the query is still checked against the index's width and
+    /// `tau_max`, so a malformed one panics its caller either way.
     pub fn evaluate(&self, index: &ShardedIndex, query: &[u64], tau: u32) -> AdmissionDecision {
+        if self.cfg.cost_budget == f64::INFINITY {
+            index.assert_query(query, tau as usize);
+            self.admitted.fetch_add(1, Ordering::Relaxed);
+            return AdmissionDecision::Admit;
+        }
         let estimated_cost = index.estimate_cost(query, tau);
         if estimated_cost <= self.cfg.cost_budget {
             self.admitted.fetch_add(1, Ordering::Relaxed);
-            return AdmissionDecision::Admit { estimated_cost };
+            return AdmissionDecision::Admit;
         }
         if let OverBudgetPolicy::Degrade { min_tau } = self.cfg.policy {
             if min_tau < tau {
@@ -146,7 +151,7 @@ impl AdmissionController {
     pub fn evaluate_mutation(&self, estimated_cost: f64) -> AdmissionDecision {
         if estimated_cost <= self.cfg.cost_budget {
             self.admitted.fetch_add(1, Ordering::Relaxed);
-            AdmissionDecision::Admit { estimated_cost }
+            AdmissionDecision::Admit
         } else {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             AdmissionDecision::Reject { estimated_cost, budget: self.cfg.cost_budget }
@@ -189,8 +194,41 @@ mod tests {
     fn unlimited_budget_admits_everything() {
         let (index, q) = fixture();
         let ctl = AdmissionController::new(AdmissionConfig::default());
-        assert!(matches!(ctl.evaluate(&index, &q, 16), AdmissionDecision::Admit { .. }));
+        assert!(matches!(ctl.evaluate(&index, &q, 16), AdmissionDecision::Admit));
         assert_eq!(ctl.stats(), AdmissionStats { admitted: 1, degraded: 0, rejected: 0 });
+    }
+
+    /// The default budget admits and counts a read without pricing it,
+    /// yet checks it as pricing would: a query of the wrong width, or
+    /// past `tau_max`, panics inside `evaluate` and counts nothing.
+    /// Finite budgets still price: the same read is rejected at a zero
+    /// budget and degraded at a budget between two radii' costs.
+    #[test]
+    fn unlimited_budget_admits_unpriced_but_checks_the_query() {
+        let (index, q) = fixture();
+        let ctl = AdmissionController::new(AdmissionConfig::default());
+        assert_eq!(ctl.evaluate(&index, &q, 16), AdmissionDecision::Admit);
+        let wide = [q.as_slice(), &[0]].concat();
+        for (query, tau) in [(&q[..0], 8), (wide.as_slice(), 8), (q.as_slice(), 17)] {
+            let evaluated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ctl.evaluate(&index, query, tau)
+            }));
+            assert!(evaluated.is_err(), "{}-word query at tau {tau} must panic", query.len());
+        }
+        assert_eq!(ctl.stats(), AdmissionStats { admitted: 1, degraded: 0, rejected: 0 });
+
+        let zero = AdmissionController::new(AdmissionConfig {
+            cost_budget: 0.0,
+            policy: OverBudgetPolicy::Reject,
+        });
+        assert!(matches!(zero.evaluate(&index, &q, 16), AdmissionDecision::Reject { .. }));
+        let (lo_cost, hi_cost) = (index.estimate_cost(&q, 2), index.estimate_cost(&q, 16));
+        assert!(hi_cost > lo_cost, "fixture must have cost spread");
+        let between = AdmissionController::new(AdmissionConfig {
+            cost_budget: (lo_cost + hi_cost) / 2.0,
+            policy: OverBudgetPolicy::Degrade { min_tau: 0 },
+        });
+        assert!(matches!(between.evaluate(&index, &q, 16), AdmissionDecision::Degrade { .. }));
     }
 
     #[test]
@@ -225,9 +263,9 @@ mod tests {
             policy: OverBudgetPolicy::Degrade { min_tau: 0 },
         });
         match ctl.evaluate(&index, &q, 16) {
-            AdmissionDecision::Admit { estimated_cost } => {
+            AdmissionDecision::Admit => {
                 // Whole request fit after all (cost curve is flat here).
-                assert!(estimated_cost <= budget);
+                assert!(index.estimate_cost(&q, 16) <= budget);
             }
             AdmissionDecision::Degrade { tau, original_tau, estimated_cost } => {
                 assert_eq!(original_tau, 16);
@@ -246,7 +284,7 @@ mod tests {
             cost_budget: 10.0,
             policy: OverBudgetPolicy::Degrade { min_tau: 0 },
         });
-        assert!(matches!(ctl.evaluate_mutation(5.0), AdmissionDecision::Admit { .. }));
+        assert!(matches!(ctl.evaluate_mutation(5.0), AdmissionDecision::Admit));
         // Even under a Degrade policy, an over-budget mutation rejects.
         assert!(matches!(ctl.evaluate_mutation(50.0), AdmissionDecision::Reject { .. }));
         assert_eq!(ctl.stats(), AdmissionStats { admitted: 1, degraded: 0, rejected: 1 });

@@ -108,22 +108,17 @@ impl ShardedIndex {
             }
             subsets.push((sub, ids));
         }
-        let mut built: Vec<Result<SegmentedGph>> = Vec::new();
-        crossbeam::thread::scope(|scope| {
+        let built: Vec<Result<SegmentedGph>> = std::thread::scope(|scope| {
             let handles: Vec<_> = subsets
                 .into_iter()
                 .map(|(sub, global_ids)| {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         SegmentedGph::build_sealed(sub, global_ids, cfg.clone(), seg_cfg)
                     })
                 })
                 .collect();
-            built = handles
-                .into_iter()
-                .map(|h| h.join().expect("shard builders never panic"))
-                .collect();
-        })
-        .expect("shard builders never panic");
+            handles.into_iter().map(|h| h.join().expect("shard builders never panic")).collect()
+        });
         let engines = built.into_iter().collect::<Result<Vec<_>>>()?;
         let live = engines.iter().map(SegmentedGph::len).sum();
         Ok(ShardedIndex {
@@ -385,7 +380,8 @@ impl ShardedIndex {
         self.shards.iter().map(|s| s.read().estimate_cost(query, tau)).sum()
     }
 
-    fn assert_query(&self, query: &[u64], tau: usize) {
+    /// Panics unless `query` has the indexed width and `tau ≤ tau_max`.
+    pub(crate) fn assert_query(&self, query: &[u64], tau: usize) {
         assert!(tau <= self.tau_max, "tau {tau} exceeds the configured tau_max {}", self.tau_max);
         assert_eq!(query.len(), self.words_per_vec, "query width mismatch with indexed data");
     }

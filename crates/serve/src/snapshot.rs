@@ -270,14 +270,13 @@ impl ShardedIndex {
         let (manifest, cfg, seg_cfg) = decode_manifest(&std::fs::read(dir.join(MANIFEST_FILE))?)?;
         let shard_mode = split_budget(storage, manifest.n_shards);
         let seg_cfg = SegmentConfig { storage: shard_mode, ..seg_cfg };
-        let mut loaded: Vec<Result<SegmentedGph>> = Vec::new();
         let manifest_ref = &manifest;
-        crossbeam::thread::scope(|scope| {
+        let loaded: Vec<Result<SegmentedGph>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..manifest_ref.n_shards)
                 .map(|slot| {
                     let entry = manifest_ref.shards.iter().find(|e| e.slot == slot);
                     let cfg = &cfg;
-                    scope.spawn(move |_| match entry {
+                    scope.spawn(move || match entry {
                         Some(entry) => {
                             let path: PathBuf = dir.join(entry.file_name());
                             load_shard(&path, entry, manifest_ref, shard_mode)
@@ -286,10 +285,8 @@ impl ShardedIndex {
                     })
                 })
                 .collect();
-            loaded =
-                handles.into_iter().map(|h| h.join().expect("shard loaders never panic")).collect();
-        })
-        .expect("shard loaders never panic");
+            handles.into_iter().map(|h| h.join().expect("shard loaders never panic")).collect()
+        });
         let shards = loaded.into_iter().collect::<Result<Vec<SegmentedGph>>>()?;
         for (slot, engine) in shards.iter().enumerate() {
             for id in engine.live_ids() {

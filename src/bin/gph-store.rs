@@ -346,56 +346,176 @@ fn restore(opts: &HashMap<String, String>) -> Result<ShardedIndex, String> {
     Ok(index)
 }
 
+/// `query`: one loop over the queries, whichever target the flags name
+/// — a restored snapshot (`--index`), one server (`--connect`) or a
+/// fleet (`--metastore`) — printing each range or top-k answer, and
+/// with `--trace` each range query's trace.
 fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
     check_flags(
         opts,
         &["index", "connect", "metastore", "tau", "queries", "sample", "topk", "trace"],
     )?;
-    if let Some(addr) = opts.get("metastore") {
-        return cmd_query_fleet(addr, opts);
-    }
-    if let Some(addr) = opts.get("connect") {
-        return cmd_query_remote(addr, opts);
-    }
-    let index = restore(opts)?;
+    let (target, dim, tau_max) = Target::open(opts)?;
+    let (whose, kind) = target.names();
     let tau: u32 = parse(opts, "tau")?;
-    if tau as usize > index.tau_max() {
-        return Err(format!("--tau {tau} exceeds the snapshot's tau_max {}", index.tau_max()));
+    if tau > tau_max {
+        return Err(format!("--tau {tau} exceeds the {whose} tau_max {tau_max}"));
     }
-    let queries = load_queries(opts, index.dim())?;
+    let queries = load_queries(opts, dim)?;
     let topk: usize = parse_or(opts, "topk", 0)?;
     let trace = opts.contains_key("trace");
     if trace && topk > 0 {
         return Err("--trace applies to range queries, not --topk".into());
     }
+    let degraded_note = |degraded: bool| if degraded { "  (degraded)" } else { "" };
     let t0 = Instant::now();
     let mut total = 0usize;
     for qi in 0..queries.len() {
         if topk > 0 {
-            let hits = index.search_topk(queries.row(qi), topk);
+            let (hits, degraded) = target.topk(queries.row(qi), topk)?;
             total += hits.len();
-            println!("query {qi}: top-{topk} {:?}", &hits[..hits.len().min(8)]);
-        } else if trace {
-            let (res, qt) = index.search_traced(queries.row(qi), tau);
-            total += res.ids.len();
-            println!(
-                "query {qi}: {} results {:?}",
-                res.ids.len(),
-                &res.ids[..res.ids.len().min(16)]
-            );
-            print_trace(&qt);
-        } else {
-            let ids = index.search(queries.row(qi), tau);
-            total += ids.len();
-            println!("query {qi}: {} results {:?}", ids.len(), &ids[..ids.len().min(16)]);
+            let shown = &hits[..hits.len().min(8)];
+            println!("query {qi}: top-{topk} {shown:?}{}", degraded_note(degraded));
+            continue;
+        }
+        let (ids, degraded, traced) = target.range(queries.row(qi), tau, trace)?;
+        total += ids.len();
+        let shown = &ids[..ids.len().min(16)];
+        println!("query {qi}: {} results {shown:?}{}", ids.len(), degraded_note(degraded));
+        match traced {
+            None => {}
+            Some(Trace::Query(Some(qt))) => print_trace(&qt),
+            Some(Trace::Query(None)) => println!("  (server sent no trace)"),
+            Some(Trace::Fleet(ft)) => print_fleet_trace(&ft),
         }
     }
     eprintln!(
-        "{} queries, {total} results in {:.1} ms",
+        "{} {kind}queries, {total} results in {:.1} ms",
         queries.len(),
         t0.elapsed().as_secs_f64() * 1e3
     );
     Ok(())
+}
+
+/// Where `query` sends its queries.
+enum Target {
+    /// A snapshot restored in this process.
+    Index(ShardedIndex),
+    /// One server, over the wire.
+    Server(GphClient),
+    /// A fleet: scatter-gather over the manifest's nodes with the exact
+    /// merge.
+    Fleet(FleetClient),
+}
+
+/// A traced range query's trace, as its target sent it.
+enum Trace {
+    /// One index's trace; a server may elide it.
+    Query(Option<gph_suite::obs::QueryTrace>),
+    /// Every hop's trace, merged.
+    Fleet(gph_suite::obs::FleetTrace),
+}
+
+impl Target {
+    /// The target the flags name, with its rows' dimensionality and its
+    /// `tau_max`.
+    fn open(opts: &HashMap<String, String>) -> Result<(Target, usize, u32), String> {
+        if let Some(addr) = opts.get("metastore") {
+            if opts.contains_key("index") || opts.contains_key("connect") {
+                return Err("--metastore excludes --index and --connect".into());
+            }
+            let fleet = connect_fleet(addr)?;
+            let manifest = fleet.manifest();
+            // Index shape comes from whichever address answers first
+            // (the manifest only maps slots); the sweep also demotes
+            // dead replicas before the first query has to find them.
+            let remote =
+                fleet.refresh_health().into_iter().find_map(|a| a.health).ok_or_else(|| {
+                    format!("no address in manifest v{} answered Health", manifest.version)
+                })?;
+            eprintln!(
+                "fleet manifest v{}: {} slot(s) over {} node group(s), {} dims",
+                manifest.version,
+                manifest.n_shards,
+                manifest.nodes.len(),
+                remote.dim
+            );
+            return Ok((Target::Fleet(fleet), remote.dim as usize, remote.tau_max));
+        }
+        if let Some(addr) = opts.get("connect") {
+            if opts.contains_key("index") {
+                return Err("--connect and --index are mutually exclusive".into());
+            }
+            let client =
+                GphClient::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
+            let remote = client.health().map_err(|e| format!("querying {addr} health: {e}"))?;
+            eprintln!(
+                "connected to {addr}: {} rows x {} dims, tau_max {}",
+                remote.rows, remote.dim, remote.tau_max
+            );
+            return Ok((Target::Server(client), remote.dim as usize, remote.tau_max));
+        }
+        let index = restore(opts)?;
+        let (dim, tau_max) = (index.dim(), index.tau_max() as u32);
+        Ok((Target::Index(index), dim, tau_max))
+    }
+
+    /// Whose `tau_max` a too-large `--tau` exceeds, and the word the
+    /// closing summary puts before "queries".
+    fn names(&self) -> (&'static str, &'static str) {
+        match self {
+            Target::Index(_) => ("snapshot's", ""),
+            Target::Server(_) => ("server's", "remote "),
+            Target::Fleet(_) => ("fleet's", "fleet "),
+        }
+    }
+
+    /// The `k` nearest hits, and whether the fleet degraded them.
+    fn topk(&self, query: &[u64], k: usize) -> Result<(Vec<(u32, u32)>, bool), String> {
+        Ok(match self {
+            Target::Index(index) => (index.search_topk(query, k), false),
+            Target::Server(client) => {
+                (client.topk(query, k).map_err(|e| e.to_string())?.hits, false)
+            }
+            Target::Fleet(fleet) => {
+                let res = fleet.topk(query, k).map_err(|e| e.to_string())?;
+                (res.hits, res.degraded)
+            }
+        })
+    }
+
+    /// The ids within `tau`, whether the fleet degraded them, and, when
+    /// `traced`, the query's trace.
+    fn range(
+        &self,
+        query: &[u64],
+        tau: u32,
+        traced: bool,
+    ) -> Result<(Vec<u32>, bool, Option<Trace>), String> {
+        let err = |e: gph_suite::net::NetError| e.to_string();
+        Ok(match (self, traced) {
+            (Target::Index(index), false) => (index.search(query, tau), false, None),
+            (Target::Index(index), true) => {
+                let (res, qt) = index.search_traced(query, tau);
+                (res.ids, false, Some(Trace::Query(Some(qt))))
+            }
+            (Target::Server(client), false) => {
+                (client.search(query, tau).map_err(err)?.ids, false, None)
+            }
+            (Target::Server(client), true) => {
+                let res = client.search_traced(query, tau).map_err(err)?;
+                (res.result.ids, false, Some(Trace::Query(res.trace)))
+            }
+            (Target::Fleet(fleet), false) => {
+                let res = fleet.search(query, tau).map_err(err)?;
+                (res.ids, res.degraded, None)
+            }
+            (Target::Fleet(fleet), true) => {
+                let res = fleet.search_traced(query, tau).map_err(err)?;
+                (res.ids, res.degraded, Some(Trace::Fleet(res.trace)))
+            }
+        })
+    }
 }
 
 /// Loads `--queries <file>` or samples `--sample n` uniform vectors at
@@ -411,64 +531,6 @@ fn load_queries(opts: &HashMap<String, String>, dim: usize) -> Result<Dataset, S
         return Err(format!("query dim {} != index dim {dim}", queries.dim()));
     }
     Ok(queries)
-}
-
-/// `query --connect`: the same query loop, but over the wire.
-fn cmd_query_remote(addr: &str, opts: &HashMap<String, String>) -> Result<(), String> {
-    if opts.contains_key("index") {
-        return Err("--connect and --index are mutually exclusive".into());
-    }
-    let client = GphClient::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
-    let remote = client.health().map_err(|e| format!("querying {addr} health: {e}"))?;
-    eprintln!(
-        "connected to {addr}: {} rows x {} dims, tau_max {}",
-        remote.rows, remote.dim, remote.tau_max
-    );
-    let tau: u32 = parse(opts, "tau")?;
-    if tau > remote.tau_max {
-        return Err(format!("--tau {tau} exceeds the server's tau_max {}", remote.tau_max));
-    }
-    let queries = load_queries(opts, remote.dim as usize)?;
-    let topk: usize = parse_or(opts, "topk", 0)?;
-    let trace = opts.contains_key("trace");
-    if trace && topk > 0 {
-        return Err("--trace applies to range queries, not --topk".into());
-    }
-    let t0 = Instant::now();
-    let mut total = 0usize;
-    for qi in 0..queries.len() {
-        if topk > 0 {
-            let res = client.topk(queries.row(qi), topk).map_err(|e| e.to_string())?;
-            total += res.hits.len();
-            println!("query {qi}: top-{topk} {:?}", &res.hits[..res.hits.len().min(8)]);
-        } else if trace {
-            let traced = client.search_traced(queries.row(qi), tau).map_err(|e| e.to_string())?;
-            total += traced.result.ids.len();
-            println!(
-                "query {qi}: {} results {:?}",
-                traced.result.ids.len(),
-                &traced.result.ids[..traced.result.ids.len().min(16)]
-            );
-            match &traced.trace {
-                Some(qt) => print_trace(qt),
-                None => println!("  (server sent no trace)"),
-            }
-        } else {
-            let res = client.search(queries.row(qi), tau).map_err(|e| e.to_string())?;
-            total += res.ids.len();
-            println!(
-                "query {qi}: {} results {:?}",
-                res.ids.len(),
-                &res.ids[..res.ids.len().min(16)]
-            );
-        }
-    }
-    eprintln!(
-        "{} remote queries, {total} results in {:.1} ms",
-        queries.len(),
-        t0.elapsed().as_secs_f64() * 1e3
-    );
-    Ok(())
 }
 
 /// `stats --connect`: one `Health` op (what the server is) plus one
@@ -860,78 +922,6 @@ fn cmd_manifest(opts: &HashMap<String, String>) -> Result<(), String> {
 fn connect_fleet(addr: &str) -> Result<FleetClient, String> {
     FleetClient::connect(addr, FleetConfig::default())
         .map_err(|e| format!("connecting to metastore {addr}: {e}"))
-}
-
-/// `query --metastore`: the query loop routed through a [`FleetClient`]
-/// — scatter-gather over the manifest's nodes with the exact merge.
-fn cmd_query_fleet(addr: &str, opts: &HashMap<String, String>) -> Result<(), String> {
-    if opts.contains_key("index") || opts.contains_key("connect") {
-        return Err("--metastore excludes --index and --connect".into());
-    }
-    let fleet = connect_fleet(addr)?;
-    let manifest = fleet.manifest();
-    // Index shape comes from whichever address answers first (the
-    // manifest only maps slots); the sweep also demotes dead replicas
-    // before the first query has to find them.
-    let remote =
-        fleet.refresh_health().into_iter().find_map(|a| a.health).ok_or_else(|| {
-            format!("no address in manifest v{} answered Health", manifest.version)
-        })?;
-    eprintln!(
-        "fleet manifest v{}: {} slot(s) over {} node group(s), {} dims",
-        manifest.version,
-        manifest.n_shards,
-        manifest.nodes.len(),
-        remote.dim
-    );
-    let tau: u32 = parse(opts, "tau")?;
-    if tau > remote.tau_max {
-        return Err(format!("--tau {tau} exceeds the fleet's tau_max {}", remote.tau_max));
-    }
-    let queries = load_queries(opts, remote.dim as usize)?;
-    let topk: usize = parse_or(opts, "topk", 0)?;
-    let trace = opts.contains_key("trace");
-    if trace && topk > 0 {
-        return Err("--trace applies to range queries, not --topk".into());
-    }
-    let t0 = Instant::now();
-    let mut total = 0usize;
-    for qi in 0..queries.len() {
-        if topk > 0 {
-            let res = fleet.topk(queries.row(qi), topk).map_err(|e| e.to_string())?;
-            total += res.hits.len();
-            println!(
-                "query {qi}: top-{topk} {:?}{}",
-                &res.hits[..res.hits.len().min(8)],
-                if res.degraded { "  (degraded)" } else { "" }
-            );
-        } else if trace {
-            let res = fleet.search_traced(queries.row(qi), tau).map_err(|e| e.to_string())?;
-            total += res.ids.len();
-            println!(
-                "query {qi}: {} results {:?}{}",
-                res.ids.len(),
-                &res.ids[..res.ids.len().min(16)],
-                if res.degraded { "  (degraded)" } else { "" }
-            );
-            print_fleet_trace(&res.trace);
-        } else {
-            let res = fleet.search(queries.row(qi), tau).map_err(|e| e.to_string())?;
-            total += res.ids.len();
-            println!(
-                "query {qi}: {} results {:?}{}",
-                res.ids.len(),
-                &res.ids[..res.ids.len().min(16)],
-                if res.degraded { "  (degraded)" } else { "" }
-            );
-        }
-    }
-    eprintln!(
-        "{} fleet queries, {total} results in {:.1} ms",
-        queries.len(),
-        t0.elapsed().as_secs_f64() * 1e3
-    );
-    Ok(())
 }
 
 /// Parses a byte count with an optional `k`/`m`/`g` suffix (`64m` =
