@@ -25,7 +25,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod fasthash;
 pub mod hmsearch;
 pub mod lsh;
 pub mod mih;

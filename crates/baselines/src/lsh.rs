@@ -10,9 +10,9 @@
 //! distance, so LSH returns a *subset* of the true results (no false
 //! positives, possible misses).
 
-use crate::variants::CompactPostings;
 use crate::{CandidateStats, SearchIndex};
 use hamming_core::error::{HammingError, Result};
+use hamming_core::invindex::PartIndex;
 use hamming_core::key::mix64;
 use hamming_core::{Dataset, Visited};
 use parking_lot::Mutex;
@@ -22,7 +22,8 @@ struct Table {
     /// Precomputed hash of element `2i + b` for function `f`:
     /// `elem_hash[f][2i + b]`.
     elem_hash: Vec<Vec<u64>>,
-    postings: CompactPostings,
+    /// Keyed by full 64-bit signatures.
+    postings: PartIndex,
 }
 
 /// A built minhash LSH index for a fixed `tau_build`.
@@ -86,7 +87,7 @@ impl MinHashLsh {
                 let sig = signature(data.row(id), n, &elem_hash);
                 pairs.push((sig, id as u32));
             }
-            tables.push(Table { elem_hash, postings: CompactPostings::build(&pairs) });
+            tables.push(Table { elem_hash, postings: PartIndex::from_pairs(64, pairs) });
         }
         let n_rows = data.len();
         Ok(MinHashLsh { data, tables, k, tau_build, scratch: Mutex::new(Visited::new(n_rows)) })
@@ -140,7 +141,7 @@ impl SearchIndex for MinHashLsh {
         for table in &self.tables {
             let sig = signature(query, n, &table.elem_hash);
             stats.n_signatures += 1;
-            let ids = table.postings.get(sig);
+            let ids = table.postings.postings(sig);
             stats.sum_postings += ids.len() as u64;
             for &id in ids {
                 if stamp.insert(id) {

@@ -6,61 +6,22 @@
 //! distance 1 share either the exact key or a deletion key, so radius-1
 //! lookups need no enumeration of the 2-neighbourhood — at the price of
 //! an index `n+1` times larger than the data, which is exactly the
-//! index-size gap Fig. 6 shows for these methods.
+//! index-size gap Fig. 6 shows for these methods. Both postings sets
+//! are [`PartIndex`]es, the CSR arrays GPH and MIH probe, so Fig. 6
+//! counts every method's index in the same currency.
 
-use crate::fasthash::FastMap;
+use hamming_core::invindex::PartIndex;
 use hamming_core::key::{key_of, mix64};
 use hamming_core::project::ProjectedDataset;
-
-/// Compacted postings: key → contiguous ID range.
-pub(crate) struct CompactPostings {
-    ranges: FastMap<u64, (u32, u32)>,
-    ids: Vec<u32>,
-}
-
-impl CompactPostings {
-    /// Builds from `(key, id)` pairs (two passes, IDs preserved in input
-    /// order — callers emit ascending IDs so postings stay sorted).
-    pub(crate) fn build(pairs: &[(u64, u32)]) -> Self {
-        let mut counts: FastMap<u64, u32> = FastMap::default();
-        for &(k, _) in pairs {
-            *counts.entry(k).or_insert(0) += 1;
-        }
-        let mut ranges: FastMap<u64, (u32, u32)> =
-            FastMap::with_capacity_and_hasher(counts.len(), Default::default());
-        let mut offset = 0u32;
-        for (&k, &c) in &counts {
-            ranges.insert(k, (offset, 0));
-            offset += c;
-        }
-        let mut ids = vec![0u32; pairs.len()];
-        for &(k, id) in pairs {
-            let slot = ranges.get_mut(&k).expect("counted");
-            ids[(slot.0 + slot.1) as usize] = id;
-            slot.1 += 1;
-        }
-        CompactPostings { ranges, ids }
-    }
-
-    #[inline]
-    pub(crate) fn get(&self, key: u64) -> &[u32] {
-        match self.ranges.get(&key) {
-            Some(&(off, len)) => &self.ids[off as usize..(off + len) as usize],
-            None => &[],
-        }
-    }
-
-    pub(crate) fn size_bytes(&self) -> usize {
-        self.ids.len() * 4 + self.ranges.len() * 18
-    }
-}
 
 /// Exact + 1-deletion postings for one partition.
 pub(crate) struct VariantIndex {
     pub(crate) width: usize,
     words: usize,
-    exact: CompactPostings,
-    deletions: CompactPostings,
+    /// Keyed by the value's key, at the partition's width.
+    exact: PartIndex,
+    /// Keyed by full 64-bit [`deletion_key`] hashes.
+    deletions: PartIndex,
 }
 
 /// Key for a masked value at `pos`: the masked value's key entangled with
@@ -97,15 +58,15 @@ impl VariantIndex {
         VariantIndex {
             width,
             words,
-            exact: CompactPostings::build(&exact_pairs),
-            deletions: CompactPostings::build(&del_pairs),
+            exact: PartIndex::from_pairs(width, exact_pairs),
+            deletions: PartIndex::from_pairs(64, del_pairs),
         }
     }
 
     /// Postings with the exact query value (distance 0).
     #[inline]
     pub(crate) fn exact_postings(&self, q_val: &[u64]) -> &[u32] {
-        self.exact.get(key_of(q_val, self.width))
+        self.exact.postings(key_of(q_val, self.width))
     }
 
     /// Calls `f(ids)` for each deletion slot of the query value; the
@@ -118,7 +79,7 @@ impl VariantIndex {
             let mask = 1u64 << (pos % 64);
             let orig = buf[w];
             buf[w] &= !mask;
-            f(self.deletions.get(deletion_key(key_of(&buf, self.width), pos)));
+            f(self.deletions.postings(deletion_key(key_of(&buf, self.width), pos)));
             buf[w] = orig;
         }
     }

@@ -1,7 +1,7 @@
-//! Out-of-core storage for sealed segments: the file-backed
+//! Out-of-core storage for GPH segments: the file-backed
 //! [`StorageMode`].
 //!
-//! A sealed segment is normally decoded into heap memory ([`crate::engine::Gph`]).
+//! A GPH segment is normally decoded into heap memory ([`crate::engine::Gph`]).
 //! This module provides the *file-backed* alternative: the GPHE v3
 //! container (see `FORMAT.md`) lays the dataset row slab and the CSR
 //! postings arrays out as page-aligned, offset-addressed sections, so a
@@ -20,9 +20,10 @@
 //!   segment of an index (or of all shards), bounded by a byte budget.
 //! * [`StorageMode`] — the configuration knob threaded through
 //!   `SegmentConfig`, `ShardedIndex`, and `ServiceConfig`.
-//! * [`SpillStore`] — the directory where seal/compaction spill freshly
-//!   encoded segments when running file-backed.
-//! * `ColdSegment` (crate-private) — one sealed segment opened from its
+//! * [`SpillStore`] — the directory where merges past the crossover
+//!   and bulk loads spill freshly built GPH segments when running
+//!   file-backed.
+//! * `ColdSegment` (crate-private) — one GPH segment opened from its
 //!   blob: the query plan plus the paged store, which reads postings and
 //!   rows through the cache instead of holding them on the heap. It
 //!   opens its blob as a file region through the one container reader,
@@ -406,13 +407,15 @@ impl std::fmt::Debug for PageCache {
 // StorageMode
 // ---------------------------------------------------------------------------
 
-/// Where sealed segments live.
+/// Where GPH segments live.
 ///
-/// `Resident` (the default) decodes every sealed segment fully into
-/// heap. `FileBacked` keeps sealed segments as offset-addressed files
-/// and serves probes/verification through a [`PageCache`] bounded by
-/// `budget_bytes` — the corpus may then exceed RAM. Query *results* are
-/// identical in both modes; only latency and memory footprint differ.
+/// `Resident` (the default) decodes every GPH segment fully into heap.
+/// `FileBacked` keeps GPH segments as offset-addressed files and serves
+/// probes/verification through a [`PageCache`] bounded by
+/// `budget_bytes` — the indexed corpus may then exceed RAM. The
+/// memtable and row slabs are scanned rows and stay resident in both
+/// modes. Query *results* are identical in both modes; only latency and
+/// memory footprint differ.
 ///
 /// ```
 /// use gph::coldstore::StorageMode;
@@ -423,11 +426,11 @@ impl std::fmt::Debug for PageCache {
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StorageMode {
-    /// Sealed segments are decoded into heap memory (the historical
+    /// GPH segments are decoded into heap memory (the historical
     /// behaviour).
     #[default]
     Resident,
-    /// Sealed segments stay on disk; reads go through a shared
+    /// GPH segments stay on disk; reads go through a shared
     /// [`PageCache`] holding at most `budget_bytes` of paged-in data.
     FileBacked {
         /// Page-cache byte budget shared by all cold segments.
@@ -443,9 +446,12 @@ static NEXT_SPILL_DIR: AtomicU64 = AtomicU64::new(0);
 
 /// Directory + shared [`PageCache`] backing a file-backed index.
 ///
-/// Seal and compaction write freshly encoded GPHE v3 blobs here
-/// ("spill files") and immediately reopen them cold. The store owns
-/// its directory and removes it on drop.
+/// Every GPH segment a file-backed engine builds — by a merge that
+/// reaches the crossover, a full compaction past it, or a bulk load —
+/// is encoded to a GPHE v3 blob here (a "spill file") and immediately
+/// reopened cold. A seal spills nothing: it freezes a row slab, which
+/// stays resident like the memtable. The store owns its directory and
+/// removes it on drop.
 #[derive(Debug)]
 pub struct SpillStore {
     dir: PathBuf,
@@ -763,7 +769,7 @@ impl Store for Paged {
     }
 }
 
-/// A sealed segment served directly from its offset-addressed GPHE v3
+/// A GPH segment served directly from its offset-addressed GPHE v3
 /// container, without decoding the payload into heap — the store behind
 /// a file-backed segment of `SegmentedGph`: a query plan and the paged
 /// store it runs over, through the pipeline [`Gph`](crate::engine::Gph)

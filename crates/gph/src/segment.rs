@@ -5,12 +5,13 @@
 //! so per-insert rebuilds are untenable. [`SegmentedGph`] makes the
 //! engine mutable the way log-structured stores do:
 //!
-//! * a mutable front **memtable** — rows appended to a [`Dataset`] with a
-//!   [`Tombstones`] bitmap for deletes, answered by a linear scan;
-//! * a list of **sealed segments**, each with its own id map and
-//!   tombstone bitmap; deletes flip a bit, queries filter. A sealed
-//!   segment is either a **row slab** — the memtable's representation,
-//!   frozen, answered by the same scan — or an immutable [`Gph`];
+//! * **one segment type**: rows, the external id of each row, and a
+//!   [`Tombstones`] bitmap; deletes flip a bit, queries filter. Only how
+//!   the rows are searched differs: scanned from a [`Dataset`], or
+//!   probed through an immutable [`Gph`], resident or paged;
+//! * a mutable front **memtable** — a scanned segment that rows are
+//!   appended to — and a list of **sealed segments**, each either a
+//!   **row slab** (the memtable's kind, frozen) or a GPH segment;
 //! * a size-triggered **seal** (the flush): when the memtable reaches
 //!   [`SegmentConfig::seal_rows`] live rows its live rows are frozen
 //!   into a slab. A seal builds nothing: no partitioning, no index, no
@@ -28,8 +29,9 @@
 //! * **one query walk**: every segment kind answers a range search the
 //!   same way, with `(local row, distance)` hits whose distances its
 //!   verification measured. The walk visits every sealed segment and
-//!   then the memtable with one body: search, drop tombstoned hits, map
-//!   local rows to external ids, sum the stats, trace. Top-k is the
+//!   then the memtable with one body: the kind's hits, the one tombstone
+//!   filter (so every kind counts only live results), ids for local
+//!   rows, the stats summed, a trace. Top-k is the
 //!   shared escalation loop ([`crate::topk_by_escalation`]) over that
 //!   walk, so it never sees a dead row and needs no per-segment
 //!   over-fetch.
@@ -67,6 +69,7 @@ use hamming_core::io::{
 };
 use hamming_core::tombstone::Tombstones;
 use hamming_core::{words_for, Dataset};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -116,7 +119,7 @@ const SIG_COST_ROWS: u64 = 9;
 /// A GPH read pays at least for its signatures, a scan for its rows.
 /// The signatures are priced at Lemma 1's split for `τ_max / 2`: `m`
 /// equi-width parts (widths `⌊dim/m⌋` or one more), each enumerated to
-/// radius `⌊τ/m⌋`, every signature at [`SIG_COST_ROWS`] rows. So the
+/// radius `⌊τ/m⌋`, every signature at `SIG_COST_ROWS` (9) rows. So the
 /// crossover is `SIG_COST_ROWS × Σ ball_size(widthᵢ, ⌊τ/m⌋)` — at 128
 /// bits, `m = 5`, `τ_max = 16` that is `9 × (3 × 27 + 2 × 26) = 1197`.
 /// It never changes an answer (a slab and a GPH segment answer
@@ -160,15 +163,17 @@ impl Default for SegmentConfig {
 /// Where a live id currently resides.
 #[derive(Clone, Copy, Debug)]
 struct Loc {
-    /// Sealed-segment index, or `usize::MAX` for the memtable.
+    /// Sealed-segment index, or [`MEMTABLE`] for the memtable.
     seg: usize,
-    /// Row index within that segment's dataset.
+    /// Row index within that segment.
     row: usize,
 }
 
-const MEMTABLE: usize = usize::MAX;
+/// The memtable's segment index: the trace's memtable id, which no
+/// sealed index reaches.
+const MEMTABLE: usize = gph_obs::trace::MEMTABLE_SEGMENT as usize;
 
-/// Rows per call of the batched kernel in [`Slab::search`].
+/// Rows per call of the batched kernel in [`scan`].
 const SCAN_CHUNK: usize = 256;
 
 /// Row offsets `0..SCAN_CHUNK`: the candidate list that turns the
@@ -183,82 +188,199 @@ const CHUNK_ROWS: [u32; SCAN_CHUNK] = {
     rows
 };
 
-/// Rows held without an index: the mutable memtable, and every slab a
-/// seal freezes it into (or a merge below the crossover writes).
-struct Slab {
-    data: Dataset,
+/// How a segment's rows are searched: scanned (the memtable and every
+/// row slab a seal freezes or a merge below the crossover writes), or
+/// probed through a GPH index decoded on the heap or paged on demand
+/// from its GPHE v3 blob. Boxed: an engine is several times a slab's
+/// size. Every kind answers every query identically.
+enum Rows {
+    Scanned(Dataset),
+    Resident(Box<Gph>),
+    Paged(Box<ColdSegment>),
+}
+
+impl Rows {
+    fn len(&self) -> usize {
+        match self {
+            Rows::Scanned(data) => data.len(),
+            Rows::Resident(g) => g.data().len(),
+            Rows::Paged(c) => c.store.len(),
+        }
+    }
+
+    /// Heap bytes: a scanned segment's rows, a resident engine, or a
+    /// paged segment's resident metadata.
+    fn size_bytes(&self) -> usize {
+        match self {
+            Rows::Scanned(data) => data.size_bytes(),
+            Rows::Resident(g) => g.size_bytes(),
+            Rows::Paged(c) => c.size_bytes(),
+        }
+    }
+
+    /// The index's storage-independent half (dimensions, `tau_max`,
+    /// cost estimation); `None` for scanned rows.
+    fn plan(&self) -> Option<&Plan> {
+        match self {
+            Rows::Scanned(_) => None,
+            Rows::Resident(g) => Some(&g.plan),
+            Rows::Paged(c) => Some(&c.plan),
+        }
+    }
+
+    /// Dimensionality of the rows.
+    fn dim(&self) -> usize {
+        match self {
+            Rows::Scanned(data) => data.dim(),
+            Rows::Resident(g) => g.plan.partitioning.dim(),
+            Rows::Paged(c) => c.plan.partitioning.dim(),
+        }
+    }
+
+    /// Local row `row` (paged rows are copied out of the page cache).
+    fn row(&self, row: usize) -> Cow<'_, [u64]> {
+        match self {
+            Rows::Scanned(data) => Cow::Borrowed(data.row(row)),
+            Rows::Resident(g) => Cow::Borrowed(g.data().row(row)),
+            Rows::Paged(c) => Cow::Owned(c.store.row(row)),
+        }
+    }
+}
+
+/// The one scan, as a scanned segment's range search: `(row, distance)`
+/// of every row within `tau` of `query`, dead or live, ascending by row,
+/// each chunk of rows through the batched verify kernel. Scanned rows
+/// are found without index probes, so each of the segment's `live` rows
+/// counts toward both `n_scanned` and `n_candidates`; the scan's time
+/// is its `verify_ns`.
+fn scan(data: &Dataset, query: &[u64], tau: u32, live: usize) -> Hits {
+    let t = Instant::now();
+    let wpv = data.words_per_vec();
+    let (mut hits, mut near) = (Vec::new(), Vec::new());
+    for start in (0..data.len()).step_by(SCAN_CHUNK) {
+        let rows = (data.len() - start).min(SCAN_CHUNK);
+        near.clear();
+        let words = &data.words()[start * wpv..];
+        verify_candidates(words, wpv, query, tau, &CHUNK_ROWS[..rows], &mut near);
+        hits.extend(near.iter().map(|&(r, d)| (start as u32 + r, d)));
+    }
+    let stats = QueryStats {
+        verify_ns: t.elapsed().as_nanos() as u64,
+        n_scanned: live as u64,
+        n_candidates: live as u64,
+        ..QueryStats::default()
+    };
+    (hits, stats)
+}
+
+/// One segment, whatever its kind — the memtable, a row slab or a GPH
+/// segment: its rows, the external id of each local row, and the
+/// tombstones accumulated since it was written.
+struct Segment {
+    rows: Rows,
     ids: Vec<u32>,
     dead: Tombstones,
 }
 
-impl Slab {
-    fn new(dim: usize) -> Self {
-        Slab { data: Dataset::new(dim), ids: Vec::new(), dead: Tombstones::new() }
+impl Segment {
+    /// An empty memtable.
+    fn memtable(dim: usize) -> Self {
+        Segment { rows: Rows::Scanned(Dataset::new(dim)), ids: Vec::new(), dead: Tombstones::new() }
     }
 
-    /// A slab of `data` under `ids`, every row live.
-    fn frozen(data: Dataset, ids: Vec<u32>) -> Self {
-        let dead = Tombstones::all_live(data.len());
-        Slab { data, ids, dead }
+    /// A segment of `rows` under `ids`, every row live.
+    fn live(rows: Rows, ids: Vec<u32>) -> Self {
+        let dead = Tombstones::all_live(ids.len());
+        Segment { rows, ids, dead }
     }
 
     /// Rows, ids and tombstones decoded apart, cross-checked against
-    /// each other and the engine's `dim`.
-    fn decoded(data: Dataset, ids: Vec<u32>, dead: Tombstones, dim: usize) -> Result<Self> {
-        if data.dim() != dim {
-            return Err(HammingError::Corrupt(format!(
-                "row slab holds {}-dimensional rows, header says {dim}",
-                data.dim()
-            )));
-        }
-        if ids.len() != data.len() || dead.len() != data.len() {
-            return Err(HammingError::Corrupt(format!(
-                "row slab sections disagree: {} rows, {} ids, {} tombstone slots",
-                data.len(),
+    /// each other and the engine's `dim` and `tau_max`; `what` names the
+    /// segment in errors.
+    fn decoded(
+        rows: Rows,
+        ids: Vec<u32>,
+        dead: Tombstones,
+        dim: usize,
+        tau_max: usize,
+        what: &str,
+    ) -> Result<Self> {
+        let corrupt = |msg: String| Err(HammingError::Corrupt(format!("{what} {msg}")));
+        if rows.len() != ids.len() || dead.len() != ids.len() {
+            return corrupt(format!(
+                "sections disagree: {} rows, {} ids, {} tombstone slots",
+                rows.len(),
                 ids.len(),
                 dead.len()
-            )));
+            ));
         }
-        Ok(Slab { data, ids, dead })
+        if rows.dim() != dim {
+            return corrupt(format!("holds {}-dimensional rows, header says {dim}", rows.dim()));
+        }
+        if let Some(plan) = rows.plan().filter(|plan| plan.tau_max != tau_max) {
+            return corrupt(format!("serves tau_max {}, config says {tau_max}", plan.tau_max));
+        }
+        Ok(Segment { rows, ids, dead })
     }
 
-    /// The one scan, as a segment's range search: `(row, distance)` of
-    /// every live row within `tau` of `query`, ascending by row. Every
-    /// row, dead or live, goes through the batched verify kernel a chunk
-    /// at a time, and the rare hit is checked against the tombstones.
-    /// Scanned rows are found without index probes, so every live row
-    /// counts toward both `n_scanned` and `n_candidates`; the scan's
-    /// time is its `verify_ns`.
-    fn search(&self, query: &[u64], tau: u32) -> Hits {
-        let t = Instant::now();
-        let wpv = self.data.words_per_vec();
-        let (mut hits, mut near) = (Vec::new(), Vec::new());
-        for start in (0..self.data.len()).step_by(SCAN_CHUNK) {
-            let rows = (self.data.len() - start).min(SCAN_CHUNK);
-            near.clear();
-            let words = &self.data.words()[start * wpv..];
-            verify_candidates(words, wpv, query, tau, &CHUNK_ROWS[..rows], &mut near);
-            let found = near.iter().map(|&(r, d)| (start as u32 + r, d));
-            hits.extend(found.filter(|&(row, _)| !self.dead.is_dead(row as usize)));
-        }
-        let live = self.dead.live() as u64;
-        let stats = QueryStats {
-            verify_ns: t.elapsed().as_nanos() as u64,
-            n_scanned: live,
-            n_candidates: live,
-            n_results: hits.len() as u64,
-            ..QueryStats::default()
+    /// Appends `row` under `id`, live: the memtable's insert, the one
+    /// segment that grows.
+    fn push(&mut self, id: u32, row: &[u64]) -> Result<usize> {
+        let Rows::Scanned(data) = &mut self.rows else {
+            unreachable!("only the memtable takes inserts, and it is scanned")
         };
-        (hits, stats)
+        let slot = data.push_row(row)? as usize;
+        self.ids.push(id);
+        self.dead.push_live();
+        Ok(slot)
     }
 
     /// Appends every live row, and its id, to `data` / `ids`.
     fn append_live_to(&self, data: &mut Dataset, ids: &mut Vec<u32>) -> Result<()> {
         for row in self.dead.iter_live() {
-            data.push_row_from(&self.data, row)?;
+            data.push_row(&self.rows.row(row))?;
             ids.push(self.ids[row]);
         }
         Ok(())
+    }
+
+    /// The kind's range search: `(local row, distance)` of every row
+    /// within `tau` of `query`, dead or live — neither a scan nor an
+    /// index knows of tombstones — with the search's [`QueryStats`].
+    fn search(&self, query: &[u64], tau: u32) -> Hits {
+        match &self.rows {
+            Rows::Scanned(data) => scan(data, query, tau, self.dead.live()),
+            Rows::Resident(g) => g.plan.search(&g.store, query, tau),
+            Rows::Paged(c) => c.plan.search(&c.store, query, tau),
+        }
+    }
+
+    /// The segment's trace entry for a search that gave `st`. A GPH
+    /// segment's candidate-generation time (probe + dedup, or the scan
+    /// fallback when the signature ball outgrows the segment) lands in
+    /// `probe_ns`; a scan's time lands in `scan_ns`, and its rows are
+    /// its live rows.
+    fn trace(&self, segment: u32, st: &QueryStats) -> SegmentTrace {
+        let (rows, verify_ns, scan_ns) = match self.rows {
+            Rows::Scanned(_) => (self.dead.live(), 0, st.verify_ns),
+            _ => (self.rows.len(), st.verify_ns, 0),
+        };
+        SegmentTrace {
+            segment,
+            rows: rows as u64,
+            phases: PhaseNanos {
+                alloc_ns: st.alloc_ns,
+                enumerate_ns: st.enumerate_ns,
+                probe_ns: st.candgen_ns,
+                verify_ns,
+                scan_ns,
+            },
+            n_signatures: st.n_signatures,
+            sum_postings: st.sum_postings,
+            n_scanned: st.n_scanned,
+            n_candidates: st.n_candidates,
+            n_results: st.n_results,
+        }
     }
 }
 
@@ -279,211 +401,6 @@ fn decode_ids(bytes: &[u8]) -> Result<Vec<u32>> {
     let ids = r.u32s(n, "ids")?;
     r.finish("ids")?;
     Ok(ids)
-}
-
-/// Where a GPH segment's engine actually lives: decoded on the heap,
-/// or paged on demand from its GPHE v3 blob. Both answer every query
-/// identically; `Cold` trades latency for a bounded memory footprint.
-enum SegStore {
-    Resident(Gph),
-    Cold(ColdSegment),
-}
-
-impl SegStore {
-    /// The storage-independent half: dimensions, `tau_max`, cost
-    /// estimation.
-    fn plan(&self) -> &Plan {
-        match self {
-            SegStore::Resident(g) => &g.plan,
-            SegStore::Cold(c) => &c.plan,
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            SegStore::Resident(g) => g.data().len(),
-            SegStore::Cold(c) => c.store.len(),
-        }
-    }
-
-    fn size_bytes(&self) -> usize {
-        match self {
-            SegStore::Resident(g) => g.size_bytes(),
-            SegStore::Cold(c) => c.size_bytes(),
-        }
-    }
-
-    /// The segment's range search over its local rows — see
-    /// [`Plan::search`].
-    fn search(&self, query: &[u64], tau: u32) -> Hits {
-        match self {
-            SegStore::Resident(g) => g.plan.search(&g.store, query, tau),
-            SegStore::Cold(c) => c.plan.search(&c.store, query, tau),
-        }
-    }
-
-    /// The segment's local row `row`, owned (cold rows are copied out of
-    /// the page cache).
-    fn row_of(&self, row: usize) -> Vec<u64> {
-        match self {
-            SegStore::Resident(g) => g.data().row(row).to_vec(),
-            SegStore::Cold(c) => c.store.row(row),
-        }
-    }
-
-    /// Appends local row `row` to `ds` (the merge path).
-    fn append_row_to(&self, ds: &mut Dataset, row: usize) -> Result<()> {
-        match self {
-            SegStore::Resident(g) => ds.push_row_from(g.data(), row).map(|_| ()),
-            SegStore::Cold(c) => ds.push_row(&c.store.row(row)).map(|_| ()),
-        }
-    }
-
-    /// The segment's GPHE snapshot blob. Resident engines encode; cold
-    /// segments read their backing blob back verbatim.
-    fn engine_bytes(&self) -> Result<Vec<u8>> {
-        match self {
-            SegStore::Resident(g) => Ok(g.to_bytes()),
-            SegStore::Cold(c) => c.engine_blob(),
-        }
-    }
-}
-
-/// A GPH segment: a frozen engine (resident or file-backed) plus the
-/// map from its dense local row ids to external ids, and the tombstones
-/// accumulated since it was built.
-struct Indexed {
-    store: SegStore,
-    ids: Vec<u32>,
-    dead: Tombstones,
-}
-
-/// One sealed, immutable segment: a row slab or a GPH segment (boxed:
-/// an engine is several times a slab's size).
-enum Sealed {
-    Slab(Slab),
-    Indexed(Box<Indexed>),
-}
-
-impl Sealed {
-    fn segment(&self) -> Segment<'_> {
-        match self {
-            Sealed::Slab(s) => Segment::Scanned(s),
-            Sealed::Indexed(s) => Segment::Indexed(s),
-        }
-    }
-
-    fn ids(&self) -> &[u32] {
-        self.segment().ids()
-    }
-
-    fn dead(&self) -> &Tombstones {
-        self.segment().dead()
-    }
-
-    fn dead_mut(&mut self) -> &mut Tombstones {
-        match self {
-            Sealed::Slab(s) => &mut s.dead,
-            Sealed::Indexed(s) => &mut s.dead,
-        }
-    }
-
-    fn size_bytes(&self) -> usize {
-        match self {
-            Sealed::Slab(s) => s.data.size_bytes(),
-            Sealed::Indexed(s) => s.store.size_bytes(),
-        }
-    }
-
-    /// Local row `row`, owned.
-    fn row_of(&self, row: usize) -> Vec<u64> {
-        match self {
-            Sealed::Slab(s) => s.data.row(row).to_vec(),
-            Sealed::Indexed(s) => s.store.row_of(row),
-        }
-    }
-
-    /// Appends every live row, and its id, to `data` / `ids`.
-    fn append_live_to(&self, data: &mut Dataset, ids: &mut Vec<u32>) -> Result<()> {
-        match self {
-            Sealed::Slab(s) => s.append_live_to(data, ids),
-            Sealed::Indexed(s) => {
-                for row in s.dead.iter_live() {
-                    s.store.append_row_to(data, row)?;
-                    ids.push(s.ids[row]);
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-/// A segment as a query reads it: the memtable or a slab, scanned, or
-/// a GPH segment, searched through its index. Each kind answers a range
-/// search with its live local `(row, distance)` hits and
-/// [`QueryStats`].
-#[derive(Clone, Copy)]
-enum Segment<'a> {
-    Scanned(&'a Slab),
-    Indexed(&'a Indexed),
-}
-
-impl<'a> Segment<'a> {
-    fn ids(self) -> &'a [u32] {
-        match self {
-            Segment::Scanned(s) => &s.ids,
-            Segment::Indexed(s) => &s.ids,
-        }
-    }
-
-    fn dead(self) -> &'a Tombstones {
-        match self {
-            Segment::Scanned(s) => &s.dead,
-            Segment::Indexed(s) => &s.dead,
-        }
-    }
-
-    /// Live rows within `tau` of `query`. The index knows nothing of
-    /// tombstones, so a GPH segment's hits are filtered here; a scan
-    /// filters as it goes.
-    fn search(self, query: &[u64], tau: u32) -> Hits {
-        match self {
-            Segment::Scanned(s) => s.search(query, tau),
-            Segment::Indexed(s) => {
-                let (mut hits, st) = s.store.search(query, tau);
-                hits.retain(|&(row, _)| !s.dead.is_dead(row as usize));
-                (hits, st)
-            }
-        }
-    }
-
-    /// The segment's trace entry for a search that gave `st`. A GPH
-    /// segment's candidate-generation time (probe + dedup, or the scan
-    /// fallback when the signature ball outgrows the segment) lands in
-    /// `probe_ns`; a scan's time lands in `scan_ns`, and its rows are
-    /// its live rows.
-    fn trace(self, segment: u32, st: &QueryStats) -> SegmentTrace {
-        let (rows, verify_ns, scan_ns) = match self {
-            Segment::Scanned(s) => (s.dead.live(), 0, st.verify_ns),
-            Segment::Indexed(s) => (s.store.len(), st.verify_ns, 0),
-        };
-        SegmentTrace {
-            segment,
-            rows: rows as u64,
-            phases: PhaseNanos {
-                alloc_ns: st.alloc_ns,
-                enumerate_ns: st.enumerate_ns,
-                probe_ns: st.candgen_ns,
-                verify_ns,
-                scan_ns,
-            },
-            n_signatures: st.n_signatures,
-            sum_postings: st.sum_postings,
-            n_scanned: st.n_scanned,
-            n_candidates: st.n_candidates,
-            n_results: st.n_results,
-        }
-    }
 }
 
 /// Segment-level diagnostics ([`SegmentedGph::segment_info`]).
@@ -530,8 +447,8 @@ pub struct SegmentedGph {
     seg_cfg: SegmentConfig,
     dim: usize,
     words_per_vec: usize,
-    mem: Slab,
-    sealed: Vec<Sealed>,
+    mem: Segment,
+    sealed: Vec<Segment>,
     /// External id → current location, live rows only.
     loc: HashMap<u32, Loc>,
     /// Spill directory + shared page cache for file-backed GPH segments,
@@ -556,7 +473,7 @@ impl SegmentedGph {
             seg_cfg,
             dim,
             words_per_vec: words_for(dim),
-            mem: Slab::new(dim),
+            mem: Segment::memtable(dim),
             sealed: Vec::new(),
             loc: HashMap::new(),
             spill: None,
@@ -593,33 +510,17 @@ impl SegmentedGph {
     }
 
     /// Builds a GPH segment over `data` under the configured strategy
-    /// without touching any engine state — the build-then-commit half of
-    /// every bulk load and indexed merge, so a failed `Gph::build` (e.g.
-    /// an invalid config) leaves the engine fully consistent. (Creating
-    /// the spill store early is harmless on failure: it is just an empty
-    /// temp directory.)
-    fn build_segment(&mut self, data: Dataset, ids: Vec<u32>) -> Result<Sealed> {
-        let n = data.len();
-        let store = self.store_engine(Gph::build(data, &self.cfg)?)?;
-        Ok(Sealed::Indexed(Box::new(Indexed { store, ids, dead: Tombstones::all_live(n) })))
-    }
-
-    /// The segment a merge of `data` makes: a GPH segment when its rows
-    /// reach [`crossover_rows`], a slab below it.
-    fn merged_segment(&mut self, data: Dataset, ids: Vec<u32>) -> Result<Sealed> {
-        if data.len() >= crossover_rows(self.dim, self.cfg.m, self.cfg.tau_max) {
-            self.build_segment(data, ids)
-        } else {
-            Ok(Sealed::Slab(Slab::frozen(data, ids)))
-        }
-    }
-
-    /// Places a freshly built engine according to the configured
-    /// [`StorageMode`]: kept resident, or encoded to a GPHE v3 blob in
-    /// the spill store and reopened cold.
-    fn store_engine(&mut self, engine: Gph) -> Result<SegStore> {
+    /// and places it according to the configured [`StorageMode`]: kept
+    /// resident, or encoded to a GPHE v3 blob in the spill store and
+    /// reopened cold. It touches no other engine state — the
+    /// build-then-commit half of every bulk load and indexed merge, so a
+    /// failed `Gph::build` (e.g. an invalid config) leaves the engine
+    /// fully consistent. (Creating the spill store early is harmless on
+    /// failure: it is just an empty temp directory.)
+    fn build_segment(&mut self, data: Dataset, ids: Vec<u32>) -> Result<Segment> {
+        let engine = Gph::build(data, &self.cfg)?;
         let StorageMode::FileBacked { budget_bytes } = self.seg_cfg.storage else {
-            return Ok(SegStore::Resident(engine));
+            return Ok(Segment::live(Rows::Resident(Box::new(engine)), ids));
         };
         if self.spill.is_none() {
             self.spill = Some(SpillStore::temp(budget_bytes)?);
@@ -627,7 +528,18 @@ impl SegmentedGph {
         let spill = self.spill.as_ref().expect("created above when missing");
         let file = Arc::new(spill.write_blob(&engine.to_bytes())?);
         let len = file.len();
-        Ok(SegStore::Cold(ColdSegment::open(file, Arc::clone(spill.cache()), 0, len)?))
+        let cold = ColdSegment::open(file, Arc::clone(spill.cache()), 0, len)?;
+        Ok(Segment::live(Rows::Paged(Box::new(cold)), ids))
+    }
+
+    /// The segment a merge of `data` makes: a GPH segment when its rows
+    /// reach [`crossover_rows`], a slab below it.
+    fn merged_segment(&mut self, data: Dataset, ids: Vec<u32>) -> Result<Segment> {
+        if data.len() >= crossover_rows(self.dim, self.cfg.m, self.cfg.tau_max) {
+            self.build_segment(data, ids)
+        } else {
+            Ok(Segment::live(Rows::Scanned(data), ids))
+        }
     }
 
     /// Page-cache counters when any GPH segment is file-backed; `None`
@@ -639,9 +551,9 @@ impl SegmentedGph {
     /// Registers a sealed segment's ids in the location map (overwriting
     /// any stale entries, e.g. memtable rows that just sealed) and
     /// appends it.
-    fn commit_segment(&mut self, seg: Sealed) {
+    fn commit_segment(&mut self, seg: Segment) {
         let seg_idx = self.sealed.len();
-        for (row, &id) in seg.ids().iter().enumerate() {
+        for (row, &id) in seg.ids.iter().enumerate() {
             self.loc.insert(id, Loc { seg: seg_idx, row });
         }
         self.sealed.push(seg);
@@ -686,7 +598,7 @@ impl SegmentedGph {
     /// Rows held in storage, including tombstoned ones awaiting
     /// compaction.
     pub fn stored_rows(&self) -> usize {
-        self.mem.data.len() + self.sealed.iter().map(|s| s.ids().len()).sum::<usize>()
+        self.segments().map(|(_, s)| s.ids.len()).sum()
     }
 
     /// Whether `id` is live.
@@ -705,27 +617,19 @@ impl SegmentedGph {
     /// the row out of the page cache).
     pub fn get(&self, id: u32) -> Option<Vec<u64>> {
         let loc = self.loc.get(&id)?;
-        Some(if loc.seg == MEMTABLE {
-            self.mem.data.row(loc.row).to_vec()
-        } else {
-            self.sealed[loc.seg].row_of(loc.row)
-        })
+        let seg = if loc.seg == MEMTABLE { &self.mem } else { &self.sealed[loc.seg] };
+        Some(seg.rows.row(loc.row).into_owned())
     }
 
     /// Per-segment diagnostics, sealed segments (slabs and GPH segments
     /// alike) first, memtable last.
     pub fn segment_info(&self) -> Vec<SegmentInfo> {
-        let mut out: Vec<SegmentInfo> = self
-            .sealed
-            .iter()
-            .map(|s| SegmentInfo { rows: s.ids().len(), live: s.dead().live(), memtable: false })
-            .collect();
-        out.push(SegmentInfo {
-            rows: self.mem.data.len(),
-            live: self.mem.dead.live(),
-            memtable: true,
-        });
-        out
+        let info = |(seg, s): (usize, &Segment)| SegmentInfo {
+            rows: s.ids.len(),
+            live: s.dead.live(),
+            memtable: seg == MEMTABLE,
+        };
+        self.segments().map(info).collect()
     }
 
     /// Sealed segments currently held, slabs included.
@@ -738,7 +642,13 @@ impl SegmentedGph {
     /// their resident metadata; paged bytes are accounted by the shared
     /// cache ([`SegmentedGph::page_cache_stats`]).
     pub fn size_bytes(&self) -> usize {
-        self.mem.data.size_bytes() + self.sealed.iter().map(Sealed::size_bytes).sum::<usize>()
+        self.segments().map(|(_, s)| s.rows.size_bytes()).sum()
+    }
+
+    /// Every segment with its index: the sealed ones in order, then the
+    /// memtable under [`MEMTABLE`].
+    fn segments(&self) -> impl Iterator<Item = (usize, &Segment)> {
+        self.sealed.iter().enumerate().chain(std::iter::once((MEMTABLE, &self.mem)))
     }
 
     fn assert_query(&self, query: &[u64], tau: u32) {
@@ -765,9 +675,7 @@ impl SegmentedGph {
                 "id {id} is already live; use upsert to replace it"
             )));
         }
-        let slot = self.mem.data.push_row(row)? as usize;
-        self.mem.ids.push(id);
-        self.mem.dead.push_live();
+        let slot = self.mem.push(id, row)?;
         self.loc.insert(id, Loc { seg: MEMTABLE, row: slot });
         if self.mem.dead.live() >= self.seg_cfg.seal_rows {
             self.seal()?;
@@ -781,22 +689,20 @@ impl SegmentedGph {
         let Some(loc) = self.loc.remove(&id) else {
             return false;
         };
+        let seg = if loc.seg == MEMTABLE { &mut self.mem } else { &mut self.sealed[loc.seg] };
+        let was_live = seg.dead.kill(loc.row);
+        debug_assert!(was_live, "loc map pointed at a dead row");
+        if !seg.dead.all_dead() {
+            return true;
+        }
         if loc.seg == MEMTABLE {
-            let was_live = self.mem.dead.kill(loc.row);
-            debug_assert!(was_live, "loc map pointed at a dead memtable row");
-            if self.mem.dead.all_dead() {
-                self.mem = Slab::new(self.dim);
-            }
+            self.mem = Segment::memtable(self.dim);
         } else {
-            let was_live = self.sealed[loc.seg].dead_mut().kill(loc.row);
-            debug_assert!(was_live, "loc map pointed at a dead sealed row");
-            if self.sealed[loc.seg].dead().all_dead() {
-                self.sealed.remove(loc.seg);
-                // Removing a segment shifts the indices of its successors.
-                for l in self.loc.values_mut() {
-                    if l.seg != MEMTABLE && l.seg > loc.seg {
-                        l.seg -= 1;
-                    }
+            self.sealed.remove(loc.seg);
+            // Removing a segment shifts the indices of its successors.
+            for l in self.loc.values_mut() {
+                if l.seg != MEMTABLE && l.seg > loc.seg {
+                    l.seg -= 1;
                 }
             }
         }
@@ -831,9 +737,9 @@ impl SegmentedGph {
             let mut data = Dataset::with_capacity(self.dim, live);
             let mut ids = Vec::with_capacity(live);
             self.mem.append_live_to(&mut data, &mut ids)?;
-            self.commit_segment(Sealed::Slab(Slab::frozen(data, ids)));
+            self.commit_segment(Segment::live(Rows::Scanned(data), ids));
         }
-        self.mem = Slab::new(self.dim);
+        self.mem = Segment::memtable(self.dim);
         self.maybe_compact()
     }
 
@@ -846,15 +752,14 @@ impl SegmentedGph {
     pub fn compact(&mut self) -> Result<()> {
         let mut data = Dataset::with_capacity(self.dim, self.len());
         let mut ids = Vec::with_capacity(self.len());
-        for seg in &self.sealed {
+        for (_, seg) in self.segments() {
             seg.append_live_to(&mut data, &mut ids)?;
         }
-        self.mem.append_live_to(&mut data, &mut ids)?;
         // Build the merged segment before dropping anything, so a failed
         // build cannot lose rows.
         let merged = if data.is_empty() { None } else { Some(self.merged_segment(data, ids)?) };
         self.sealed.clear();
-        self.mem = Slab::new(self.dim);
+        self.mem = Segment::memtable(self.dim);
         self.loc.clear();
         if let Some(seg) = merged {
             self.commit_segment(seg);
@@ -869,7 +774,7 @@ impl SegmentedGph {
     /// removed, so an error leaves every row reachable.
     fn maybe_compact(&mut self) -> Result<()> {
         let before = self.sealed.len();
-        self.sealed.retain(|s| !s.dead().all_dead());
+        self.sealed.retain(|s| !s.dead.all_dead());
         let mut changed = self.sealed.len() != before;
         let result = loop {
             if self.sealed.len() <= self.seg_cfg.max_sealed {
@@ -896,8 +801,8 @@ impl SegmentedGph {
     }
 
     /// The merge of sealed segments `lo` and `hi`, built beside them.
-    fn merge_pair(&mut self, lo: usize, hi: usize) -> Result<Sealed> {
-        let live = self.sealed[lo].dead().live() + self.sealed[hi].dead().live();
+    fn merge_pair(&mut self, lo: usize, hi: usize) -> Result<Segment> {
+        let live = self.sealed[lo].dead.live() + self.sealed[hi].dead.live();
         let mut data = Dataset::with_capacity(self.dim, live);
         let mut ids = Vec::with_capacity(live);
         for idx in [lo, hi] {
@@ -909,15 +814,12 @@ impl SegmentedGph {
     /// Recomputes the id → location map from the segments (used after
     /// compaction reshuffles segment indices).
     fn rebuild_loc(&mut self) {
-        self.loc.clear();
-        for (seg, s) in self.sealed.iter().enumerate() {
-            for row in s.dead().iter_live() {
-                self.loc.insert(s.ids()[row], Loc { seg, row });
-            }
+        let mut loc = std::mem::take(&mut self.loc);
+        loc.clear();
+        for (seg, s) in self.segments() {
+            loc.extend(s.dead.iter_live().map(|row| (s.ids[row], Loc { seg, row })));
         }
-        for row in self.mem.dead.iter_live() {
-            self.loc.insert(self.mem.ids[row], Loc { seg: MEMTABLE, row });
-        }
+        self.loc = loc;
     }
 
     // -----------------------------------------------------------------
@@ -966,17 +868,18 @@ impl SegmentedGph {
     /// live row within `tau` of `query` as `(id, distance)`, unordered,
     /// with instrumentation summed across segments and, when `sink` is
     /// `Some`, traced per segment. Every segment goes through the same
-    /// body, whatever its kind: its live hits, mapped to ids.
+    /// body, whatever its kind: its hits, the one tombstone filter (so
+    /// its `n_results` counts live hits), then its live hits mapped to
+    /// ids.
     fn walk(&self, query: &[u64], tau: u32, mut sink: Option<&mut Vec<SegmentTrace>>) -> Hits {
         self.assert_query(query, tau);
         let mut hits = Vec::new();
         let mut agg = QueryStats::default();
-        let sealed = self.sealed.iter().enumerate().map(|(i, seg)| (i as u32, seg.segment()));
-        let memtable = (gph_obs::trace::MEMTABLE_SEGMENT, Segment::Scanned(&self.mem));
-        for (segment, seg) in sealed.chain(std::iter::once(memtable)) {
-            let (live, st) = seg.search(query, tau);
-            let ids = seg.ids();
-            hits.extend(live.into_iter().map(|(row, d)| (ids[row as usize], d)));
+        for (segment, seg) in self.segments() {
+            let (mut live, mut st) = seg.search(query, tau);
+            live.retain(|&(row, _)| !seg.dead.is_dead(row as usize));
+            st.n_results = live.len() as u64;
+            hits.extend(live.into_iter().map(|(row, d)| (seg.ids[row as usize], d)));
             agg.alloc_ns += st.alloc_ns;
             agg.enumerate_ns += st.enumerate_ns;
             agg.candgen_ns += st.candgen_ns;
@@ -987,7 +890,7 @@ impl SegmentedGph {
             agg.n_candidates += st.n_candidates;
             agg.estimated_cost += st.estimated_cost;
             if let Some(traces) = sink.as_deref_mut() {
-                traces.push(seg.trace(segment, &st));
+                traces.push(seg.trace(segment as u32, &st));
             }
         }
         agg.n_results = hits.len() as u64;
@@ -1014,12 +917,11 @@ impl SegmentedGph {
     /// verified).
     pub fn estimate_cost(&self, query: &[u64], tau: u32) -> f64 {
         self.assert_query(query, tau);
-        let mut scanned = self.mem.dead.live();
-        let mut indexed = 0.0;
-        for seg in &self.sealed {
-            match seg {
-                Sealed::Slab(s) => scanned += s.dead.live(),
-                Sealed::Indexed(s) => indexed += s.store.plan().estimate_cost(query, tau),
+        let (mut scanned, mut indexed) = (0, 0.0);
+        for (_, seg) in self.segments() {
+            match seg.rows.plan() {
+                Some(plan) => indexed += plan.estimate_cost(query, tau),
+                None => scanned += seg.dead.live(),
             }
         }
         indexed + scanned as f64 * self.cfg.cost_model.c_verify
@@ -1065,24 +967,27 @@ impl SegmentedGph {
         let mut arena = Vec::new();
         let mut segtab = Vec::new();
         for seg in &self.sealed {
-            match seg {
-                Sealed::Slab(slab) => {
-                    let rows = encode_dataset(&slab.data);
+            // Cold segments read their backing blob back verbatim.
+            let blob = match &seg.rows {
+                Rows::Scanned(data) => {
+                    let rows = encode_dataset(data);
                     segtab.put_u64_le(SLAB_MARK);
                     segtab.put_u64_le(rows.len() as u64);
                     segtab.put_slice(&rows);
+                    None
                 }
-                Sealed::Indexed(seg) => {
-                    let blob = seg.store.engine_bytes()?;
-                    let pos = arena.len().next_multiple_of(PAGE_SIZE);
-                    arena.resize(pos, 0);
-                    arena.extend_from_slice(&blob);
-                    segtab.put_u64_le(pos as u64);
-                    segtab.put_u64_le(blob.len() as u64);
-                }
+                Rows::Resident(g) => Some(g.to_bytes()),
+                Rows::Paged(c) => Some(c.engine_blob()?),
+            };
+            if let Some(blob) = blob {
+                let pos = arena.len().next_multiple_of(PAGE_SIZE);
+                arena.resize(pos, 0);
+                arena.extend_from_slice(&blob);
+                segtab.put_u64_le(pos as u64);
+                segtab.put_u64_le(blob.len() as u64);
             }
-            segtab.put_slice(&encode_ids(seg.ids()));
-            let dead = seg.dead().encode();
+            segtab.put_slice(&encode_ids(&seg.ids));
+            let dead = seg.dead.encode();
             segtab.put_u64_le(dead.len() as u64);
             segtab.put_slice(&dead);
         }
@@ -1095,7 +1000,10 @@ impl SegmentedGph {
         hdr.put_u64_le(self.seg_cfg.max_sealed as u64);
         hdr.put_u64_le(self.sealed.len() as u64);
         w.section(&hdr);
-        w.section(&encode_dataset(&self.mem.data));
+        let Rows::Scanned(mem_rows) = &self.mem.rows else {
+            unreachable!("the memtable is scanned")
+        };
+        w.section(&encode_dataset(mem_rows));
         w.section(&encode_ids(&self.mem.ids));
         w.section(&self.mem.dead.encode());
         w.aligned_section(&arena);
@@ -1113,7 +1021,7 @@ impl SegmentedGph {
         let arena = c.section(SEG_SLOT_BLOBS)?;
         Self::restore(&c, StorageMode::Resident, |rel, len| {
             // `restore` bounds-checked the extent against the arena.
-            Ok(SegStore::Resident(Gph::from_bytes(&arena[rel as usize..][..len])?))
+            Ok(Rows::Resident(Box::new(Gph::from_bytes(&arena[rel as usize..][..len])?)))
         })
     }
 
@@ -1125,7 +1033,7 @@ impl SegmentedGph {
     fn restore(
         c: &Container,
         storage: StorageMode,
-        mut open_blob: impl FnMut(u64, usize) -> Result<SegStore>,
+        mut open_blob: impl FnMut(u64, usize) -> Result<Rows>,
     ) -> Result<Self> {
         let cfg = decode_gph_config(&c.section(SEG_SLOT_CONFIG)?)?;
         let seghdr = c.section(SEG_SLOT_SEGHDR)?;
@@ -1137,11 +1045,14 @@ impl SegmentedGph {
         hr.finish("segment header")?;
         let mut out =
             SegmentedGph::new(dim, cfg, SegmentConfig { seal_rows, max_sealed, storage })?;
-        out.mem = Slab::decoded(
-            decode_dataset(&c.section(SEG_SLOT_MEMDATA)?)?,
+        let tau_max = out.cfg.tau_max;
+        out.mem = Segment::decoded(
+            Rows::Scanned(decode_dataset(&c.section(SEG_SLOT_MEMDATA)?)?),
             decode_ids(&c.section(SEG_SLOT_MEMIDS)?)?,
             Tombstones::decode(&c.section(SEG_SLOT_MEMDEAD)?)?,
             dim,
+            tau_max,
+            "memtable",
         )?;
 
         let arena_len = c.slot(SEG_SLOT_BLOBS).len;
@@ -1151,65 +1062,27 @@ impl SegmentedGph {
             // A slab's rows, or a GPH segment's blob extent; then the
             // external ids and tombstones.
             let head = tr.u64("blob offset or slab mark")?;
-            let (rows, blob_len) = if head == SLAB_MARK {
+            let rows = if head == SLAB_MARK {
                 let len = tr.len(1, "slab rows length")?;
-                (Some(decode_dataset(tr.bytes(len, "slab rows")?)?), 0)
+                Rows::Scanned(decode_dataset(tr.bytes(len, "slab rows")?)?)
             } else {
-                (None, tr.u64("blob length")? as usize)
-            };
-            let n = tr.len(4, "segment id count")?;
-            let ids = tr.u32s(n, "segment ids")?;
-            let dead_len = tr.len(1, "segment tombstone length")?;
-            let dead = Tombstones::decode(tr.bytes(dead_len, "segment tombstones")?)?;
-            let seg = if let Some(data) = rows {
-                Sealed::Slab(Slab::decoded(data, ids, dead, dim)?)
-            } else {
+                let blob_len = tr.u64("blob length")? as usize;
                 if head.checked_add(blob_len as u64).filter(|&e| e <= arena_len).is_none() {
                     return Err(HammingError::Corrupt(format!(
                         "segment {i} blob extent exceeds the arena"
                     )));
                 }
-                let store = open_blob(head, blob_len)?;
-                Self::check_segment(i, &store, &ids, &dead, dim, out.cfg.tau_max)?;
-                Sealed::Indexed(Box::new(Indexed { store, ids, dead }))
+                open_blob(head, blob_len)?
             };
-            out.sealed.push(seg);
+            let n = tr.len(4, "segment id count")?;
+            let ids = tr.u32s(n, "segment ids")?;
+            let dead_len = tr.len(1, "segment tombstone length")?;
+            let dead = Tombstones::decode(tr.bytes(dead_len, "segment tombstones")?)?;
+            let what = format!("segment {i}");
+            out.sealed.push(Segment::decoded(rows, ids, dead, dim, tau_max, &what)?);
         }
         tr.finish("segment table")?;
         out.finish_restore()
-    }
-
-    /// Cross-checks a restored GPH segment against the container header.
-    fn check_segment(
-        i: usize,
-        store: &SegStore,
-        ids: &[u32],
-        dead: &Tombstones,
-        dim: usize,
-        tau_max: usize,
-    ) -> Result<()> {
-        if store.len() != ids.len() || dead.len() != ids.len() {
-            return Err(HammingError::Corrupt(format!(
-                "segment {i} sections disagree: {} rows, {} ids, {} tombstone slots",
-                store.len(),
-                ids.len(),
-                dead.len()
-            )));
-        }
-        let plan = store.plan();
-        if plan.partitioning.dim() != dim {
-            return Err(HammingError::Corrupt(format!(
-                "segment {i} indexes {}-dimensional rows, header says {dim}",
-                plan.partitioning.dim()
-            )));
-        }
-        if plan.tau_max != tau_max {
-            return Err(HammingError::Corrupt(format!(
-                "segment {i} serves tau_max {}, config says {tau_max}",
-                plan.tau_max
-            )));
-        }
-        Ok(())
     }
 
     /// Final restore validation shared by every decode path: rebuild the
@@ -1217,8 +1090,7 @@ impl SegmentedGph {
     /// per-segment live sums (duplicates would collide in the map).
     fn finish_restore(mut self) -> Result<Self> {
         self.rebuild_loc();
-        let live_sum =
-            self.mem.dead.live() + self.sealed.iter().map(|s| s.dead().live()).sum::<usize>();
+        let live_sum: usize = self.segments().map(|(_, s)| s.dead.live()).sum();
         if self.loc.len() != live_sum {
             return Err(HammingError::Corrupt(format!(
                 "{} distinct live ids across segments, but {} live rows",
@@ -1279,7 +1151,7 @@ impl SegmentedGph {
         let mut out = Self::restore(&c, storage, |rel, len| {
             let cache = Arc::clone(spill.cache());
             let cold = ColdSegment::open(Arc::clone(&file), cache, arena_off + rel, len as u64)?;
-            Ok(SegStore::Cold(cold))
+            Ok(Rows::Paged(Box::new(cold)))
         })?;
         out.spill = Some(spill);
         Ok(out)
@@ -1288,9 +1160,9 @@ impl SegmentedGph {
 
 /// Indices of the two segments with the fewest live rows. Caller ensures
 /// `sealed.len() >= 2`.
-fn smallest_two(sealed: &[Sealed]) -> (usize, usize) {
+fn smallest_two(sealed: &[Segment]) -> (usize, usize) {
     let mut order: Vec<usize> = (0..sealed.len()).collect();
-    order.sort_by_key(|&i| (sealed[i].dead().live(), i));
+    order.sort_by_key(|&i| (sealed[i].dead.live(), i));
     (order[0], order[1])
 }
 
@@ -1611,11 +1483,7 @@ mod tests {
 
     /// Each sealed segment's partitioning; `None` for a slab.
     fn partitionings(eng: &SegmentedGph) -> Vec<Option<Partitioning>> {
-        let plan = |s: &Sealed| match s {
-            Sealed::Slab(_) => None,
-            Sealed::Indexed(s) => Some(s.store.plan().partitioning.clone()),
-        };
-        eng.sealed.iter().map(plan).collect()
+        eng.sealed.iter().map(|s| s.rows.plan().map(|plan| plan.partitioning.clone())).collect()
     }
 
     /// What the configured strategy makes of sealed segment `seg`'s rows.
@@ -1669,7 +1537,7 @@ mod tests {
             eng.save(&path).unwrap();
             let mut eng = SegmentedGph::load_with_storage(&path, storage).unwrap();
             flush(&mut eng);
-            let sizes: Vec<usize> = eng.sealed.iter().map(|s| s.ids().len()).collect();
+            let sizes: Vec<usize> = eng.sealed.iter().map(|s| s.ids.len()).collect();
             assert_eq!(sizes, [2 * half, 2 * half]);
             let merged_again = configured(&eng, 1);
             assert_ne!(merged_again, merged, "fixture: OS must tell the batches apart");
@@ -1884,6 +1752,65 @@ mod tests {
         assert!(!copy.exists());
         drop(mapped);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every segment kind counts its results after the one tombstone
+    /// filter. A GPH segment (resident, then paged), a slab and the
+    /// memtable each hold a live and a tombstoned copy of the query: the
+    /// traced per-segment `n_results` sum to the result count, and every
+    /// other trace counter holds its pinned value.
+    #[test]
+    fn traced_results_count_only_live_hits_in_every_kind() {
+        let rows = random_rows(48, 320, 40);
+        let q = &rows[0];
+        // GPH: ids 0..300, where 0 and 1 are the query. Slab: ids
+        // 1000..1008, where 1000 and 1001 are. Memtable: ids 2000..2004,
+        // where 2000 and 2001 are.
+        let gph_rows = [&rows[..1], &rows[..1], &rows[1..299]].concat();
+        let inserts: Vec<(u32, &Vec<u64>)> = [(1000, q), (1001, q)]
+            .into_iter()
+            .chain((1002..1008).zip(&rows[300..306]))
+            .chain([(2000, q), (2001, q)])
+            .chain((2002..2004).zip(&rows[306..308]))
+            .collect();
+        for storage in [StorageMode::Resident, StorageMode::FileBacked { budget_bytes: 32 * 1024 }]
+        {
+            let mut eng = bulk(48, &gph_rows, SegmentConfig { storage, ..seg_cfg() });
+            for &(id, row) in &inserts {
+                eng.insert(id, row).unwrap();
+            }
+            assert_eq!(eng.num_sealed(), 2, "a GPH segment and a slab");
+            for id in [1, 1001, 2001] {
+                assert!(eng.delete(id));
+            }
+            let mut traces = Vec::new();
+            let (ids, st) = eng.search_with_trace(q, 8, Some(&mut traces));
+            for id in [0, 1000, 2000] {
+                assert!(ids.contains(&id), "{storage:?}: live copy {id} found");
+            }
+            let per_segment: Vec<u64> = traces.iter().map(|t| t.n_results).collect();
+            assert_eq!(per_segment.iter().sum::<u64>(), ids.len() as u64, "{per_segment:?}");
+            assert_eq!(st.n_results, ids.len() as u64);
+            // (segment, rows, signatures, postings, scanned, candidates).
+            let counters: Vec<_> = traces
+                .iter()
+                .map(|t| {
+                    let c = (t.n_signatures, t.sum_postings, t.n_scanned, t.n_candidates);
+                    (t.segment, t.rows, c)
+                })
+                .collect();
+            let memtable = gph_obs::trace::MEMTABLE_SEGMENT;
+            assert_eq!(
+                counters,
+                [(0, 300, (411, 8, 0, 4)), (1, 7, (0, 0, 7, 7)), (memtable, 3, (0, 0, 3, 3))],
+                "{storage:?}"
+            );
+            // A GPH segment's time is in its phases, a scan's in scan_ns.
+            assert_eq!(traces[0].phases.scan_ns, 0);
+            for t in &traces[1..] {
+                assert_eq!(PhaseNanos { scan_ns: 0, ..t.phases }, PhaseNanos::default());
+            }
+        }
     }
 
     #[test]

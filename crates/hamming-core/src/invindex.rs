@@ -205,6 +205,29 @@ impl PartIndex {
         }
         PartIndex { width, keys, offsets, ids, dir, shift }
     }
+
+    /// A partition from `(key, id)` postings in any order: one sort by
+    /// the pair, so ids ascend within each key, then the CSR sweep. Keys
+    /// take `min(width, 64)` bits: pass `width ≥ 64` for full 64-bit
+    /// hashes.
+    pub fn from_pairs(width: usize, mut pairs: Vec<(u64, u32)>) -> Self {
+        pairs.sort_unstable();
+        let (keys, offsets, ids) = csr_of_sorted(pairs.len(), pairs);
+        PartIndex::new(width, keys, offsets, ids)
+    }
+
+    /// The postings of `key`, ids ascending; empty if it is not stored.
+    #[inline]
+    pub fn postings(&self, key: u64) -> &[u32] {
+        let Ok(Some(slot)) = slot_of(self, key) else { return &[] };
+        let Ok(ids) = ids_of(self, slot);
+        &self.ids[ids]
+    }
+
+    /// Heap size in bytes: the flat CSR arrays and the prefix directory.
+    pub fn size_bytes(&self) -> usize {
+        self.ids.len() * 4 + self.keys.len() * 8 + self.offsets.len() * 4 + self.dir.len() * 4
+    }
 }
 
 impl CsrPart for &PartIndex {
@@ -260,24 +283,22 @@ impl InvertedIndex {
     /// `offsets` and `ids`. Sorting by the pair keeps ids ascending
     /// within each key. Keys of partitions at most 32 bits wide pack
     /// with their id into one `u64` as `key << 32 | id`; wider keys
-    /// (hashes, past 64 bits) sort as `(key, id)` pairs.
+    /// (hashes, past 64 bits) sort as `(key, id)` pairs
+    /// ([`PartIndex::from_pairs`]).
     pub fn build(pd: &ProjectedDataset) -> Self {
         let n = pd.len();
         assert!(u32::try_from(n).is_ok(), "posting ids are u32");
         let parts = (0..pd.num_parts())
             .map(|p| {
                 let col = pd.column(p);
-                let (keys, offsets, ids) = if col.width() <= 32 {
-                    let mut packed: Vec<u64> =
-                        (0..n).map(|id| col.key(id) << 32 | id as u64).collect();
-                    packed.sort_unstable();
-                    csr_of_sorted(n, packed.into_iter().map(|kv| (kv >> 32, kv as u32)))
-                } else {
-                    let mut pairs: Vec<(u64, u32)> =
-                        (0..n).map(|id| (col.key(id), id as u32)).collect();
-                    pairs.sort_unstable();
-                    csr_of_sorted(n, pairs)
-                };
+                if col.width() > 32 {
+                    let pairs = (0..n).map(|id| (col.key(id), id as u32)).collect();
+                    return PartIndex::from_pairs(col.width(), pairs);
+                }
+                let mut packed: Vec<u64> = (0..n).map(|id| col.key(id) << 32 | id as u64).collect();
+                packed.sort_unstable();
+                let sorted = packed.into_iter().map(|kv| (kv >> 32, kv as u32));
+                let (keys, offsets, ids) = csr_of_sorted(n, sorted);
                 PartIndex::new(col.width(), keys, offsets, ids)
             })
             .collect();
@@ -312,10 +333,7 @@ impl InvertedIndex {
     /// Postings list for signature `key` in partition `p` (IDs ascending).
     #[inline]
     pub fn postings(&self, p: usize, key: u64) -> &[u32] {
-        let part = &self.parts[p];
-        let Ok(Some(slot)) = slot_of(part, key) else { return &[] };
-        let Ok(ids) = ids_of(part, slot);
-        &part.ids[ids]
+        self.parts[p].postings(key)
     }
 
     /// Partition `p`'s sorted distinct signature keys (CSR `keys` array).
@@ -358,12 +376,7 @@ impl InvertedIndex {
     /// Heap size in bytes (the flat CSR arrays and the prefix
     /// directory), the quantity compared in Fig. 6.
     pub fn size_bytes(&self) -> usize {
-        self.parts
-            .iter()
-            .map(|pi| {
-                pi.ids.len() * 4 + pi.keys.len() * 8 + pi.offsets.len() * 4 + pi.dir.len() * 4
-            })
-            .sum()
+        self.parts.iter().map(PartIndex::size_bytes).sum()
     }
 }
 
@@ -445,6 +458,20 @@ mod tests {
         let proj = Projector::new(&p);
         let pd = ProjectedDataset::build(&ds, &proj);
         (ds, InvertedIndex::build(&pd), proj)
+    }
+
+    #[test]
+    fn from_pairs_groups_unordered_full_width_keys() {
+        // Hashed keys use all 64 bits, so the directory's prefixes do.
+        let keys = [u64::MAX, 0, 1 << 63, 0x9E37_79B9_7F4A_7C15, 7];
+        let pairs: Vec<(u64, u32)> =
+            (0..40u32).rev().map(|id| (keys[id as usize * 7 % keys.len()], id)).collect();
+        let part = PartIndex::from_pairs(64, pairs.clone());
+        for key in keys.into_iter().chain([1, u64::MAX - 1]) {
+            let expect: Vec<u32> = (0..40).filter(|&id| pairs.contains(&(key, id))).collect();
+            assert_eq!(part.postings(key), expect, "key {key:#x}");
+        }
+        assert_eq!(part.size_bytes(), 40 * 4 + 5 * 8 + 6 * 4 + part.dir.len() * 4);
     }
 
     #[test]
