@@ -564,7 +564,7 @@ use crate::pipeline::{Plan, ScratchPool, Store};
 use crate::snapshot::{
     decode_engine_meta, open_engine, PartSpan, SLOT_IDS, SLOT_KEYS, SLOT_OFFS, SLOT_ROWS,
 };
-use hamming_core::invindex::CsrPart;
+use hamming_core::invindex::{CsrPart, KeyRun};
 use hamming_core::io::Source;
 use hamming_core::{hamming_within, words_for, Projector};
 use std::convert::Infallible;
@@ -671,7 +671,6 @@ impl PagedPart<'_> {
 
 impl CsrPart for PagedPart<'_> {
     type Error = Infallible;
-    type Key = [u8; 8];
 
     fn n_ids(&self) -> usize {
         self.paged.n_rows
@@ -694,10 +693,10 @@ impl CsrPart for PagedPart<'_> {
 
     /// One page-cache lookup: a bucket or run lies inside one page, and
     /// keys are 8-aligned, so the run is whole words of it.
-    fn with_keys<R>(&self, slots: Range<usize>, f: impl FnOnce(&[[u8; 8]]) -> R) -> Read<R> {
+    fn with_keys<R>(&self, slots: Range<usize>, f: impl FnOnce(KeyRun<'_>) -> R) -> Read<R> {
         let (at, n) = (self.span.keys_off + slots.start as u64 * 8, slots.len());
         let (page, i) = read_ok(self.paged.cache.page_run(&self.paged.file, at, n * 8));
-        Ok(f(&page.words[i / 8..i / 8 + n]))
+        Ok(f(KeyRun::Paged(&page.words[i / 8..i / 8 + n])))
     }
 
     /// Both entries in one read: one lookup unless the pair straddles
@@ -1363,7 +1362,7 @@ mod tests {
             let part1_at = paged.parts[1].keys_off;
             assert!(!part1_at.is_multiple_of(page_size as u64), "partition 1 starts mid-page");
             for p in 0..index.num_parts() {
-                let keys = index.part_keys(p);
+                let keys: Vec<u64> = index.part_keys(p).iter().collect();
                 assert!(paged.fences[p].len() >= 3, "ps {page_size} part {p}: too few pages");
                 let whole = |k: u64| keys.binary_search(&k).ok();
                 let find = |k: u64| {

@@ -104,13 +104,20 @@ const SLAB_MARK: u64 = u64::MAX;
 ///
 /// Calibrated once, not measured at run time. On an x86-64 box with
 /// AVX2, a traced `engine-range` run (400k rows × 128 bits, `m = 5`)
-/// reads `hamming-core.enumerate_ns_per_sig` 7.5 ns plus
+/// read `hamming-core.enumerate_ns_per_sig` 7.5 ns plus
 /// `probe_ns_per_key` 40.8 ns per signature, against 3.1 ns per
 /// candidate for the batched verify kernel (`verify_mcand_per_s` 318):
 /// 15 rows per signature. The crossover concerns segments of a few
 /// thousand rows, whose CSR arrays sit in cache: on a 50k-row segment
-/// a signature costs ~28 ns at τ = 16, and the kernel scans a 128-bit
+/// a signature cost ~28 ns at τ = 16, and the kernel scans a 128-bit
 /// row in 2.4–3.1 ns, so 9–12 rows. Rounded toward indexing: 9.
+///
+/// Those figures predate the colex enumeration and the 4-byte keys,
+/// which made a signature cheaper (the same run now reads 2.9 + 32.5
+/// ns). The constant is held at 9 on purpose: `crossover_rows(128, 5,
+/// 16)` stays 1197, so `serve-mixed`'s 880-row merges stay slabs.
+/// Re-calibrating it belongs with the verify constant (ROADMAP item
+/// 20(a)).
 const SIG_COST_ROWS: u64 = 9;
 
 /// Live rows from which a merge builds a GPH segment; below it the
@@ -250,10 +257,10 @@ impl Rows {
 /// The one scan, as a scanned segment's range search: `(row, distance)`
 /// of every row within `tau` of `query`, dead or live, ascending by row,
 /// each chunk of rows through the batched verify kernel. Scanned rows
-/// are found without index probes, so each of the segment's `live` rows
-/// counts toward both `n_scanned` and `n_candidates`; the scan's time
-/// is its `verify_ns`.
-fn scan(data: &Dataset, query: &[u64], tau: u32, live: usize) -> Hits {
+/// are found without index probes, so every stored row — the kernel
+/// measures dead and live alike — counts toward both `n_scanned` and
+/// `n_candidates`; the scan's time is its `verify_ns`.
+fn scan(data: &Dataset, query: &[u64], tau: u32) -> Hits {
     let t = Instant::now();
     let wpv = data.words_per_vec();
     let (mut hits, mut near) = (Vec::new(), Vec::new());
@@ -266,8 +273,8 @@ fn scan(data: &Dataset, query: &[u64], tau: u32, live: usize) -> Hits {
     }
     let stats = QueryStats {
         verify_ns: t.elapsed().as_nanos() as u64,
-        n_scanned: live as u64,
-        n_candidates: live as u64,
+        n_scanned: data.len() as u64,
+        n_candidates: data.len() as u64,
         ..QueryStats::default()
     };
     (hits, stats)
@@ -349,7 +356,7 @@ impl Segment {
     /// index knows of tombstones — with the search's [`QueryStats`].
     fn search(&self, query: &[u64], tau: u32) -> Hits {
         match &self.rows {
-            Rows::Scanned(data) => scan(data, query, tau, self.dead.live()),
+            Rows::Scanned(data) => scan(data, query, tau),
             Rows::Resident(g) => g.plan.search(&g.store, query, tau),
             Rows::Paged(c) => c.plan.search(&c.store, query, tau),
         }
@@ -358,16 +365,16 @@ impl Segment {
     /// The segment's trace entry for a search that gave `st`. A GPH
     /// segment's candidate-generation time (probe + dedup, or the scan
     /// fallback when the signature ball outgrows the segment) lands in
-    /// `probe_ns`; a scan's time lands in `scan_ns`, and its rows are
-    /// its live rows.
+    /// `probe_ns`; a scan's time lands in `scan_ns`. In every kind,
+    /// `rows` counts the rows stored, dead or live.
     fn trace(&self, segment: u32, st: &QueryStats) -> SegmentTrace {
-        let (rows, verify_ns, scan_ns) = match self.rows {
-            Rows::Scanned(_) => (self.dead.live(), 0, st.verify_ns),
-            _ => (self.rows.len(), st.verify_ns, 0),
+        let (verify_ns, scan_ns) = match self.rows {
+            Rows::Scanned(_) => (0, st.verify_ns),
+            _ => (st.verify_ns, 0),
         };
         SegmentTrace {
             segment,
-            rows: rows as u64,
+            rows: self.rows.len() as u64,
             phases: PhaseNanos {
                 alloc_ns: st.alloc_ns,
                 enumerate_ns: st.enumerate_ns,
@@ -1802,7 +1809,7 @@ mod tests {
             let memtable = gph_obs::trace::MEMTABLE_SEGMENT;
             assert_eq!(
                 counters,
-                [(0, 300, (411, 8, 0, 4)), (1, 7, (0, 0, 7, 7)), (memtable, 3, (0, 0, 3, 3))],
+                [(0, 300, (411, 8, 0, 4)), (1, 8, (0, 0, 8, 8)), (memtable, 4, (0, 0, 4, 4))],
                 "{storage:?}"
             );
             // A GPH segment's time is in its phases, a scan's in scan_ns.

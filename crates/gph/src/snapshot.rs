@@ -348,7 +348,9 @@ pub(crate) fn encode_engine(g: &Gph) -> Vec<u8> {
     let mut offs = Vec::new();
     let mut ids = Vec::new();
     for p in 0..index.num_parts() {
-        for &k in index.part_keys(p) {
+        // Resident keys may be 4 bytes; a snapshot stores every key
+        // at 8 (FORMAT.md).
+        for k in index.part_keys(p).iter() {
             keys.put_u64_le(k);
         }
         for &o in index.part_offsets(p) {

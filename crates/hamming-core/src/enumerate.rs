@@ -5,54 +5,57 @@
 //! the *signatures* — and probes an inverted index with each. This module
 //! provides that enumeration for single-word (≤ 64 dimensions, the common
 //! case) and multi-word partitions.
+//!
+//! **Order.** Radius 0 first, then by distance; within a distance `k`
+//! the flip masks — the `k`-bit subsets of the partition's bits — come
+//! in *colex* order, which for a single word is increasing numeric
+//! order. The single-word walk is iterative: Gosper's step turns one
+//! `k`-bit mask into the next in a handful of word operations, so a
+//! signature costs one step and one XOR. The multi-word walk keeps the
+//! flipped positions instead and emits the same sequence.
 
 /// Calls `f(s)` for every single-word value `s` with `width` significant
 /// bits such that `H(s, value) <= radius`.
 ///
 /// Enumeration order is by increasing distance (radius 0 first), matching
-/// the description in §II-C. `value` must have no bits set at or above
-/// `width`. The number of calls is `Σ_{k<=radius} C(width, k)`.
+/// the description in §II-C, and within a distance by increasing flip
+/// mask `s ^ value`. `value` must have no bits set at or above `width`.
+/// The number of calls is `Σ_{k<=radius} C(width, k)`.
 pub fn for_each_in_ball_u64<F: FnMut(u64)>(value: u64, width: usize, radius: usize, mut f: F) {
     debug_assert!(width <= 64);
     debug_assert!(width == 64 || value >> width == 0, "value has bits above width");
     f(value);
-    let radius = radius.min(width);
-    // positions[0..k] hold the currently flipped bit indices.
-    let mut positions = [0usize; 64];
-    for k in 1..=radius {
-        combos(value, width, k, 0, 0, &mut positions, &mut f);
+    for k in 1..=radius.min(width) {
+        for_each_flip(width, k, |m| f(value ^ m));
     }
 }
 
-/// Recursive combination enumeration for the single-word ball: chooses
-/// `remaining = k - depth` more flip positions starting at `start`.
-fn combos<F: FnMut(u64)>(
-    base: u64,
-    width: usize,
-    k: usize,
-    depth: usize,
-    start: usize,
-    positions: &mut [usize; 64],
-    f: &mut F,
-) {
-    if depth == k {
-        let mut v = base;
-        for &p in positions.iter().take(k) {
-            v ^= 1u64 << p;
+/// Calls `f(m)` for every `k`-bit subset `m` of the low `width` bits,
+/// `1 <= k <= width <= 64`, in increasing numeric order.
+#[inline]
+fn for_each_flip(width: usize, k: usize, mut f: impl FnMut(u64)) {
+    // The first subset is the low `k` bits, the last the top `k`.
+    let mut m = u64::MAX >> (64 - k);
+    let last = m << (width - k);
+    loop {
+        f(m);
+        if m == last {
+            return;
         }
-        f(v);
-        return;
-    }
-    // Leave room for the remaining (k - depth - 1) positions.
-    let last = width - (k - depth - 1);
-    for p in start..last {
-        positions[depth] = p;
-        combos(base, width, k, depth + 1, p + 1, positions, f);
+        // Gosper's step: carry the lowest run of ones one place up and
+        // drop the rest of the run back to the bottom. `m` is not the
+        // last subset, so its lowest run ends below bit 63 and `m + c`
+        // cannot overflow; the shift is split so that neither half
+        // reaches 64.
+        let c = m & m.wrapping_neg();
+        let r = m + c;
+        m = ((r ^ m) >> 2 >> c.trailing_zeros()) | r;
     }
 }
 
 /// Calls `f(words)` for every multi-word value with `width` significant
-/// bits within `radius` of `value`. `value.len()` must equal
+/// bits within `radius` of `value`, in the order of
+/// [`for_each_in_ball_u64`]. `value.len()` must equal
 /// `crate::words_for(width)`.
 ///
 /// The buffer passed to `f` is reused between calls; callers must copy it
@@ -67,32 +70,29 @@ pub fn for_each_in_ball_words<F: FnMut(&[u64])>(
     debug_assert_eq!(value.len(), crate::words_for(width));
     let mut buf = value.to_vec();
     f(&buf);
-    let radius = radius.min(width);
-    let mut positions = vec![0usize; radius];
-    for k in 1..=radius {
-        combos_words(width, k, 0, 0, &mut positions, &mut buf, &mut f);
-    }
-}
-
-fn combos_words<F: FnMut(&[u64])>(
-    width: usize,
-    k: usize,
-    depth: usize,
-    start: usize,
-    positions: &mut [usize],
-    buf: &mut [u64],
-    f: &mut F,
-) {
-    if depth == k {
-        f(buf);
-        return;
-    }
-    let last = width - (k - depth - 1);
-    for p in start..last {
-        positions[depth] = p;
-        buf[p / 64] ^= 1u64 << (p % 64);
-        combos_words(width, k, depth + 1, p + 1, positions, buf, f);
-        buf[p / 64] ^= 1u64 << (p % 64);
+    let flip = |buf: &mut [u64], p: usize| buf[p / 64] ^= 1u64 << (p % 64);
+    // `pos[0] < pos[1] < … < pos[k − 1]`: the flipped bits.
+    let mut pos = Vec::with_capacity(radius.min(width));
+    for k in 1..=radius.min(width) {
+        pos.clear();
+        pos.extend(0..k);
+        pos.iter().for_each(|&p| flip(&mut buf, p));
+        loop {
+            f(&buf);
+            // The colex successor moves up the lowest position that has
+            // room above it and resets the ones below it to the bottom.
+            let Some(i) = (0..k).find(|&i| pos[i] + 1 < pos.get(i + 1).map_or(width, |&p| p))
+            else {
+                break;
+            };
+            pos[..=i].iter().for_each(|&p| flip(&mut buf, p));
+            pos[i] += 1;
+            for (j, p) in pos[..i].iter_mut().enumerate() {
+                *p = j;
+            }
+            pos[..=i].iter().for_each(|&p| flip(&mut buf, p));
+        }
+        pos.iter().for_each(|&p| flip(&mut buf, p));
     }
 }
 
@@ -187,6 +187,21 @@ mod tests {
     }
 
     #[test]
+    fn flips_reach_the_top_of_a_full_word() {
+        // At width 64 the last subsets touch bit 63, where `m + c` would
+        // overflow if the walk stepped past them.
+        let walk = |k| {
+            let mut out = Vec::new();
+            for_each_flip(64, k, |m| out.push(m));
+            out
+        };
+        assert_eq!(walk(64), [u64::MAX]);
+        let all_but_one: Vec<u64> = (0..64).rev().map(|b| !(1u64 << b)).collect();
+        assert_eq!(walk(63), all_but_one);
+        assert_eq!(walk(1), (0..64).map(|b| 1u64 << b).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn ball_size_saturates() {
         assert_eq!(ball_size(500, 250), u64::MAX);
         assert_eq!(ball_size(8, 100), 256);
@@ -219,10 +234,8 @@ mod tests {
         let mut last = 0;
         for v in got {
             let d = v.count_ones();
-            assert!(d >= last.min(d)); // non-decreasing by construction
-            if d > last {
-                last = d;
-            }
+            assert!(d >= last, "distance fell from {last} to {d}");
+            last = d;
         }
         assert_eq!(last, 3);
     }

@@ -23,12 +23,23 @@
 //! monomorphic copy, so the resident probe has no dynamic dispatch, no
 //! allocation and, its error type being [`Infallible`], no `Result`.
 //!
+//! **Keys at 4 bytes where they fit.** A resident partition at most 32
+//! bits wide stores its keys as `u32`, a wider one as `u64` (33–64-bit
+//! values and the hashes of partitions wider than a word): a rule of
+//! the width, not an option. A run of keys reaches the reader as a
+//! [`KeyRun`] — narrow, wide or paged — whose kind is matched once per
+//! run, so each kind's search and walk is its own loop. Snapshots store
+//! every key at 8 bytes: the build emits narrow keys in its one sweep,
+//! [`InvertedIndex::from_csr`] narrows what it loads, and the export
+//! ([`InvertedIndex::part_keys`]) widens them back.
+//!
 //! **The lookup is the source's** ([`CsrPart::bucket`]), derived from
 //! the keys and never persisted. The resident index keeps a dense
 //! *prefix directory* over the top `b = ⌊log₂ n_keys⌋ − 3` bits of a
-//! key (clamped to its bits): about eight keys, one cache line, per
-//! bucket, so a probe is a directory load, a search in one line of
-//! `keys` and an `ids` slice. On the benchmark's 400k-row corpus a
+//! key (clamped to its bits): about eight keys per bucket, half a cache
+//! line of 4-byte keys or one line of 8-byte ones, so a probe is a
+//! directory load, a search in at most one line of `keys` and an `ids`
+//! slice. On the benchmark's 400k-row corpus a
 //! finer directory buys little speed for a lot of memory and a coarser
 //! one gives the gain back; keys sharing one prefix cost a whole-array
 //! search, never more. The paged store keeps *page fences* (the first
@@ -50,22 +61,70 @@ use crate::project::ProjectedDataset;
 use std::convert::Infallible;
 use std::ops::Range;
 
-/// A key as a source stores it: a native `u64` on the heap, or eight
-/// little-endian bytes in a cached page.
-pub trait StoredKey: Copy {
-    /// The key's value.
-    fn value(self) -> u64;
+/// A run of stored keys, as a source lends it. The reader matches the
+/// kind once per run, so each kind's search and walk is its own tight
+/// loop: one predictable branch per probe, no dispatch per key.
+#[derive(Clone, Copy, Debug)]
+pub enum KeyRun<'a> {
+    /// Resident keys of a partition at most 32 bits wide.
+    Narrow(&'a [u32]),
+    /// Resident keys of a wider partition: 33–64-bit values and the
+    /// 64-bit hashes of partitions wider than a word.
+    Wide(&'a [u64]),
+    /// Eight little-endian bytes per key, in a cached page.
+    Paged(&'a [[u8; 8]]),
 }
 
-impl StoredKey for u64 {
-    fn value(self) -> u64 {
-        self
+impl<'a> KeyRun<'a> {
+    /// Number of keys in the run.
+    pub fn len(self) -> usize {
+        match self {
+            KeyRun::Narrow(keys) => keys.len(),
+            KeyRun::Wide(keys) => keys.len(),
+            KeyRun::Paged(keys) => keys.len(),
+        }
     }
-}
 
-impl StoredKey for [u8; 8] {
-    fn value(self) -> u64 {
-        u64::from_le_bytes(self)
+    /// True if the run holds no key.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The key at position `j` of the run.
+    fn get(self, j: usize) -> u64 {
+        match self {
+            KeyRun::Narrow(keys) => keys[j].into(),
+            KeyRun::Wide(keys) => keys[j],
+            KeyRun::Paged(keys) => u64::from_le_bytes(keys[j]),
+        }
+    }
+
+    /// The run's keys in order, widened to `u64`.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = u64> + 'a {
+        (0..self.len()).map(move |j| self.get(j))
+    }
+
+    /// The position of `key`, by binary search of the (sorted) run. A
+    /// key wider than a narrow run's keys is not in it.
+    #[inline]
+    fn find(self, key: u64) -> Option<usize> {
+        match self {
+            KeyRun::Narrow(keys) => keys.binary_search(&u32::try_from(key).ok()?).ok(),
+            KeyRun::Wide(keys) => keys.binary_search(&key).ok(),
+            KeyRun::Paged(keys) => keys.binary_search_by(|k| u64::from_le_bytes(*k).cmp(&key)).ok(),
+        }
+    }
+
+    /// Calls `f(j, key)` for every key of the run in order, stopping at
+    /// the first error.
+    fn try_for_each<E>(self, mut f: impl FnMut(usize, u64) -> Result<(), E>) -> Result<(), E> {
+        match self {
+            KeyRun::Narrow(keys) => keys.iter().enumerate().try_for_each(|(j, &k)| f(j, k.into())),
+            KeyRun::Wide(keys) => keys.iter().enumerate().try_for_each(|(j, &k)| f(j, k)),
+            KeyRun::Paged(keys) => {
+                keys.iter().enumerate().try_for_each(|(j, &k)| f(j, u64::from_le_bytes(k)))
+            }
+        }
     }
 }
 
@@ -74,8 +133,6 @@ impl StoredKey for [u8; 8] {
 pub trait CsrPart: Copy {
     /// What a failed read returns.
     type Error;
-    /// How the source stores a key.
-    type Key: StoredKey;
     /// Length of the ids array.
     fn n_ids(&self) -> usize;
     /// The source's lookup: the slots of the one run of keys that can
@@ -87,7 +144,7 @@ pub trait CsrPart: Copy {
     fn with_keys<R>(
         &self,
         slots: Range<usize>,
-        f: impl FnOnce(&[Self::Key]) -> R,
+        f: impl FnOnce(KeyRun<'_>) -> R,
     ) -> Result<R, Self::Error>;
     /// `(offsets[slot], offsets[slot + 1])` as stored, for a key slot.
     fn offsets_pair(&self, slot: usize) -> Result<(u32, u32), Self::Error>;
@@ -104,7 +161,7 @@ pub fn slot_of<S: CsrPart>(part: S, key: u64) -> Result<Option<usize>, S::Error>
         return Ok(None);
     }
     let lo = run.start;
-    part.with_keys(run, |keys| keys.binary_search_by(|k| k.value().cmp(&key)).ok().map(|j| lo + j))
+    part.with_keys(run, |keys| keys.find(key).map(|j| lo + j))
 }
 
 /// The ids run of key slot `slot`: its offsets pair, checked.
@@ -141,12 +198,12 @@ pub fn for_each_posting_within<S: CsrPart>(
     for run in part.runs() {
         let lo = run.start;
         part.with_keys(run, |keys| {
-            for (j, k) in keys.iter().enumerate() {
-                if (k.value() ^ qk).count_ones() as usize <= radius {
+            keys.try_for_each(|j, k| {
+                if (k ^ qk).count_ones() as usize <= radius {
                     part.for_each_id(ids_of(part, lo + j)?, &mut emit)?;
                 }
-            }
-            Ok(())
+                Ok(())
+            })
         })??;
     }
     Ok(())
@@ -158,7 +215,7 @@ pub fn for_each_posting_within<S: CsrPart>(
 pub struct PartIndex {
     width: usize,
     /// Distinct signature keys, ascending.
-    keys: Vec<u64>,
+    keys: Keys,
     /// `offsets[s]..offsets[s + 1]` is the `ids` range of `keys[s]`;
     /// `keys.len() + 1` entries, monotone, starting at 0 and ending at
     /// `ids.len()`.
@@ -179,6 +236,59 @@ fn key_bits(width: usize) -> u32 {
     width.min(64) as u32
 }
 
+/// A partition's sorted keys, stored at the narrowest of 4 or 8 bytes
+/// that holds `key_bits(width)`: a rule of the width, so two indexes
+/// over the same partition always agree on it.
+#[derive(Clone, Debug)]
+enum Keys {
+    Narrow(Vec<u32>),
+    Wide(Vec<u64>),
+}
+
+impl Keys {
+    /// True when keys of a `width`-bit partition fit in 4 bytes.
+    fn narrow(width: usize) -> bool {
+        key_bits(width) <= 32
+    }
+
+    /// `keys` (each within `key_bits(width)` bits) at the width's size.
+    fn at_width(width: usize, keys: Vec<u64>) -> Keys {
+        if Keys::narrow(width) {
+            Keys::Narrow(keys.into_iter().map(|k| k as u32).collect())
+        } else {
+            Keys::Wide(keys)
+        }
+    }
+
+    /// The keys at `slots` as the reader's run.
+    #[inline]
+    fn run(&self, slots: Range<usize>) -> KeyRun<'_> {
+        match self {
+            Keys::Narrow(keys) => KeyRun::Narrow(&keys[slots]),
+            Keys::Wide(keys) => KeyRun::Wide(&keys[slots]),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Keys::Narrow(keys) => keys.len(),
+            Keys::Wide(keys) => keys.len(),
+        }
+    }
+
+    /// Every key, as one run.
+    fn all(&self) -> KeyRun<'_> {
+        self.run(0..self.len())
+    }
+
+    fn size_bytes(&self) -> usize {
+        match self {
+            Keys::Narrow(keys) => size_of_val(&keys[..]),
+            Keys::Wide(keys) => size_of_val(&keys[..]),
+        }
+    }
+}
+
 /// `key >> shift`, for a `shift` that reaches 64 when a one-bucket
 /// directory sits over full-width keys.
 #[inline]
@@ -190,14 +300,17 @@ impl PartIndex {
     /// Finishes a partition from its CSR arrays by deriving the prefix
     /// directory from the sorted `keys` in one counting pass. No key
     /// may exceed `key_bits(width)` bits ([`validate_csr_part`] checks
-    /// loaded ones; built ones are projections of that width).
-    fn new(width: usize, keys: Vec<u64>, offsets: Vec<u32>, ids: Vec<u32>) -> Self {
+    /// loaded ones; built ones are projections of that width), and the
+    /// keys are stored at the width's size ([`Keys::narrow`]).
+    fn new(width: usize, keys: Keys, offsets: Vec<u32>, ids: Vec<u32>) -> Self {
+        debug_assert_eq!(matches!(keys, Keys::Narrow(_)), Keys::narrow(width));
         let key_bits = key_bits(width);
-        // About eight keys — one cache line of `keys` — per bucket.
+        // About eight keys — at most one cache line of `keys` — per
+        // bucket.
         let b = keys.len().max(1).ilog2().saturating_sub(3).min(key_bits);
         let shift = key_bits - b;
         let mut dir = vec![0u32; (1usize << b) + 1];
-        for &k in &keys {
+        for k in keys.all().iter() {
             dir[prefix(k, shift) as usize + 1] += 1;
         }
         for h in 1..dir.len() {
@@ -210,10 +323,21 @@ impl PartIndex {
     /// the pair, so ids ascend within each key, then the CSR sweep. Keys
     /// take `min(width, 64)` bits: pass `width ≥ 64` for full 64-bit
     /// hashes.
+    ///
+    /// # Panics
+    ///
+    /// If the partition is at most 32 bits wide and a key is wider
+    /// than 32 bits.
     pub fn from_pairs(width: usize, mut pairs: Vec<(u64, u32)>) -> Self {
         pairs.sort_unstable();
-        let (keys, offsets, ids) = csr_of_sorted(pairs.len(), pairs);
-        PartIndex::new(width, keys, offsets, ids)
+        let n = pairs.len();
+        if !Keys::narrow(width) {
+            let (keys, offsets, ids) = csr_of_sorted(n, pairs);
+            return PartIndex::new(width, Keys::Wide(keys), offsets, ids);
+        }
+        let narrow = |(k, id): (u64, u32)| (u32::try_from(k).expect("key exceeds width"), id);
+        let (keys, offsets, ids) = csr_of_sorted(n, pairs.into_iter().map(narrow));
+        PartIndex::new(width, Keys::Narrow(keys), offsets, ids)
     }
 
     /// The postings of `key`, ids ascending; empty if it is not stored.
@@ -226,13 +350,12 @@ impl PartIndex {
 
     /// Heap size in bytes: the flat CSR arrays and the prefix directory.
     pub fn size_bytes(&self) -> usize {
-        self.ids.len() * 4 + self.keys.len() * 8 + self.offsets.len() * 4 + self.dir.len() * 4
+        self.ids.len() * 4 + self.keys.size_bytes() + self.offsets.len() * 4 + self.dir.len() * 4
     }
 }
 
 impl CsrPart for &PartIndex {
     type Error = Infallible;
-    type Key = u64;
 
     fn n_ids(&self) -> usize {
         self.ids.len()
@@ -255,9 +378,9 @@ impl CsrPart for &PartIndex {
     fn with_keys<R>(
         &self,
         slots: Range<usize>,
-        f: impl FnOnce(&[u64]) -> R,
+        f: impl FnOnce(KeyRun<'_>) -> R,
     ) -> Result<R, Infallible> {
-        Ok(f(&self.keys[slots]))
+        Ok(f(self.keys.run(slots)))
     }
 
     fn offsets_pair(&self, slot: usize) -> Result<(u32, u32), Infallible> {
@@ -282,7 +405,8 @@ impl InvertedIndex {
     /// sort of the `(key, id)` pairs, then one sweep that emits `keys`,
     /// `offsets` and `ids`. Sorting by the pair keeps ids ascending
     /// within each key. Keys of partitions at most 32 bits wide pack
-    /// with their id into one `u64` as `key << 32 | id`; wider keys
+    /// with their id into one `u64` as `key << 32 | id`, and the sweep
+    /// emits them as the 4-byte keys they are stored as; wider keys
     /// (hashes, past 64 bits) sort as `(key, id)` pairs
     /// ([`PartIndex::from_pairs`]).
     pub fn build(pd: &ProjectedDataset) -> Self {
@@ -297,9 +421,9 @@ impl InvertedIndex {
                 }
                 let mut packed: Vec<u64> = (0..n).map(|id| col.key(id) << 32 | id as u64).collect();
                 packed.sort_unstable();
-                let sorted = packed.into_iter().map(|kv| (kv >> 32, kv as u32));
+                let sorted = packed.into_iter().map(|kv| ((kv >> 32) as u32, kv as u32));
                 let (keys, offsets, ids) = csr_of_sorted(n, sorted);
-                PartIndex::new(col.width(), keys, offsets, ids)
+                PartIndex::new(col.width(), Keys::Narrow(keys), offsets, ids)
             })
             .collect();
         InvertedIndex { parts, len: n }
@@ -336,9 +460,10 @@ impl InvertedIndex {
         self.parts[p].postings(key)
     }
 
-    /// Partition `p`'s sorted distinct signature keys (CSR `keys` array).
-    pub fn part_keys(&self, p: usize) -> &[u64] {
-        &self.parts[p].keys
+    /// Partition `p`'s sorted distinct signature keys (CSR `keys`
+    /// array), one run at the size they are stored at.
+    pub fn part_keys(&self, p: usize) -> KeyRun<'_> {
+        self.parts[p].keys.all()
     }
 
     /// Partition `p`'s CSR prefix-sum array (`keys.len() + 1` entries).
@@ -356,7 +481,9 @@ impl InvertedIndex {
     /// its siblings export them: how snapshots rebuild the index from
     /// sections read off disk. Each partition is checked by
     /// `validate_csr_part` first, so a corrupt payload is rejected
-    /// here rather than answered later.
+    /// here rather than answered later; that check proves every key
+    /// fits the partition's width, so narrowing the keys of a
+    /// partition at most 32 bits wide to 4 bytes loses nothing.
     #[allow(clippy::type_complexity)]
     pub fn from_csr(
         len: usize,
@@ -367,7 +494,7 @@ impl InvertedIndex {
             .enumerate()
             .map(|(p, (width, keys, offsets, ids))| {
                 validate_csr_part(p, len, width, &keys, &offsets, &ids)?;
-                Ok(PartIndex::new(width, keys, offsets, ids))
+                Ok(PartIndex::new(width, Keys::at_width(width, keys), offsets, ids))
             })
             .collect::<Result<Vec<_>, HammingError>>()?;
         Ok(InvertedIndex { parts, len })
@@ -382,10 +509,11 @@ impl InvertedIndex {
 
 /// One partition's CSR arrays from its `n` postings sorted by
 /// `(key, id)`: a key opens a slot where it differs from the last one.
-fn csr_of_sorted(
+/// Keys come out as they go in, so narrow ones stay 4 bytes.
+fn csr_of_sorted<K: Copy + PartialEq>(
     n: usize,
-    sorted: impl IntoIterator<Item = (u64, u32)>,
-) -> (Vec<u64>, Vec<u32>, Vec<u32>) {
+    sorted: impl IntoIterator<Item = (K, u32)>,
+) -> (Vec<K>, Vec<u32>, Vec<u32>) {
     let (mut keys, mut offsets, mut ids) = (Vec::new(), Vec::new(), Vec::with_capacity(n));
     for (key, id) in sorted {
         if keys.last() != Some(&key) {
@@ -535,7 +663,7 @@ mod tests {
             .parts
             .iter()
             .map(|pi| {
-                size_of_val(&pi.keys[..])
+                pi.keys.len() * if pi.width <= 32 { 4 } else { 8 }
                     + size_of_val(&pi.offsets[..])
                     + size_of_val(&pi.ids[..])
                     + size_of_val(&pi.dir[..])
@@ -553,7 +681,7 @@ mod tests {
             .map(|p| {
                 (
                     idx.part_width(p),
-                    idx.part_keys(p).to_vec(),
+                    idx.part_keys(p).iter().collect(),
                     idx.part_offsets(p).to_vec(),
                     idx.part_ids(p).to_vec(),
                 )

@@ -3,8 +3,11 @@
 //! one bucket) to a search of the whole sorted key array, and the CSR
 //! arrays an index exports — what a snapshot stores — to their
 //! definition, so the directory can change how a key is found but never
-//! what is found or what is written.
+//! what is found or what is written. Keys of partitions at most 32 bits
+//! wide are held in 4 bytes, wider ones in 8: both sides of that line
+//! answer and export alike.
 
+use hamming_core::invindex::{for_each_posting_within, PartIndex};
 use hamming_core::key::key_of;
 use hamming_core::{BitVector, Dataset, InvertedIndex, Partitioning, ProjectedDataset, Projector};
 use proptest::prelude::*;
@@ -18,7 +21,7 @@ fn export(idx: &InvertedIndex) -> Vec<CsrPart> {
         .map(|p| {
             (
                 idx.part_width(p),
-                idx.part_keys(p).to_vec(),
+                idx.part_keys(p).iter().collect(),
                 idx.part_offsets(p).to_vec(),
                 idx.part_ids(p).to_vec(),
             )
@@ -43,7 +46,8 @@ fn canonical_csr(width: usize, key_of_row: &[u64]) -> CsrPart {
 
 /// The lookup the directory replaced: a search of the whole key array.
 fn whole_array_search(idx: &InvertedIndex, p: usize, key: u64) -> &[u32] {
-    match idx.part_keys(p).binary_search(&key) {
+    let keys: Vec<u64> = idx.part_keys(p).iter().collect();
+    match keys.binary_search(&key) {
         Ok(s) => {
             let offsets = idx.part_offsets(p);
             &idx.part_ids(p)[offsets[s] as usize..offsets[s + 1] as usize]
@@ -69,7 +73,7 @@ fn check_every_probe(idx: &InvertedIndex) -> Result<(), TestCaseError> {
     for p in 0..idx.num_parts() {
         let top = mask(idx.part_width(p));
         let mut probes = vec![0, top, top.wrapping_add(1), u64::MAX, 1 << 63];
-        for &k in idx.part_keys(p) {
+        for k in idx.part_keys(p).iter() {
             probes.push(k);
             probes.extend((0..64).map(|bit| k ^ (1 << bit)));
         }
@@ -82,7 +86,7 @@ fn check_every_probe(idx: &InvertedIndex) -> Result<(), TestCaseError> {
                 key
             );
         }
-        let stored: usize = idx.part_keys(p).iter().map(|&k| idx.postings(p, k).len()).sum();
+        let stored: usize = idx.part_keys(p).iter().map(|k| idx.postings(p, k).len()).sum();
         prop_assert_eq!(stored, idx.len(), "part {} postings do not cover every row", p);
     }
     Ok(())
@@ -215,5 +219,51 @@ proptest! {
         prop_assert_eq!(reloaded.size_bytes(), built.size_bytes());
         check_every_probe(&built)?;
         check_every_probe(&reloaded)?;
+    }
+
+    /// At the key widths on both sides of the 4-byte/8-byte line, at
+    /// both ends of a word and hashed: every probe equals a whole-array
+    /// search, whether the partition came from CSR arrays or from
+    /// unordered pairs; the distinct-key walk emits exactly the postings
+    /// whose key is within the radius, in key order; and the exported
+    /// keys are the `u64` keys that went in.
+    #[test]
+    fn narrow_and_wide_keys_probe_walk_and_export_alike(
+        at in 0usize..7,
+        rows in row_counts(),
+        spread in spreads(),
+        seed in any::<u64>(),
+    ) {
+        let width = [1, 31, 32, 33, 63, 64, 100][at];
+        let keys = keys_for_rows(width.min(64), rows, spread, seed);
+        let csr = canonical_csr(width, &keys);
+        let idx = InvertedIndex::from_csr(rows, vec![csr.clone()]).unwrap();
+        prop_assert_eq!(export(&idx), vec![csr]);
+        check_every_probe(&idx)?;
+
+        let pairs = keys.iter().enumerate().map(|(id, &k)| (k, id as u32)).rev().collect();
+        let from_pairs = PartIndex::from_pairs(width, pairs);
+        prop_assert_eq!(from_pairs.size_bytes(), idx.size_bytes());
+        for k in idx.part_keys(0).iter() {
+            for key in [k, k ^ 1, k ^ (1 << (width.min(64) - 1))] {
+                prop_assert_eq!(from_pairs.postings(key), idx.postings(0, key), "key {:#x}", key);
+            }
+        }
+
+        let mut next = stream(!seed);
+        let centres = keys.iter().take(3).copied().chain([next() & mask(width.min(64))]);
+        for qk in centres {
+            for radius in [0, 1, 3, width.min(64) / 2] {
+                let mut walked = Vec::new();
+                let Ok(()) = for_each_posting_within(idx.part(0), qk, radius, |id| walked.push(id));
+                let mut brute: Vec<(u64, u32)> = (0..rows as u32)
+                    .map(|id| (keys[id as usize], id))
+                    .filter(|&(k, _)| (k ^ qk).count_ones() as usize <= radius)
+                    .collect();
+                brute.sort_unstable();
+                let brute: Vec<u32> = brute.into_iter().map(|(_, id)| id).collect();
+                prop_assert_eq!(walked, brute, "qk {:#x} radius {}", qk, radius);
+            }
+        }
     }
 }

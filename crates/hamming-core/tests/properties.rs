@@ -166,7 +166,7 @@ proptest! {
                 offsets.push(offsets.last().unwrap() + ids.len() as u32);
             }
             let ids: Vec<u32> = reference.into_values().flatten().collect();
-            prop_assert_eq!(idx.part_keys(0), &keys[..], "width {}", width);
+            prop_assert_eq!(idx.part_keys(0).iter().collect::<Vec<_>>(), keys, "width {}", width);
             prop_assert_eq!(idx.part_offsets(0), &offsets[..], "width {}", width);
             prop_assert_eq!(idx.part_ids(0), &ids[..], "width {}", width);
         }
@@ -250,4 +250,60 @@ fn crc32_bitwise(bytes: &[u8]) -> u32 {
         }
     }
     !crc
+}
+
+/// An enumeration as a stream of flip masks (`signature ^ centre`),
+/// checked as it goes without storing it: how many came, and the last
+/// `(distance, flip)`.
+#[derive(Debug, Default, PartialEq)]
+struct BallWalk {
+    count: u64,
+    last: Option<(u32, u64)>,
+}
+
+impl BallWalk {
+    /// Takes the next flip: it must lie in the ball and come strictly
+    /// after the last one in (distance, flip) order — the distance never
+    /// falls, and within a distance the flips increase.
+    fn push(&mut self, flip: u64, width: usize, radius: usize) {
+        let at = (flip.count_ones(), flip);
+        assert!(width == 64 || flip >> width == 0, "flip {flip:#x} above width {width}");
+        assert!(at.0 as usize <= radius, "flip {flip:#x} outside radius {radius}");
+        assert!(self.last.is_none_or(|last| last < at), "{:?} then {at:?}", self.last);
+        self.count += 1;
+        self.last = Some(at);
+    }
+}
+
+/// Single-word balls at every width 1..=64: every radius for widths up
+/// to 12, radii up to 6 to width 32 and up to 4 beyond (a radius-6 ball
+/// at width 64 holds 83M signatures; the walk's top-of-word edge is the
+/// same at every radius, and `enumerate`'s unit tests take it to
+/// `k = 64`). Each walk
+/// is ordered by distance and then by flip mask (colex), so its
+/// signatures are distinct, and has `ball_size` of them. A strictly
+/// ordered walk of every flip in the ball is the sorted list of those
+/// flips, so the multi-word walk, passing the same checks, emits the
+/// identical sequence.
+#[test]
+fn ball_walks_are_colex_within_each_distance() {
+    for width in 1..=64usize {
+        let low = if width == 64 { u64::MAX } else { (1 << width) - 1 };
+        let centre = hamming_core::key::mix64(width as u64) & low;
+        let max_radius = match width {
+            0..=12 => width,
+            13..=32 => 6,
+            _ => 4,
+        };
+        for radius in 0..=max_radius {
+            let mut single = BallWalk::default();
+            for_each_in_ball_u64(centre, width, radius, |v| single.push(v ^ centre, width, radius));
+            let mut multi = BallWalk::default();
+            for_each_in_ball_words(&[centre], width, radius, |w| {
+                multi.push(w[0] ^ centre, width, radius)
+            });
+            assert_eq!(single.count, ball_size(width, radius), "width {width} radius {radius}");
+            assert_eq!(multi, single, "width {width} radius {radius}");
+        }
+    }
 }

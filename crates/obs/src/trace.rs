@@ -62,7 +62,8 @@ pub struct SegmentTrace {
     /// Segment ordinal within its shard; [`MEMTABLE_SEGMENT`] for the
     /// memtable scan.
     pub segment: u32,
-    /// Rows the segment held when the query ran.
+    /// Rows the segment stored when the query ran, tombstoned ones
+    /// included.
     pub rows: u64,
     /// Per-phase wall time.
     pub phases: PhaseNanos,
