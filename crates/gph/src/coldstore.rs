@@ -33,10 +33,12 @@
 //! reader, [`hamming_core::invindex`]: each partition is a [`CsrPart`]
 //! handing out little-endian runs of cached pages. Only the lookup is
 //! its own: at open, the first key of every key page is kept as a
-//! *fence* (16 bytes per page, derived for the run-time page size and
-//! never persisted), so a probe reads one key page and the key walk
-//! reads each key page once. A failed read is handled in one place,
-//! `read_ok`.
+//! *fence* (8 bytes per page, derived for the run-time page size and
+//! never persisted; which slots a fence covers is page geometry, not
+//! stored), so a probe reads one key page and the key walk reads each
+//! key page once. A query's probe loop reads a key page once per run
+//! of consecutive signatures that fall on it ([`CsrPart::GROUP_PROBES`]).
+//! A failed read is handled in one place, `read_ok`.
 
 use std::collections::HashMap;
 use std::fs::{self, File};
@@ -146,9 +148,11 @@ impl Drop for SegmentFile {
 // PageCache
 // ---------------------------------------------------------------------------
 
-/// Default page size: 16 KiB, in the 4–64 KiB range the container's
-/// 4 KiB section alignment supports.
-pub const DEFAULT_PAGE_BYTES: usize = 16 * 1024;
+/// Default page size: 8 KiB, in the 4–64 KiB range the container's
+/// 4 KiB section alignment supports. A probe reads one key page per run
+/// of signatures on it, so a smaller page costs few more lookups and
+/// half the bytes per miss.
+pub const DEFAULT_PAGE_BYTES: usize = 8 * 1024;
 
 /// Smallest / largest accepted page size (both powers of two).
 pub const MIN_PAGE_BYTES: usize = 4 * 1024;
@@ -276,7 +280,9 @@ impl PageCache {
     }
 
     /// Returns page `page_no` of `file`, loading and caching it on miss.
-    /// The final page of a file may be shorter than the page size.
+    /// The final page of a file may be shorter than the page size. A
+    /// miss first evicts down to the budget, then reads into an evicted
+    /// page's buffer when no reader still holds it.
     fn page(&self, file: &SegmentFile, page_no: u64) -> Result<Arc<Page>> {
         let key = (file.id, page_no);
         let mut inner = self.inner.lock().unwrap();
@@ -296,19 +302,13 @@ impl PageCache {
                 ))
             })?;
         let n = (file.len() - off).min(self.page_size as u64) as usize;
-        let mut words = vec![[0u8; 8]; n.div_ceil(8)];
-        file.read_at(off, &mut words.as_flattened_mut()[..n])?;
-        let data = Arc::new(Page { words, len: n });
-
-        let idx = inner.slots.len();
-        inner.slots.push(Slot { key, data: data.clone(), referenced: true });
-        inner.map.insert(key, idx);
-        inner.bytes += n as u64;
 
         // Clock sweep: clear reference bits until an unreferenced slot
-        // is found, evict it, repeat while over budget. At least one
-        // page is always retained.
-        while inner.bytes > self.budget && inner.slots.len() > 1 {
+        // is found, evict it, repeat until the new page fits the budget.
+        // The new page is always kept, so progress is possible under
+        // any budget.
+        let mut spare = None;
+        while inner.bytes + n as u64 > self.budget && !inner.slots.is_empty() {
             let i = inner.hand % inner.slots.len();
             if inner.slots[i].referenced {
                 inner.slots[i].referenced = false;
@@ -323,9 +323,23 @@ impl PageCache {
             }
             inner.bytes -= victim.data.len as u64;
             self.evictions.fetch_add(1, Ordering::Relaxed);
+            // A victim some reader still holds keeps its bytes.
+            spare = spare.or(Arc::into_inner(victim.data).map(|page| page.words));
         }
+        let mut words = spare.unwrap_or_default();
+        words.resize(n.div_ceil(8), [0; 8]);
+        let bytes = words.as_flattened_mut();
+        bytes[n..].fill(0);
+        let read = file.read_at(off, &mut bytes[..n]).map(|()| {
+            let data = Arc::new(Page { words, len: n });
+            let idx = inner.slots.len();
+            inner.slots.push(Slot { key, data: data.clone(), referenced: true });
+            inner.map.insert(key, idx);
+            inner.bytes += n as u64;
+            data
+        });
         self.resident.store(inner.bytes, Ordering::Relaxed);
-        Ok(data)
+        read
     }
 
     /// Fills `out` from `file` starting at `offset`, paging blocks in
@@ -584,28 +598,53 @@ fn read_ok<T>(read: Result<T>) -> T {
 /// A paged read, whose failure `read_ok` has handled.
 type Read<T> = std::result::Result<T, Infallible>;
 
-/// The first slot and the first key of one run of a partition's keys
-/// that lies inside a single cache page.
+/// The first key of one run of a partition's keys that lies inside a
+/// single cache page. Which slots the run holds is page geometry
+/// ([`PageGrid`]), so a fence keeps only its key.
 struct Fence {
-    slot: u64,
     key: u64,
 }
 
-/// Derives the fences of `span`'s keys (at an absolute, 8-byte aligned
-/// offset): one direct 8-byte read per key page, around the cache, so
-/// an open leaves nothing resident. Runs follow the absolute page grid,
-/// so a partition that starts mid-page starts with a short run.
-fn derive_fences(file: &SegmentFile, page_size: u64, span: &PartSpan) -> Result<Vec<Fence>> {
-    let mut fences = Vec::new();
-    let mut slot = 0;
-    while slot < span.n_keys as u64 {
-        let at = span.keys_off + slot * 8;
-        let mut key = [0u8; 8];
-        file.read_at(at, &mut key)?;
-        fences.push(Fence { slot, key: u64::from_le_bytes(key) });
-        slot += (page_size - at % page_size) / 8;
+/// Where the page grid cuts one partition's keys (at an absolute,
+/// 8-byte aligned offset) into runs: run `i` is the partition's share
+/// of the `i`-th page its keys touch. Runs follow the absolute grid, so
+/// a partition that starts mid-page starts with a short run.
+#[derive(Clone, Copy)]
+struct PageGrid {
+    /// Keys per page.
+    per_page: usize,
+    /// Keys of the first page that lie before the partition's start.
+    skew: usize,
+    /// Keys in the partition.
+    n_keys: usize,
+}
+
+impl PageGrid {
+    fn new(page_size: usize, span: &PartSpan) -> PageGrid {
+        let skew = (span.keys_off % page_size as u64) as usize / 8;
+        PageGrid { per_page: page_size / 8, skew, n_keys: span.n_keys }
     }
-    Ok(fences)
+
+    /// The slots of fence `i`'s run, empty past the last key.
+    fn fence_run(self, i: usize) -> Range<usize> {
+        let start = (i * self.per_page).saturating_sub(self.skew).min(self.n_keys);
+        start..((i + 1) * self.per_page - self.skew).min(self.n_keys)
+    }
+}
+
+/// Derives the fences of `span`'s keys: one direct 8-byte read per key
+/// page, around the cache, so an open leaves nothing resident.
+fn derive_fences(file: &SegmentFile, page_size: usize, span: &PartSpan) -> Result<Vec<Fence>> {
+    let grid = PageGrid::new(page_size, span);
+    (0..)
+        .map(|i| grid.fence_run(i).start)
+        .take_while(|&slot| slot < span.n_keys)
+        .map(|slot| {
+            let mut key = [0u8; 8];
+            file.read_at(span.keys_off + slot as u64 * 8, &mut key)?;
+            Ok(Fence { key: u64::from_le_bytes(key) })
+        })
+        .collect()
 }
 
 /// The paged [`Store`]: the row slab and CSR arrays of one GPHE v3
@@ -659,18 +698,13 @@ pub(crate) struct PagedPart<'a> {
     paged: &'a Paged,
     span: &'a PartSpan,
     fences: &'a [Fence],
-}
-
-impl PagedPart<'_> {
-    /// The slots of fence `i`'s run.
-    fn fence_run(&self, i: usize) -> Range<usize> {
-        let hi = self.fences.get(i + 1).map_or(self.span.n_keys as u64, |f| f.slot);
-        self.fences[i].slot as usize..hi as usize
-    }
+    grid: PageGrid,
 }
 
 impl CsrPart for PagedPart<'_> {
     type Error = Infallible;
+    /// A run read is a page-cache lookup.
+    const GROUP_PROBES: bool = true;
 
     fn n_ids(&self) -> usize {
         self.paged.n_rows
@@ -681,14 +715,14 @@ impl CsrPart for PagedPart<'_> {
     /// geometry, never from the payload.
     fn bucket(&self, key: u64) -> Range<usize> {
         match self.fences.partition_point(|f| f.key <= key).checked_sub(1) {
-            Some(i) => self.fence_run(i),
+            Some(i) => self.grid.fence_run(i),
             None => 0..0,
         }
     }
 
     /// The fence runs, one page each.
     fn runs(&self) -> impl Iterator<Item = Range<usize>> {
-        (0..self.fences.len()).map(move |i| self.fence_run(i))
+        (0..self.fences.len()).map(move |i| self.grid.fence_run(i))
     }
 
     /// One page-cache lookup: a bucket or run lies inside one page, and
@@ -722,7 +756,9 @@ impl Store for Paged {
     type Part<'a> = PagedPart<'a>;
 
     fn part(&self, part: usize) -> PagedPart<'_> {
-        PagedPart { paged: self, span: &self.parts[part], fences: &self.fences[part] }
+        let span = &self.parts[part];
+        let grid = PageGrid::new(self.cache.page_size(), span);
+        PagedPart { paged: self, span, fences: &self.fences[part], grid }
     }
 
     fn len(&self) -> usize {
@@ -775,8 +811,8 @@ impl Store for Paged {
 /// runs, so results are bit-identical to the resident engine's.
 ///
 /// Opening reads and CRC-checks only the *metadata* sections (a few
-/// KiB) and one key per key page for the fences — 1/2048 of the key
-/// bytes at 16 KiB pages — with direct reads, leaving no page resident.
+/// KiB) and one key per key page for the fences — 1/1024 of the key
+/// bytes at 8 KiB pages — with direct reads, leaving no page resident.
 /// Payload CRCs are deliberately *deferred* (checking them would read
 /// the whole file): payload bytes are read under the CSR reader's trust
 /// model (`hamming_core::invindex`), and a mid-query I/O failure (the
@@ -823,9 +859,10 @@ impl ColdSegment {
             (span.keys_off, span.offs_off, span.ids_off) =
                 (keys_at + span.keys_off, offs_at + span.offs_off, ids_at + span.ids_off);
         }
-        let page_size = cache.page_size() as u64;
-        let fences =
-            parts.iter().map(|p| derive_fences(&file, page_size, p)).collect::<Result<_>>()?;
+        let fences = parts
+            .iter()
+            .map(|p| derive_fences(&file, cache.page_size(), p))
+            .collect::<Result<_>>()?;
         let store = Paged {
             file: Arc::clone(&file),
             cache,
@@ -862,7 +899,8 @@ impl ColdSegment {
 mod tests {
     use super::*;
     use crate::cn::CnEstimator;
-    use hamming_core::invindex::{for_each_posting, slot_of};
+    use hamming_core::enumerate::for_each_in_ball_u64;
+    use hamming_core::invindex::{for_each_posting, for_each_posting_of, slot_of};
 
     fn temp_file(name: &str, bytes: &[u8]) -> PathBuf {
         let dir =
@@ -921,6 +959,51 @@ mod tests {
                 "offset {offset} len {len}"
             );
         }
+        fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn a_miss_reuses_an_evicted_buffer_but_never_a_borrowed_one() {
+        // 10 003 bytes at 4 KiB pages: the final page holds 1811 bytes,
+        // so its last word is three bytes of file and five of padding.
+        let bytes: Vec<u8> = (0..10_003u32).map(|i| (i % 251) as u8 | 1).collect();
+        let path = temp_file("reuse", &bytes);
+        let file = SegmentFile::open(&path, false).unwrap();
+        // A one-page budget: every miss evicts the page before it.
+        let cache = PageCache::with_page_size(4096, MIN_PAGE_BYTES).unwrap();
+        // Page 1's buffer, released, is where page 2 is read: the short
+        // page keeps a whole page's capacity, where a fresh buffer
+        // would hold just its 227 words.
+        cache.page(&file, 1).unwrap();
+        let last = cache.page(&file, 2).unwrap();
+        assert_eq!((last.len, last.words.len()), (1811, 227));
+        assert_eq!(last.words.capacity(), 512, "the miss allocated instead of reusing");
+        let flat = last.words.as_flattened();
+        assert_eq!(&flat[..1811], &bytes[8192..]);
+        assert!(flat[1811..].iter().all(|&b| b == 0), "stale bytes past the page's end");
+        drop(last);
+        let read =
+            |offset: u64, len: usize| cache.with_page_range(&file, offset, len, <[u8]>::to_vec);
+        assert_eq!(read(10_000, 3).unwrap(), &bytes[10_000..]);
+        assert!(matches!(read(9_998, 8), Err(HammingError::Corrupt(_))));
+
+        // A page borrowed while other reads evict it keeps its bytes:
+        // its buffer is not reused, and every read under the borrow is
+        // right too.
+        let misses = cache.stats().misses;
+        cache
+            .with_page_range(&file, 0, 4096, |held| {
+                for page_no in [1u64, 2, 0, 1] {
+                    let at = page_no * 4096;
+                    let mut got = vec![0u8; 1811];
+                    cache.read_into(&file, at, &mut got).unwrap();
+                    assert_eq!(got, &bytes[at as usize..at as usize + 1811], "page {page_no}");
+                    assert_eq!(held, &bytes[..4096], "the borrowed page changed");
+                }
+            })
+            .unwrap();
+        let s = cache.stats();
+        assert_eq!((s.misses - misses, s.resident_bytes), (5, 4096), "{s:?}");
         fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
@@ -1020,6 +1103,7 @@ mod tests {
     use crate::partition_opt::PartitionStrategy;
     use crate::pipeline::set_pooled_epoch;
     use hamming_core::{BitVector, Dataset};
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -1247,21 +1331,30 @@ mod tests {
         s.hits + s.misses
     }
 
-    /// Every partition's fences start at slot 0, ascend, and cut its
-    /// keys into runs that each lie inside one page of the keys array.
+    /// Every partition's fence runs, as the page geometry computes
+    /// them, tile its keys from slot 0 in order, each inside one page of
+    /// the keys array and every one after the first from a page start;
+    /// each fence is the first key of its run.
     fn assert_fences_tile_pages(paged: &Paged) {
         let ps = paged.cache.page_size() as u64;
-        for (span, fences) in paged.parts.iter().zip(&paged.fences) {
-            let n = span.n_keys as u64;
+        for (p, (span, fences)) in paged.parts.iter().zip(&paged.fences).enumerate() {
+            let grid = paged.part(p).grid;
+            let (n, at) = (span.n_keys, span.keys_off);
             assert_eq!(fences.is_empty(), n == 0);
+            let mut next = 0;
             for (i, f) in fences.iter().enumerate() {
-                let hi = fences.get(i + 1).map_or(n, |next| next.slot);
-                assert!(f.slot < hi && hi <= n, "fence {i}: {} .. {hi} of {n}", f.slot);
-                let (first, last) = (f.slot * 8, hi * 8 - 1);
-                let at = span.keys_off;
-                assert_eq!((at + first) / ps, (at + last) / ps, "fence {i} leaves its page");
-                assert!(i == 0 || (at + first).is_multiple_of(ps), "fence {i} starts mid-page");
+                let run = grid.fence_run(i);
+                assert!(run.start == next && run.start < run.end, "fence {i}: {run:?} of {n}");
+                next = run.end;
+                let (first, last) = (at + run.start as u64 * 8, at + run.end as u64 * 8 - 1);
+                assert_eq!(first / ps, last / ps, "fence {i} leaves its page");
+                assert!(i == 0 || first.is_multiple_of(ps), "fence {i} starts mid-page");
+                let mut key = [0u8; 8];
+                paged.file.read_at(first, &mut key).unwrap();
+                assert_eq!(f.key, u64::from_le_bytes(key), "fence {i} is not its run's first key");
             }
+            assert_eq!(next, n, "the fence runs leave keys uncovered");
+            assert!(grid.fence_run(fences.len()).is_empty(), "a run past the last fence");
         }
     }
 
@@ -1284,7 +1377,7 @@ mod tests {
             offs_off: lead + 8 * n,
             ids_off: lead + 8 * n + 4 * (n + 1),
         };
-        let fences = vec![derive_fences(&file, page_size as u64, &span).unwrap()];
+        let fences = vec![derive_fences(&file, page_size, &span).unwrap()];
         let paged = Paged {
             file: Arc::new(file),
             cache: Arc::new(cache),
@@ -1331,6 +1424,59 @@ mod tests {
                             let mut ids = Vec::new();
                             let Ok(n) = for_each_posting(paged.part(0), probe, |id| ids.push(id));
                             assert_eq!((n, ids), (1, vec![slot as u32]));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_probes_read_each_key_page_once_per_run_of_signatures() {
+        // 40% of the 16-bit values: ~26k keys over several pages even at
+        // 64 KiB, dense enough that a ball around a key finds many.
+        let mut rng = ChaCha8Rng::seed_from_u64(57);
+        let keys: Vec<u64> = (0..1u64 << 16).filter(|_| rng.random_bool(0.4)).collect();
+        for page_size in [MIN_PAGE_BYTES, DEFAULT_PAGE_BYTES, MAX_PAGE_BYTES] {
+            for lead in [0, page_size as u64 - 24] {
+                let (_store, paged) = paged_over(&keys, lead, page_size);
+                let part = paged.part(0);
+                let centres = [keys[0], keys[keys.len() / 2], keys[keys.len() - 1], 0xBEEF];
+                for centre in centres {
+                    // Colex over 18 bits: flips of bits 16 and 17 land
+                    // past the last key, on the last page.
+                    let mut ball = Vec::new();
+                    for_each_in_ball_u64(centre, 18, 3, |k| ball.push(k));
+                    let mut shuffled = ball.clone();
+                    shuffled.shuffle(&mut rng);
+                    for (order, sigs) in [("colex", ball), ("shuffled", shuffled)] {
+                        let what = format!("ps {page_size} lead {lead} centre {centre:#x} {order}");
+                        let before = lookups(&paged.cache);
+                        let (mut per_key, mut total) = (Vec::new(), 0);
+                        for &k in &sigs {
+                            let Ok(n) = for_each_posting(part, k, |id| per_key.push(id));
+                            total += n;
+                        }
+                        let per_key_cost = lookups(&paged.cache) - before;
+                        let before = lookups(&paged.cache);
+                        let mut grouped = Vec::new();
+                        let Ok(n) = for_each_posting_of(part, &sigs, |id| grouped.push(id));
+                        let cost = lookups(&paged.cache) - before;
+                        assert_eq!((n, &grouped), (total, &per_key), "{what}");
+                        assert!(total > 0, "{what}: the ball found nothing");
+                        // Per key, one key-page lookup per non-empty
+                        // bucket; grouped, one per maximal run of equal
+                        // ones. Offsets and ids cost what they did.
+                        let buckets: Vec<_> = sigs.iter().map(|&k| part.bucket(k)).collect();
+                        let probed = buckets.iter().filter(|b| !b.is_empty()).count() as u64;
+                        let runs = (0..buckets.len())
+                            .filter(|&i| {
+                                !buckets[i].is_empty() && (i == 0 || buckets[i - 1] != buckets[i])
+                            })
+                            .count() as u64;
+                        assert_eq!(cost, per_key_cost - probed + runs, "{what}");
+                        if order == "colex" {
+                            assert!(runs * 4 < probed, "{what}: {runs} runs of {probed} probes");
                         }
                     }
                 }

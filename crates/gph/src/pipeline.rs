@@ -28,7 +28,7 @@ use crate::cost::CostModel;
 use crate::engine::QueryStats;
 use crate::pigeonhole::ThresholdVector;
 use hamming_core::enumerate::{ball_size, for_each_in_ball_u64, for_each_in_ball_words};
-use hamming_core::invindex::{for_each_posting, for_each_posting_within, CsrPart};
+use hamming_core::invindex::{for_each_posting_of, for_each_posting_within, CsrPart};
 use hamming_core::key::key_of;
 use hamming_core::project::Projector;
 use hamming_core::{words_for, Partitioning, Visited};
@@ -156,11 +156,8 @@ pub(crate) fn probe_and_verify<S: Store>(
         stats.enumerate_ns += t1.elapsed().as_nanos() as u64;
 
         let t2 = Instant::now();
-        let part = store.part(i);
-        for &key in &scratch.keys {
-            let Ok(n) = for_each_posting(part, key, &mut admit);
-            stats.sum_postings += n as u64;
-        }
+        let Ok(n) = for_each_posting_of(store.part(i), &scratch.keys, &mut admit);
+        stats.sum_postings += n as u64;
         stats.candgen_ns += t2.elapsed().as_nanos() as u64;
     }
     stats.n_candidates = scratch.candidates.len() as u64;

@@ -1129,8 +1129,8 @@ impl SegmentedGph {
     /// GPH segment's blob stays on disk, opened as a file region of the
     /// snapshot file itself, which reads one key per key page for its
     /// page fences. Restore time therefore grows only with the resident
-    /// rows and the number of key pages (1/2048 of the key bytes at
-    /// 16 KiB pages), and no blob byte is resident until a query pages
+    /// rows and the number of key pages (1/1024 of the key bytes at
+    /// 8 KiB pages), and no blob byte is resident until a query pages
     /// it in. Blob-payload CRCs are deferred (see `FORMAT.md`
     /// §durability); [`SegmentedGph::load`] is the fully-verified
     /// alternative.

@@ -15,9 +15,10 @@
 //!
 //! **One reader, two sources.** The arrays are read only by this
 //! module's [`slot_of`] (the search inside a run of keys), [`ids_of`]
-//! (an offsets pair becomes an ids run), [`for_each_posting`] (both) and
-//! [`for_each_posting_within`] (the distinct-key walk of the scan
-//! fallback), generic over a [`CsrPart`] source of runs of the arrays:
+//! (an offsets pair becomes an ids run), [`for_each_posting`] (both),
+//! [`for_each_posting_of`] (a list of signatures, the query's probe
+//! loop) and [`for_each_posting_within`] (the distinct-key walk of the
+//! scan fallback), generic over a [`CsrPart`] source of runs of the arrays:
 //! [`InvertedIndex`] lends heap slices, and `gph::coldstore` hands out
 //! little-endian runs of cached pages. Each source gets its own
 //! monomorphic copy, so the resident probe has no dynamic dispatch, no
@@ -45,7 +46,11 @@
 //! search, never more. The paged store keeps *page fences* (the first
 //! key of each key page) instead: a directory bucket's size follows the
 //! key distribution, so over a page cache a skewed prefix would cost
-//! several page reads per probe, where a fence run is one page.
+//! several page reads per probe, where a fence run is one page. Where a
+//! run read is a page lookup ([`CsrPart::GROUP_PROBES`]),
+//! [`for_each_posting_of`] searches consecutive signatures that share a
+//! run inside one read of it; colex enumeration flips the low bits
+//! first, so most of a ball lands on few pages.
 //!
 //! **Trust model.** The reader trusts no byte it reads. A reversed
 //! offsets pair, or one ending past the ids array, yields no postings,
@@ -133,6 +138,12 @@ impl<'a> KeyRun<'a> {
 pub trait CsrPart: Copy {
     /// What a failed read returns.
     type Error;
+    /// True when a read of a run costs more than searching it twice
+    /// over, as a page-cache lookup does: [`for_each_posting_of`] then
+    /// searches every consecutive key of one bucket inside one
+    /// [`CsrPart::with_keys`] read. A heap source leaves it false, and
+    /// its probe loop stays one lookup per key.
+    const GROUP_PROBES: bool = false;
     /// Length of the ids array.
     fn n_ids(&self) -> usize;
     /// The source's lookup: the slots of the one run of keys that can
@@ -171,16 +182,62 @@ pub fn ids_of<S: CsrPart>(part: S, slot: usize) -> Result<Range<usize>, S::Error
     Ok(if start <= end && end <= part.n_ids() { start..end } else { 0..0 })
 }
 
+/// Hands `emit` the postings of key slot `slot` and returns how many.
+fn postings_at<S: CsrPart>(part: S, slot: usize, emit: impl FnMut(u32)) -> Result<usize, S::Error> {
+    let ids = ids_of(part, slot)?;
+    part.for_each_id(ids.clone(), emit)?;
+    Ok(ids.len())
+}
+
 /// Probes `key`: hands `emit` its postings and returns how many.
 pub fn for_each_posting<S: CsrPart>(
     part: S,
     key: u64,
     emit: impl FnMut(u32),
 ) -> Result<usize, S::Error> {
-    let Some(slot) = slot_of(part, key)? else { return Ok(0) };
-    let ids = ids_of(part, slot)?;
-    part.for_each_id(ids.clone(), emit)?;
-    Ok(ids.len())
+    match slot_of(part, key)? {
+        Some(slot) => postings_at(part, slot, emit),
+        None => Ok(0),
+    }
+}
+
+/// Probes every key of `keys` in order: hands `emit` their postings,
+/// key after key exactly as [`for_each_posting`] would, and returns
+/// how many. Under [`CsrPart::GROUP_PROBES`], each maximal run of
+/// consecutive keys with the same non-empty bucket costs one read of
+/// its keys.
+pub fn for_each_posting_of<S: CsrPart>(
+    part: S,
+    keys: &[u64],
+    mut emit: impl FnMut(u32),
+) -> Result<usize, S::Error> {
+    let mut total = 0;
+    if !S::GROUP_PROBES {
+        for &key in keys {
+            total += for_each_posting(part, key, &mut emit)?;
+        }
+        return Ok(total);
+    }
+    let mut rest = keys;
+    while let Some(&first) = rest.first() {
+        let run = part.bucket(first);
+        let same = 1 + rest[1..].iter().take_while(|&&k| part.bucket(k) == run).count();
+        let (group, tail) = rest.split_at(same);
+        rest = tail;
+        if run.is_empty() {
+            continue;
+        }
+        let lo = run.start;
+        part.with_keys(run, |stored| {
+            group.iter().try_for_each(|&key| {
+                if let Some(j) = stored.find(key) {
+                    total += postings_at(part, lo + j, &mut emit)?;
+                }
+                Ok(())
+            })
+        })??;
+    }
+    Ok(total)
 }
 
 /// Hands `emit` every posting whose key lies within Hamming distance
@@ -200,7 +257,7 @@ pub fn for_each_posting_within<S: CsrPart>(
         part.with_keys(run, |keys| {
             keys.try_for_each(|j, k| {
                 if (k ^ qk).count_ones() as usize <= radius {
-                    part.for_each_id(ids_of(part, lo + j)?, &mut emit)?;
+                    postings_at(part, lo + j, &mut emit)?;
                 }
                 Ok(())
             })

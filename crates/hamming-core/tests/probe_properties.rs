@@ -5,9 +5,13 @@
 //! definition, so the directory can change how a key is found but never
 //! what is found or what is written. Keys of partitions at most 32 bits
 //! wide are held in 4 bytes, wider ones in 8: both sides of that line
-//! answer and export alike.
+//! answer and export alike. A list of signatures probed in one call
+//! hands out what probing them one by one does.
 
-use hamming_core::invindex::{for_each_posting_within, PartIndex};
+use hamming_core::enumerate::for_each_in_ball_u64;
+use hamming_core::invindex::{
+    for_each_posting, for_each_posting_of, for_each_posting_within, PartIndex,
+};
 use hamming_core::key::key_of;
 use hamming_core::{BitVector, Dataset, InvertedIndex, Partitioning, ProjectedDataset, Projector};
 use proptest::prelude::*;
@@ -264,6 +268,51 @@ proptest! {
                 let brute: Vec<u32> = brute.into_iter().map(|(_, id)| id).collect();
                 prop_assert_eq!(walked, brute, "qk {:#x} radius {}", qk, radius);
             }
+        }
+    }
+
+    /// At the same key widths: for signatures in any order — a colex
+    /// ball around a stored key, stored keys and their neighbours in
+    /// ascending, descending and scrambled order, keys outside the
+    /// domain — one `for_each_posting_of` call hands out the postings
+    /// sequence and total of probing the keys one by one.
+    #[test]
+    fn grouped_probes_equal_per_key_probes_in_any_order(
+        at in 0usize..7,
+        rows in row_counts(),
+        spread in spreads(),
+        seed in any::<u64>(),
+    ) {
+        let width = [1, 31, 32, 33, 63, 64, 100][at];
+        let bits = width.min(64);
+        let keys = keys_for_rows(bits, rows, spread, seed);
+        let idx = InvertedIndex::from_csr(rows, vec![canonical_csr(width, &keys)]).unwrap();
+        let part = idx.part(0);
+
+        let mut ball = Vec::new();
+        for_each_in_ball_u64(keys.first().copied().unwrap_or(0), bits, 2, |k| ball.push(k));
+        let mut near: Vec<u64> = idx.part_keys(0).iter().flat_map(|k| [k, k ^ 1]).collect();
+        near.extend([mask(bits), mask(bits).wrapping_add(1), u64::MAX]);
+        near.sort_unstable();
+        let mut descending = near.clone();
+        descending.reverse();
+        let mut next = stream(!seed);
+        let mut scrambled = near.clone();
+        for i in (1..scrambled.len()).rev() {
+            scrambled.swap(i, next() as usize % (i + 1));
+        }
+        for (order, sigs) in
+            [("ball", ball), ("ascending", near), ("descending", descending), ("scrambled", scrambled)]
+        {
+            let (mut one_by_one, mut total) = (Vec::new(), 0);
+            for &k in &sigs {
+                let Ok(n) = for_each_posting(part, k, |id| one_by_one.push(id));
+                total += n;
+            }
+            let mut grouped = Vec::new();
+            let Ok(n) = for_each_posting_of(part, &sigs, |id| grouped.push(id));
+            prop_assert_eq!(n, total, "{} total", order);
+            prop_assert_eq!(grouped, one_by_one, "{} postings", order);
         }
     }
 }

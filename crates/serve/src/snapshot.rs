@@ -257,7 +257,7 @@ impl ShardedIndex {
     /// metadata checksums, then serves sealed segments by paging blocks
     /// from the file on demand. Beyond that, restore reads only one key per key
     /// page (each cold segment's page fences), so restore time and
-    /// resident memory grow with the number of key pages, 16 bytes of
+    /// resident memory grow with the number of key pages, 8 bytes of
     /// memory each; the budget is split evenly across shard
     /// slots (each shard caps its own page cache at `budget / n_shards`).
     /// The manifest's whole-file CRC is deliberately *not* recomputed on
