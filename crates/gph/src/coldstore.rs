@@ -2,7 +2,7 @@
 //! [`StorageMode`].
 //!
 //! A GPH segment is normally decoded into heap memory ([`crate::engine::Gph`]).
-//! This module provides the *file-backed* alternative: the GPHE v3
+//! This module provides the *file-backed* alternative: the GPHE v4
 //! container (see `FORMAT.md`) lays the dataset row slab and the CSR
 //! postings arrays out as page-aligned, offset-addressed sections, so a
 //! segment can answer probes and verification by paging fixed-size
@@ -31,13 +31,15 @@
 //!
 //! The paged store reads its CSR arrays with the resident index's own
 //! reader, [`hamming_core::invindex`]: each partition is a [`CsrPart`]
-//! handing out little-endian runs of cached pages. Only the lookup is
-//! its own: at open, the first key of every key page is kept as a
-//! *fence* (8 bytes per page, derived for the run-time page size and
-//! never persisted; which slots a fence covers is page geometry, not
-//! stored), so a probe reads one key page and the key walk reads each
-//! key page once. A query's probe loop reads a key page once per run
-//! of consecutive signatures that fall on it ([`CsrPart::GROUP_PROBES`]).
+//! handing out little-endian runs of cached pages, keys at their
+//! partition's width (4 bytes up to 32 bits, so an 8 KiB page holds
+//! 2048 of them, else 8). Only the lookup is its own: at open, the
+//! first key of every key page is kept as a *fence* (8 bytes per page,
+//! derived for the run-time page size and never persisted; which slots
+//! a fence covers is page geometry, not stored), so a probe reads one
+//! key page and the key walk reads each key page once. A query's probe
+//! loop reads a key page once per run of consecutive signatures that
+//! fall on it ([`CsrPart::GROUP_PROBES`]).
 //! A failed read is handled in one place, `read_ok`.
 
 use std::collections::HashMap;
@@ -178,13 +180,15 @@ struct Slot {
     referenced: bool,
 }
 
-/// One cached page, held as 8-byte words so that an 8-aligned run of
-/// keys is a typed slice. Its first `len` bytes are the file's (a final
-/// page may be short).
+/// One cached page, held as whole 8-byte words. Its first `len` bytes
+/// are the file's (a final page may be short), the rest zeros.
 struct Page {
     words: Vec<[u8; 8]>,
     len: usize,
 }
+
+/// Panic message for a cache whose lock a panicking thread held.
+const POISONED: &str = "page cache lock poisoned by a panicked reader";
 
 struct Inner {
     map: HashMap<(u64, u64), usize>,
@@ -280,35 +284,82 @@ impl PageCache {
     }
 
     /// Returns page `page_no` of `file`, loading and caching it on miss.
-    /// The final page of a file may be shorter than the page size. A
-    /// miss first evicts down to the budget, then reads into an evicted
-    /// page's buffer when no reader still holds it.
+    /// The final page of a file may be shorter than the page size.
+    ///
+    /// A miss takes the lock before and after its read, never across
+    /// it: it evicts down to the budget and reserves the page's bytes,
+    /// reads into an evicted page's buffer (when no reader still holds
+    /// it) unlocked, then inserts the page. Reserved bytes count as
+    /// resident, so concurrent misses never take the cache past its
+    /// budget: a miss that finds the budget held by other reads in
+    /// flight reads its page without caching it. A page another miss
+    /// inserted meanwhile is kept once, and a failed read releases its
+    /// reservation.
     fn page(&self, file: &SegmentFile, page_no: u64) -> Result<Arc<Page>> {
         let key = (file.id, page_no);
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(&idx) = inner.map.get(&key) {
-            inner.slots[idx].referenced = true;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(inner.slots[idx].data.clone());
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let off = page_no
-            .checked_mul(self.page_size as u64)
-            .filter(|&o| o < file.len())
-            .ok_or_else(|| {
-                HammingError::Corrupt(format!(
-                    "page {page_no} out of range for segment file of {} bytes",
-                    file.len()
-                ))
-            })?;
-        let n = (file.len() - off).min(self.page_size as u64) as usize;
+        let (off, n, spare, reserved) = {
+            let mut inner = self.inner.lock().expect(POISONED);
+            if let Some(&idx) = inner.map.get(&key) {
+                inner.slots[idx].referenced = true;
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(inner.slots[idx].data.clone());
+            }
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            let off = page_no
+                .checked_mul(self.page_size as u64)
+                .filter(|&o| o < file.len())
+                .ok_or_else(|| {
+                    HammingError::Corrupt(format!(
+                        "page {page_no} out of range for segment file of {} bytes",
+                        file.len()
+                    ))
+                })?;
+            let n = (file.len() - off).min(self.page_size as u64) as usize;
+            let spare = self.evict_for(&mut inner, n as u64);
+            // The new page is always kept when nothing else is resident
+            // or reserved, so progress is possible under any budget.
+            let reserved = inner.bytes + n as u64 <= self.budget || inner.bytes == 0;
+            if reserved {
+                inner.bytes += n as u64;
+                self.resident.store(inner.bytes, Ordering::Relaxed);
+            }
+            (off, n, spare, reserved)
+        };
 
-        // Clock sweep: clear reference bits until an unreferenced slot
-        // is found, evict it, repeat until the new page fits the budget.
-        // The new page is always kept, so progress is possible under
-        // any budget.
+        let mut words = spare.unwrap_or_default();
+        words.resize(n.div_ceil(8), [0; 8]);
+        let bytes = words.as_flattened_mut();
+        bytes[n..].fill(0);
+        let read = file.read_at(off, &mut bytes[..n]);
+
+        let page = Arc::new(Page { words, len: n });
+        if !reserved {
+            return read.map(|()| page);
+        }
+        let mut inner = self.inner.lock().expect(POISONED);
+        let kept = match read {
+            Ok(()) if !inner.map.contains_key(&key) => {
+                let idx = inner.slots.len();
+                inner.slots.push(Slot { key, data: page.clone(), referenced: true });
+                inner.map.insert(key, idx);
+                return Ok(page);
+            }
+            Ok(()) => Ok(inner.slots[inner.map[&key]].data.clone()),
+            Err(e) => Err(e),
+        };
+        // Not inserted: release the reservation.
+        inner.bytes -= n as u64;
+        self.resident.store(inner.bytes, Ordering::Relaxed);
+        kept
+    }
+
+    /// Clock sweep: clear reference bits until an unreferenced slot is
+    /// found, evict it, repeat until `n` more bytes fit the budget or
+    /// no page is left. Returns the first victim's buffer that no
+    /// reader still holds, for the miss to read into.
+    fn evict_for(&self, inner: &mut Inner, n: u64) -> Option<Vec<[u8; 8]>> {
         let mut spare = None;
-        while inner.bytes + n as u64 > self.budget && !inner.slots.is_empty() {
+        while inner.bytes + n > self.budget && !inner.slots.is_empty() {
             let i = inner.hand % inner.slots.len();
             if inner.slots[i].referenced {
                 inner.slots[i].referenced = false;
@@ -326,20 +377,7 @@ impl PageCache {
             // A victim some reader still holds keeps its bytes.
             spare = spare.or(Arc::into_inner(victim.data).map(|page| page.words));
         }
-        let mut words = spare.unwrap_or_default();
-        words.resize(n.div_ceil(8), [0; 8]);
-        let bytes = words.as_flattened_mut();
-        bytes[n..].fill(0);
-        let read = file.read_at(off, &mut bytes[..n]).map(|()| {
-            let data = Arc::new(Page { words, len: n });
-            let idx = inner.slots.len();
-            inner.slots.push(Slot { key, data: data.clone(), referenced: true });
-            inner.map.insert(key, idx);
-            inner.bytes += n as u64;
-            data
-        });
-        self.resident.store(inner.bytes, Ordering::Relaxed);
-        read
+        spare
     }
 
     /// Fills `out` from `file` starting at `offset`, paging blocks in
@@ -462,7 +500,7 @@ static NEXT_SPILL_DIR: AtomicU64 = AtomicU64::new(0);
 ///
 /// Every GPH segment a file-backed engine builds — by a merge that
 /// reaches the crossover, a full compaction past it, or a bulk load —
-/// is encoded to a GPHE v3 blob here (a "spill file") and immediately
+/// is encoded to a GPHE v4 blob here (a "spill file") and immediately
 /// reopened cold. A seal spills nothing: it freezes a row slab, which
 /// stays resident like the memtable. The store owns its directory and
 /// removes it on drop.
@@ -605,10 +643,12 @@ struct Fence {
     key: u64,
 }
 
-/// Where the page grid cuts one partition's keys (at an absolute,
-/// 8-byte aligned offset) into runs: run `i` is the partition's share
-/// of the `i`-th page its keys touch. Runs follow the absolute grid, so
-/// a partition that starts mid-page starts with a short run.
+/// Where the page grid cuts one partition's keys (at an absolute
+/// offset aligned to the span's key width) into runs: run `i` is the
+/// partition's share of the `i`-th page its keys touch. Runs follow the
+/// absolute grid, so a partition that starts mid-page starts with a
+/// short run. The key width sets the keys per page: 2048 4-byte keys
+/// or 1024 8-byte ones on an 8 KiB page.
 #[derive(Clone, Copy)]
 struct PageGrid {
     /// Keys per page.
@@ -621,8 +661,8 @@ struct PageGrid {
 
 impl PageGrid {
     fn new(page_size: usize, span: &PartSpan) -> PageGrid {
-        let skew = (span.keys_off % page_size as u64) as usize / 8;
-        PageGrid { per_page: page_size / 8, skew, n_keys: span.n_keys }
+        let skew = (span.keys_off % page_size as u64) as usize / span.key_bytes;
+        PageGrid { per_page: page_size / span.key_bytes, skew, n_keys: span.n_keys }
     }
 
     /// The slots of fence `i`'s run, empty past the last key.
@@ -632,22 +672,24 @@ impl PageGrid {
     }
 }
 
-/// Derives the fences of `span`'s keys: one direct 8-byte read per key
-/// page, around the cache, so an open leaves nothing resident.
+/// Derives the fences of `span`'s keys: one direct read of one key (at
+/// the span's key width) per key page, around the cache, so an open
+/// leaves nothing resident.
 fn derive_fences(file: &SegmentFile, page_size: usize, span: &PartSpan) -> Result<Vec<Fence>> {
-    let grid = PageGrid::new(page_size, span);
+    let (grid, kb) = (PageGrid::new(page_size, span), span.key_bytes);
     (0..)
         .map(|i| grid.fence_run(i).start)
         .take_while(|&slot| slot < span.n_keys)
         .map(|slot| {
+            // Little-endian: a 4-byte key read into the low half.
             let mut key = [0u8; 8];
-            file.read_at(span.keys_off + slot as u64 * 8, &mut key)?;
+            file.read_at(span.keys_off + (slot * kb) as u64, &mut key[..kb])?;
             Ok(Fence { key: u64::from_le_bytes(key) })
         })
         .collect()
 }
 
-/// The paged [`Store`]: the row slab and CSR arrays of one GPHE v3
+/// The paged [`Store`]: the row slab and CSR arrays of one GPHE v4
 /// blob, read through the shared [`PageCache`].
 pub(crate) struct Paged {
     file: Arc<SegmentFile>,
@@ -726,11 +768,17 @@ impl CsrPart for PagedPart<'_> {
     }
 
     /// One page-cache lookup: a bucket or run lies inside one page, and
-    /// keys are 8-aligned, so the run is whole words of it.
+    /// keys sit on their own width's grid, so the run is whole keys of
+    /// it: whole words for 8-byte keys, which are 8-aligned, and the
+    /// run's bytes for 4-byte ones.
     fn with_keys<R>(&self, slots: Range<usize>, f: impl FnOnce(KeyRun<'_>) -> R) -> Read<R> {
-        let (at, n) = (self.span.keys_off + slots.start as u64 * 8, slots.len());
-        let (page, i) = read_ok(self.paged.cache.page_run(&self.paged.file, at, n * 8));
-        Ok(f(KeyRun::Paged(&page.words[i / 8..i / 8 + n])))
+        let (kb, n) = (self.span.key_bytes, slots.len());
+        let at = self.span.keys_off + (slots.start * kb) as u64;
+        let (page, i) = read_ok(self.paged.cache.page_run(&self.paged.file, at, n * kb));
+        Ok(f(match kb {
+            4 => KeyRun::PagedNarrow(&page.words.as_flattened()[i..i + n * 4]),
+            _ => KeyRun::Paged(&page.words[i / 8..i / 8 + n]),
+        }))
     }
 
     /// Both entries in one read: one lookup unless the pair straddles
@@ -804,15 +852,16 @@ impl Store for Paged {
     }
 }
 
-/// A GPH segment served directly from its offset-addressed GPHE v3
+/// A GPH segment served directly from its offset-addressed GPHE v4
 /// container, without decoding the payload into heap — the store behind
 /// a file-backed segment of `SegmentedGph`: a query plan and the paged
 /// store it runs over, through the pipeline [`Gph`](crate::engine::Gph)
 /// runs, so results are bit-identical to the resident engine's.
 ///
 /// Opening reads and CRC-checks only the *metadata* sections (a few
-/// KiB) and one key per key page for the fences — 1/1024 of the key
-/// bytes at 8 KiB pages — with direct reads, leaving no page resident.
+/// KiB), the key padding, and one key per key page for the fences —
+/// 1/2048 of the key bytes at 8 KiB pages (1/1024 where keys are 8
+/// bytes) — with direct reads, leaving no page resident.
 /// Payload CRCs are deliberately *deferred* (checking them would read
 /// the whole file): payload bytes are read under the CSR reader's trust
 /// model (`hamming_core::invindex`), and a mid-query I/O failure (the
@@ -826,7 +875,7 @@ pub(crate) struct ColdSegment {
 }
 
 impl ColdSegment {
-    /// Opens the GPHE v3 blob at `[blob_off, blob_off + blob_len)` of
+    /// Opens the GPHE v4 blob at `[blob_off, blob_off + blob_len)` of
     /// `file` (an extent the caller has bounded by the file) as a file
     /// region of the one container reader: header, footer and metadata
     /// are checked, the estimator restored, and the fences for `cache`'s
@@ -886,7 +935,7 @@ impl ColdSegment {
             + 256
     }
 
-    /// The raw GPHE v3 blob, read back verbatim (for re-snapshotting a
+    /// The raw GPHE v4 blob, read back verbatim (for re-snapshotting a
     /// file-backed index without decoding it).
     pub(crate) fn engine_blob(&self) -> Result<Vec<u8>> {
         let mut buf = vec![0u8; self.blob_len as usize];
@@ -1004,6 +1053,48 @@ mod tests {
             .unwrap();
         let s = cache.stats();
         assert_eq!((s.misses - misses, s.resident_bytes), (5, 4096), "{s:?}");
+        fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn concurrent_reads_get_the_files_bytes_within_the_budget() {
+        // Twelve pages (the last one short) under a four-page budget,
+        // read at random by four threads: misses of one page race each
+        // other and every miss evicts, while reads run unlocked.
+        let bytes: Vec<u8> = (0..11 * 4096 + 1811u32).map(|i| (i * 7 % 251) as u8).collect();
+        let path = temp_file("threads", &bytes);
+        let file = SegmentFile::open(&path, false).unwrap();
+        let budget = 4 * 4096;
+        let cache = PageCache::with_page_size(budget, MIN_PAGE_BYTES).unwrap();
+        let per_thread = 3000;
+        std::thread::scope(|s| {
+            for seed in 0..4 {
+                let (cache, file, bytes) = (&cache, &file, &bytes);
+                s.spawn(move || {
+                    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                    for _ in 0..per_thread {
+                        let at = rng.random_range(0..bytes.len());
+                        let len = rng
+                            .random_range(1..=64usize)
+                            .min(4096 - at % 4096)
+                            .min(bytes.len() - at);
+                        let got = cache.with_page_range(file, at as u64, len, <[u8]>::to_vec);
+                        assert_eq!(got.unwrap(), &bytes[at..at + len], "{len} bytes at {at}");
+                        assert!(cache.stats().resident_bytes <= budget);
+                    }
+                });
+            }
+        });
+        let s = cache.stats();
+        assert_eq!(s.hits + s.misses, 4 * per_thread, "{s:?}");
+        assert!(s.misses > 12 && s.evictions > 0, "{s:?}");
+        assert!(s.resident_bytes <= budget, "{s:?}");
+        // No reservation outlives its read: what is resident is what is
+        // cached.
+        let inner = cache.inner.lock().unwrap();
+        let cached: usize = inner.slots.iter().map(|slot| slot.data.len).sum();
+        assert_eq!((inner.bytes, s.resident_bytes), (cached as u64, cached as u64));
+        drop(inner);
         fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
@@ -1287,6 +1378,147 @@ mod tests {
         }
     }
 
+    /// Engines whose partitions straddle the 4-byte key rule: GPH's
+    /// equal widths at 33/32/32 and 33/32, two hashed 75-bit partitions,
+    /// and, last, a hand-cut 31/40/80 whose run of 4-byte keys (301
+    /// rows, so an odd number of distinct keys) is followed by 8-byte
+    /// ones.
+    fn mixed_width_engines() -> Vec<(Dataset, Gph)> {
+        let cuts = [0..31, 31..71, 71..151].map(|dims| dims.collect::<Vec<u32>>());
+        let fixed = hamming_core::Partitioning::new(151, cuts.to_vec()).unwrap();
+        let shapes = [
+            (97, 3, PartitionStrategy::Original),
+            (65, 2, PartitionStrategy::Original),
+            (150, 2, PartitionStrategy::Original),
+            (151, 3, PartitionStrategy::Fixed(fixed)),
+        ];
+        (shapes.into_iter().enumerate())
+            .map(|(i, (dim, m, strategy))| {
+                let ds = random_dataset(dim, 301, 60 + i as u64);
+                let cfg = GphConfig { strategy, ..GphConfig::new(m, 8) };
+                (ds.clone(), Gph::build(ds, &cfg).unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn mixed_key_widths_answer_alike_at_every_page_size() {
+        use hamming_core::invindex::key_bytes;
+        for (ds, engine) in mixed_width_engines() {
+            let widths = engine.partitioning().widths();
+            assert!(widths.iter().any(|&w| w <= 32) || widths.iter().all(|&w| w > 64));
+            let mut queries = random_dataset(ds.dim(), 3, 61);
+            for id in [0, 150, 300] {
+                queries.push_row(ds.row(id)).unwrap();
+            }
+            let taus = [0, 4, 8];
+            for qi in 0..queries.len() {
+                for tau in taus {
+                    let q = queries.row(qi);
+                    assert_eq!(engine.search(q, tau), ds.linear_scan(q, tau), "widths {widths:?}");
+                }
+            }
+            let store = SpillStore::temp(1 << 20).unwrap();
+            let file = Arc::new(store.write_blob(&engine.to_bytes()).unwrap());
+            for page_size in [MIN_PAGE_BYTES, DEFAULT_PAGE_BYTES, MAX_PAGE_BYTES] {
+                // A two-page budget: queries evict.
+                let cache = PageCache::with_page_size(2 * page_size as u64, page_size).unwrap();
+                let cold = ColdSegment::open(file.clone(), Arc::new(cache), 0, file.len()).unwrap();
+                let stored: Vec<usize> = cold.store.parts.iter().map(|p| p.key_bytes).collect();
+                assert_eq!(stored, widths.iter().map(|&w| key_bytes(w)).collect::<Vec<_>>());
+                assert_fences_tile_pages(&cold.store);
+                assert_cold_matches(&engine, &cold, &queries, &taus);
+                for qi in 0..queries.len() {
+                    let q = queries.row(qi);
+                    let what = format!("widths {widths:?} ps {page_size} qi {qi}");
+                    assert_eq!(
+                        cold_topk(&cold, q, 5, 8),
+                        engine.search_topk_within(q, 5, 8),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn keys_are_stored_at_their_width_and_reencode_byte_identically() {
+        let mut narrow_odd_then_wide = false;
+        for (_, engine) in mixed_width_engines() {
+            let bytes = engine.to_bytes();
+            assert_eq!(Gph::from_bytes(&bytes).unwrap().to_bytes(), bytes);
+            let c = open_engine(Source::Bytes(&bytes)).unwrap();
+            let parts = decode_engine_meta(&c).unwrap().parts;
+            let keys = c.section(SLOT_KEYS).unwrap();
+            for (p, span) in parts.iter().enumerate() {
+                let (kb, at) = (span.key_bytes, span.keys_off as usize);
+                assert_eq!(kb, hamming_core::invindex::key_bytes(span.width));
+                let end = at + span.n_keys * kb;
+                let stored: Vec<u64> = (keys[at..end].chunks_exact(kb))
+                    .map(|k| k.iter().rev().fold(0, |key, &b| key << 8 | u64::from(b)))
+                    .collect();
+                assert_eq!(stored, engine.store.index.part_keys(p).iter().collect::<Vec<_>>());
+                // Zero padding to the next multiple of 8 bytes, where the
+                // next partition's keys or the section's end follow.
+                let next = parts.get(p + 1).map_or(keys.len(), |next| next.keys_off as usize);
+                assert_eq!(next, end.next_multiple_of(8), "partition {p}");
+                assert!(keys[end..next].iter().all(|&b| b == 0), "partition {p}");
+                let wide_next = parts.get(p + 1).is_some_and(|next| next.key_bytes == 8);
+                narrow_odd_then_wide |= kb == 4 && span.n_keys % 2 == 1 && wide_next;
+            }
+        }
+        assert!(narrow_odd_then_wide, "no odd run of 4-byte keys before 8-byte ones");
+    }
+
+    /// `bytes`' GPHE container written again under `version`, with
+    /// `edit` applied to each slot's payload (CRCs recomputed).
+    fn reframe(bytes: &[u8], version: u32, edit: impl Fn(usize, &mut Vec<u8>)) -> Vec<u8> {
+        let c = open_engine(Source::Bytes(bytes)).unwrap();
+        let mut w = hamming_core::io::OffsetWriter::new(crate::snapshot::ENGINE_MAGIC, version);
+        for slot in 0..crate::snapshot::N_ENGINE_SLOTS {
+            let mut payload = c.section(slot).unwrap().into_owned();
+            edit(slot, &mut payload);
+            match slot >= SLOT_ROWS {
+                true => w.aligned_section(&payload),
+                false => w.section(&payload),
+            };
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn nonzero_key_padding_and_a_version_3_header_are_corrupt_on_both_opens() {
+        let (_, engine) = mixed_width_engines().pop().unwrap();
+        let bytes = engine.to_bytes();
+        let c = open_engine(Source::Bytes(&bytes)).unwrap();
+        let span = &decode_engine_meta(&c).unwrap().parts[0];
+        assert_eq!((span.key_bytes, span.n_keys % 2), (4, 1), "no padding to corrupt");
+        let pad = span.keys_off as usize + span.n_keys * 4;
+        assert_eq!(reframe(&bytes, crate::snapshot::SNAPSHOT_VERSION, |_, _| {}), bytes);
+        let store = SpillStore::temp(1 << 20).unwrap();
+        for (byte, needle) in
+            (0..4).map(|i| (Some(pad + i), "key padding")).chain([(None, "version 3")])
+        {
+            let bad = match byte {
+                Some(at) => reframe(&bytes, crate::snapshot::SNAPSHOT_VERSION, |slot, keys| {
+                    if slot == SLOT_KEYS {
+                        keys[at] = 0x01;
+                    }
+                }),
+                // The v4 payload framed as a version-3 container.
+                None => reframe(&bytes, 3, |_, _| {}),
+            };
+            let file = Arc::new(store.write_blob(&bad).unwrap());
+            let cold = ColdSegment::open(file.clone(), store.cache().clone(), 0, file.len());
+            for got in [Gph::from_bytes(&bad).map(|_| ()), cold.map(|_| ())] {
+                match got {
+                    Err(HammingError::Corrupt(msg)) => assert!(msg.contains(needle), "{msg}"),
+                    other => panic!("{needle} at {byte:?}: expected Corrupt, got {other:?}"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn cold_open_rejects_corrupt_metadata() {
         let ds = random_dataset(64, 80, 52);
@@ -1339,18 +1571,18 @@ mod tests {
         let ps = paged.cache.page_size() as u64;
         for (p, (span, fences)) in paged.parts.iter().zip(&paged.fences).enumerate() {
             let grid = paged.part(p).grid;
-            let (n, at) = (span.n_keys, span.keys_off);
+            let (n, at, kb) = (span.n_keys, span.keys_off, span.key_bytes as u64);
             assert_eq!(fences.is_empty(), n == 0);
             let mut next = 0;
             for (i, f) in fences.iter().enumerate() {
                 let run = grid.fence_run(i);
                 assert!(run.start == next && run.start < run.end, "fence {i}: {run:?} of {n}");
                 next = run.end;
-                let (first, last) = (at + run.start as u64 * 8, at + run.end as u64 * 8 - 1);
+                let (first, last) = (at + run.start as u64 * kb, at + run.end as u64 * kb - 1);
                 assert_eq!(first / ps, last / ps, "fence {i} leaves its page");
                 assert!(i == 0 || first.is_multiple_of(ps), "fence {i} starts mid-page");
                 let mut key = [0u8; 8];
-                paged.file.read_at(first, &mut key).unwrap();
+                paged.file.read_at(first, &mut key[..kb as usize]).unwrap();
                 assert_eq!(f.key, u64::from_le_bytes(key), "fence {i} is not its run's first key");
             }
             assert_eq!(next, n, "the fence runs leave keys uncovered");
@@ -1358,24 +1590,33 @@ mod tests {
         }
     }
 
-    /// A paged store over one hand-laid partition: `lead` filler bytes,
-    /// then `keys`, their offsets (slot `s` posts the one id `s`) and
-    /// the ids, read through a cache of `page_size` pages.
-    fn paged_over(keys: &[u64], lead: u64, page_size: usize) -> (Arc<SpillStore>, Paged) {
-        let n = keys.len() as u64;
+    /// A paged store over one hand-laid partition of `width` bits:
+    /// `lead` filler bytes, then `keys` at the width's key size, padded
+    /// to 8 bytes, their offsets (slot `s` posts the one id `s`) and the
+    /// ids, read through a cache of `page_size` pages.
+    fn paged_over(
+        keys: &[u64],
+        width: usize,
+        lead: u64,
+        page_size: usize,
+    ) -> (Arc<SpillStore>, Paged) {
+        let (n, kb) = (keys.len() as u64, hamming_core::invindex::key_bytes(width));
         let mut bytes = vec![0xEE; lead as usize];
-        bytes.extend(keys.iter().flat_map(|k| k.to_le_bytes()));
+        bytes.extend(keys.iter().flat_map(|k| k.to_le_bytes()[..kb].to_vec()));
+        bytes.resize(lead as usize + (keys.len() * kb).next_multiple_of(8), 0);
+        let offs_off = bytes.len() as u64;
         bytes.extend((0..=n as u32).flat_map(u32::to_le_bytes));
         bytes.extend((0..n as u32).flat_map(u32::to_le_bytes));
         let store = SpillStore::temp(1 << 20).unwrap();
         let file = store.write_blob(&bytes).unwrap();
         let cache = PageCache::with_page_size(1 << 20, page_size).unwrap();
         let span = PartSpan {
-            width: 64,
+            width,
+            key_bytes: kb,
             n_keys: keys.len(),
             keys_off: lead,
-            offs_off: lead + 8 * n,
-            ids_off: lead + 8 * n + 4 * (n + 1),
+            offs_off,
+            ids_off: offs_off + 4 * (n + 1),
         };
         let fences = vec![derive_fences(&file, page_size, &span).unwrap()];
         let paged = Paged {
@@ -1393,33 +1634,36 @@ mod tests {
 
     #[test]
     fn fences_find_what_a_whole_array_search_finds_at_the_edges() {
-        for page_size in [MIN_PAGE_BYTES, DEFAULT_PAGE_BYTES] {
-            let per_page = page_size / 8;
+        // 4-byte keys of a 32-bit partition and 8-byte keys of a 64-bit
+        // one.
+        let widths = [(32, u64::from(u32::MAX)), (64, u64::MAX)];
+        for ((width, max), page_size) in
+            widths.into_iter().flat_map(|w| [MIN_PAGE_BYTES, DEFAULT_PAGE_BYTES].map(|ps| (w, ps)))
+        {
+            let per_page = page_size / hamming_core::invindex::key_bytes(width);
             for n in [0, 1, per_page, per_page + 1] {
                 // Spread keys over the whole domain, first one above 0.
                 let keys: Vec<u64> =
-                    (0..n as u64).map(|i| (i + 1) * (u64::MAX / (n as u64 + 2))).collect();
-                // Page-aligned, mid-page (so the first run is three
-                // keys), and one key into a page.
+                    (0..n as u64).map(|i| (i + 1) * (max / (n as u64 + 2))).collect();
+                // Page-aligned, mid-page (so the first run is the last
+                // 24 bytes of the page), and one word into a page.
                 for lead in [0, page_size as u64 - 24, 8] {
-                    let (_store, paged) = paged_over(&keys, lead, page_size);
+                    let (_store, paged) = paged_over(&keys, width, lead, page_size);
                     assert_fences_tile_pages(&paged);
                     let mut probes = vec![0, 1, u64::MAX, u64::MAX - 1];
                     for &k in &keys {
                         probes.extend([k - 1, k, k + 1]);
                         probes.extend((0..64).step_by(9).map(|b| k ^ (1 << b)));
                     }
+                    let what = format!("width {width} ps {page_size} n {n} lead {lead}");
                     for probe in probes {
                         let before = lookups(&paged.cache);
                         let Ok(found) = slot_of(paged.part(0), probe);
                         let expect = keys.binary_search(&probe).ok();
-                        assert_eq!(
-                            found, expect,
-                            "ps {page_size} n {n} lead {lead} key {probe:#x}"
-                        );
+                        assert_eq!(found, expect, "{what} key {probe:#x}");
                         let cost = lookups(&paged.cache) - before;
                         let below = keys.first().is_none_or(|&first| probe < first);
-                        assert_eq!(cost, u64::from(!below), "lookups for key {probe:#x}");
+                        assert_eq!(cost, u64::from(!below), "{what}: lookups for key {probe:#x}");
                         if let Some(slot) = found {
                             let mut ids = Vec::new();
                             let Ok(n) = for_each_posting(paged.part(0), probe, |id| ids.push(id));
@@ -1437,9 +1681,13 @@ mod tests {
         // 64 KiB, dense enough that a ball around a key finds many.
         let mut rng = ChaCha8Rng::seed_from_u64(57);
         let keys: Vec<u64> = (0..1u64 << 16).filter(|_| rng.random_bool(0.4)).collect();
-        for page_size in [MIN_PAGE_BYTES, DEFAULT_PAGE_BYTES, MAX_PAGE_BYTES] {
+        // On 4-byte key pages (a 32-bit partition) and on 8-byte ones.
+        for (width, page_size) in [32, 64]
+            .into_iter()
+            .flat_map(|w| [MIN_PAGE_BYTES, DEFAULT_PAGE_BYTES, MAX_PAGE_BYTES].map(|ps| (w, ps)))
+        {
             for lead in [0, page_size as u64 - 24] {
-                let (_store, paged) = paged_over(&keys, lead, page_size);
+                let (_store, paged) = paged_over(&keys, width, lead, page_size);
                 let part = paged.part(0);
                 let centres = [keys[0], keys[keys.len() / 2], keys[keys.len() - 1], 0xBEEF];
                 for centre in centres {
@@ -1450,7 +1698,9 @@ mod tests {
                     let mut shuffled = ball.clone();
                     shuffled.shuffle(&mut rng);
                     for (order, sigs) in [("colex", ball), ("shuffled", shuffled)] {
-                        let what = format!("ps {page_size} lead {lead} centre {centre:#x} {order}");
+                        let what = format!(
+                            "width {width} ps {page_size} lead {lead} centre {centre:#x} {order}"
+                        );
                         let before = lookups(&paged.cache);
                         let (mut per_key, mut total) = (Vec::new(), 0);
                         for &k in &sigs {
@@ -1486,10 +1736,11 @@ mod tests {
 
     #[test]
     fn fences_match_the_whole_array_search_on_a_real_segment() {
-        // 24k rows over four 24-bit partitions: nearly every key
-        // distinct, so each partition's ~190 KiB of keys spans many
-        // pages and partitions ≥ 1 start mid-page at every page size.
-        let ds = random_dataset(96, 24_000, 53);
+        // 48k rows over four 24-bit partitions: nearly every key
+        // distinct, so each partition's ~190 KiB of 4-byte keys spans
+        // many pages and partitions ≥ 1 start mid-page at every page
+        // size.
+        let ds = random_dataset(96, 48_000, 53);
         let queries = random_dataset(96, 6, 54);
         let mut cfg = GphConfig::new(4, 8);
         cfg.strategy = PartitionStrategy::RandomShuffle { seed: 12 };
@@ -1576,11 +1827,11 @@ mod tests {
             let slab = open_engine(Source::Bytes(&bytes)).unwrap().slot(slot);
             let (start, len) = (slab.offset as usize, slab.len as usize);
             // The top byte of every other page's first key (so fence
-            // keys alternate high and low), and a spray of bytes in
-            // between.
-            let slab = start..start + len - 7;
+            // keys alternate high and low; keys here are 4 bytes), and a
+            // spray of bytes in between.
+            let slab = start..start + len - 3;
             for at in slab.clone().step_by(2 * 4096).chain(slab.step_by(331)) {
-                bytes[at + 7] ^= 0xA5;
+                bytes[at + 3] ^= 0xA5;
             }
             let store = SpillStore::temp(1 << 20).unwrap();
             let file = Arc::new(store.write_blob(&bytes).unwrap());

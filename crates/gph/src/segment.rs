@@ -198,7 +198,7 @@ const CHUNK_ROWS: [u32; SCAN_CHUNK] = {
 /// How a segment's rows are searched: scanned (the memtable and every
 /// row slab a seal freezes or a merge below the crossover writes), or
 /// probed through a GPH index decoded on the heap or paged on demand
-/// from its GPHE v3 blob. Boxed: an engine is several times a slab's
+/// from its GPHE v4 blob. Boxed: an engine is several times a slab's
 /// size. Every kind answers every query identically.
 enum Rows {
     Scanned(Dataset),
@@ -518,7 +518,7 @@ impl SegmentedGph {
 
     /// Builds a GPH segment over `data` under the configured strategy
     /// and places it according to the configured [`StorageMode`]: kept
-    /// resident, or encoded to a GPHE v3 blob in the spill store and
+    /// resident, or encoded to a GPHE v4 blob in the spill store and
     /// reopened cold. It touches no other engine state — the
     /// build-then-commit half of every bulk load and indexed merge, so a
     /// failed `Gph::build` (e.g. an invalid config) leaves the engine
@@ -1129,8 +1129,9 @@ impl SegmentedGph {
     /// GPH segment's blob stays on disk, opened as a file region of the
     /// snapshot file itself, which reads one key per key page for its
     /// page fences. Restore time therefore grows only with the resident
-    /// rows and the number of key pages (1/1024 of the key bytes at
-    /// 8 KiB pages), and no blob byte is resident until a query pages
+    /// rows and the number of key pages (1/2048 of the key bytes at
+    /// 8 KiB pages where keys are 4 bytes, 1/1024 where they are 8),
+    /// and no blob byte is resident until a query pages
     /// it in. Blob-payload CRCs are deferred (see `FORMAT.md`
     /// §durability); [`SegmentedGph::load`] is the fully-verified
     /// alternative.

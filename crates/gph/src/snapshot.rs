@@ -7,7 +7,7 @@
 //! the model of MIH's shipped index files and Faiss's `write_index` /
 //! `read_index`. This module is that path for this workspace.
 //!
-//! A version-3 snapshot is an **offset-addressed** container (magic
+//! A version-4 snapshot is an **offset-addressed** container (magic
 //! `GPHE`, version [`SNAPSHOT_VERSION`], written by
 //! [`hamming_core::io::OffsetWriter`], normative spec in the repo-root
 //! `FORMAT.md`): a fixed footer of `(offset, len, crc)` slots addresses
@@ -26,7 +26,7 @@
 //! | 4    | `rowmeta`  | `dim u64, n_rows u64` |
 //! | 5    | `parttab`  | per partition: `width u64, n_keys u64, n_ids u64` |
 //! | 6    | `rows`     | page-aligned: the row slab, `n_rows × words_for(dim)` LE u64 |
-//! | 7    | `keys`     | page-aligned: concatenated per-partition CSR key arrays |
+//! | 7    | `keys`     | page-aligned: concatenated per-partition CSR key arrays, each key at its partition's [`key_bytes`] and each partition's run zero-padded to a multiple of 8 bytes |
 //! | 8    | `offs`     | page-aligned: concatenated per-partition offset arrays |
 //! | 9    | `ids`      | page-aligned: concatenated per-partition postings arrays |
 //!
@@ -39,8 +39,9 @@
 //! `tests/snapshot_roundtrip.rs` pins this down.
 //!
 //! **Version policy:** the reader loads version [`SNAPSHOT_VERSION`]
-//! only. The tagged-section generations 1 and 2 are retired — nothing
-//! was ever deployed on them — and are rejected up front with
+//! only. The tagged-section generations 1 and 2 and version 3, which
+//! stored every key in 8 bytes, are retired — nothing was ever deployed
+//! on them — and are rejected up front with
 //! [`HammingError::Corrupt`]`("unsupported version …")`, as are files
 //! newer than this reader.
 
@@ -55,6 +56,7 @@ use crate::pipeline::Plan;
 use bytes::BufMut;
 use hamming_core::dataset::Dataset;
 use hamming_core::error::{HammingError, Result};
+use hamming_core::invindex::{key_bytes, Keys};
 use hamming_core::io::{
     decode_dataset, decode_partitioning, encode_dataset, encode_partitioning, ByteReader,
     Container, OffsetWriter, Source,
@@ -67,10 +69,11 @@ use std::borrow::Cow;
 pub const ENGINE_MAGIC: [u8; 4] = *b"GPHE";
 
 /// Current (and only loadable) snapshot format version: the
-/// offset-addressed layout (see the module docs and `FORMAT.md`).
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// offset-addressed layout with keys at their partition's width (see
+/// the module docs and `FORMAT.md`).
+pub const SNAPSHOT_VERSION: u32 = 4;
 
-// Fixed slot indices of the v3 container (see the module-docs table).
+// Fixed slot indices of the v4 container (see the module-docs table).
 // The cold open path (`crate::coldstore`) addresses sections by these.
 pub(crate) const SLOT_CONFIG: usize = 0;
 pub(crate) const SLOT_PARTIT: usize = 1;
@@ -82,7 +85,7 @@ pub(crate) const SLOT_ROWS: usize = 6;
 pub(crate) const SLOT_KEYS: usize = 7;
 pub(crate) const SLOT_OFFS: usize = 8;
 pub(crate) const SLOT_IDS: usize = 9;
-const N_ENGINE_SLOTS: usize = 10;
+pub(crate) const N_ENGINE_SLOTS: usize = 10;
 
 fn encode_allocator(kind: AllocatorKind) -> u8 {
     match kind {
@@ -308,7 +311,7 @@ pub fn decode_gph_config(bytes: &[u8]) -> Result<GphConfig> {
     Ok(GphConfig { m, tau_max, allocator, estimator, strategy, workload, cost_model })
 }
 
-/// Serializes a built engine in the offset-addressed v3 layout (see the
+/// Serializes a built engine in the offset-addressed v4 layout (see the
 /// module docs for the slot table and `FORMAT.md` for the normative
 /// byte-level spec).
 pub(crate) fn encode_engine(g: &Gph) -> Vec<u8> {
@@ -348,11 +351,17 @@ pub(crate) fn encode_engine(g: &Gph) -> Vec<u8> {
     let mut offs = Vec::new();
     let mut ids = Vec::new();
     for p in 0..index.num_parts() {
-        // Resident keys may be 4 bytes; a snapshot stores every key
-        // at 8 (FORMAT.md).
+        // Each key at its partition's width, each run zero-padded to 8
+        // bytes, so wide runs stay 8-aligned (FORMAT.md).
+        let narrow = key_bytes(index.part_width(p)) == 4;
         for k in index.part_keys(p).iter() {
-            keys.put_u64_le(k);
+            if narrow {
+                keys.put_u32_le(k as u32);
+            } else {
+                keys.put_u64_le(k);
+            }
         }
+        keys.resize(keys.len().next_multiple_of(8), 0);
         for &o in index.part_offsets(p) {
             offs.put_u32_le(o);
         }
@@ -366,7 +375,7 @@ pub(crate) fn encode_engine(g: &Gph) -> Vec<u8> {
     w.finish()
 }
 
-/// Rebuilds a [`Dataset`] from the v3 raw row slab (`n_rows ×
+/// Rebuilds a [`Dataset`] from the raw row slab (`n_rows ×
 /// words_for(dim)` little-endian u64), rejecting rows with bits set
 /// beyond the dimensionality like [`decode_dataset`] does.
 pub(crate) fn dataset_from_slab(dim: usize, n_rows: usize, slab: &[u8]) -> Result<Dataset> {
@@ -393,15 +402,26 @@ pub(crate) fn dataset_from_slab(dim: usize, n_rows: usize, slab: &[u8]) -> Resul
     Ok(ds)
 }
 
-/// One partition's CSR geometry: its width and key count, and where
-/// its keys / offsets / ids arrays start within their sections (byte
+/// One partition's CSR geometry: its width, the bytes of one of its
+/// keys ([`key_bytes`] of the width) and its key count, and where its
+/// keys / offsets / ids arrays start within their sections (byte
 /// offsets relative to the section payload).
 pub(crate) struct PartSpan {
     pub(crate) width: usize,
+    pub(crate) key_bytes: usize,
     pub(crate) n_keys: usize,
     pub(crate) keys_off: u64,
     pub(crate) offs_off: u64,
     pub(crate) ids_off: u64,
+}
+
+impl PartSpan {
+    /// Zero bytes after the partition's keys: 4 after an odd number of
+    /// 4-byte keys, else none.
+    fn key_padding(&self) -> usize {
+        let bytes = self.n_keys * self.key_bytes;
+        bytes.next_multiple_of(8) - bytes
+    }
 }
 
 /// Everything a GPHE container says about its engine short of the
@@ -460,7 +480,9 @@ pub(crate) fn open_engine(source: Source<'_>) -> Result<Container<'_>> {
 /// that they describe one consistent engine — every section CRC can be
 /// intact while the sections belong to different engines, or while the
 /// partition table disagrees with the payload sections it tiles. The
-/// payload slots (rows, keys, offs, ids) are only measured, never read.
+/// payload slots (rows, keys, offs, ids) are only measured, never read,
+/// but for the at most 4 bytes of zero padding after each partition's
+/// keys.
 pub(crate) fn decode_engine_meta<'a>(c: &Container<'a>) -> Result<EngineMeta<'a>> {
     let cfg = decode_config(&c.section(SLOT_CONFIG)?)?;
     let partitioning = decode_partitioning(&c.section(SLOT_PARTIT)?)?;
@@ -524,10 +546,10 @@ pub(crate) fn decode_engine_meta<'a>(c: &Container<'a>) -> Result<EngineMeta<'a>
             )));
         }
         let [keys_off, offs_off, ids_off] = at;
-        parts.push(PartSpan { width, n_keys: n_keys as usize, keys_off, offs_off, ids_off });
+        let key_bytes = key_bytes(width);
         // Bytes this partition takes of the keys, offs and ids sections.
         let takes = [
-            n_keys.checked_mul(8),
+            n_keys.checked_mul(key_bytes as u64).and_then(|b| b.checked_next_multiple_of(8)),
             n_keys.checked_add(1).and_then(|k| k.checked_mul(4)),
             n_ids.checked_mul(4),
         ];
@@ -539,6 +561,15 @@ pub(crate) fn decode_engine_meta<'a>(c: &Container<'a>) -> Result<EngineMeta<'a>
                     HammingError::Corrupt(format!("partition {p} extents exceed the CSR sections"))
                 })?;
         }
+        let span =
+            PartSpan { width, key_bytes, n_keys: n_keys as usize, keys_off, offs_off, ids_off };
+        let mut pad = [0u8; 4];
+        let pad = &mut pad[..span.key_padding()];
+        c.read_in(SLOT_KEYS, at[0] - pad.len() as u64, pad)?;
+        if pad.iter().any(|&b| b != 0) {
+            return Err(HammingError::Corrupt(format!("partition {p} has nonzero key padding")));
+        }
+        parts.push(span);
     }
     if at != sections {
         return Err(HammingError::Corrupt(
@@ -563,9 +594,16 @@ pub(crate) fn decode_engine(bytes: &[u8]) -> Result<Gph> {
         (ByteReader::new(&keys), ByteReader::new(&offs), ByteReader::new(&ids));
     let mut csr = Vec::with_capacity(meta.parts.len());
     for s in &meta.parts {
+        // Narrow keys go straight into their resident 4-byte form.
+        let run = if s.key_bytes == 4 {
+            Keys::Narrow(keys.u32s(s.n_keys, "posting keys")?)
+        } else {
+            Keys::Wide(keys.u64s(s.n_keys, "posting keys")?)
+        };
+        keys.bytes(s.key_padding(), "key padding")?;
         csr.push((
             s.width,
-            keys.u64s(s.n_keys, "posting keys")?,
+            run,
             offs.u32s(s.n_keys + 1, "posting offsets")?,
             ids.u32s(n, "posting ids")?,
         ));
@@ -806,11 +844,12 @@ mod tests {
 
     #[test]
     fn retired_gphe_versions_are_rejected_as_unsupported() {
-        // A v1/v2 file is a tagged-section container: all this reader
-        // must recognise is the header, and say so — never misparse it —
-        // whether it is decoded in memory or opened cold.
+        // A v1/v2 file is a tagged-section container and a v3 one keeps
+        // every key in 8 bytes: all this reader must recognise is the
+        // header, and say so — never misparse it — whether it is decoded
+        // in memory or opened cold.
         let spill = crate::coldstore::SpillStore::temp(1 << 20).unwrap();
-        for version in [1u32, 2] {
+        for version in [1u32, 2, 3] {
             let mut old = [&ENGINE_MAGIC[..], &version.to_le_bytes()].concat();
             old.extend_from_slice(b"whatever an old writer put here");
             let file = std::sync::Arc::new(spill.write_blob(&old).unwrap());

@@ -24,15 +24,15 @@
 //! monomorphic copy, so the resident probe has no dynamic dispatch, no
 //! allocation and, its error type being [`Infallible`], no `Result`.
 //!
-//! **Keys at 4 bytes where they fit.** A resident partition at most 32
-//! bits wide stores its keys as `u32`, a wider one as `u64` (33–64-bit
-//! values and the hashes of partitions wider than a word): a rule of
-//! the width, not an option. A run of keys reaches the reader as a
-//! [`KeyRun`] — narrow, wide or paged — whose kind is matched once per
-//! run, so each kind's search and walk is its own loop. Snapshots store
-//! every key at 8 bytes: the build emits narrow keys in its one sweep,
-//! [`InvertedIndex::from_csr`] narrows what it loads, and the export
-//! ([`InvertedIndex::part_keys`]) widens them back.
+//! **Keys at 4 bytes where they fit.** A partition at most 32 bits wide
+//! stores its keys as `u32`, a wider one as `u64` (33–64-bit values and
+//! the hashes of partitions wider than a word): a rule of the width
+//! ([`key_bytes`]), not an option, and the same in memory and in a
+//! snapshot. A run of keys reaches the reader as a [`KeyRun`] — narrow,
+//! wide, or either of them paged — whose kind is matched once per run,
+//! so each kind's search and walk is its own loop. The build emits
+//! narrow keys in its one sweep, a snapshot decodes them straight into
+//! [`Keys::Narrow`], and [`InvertedIndex::from_csr`] takes either form.
 //!
 //! **The lookup is the source's** ([`CsrPart::bucket`]), derived from
 //! the keys and never persisted. The resident index keeps a dense
@@ -78,6 +78,28 @@ pub enum KeyRun<'a> {
     Wide(&'a [u64]),
     /// Eight little-endian bytes per key, in a cached page.
     Paged(&'a [[u8; 8]]),
+    /// Four little-endian bytes per key, in a cached page: the keys of
+    /// a partition at most 32 bits wide, lent as the run's bytes, since
+    /// a run may start at any 4-byte boundary of the page.
+    PagedNarrow(&'a [u8]),
+}
+
+/// Key `j` of a [`KeyRun::PagedNarrow`] run's bytes.
+#[inline]
+fn narrow_at(bytes: &[u8], j: usize) -> u32 {
+    u32::from_le_bytes(bytes[4 * j..4 * j + 4].try_into().expect("4 bytes"))
+}
+
+/// The position of `key` in a [`KeyRun::PagedNarrow`] run's bytes: the
+/// std search run over the bytes, each byte standing for the key it is
+/// part of, for its branch-free halving without a typed slice of keys,
+/// which the workspace's minimum Rust (1.87, no `as_chunks`) cannot lend
+/// safely. Never inlined, so [`KeyRun::find`], which is, stays small.
+#[inline(never)]
+fn find_narrow(bytes: &[u8], key: u32) -> Option<usize> {
+    let start = bytes.as_ptr().addr();
+    let key_at = |b: &u8| narrow_at(bytes, (std::ptr::from_ref(b).addr() - start) / 4);
+    bytes.binary_search_by(|b| key_at(b).cmp(&key)).ok().map(|at| at / 4)
 }
 
 impl<'a> KeyRun<'a> {
@@ -87,6 +109,7 @@ impl<'a> KeyRun<'a> {
             KeyRun::Narrow(keys) => keys.len(),
             KeyRun::Wide(keys) => keys.len(),
             KeyRun::Paged(keys) => keys.len(),
+            KeyRun::PagedNarrow(bytes) => bytes.len() / 4,
         }
     }
 
@@ -101,6 +124,7 @@ impl<'a> KeyRun<'a> {
             KeyRun::Narrow(keys) => keys[j].into(),
             KeyRun::Wide(keys) => keys[j],
             KeyRun::Paged(keys) => u64::from_le_bytes(keys[j]),
+            KeyRun::PagedNarrow(bytes) => narrow_at(bytes, j).into(),
         }
     }
 
@@ -110,13 +134,16 @@ impl<'a> KeyRun<'a> {
     }
 
     /// The position of `key`, by binary search of the (sorted) run. A
-    /// key wider than a narrow run's keys is not in it.
-    #[inline]
+    /// key wider than a narrow run's keys is not in it. Always inlined:
+    /// a probe loop that calls it out of line for one run kind, and so
+    /// for every kind, is slower per key.
+    #[inline(always)]
     fn find(self, key: u64) -> Option<usize> {
         match self {
             KeyRun::Narrow(keys) => keys.binary_search(&u32::try_from(key).ok()?).ok(),
             KeyRun::Wide(keys) => keys.binary_search(&key).ok(),
             KeyRun::Paged(keys) => keys.binary_search_by(|k| u64::from_le_bytes(*k).cmp(&key)).ok(),
+            KeyRun::PagedNarrow(bytes) => find_narrow(bytes, u32::try_from(key).ok()?),
         }
     }
 
@@ -128,6 +155,9 @@ impl<'a> KeyRun<'a> {
             KeyRun::Wide(keys) => keys.iter().enumerate().try_for_each(|(j, &k)| f(j, k)),
             KeyRun::Paged(keys) => {
                 keys.iter().enumerate().try_for_each(|(j, &k)| f(j, u64::from_le_bytes(k)))
+            }
+            KeyRun::PagedNarrow(bytes) => {
+                (0..bytes.len() / 4).try_for_each(|j| f(j, narrow_at(bytes, j).into()))
             }
         }
     }
@@ -293,27 +323,47 @@ fn key_bits(width: usize) -> u32 {
     width.min(64) as u32
 }
 
-/// A partition's sorted keys, stored at the narrowest of 4 or 8 bytes
-/// that holds `key_bits(width)`: a rule of the width, so two indexes
-/// over the same partition always agree on it.
+/// Bytes one key of a `width`-bit partition is stored in, in memory
+/// and on disk alike: 4 when its [key bits](crate::key::key_of) fit, 8
+/// otherwise. A rule of the width, so every index and snapshot of one
+/// partition agrees on it.
+pub fn key_bytes(width: usize) -> usize {
+    if key_bits(width) <= 32 {
+        4
+    } else {
+        8
+    }
+}
+
+/// A partition's sorted keys, as `u32` or `u64`. An index stores them
+/// at [`key_bytes`] of the partition's width.
 #[derive(Clone, Debug)]
-enum Keys {
+pub enum Keys {
+    /// Keys at 4 bytes.
     Narrow(Vec<u32>),
+    /// Keys at 8 bytes.
     Wide(Vec<u64>),
+}
+
+impl From<Vec<u64>> for Keys {
+    fn from(keys: Vec<u64>) -> Keys {
+        Keys::Wide(keys)
+    }
 }
 
 impl Keys {
     /// True when keys of a `width`-bit partition fit in 4 bytes.
     fn narrow(width: usize) -> bool {
-        key_bits(width) <= 32
+        key_bytes(width) == 4
     }
 
-    /// `keys` (each within `key_bits(width)` bits) at the width's size.
-    fn at_width(width: usize, keys: Vec<u64>) -> Keys {
-        if Keys::narrow(width) {
-            Keys::Narrow(keys.into_iter().map(|k| k as u32).collect())
-        } else {
-            Keys::Wide(keys)
+    /// The keys (each within `key_bits(width)` bits) at the width's
+    /// size; already there, they are moved, not copied.
+    fn at_width(self, width: usize) -> Keys {
+        match (self, Keys::narrow(width)) {
+            (Keys::Wide(keys), true) => Keys::Narrow(keys.into_iter().map(|k| k as u32).collect()),
+            (Keys::Narrow(keys), false) => Keys::Wide(keys.into_iter().map(u64::from).collect()),
+            (keys, _) => keys,
         }
     }
 
@@ -518,7 +568,7 @@ impl InvertedIndex {
     }
 
     /// Partition `p`'s sorted distinct signature keys (CSR `keys`
-    /// array), one run at the size they are stored at.
+    /// array), one run at the size they are stored at ([`key_bytes`]).
     pub fn part_keys(&self, p: usize) -> KeyRun<'_> {
         self.parts[p].keys.all()
     }
@@ -536,22 +586,25 @@ impl InvertedIndex {
     /// Assembles an index from raw CSR arrays, one `(width, keys,
     /// offsets, ids)` per partition as [`InvertedIndex::part_keys`] and
     /// its siblings export them: how snapshots rebuild the index from
-    /// sections read off disk. Each partition is checked by
+    /// sections read off disk. Keys come as [`Keys`], or as `Vec<u64>`
+    /// (8-byte keys); a snapshot passes them at [`key_bytes`] of the
+    /// width, and keys already at that size are kept as they come. Each partition is checked by
     /// `validate_csr_part` first, so a corrupt payload is rejected
     /// here rather than answered later; that check proves every key
-    /// fits the partition's width, so narrowing the keys of a
+    /// fits the partition's width, so narrowing 8-byte keys of a
     /// partition at most 32 bits wide to 4 bytes loses nothing.
     #[allow(clippy::type_complexity)]
-    pub fn from_csr(
+    pub fn from_csr<K: Into<Keys>>(
         len: usize,
-        parts: Vec<(usize, Vec<u64>, Vec<u32>, Vec<u32>)>,
+        parts: Vec<(usize, K, Vec<u32>, Vec<u32>)>,
     ) -> Result<InvertedIndex, HammingError> {
         let parts = parts
             .into_iter()
             .enumerate()
             .map(|(p, (width, keys, offsets, ids))| {
+                let keys = keys.into();
                 validate_csr_part(p, len, width, &keys, &offsets, &ids)?;
-                Ok(PartIndex::new(width, Keys::at_width(width, keys), offsets, ids))
+                Ok(PartIndex::new(width, keys.at_width(width), offsets, ids))
             })
             .collect::<Result<Vec<_>, HammingError>>()?;
         Ok(InvertedIndex { parts, len })
@@ -592,7 +645,7 @@ fn validate_csr_part(
     p: usize,
     len: usize,
     width: usize,
-    keys: &[u64],
+    keys: &Keys,
     offsets: &[u32],
     ids: &[u32],
 ) -> Result<(), HammingError> {
@@ -601,15 +654,20 @@ fn validate_csr_part(
     if n_ids != len {
         return corrupt(format!("holds {n_ids} postings for {len} vectors"));
     }
-    if keys.windows(2).any(|w| w[0] >= w[1]) {
+    let sorted = match keys {
+        Keys::Narrow(keys) => keys.is_sorted_by(|a, b| a < b),
+        Keys::Wide(keys) => keys.is_sorted_by(|a, b| a < b),
+    };
+    if !sorted {
         return corrupt("keys are not sorted".into());
     }
     // Sorted, so the last key is the largest.
-    if keys.last().is_some_and(|&k| prefix(k, key_bits(width)) != 0) {
+    let n_keys = keys.len();
+    if n_keys > 0 && prefix(keys.all().get(n_keys - 1), key_bits(width)) != 0 {
         return corrupt(format!("key exceeds width {width}"));
     }
-    if offsets.len() != keys.len() + 1 {
-        return corrupt(format!("has {} offsets for {} keys", offsets.len(), keys.len()));
+    if offsets.len() != n_keys + 1 {
+        return corrupt(format!("has {} offsets for {n_keys} keys", offsets.len()));
     }
     if offsets.first() != Some(&0) || offsets.last().copied() != Some(n_ids as u32) {
         return corrupt(format!("offsets do not span 0..{n_ids}"));
@@ -848,6 +906,55 @@ mod tests {
         reject("offsets not monotone", &|c| c[1].2[1] = 4);
         // A declared cardinality the arrays do not match is caught too.
         assert!(InvertedIndex::from_csr(n + 1, good.clone()).is_err());
+    }
+
+    #[test]
+    fn paged_runs_find_what_a_slice_search_finds() {
+        // Sorted keys, gaps between them, of every run length up to 40.
+        let keys: Vec<u64> = (0..40u64).map(|i| 3 * i * i + 5).collect();
+        for n in 0..=keys.len() {
+            let run = &keys[..n];
+            let narrow: Vec<u8> = run.iter().flat_map(|&k| (k as u32).to_le_bytes()).collect();
+            let wide: Vec<[u8; 8]> = run.iter().map(|&k| k.to_le_bytes()).collect();
+            for paged in [KeyRun::PagedNarrow(&narrow), KeyRun::Paged(&wide)] {
+                assert_eq!(paged.len(), n);
+                assert_eq!(paged.iter().collect::<Vec<_>>(), run);
+                let probes =
+                    (0..3 * 40 * 40 + 10).chain([u64::from(u32::MAX), 1 << 32, 5 | 1 << 32]);
+                for key in probes {
+                    assert_eq!(paged.find(key), run.binary_search(&key).ok(), "n {n} key {key}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn from_csr_keeps_keys_at_their_width_in_either_form() {
+        let (_, idx, _) = build_table1();
+        let good = export(&idx);
+        let narrow: Vec<(usize, Keys, Vec<u32>, Vec<u32>)> = (good.iter().cloned())
+            .map(|(w, keys, offs, ids)| {
+                (w, Keys::Narrow(keys.iter().map(|&k| k as u32).collect()), offs, ids)
+            })
+            .collect();
+        // 4-byte keys go in as they are and come out as the 8-byte
+        // form's index does.
+        let decoded = InvertedIndex::from_csr(idx.len(), narrow.clone()).unwrap();
+        assert_eq!(export(&decoded), good);
+        assert!(decoded.parts.iter().all(|pi| matches!(pi.keys, Keys::Narrow(_))));
+        // Every check holds for them: a 4-bit partition's key of 16.
+        let mut bad = narrow.clone();
+        bad[0].1 = Keys::Narrow(vec![0b1001, 1 << 4]);
+        assert!(matches!(InvertedIndex::from_csr(idx.len(), bad), Err(HammingError::Corrupt(_))));
+        let mut bad = narrow;
+        bad[1].1 = Keys::Narrow(vec![0b0000, 0b1111, 0b1110]);
+        assert!(matches!(InvertedIndex::from_csr(idx.len(), bad), Err(HammingError::Corrupt(_))));
+        // A wide partition's keys handed over at 4 bytes are widened.
+        let wide = vec![(40, Keys::Narrow(vec![3, 9]), vec![0, 1, 2], vec![1, 0])];
+        let decoded = InvertedIndex::from_csr(2, wide).unwrap();
+        assert!(matches!(decoded.parts[0].keys, Keys::Wide(_)));
+        assert_eq!((decoded.postings(0, 3), decoded.postings(0, 9)), (&[1][..], &[0][..]));
+        assert_eq!((key_bytes(32), key_bytes(33), key_bytes(64), key_bytes(500)), (4, 8, 8, 8));
     }
 
     #[test]

@@ -258,9 +258,9 @@ impl<'a> ByteReader<'a> {
 
 /// Alignment of payload sections in an offset-addressed container, and
 /// the unit the cold-path page cache reads in. 4 KiB matches the common
-/// OS page, and every element size used by the v3 layout (u32 ids and
-/// offsets, u64 keys) divides it, so scalar element reads never straddle
-/// a page boundary.
+/// OS page, and every element size used by the `GPHE` layout (u32 ids,
+/// offsets and narrow keys, u64 wide keys) divides it, so scalar
+/// element reads never straddle a page boundary.
 pub const PAGE_SIZE: usize = 4096;
 
 /// Byte length of an offset-addressed container's header:
@@ -547,6 +547,24 @@ impl<'a> Container<'a> {
     /// count passed to [`Container::open`].
     pub fn slot(&self, i: usize) -> SectionSlot {
         self.slots[i]
+    }
+
+    /// Fills `buf` from section `i`'s payload, starting `at` bytes into
+    /// it, without reading the rest of the section: a [`Source::Bytes`]
+    /// payload was CRC-checked at open, a [`Source::Region`] one is not
+    /// checked here. A range that leaves the section is
+    /// [`HammingError::Corrupt`]. Panics unless `i` is below the slot
+    /// count.
+    pub fn read_in(&self, i: usize, at: u64, buf: &mut [u8]) -> Result<()> {
+        let s = self.slots[i];
+        if at.checked_add(buf.len() as u64).is_none_or(|end| end > s.len) {
+            return Err(HammingError::Corrupt(format!(
+                "read of {} bytes at {at} leaves slot {i} of {} bytes",
+                buf.len(),
+                s.len
+            )));
+        }
+        self.source.read(s.offset + at, buf)
     }
 
     /// The payload of section `i`: borrowed from a [`Source::Bytes`]

@@ -257,8 +257,9 @@ impl ShardedIndex {
     /// metadata checksums, then serves sealed segments by paging blocks
     /// from the file on demand. Beyond that, restore reads only one key per key
     /// page (each cold segment's page fences), so restore time and
-    /// resident memory grow with the number of key pages, 8 bytes of
-    /// memory each; the budget is split evenly across shard
+    /// resident memory grow with the number of key pages (2048 4-byte
+    /// or 1024 8-byte keys each at 8 KiB), 8 bytes of memory each; the
+    /// budget is split evenly across shard
     /// slots (each shard caps its own page cache at `budget / n_shards`).
     /// The manifest's whole-file CRC is deliberately *not* recomputed on
     /// this path — doing so would read every byte and defeat the lazy
