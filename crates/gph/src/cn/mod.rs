@@ -177,13 +177,11 @@ pub(crate) fn decode_kind(bytes: &[u8]) -> Result<EstimatorKind> {
 
 /// Restores an estimator for a loaded engine from its persisted state
 /// when one was snapshotted (the table-based kinds); otherwise `rebuild`
-/// makes it, and is only then called. A resident load rebuilds
-/// deterministically over projections it makes for the purpose — seeds
-/// live in the kind, so the rebuilt estimator answers exactly as the
-/// saved one. A cold (file-backed) segment has no rows in memory to
-/// project and falls back to the closed-form
-/// [`crate::coldstore::FlatCn`] — the pigeonhole filter is exact under
-/// any valid allocation, so only cost estimates shift, never results.
+/// makes it, and is only then called. Both load paths, resident and
+/// cold (file-backed), rebuild deterministically over projections of
+/// the row slab made for the purpose — seeds live in the kind, so the
+/// rebuilt estimator answers exactly as the saved one, and one saved
+/// engine plans one way however it is opened.
 ///
 /// `widths` are the partition widths of the snapshot's partitioning;
 /// decoded state must match them exactly, so a state section that is

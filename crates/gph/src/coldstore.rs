@@ -8,21 +8,22 @@
 //! segment can answer probes and verification by paging fixed-size
 //! blocks through a shared [`PageCache`] instead of holding the payload
 //! resident. It is a storage mode, not a second engine: the public way
-//! in is [`crate::segment::SegmentedGph`] configured with
-//! [`StorageMode::FileBacked`], and the paged store runs the one query
-//! pipeline `Gph` runs.
+//! in is a [`crate::segment::SegmentedGph`] opened or created with a
+//! [`SpillStore`], and the paged store runs the one query pipeline `Gph`
+//! runs.
 //!
 //! The pieces:
 //!
 //! * [`SegmentFile`] — a read-only handle to one container file, with
 //!   bounds-checked positioned reads.
-//! * [`PageCache`] — a clock-evicted page cache shared by every cold
-//!   segment of an index (or of all shards), bounded by a byte budget.
-//! * [`StorageMode`] — the configuration knob threaded through
-//!   `SegmentConfig`, `ShardedIndex`, and `ServiceConfig`.
-//! * [`SpillStore`] — the directory where merges past the crossover
-//!   and bulk loads spill freshly built GPH segments when running
-//!   file-backed.
+//! * [`PageCache`] — a clock-evicted page cache bounded by a byte
+//!   budget.
+//! * [`SpillStore`] — a node's one spill directory and one page cache:
+//!   every file-backed engine of the node (every shard of a
+//!   `ShardedIndex`) holds the same store, pages through its cache and
+//!   spills the GPH segments it builds into its directory.
+//! * [`StorageMode`] — the operator's choice, made once per node: a
+//!   file-backed restore makes one `SpillStore` at the whole budget.
 //! * `ColdSegment` (crate-private) — one GPH segment opened from its
 //!   blob: the query plan plus the paged store, which reads postings and
 //!   rows through the cache instead of holding them on the heap. It
@@ -200,10 +201,11 @@ struct Inner {
 /// A shared page cache with clock (second-chance) eviction under a byte
 /// budget.
 ///
-/// All cold segments of an index — across shards, when the service
-/// shares one store — read through a single `PageCache`, so the budget
-/// bounds total paged-in bytes regardless of corpus size. Counters are
-/// plain atomics so metric scrapes never contend with the read path.
+/// Every cold segment of a node — all its shards' — reads through the
+/// one `PageCache` of the node's [`SpillStore`], so the budget bounds
+/// the node's paged-in bytes regardless of corpus size or shard count
+/// (a budget below one page still keeps one). Counters are plain
+/// atomics so metric scrapes never contend with the read path.
 ///
 /// ```
 /// use gph::coldstore::{PageCache, SegmentFile};
@@ -463,11 +465,11 @@ impl std::fmt::Debug for PageCache {
 ///
 /// `Resident` (the default) decodes every GPH segment fully into heap.
 /// `FileBacked` keeps GPH segments as offset-addressed files and serves
-/// probes/verification through a [`PageCache`] bounded by
-/// `budget_bytes` — the indexed corpus may then exceed RAM. The
-/// memtable and row slabs are scanned rows and stay resident in both
-/// modes. Query *results* are identical in both modes; only latency and
-/// memory footprint differ.
+/// probes/verification through the node's one [`PageCache`] (in its
+/// [`SpillStore`]), bounded by `budget_bytes` — the indexed corpus may
+/// then exceed RAM. The memtable and row slabs are scanned rows and stay
+/// resident in both modes. Query *results* are identical in both modes;
+/// only latency and memory footprint differ.
 ///
 /// ```
 /// use gph::coldstore::StorageMode;
@@ -482,10 +484,11 @@ pub enum StorageMode {
     /// behaviour).
     #[default]
     Resident,
-    /// GPH segments stay on disk; reads go through a shared
-    /// [`PageCache`] holding at most `budget_bytes` of paged-in data.
+    /// GPH segments stay on disk; reads go through the node's one
+    /// [`PageCache`], holding at most `budget_bytes` of paged-in data.
     FileBacked {
-        /// Page-cache byte budget shared by all cold segments.
+        /// Page-cache byte budget of the whole node, every shard's cold
+        /// segments included.
         budget_bytes: u64,
     },
 }
@@ -496,14 +499,16 @@ pub enum StorageMode {
 
 static NEXT_SPILL_DIR: AtomicU64 = AtomicU64::new(0);
 
-/// Directory + shared [`PageCache`] backing a file-backed index.
+/// Directory + [`PageCache`] backing a node's file-backed engines: one
+/// store per node, shared by every engine (every shard) that holds it.
 ///
-/// Every GPH segment a file-backed engine builds — by a merge that
-/// reaches the crossover, a full compaction past it, or a bulk load —
-/// is encoded to a GPHE v4 blob here (a "spill file") and immediately
-/// reopened cold. A seal spills nothing: it freezes a row slab, which
-/// stays resident like the memtable. The store owns its directory and
-/// removes it on drop.
+/// An engine spills its GPH segments if and only if it holds a store.
+/// Every GPH segment such an engine builds — by a merge that reaches the
+/// crossover or a full compaction past it — is encoded to a GPHE v4 blob
+/// here (a "spill file") and immediately reopened cold. A seal spills
+/// nothing: it freezes a row slab, which stays resident like the
+/// memtable. The store owns its directory and removes it on drop, after
+/// the last engine holding it.
 #[derive(Debug)]
 pub struct SpillStore {
     dir: PathBuf,
@@ -552,73 +557,18 @@ impl Drop for SpillStore {
 }
 
 // ---------------------------------------------------------------------------
-// FlatCn — estimator fallback for cold segments
-// ---------------------------------------------------------------------------
-
-/// Closed-form CN estimator used when a cold segment's configured
-/// estimator kind has no snapshot state (`Learned`, `SampleScan`) —
-/// rebuilding those would require the full dataset, defeating the lazy
-/// open. Models each partition as uniform random bits:
-/// `CN(e) = n · P[Binom(width, 1/2) ≤ e]`. Thresholds derived from it
-/// may differ from the resident engine's, but the pigeonhole filter is
-/// exact under *any* valid allocation, so query results are unaffected.
-pub(crate) struct FlatCn {
-    n: usize,
-    /// `cdf[part][e]`, clamped to `[0, 1]`, for `e ∈ 0..=min(width, tau_max)`.
-    cdf: Vec<Vec<f64>>,
-}
-
-impl FlatCn {
-    pub(crate) fn new(n: usize, widths: &[usize], tau_max: usize) -> FlatCn {
-        let cdf = widths
-            .iter()
-            .map(|&w| {
-                let cap = w.min(tau_max);
-                let mut out = Vec::with_capacity(cap + 1);
-                // term = C(w, j) / 2^w, iteratively; underflows to 0 for
-                // very wide partitions, which still yields a valid
-                // (monotone, clamped) estimate.
-                let mut term = (-(w as f64)).exp2();
-                let mut acc = term;
-                out.push(acc.min(1.0));
-                for j in 1..=cap {
-                    term *= (w - j + 1) as f64 / j as f64;
-                    acc += term;
-                    out.push(acc.min(1.0));
-                }
-                out
-            })
-            .collect();
-        FlatCn { n, cdf }
-    }
-}
-
-impl crate::cn::CnEstimator for FlatCn {
-    fn fill(&self, part: usize, _q_val: &[u64], tau: usize, out: &mut [f64]) {
-        let cdf = &self.cdf[part];
-        out[0] = 0.0;
-        for e in 0..=tau {
-            let p = cdf[e.min(cdf.len() - 1)];
-            out[e + 1] = self.n as f64 * p;
-        }
-    }
-
-    fn size_bytes(&self) -> usize {
-        self.cdf.iter().map(|c| c.len() * 8).sum::<usize>() + 16
-    }
-}
-
-// ---------------------------------------------------------------------------
 // ColdSegment
 // ---------------------------------------------------------------------------
 
 use crate::pipeline::{Plan, ScratchPool, Store};
 use crate::snapshot::{
-    decode_engine_meta, open_engine, PartSpan, SLOT_IDS, SLOT_KEYS, SLOT_OFFS, SLOT_ROWS,
+    dataset_from_slab, decode_engine_meta, open_engine, PartSpan, SLOT_IDS, SLOT_KEYS, SLOT_OFFS,
+    SLOT_ROWS,
 };
 use hamming_core::invindex::{CsrPart, KeyRun};
 use hamming_core::io::Source;
 use hamming_core::{hamming_within, words_for, Projector};
+use std::borrow::Cow;
 use std::convert::Infallible;
 use std::ops::Range;
 
@@ -856,12 +806,16 @@ impl Store for Paged {
 /// container, without decoding the payload into heap — the store behind
 /// a file-backed segment of `SegmentedGph`: a query plan and the paged
 /// store it runs over, through the pipeline [`Gph`](crate::engine::Gph)
-/// runs, so results are bit-identical to the resident engine's.
+/// runs, so its plans and results are bit-identical to the resident
+/// engine's.
 ///
 /// Opening reads and CRC-checks only the *metadata* sections (a few
 /// KiB), the key padding, and one key per key page for the fences —
 /// 1/2048 of the key bytes at 8 KiB pages (1/1024 where keys are 8
-/// bytes) — with direct reads, leaving no page resident.
+/// bytes) — with direct reads, leaving no page resident. The estimator
+/// kinds that store no tables (`SampleScan`, `Learned`) also read the
+/// row slab once, directly, to rebuild the estimator as a resident load
+/// does; `Exact` and `SubPartition` restore their persisted tables.
 /// Payload CRCs are deliberately *deferred* (checking them would read
 /// the whole file): payload bytes are read under the CSR reader's trust
 /// model (`hamming_core::invindex`), and a mid-query I/O failure (the
@@ -891,11 +845,12 @@ impl ColdSegment {
         let read_at = |offset: u64, buf: &mut [u8]| file.read_at(blob_off + offset, buf);
         let c = open_engine(Source::Region { len: blob_len, read_at: &read_at })?;
         let mut meta = decode_engine_meta(&c)?;
-        let widths = meta.widths();
-        let estimator =
-            crate::cn::restore_estimator(&meta.estimator_kind, meta.est_state()?, &widths, || {
-                Ok(Box::new(FlatCn::new(meta.n_rows, &widths, meta.cfg.tau_max)))
-            })?;
+        // The kinds without stored tables rebuild from the row slab, read
+        // once, directly, as a resident load does.
+        let estimator = meta.estimator(|| {
+            let slab = c.section(SLOT_ROWS)?;
+            Ok(Cow::Owned(dataset_from_slab(meta.dim, meta.n_rows, &slab)?))
+        })?;
         // Every word sits on its own size's grid, so none straddles a
         // page and every fence run is whole keys (writers align to 4 KiB).
         let [rows_at, keys_at, offs_at, ids_at] =
@@ -947,7 +902,6 @@ impl ColdSegment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cn::CnEstimator;
     use hamming_core::enumerate::for_each_in_ball_u64;
     use hamming_core::invindex::{for_each_posting, for_each_posting_of, slot_of};
 
@@ -1172,24 +1126,6 @@ mod tests {
         assert!(PageCache::with_page_size(0, 128 * 1024).is_err());
     }
 
-    #[test]
-    fn flat_cn_is_monotone_and_clamped() {
-        let est = FlatCn::new(1000, &[8, 64, 2000], 16);
-        for part in 0..3 {
-            let mut out = vec![0.0; 18];
-            est.fill(part, &[0], 16, &mut out);
-            assert_eq!(out[0], 0.0);
-            for e in 1..out.len() {
-                assert!(out[e] >= out[e - 1], "monotone at part {part} e {e}");
-                assert!(out[e] <= 1000.0);
-            }
-        }
-        // Width 8, tau 16: the CDF saturates at 1, so CN = n.
-        let mut out = vec![0.0; 18];
-        est.fill(0, &[0], 16, &mut out);
-        assert!((out[17] - 1000.0).abs() < 1e-6);
-    }
-
     use crate::engine::{Gph, GphConfig, SearchResult};
     use crate::partition_opt::PartitionStrategy;
     use crate::pipeline::set_pooled_epoch;
@@ -1217,15 +1153,13 @@ mod tests {
         (store, cold)
     }
 
-    /// Both stores run the one pipeline over the one CSR reader, so they
-    /// must agree on the result set always, and — when the estimator
-    /// kind snapshots its state, so the cold side restores the identical
-    /// tables — on every decision the plan makes and on the work done:
-    /// the same postings and scanned rows, and the same candidates
-    /// unless a partition is wider than 64 bits (there the paged store
-    /// floods every row where the resident one projects them).
+    /// Both stores run the one pipeline over the one CSR reader under
+    /// the same estimator, so they must agree on the result set, on
+    /// every decision the plan makes and on the work done: the same
+    /// postings and scanned rows, and the same candidates unless a
+    /// partition is wider than 64 bits (there the paged store floods
+    /// every row where the resident one projects them).
     fn assert_cold_matches(engine: &Gph, cold: &ColdSegment, queries: &Dataset, taus: &[u32]) {
-        let same_estimator = engine.plan.estimator.snapshot_state().is_some();
         let narrow = cold.store.parts.iter().all(|p| p.width <= 64);
         for qi in 0..queries.len() {
             let q = queries.row(qi);
@@ -1236,17 +1170,15 @@ mod tests {
                 for st in [&hot.stats, &chill.stats] {
                     assert!(st.n_candidates <= st.sum_postings + st.n_scanned, "{st:?}");
                 }
-                if same_estimator {
-                    let (h, c) = (&hot.stats, &chill.stats);
-                    assert_eq!(h.thresholds, c.thresholds, "qi={qi} tau={tau}");
-                    assert_eq!(h.estimated_cost, c.estimated_cost, "qi={qi} tau={tau}");
-                    assert_eq!(h.n_signatures, c.n_signatures, "qi={qi} tau={tau}");
-                    assert_eq!(h.n_results, c.n_results, "qi={qi} tau={tau}");
-                    assert_eq!(h.sum_postings, c.sum_postings, "qi={qi} tau={tau}");
-                    assert_eq!(h.n_scanned, c.n_scanned, "qi={qi} tau={tau}");
-                    if narrow {
-                        assert_eq!(h.n_candidates, c.n_candidates, "qi={qi} tau={tau}");
-                    }
+                let (h, c) = (&hot.stats, &chill.stats);
+                assert_eq!(h.thresholds, c.thresholds, "qi={qi} tau={tau}");
+                assert_eq!(h.estimated_cost, c.estimated_cost, "qi={qi} tau={tau}");
+                assert_eq!(h.n_signatures, c.n_signatures, "qi={qi} tau={tau}");
+                assert_eq!(h.n_results, c.n_results, "qi={qi} tau={tau}");
+                assert_eq!(h.sum_postings, c.sum_postings, "qi={qi} tau={tau}");
+                assert_eq!(h.n_scanned, c.n_scanned, "qi={qi} tau={tau}");
+                if narrow {
+                    assert_eq!(h.n_candidates, c.n_candidates, "qi={qi} tau={tau}");
                 }
             }
         }
@@ -1349,8 +1281,8 @@ mod tests {
 
     #[test]
     fn cold_segment_without_estimator_state_still_answers_exactly() {
-        // SampleScan snapshots no state; the cold side falls back to the
-        // closed-form FlatCn. Allocations may differ — results must not.
+        // SampleScan snapshots no state; the cold open rebuilds it from
+        // the row slab, so allocations agree as well as results.
         let ds = random_dataset(64, 200, 49);
         let queries = random_dataset(64, 6, 50);
         let mut cfg = GphConfig::new(4, 6);
@@ -1359,6 +1291,42 @@ mod tests {
         let engine = Gph::build(ds, &cfg).unwrap();
         let (_store, cold) = spill(&engine, 1 << 20);
         assert_cold_matches(&engine, &cold, &queries, &[0, 3, 6]);
+    }
+
+    /// One saved engine plans one way: for every estimator kind, stored
+    /// tables or rebuilt from seeds, a cold open and the resident engine
+    /// choose bit-identical thresholds at bit-identical estimated cost.
+    #[test]
+    fn resident_and_cold_plans_agree_for_every_estimator_kind() {
+        use crate::cn::learned::{LearnedParams, ModelKind};
+        use crate::cn::EstimatorKind;
+        let ds = random_dataset(48, 240, 52);
+        let queries = random_dataset(48, 6, 53);
+        let learned = LearnedParams { model: ModelKind::Rf, n_train: 64, ..Default::default() };
+        let kinds = [
+            EstimatorKind::Exact { max_width: 16 },
+            EstimatorKind::SubPartition { sub_count: 2, paper_shift: false },
+            EstimatorKind::SubPartition { sub_count: 2, paper_shift: true },
+            EstimatorKind::SampleScan { sample_cap: 64, seed: 3 },
+            EstimatorKind::Learned(learned),
+        ];
+        for kind in kinds {
+            let mut cfg = GphConfig::new(4, 8);
+            cfg.strategy = PartitionStrategy::RandomShuffle { seed: 12 };
+            cfg.estimator = kind.clone();
+            let engine = Gph::build(ds.clone(), &cfg).unwrap();
+            let (_store, cold) = spill(&engine, 1 << 20);
+            for qi in 0..queries.len() {
+                let q = queries.row(qi);
+                for tau in [0u32, 3, 8] {
+                    let h = engine.search_with_stats(q, tau).stats;
+                    let c = SearchResult::from_hits(cold.plan.search(&cold.store, q, tau)).stats;
+                    assert_eq!(h.thresholds, c.thresholds, "{kind:?} qi={qi} tau={tau}");
+                    let (he, ce) = (h.estimated_cost.to_bits(), c.estimated_cost.to_bits());
+                    assert_eq!(he, ce, "{kind:?} qi={qi} tau={tau}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -46,16 +46,18 @@
 //! `tests/crossover_properties.rs` on both sides of the crossover,
 //! resident and file-backed.
 //!
-//! Where GPH segments live is [`SegmentConfig::storage`]: decoded on the
-//! heap, or file-backed and paged on demand ([`crate::coldstore`]).
-//! Slabs, like the memtable, are always resident. A snapshot (`GPHS`)
-//! restores one of two ways, both through the one container reader
-//! ([`hamming_core::io::Container`]): [`SegmentedGph::from_bytes`]
-//! decodes everything resident, and [`SegmentedGph::load_with_storage`]
+//! Where GPH segments live is decided when an engine is made: an engine
+//! spills its GPH segments if and only if it holds a [`SpillStore`] —
+//! the node's one spill directory and page cache ([`crate::coldstore`])
+//! — and then pages them on demand; otherwise it decodes them on the
+//! heap. Slabs, like the memtable, are always resident. A snapshot
+//! (`GPHS`) restores one of two ways, both through the one container
+//! reader ([`hamming_core::io::Container`]): [`SegmentedGph::from_bytes`]
+//! decodes everything resident, and [`SegmentedGph::open_file_backed`]
 //! is the one file-backed restore, serving each GPH segment from its
-//! blob inside the snapshot file.
+//! blob inside the snapshot file through the store it is given.
 
-use crate::coldstore::{ColdSegment, PageCacheStats, SegmentFile, SpillStore, StorageMode};
+use crate::coldstore::{ColdSegment, PageCacheStats, SegmentFile, SpillStore};
 use crate::engine::{Gph, GphConfig, QueryStats};
 use crate::pipeline::{topk_by_escalation, Hits, Plan, Store};
 use crate::snapshot::{decode_gph_config, encode_gph_config};
@@ -143,7 +145,8 @@ pub fn crossover_rows(dim: usize, m: usize, tau_max: usize) -> usize {
     SIG_COST_ROWS.saturating_mul(signatures).try_into().unwrap_or(usize::MAX)
 }
 
-/// Knobs of the segment lifecycle.
+/// Knobs of the segment lifecycle, both persisted in `GPHS` snapshots
+/// and `GPHM` manifests. Where GPH segments live is the engine's store.
 #[derive(Clone, Copy, Debug)]
 pub struct SegmentConfig {
     /// Live memtable rows that trigger a seal (a freeze into a row
@@ -153,17 +156,11 @@ pub struct SegmentConfig {
     /// Sealed segments tolerated before compaction merges the two
     /// smallest; bounds per-query fan-out.
     pub max_sealed: usize,
-    /// Where GPH segments live: decoded on the heap
-    /// ([`StorageMode::Resident`], the default) or paged on demand from
-    /// their snapshot blobs ([`StorageMode::FileBacked`]). The memtable
-    /// and row slabs are always resident. Runtime policy, not persisted
-    /// in snapshots.
-    pub storage: StorageMode,
 }
 
 impl Default for SegmentConfig {
     fn default() -> Self {
-        SegmentConfig { seal_rows: 4096, max_sealed: 6, storage: StorageMode::Resident }
+        SegmentConfig { seal_rows: 4096, max_sealed: 6 }
     }
 }
 
@@ -434,7 +431,7 @@ pub struct SegmentInfo {
 ///
 /// let mut cfg = GphConfig::new(2, 4);
 /// cfg.strategy = PartitionStrategy::Original;
-/// let seg_cfg = SegmentConfig { seal_rows: 2, max_sealed: 2, ..SegmentConfig::default() };
+/// let seg_cfg = SegmentConfig { seal_rows: 2, max_sealed: 2 };
 /// let mut engine = SegmentedGph::new(16, cfg, seg_cfg).unwrap();
 ///
 /// // Insert rows under caller-chosen ids; seals happen automatically.
@@ -458,14 +455,14 @@ pub struct SegmentedGph {
     sealed: Vec<Segment>,
     /// External id → current location, live rows only.
     loc: HashMap<u32, Loc>,
-    /// Spill directory + shared page cache for file-backed GPH segments,
-    /// created lazily on the first file-backed build (or eagerly by a
-    /// file-backed restore). `None` while fully resident.
+    /// The node's spill directory and page cache when file-backed: GPH
+    /// segments this engine builds spill there and page through its
+    /// cache. `None` for a resident engine.
     spill: Option<Arc<SpillStore>>,
 }
 
 impl SegmentedGph {
-    /// Creates an empty engine for `dim`-dimensional rows.
+    /// Creates an empty resident engine for `dim`-dimensional rows.
     pub fn new(dim: usize, cfg: GphConfig, seg_cfg: SegmentConfig) -> Result<Self> {
         if dim == 0 {
             return Err(HammingError::InvalidParameter("zero-dimensional data".into()));
@@ -487,16 +484,34 @@ impl SegmentedGph {
         })
     }
 
-    /// Builds an engine whose initial contents are `data` under external
-    /// ids `ids`, sealed immediately into one GPH segment, whatever its
-    /// size — the bulk-load path the serving layer uses when
-    /// constructing a fleet from a frozen dataset.
+    /// Creates an empty file-backed engine: the GPH segments its merges
+    /// build spill into `spill` and page through its cache, which every
+    /// engine holding the same store shares.
+    pub fn new_file_backed(
+        dim: usize,
+        cfg: GphConfig,
+        seg_cfg: SegmentConfig,
+        spill: Arc<SpillStore>,
+    ) -> Result<Self> {
+        Ok(SegmentedGph { spill: Some(spill), ..SegmentedGph::new(dim, cfg, seg_cfg)? })
+    }
+
+    /// Builds a resident engine whose initial contents are `data` under
+    /// external ids `ids`, sealed immediately into one GPH segment,
+    /// whatever its size — the bulk-load path the serving layer uses
+    /// when constructing a fleet from a frozen dataset.
     pub fn build_sealed(
         data: Dataset,
         ids: Vec<u32>,
         cfg: GphConfig,
         seg_cfg: SegmentConfig,
     ) -> Result<Self> {
+        SegmentedGph::new(data.dim(), cfg, seg_cfg)?.bulk_load(data, ids)
+    }
+
+    /// Seals `data` under `ids` into one GPH segment of this empty
+    /// engine, placed as [`SegmentedGph::build_segment`] places it.
+    fn bulk_load(mut self, data: Dataset, ids: Vec<u32>) -> Result<Self> {
         if data.len() != ids.len() {
             return Err(HammingError::InvalidParameter(format!(
                 "{} rows but {} ids",
@@ -504,35 +519,28 @@ impl SegmentedGph {
                 ids.len()
             )));
         }
-        let mut out = SegmentedGph::new(data.dim(), cfg, seg_cfg)?;
         if !data.is_empty() {
             let mut seen = std::collections::HashSet::with_capacity(ids.len());
             if let Some(id) = ids.iter().find(|&&id| !seen.insert(id)) {
                 return Err(HammingError::InvalidParameter(format!("duplicate live id {id}")));
             }
-            let seg = out.build_segment(data, ids)?;
-            out.commit_segment(seg);
+            let seg = self.build_segment(data, ids)?;
+            self.commit_segment(seg);
         }
-        Ok(out)
+        Ok(self)
     }
 
-    /// Builds a GPH segment over `data` under the configured strategy
-    /// and places it according to the configured [`StorageMode`]: kept
-    /// resident, or encoded to a GPHE v4 blob in the spill store and
-    /// reopened cold. It touches no other engine state — the
-    /// build-then-commit half of every bulk load and indexed merge, so a
-    /// failed `Gph::build` (e.g. an invalid config) leaves the engine
-    /// fully consistent. (Creating the spill store early is harmless on
-    /// failure: it is just an empty temp directory.)
-    fn build_segment(&mut self, data: Dataset, ids: Vec<u32>) -> Result<Segment> {
+    /// Builds a GPH segment over `data` under the configured strategy:
+    /// kept resident, or — when the engine holds a spill store — encoded
+    /// to a GPHE v4 blob there and reopened cold. It touches no engine
+    /// state — the build-then-commit half of every bulk load and indexed
+    /// merge, so a failed `Gph::build` (e.g. an invalid config) leaves
+    /// the engine fully consistent.
+    fn build_segment(&self, data: Dataset, ids: Vec<u32>) -> Result<Segment> {
         let engine = Gph::build(data, &self.cfg)?;
-        let StorageMode::FileBacked { budget_bytes } = self.seg_cfg.storage else {
+        let Some(spill) = &self.spill else {
             return Ok(Segment::live(Rows::Resident(Box::new(engine)), ids));
         };
-        if self.spill.is_none() {
-            self.spill = Some(SpillStore::temp(budget_bytes)?);
-        }
-        let spill = self.spill.as_ref().expect("created above when missing");
         let file = Arc::new(spill.write_blob(&engine.to_bytes())?);
         let len = file.len();
         let cold = ColdSegment::open(file, Arc::clone(spill.cache()), 0, len)?;
@@ -541,7 +549,7 @@ impl SegmentedGph {
 
     /// The segment a merge of `data` makes: a GPH segment when its rows
     /// reach [`crossover_rows`], a slab below it.
-    fn merged_segment(&mut self, data: Dataset, ids: Vec<u32>) -> Result<Segment> {
+    fn merged_segment(&self, data: Dataset, ids: Vec<u32>) -> Result<Segment> {
         if data.len() >= crossover_rows(self.dim, self.cfg.m, self.cfg.tau_max) {
             self.build_segment(data, ids)
         } else {
@@ -549,8 +557,9 @@ impl SegmentedGph {
         }
     }
 
-    /// Page-cache counters when any GPH segment is file-backed; `None`
-    /// while fully resident.
+    /// The counters of the spill store's page cache — shared by every
+    /// engine holding that store — for a file-backed engine; `None` for
+    /// a resident one.
     pub fn page_cache_stats(&self) -> Option<PageCacheStats> {
         self.spill.as_ref().map(|s| s.cache().stats())
     }
@@ -1026,7 +1035,7 @@ impl SegmentedGph {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let c = Container::open(Source::Bytes(bytes), SEGMENT_MAGIC, SEGMENT_VERSION, N_SEG_SLOTS)?;
         let arena = c.section(SEG_SLOT_BLOBS)?;
-        Self::restore(&c, StorageMode::Resident, |rel, len| {
+        Self::restore(&c, |rel, len| {
             // `restore` bounds-checked the extent against the arena.
             Ok(Rows::Resident(Box::new(Gph::from_bytes(&arena[rel as usize..][..len])?)))
         })
@@ -1034,12 +1043,11 @@ impl SegmentedGph {
 
     /// Rebuilds an engine from the GPHS container `c` — the one restore
     /// behind [`SegmentedGph::from_bytes`] and
-    /// [`SegmentedGph::load_with_storage`]. Slabs are decoded from the
+    /// [`SegmentedGph::open_file_backed`]. Slabs are decoded from the
     /// segment table; `open_blob` materialises the GPH segment whose
     /// GPHE blob sits at `(offset, len)` of the blob arena.
     fn restore(
         c: &Container,
-        storage: StorageMode,
         mut open_blob: impl FnMut(u64, usize) -> Result<Rows>,
     ) -> Result<Self> {
         let cfg = decode_gph_config(&c.section(SEG_SLOT_CONFIG)?)?;
@@ -1050,8 +1058,7 @@ impl SegmentedGph {
         let max_sealed = hr.u64("max_sealed")? as usize;
         let n_sealed = hr.u64("sealed segment count")? as usize;
         hr.finish("segment header")?;
-        let mut out =
-            SegmentedGph::new(dim, cfg, SegmentConfig { seal_rows, max_sealed, storage })?;
+        let mut out = SegmentedGph::new(dim, cfg, SegmentConfig { seal_rows, max_sealed })?;
         let tau_max = out.cfg.tau_max;
         out.mem = Segment::decoded(
             Rows::Scanned(decode_dataset(&c.section(SEG_SLOT_MEMDATA)?)?),
@@ -1118,21 +1125,25 @@ impl SegmentedGph {
         SegmentedGph::from_bytes(&std::fs::read(path)?)
     }
 
-    /// Reads an engine snapshot from `path` under an explicit
-    /// [`StorageMode`] — the one file-backed restore.
+    /// Opens an engine snapshot at `path` file-backed, paging through
+    /// `spill`'s cache — the one file-backed restore. GPH segments that
+    /// later merges build spill into `spill` too, so every engine given
+    /// one store (every shard of a node) shares one page cache and its
+    /// budget.
     ///
-    /// This is the out-of-core warm-start path: under
-    /// [`StorageMode::FileBacked`] the snapshot is *mapped, not read* —
-    /// its header, footer and metadata sections (config, memtable,
-    /// segment table with its slabs' rows) are read directly and
+    /// This is the out-of-core warm-start path: the snapshot is *mapped,
+    /// not read* — its header, footer and metadata sections (config,
+    /// memtable, segment table with its slabs' rows) are read directly and
     /// checked by the one container reader ([`Container`]), while every
     /// GPH segment's blob stays on disk, opened as a file region of the
     /// snapshot file itself, which reads one key per key page for its
     /// page fences. Restore time therefore grows only with the resident
     /// rows and the number of key pages (1/2048 of the key bytes at
-    /// 8 KiB pages where keys are 4 bytes, 1/1024 where they are 8),
-    /// and no blob byte is resident until a query pages
-    /// it in. Blob-payload CRCs are deferred (see `FORMAT.md`
+    /// 8 KiB pages where keys are 4 bytes, 1/1024 where they are 8) —
+    /// plus one read of a segment's row slab when its estimator kind
+    /// stores no tables (`SampleScan`, `Learned`) and is rebuilt — and
+    /// no blob byte is resident until a query pages it in. Blob-payload
+    /// CRCs are deferred (see `FORMAT.md`
     /// §durability); [`SegmentedGph::load`] is the fully-verified
     /// alternative.
     ///
@@ -1140,23 +1151,16 @@ impl SegmentedGph {
     /// snapshot via [`SegmentedGph::save`] is safe on platforms where
     /// rename unlinks (the open descriptor pins the old bytes), but the
     /// file must not be truncated or rewritten in place.
-    pub fn load_with_storage<P: AsRef<std::path::Path>>(
+    pub fn open_file_backed<P: AsRef<std::path::Path>>(
         path: P,
-        storage: StorageMode,
+        spill: Arc<SpillStore>,
     ) -> Result<Self> {
-        let StorageMode::FileBacked { budget_bytes } = storage else {
-            return SegmentedGph::load(path);
-        };
         let file = Arc::new(SegmentFile::open(path.as_ref(), false)?);
         let read_at = |offset: u64, buf: &mut [u8]| file.read_at(offset, buf);
         let region = Source::Region { len: file.len(), read_at: &read_at };
         let c = Container::open(region, SEGMENT_MAGIC, SEGMENT_VERSION, N_SEG_SLOTS)?;
         let arena_off = c.slot(SEG_SLOT_BLOBS).offset;
-        // Snapshot-mapped segments and future builds share one spill
-        // store: its page cache, and its byte budget. It exists even with
-        // no GPH segment, so the page-cache counters do too.
-        let spill = SpillStore::temp(budget_bytes)?;
-        let mut out = Self::restore(&c, storage, |rel, len| {
+        let mut out = Self::restore(&c, |rel, len| {
             let cache = Arc::clone(spill.cache());
             let cold = ColdSegment::open(Arc::clone(&file), cache, arena_off + rel, len as u64)?;
             Ok(Rows::Paged(Box::new(cold)))
@@ -1189,7 +1193,30 @@ mod tests {
     }
 
     fn seg_cfg() -> SegmentConfig {
-        SegmentConfig { seal_rows: 8, max_sealed: 2, ..SegmentConfig::default() }
+        SegmentConfig { seal_rows: 8, max_sealed: 2 }
+    }
+
+    /// An empty engine, file-backed over a fresh store with a 32 KiB
+    /// cache when `cold`, else resident.
+    fn empty(dim: usize, cfg: GphConfig, seg_cfg: SegmentConfig, cold: bool) -> SegmentedGph {
+        match cold {
+            false => SegmentedGph::new(dim, cfg, seg_cfg).unwrap(),
+            true => {
+                let spill = SpillStore::temp(32 * 1024).unwrap();
+                SegmentedGph::new_file_backed(dim, cfg, seg_cfg, spill).unwrap()
+            }
+        }
+    }
+
+    /// The snapshot at `path`, opened file-backed over a fresh store
+    /// with a 32 KiB cache when `cold`, else decoded resident.
+    fn reopen(path: &std::path::Path, cold: bool) -> SegmentedGph {
+        match cold {
+            false => SegmentedGph::load(path).unwrap(),
+            true => {
+                SegmentedGph::open_file_backed(path, SpillStore::temp(32 * 1024).unwrap()).unwrap()
+            }
+        }
     }
 
     fn random_rows(dim: usize, n: usize, seed: u64) -> Vec<Vec<u64>> {
@@ -1200,14 +1227,14 @@ mod tests {
     }
 
     /// An engine bulk-loaded with `rows` under ids `0..rows.len()`: one
-    /// GPH segment, however few the rows.
-    fn bulk(dim: usize, rows: &[Vec<u64>], seg_cfg: SegmentConfig) -> SegmentedGph {
+    /// GPH segment, however few the rows, paged when `cold`.
+    fn bulk(dim: usize, rows: &[Vec<u64>], cold: bool) -> SegmentedGph {
         let mut ds = Dataset::new(dim);
         for row in rows {
             ds.push_row(row).unwrap();
         }
         let ids = (0..rows.len() as u32).collect();
-        SegmentedGph::build_sealed(ds, ids, cfg(), seg_cfg).unwrap()
+        empty(dim, cfg(), seg_cfg(), cold).bulk_load(ds, ids).unwrap()
     }
 
     /// Reference: a fresh Gph over the surviving rows, ids mapped back.
@@ -1416,7 +1443,7 @@ mod tests {
         let mut bad_cfg = GphConfig::new(64, 4);
         bad_cfg.strategy = PartitionStrategy::Original;
         let cross = crossover_rows(16, 64, 4);
-        let seg_cfg = SegmentConfig { seal_rows: cross, max_sealed: 1, ..SegmentConfig::default() };
+        let seg_cfg = SegmentConfig { seal_rows: cross, max_sealed: 1 };
         let mut eng = SegmentedGph::new(16, bad_cfg, seg_cfg).unwrap();
         let rows = random_rows(16, 2 * cross, 11);
         for (i, row) in rows.iter().enumerate().take(2 * cross - 1) {
@@ -1447,8 +1474,7 @@ mod tests {
         let mut bad_cfg = GphConfig::new(64, 4);
         bad_cfg.strategy = PartitionStrategy::Original;
         let cross = crossover_rows(16, 64, 4);
-        let seg_cfg =
-            SegmentConfig { seal_rows: 10 * cross, max_sealed: 2, ..SegmentConfig::default() };
+        let seg_cfg = SegmentConfig { seal_rows: 10 * cross, max_sealed: 2 };
         let mut eng = SegmentedGph::new(16, bad_cfg, seg_cfg).unwrap();
         // Slabs P and Q hold two thirds of the crossover each, R half of
         // it, T a handful: R + P passes the crossover, T + R does not.
@@ -1510,10 +1536,10 @@ mod tests {
         // Two flushes of `half` rows reach the crossover; one does not.
         let half = crossover_rows(48, 3, 8) / 2 + 1;
         let rows = random_rows(48, 5 * half, 30);
-        for storage in [StorageMode::Resident, StorageMode::FileBacked { budget_bytes: 32 * 1024 }]
-        {
-            let seg_cfg = SegmentConfig { seal_rows: half, max_sealed: 2, storage };
-            let mut eng = SegmentedGph::new(48, os_cfg.clone(), seg_cfg).unwrap();
+        for cold in [false, true] {
+            let seg_cfg = SegmentConfig { seal_rows: half, max_sealed: 2 };
+            let mut eng = empty(48, os_cfg.clone(), seg_cfg, cold);
+            let lookups = |eng: &SegmentedGph| eng.page_cache_stats().map(|s| s.hits + s.misses);
             let mut next = 0u32;
             let mut flush = |eng: &mut SegmentedGph| {
                 for _ in 0..half {
@@ -1521,29 +1547,30 @@ mod tests {
                     next += 1;
                 }
             };
-            // Flushes freeze slabs: no partitioning, no page cache.
+            // Flushes freeze slabs: no partitioning, and no page lookups
+            // whatever the engine holds.
             flush(&mut eng);
             flush(&mut eng);
             assert_eq!(partitionings(&eng), [None, None]);
-            assert!(eng.page_cache_stats().is_none(), "slabs stay resident");
+            for q in rows.iter().step_by(37) {
+                eng.search(q, 8);
+            }
+            assert_eq!(lookups(&eng), cold.then_some(0), "slabs stay resident");
 
             // The third is one too many: the two oldest merge past the
             // crossover, into GPH under the configured strategy.
             flush(&mut eng);
             let merged = configured(&eng, 1);
             assert_eq!(partitionings(&eng), [None, Some(merged.clone())]);
-            assert_eq!(
-                eng.page_cache_stats().is_some(),
-                storage != StorageMode::Resident,
-                "a file-backed build spills"
-            );
+            eng.search(&rows[0], 8);
+            assert_eq!(lookups(&eng).is_some_and(|n| n > 0), cold, "a file-backed build spills");
 
             // Through a snapshot round-trip, a fourth flush merges the
             // two slabs — past the crossover again.
             let path = std::env::temp_dir()
                 .join(format!("gph-segtest-freeze-{}.gphs", std::process::id()));
             eng.save(&path).unwrap();
-            let mut eng = SegmentedGph::load_with_storage(&path, storage).unwrap();
+            let mut eng = reopen(&path, cold);
             flush(&mut eng);
             let sizes: Vec<usize> = eng.sealed.iter().map(|s| s.ids.len()).collect();
             assert_eq!(sizes, [2 * half, 2 * half]);
@@ -1595,11 +1622,9 @@ mod tests {
     #[test]
     fn file_backed_engine_matches_resident_through_mutations() {
         let rows = random_rows(48, 40, 20);
-        let mut cold_cfg = seg_cfg();
-        cold_cfg.storage = StorageMode::FileBacked { budget_bytes: 32 * 1024 };
         // A bulk-loaded GPH segment (paged when cold), then slabs.
-        let mut hot = bulk(48, &rows[..20], seg_cfg());
-        let mut cold = bulk(48, &rows[..20], cold_cfg);
+        let mut hot = bulk(48, &rows[..20], false);
+        let mut cold = bulk(48, &rows[..20], true);
         for (i, row) in rows.iter().enumerate().skip(20) {
             hot.insert(i as u32, row).unwrap();
             cold.insert(i as u32, row).unwrap();
@@ -1624,7 +1649,7 @@ mod tests {
         hot.save(&path).unwrap();
         assert_same_answers(
             &SegmentedGph::from_bytes(&cold.to_bytes().unwrap()).unwrap(),
-            &SegmentedGph::load_with_storage(&path, cold_cfg.storage).unwrap(),
+            &reopen(&path, true),
             &rows,
         );
         std::fs::remove_file(&path).ok();
@@ -1637,8 +1662,7 @@ mod tests {
     #[test]
     fn distances_cost_a_paged_segment_no_extra_lookups() {
         let rows = random_rows(48, 200, 31);
-        let storage = StorageMode::FileBacked { budget_bytes: 32 * 1024 };
-        let cold = bulk(48, &rows, SegmentConfig { storage, ..seg_cfg() });
+        let cold = bulk(48, &rows, true);
         let lookups = || {
             let st = cold.page_cache_stats().expect("file-backed engine has a page cache");
             st.hits + st.misses
@@ -1672,9 +1696,9 @@ mod tests {
             let path = std::env::temp_dir()
                 .join(format!("gph-segtest-v{version}-{}.gphs", std::process::id()));
             std::fs::write(&path, &bytes).unwrap();
-            let cold = StorageMode::FileBacked { budget_bytes: 1 << 20 };
+            let spill = SpillStore::temp(1 << 20).unwrap();
             for got in
-                [SegmentedGph::from_bytes(&bytes), SegmentedGph::load_with_storage(&path, cold)]
+                [SegmentedGph::from_bytes(&bytes), SegmentedGph::open_file_backed(&path, spill)]
             {
                 match got.map(|_| ()) {
                     Err(HammingError::Corrupt(msg)) => {
@@ -1688,11 +1712,11 @@ mod tests {
     }
 
     #[test]
-    fn load_with_storage_maps_blobs_lazily() {
+    fn open_file_backed_maps_blobs_lazily() {
         let rows = random_rows(48, 30, 22);
         // A bulk-loaded GPH segment, whose blob the restore maps, then
         // slabs and a memtable.
-        let mut eng = bulk(48, &rows[..15], seg_cfg());
+        let mut eng = bulk(48, &rows[..15], false);
         for (i, row) in rows.iter().enumerate().skip(15) {
             eng.insert(i as u32, row).unwrap();
         }
@@ -1703,11 +1727,8 @@ mod tests {
         let path = dir.join("snap.gphs");
         eng.save(&path).unwrap();
 
-        let restored = SegmentedGph::load_with_storage(
-            &path,
-            StorageMode::FileBacked { budget_bytes: 1 << 20 },
-        )
-        .unwrap();
+        let restored =
+            SegmentedGph::open_file_backed(&path, SpillStore::temp(1 << 20).unwrap()).unwrap();
         // Open-time reads go around the page cache: nothing is resident
         // until the first query.
         let stats = restored.page_cache_stats().unwrap();
@@ -1733,7 +1754,7 @@ mod tests {
     #[test]
     fn saving_a_truncated_mapped_snapshot_is_an_error_not_a_panic() {
         let rows = random_rows(48, 30, 24);
-        let mut eng = bulk(48, &rows[..15], seg_cfg());
+        let mut eng = bulk(48, &rows[..15], false);
         for (i, row) in rows.iter().enumerate().skip(15) {
             eng.insert(i as u32, row).unwrap();
         }
@@ -1741,11 +1762,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.gphs");
         eng.save(&path).unwrap();
-        let mapped = SegmentedGph::load_with_storage(
-            &path,
-            StorageMode::FileBacked { budget_bytes: 1 << 20 },
-        )
-        .unwrap();
+        let mapped =
+            SegmentedGph::open_file_backed(&path, SpillStore::temp(1 << 20).unwrap()).unwrap();
         assert!(mapped.num_sealed() > 0, "the blobs must be mapped from the file");
         // Cut the file inside the blob arena, which starts past the
         // first page: the blobs can no longer be read back.
@@ -1781,9 +1799,8 @@ mod tests {
             .chain([(2000, q), (2001, q)])
             .chain((2002..2004).zip(&rows[306..308]))
             .collect();
-        for storage in [StorageMode::Resident, StorageMode::FileBacked { budget_bytes: 32 * 1024 }]
-        {
-            let mut eng = bulk(48, &gph_rows, SegmentConfig { storage, ..seg_cfg() });
+        for cold in [false, true] {
+            let mut eng = bulk(48, &gph_rows, cold);
             for &(id, row) in &inserts {
                 eng.insert(id, row).unwrap();
             }
@@ -1794,7 +1811,7 @@ mod tests {
             let mut traces = Vec::new();
             let (ids, st) = eng.search_with_trace(q, 8, Some(&mut traces));
             for id in [0, 1000, 2000] {
-                assert!(ids.contains(&id), "{storage:?}: live copy {id} found");
+                assert!(ids.contains(&id), "cold={cold}: live copy {id} found");
             }
             let per_segment: Vec<u64> = traces.iter().map(|t| t.n_results).collect();
             assert_eq!(per_segment.iter().sum::<u64>(), ids.len() as u64, "{per_segment:?}");
@@ -1811,7 +1828,7 @@ mod tests {
             assert_eq!(
                 counters,
                 [(0, 300, (411, 8, 0, 4)), (1, 8, (0, 0, 8, 8)), (memtable, 4, (0, 0, 4, 4))],
-                "{storage:?}"
+                "cold={cold}"
             );
             // A GPH segment's time is in its phases, a scan's in scan_ns.
             assert_eq!(traces[0].phases.scan_ns, 0);

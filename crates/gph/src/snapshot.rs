@@ -456,6 +456,22 @@ impl EngineMeta<'_> {
         self.parts.iter().map(|p| p.width).collect()
     }
 
+    /// The estimator the saved engine planned with: the persisted
+    /// tables of the kinds that store them (`Exact`, `SubPartition`),
+    /// else rebuilt deterministically — seeds live in the kind — over a
+    /// projection of the rows `rows` yields, made for the purpose and
+    /// dropped. Only those rebuilt kinds call `rows`, so a resident load
+    /// and a cold open of one blob plan identically.
+    pub(crate) fn estimator<'d>(
+        &self,
+        rows: impl FnOnce() -> Result<Cow<'d, Dataset>>,
+    ) -> Result<Box<dyn CnEstimator>> {
+        restore_estimator(&self.estimator_kind, self.est_state()?, &self.widths(), || {
+            let projected = ProjectedDataset::build(&*rows()?, &self.projector);
+            build_estimator(&self.estimator_kind, &projected, self.cfg.tau_max)
+        })
+    }
+
     /// Assembles the query plan around the restored `estimator`.
     pub(crate) fn into_plan(self, estimator: Box<dyn CnEstimator>) -> Plan {
         Plan {
@@ -609,13 +625,7 @@ pub(crate) fn decode_engine(bytes: &[u8]) -> Result<Gph> {
         ));
     }
     let index = InvertedIndex::from_csr(n, csr)?;
-    // Only the kinds without stored tables need the rows projected, and
-    // only for as long as their rebuild takes.
-    let estimator =
-        restore_estimator(&meta.estimator_kind, meta.est_state()?, &meta.widths(), || {
-            let projected = ProjectedDataset::build(&data, &meta.projector);
-            build_estimator(&meta.estimator_kind, &projected, meta.cfg.tau_max)
-        })?;
+    let estimator = meta.estimator(|| Ok(Cow::Borrowed(&data)))?;
     let build_stats = meta.cfg.build_stats;
     Ok(Gph { plan: meta.into_plan(estimator), store: Resident::new(data, index), build_stats })
 }

@@ -3,23 +3,27 @@
 //! cache — answers every query byte-identically to a fully resident
 //! twin, across arbitrary interleavings of upsert / delete / seal /
 //! compact and through a snapshot round-trip restored via the lazy
-//! `load_with_storage` path.
+//! `open_file_backed` path.
 
-use gph::coldstore::StorageMode;
+use gph::coldstore::SpillStore;
 use gph::engine::GphConfig;
 use gph::partition_opt::PartitionStrategy;
 use gph::segment::{crossover_rows, SegmentConfig, SegmentedGph};
 use hamming_core::key::mix64;
 use hamming_core::{BitVector, Dataset};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const DIM: usize = 40;
 /// Ops draw ids from a small universe so deletes and upserts frequently
 /// hit live rows (and frequently miss, exercising the no-op path).
 const ID_UNIVERSE: u32 = 24;
-/// 1-byte budget: the cache clamps to a single resident page, so any
-/// sealed corpus beyond one page forces clock evictions mid-query.
-const TINY_BUDGET: StorageMode = StorageMode::FileBacked { budget_bytes: 1 };
+/// A spill store with a 1-byte budget: the cache clamps to a single
+/// resident page, so any sealed corpus beyond one page forces clock
+/// evictions mid-query.
+fn tiny_store() -> Arc<SpillStore> {
+    SpillStore::temp(1).expect("spill store")
+}
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -128,28 +132,30 @@ proptest! {
         let cfg = cfg(seed);
         let base = bulk_rows(crossover_rows(DIM, cfg.m, cfg.tau_max), seed);
         let ids: Vec<u32> = (ID_UNIVERSE..ID_UNIVERSE + base.len() as u32).collect();
-        let mut hot = SegmentedGph::build_sealed(
-            base.clone(),
-            ids.clone(),
-            cfg.clone(),
-            SegmentConfig { seal_rows, max_sealed, ..SegmentConfig::default() },
-        ).expect("resident engine");
-        let mut cold = SegmentedGph::build_sealed(
-            base,
-            ids,
-            cfg,
-            SegmentConfig { seal_rows, max_sealed, storage: TINY_BUDGET },
-        ).expect("file-backed engine");
+        let seg_cfg = SegmentConfig { seal_rows, max_sealed };
+        let mut hot = SegmentedGph::build_sealed(base, ids, cfg, seg_cfg)
+            .expect("resident engine");
+        // The cold twin maps the bulk-built segment from a snapshot of
+        // the resident one.
+        let path = std::env::temp_dir().join(format!(
+            "gph-coldprop-bulk-{}-{}.gphs",
+            std::process::id(),
+            seed,
+        ));
+        hot.save(&path).expect("save snapshot");
+        let mut cold = SegmentedGph::open_file_backed(&path, tiny_store())
+            .expect("file-backed engine");
         for op in &ops {
             apply(&mut hot, &mut cold, op);
         }
         assert_identical(&hot, &cold, &queries);
         let stats = cold.page_cache_stats().expect("sealed cold segments have a cache");
         prop_assert!(stats.hits + stats.misses > 0, "queries never paged");
+        std::fs::remove_file(&path).ok();
     }
 
     /// The same equivalence holds when the file-backed engine is a lazy
-    /// `load_with_storage` restore of the resident engine's snapshot —
+    /// `open_file_backed` restore of the resident engine's snapshot —
     /// and keeps holding under further mutations, with the re-serialized
     /// snapshot staying byte-identical until the first mutation.
     #[test]
@@ -161,7 +167,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = cfg(seed);
-        let seg_cfg = SegmentConfig { seal_rows, max_sealed: 2, ..SegmentConfig::default() };
+        let seg_cfg = SegmentConfig { seal_rows, max_sealed: 2 };
         let mut hot = SegmentedGph::new(DIM, cfg, seg_cfg).expect("resident engine");
         // Drive the resident engine alone; the cold twin enters via the
         // snapshot below.
@@ -174,7 +180,7 @@ proptest! {
             seed,
         ));
         hot.save(&path).expect("save snapshot");
-        let mut cold = SegmentedGph::load_with_storage(&path, TINY_BUDGET)
+        let mut cold = SegmentedGph::open_file_backed(&path, tiny_store())
             .expect("lazy file-backed restore");
         // Before any payload is paged, re-serialization must be
         // byte-identical to the file on disk (blobs stream verbatim).
@@ -210,12 +216,8 @@ fn apply_single(engine: &mut SegmentedGph, op: &Op) {
 fn sealed_snapshot_bytes() -> (Vec<u8>, usize) {
     let mut cfg = GphConfig::new(3, 8);
     cfg.strategy = PartitionStrategy::RandomShuffle { seed: 11 };
-    let mut eng = SegmentedGph::new(
-        DIM,
-        cfg,
-        SegmentConfig { seal_rows: 4, max_sealed: 4, ..SegmentConfig::default() },
-    )
-    .expect("engine");
+    let mut eng =
+        SegmentedGph::new(DIM, cfg, SegmentConfig { seal_rows: 4, max_sealed: 4 }).expect("engine");
     for id in 0..12u32 {
         let bits: Vec<bool> = (0..DIM).map(|b| (id as usize + b).is_multiple_of(3)).collect();
         eng.upsert(id, &words(&bits)).expect("upsert");
@@ -234,7 +236,7 @@ fn try_cold_load(bytes: &[u8], tag: &str) -> Result<SegmentedGph, hamming_core::
     let path =
         std::env::temp_dir().join(format!("gph-coldcorrupt-{}-{tag}.gphs", std::process::id()));
     std::fs::write(&path, bytes).expect("write corrupted snapshot");
-    let out = SegmentedGph::load_with_storage(&path, TINY_BUDGET);
+    let out = SegmentedGph::open_file_backed(&path, tiny_store());
     std::fs::remove_file(&path).ok();
     out
 }

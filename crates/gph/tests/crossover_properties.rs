@@ -4,7 +4,7 @@
 //! that leaves — resident, file-backed, or restored from a snapshot
 //! either way — every answer, distance and top-k equals a linear scan's.
 
-use gph::coldstore::StorageMode;
+use gph::coldstore::SpillStore;
 use gph::engine::GphConfig;
 use gph::partition_opt::PartitionStrategy;
 use gph::segment::{crossover_rows, SegmentConfig, SegmentedGph};
@@ -12,10 +12,15 @@ use hamming_core::hamming;
 use hamming_core::key::mix64;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const DIM: usize = 40;
-/// A page cache of a few pages, so file-backed reads evict.
-const COLD: StorageMode = StorageMode::FileBacked { budget_bytes: 3 * 4096 };
+
+/// A spill store whose page cache holds a few pages, so file-backed
+/// reads evict.
+fn cold_store() -> Arc<SpillStore> {
+    SpillStore::temp(3 * 4096).expect("spill store")
+}
 
 /// `m = 8` parts of 5 bits and `τ_max = 8`: Lemma 1's split for
 /// `τ_max / 2` probes one signature per part, so the crossover is a few
@@ -83,16 +88,10 @@ proptest! {
             vec![(centre ^ (noise & mix64(noise))) & ((1 << DIM) - 1)]
         };
         let queries: Vec<Vec<u64>> = (0..6).map(|i| row(i * 13 + 1)).collect();
-        let mut hot = SegmentedGph::new(
-            DIM,
-            cfg.clone(),
-            SegmentConfig { seal_rows, max_sealed, ..SegmentConfig::default() },
-        ).expect("resident engine");
-        let mut cold = SegmentedGph::new(
-            DIM,
-            cfg,
-            SegmentConfig { seal_rows, max_sealed, storage: COLD },
-        ).expect("file-backed engine");
+        let seg_cfg = SegmentConfig { seal_rows, max_sealed };
+        let mut hot = SegmentedGph::new(DIM, cfg.clone(), seg_cfg).expect("resident engine");
+        let mut cold = SegmentedGph::new_file_backed(DIM, cfg, seg_cfg, cold_store())
+            .expect("file-backed engine");
         let mut model: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
         for i in 0..n {
             let id = i as u32;
@@ -122,8 +121,9 @@ proptest! {
             let path = std::env::temp_dir()
                 .join(format!("gph-crossprop-{}-{seed}.gphs", std::process::id()));
             hot.save(&path).expect("save");
-            let mapped = SegmentedGph::load_with_storage(&path, COLD).expect("mapped restore");
-            assert_matches_scan(&mapped, model, &queries, "load_with_storage");
+            let mapped =
+                SegmentedGph::open_file_backed(&path, cold_store()).expect("mapped restore");
+            assert_matches_scan(&mapped, model, &queries, "open_file_backed");
             std::fs::remove_file(&path).ok();
         };
         check(&hot, &cold, &model);
@@ -133,7 +133,10 @@ proptest! {
         prop_assert!(model.len() >= cross);
         hot.compact().expect("compact");
         cold.compact().expect("compact");
-        prop_assert!(cold.page_cache_stats().is_some(), "a GPH build past the crossover");
+        let lookups = |e: &SegmentedGph| e.page_cache_stats().map(|s| s.hits + s.misses);
+        let before = lookups(&cold);
+        cold.search(&queries[0], 8);
+        prop_assert!(lookups(&cold) > before, "a GPH build past the crossover pages");
         check(&hot, &cold, &model);
 
         // Below the crossover a compaction leaves a slab.

@@ -10,7 +10,7 @@
 //! projecting).
 
 use gph::cn::EstimatorKind;
-use gph::coldstore::StorageMode;
+use gph::coldstore::SpillStore;
 use gph::engine::{Gph, GphConfig};
 use gph::partition_opt::PartitionStrategy;
 use gph::segment::{SegmentConfig, SegmentedGph};
@@ -69,11 +69,15 @@ proptest! {
         let bytes = built.to_bytes();
         let loaded = Gph::from_bytes(&bytes).unwrap();
         // One file-backed sealed segment under ids 0..n, so its ids are
-        // the rows' local ids.
-        let storage = StorageMode::FileBacked { budget_bytes: 1 << 20 };
+        // the rows' local ids: a bulk load's snapshot, mapped.
         let ids = (0..n as u32).collect();
-        let cold_cfg = SegmentConfig { storage, ..SegmentConfig::default() };
-        let cold = SegmentedGph::build_sealed(ds.clone(), ids, cfg.clone(), cold_cfg).unwrap();
+        let bulk =
+            SegmentedGph::build_sealed(ds.clone(), ids, cfg.clone(), SegmentConfig::default());
+        let path = std::env::temp_dir()
+            .join(format!("gph-scanfallback-{}-{seed}.gphs", std::process::id()));
+        bulk.unwrap().save(&path).unwrap();
+        let spill = SpillStore::temp(1 << 20).unwrap();
+        let cold = SegmentedGph::open_file_backed(&path, spill).unwrap();
 
         let projector = Projector::new(built.partitioning());
         let pd = ProjectedDataset::build(&ds, &projector);
@@ -111,5 +115,6 @@ proptest! {
             prop_assert_eq!(st.n_scanned, scanned);
             prop_assert_eq!(st.n_candidates, admitted.iter().filter(|&&a| a).count() as u64);
         }
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -126,7 +126,7 @@ fn brute_force_topk(
 #[test]
 fn topk_past_a_mostly_dead_segment_is_exact() {
     let cfg = cfg(7);
-    let seg_cfg = SegmentConfig { seal_rows: 64, max_sealed: 4, ..SegmentConfig::default() };
+    let seg_cfg = SegmentConfig { seal_rows: 64, max_sealed: 4 };
     let mut engine = SegmentedGph::new(DIM, cfg.clone(), seg_cfg).expect("new engine");
     let mut model: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
     // Row `id` lies `id % 8` bits from the query, inside every cap but
@@ -171,7 +171,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = cfg(seed);
-        let seg_cfg = SegmentConfig { seal_rows, max_sealed, ..SegmentConfig::default() };
+        let seg_cfg = SegmentConfig { seal_rows, max_sealed };
         let mut engine = SegmentedGph::new(DIM, cfg.clone(), seg_cfg).expect("new engine");
         let mut model: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
         for op in &ops {
@@ -193,7 +193,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = cfg(seed);
-        let seg_cfg = SegmentConfig { seal_rows, max_sealed: 2, ..SegmentConfig::default() };
+        let seg_cfg = SegmentConfig { seal_rows, max_sealed: 2 };
         let mut engine = SegmentedGph::new(DIM, cfg.clone(), seg_cfg).expect("new engine");
         let mut model: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
         for op in &ops_before {

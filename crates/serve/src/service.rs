@@ -38,11 +38,13 @@ pub struct ServiceConfig {
     pub trace: TraceConfig,
     /// Where GPH segments live: [`StorageMode::Resident`] keeps every
     /// engine in memory; [`StorageMode::FileBacked`] serves GPH
-    /// segments out-of-core from snapshot files through a bounded page
-    /// cache. Row slabs (what a seal freezes, or a merge below the
+    /// segments out-of-core from snapshot files through one page cache
+    /// for the whole node, every shard's segments included, bounded by
+    /// the budget. Row slabs (what a seal freezes, or a merge below the
     /// crossover writes) stay resident in either mode, as the memtable
-    /// does. Applied by [`QueryService::warm_start`] at restore time and
-    /// inherited by GPH segments that merges build while serving.
+    /// does. Applied by [`QueryService::warm_start`] at restore time,
+    /// which makes the node's one spill store; GPH segments that merges
+    /// build while serving spill into it.
     pub storage: StorageMode,
     /// Build/restore generation the operator stamps on this service
     /// (bumped per rebuild or warm restart). Reported verbatim by the
@@ -425,9 +427,10 @@ impl QueryService {
     /// [`ServiceConfig::storage`] picks the restore path. The default
     /// keeps everything resident. With [`StorageMode::FileBacked`] the
     /// shard snapshots are mapped rather than read — only headers,
-    /// footers, metadata and one key per key page load eagerly, so startup grows
-    /// only with the number of key pages and the fleet serves corpora
-    /// larger than the page-cache budget:
+    /// footers, metadata and one key per key page load eagerly, so
+    /// startup grows only with the number of key pages, and every shard
+    /// pages through the node's one cache, so the node serves corpora
+    /// larger than the page-cache budget within that budget:
     ///
     /// ```
     /// use gph::coldstore::StorageMode;
@@ -1215,8 +1218,7 @@ mod tests {
         // errors with the row already live.
         let mut bad_cfg = GphConfig::new(64, 4);
         bad_cfg.strategy = PartitionStrategy::Original;
-        let seg_cfg =
-            gph::segment::SegmentConfig { seal_rows: 1, max_sealed: 1, ..Default::default() };
+        let seg_cfg = gph::segment::SegmentConfig { seal_rows: 1, max_sealed: 1 };
         let index =
             ShardedIndex::build_with_segments(&Dataset::new(16), 1, &bad_cfg, seg_cfg).unwrap();
         let q = [0b1111u64];

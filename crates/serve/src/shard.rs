@@ -15,7 +15,7 @@
 //! **identical** to a single engine over the surviving rows — the
 //! shard-merge and mutation property tests pin this down.
 
-use gph::coldstore::PageCacheStats;
+use gph::coldstore::{PageCacheStats, SpillStore};
 use gph::engine::{GphConfig, QueryStats};
 use gph::segment::{SegmentConfig, SegmentedGph};
 use gph::topk_by_escalation;
@@ -25,6 +25,7 @@ use hamming_core::key::mix64;
 use hamming_core::{words_for, Dataset};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-record shard members for a fleet of `(len, n_shards)` — the pure
@@ -51,6 +52,10 @@ pub struct ShardedIndex {
     /// Live records, maintained by the mutation paths so `len()` never
     /// has to take all `S` shard locks just to sum counts.
     live: AtomicUsize,
+    /// The node's one spill store when file-backed, held by every shard
+    /// engine too: one spill directory, one page cache at the whole
+    /// budget. `None` when resident.
+    spill: Option<Arc<SpillStore>>,
 }
 
 /// What an insert or upsert did to the live set ([`ShardedIndex::write`]).
@@ -128,12 +133,19 @@ impl ShardedIndex {
             dim: data.dim(),
             tau_max: cfg.tau_max,
             live: AtomicUsize::new(live),
+            spill: None,
         })
     }
 
     /// Assembles an index from pre-built shard engines (the restore
-    /// path). Engines must agree on dimensionality and `tau_max`.
-    pub(crate) fn from_shards(shards: Vec<SegmentedGph>, dim: usize, tau_max: usize) -> Self {
+    /// path). Engines must agree on dimensionality and `tau_max`, and a
+    /// file-backed index's engines must all hold `spill`.
+    pub(crate) fn from_shards(
+        shards: Vec<SegmentedGph>,
+        dim: usize,
+        tau_max: usize,
+        spill: Option<Arc<SpillStore>>,
+    ) -> Self {
         let n_shards = shards.len();
         let live = shards.iter().map(SegmentedGph::len).sum();
         ShardedIndex {
@@ -143,6 +155,7 @@ impl ShardedIndex {
             dim,
             tau_max,
             live: AtomicUsize::new(live),
+            spill,
         }
     }
 
@@ -189,20 +202,10 @@ impl ShardedIndex {
         self.shards.iter().map(|s| s.read().size_bytes()).sum()
     }
 
-    /// Summed page-cache counters across all file-backed shards; `None`
-    /// when every shard is fully resident.
+    /// The counters of the node's one page cache, which every shard
+    /// pages through, when file-backed; `None` when resident.
     pub fn page_cache_stats(&self) -> Option<PageCacheStats> {
-        let mut agg: Option<PageCacheStats> = None;
-        for shard in &self.shards {
-            if let Some(s) = shard.read().page_cache_stats() {
-                let a = agg.get_or_insert_with(PageCacheStats::default);
-                a.hits += s.hits;
-                a.misses += s.misses;
-                a.evictions += s.evictions;
-                a.resident_bytes += s.resident_bytes;
-            }
-        }
-        agg
+        self.spill.as_ref().map(|s| s.cache().stats())
     }
 
     /// Whether `id` is live.
@@ -582,7 +585,7 @@ mod tests {
         let ds = random_dataset(32, 40, 0.5, 109);
         let mut cfg = test_cfg(2, 4);
         cfg.strategy = PartitionStrategy::Original;
-        let seg_cfg = SegmentConfig { seal_rows: 2, max_sealed: 4, ..SegmentConfig::default() };
+        let seg_cfg = SegmentConfig { seal_rows: 2, max_sealed: 4 };
         let sharded = ShardedIndex::build_with_segments(&ds, 2, &cfg, seg_cfg).unwrap();
         let id = 1000u32;
         let base = sharded.next_insert_cost(id);

@@ -23,18 +23,20 @@
 //! checksummed section by section (see [`gph::segment`]), so corruption
 //! anywhere surfaces as [`HammingError::Corrupt`]. A resident restore
 //! decodes each shard file in memory ([`SegmentedGph::from_bytes`]); a
-//! file-backed one maps it ([`SegmentedGph::load_with_storage`], the
-//! one file-backed restore).
+//! file-backed one makes the node's one [`SpillStore`] and maps every
+//! shard file through it ([`SegmentedGph::open_file_backed`], the one
+//! file-backed restore).
 
 use crate::shard::ShardedIndex;
 use bytes::BufMut;
-use gph::coldstore::StorageMode;
+use gph::coldstore::{SpillStore, StorageMode};
 use gph::segment::{SegmentConfig, SegmentedGph};
 use gph::snapshot::{decode_gph_config, encode_gph_config};
 use hamming_core::error::{HammingError, Result};
 use hamming_core::io::{crc32, write_atomic, ByteReader, Container, OffsetWriter, Source};
 use hamming_core::key::mix64;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Magic of the shard-manifest file.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"GPHM";
@@ -193,7 +195,7 @@ fn decode_manifest(bytes: &[u8]) -> Result<(ShardManifest, gph::GphConfig, Segme
     if seal_rows == 0 || max_sealed == 0 {
         return Err(HammingError::Corrupt("zero segment-lifecycle knobs".into()));
     }
-    let seg_cfg = SegmentConfig { seal_rows, max_sealed, ..SegmentConfig::default() };
+    let seg_cfg = SegmentConfig { seal_rows, max_sealed };
     Ok((ShardManifest { n_shards, len, dim, tau_max, shards }, cfg, seg_cfg))
 }
 
@@ -255,12 +257,14 @@ impl ShardedIndex {
     /// With [`StorageMode::FileBacked`] the shard files are *mapped*,
     /// not read: each shard validates its snapshot's header, footer and
     /// metadata checksums, then serves sealed segments by paging blocks
-    /// from the file on demand. Beyond that, restore reads only one key per key
-    /// page (each cold segment's page fences), so restore time and
-    /// resident memory grow with the number of key pages (2048 4-byte
-    /// or 1024 8-byte keys each at 8 KiB), 8 bytes of memory each; the
-    /// budget is split evenly across shard
-    /// slots (each shard caps its own page cache at `budget / n_shards`).
+    /// from the file on demand. Beyond that, restore reads only one key
+    /// per key page (each cold segment's page fences), so restore time
+    /// and resident memory grow with the number of key pages (2048
+    /// 4-byte or 1024 8-byte keys each at 8 KiB), 8 bytes of memory
+    /// each. The index makes one [`SpillStore`] whose page cache holds
+    /// the whole budget and gives it to every shard slot, empty ones
+    /// included, so the node's paged-in bytes stay within the budget at
+    /// any shard count, and merges past the crossover spill into it.
     /// The manifest's whole-file CRC is deliberately *not* recomputed on
     /// this path — doing so would read every byte and defeat the lazy
     /// mapping; payload pages are instead covered by the per-section
@@ -269,20 +273,28 @@ impl ShardedIndex {
     pub fn restore_with_storage<P: AsRef<Path>>(dir: P, storage: StorageMode) -> Result<Self> {
         let dir = dir.as_ref();
         let (manifest, cfg, seg_cfg) = decode_manifest(&std::fs::read(dir.join(MANIFEST_FILE))?)?;
-        let shard_mode = split_budget(storage, manifest.n_shards);
-        let seg_cfg = SegmentConfig { storage: shard_mode, ..seg_cfg };
-        let manifest_ref = &manifest;
+        let spill = match storage {
+            StorageMode::Resident => None,
+            StorageMode::FileBacked { budget_bytes } => Some(SpillStore::temp(budget_bytes)?),
+        };
+        let (manifest_ref, spill_ref) = (&manifest, spill.as_ref());
         let loaded: Vec<Result<SegmentedGph>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..manifest_ref.n_shards)
                 .map(|slot| {
                     let entry = manifest_ref.shards.iter().find(|e| e.slot == slot);
                     let cfg = &cfg;
-                    scope.spawn(move || match entry {
-                        Some(entry) => {
+                    scope.spawn(move || match (entry, spill_ref) {
+                        (Some(entry), _) => {
                             let path: PathBuf = dir.join(entry.file_name());
-                            load_shard(&path, entry, manifest_ref, shard_mode)
+                            load_shard(&path, entry, manifest_ref, spill_ref)
                         }
-                        None => SegmentedGph::new(manifest_ref.dim, cfg.clone(), seg_cfg),
+                        (None, None) => SegmentedGph::new(manifest_ref.dim, cfg.clone(), seg_cfg),
+                        (None, Some(spill)) => SegmentedGph::new_file_backed(
+                            manifest_ref.dim,
+                            cfg.clone(),
+                            seg_cfg,
+                            Arc::clone(spill),
+                        ),
                     })
                 })
                 .collect();
@@ -299,30 +311,20 @@ impl ShardedIndex {
                 }
             }
         }
-        Ok(ShardedIndex::from_shards(shards, manifest.dim, manifest.tau_max))
+        Ok(ShardedIndex::from_shards(shards, manifest.dim, manifest.tau_max, spill))
     }
 }
 
-/// Splits a fleet-wide page-cache budget into a per-shard mode. Every
-/// shard owns its own cache (shards are independently locked), so the
-/// fleet's total stays at the configured budget.
-fn split_budget(storage: StorageMode, n_shards: usize) -> StorageMode {
-    match storage {
-        StorageMode::Resident => StorageMode::Resident,
-        StorageMode::FileBacked { budget_bytes } => {
-            StorageMode::FileBacked { budget_bytes: (budget_bytes / n_shards.max(1) as u64).max(1) }
-        }
-    }
-}
-
+/// Restores one shard file: decoded resident, or — given the node's
+/// spill store — mapped file-backed through it.
 fn load_shard(
     path: &Path,
     entry: &ShardEntry,
     manifest: &ShardManifest,
-    storage: StorageMode,
+    spill: Option<&Arc<SpillStore>>,
 ) -> Result<SegmentedGph> {
-    let engine = match storage {
-        StorageMode::Resident => {
+    let engine = match spill {
+        None => {
             let bytes = std::fs::read(path)?;
             if crc32(&bytes) != entry.crc {
                 return Err(HammingError::Corrupt(format!(
@@ -335,7 +337,7 @@ fn load_shard(
         // File-backed restore maps the snapshot instead of reading it;
         // section checksums replace the whole-file CRC (see
         // `restore_with_storage`).
-        StorageMode::FileBacked { .. } => SegmentedGph::load_with_storage(path, storage)?,
+        Some(spill) => SegmentedGph::open_file_backed(path, Arc::clone(spill))?,
     };
     if engine.len() != entry.rows {
         return Err(HammingError::Corrupt(format!(
@@ -367,11 +369,14 @@ fn load_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gph::coldstore::DEFAULT_PAGE_BYTES;
     use gph::engine::GphConfig;
     use gph::partition_opt::PartitionStrategy;
-    use hamming_core::{BitVector, Dataset};
+    use gph::segment::crossover_rows;
+    use hamming_core::{hamming, BitVector, Dataset};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use std::collections::BTreeMap;
 
     fn random_dataset(dim: usize, n: usize, seed: u64) -> Dataset {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -476,6 +481,88 @@ mod tests {
         resident.insert(900, extra.row(0)).unwrap();
         assert_eq!(cold.delete(5), resident.delete(5));
         assert_eq!(cold.search(extra.row(0), 2), resident.search(extra.row(0), 2));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One page cache per node: a file-backed restore pages every shard
+    /// through one cache at the whole budget — one page here — so the
+    /// node never holds more, however many shards it serves. Inserts
+    /// into the empty slot merge past the crossover and spill into the
+    /// same store: the merged segment's lookups show in the node's
+    /// counters, and answers stay those of a resident restore and of a
+    /// linear scan.
+    #[test]
+    fn file_backed_shards_page_through_one_cache_within_the_budget() {
+        let ds = random_dataset(64, 600, 311);
+        let mut cfg = GphConfig::new(4, 8);
+        cfg.strategy = PartitionStrategy::RandomShuffle { seed: 12 };
+        // Two seals reach the crossover, so their merge builds GPH.
+        let seal_rows = crossover_rows(64, 4, 8) / 2 + 1;
+        let seg_cfg = SegmentConfig { seal_rows, max_sealed: 1 };
+        let built = ShardedIndex::build_with_segments(&ds, 4, &cfg, seg_cfg).unwrap();
+        let mut model: BTreeMap<u32, Vec<u64>> =
+            (0..600u32).map(|id| (id, ds.row(id as usize).to_vec())).collect();
+        // Slot 3 loses every row, and with them its segment and file.
+        for id in 0..600u32 {
+            if ShardedIndex::shard_of(id, 4) == 3 {
+                assert!(built.delete(id));
+                model.remove(&id);
+            }
+        }
+        let dir = tmp_dir("one_cache");
+        let manifest = built.snapshot(&dir).unwrap();
+        assert_eq!(manifest.shards.iter().map(|e| e.slot).collect::<Vec<_>>(), [0, 1, 2]);
+        let budget = DEFAULT_PAGE_BYTES as u64;
+        let resident = ShardedIndex::restore(&dir).unwrap();
+        let cold = ShardedIndex::restore_with_storage(
+            &dir,
+            StorageMode::FileBacked { budget_bytes: budget },
+        )
+        .unwrap();
+        let stats = || cold.page_cache_stats().expect("a file-backed index has a page cache");
+        let check = |model: &BTreeMap<u32, Vec<u64>>| {
+            for slot in 0..4 {
+                let ids = model.keys().filter(|&&id| ShardedIndex::shard_of(id, 4) == slot);
+                for &id in ids.take(4) {
+                    let q = &model[&id];
+                    let scan: Vec<u32> = (model.iter())
+                        .filter(|(_, row)| hamming(row, q) <= 8)
+                        .map(|(&id, _)| id)
+                        .collect();
+                    assert_eq!(cold.search(q, 8), scan, "slot={slot} id={id}");
+                    assert_eq!(resident.search(q, 8), scan, "slot={slot} id={id}");
+                    assert_eq!(cold.search_topk(q, 5), resident.search_topk(q, 5), "id={id}");
+                    let st = stats();
+                    assert!(st.resident_bytes <= budget, "slot={slot} id={id}: {st:?}");
+                }
+            }
+        };
+        check(&model);
+        assert!(stats().evictions > 0, "three shards' pages share one: {:?}", stats());
+
+        let extra = random_dataset(64, 2 * seal_rows, 312);
+        let fresh: Vec<u32> = (1000u32..)
+            .filter(|&id| ShardedIndex::shard_of(id, 4) == 3)
+            .take(2 * seal_rows)
+            .collect();
+        for (i, &id) in fresh.iter().enumerate() {
+            cold.insert(id, extra.row(i)).unwrap();
+            resident.insert(id, extra.row(i)).unwrap();
+            model.insert(id, extra.row(i).to_vec());
+        }
+        {
+            let slot = cold.shards[3].read();
+            assert_eq!(slot.num_sealed(), 1, "the two seals merged");
+            let lookups = || {
+                let st = stats();
+                st.hits + st.misses
+            };
+            let before = lookups();
+            let q = extra.row(0);
+            assert!(slot.search(q, 8).contains(&fresh[0]), "a merged row finds itself");
+            assert!(lookups() > before, "the merged segment pages through the node's cache");
+        }
+        check(&model);
         std::fs::remove_dir_all(&dir).ok();
     }
 

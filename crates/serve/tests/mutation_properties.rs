@@ -110,7 +110,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = cfg(seed);
-        let seg_cfg = SegmentConfig { seal_rows, max_sealed: 2, ..SegmentConfig::default() };
+        let seg_cfg = SegmentConfig { seal_rows, max_sealed: 2 };
         let mut ds = Dataset::new(DIM);
         let mut model: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
         for (i, bits) in initial.iter().enumerate() {
@@ -301,7 +301,7 @@ proptest! {
             ds.push_row(&row).expect("initial rows");
             model.insert(i as u32, row);
         }
-        let seg_cfg = SegmentConfig { seal_rows, max_sealed: 2, ..SegmentConfig::default() };
+        let seg_cfg = SegmentConfig { seal_rows, max_sealed: 2 };
         let index = ShardedIndex::build_with_segments(&ds, n_shards, &cfg(seed), seg_cfg)
             .expect("build");
         let service =
@@ -418,7 +418,7 @@ fn concurrent_reads_stay_within_bounds_and_settle_exact() {
 
     // Small segments: the writer flushes every 4 inserts per shard and
     // compacts past 2 segments, under the readers.
-    let seg_cfg = SegmentConfig { seal_rows: 4, max_sealed: 2, ..SegmentConfig::default() };
+    let seg_cfg = SegmentConfig { seal_rows: 4, max_sealed: 2 };
     let index = ShardedIndex::build_with_segments(&ds, 2, &cfg(5), seg_cfg).unwrap();
     let service = QueryService::new(
         Arc::new(index),
