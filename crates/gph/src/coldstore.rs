@@ -203,9 +203,10 @@ struct Inner {
 ///
 /// Every cold segment of a node — all its shards' — reads through the
 /// one `PageCache` of the node's [`SpillStore`], so the budget bounds
-/// the node's paged-in bytes regardless of corpus size or shard count
-/// (a budget below one page still keeps one). Counters are plain
-/// atomics so metric scrapes never contend with the read path.
+/// the node's paged-in bytes regardless of corpus size or shard count.
+/// A budget below one page keeps none: every read then goes to the file
+/// uncached, as a miss does whenever the budget is full. Counters are
+/// plain atomics so metric scrapes never contend with the read path.
 ///
 /// ```
 /// use gph::coldstore::{PageCache, SegmentFile};
@@ -240,8 +241,8 @@ pub struct PageCache {
 
 impl PageCache {
     /// Creates a cache bounded by `budget_bytes` with the default page
-    /// size ([`DEFAULT_PAGE_BYTES`]). The cache always retains at least
-    /// one page so progress is possible under any budget.
+    /// size ([`DEFAULT_PAGE_BYTES`]). The budget is a bound: under one
+    /// page, the cache keeps nothing and every read goes to the file.
     pub fn new(budget_bytes: u64) -> PageCache {
         PageCache::with_page_size(budget_bytes, DEFAULT_PAGE_BYTES)
             .expect("default page size is valid")
@@ -318,9 +319,7 @@ impl PageCache {
                 })?;
             let n = (file.len() - off).min(self.page_size as u64) as usize;
             let spare = self.evict_for(&mut inner, n as u64);
-            // The new page is always kept when nothing else is resident
-            // or reserved, so progress is possible under any budget.
-            let reserved = inner.bytes + n as u64 <= self.budget || inner.bytes == 0;
+            let reserved = inner.bytes + n as u64 <= self.budget;
             if reserved {
                 inner.bytes += n as u64;
                 self.resident.store(inner.bytes, Ordering::Relaxed);
@@ -565,7 +564,7 @@ use crate::snapshot::{
     dataset_from_slab, decode_engine_meta, open_engine, PartSpan, SLOT_IDS, SLOT_KEYS, SLOT_OFFS,
     SLOT_ROWS,
 };
-use hamming_core::invindex::{CsrPart, KeyRun};
+use hamming_core::invindex::{CsrPart, KeyRun, SlotRun};
 use hamming_core::io::Source;
 use hamming_core::{hamming_within, words_for, Projector};
 use std::borrow::Cow;
@@ -705,24 +704,25 @@ impl CsrPart for PagedPart<'_> {
     /// The fence run `key` can be on: one page, and no page at all for
     /// a key below the first fence. Fence slots come from the page
     /// geometry, never from the payload.
-    fn bucket(&self, key: u64) -> Range<usize> {
+    fn bucket(&self, key: u64) -> SlotRun {
         match self.fences.partition_point(|f| f.key <= key).checked_sub(1) {
-            Some(i) => self.grid.fence_run(i),
-            None => 0..0,
+            Some(i) => self.grid.fence_run(i).into(),
+            None => SlotRun::default(),
         }
     }
 
     /// The fence runs, one page each.
-    fn runs(&self) -> impl Iterator<Item = Range<usize>> {
-        (0..self.fences.len()).map(move |i| self.grid.fence_run(i))
+    fn runs(&self) -> impl Iterator<Item = SlotRun> {
+        (0..self.fences.len()).map(move |i| self.grid.fence_run(i).into())
     }
 
     /// One page-cache lookup: a bucket or run lies inside one page, and
     /// keys sit on their own width's grid, so the run is whole keys of
     /// it: whole words for 8-byte keys, which are 8-aligned, and the
     /// run's bytes for 4-byte ones.
-    fn with_keys<R>(&self, slots: Range<usize>, f: impl FnOnce(KeyRun<'_>) -> R) -> Read<R> {
-        let (kb, n) = (self.span.key_bytes, slots.len());
+    fn with_keys<R>(&self, run: SlotRun, f: impl FnOnce(KeyRun<'_>) -> R) -> Read<R> {
+        let (kb, slots) = (self.span.key_bytes, run.slots);
+        let n = slots.len();
         let at = self.span.keys_off + (slots.start * kb) as u64;
         let (page, i) = read_ok(self.paged.cache.page_run(&self.paged.file, at, n * kb));
         Ok(f(match kb {
@@ -1072,6 +1072,39 @@ mod tests {
         let mut b = [0u8; 8];
         cache.read_into(&file, 15 * 4096, &mut b).unwrap();
         assert!(cache.stats().hits >= 1);
+        fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn a_budget_below_one_page_keeps_no_page() {
+        let page = DEFAULT_PAGE_BYTES;
+        let bytes: Vec<u8> = (0..4 * page).map(|i| (i % 251) as u8).collect();
+        let path = temp_file("bound", &bytes);
+        let file = SegmentFile::open(&path, false).unwrap();
+        let read = |cache: &PageCache, p: usize| {
+            let mut b = [0u8; 16];
+            cache.read_into(&file, (p * page + 8) as u64, &mut b).unwrap();
+            assert_eq!(b[..], bytes[p * page + 8..][..16], "page {p}");
+        };
+        // One byte: every read is a miss, answered from the file and
+        // kept nowhere.
+        let tiny = PageCache::new(1);
+        for p in [0, 1, 0, 3, 3] {
+            read(&tiny, p);
+            assert_eq!(tiny.stats().resident_bytes, 0);
+        }
+        let s = tiny.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (0, 5, 0));
+        // One page: exactly one is held, each new page evicting the
+        // last, and a read of the held page hits.
+        let one = PageCache::new(page as u64);
+        for p in 0..4 {
+            read(&one, p);
+            assert_eq!(one.stats().resident_bytes, page as u64);
+        }
+        read(&one, 3);
+        let s = one.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (1, 4, 3));
         fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
@@ -1686,10 +1719,11 @@ mod tests {
                         // bucket; grouped, one per maximal run of equal
                         // ones. Offsets and ids cost what they did.
                         let buckets: Vec<_> = sigs.iter().map(|&k| part.bucket(k)).collect();
-                        let probed = buckets.iter().filter(|b| !b.is_empty()).count() as u64;
+                        let probed = buckets.iter().filter(|b| !b.slots.is_empty()).count() as u64;
                         let runs = (0..buckets.len())
                             .filter(|&i| {
-                                !buckets[i].is_empty() && (i == 0 || buckets[i - 1] != buckets[i])
+                                !buckets[i].slots.is_empty()
+                                    && (i == 0 || buckets[i - 1] != buckets[i])
                             })
                             .count() as u64;
                         assert_eq!(cost, per_key_cost - probed + runs, "{what}");

@@ -335,10 +335,27 @@ pub(crate) fn encode_engine(g: &Gph) -> Vec<u8> {
     rowmeta.put_u64_le(data.len() as u64);
     w.section(&rowmeta); // SLOT_ROWMETA
     let mut parttab = Vec::with_capacity(index.num_parts() * 24);
+    let mut keys = Vec::new();
+    let mut offs = Vec::new();
+    let mut ids = Vec::new();
     for p in 0..index.num_parts() {
+        // Each key at its partition's width, each run zero-padded to 8
+        // bytes, so wide runs stay 8-aligned (FORMAT.md).
+        let part_keys = index.part_keys(p);
         parttab.put_u64_le(index.part_width(p) as u64);
-        parttab.put_u64_le(index.part_keys(p).len() as u64);
+        parttab.put_u64_le(part_keys.len() as u64);
         parttab.put_u64_le(index.part_ids(p).len() as u64);
+        match part_keys {
+            Keys::Narrow(narrow) => narrow.iter().for_each(|&k| keys.put_u32_le(k)),
+            Keys::Wide(wide) => wide.iter().for_each(|&k| keys.put_u64_le(k)),
+        }
+        keys.resize(keys.len().next_multiple_of(8), 0);
+        for o in index.part_offsets(p) {
+            offs.put_u32_le(o);
+        }
+        for &id in index.part_ids(p) {
+            ids.put_u32_le(id);
+        }
     }
     w.section(&parttab); // SLOT_PARTTAB
 
@@ -347,28 +364,6 @@ pub(crate) fn encode_engine(g: &Gph) -> Vec<u8> {
         rows.put_u64_le(word);
     }
     w.aligned_section(&rows); // SLOT_ROWS
-    let mut keys = Vec::new();
-    let mut offs = Vec::new();
-    let mut ids = Vec::new();
-    for p in 0..index.num_parts() {
-        // Each key at its partition's width, each run zero-padded to 8
-        // bytes, so wide runs stay 8-aligned (FORMAT.md).
-        let narrow = key_bytes(index.part_width(p)) == 4;
-        for k in index.part_keys(p).iter() {
-            if narrow {
-                keys.put_u32_le(k as u32);
-            } else {
-                keys.put_u64_le(k);
-            }
-        }
-        keys.resize(keys.len().next_multiple_of(8), 0);
-        for &o in index.part_offsets(p) {
-            offs.put_u32_le(o);
-        }
-        for &id in index.part_ids(p) {
-            ids.put_u32_le(id);
-        }
-    }
     w.aligned_section(&keys); // SLOT_KEYS
     w.aligned_section(&offs); // SLOT_OFFS
     w.aligned_section(&ids); // SLOT_IDS

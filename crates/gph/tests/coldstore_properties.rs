@@ -5,7 +5,7 @@
 //! compact and through a snapshot round-trip restored via the lazy
 //! `open_file_backed` path.
 
-use gph::coldstore::SpillStore;
+use gph::coldstore::{SpillStore, DEFAULT_PAGE_BYTES};
 use gph::engine::GphConfig;
 use gph::partition_opt::PartitionStrategy;
 use gph::segment::{crossover_rows, SegmentConfig, SegmentedGph};
@@ -18,11 +18,11 @@ const DIM: usize = 40;
 /// Ops draw ids from a small universe so deletes and upserts frequently
 /// hit live rows (and frequently miss, exercising the no-op path).
 const ID_UNIVERSE: u32 = 24;
-/// A spill store with a 1-byte budget: the cache clamps to a single
+/// A spill store with a one-page budget: the cache holds a single
 /// resident page, so any sealed corpus beyond one page forces clock
 /// evictions mid-query.
 fn tiny_store() -> Arc<SpillStore> {
-    SpillStore::temp(1).expect("spill store")
+    SpillStore::temp(DEFAULT_PAGE_BYTES as u64).expect("spill store")
 }
 
 #[derive(Clone, Debug)]

@@ -27,22 +27,40 @@
 //! **Keys at 4 bytes where they fit.** A partition at most 32 bits wide
 //! stores its keys as `u32`, a wider one as `u64` (33–64-bit values and
 //! the hashes of partitions wider than a word): a rule of the width
-//! ([`key_bytes`]), not an option, and the same in memory and in a
-//! snapshot. A run of keys reaches the reader as a [`KeyRun`] — narrow,
-//! wide, or either of them paged — whose kind is matched once per run,
-//! so each kind's search and walk is its own loop. The build emits
-//! narrow keys in its one sweep, a snapshot decodes them straight into
-//! [`Keys::Narrow`], and [`InvertedIndex::from_csr`] takes either form.
+//! ([`key_bytes`]), not an option, and the form every export and
+//! snapshot holds. The build emits narrow keys in its one sweep, a
+//! snapshot decodes them straight into [`Keys::Narrow`], and
+//! [`InvertedIndex::from_csr`] takes either form.
+//!
+//! **The resident index keeps only what its directory does not say.**
+//! Two rules of the data, not options, pick each resident partition's
+//! form when it is assembled:
+//! - *Keys.* When the directory leaves at most 16 bits below its prefix
+//!   (`shift ≤ 16`), a key is held as its low 16 bits: every bit above
+//!   them is its bucket's prefix, which the directory already holds.
+//!   Otherwise keys stay at [`key_bytes`].
+//! - *Offsets.* When every block of 64 key slots spans at most 65 535
+//!   ids, offsets are one `u32` base per block plus one `u16` per entry.
+//!   Otherwise they stay `u32`.
+//!
+//! Exports ([`InvertedIndex::part_keys`], [`InvertedIndex::part_offsets`])
+//! rebuild the whole arrays, so a snapshot holds the same bytes
+//! whatever the resident form. A run of keys reaches the reader as a [`KeyRun`] — 2-byte,
+//! narrow, wide, or paged — whose kind is matched once per run, so each
+//! kind's search and walk is its own loop. A 2-byte run is lent with its
+//! keys' shared bits above 16 ([`SlotRun::high`]), so lookups and the
+//! walk hand out its keys whole; the walk's runs tile the keys by
+//! `key >> 16`.
 //!
 //! **The lookup is the source's** ([`CsrPart::bucket`]), derived from
 //! the keys and never persisted. The resident index keeps a dense
 //! *prefix directory* over the top `b = ⌊log₂ n_keys⌋ − 3` bits of a
-//! key (clamped to its bits): about eight keys per bucket, half a cache
-//! line of 4-byte keys or one line of 8-byte ones, so a probe is a
-//! directory load, a search in at most one line of `keys` and an `ids`
-//! slice. On the benchmark's 400k-row corpus a
-//! finer directory buys little speed for a lot of memory and a coarser
-//! one gives the gain back; keys sharing one prefix cost a whole-array
+//! key (clamped to its bits): about eight keys per bucket, a quarter of
+//! a cache line of 2-byte keys and at most one line of 8-byte ones, so
+//! a probe is a directory load, a search in at most one line of `keys`
+//! and an `ids` slice. On the benchmark's 400k-row corpus a finer
+//! directory buys little speed for a lot of memory and a coarser one
+//! gives the gain back; keys sharing one prefix cost a whole-array
 //! search, never more. The paged store keeps *page fences* (the first
 //! key of each key page) instead: a directory bucket's size follows the
 //! key distribution, so over a page cache a skewed prefix would cost
@@ -71,6 +89,14 @@ use std::ops::Range;
 /// loop: one predictable branch per probe, no dispatch per key.
 #[derive(Clone, Copy, Debug)]
 pub enum KeyRun<'a> {
+    /// Resident keys held as their low 16 bits: key `j` is
+    /// `high | keys[j]`.
+    Short {
+        /// The bits above the low 16 that every key of the run shares.
+        high: u64,
+        /// Each key's low 16 bits, ascending.
+        keys: &'a [u16],
+    },
     /// Resident keys of a partition at most 32 bits wide.
     Narrow(&'a [u32]),
     /// Resident keys of a wider partition: 33–64-bit values and the
@@ -106,6 +132,7 @@ impl<'a> KeyRun<'a> {
     /// Number of keys in the run.
     pub fn len(self) -> usize {
         match self {
+            KeyRun::Short { keys, .. } => keys.len(),
             KeyRun::Narrow(keys) => keys.len(),
             KeyRun::Wide(keys) => keys.len(),
             KeyRun::Paged(keys) => keys.len(),
@@ -121,6 +148,7 @@ impl<'a> KeyRun<'a> {
     /// The key at position `j` of the run.
     fn get(self, j: usize) -> u64 {
         match self {
+            KeyRun::Short { high, keys } => high | u64::from(keys[j]),
             KeyRun::Narrow(keys) => keys[j].into(),
             KeyRun::Wide(keys) => keys[j],
             KeyRun::Paged(keys) => u64::from_le_bytes(keys[j]),
@@ -134,12 +162,17 @@ impl<'a> KeyRun<'a> {
     }
 
     /// The position of `key`, by binary search of the (sorted) run. A
-    /// key wider than a narrow run's keys is not in it. Always inlined:
-    /// a probe loop that calls it out of line for one run kind, and so
-    /// for every kind, is slower per key.
+    /// key wider than a narrow run's keys, or outside a 2-byte run's
+    /// `high`, is not in it. Always inlined: a probe loop that calls it
+    /// out of line for one run kind, and so for every kind, is slower
+    /// per key.
     #[inline(always)]
     fn find(self, key: u64) -> Option<usize> {
         match self {
+            KeyRun::Short { high, keys } if key & !LOW_16 == high => {
+                keys.binary_search(&(key as u16)).ok()
+            }
+            KeyRun::Short { .. } => None,
             KeyRun::Narrow(keys) => keys.binary_search(&u32::try_from(key).ok()?).ok(),
             KeyRun::Wide(keys) => keys.binary_search(&key).ok(),
             KeyRun::Paged(keys) => keys.binary_search_by(|k| u64::from_le_bytes(*k).cmp(&key)).ok(),
@@ -151,6 +184,9 @@ impl<'a> KeyRun<'a> {
     /// the first error.
     fn try_for_each<E>(self, mut f: impl FnMut(usize, u64) -> Result<(), E>) -> Result<(), E> {
         match self {
+            KeyRun::Short { high, keys } => {
+                keys.iter().enumerate().try_for_each(|(j, &k)| f(j, high | u64::from(k)))
+            }
             KeyRun::Narrow(keys) => keys.iter().enumerate().try_for_each(|(j, &k)| f(j, k.into())),
             KeyRun::Wide(keys) => keys.iter().enumerate().try_for_each(|(j, &k)| f(j, k)),
             KeyRun::Paged(keys) => {
@@ -160,6 +196,30 @@ impl<'a> KeyRun<'a> {
                 (0..bytes.len() / 4).try_for_each(|j| f(j, narrow_at(bytes, j).into()))
             }
         }
+    }
+}
+
+/// Bits below a 2-byte key's shared `high` ([`KeyRun::Short`]).
+const SHORT_BITS: u32 = 16;
+
+/// All-ones over a 2-byte key's bits.
+const LOW_16: u64 = (1 << SHORT_BITS) - 1;
+
+/// The slots of one run of keys, as a source's lookup or walk hands
+/// them out, for [`CsrPart::with_keys`] to lend.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SlotRun {
+    /// Slots of the keys array.
+    pub slots: Range<usize>,
+    /// The bits above the low 16 that every key of the run shares,
+    /// which a source holding 2-byte keys lends them with
+    /// ([`KeyRun::Short`]); runs of other kinds ignore it.
+    pub high: u64,
+}
+
+impl From<Range<usize>> for SlotRun {
+    fn from(slots: Range<usize>) -> SlotRun {
+        SlotRun { slots, high: 0 }
     }
 }
 
@@ -176,17 +236,14 @@ pub trait CsrPart: Copy {
     const GROUP_PROBES: bool = false;
     /// Length of the ids array.
     fn n_ids(&self) -> usize;
-    /// The source's lookup: the slots of the one run of keys that can
-    /// hold `key`, empty if none can.
-    fn bucket(&self, key: u64) -> Range<usize>;
+    /// The source's lookup: the one run of keys that can hold `key`,
+    /// empty if none can.
+    fn bucket(&self, key: u64) -> SlotRun;
     /// Runs that tile the keys array in slot order, for the walk.
-    fn runs(&self) -> impl Iterator<Item = Range<usize>>;
-    /// Hands `f` the keys at `slots`, a run from `bucket` or `runs`.
-    fn with_keys<R>(
-        &self,
-        slots: Range<usize>,
-        f: impl FnOnce(KeyRun<'_>) -> R,
-    ) -> Result<R, Self::Error>;
+    fn runs(&self) -> impl Iterator<Item = SlotRun>;
+    /// Hands `f` the keys of `run`, a run from `bucket` or `runs`.
+    fn with_keys<R>(&self, run: SlotRun, f: impl FnOnce(KeyRun<'_>) -> R)
+        -> Result<R, Self::Error>;
     /// `(offsets[slot], offsets[slot + 1])` as stored, for a key slot.
     fn offsets_pair(&self, slot: usize) -> Result<(u32, u32), Self::Error>;
     /// Hands `emit` the ids at `ids`, a range below `n_ids()`.
@@ -198,10 +255,10 @@ pub trait CsrPart: Copy {
 /// bucket is empty.
 pub fn slot_of<S: CsrPart>(part: S, key: u64) -> Result<Option<usize>, S::Error> {
     let run = part.bucket(key);
-    if run.is_empty() {
+    if run.slots.is_empty() {
         return Ok(None);
     }
-    let lo = run.start;
+    let lo = run.slots.start;
     part.with_keys(run, |keys| keys.find(key).map(|j| lo + j))
 }
 
@@ -254,10 +311,10 @@ pub fn for_each_posting_of<S: CsrPart>(
         let same = 1 + rest[1..].iter().take_while(|&&k| part.bucket(k) == run).count();
         let (group, tail) = rest.split_at(same);
         rest = tail;
-        if run.is_empty() {
+        if run.slots.is_empty() {
             continue;
         }
-        let lo = run.start;
+        let lo = run.slots.start;
         part.with_keys(run, |stored| {
             group.iter().try_for_each(|&key| {
                 if let Some(j) = stored.find(key) {
@@ -283,7 +340,7 @@ pub fn for_each_posting_within<S: CsrPart>(
     mut emit: impl FnMut(u32),
 ) -> Result<(), S::Error> {
     for run in part.runs() {
-        let lo = run.start;
+        let lo = run.slots.start;
         part.with_keys(run, |keys| {
             keys.try_for_each(|j, k| {
                 if (k ^ qk).count_ones() as usize <= radius {
@@ -297,16 +354,17 @@ pub fn for_each_posting_within<S: CsrPart>(
 }
 
 /// One partition's postings in CSR form under its prefix directory:
-/// the resident [`CsrPart`], lent by [`InvertedIndex::part`].
+/// the resident [`CsrPart`], lent by [`InvertedIndex::part`]. Its keys
+/// and offsets are held in the forms the module doc's two rules pick.
 #[derive(Clone, Debug)]
 pub struct PartIndex {
     width: usize,
     /// Distinct signature keys, ascending.
-    keys: Keys,
-    /// `offsets[s]..offsets[s + 1]` is the `ids` range of `keys[s]`;
+    keys: ResidentKeys,
+    /// Entries `s` and `s + 1` bound the `ids` range of key slot `s`;
     /// `keys.len() + 1` entries, monotone, starting at 0 and ending at
     /// `ids.len()`.
-    offsets: Vec<u32>,
+    offsets: ResidentOffsets,
     /// Posting IDs, grouped by key slot, ascending within each group.
     ids: Vec<u32>,
     /// Prefix directory: `dir[h]..dir[h + 1]` is the `keys` slot range
@@ -323,9 +381,9 @@ fn key_bits(width: usize) -> u32 {
     width.min(64) as u32
 }
 
-/// Bytes one key of a `width`-bit partition is stored in, in memory
-/// and on disk alike: 4 when its [key bits](crate::key::key_of) fit, 8
-/// otherwise. A rule of the width, so every index and snapshot of one
+/// Bytes one key of a `width`-bit partition is stored in, in exports
+/// and on disk: 4 when its [key bits](crate::key::key_of) fit, 8
+/// otherwise. A rule of the width, so every export and snapshot of one
 /// partition agrees on it.
 pub fn key_bytes(width: usize) -> usize {
     if key_bits(width) <= 32 {
@@ -335,8 +393,8 @@ pub fn key_bytes(width: usize) -> usize {
     }
 }
 
-/// A partition's sorted keys, as `u32` or `u64`. An index stores them
-/// at [`key_bytes`] of the partition's width.
+/// A partition's sorted keys, as `u32` or `u64`: the form exports and
+/// snapshots hold them in, at [`key_bytes`] of the partition's width.
 #[derive(Clone, Debug)]
 pub enum Keys {
     /// Keys at 4 bytes.
@@ -376,11 +434,22 @@ impl Keys {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Number of keys.
+    pub fn len(&self) -> usize {
         match self {
             Keys::Narrow(keys) => keys.len(),
             Keys::Wide(keys) => keys.len(),
         }
+    }
+
+    /// True if there is no key.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The keys in order, widened to `u64`.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.all().iter()
     }
 
     /// Every key, as one run.
@@ -396,6 +465,103 @@ impl Keys {
     }
 }
 
+/// A partition's keys as the resident index holds them.
+#[derive(Clone, Debug)]
+enum ResidentKeys {
+    /// Each key's low 16 bits: its bucket's prefix holds the rest.
+    Short(Vec<u16>),
+    /// Keys at [`key_bytes`] of the width.
+    Full(Keys),
+}
+
+impl ResidentKeys {
+    /// `keys` in the form the keys rule picks under a directory that
+    /// leaves `shift` bits below its prefix.
+    fn new(keys: Keys, shift: u32) -> ResidentKeys {
+        if shift > SHORT_BITS {
+            return ResidentKeys::Full(keys);
+        }
+        ResidentKeys::Short(keys.iter().map(|k| k as u16).collect())
+    }
+
+    /// The keys of `run` as the reader's run.
+    #[inline]
+    fn run(&self, run: SlotRun) -> KeyRun<'_> {
+        match self {
+            ResidentKeys::Short(keys) => KeyRun::Short { high: run.high, keys: &keys[run.slots] },
+            ResidentKeys::Full(keys) => keys.run(run.slots),
+        }
+    }
+
+    fn size_bytes(&self) -> usize {
+        match self {
+            ResidentKeys::Short(keys) => size_of_val(&keys[..]),
+            ResidentKeys::Full(keys) => keys.size_bytes(),
+        }
+    }
+}
+
+/// Offsets entries per block of [`ResidentOffsets::Blocked`].
+const OFFSET_BLOCK: usize = 64;
+
+/// A partition's offsets as the resident index holds them.
+#[derive(Clone, Debug)]
+enum ResidentOffsets {
+    /// Every entry at 4 bytes.
+    Full(Vec<u32>),
+    /// Entry `s` is `bases[s / 64] + deltas[s]`.
+    Blocked { bases: Vec<u32>, deltas: Vec<u16> },
+}
+
+impl ResidentOffsets {
+    /// Monotone `offsets` in the form the offsets rule picks: blocked
+    /// when every block of 64 key slots spans at most 65 535 ids.
+    fn new(offsets: Vec<u32>) -> ResidentOffsets {
+        let last = offsets.len() - 1;
+        let spans_fit = (0..offsets.len())
+            .step_by(OFFSET_BLOCK)
+            .all(|s| offsets[(s + OFFSET_BLOCK).min(last)] - offsets[s] <= u32::from(u16::MAX));
+        if !spans_fit {
+            return ResidentOffsets::Full(offsets);
+        }
+        let bases: Vec<u32> = offsets.iter().step_by(OFFSET_BLOCK).copied().collect();
+        let deltas = (offsets.iter().enumerate())
+            .map(|(s, &o)| (o - bases[s / OFFSET_BLOCK]) as u16)
+            .collect();
+        ResidentOffsets::Blocked { bases, deltas }
+    }
+
+    /// Entry `s`.
+    #[inline]
+    fn get(&self, s: usize) -> u32 {
+        match self {
+            ResidentOffsets::Full(offsets) => offsets[s],
+            ResidentOffsets::Blocked { bases, deltas } => {
+                bases[s / OFFSET_BLOCK] + u32::from(deltas[s])
+            }
+        }
+    }
+
+    /// Every entry, at 4 bytes.
+    fn to_vec(&self) -> Vec<u32> {
+        match self {
+            ResidentOffsets::Full(offsets) => offsets.clone(),
+            ResidentOffsets::Blocked { deltas, .. } => {
+                (0..deltas.len()).map(|s| self.get(s)).collect()
+            }
+        }
+    }
+
+    fn size_bytes(&self) -> usize {
+        match self {
+            ResidentOffsets::Full(offsets) => size_of_val(&offsets[..]),
+            ResidentOffsets::Blocked { bases, deltas } => {
+                size_of_val(&bases[..]) + size_of_val(&deltas[..])
+            }
+        }
+    }
+}
+
 /// `key >> shift`, for a `shift` that reaches 64 when a one-bucket
 /// directory sits over full-width keys.
 #[inline]
@@ -405,10 +571,12 @@ fn prefix(key: u64, shift: u32) -> u64 {
 
 impl PartIndex {
     /// Finishes a partition from its CSR arrays by deriving the prefix
-    /// directory from the sorted `keys` in one counting pass. No key
-    /// may exceed `key_bits(width)` bits ([`validate_csr_part`] checks
-    /// loaded ones; built ones are projections of that width), and the
-    /// keys are stored at the width's size ([`Keys::narrow`]).
+    /// directory from the sorted `keys` in one counting pass, then
+    /// holding keys and offsets in the forms the module doc's rules
+    /// pick. No key may exceed `key_bits(width)` bits
+    /// ([`validate_csr_part`] checks loaded ones; built ones are
+    /// projections of that width), the keys come at the width's size
+    /// ([`Keys::narrow`]), and the offsets are monotone.
     fn new(width: usize, keys: Keys, offsets: Vec<u32>, ids: Vec<u32>) -> Self {
         debug_assert_eq!(matches!(keys, Keys::Narrow(_)), Keys::narrow(width));
         let key_bits = key_bits(width);
@@ -417,12 +585,13 @@ impl PartIndex {
         let b = keys.len().max(1).ilog2().saturating_sub(3).min(key_bits);
         let shift = key_bits - b;
         let mut dir = vec![0u32; (1usize << b) + 1];
-        for k in keys.all().iter() {
+        for k in keys.iter() {
             dir[prefix(k, shift) as usize + 1] += 1;
         }
         for h in 1..dir.len() {
             dir[h] += dir[h - 1];
         }
+        let (keys, offsets) = (ResidentKeys::new(keys, shift), ResidentOffsets::new(offsets));
         PartIndex { width, keys, offsets, ids, dir, shift }
     }
 
@@ -455,9 +624,27 @@ impl PartIndex {
         &self.ids[ids]
     }
 
-    /// Heap size in bytes: the flat CSR arrays and the prefix directory.
+    /// The keys at [`key_bytes`] of the width, rebuilt from their low
+    /// 16 bits and the runs' `high` where the index holds 2-byte keys.
+    fn full_keys(&self) -> Keys {
+        if let ResidentKeys::Full(keys) = &self.keys {
+            return keys.clone();
+        }
+        let keys = self.runs().flat_map(move |run| self.keys.run(run).iter());
+        if Keys::narrow(self.width) {
+            Keys::Narrow(keys.map(|k| k as u32).collect())
+        } else {
+            Keys::Wide(keys.collect())
+        }
+    }
+
+    /// Heap size in bytes: the flat CSR arrays, in the forms held, and
+    /// the prefix directory.
     pub fn size_bytes(&self) -> usize {
-        self.ids.len() * 4 + self.keys.size_bytes() + self.offsets.len() * 4 + self.dir.len() * 4
+        size_of_val(&self.ids[..])
+            + self.keys.size_bytes()
+            + self.offsets.size_bytes()
+            + size_of_val(&self.dir[..])
     }
 }
 
@@ -469,29 +656,39 @@ impl CsrPart for &PartIndex {
     }
 
     /// The directory bucket of `key`'s prefix; empty for a key that is
-    /// not a `width`-bit value, under which nothing is stored.
-    fn bucket(&self, key: u64) -> Range<usize> {
+    /// not a `width`-bit value, under which nothing is stored. Its keys
+    /// share `key`'s bits above the low 16 whenever the index holds
+    /// 2-byte keys, since those bits are then part of the prefix.
+    fn bucket(&self, key: u64) -> SlotRun {
         let h = prefix(key, self.shift) as usize;
         if h >= self.dir.len() - 1 {
-            return 0..0;
+            return SlotRun::default();
         }
-        self.dir[h] as usize..self.dir[h + 1] as usize
+        SlotRun { slots: self.dir[h] as usize..self.dir[h + 1] as usize, high: key & !LOW_16 }
     }
 
-    fn runs(&self) -> impl Iterator<Item = Range<usize>> {
-        std::iter::once(0..self.keys.len())
+    /// The whole keys array as one run; 2-byte keys as one run per
+    /// value of `key >> 16`, each a group of `2^(16 − shift)` buckets
+    /// (or all of them, when there are fewer).
+    fn runs(&self) -> impl Iterator<Item = SlotRun> {
+        let part: &PartIndex = self;
+        let buckets = part.dir.len() - 1;
+        let per = match part.keys {
+            ResidentKeys::Short(_) => (1 << (SHORT_BITS - part.shift)).min(buckets),
+            ResidentKeys::Full(_) => buckets,
+        };
+        (0..buckets / per).map(move |g| SlotRun {
+            slots: part.dir[g * per] as usize..part.dir[(g + 1) * per] as usize,
+            high: (g as u64) << SHORT_BITS,
+        })
     }
 
-    fn with_keys<R>(
-        &self,
-        slots: Range<usize>,
-        f: impl FnOnce(KeyRun<'_>) -> R,
-    ) -> Result<R, Infallible> {
-        Ok(f(self.keys.run(slots)))
+    fn with_keys<R>(&self, run: SlotRun, f: impl FnOnce(KeyRun<'_>) -> R) -> Result<R, Infallible> {
+        Ok(f(self.keys.run(run)))
     }
 
     fn offsets_pair(&self, slot: usize) -> Result<(u32, u32), Infallible> {
-        Ok((self.offsets[slot], self.offsets[slot + 1]))
+        Ok((self.offsets.get(slot), self.offsets.get(slot + 1)))
     }
 
     fn for_each_id(&self, ids: Range<usize>, emit: impl FnMut(u32)) -> Result<(), Infallible> {
@@ -513,7 +710,7 @@ impl InvertedIndex {
     /// `offsets` and `ids`. Sorting by the pair keeps ids ascending
     /// within each key. Keys of partitions at most 32 bits wide pack
     /// with their id into one `u64` as `key << 32 | id`, and the sweep
-    /// emits them as the 4-byte keys they are stored as; wider keys
+    /// emits them as 4-byte keys; wider keys
     /// (hashes, past 64 bits) sort as `(key, id)` pairs
     /// ([`PartIndex::from_pairs`]).
     pub fn build(pd: &ProjectedDataset) -> Self {
@@ -568,14 +765,17 @@ impl InvertedIndex {
     }
 
     /// Partition `p`'s sorted distinct signature keys (CSR `keys`
-    /// array), one run at the size they are stored at ([`key_bytes`]).
-    pub fn part_keys(&self, p: usize) -> KeyRun<'_> {
-        self.parts[p].keys.all()
+    /// array) at [`key_bytes`] of its width, rebuilt whole from the
+    /// resident form: what a snapshot stores.
+    pub fn part_keys(&self, p: usize) -> Keys {
+        self.parts[p].full_keys()
     }
 
-    /// Partition `p`'s CSR prefix-sum array (`keys.len() + 1` entries).
-    pub fn part_offsets(&self, p: usize) -> &[u32] {
-        &self.parts[p].offsets
+    /// Partition `p`'s CSR prefix-sum array (`keys.len() + 1` entries),
+    /// rebuilt at 4 bytes an entry from the resident form: what a
+    /// snapshot stores.
+    pub fn part_offsets(&self, p: usize) -> Vec<u32> {
+        self.parts[p].offsets.to_vec()
     }
 
     /// Partition `p`'s flat postings array, grouped by key slot.
@@ -588,11 +788,12 @@ impl InvertedIndex {
     /// its siblings export them: how snapshots rebuild the index from
     /// sections read off disk. Keys come as [`Keys`], or as `Vec<u64>`
     /// (8-byte keys); a snapshot passes them at [`key_bytes`] of the
-    /// width, and keys already at that size are kept as they come. Each partition is checked by
-    /// `validate_csr_part` first, so a corrupt payload is rejected
-    /// here rather than answered later; that check proves every key
-    /// fits the partition's width, so narrowing 8-byte keys of a
-    /// partition at most 32 bits wide to 4 bytes loses nothing.
+    /// width, and keys already at that size are moved, not copied,
+    /// unless the keys rule holds them at 2 bytes. Each partition is
+    /// checked by `validate_csr_part` first, so a corrupt payload is
+    /// rejected here rather than answered later; that check proves
+    /// every key fits the partition's width, so narrowing 8-byte keys
+    /// of a partition at most 32 bits wide to 4 bytes loses nothing.
     #[allow(clippy::type_complexity)]
     pub fn from_csr<K: Into<Keys>>(
         len: usize,
@@ -714,7 +915,9 @@ mod tests {
             let expect: Vec<u32> = (0..40).filter(|&id| pairs.contains(&(key, id))).collect();
             assert_eq!(part.postings(key), expect, "key {key:#x}");
         }
-        assert_eq!(part.size_bytes(), 40 * 4 + 5 * 8 + 6 * 4 + part.dir.len() * 4);
+        // 64-bit keys stay 8 bytes; 6 offsets in one block of 40 ids
+        // take 2 bytes each under one 4-byte base.
+        assert_eq!(part.size_bytes(), 40 * 4 + 5 * 8 + (6 * 2 + 4) + part.dir.len() * 4);
     }
 
     #[test]
@@ -769,22 +972,60 @@ mod tests {
         assert_eq!(idx.postings(0, 0), &[] as &[u32]);
     }
 
+    /// An index with every resident form, over 70 000 rows: 2-byte and
+    /// 4-byte keys, 8-byte ones, and 4-byte offsets beside blocked ones.
+    fn every_form() -> InvertedIndex {
+        let n = 70_000u32;
+        // 1000 keys of 70 ids each: a block of 64 keys spans 4480 ids.
+        let even = |width: usize, step: u64| {
+            let keys: Vec<u64> = (0..1000).map(|i| i * step).collect();
+            (width, keys, (0..=1000).map(|i| i * 70).collect(), (0..n).collect())
+        };
+        // Key 0 holds 66 000 ids, more than a 2-byte delta reaches.
+        let heavy: Vec<u32> = [0].into_iter().chain((0..=4000).map(|i| 66_000 + i)).collect();
+        let heavy = (20, (0..4001).map(|i| i * 200).collect(), heavy, (0..n).collect());
+        let parts = vec![even(12, 4), even(32, 4_000_003), even(40, 1 << 30), heavy];
+        InvertedIndex::from_csr(n as usize, parts).unwrap()
+    }
+
+    /// Asserts that `pi` holds its keys and offsets in the forms the two
+    /// rules pick, and returns the bytes those forms hold.
+    fn held_bytes(pi: &PartIndex, offsets: &[u32]) -> usize {
+        let short = pi.shift <= 16;
+        assert_eq!(matches!(pi.keys, ResidentKeys::Short(_)), short, "shift {}", pi.shift);
+        let per_slot: Vec<u32> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+        let blocked = per_slot.chunks(64).all(|block| block.iter().sum::<u32>() <= 65_535);
+        assert_eq!(matches!(pi.offsets, ResidentOffsets::Blocked { .. }), blocked);
+        let n_keys = per_slot.len();
+        let key_size = if short { 2 } else { key_bytes(pi.width) };
+        let offsets_size = if blocked {
+            2 * offsets.len() + 4 * offsets.len().div_ceil(64)
+        } else {
+            4 * offsets.len()
+        };
+        n_keys * key_size + offsets_size + 4 * pi.ids.len() + 4 * pi.dir.len()
+    }
+
     #[test]
     fn size_accounting_positive() {
         let (_, idx, _) = build_table1();
         assert!(idx.size_bytes() > 0);
-        // Exactly the four arrays of every partition, directory included.
-        let arrays: usize = idx
-            .parts
-            .iter()
+        // Exactly the four arrays of every partition in the forms the
+        // rules pick, directory included.
+        for idx in [idx, every_form()] {
+            let arrays: usize =
+                (0..idx.num_parts()).map(|p| held_bytes(&idx.parts[p], &idx.part_offsets(p))).sum();
+            assert_eq!(idx.size_bytes(), arrays);
+        }
+        // Each form is met: table 1's partitions are small enough for
+        // both 2-byte forms; the others leave one form each at full size.
+        let forms: Vec<(bool, bool)> = (every_form().parts.iter())
             .map(|pi| {
-                pi.keys.len() * if pi.width <= 32 { 4 } else { 8 }
-                    + size_of_val(&pi.offsets[..])
-                    + size_of_val(&pi.ids[..])
-                    + size_of_val(&pi.dir[..])
+                let blocked = matches!(pi.offsets, ResidentOffsets::Blocked { .. });
+                (matches!(pi.keys, ResidentKeys::Short(_)), blocked)
             })
-            .sum();
-        assert_eq!(idx.size_bytes(), arrays);
+            .collect();
+        assert_eq!(forms, [(true, true), (false, true), (false, true), (true, false)]);
     }
 
     /// The index's serialized form: per partition `(width, keys,
@@ -938,10 +1179,13 @@ mod tests {
             })
             .collect();
         // 4-byte keys go in as they are and come out as the 8-byte
-        // form's index does.
+        // form's index does; a 4-bit partition's directory leaves at
+        // most 16 bits below its prefix, so it holds them at 2 bytes
+        // and exports them at 4.
         let decoded = InvertedIndex::from_csr(idx.len(), narrow.clone()).unwrap();
         assert_eq!(export(&decoded), good);
-        assert!(decoded.parts.iter().all(|pi| matches!(pi.keys, Keys::Narrow(_))));
+        assert!(decoded.parts.iter().all(|pi| matches!(pi.keys, ResidentKeys::Short(_))));
+        assert!((0..2).all(|p| matches!(decoded.part_keys(p), Keys::Narrow(_))));
         // Every check holds for them: a 4-bit partition's key of 16.
         let mut bad = narrow.clone();
         bad[0].1 = Keys::Narrow(vec![0b1001, 1 << 4]);
@@ -952,7 +1196,8 @@ mod tests {
         // A wide partition's keys handed over at 4 bytes are widened.
         let wide = vec![(40, Keys::Narrow(vec![3, 9]), vec![0, 1, 2], vec![1, 0])];
         let decoded = InvertedIndex::from_csr(2, wide).unwrap();
-        assert!(matches!(decoded.parts[0].keys, Keys::Wide(_)));
+        assert!(matches!(decoded.parts[0].keys, ResidentKeys::Full(Keys::Wide(_))));
+        assert!(matches!(decoded.part_keys(0), Keys::Wide(_)));
         assert_eq!((decoded.postings(0, 3), decoded.postings(0, 9)), (&[1][..], &[0][..]));
         assert_eq!((key_bytes(32), key_bytes(33), key_bytes(64), key_bytes(500)), (4, 8, 8, 8));
     }

@@ -316,3 +316,154 @@ proptest! {
         }
     }
 }
+
+/// The postings of `key` by a search of the whole exported key array.
+fn search_export(csr: &CsrPart, key: u64) -> &[u32] {
+    let (_, keys, offsets, ids) = csr;
+    match keys.binary_search(&key) {
+        Ok(s) => &ids[offsets[s] as usize..offsets[s + 1] as usize],
+        Err(_) => &[],
+    }
+}
+
+/// The bytes the resident index's two rules say a partition holds:
+/// keys at 2 bytes when its directory (`b = ⌊log₂ n_keys⌋ − 3` bits,
+/// clamped to the key's) leaves at most 16 bits below its prefix, at
+/// [`key_bytes`](hamming_core::invindex::key_bytes) otherwise; offsets
+/// at 2 bytes under one 4-byte base per block when every block of 64
+/// key slots spans at most 65 535 ids, at 4 otherwise; ids and the
+/// directory at 4.
+fn rule_bytes(csr: &CsrPart) -> usize {
+    let (_, keys, offsets, ids) = csr;
+    let (key_size, blocked) = rule_forms(csr);
+    let offsets_size = if blocked {
+        2 * offsets.len() + 4 * offsets.len().div_ceil(64)
+    } else {
+        4 * offsets.len()
+    };
+    key_size * keys.len() + offsets_size + 4 * ids.len() + 4 * ((1 << directory_bits(csr)) + 1)
+}
+
+/// The directory's prefix bits, `⌊log₂ n_keys⌋ − 3` clamped to the key's.
+fn directory_bits(csr: &CsrPart) -> u32 {
+    csr.1.len().max(1).ilog2().saturating_sub(3).min(csr.0.min(64) as u32)
+}
+
+/// The forms the rules pick for a partition: its key size, and whether
+/// its offsets are blocked.
+fn rule_forms(csr: &CsrPart) -> (usize, bool) {
+    let (width, _, offsets, _) = csr;
+    let shift = (*width).min(64) as u32 - directory_bits(csr);
+    let key_size = if shift <= 16 { 2 } else { hamming_core::invindex::key_bytes(*width) };
+    let per_slot: Vec<u32> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+    (key_size, per_slot.chunks(64).all(|block| block.iter().sum::<u32>() <= 65_535))
+}
+
+/// Checks partition `p` of `idx` against `csr`, the arrays it was
+/// built from: the export is `csr`, the partition holds the bytes the
+/// rules give, every stored key, its lowest and highest one-bit
+/// neighbours and keys at and past the domain's ends probe like a
+/// whole-array search, and walks of the distinct keys emit exactly the
+/// postings within their radius, in key order.
+fn check_against_export(idx: &InvertedIndex, p: usize, csr: &CsrPart) {
+    let (width, keys, offsets, ids) = csr;
+    assert_eq!(&idx.part_keys(p).iter().collect::<Vec<_>>(), keys, "width {width} keys");
+    assert_eq!(&idx.part_offsets(p), offsets, "width {width} offsets");
+    assert_eq!(idx.part_ids(p), &ids[..], "width {width} ids");
+    assert_eq!(idx.part(p).size_bytes(), rule_bytes(csr), "width {width} bytes");
+    let bits = (*width).min(64);
+    let top = mask(bits);
+    let ends = [0, top, top.wrapping_add(1), u64::MAX, 1 << 63];
+    let near = keys.iter().flat_map(|&k| [k, k ^ 1, k ^ (1 << (bits - 1))]);
+    for key in near.chain(ends) {
+        assert_eq!(idx.postings(p, key), search_export(csr, key), "width {width} key {key:#x}");
+    }
+    let centres = keys.iter().step_by(keys.len() / 3 + 1).copied().chain([top / 3]);
+    for qk in centres {
+        for radius in [0, 1, 3] {
+            let mut walked = Vec::new();
+            let Ok(()) = for_each_posting_within(idx.part(p), qk, radius, |id| walked.push(id));
+            let brute: Vec<u32> = (keys.iter().enumerate())
+                .filter(|&(_, &k)| (k ^ qk).count_ones() as usize <= radius)
+                .flat_map(|(s, _)| {
+                    ids[offsets[s] as usize..offsets[s + 1] as usize].iter().copied()
+                })
+                .collect();
+            assert_eq!(walked, brute, "width {width} qk {qk:#x} radius {radius}");
+        }
+    }
+}
+
+/// An index rebuilt by `from_csr` from `idx`'s export holds the same
+/// bytes, exports the same arrays and answers every stored key alike.
+fn check_reload(idx: &InvertedIndex) {
+    let reloaded = InvertedIndex::from_csr(idx.len(), export(idx)).unwrap();
+    assert_eq!(reloaded.size_bytes(), idx.size_bytes());
+    assert_eq!(export(&reloaded), export(idx));
+    for p in 0..idx.num_parts() {
+        for k in idx.part_keys(p).iter() {
+            assert_eq!(reloaded.postings(p, k), idx.postings(p, k), "part {p} key {k:#x}");
+        }
+    }
+}
+
+/// `n` distinct `width`-bit keys: the lower half dense from 0, so some
+/// buckets fill and others stay empty, the upper half spread over the
+/// rest of the domain.
+fn mixed_keys(width: usize, n: usize) -> Vec<u64> {
+    let dense = n / 2;
+    let rest = (n - dense) as u64;
+    let step = ((1u64 << width) - dense as u64) / rest.max(1);
+    let mut jitter = stream(width as u64 ^ (n as u64) << 8);
+    (0..dense as u64).chain((0..rest).map(|i| dense as u64 + i * step + jitter() % step)).collect()
+}
+
+/// At every width up to 32 and at key counts on both sides of the
+/// 2-byte key line (`shift ≤ 16` from `2^(width − 13)` keys on, always
+/// at 16 bits or fewer), with one or two postings a key: the export is
+/// what went in, the partition holds the bytes the rules give, probes
+/// and walks equal the whole-array reference, and an index rebuilt from
+/// the export holds the same bytes and answers alike.
+#[test]
+fn every_narrow_width_probes_alike_on_both_sides_of_the_two_byte_line() {
+    let mut sides = [0usize; 2];
+    for width in 1..=32usize {
+        let line = 1usize << width.saturating_sub(13);
+        let full = if width <= 16 { Some(1 << width) } else { None };
+        for n in [line - 1, line].into_iter().chain(full) {
+            let keys = mixed_keys(width, n);
+            // Every key holds one row; every third key a second one.
+            let rows: Vec<u64> =
+                keys.iter().copied().chain(keys.iter().step_by(3).copied()).collect();
+            let csr = canonical_csr(width, &rows);
+            let idx = InvertedIndex::from_csr(rows.len(), vec![csr.clone()]).unwrap();
+            let short = width <= 16 || n >= line;
+            assert_eq!(rule_forms(&csr), (if short { 2 } else { 4 }, true), "width {width} n {n}");
+            sides[usize::from(short)] += 1;
+            check_against_export(&idx, 0, &csr);
+            check_reload(&idx);
+        }
+    }
+    assert_eq!(sides, [16, 64]);
+}
+
+/// A key holding 66 000 of 70 000 rows, more than a block's 2-byte
+/// deltas reach, keeps its partition's offsets at 4 bytes, beside a
+/// partition of the same width and a 40-bit one whose blocks meet the
+/// offsets rule: each holds the bytes its forms give, every probe,
+/// walk and export equals the whole-array reference, and an index
+/// rebuilt from the export holds the same bytes and answers alike.
+#[test]
+fn a_key_past_65535_ids_keeps_four_byte_offsets_beside_blocked_ones() {
+    let rows = 70_000u64;
+    let heavy: Vec<u64> = (0..rows).map(|r| if r < 66_000 { 5 } else { r }).collect();
+    let spread: Vec<u64> = (0..rows).map(|r| (r * 7919 % 7000) * 149).collect();
+    let wide: Vec<u64> = (0..rows).map(|r| (r % 5000) << 24 | 3).collect();
+    let csr = vec![canonical_csr(20, &heavy), canonical_csr(20, &spread), canonical_csr(40, &wide)];
+    assert_eq!(csr.iter().map(rule_forms).collect::<Vec<_>>(), [(2, false), (2, true), (8, true)]);
+    let idx = InvertedIndex::from_csr(rows as usize, csr.clone()).unwrap();
+    for (p, c) in csr.iter().enumerate() {
+        check_against_export(&idx, p, c);
+    }
+    check_reload(&idx);
+}

@@ -975,9 +975,8 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
         }
         StorageMode::FileBacked { budget_bytes } => eprintln!(
             "service warm-started from {dir} in {:.2}s \
-             (file-backed, {:.1} MB page-cache budget)",
-            t0.elapsed().as_secs_f64(),
-            budget_bytes as f64 / 1e6
+             (file-backed, page-cache budget {budget_bytes} bytes)",
+            t0.elapsed().as_secs_f64()
         ),
     }
     if let Some(listen) = opts.get("listen") {
