@@ -16,6 +16,11 @@
 //! yields every `e` at once. For `mᵢ = 1` the estimate is exact. By
 //! default the budget is **unshifted** (CDF at `τᵢ`), fixing the printed
 //! formula's degeneracy at `τᵢ < mᵢ − 1`; `paper_shift` restores it.
+//!
+//! Each sub-table is an `ExactPart`, which stores exact-distance counts
+//! (the upper half of the radii read from the complement row), so a
+//! sub-partition's distribution is read straight from two rows. `fill`
+//! convolves in its output row, allocating nothing per query.
 
 use super::exact::ExactPart;
 use super::CnEstimator;
@@ -157,6 +162,11 @@ impl SubPartitionCn {
                         "SP part {p} range {start}..{end} outside width {width}"
                     )));
                 }
+                if end - start > MAX_SUB_WIDTH {
+                    return Err(HammingError::Corrupt(format!(
+                        "SP part {p} range {start}..{end} is wider than {MAX_SUB_WIDTH} bits"
+                    )));
+                }
                 ranges.push((start, end));
             }
             let mut tables = Vec::with_capacity(n_sub);
@@ -222,44 +232,51 @@ impl CnEstimator for SubPartitionCn {
         // counts overcount by N^(mi−1), so we normalize by that factor
         // (expected joint count under independence).
         let cap = tau + 1; // distances beyond τ never matter
-        let mut conv = vec![0.0f64; 1];
-        conv[0] = 1.0;
+                           // `out`'s `cap + 1` slots hold the convolution, then its CDF,
+                           // then the estimates; one sub-partition's distribution is the
+                           // only other buffer.
+        let mut dist = [0.0f64; MAX_SUB_WIDTH + 1];
+        let mut len = 1;
+        out[0] = 1.0;
         let mut scale = 1.0f64;
         for (j, table) in sp.tables.iter().enumerate() {
             let (start, end) = sp.ranges[j];
-            let qv = extract_bits(q_val, start, end);
-            let max_d = (end - start).min(cap);
-            let mut dist = vec![0.0f64; max_d + 1];
-            for (e, slot) in dist.iter_mut().enumerate() {
-                *slot = table.exact_count(qv, e as i32) as f64;
-            }
+            let dist = &mut dist[..=(end - start).min(cap)];
+            table.exact_counts_into(extract_bits(q_val, start, end), dist);
             // Mass beyond `cap` is irrelevant: results there can never
             // contribute to CN at thresholds ≤ τ.
-            let new_len = (conv.len() + dist.len() - 1).min(cap + 1);
-            let mut next = vec![0.0f64; new_len];
-            for (a, &ca) in conv.iter().enumerate() {
-                if ca == 0.0 {
-                    continue;
-                }
-                for (b, &db) in dist.iter().enumerate() {
-                    if a + b < new_len {
-                        next[a + b] += ca * db;
+            let new_len = (len + dist.len() - 1).min(cap + 1);
+            // In place from the far end: slot `s` reads slots `≤ s`, none
+            // of them overwritten yet, and adds its terms from 0.0 in
+            // ascending `a`, as `next[a + b] += ca · db` did in a fresh
+            // buffer, so every sum is the same to the bit.
+            for s in (0..new_len).rev() {
+                let mut sum = 0.0f64;
+                for a in s.saturating_sub(dist.len() - 1)..=s.min(len - 1) {
+                    let ca = out[a];
+                    if ca != 0.0 {
+                        sum += ca * dist[s - a];
                     }
                 }
+                out[s] = sum;
             }
-            conv = next;
+            len = new_len;
             if j > 0 {
                 scale *= sp.n.max(1.0);
             }
         }
-        // ĈN(qᵢ, e) = CDF of conv at (e − mᵢ + 1), normalized.
-        let mut cdf = vec![0.0f64; conv.len() + 1];
-        for (d, &c) in conv.iter().enumerate() {
-            cdf[d + 1] = cdf[d] + c / scale;
+        // ĈN(qᵢ, e) = CDF of conv at (e − mᵢ + 1), normalized: after the
+        // running sum, `out[d]` is the CDF at `d`.
+        let mut cdf = 0.0f64;
+        for c in &mut out[..len] {
+            cdf += *c / scale;
+            *c = cdf;
         }
-        for e in -1..=(tau as i32) {
+        // From the far end again: `e` reads the CDF at a budget `≤ e` and
+        // writes slot `e + 1`.
+        for e in (-1..=(tau as i32)).rev() {
             let budget = if sp.paper_shift { e - mi as i32 + 1 } else { e };
-            let v = if budget < 0 { 0.0 } else { cdf[(budget as usize + 1).min(cdf.len() - 1)] };
+            let v = if budget < 0 { 0.0 } else { out[(budget as usize).min(len - 1)] };
             out[(e + 1) as usize] = v.min(sp.n).max(0.0);
         }
         // e >= width means every vector qualifies; fix the tail exactly.
@@ -411,6 +428,81 @@ mod tests {
         // And the shifted estimate is exactly the unshifted one at e-1.
         for e in 1..=8usize {
             assert!((a[e + 1] - b[e]).abs() < 1e-9, "e={e}");
+        }
+    }
+
+    /// The two-buffer convolution `fill` ran before it worked in place,
+    /// reading each count through `exact_count`.
+    fn fill_with_buffers(sp: &SubSplit, q_val: &[u64], tau: usize, out: &mut [f64]) {
+        let cap = tau + 1;
+        let mut conv = vec![1.0f64];
+        let mut scale = 1.0f64;
+        for (j, table) in sp.tables.iter().enumerate() {
+            let (start, end) = sp.ranges[j];
+            let qv = extract_bits(q_val, start, end);
+            let dist: Vec<f64> = (0..=(end - start).min(cap))
+                .map(|e| table.exact_count(qv, e as i32) as f64)
+                .collect();
+            let new_len = (conv.len() + dist.len() - 1).min(cap + 1);
+            let mut next = vec![0.0f64; new_len];
+            for (a, &ca) in conv.iter().enumerate() {
+                if ca == 0.0 {
+                    continue;
+                }
+                for (b, &db) in dist.iter().enumerate() {
+                    if a + b < new_len {
+                        next[a + b] += ca * db;
+                    }
+                }
+            }
+            conv = next;
+            if j > 0 {
+                scale *= sp.n.max(1.0);
+            }
+        }
+        let mut cdf = vec![0.0f64; conv.len() + 1];
+        for (d, &c) in conv.iter().enumerate() {
+            cdf[d + 1] = cdf[d] + c / scale;
+        }
+        for e in -1..=(tau as i32) {
+            let budget = if sp.paper_shift { e - sp.tables.len() as i32 + 1 } else { e };
+            let v = if budget < 0 { 0.0 } else { cdf[(budget as usize + 1).min(cdf.len() - 1)] };
+            out[(e + 1) as usize] = v.min(sp.n).max(0.0);
+        }
+        for e in sp.width..=tau {
+            out[e + 1] = sp.n;
+        }
+    }
+
+    #[test]
+    fn in_place_fill_is_bit_identical_to_the_buffered_one() {
+        let ds = random_dataset(64, 700, 12);
+        let mut rng = ChaCha8Rng::seed_from_u64(13);
+        for (parts, sub_count) in [(1, 1), (2, 2), (3, 3), (2, 4), (1, 6)] {
+            let p = Partitioning::equi_width(64, parts).unwrap();
+            let proj = Projector::new(&p);
+            let pd = ProjectedDataset::build(&ds, &proj);
+            for paper_shift in [false, true] {
+                let sp = SubPartitionCn::build_with_shift(&pd, 24, sub_count, paper_shift).unwrap();
+                for _ in 0..20 {
+                    let q = BitVector::from_bits((0..64).map(|_| rng.random_bool(0.3)));
+                    for part in 0..parts {
+                        let qp = proj.project(part, q.words());
+                        for tau in [0, 1, 3, 7, 12, 24] {
+                            let (mut got, mut want) = (vec![0.0; tau + 2], vec![0.0; tau + 2]);
+                            sp.fill(part, &qp, tau, &mut got);
+                            fill_with_buffers(&sp.parts[part], &qp, tau, &mut want);
+                            let bits =
+                                |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "m={parts} mi={sub_count} tau={tau}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -670,15 +670,16 @@ mod tests {
         // The benchmark's shape: 128 bits in partitions of 26, 26, 26,
         // 25 and 25 bits, tau_max 16, the default SP estimator. Each
         // partition splits into two sub-tables of 2^13 (or 2^12) values
-        // × 14 (or 13) radii: 1 024 000 counts whatever the row count,
-        // at 4 bytes each.
+        // × 7 radii (0..=6, the lower half of 13 or 12 bits): 516 096
+        // counts whatever the row count, at 2 bytes each while no count
+        // passes 65 535, as none does of 300 rows.
         let ds = random_dataset(128, 300, 0.5, 55);
         let cfg = GphConfig { strategy: PartitionStrategy::Original, ..GphConfig::new(5, 16) };
         let gph = Gph::build(ds, &cfg).unwrap();
         let widths: Vec<usize> = gph.partitioning().parts().iter().map(|p| p.len()).collect();
         assert_eq!(widths, [26, 26, 26, 25, 25]);
         let estimator = gph.plan.estimator.size_bytes();
-        assert_eq!(estimator, 4_096_000);
+        assert_eq!(estimator, 1_032_192);
         // No hidden copy of the rows rides along.
         assert_eq!(gph.size_bytes(), gph.index_size_bytes() + estimator);
     }
