@@ -247,9 +247,9 @@ impl CnEstimator for SubPartitionCn {
             // contribute to CN at thresholds ≤ τ.
             let new_len = (len + dist.len() - 1).min(cap + 1);
             // In place from the far end: slot `s` reads slots `≤ s`, none
-            // of them overwritten yet, and adds its terms from 0.0 in
-            // ascending `a`, as `next[a + b] += ca · db` did in a fresh
-            // buffer, so every sum is the same to the bit.
+            // of them overwritten yet. It adds its terms from 0.0 in
+            // ascending `a`, the order of a two-buffer convolution, so
+            // every estimate is the same to the bit.
             for s in (0..new_len).rev() {
                 let mut sum = 0.0f64;
                 for a in s.saturating_sub(dist.len() - 1)..=s.min(len - 1) {
@@ -503,6 +503,24 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn decode_rejects_a_sub_table_wider_than_16_bits() {
+        // One 17-bit partition kept whole: no build splits it so, and
+        // `fill`'s distribution buffer holds 17 distances.
+        let mut state = Vec::new();
+        state.put_u64_le(1); // parts
+        state.put_u8(0); // paper_shift
+        state.put_u64_le(17); // width
+        state.put_u64_le(10f64.to_bits()); // n
+        state.put_u64_le(1); // one sub-partition, bits 0..17
+        state.put_u64_le(0);
+        state.put_u64_le(17);
+        match SubPartitionCn::decode_state(&state, &[17]) {
+            Err(HammingError::Corrupt(msg)) => assert!(msg.contains("wider than 16 bits"), "{msg}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
         }
     }
 
