@@ -102,7 +102,7 @@ impl SearchIndex for HmSearch {
             let exact = vi.exact_postings(&q_proj);
             stats.n_signatures += 1;
             stats.sum_postings += exact.len() as u64;
-            for &id in exact {
+            for id in exact {
                 let idu = id as usize;
                 if part_stamp.insert(id) {
                     if counts[idu] == 0 && !exacts[idu] {
@@ -116,7 +116,7 @@ impl SearchIndex for HmSearch {
             vi.for_deletion_postings(&q_proj, |ids| {
                 stats.n_signatures += 1;
                 stats.sum_postings += ids.len() as u64;
-                for &id in ids {
+                for id in ids {
                     let idu = id as usize;
                     if part_stamp.insert(id) {
                         if counts[idu] == 0 && !exacts[idu] {

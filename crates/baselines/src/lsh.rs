@@ -143,7 +143,7 @@ impl SearchIndex for MinHashLsh {
             stats.n_signatures += 1;
             let ids = table.postings.postings(sig);
             stats.sum_postings += ids.len() as u64;
-            for &id in ids {
+            for id in ids {
                 if stamp.insert(id) {
                     candidates.push(id);
                 }

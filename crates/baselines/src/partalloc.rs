@@ -169,7 +169,7 @@ impl SearchIndex for PartAlloc {
             let exact = vi.exact_postings(&q_projs[i]);
             stats.n_signatures += 1;
             stats.sum_postings += exact.len() as u64;
-            for &id in exact {
+            for id in exact {
                 if stamp.insert(id) {
                     candidates.push(id);
                 }
@@ -178,7 +178,7 @@ impl SearchIndex for PartAlloc {
                 vi.for_deletion_postings(&q_projs[i], |ids| {
                     stats.n_signatures += 1;
                     stats.sum_postings += ids.len() as u64;
-                    for &id in ids {
+                    for id in ids {
                         if stamp.insert(id) {
                             candidates.push(id);
                         }

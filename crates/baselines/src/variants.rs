@@ -10,7 +10,7 @@
 //! are [`PartIndex`]es, the CSR arrays GPH and MIH probe, so Fig. 6
 //! counts every method's index in the same currency.
 
-use hamming_core::invindex::PartIndex;
+use hamming_core::invindex::{PartIndex, Postings};
 use hamming_core::key::{key_of, mix64};
 use hamming_core::project::ProjectedDataset;
 
@@ -65,14 +65,14 @@ impl VariantIndex {
 
     /// Postings with the exact query value (distance 0).
     #[inline]
-    pub(crate) fn exact_postings(&self, q_val: &[u64]) -> &[u32] {
+    pub(crate) fn exact_postings(&self, q_val: &[u64]) -> Postings<'_> {
         self.exact.postings(key_of(q_val, self.width))
     }
 
     /// Calls `f(ids)` for each deletion slot of the query value; the
     /// union of these lists with the exact postings is the distance ≤ 1
     /// candidate set.
-    pub(crate) fn for_deletion_postings<F: FnMut(&[u32])>(&self, q_val: &[u64], mut f: F) {
+    pub(crate) fn for_deletion_postings<F: FnMut(Postings<'_>)>(&self, q_val: &[u64], mut f: F) {
         let mut buf = q_val[..self.words].to_vec();
         for pos in 0..self.width {
             let w = pos / 64;
@@ -107,8 +107,8 @@ mod tests {
 
     /// Distance ≤ 1 candidate set from the variant index.
     fn leq1_set(vi: &VariantIndex, q: &BitVector) -> HashSet<u32> {
-        let mut out: HashSet<u32> = vi.exact_postings(q.words()).iter().copied().collect();
-        vi.for_deletion_postings(q.words(), |ids| out.extend(ids.iter().copied()));
+        let mut out: HashSet<u32> = vi.exact_postings(q.words()).into_iter().collect();
+        vi.for_deletion_postings(q.words(), |ids| out.extend(ids));
         out
     }
 

@@ -341,10 +341,10 @@ pub(crate) fn encode_engine(g: &Gph) -> Vec<u8> {
     for p in 0..index.num_parts() {
         // Each key at its partition's width, each run zero-padded to 8
         // bytes, so wide runs stay 8-aligned (FORMAT.md).
-        let part_keys = index.part_keys(p);
+        let (part_keys, part_ids) = (index.part_keys(p), index.part_ids(p));
         parttab.put_u64_le(index.part_width(p) as u64);
         parttab.put_u64_le(part_keys.len() as u64);
-        parttab.put_u64_le(index.part_ids(p).len() as u64);
+        parttab.put_u64_le(part_ids.len() as u64);
         match part_keys {
             Keys::Narrow(narrow) => narrow.iter().for_each(|&k| keys.put_u32_le(k)),
             Keys::Wide(wide) => wide.iter().for_each(|&k| keys.put_u64_le(k)),
@@ -353,7 +353,7 @@ pub(crate) fn encode_engine(g: &Gph) -> Vec<u8> {
         for o in index.part_offsets(p) {
             offs.put_u32_le(o);
         }
-        for &id in index.part_ids(p) {
+        for id in part_ids {
             ids.put_u32_le(id);
         }
     }

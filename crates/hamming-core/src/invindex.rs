@@ -19,8 +19,9 @@
 //! [`for_each_posting_of`] (a list of signatures, the query's probe
 //! loop) and [`for_each_posting_within`] (the distinct-key walk of the
 //! scan fallback), generic over a [`CsrPart`] source of runs of the arrays:
-//! [`InvertedIndex`] lends heap slices, and `gph::coldstore` hands out
-//! little-endian runs of cached pages. Each source gets its own
+//! [`InvertedIndex`] lends heap slices of keys and decodes its packed
+//! ids and offsets, and `gph::coldstore` hands out little-endian runs of
+//! cached pages. Each source gets its own
 //! monomorphic copy, so the resident probe has no dynamic dispatch, no
 //! allocation and, its error type being [`Infallible`], no `Result`.
 //!
@@ -32,20 +33,26 @@
 //! snapshot decodes them straight into [`Keys::Narrow`], and
 //! [`InvertedIndex::from_csr`] takes either form.
 //!
-//! **The resident index keeps only what its directory does not say.**
-//! Two rules of the data, not options, pick each resident partition's
-//! form when it is assembled:
+//! **The resident index keeps each array at the width its data needs.**
+//! Rules of the data, not options, pick each resident partition's form
+//! when it is assembled:
 //! - *Keys.* When the directory leaves at most 16 bits below its prefix
 //!   (`shift ≤ 16`), a key is held as its low 16 bits: every bit above
 //!   them is its bucket's prefix, which the directory already holds.
 //!   Otherwise keys stay at [`key_bytes`].
-//! - *Offsets.* When every block of 64 key slots spans at most 65 535
-//!   ids, offsets are one `u32` base per block plus one `u16` per entry.
-//!   Otherwise they stay `u32`.
+//! - *Ids.* Every id is held at the bits of the partition's largest
+//!   ([`PackedInts`]): 19 bits under 400k rows, not 32.
+//! - *Offsets.* One `u32` base per block of 64 entries, plus each
+//!   entry's delta from its block's base at the bits of the largest
+//!   delta: a block spanning few ids costs few bits an entry, and one
+//!   spanning more than 65 535 just gets wider deltas.
 //!
-//! Exports ([`InvertedIndex::part_keys`], [`InvertedIndex::part_offsets`])
-//! rebuild the whole arrays, so a snapshot holds the same bytes
-//! whatever the resident form. A run of keys reaches the reader as a [`KeyRun`] — 2-byte,
+//! Keys and the directory stay plain arrays, since every signature
+//! searches them; ids and offsets are decoded only for a key that is
+//! found. Exports ([`InvertedIndex::part_keys`],
+//! [`InvertedIndex::part_offsets`], [`InvertedIndex::part_ids`]) rebuild
+//! the whole arrays, so a snapshot holds the same bytes whatever the
+//! resident form. A run of keys reaches the reader as a [`KeyRun`] — 2-byte,
 //! narrow, wide, or paged — whose kind is matched once per run, so each
 //! kind's search and walk is its own loop. A 2-byte run is lent with its
 //! keys' shared bits above 16 ([`SlotRun::high`]), so lookups and the
@@ -58,7 +65,7 @@
 //! key (clamped to its bits): about eight keys per bucket, a quarter of
 //! a cache line of 2-byte keys and at most one line of 8-byte ones, so
 //! a probe is a directory load, a search in at most one line of `keys`
-//! and an `ids` slice. On the benchmark's 400k-row corpus a finer
+//! and an ids run. On the benchmark's 400k-row corpus a finer
 //! directory buys little speed for a lot of memory and a coarser one
 //! gives the gain back; keys sharing one prefix cost a whole-array
 //! search, never more. The paged store keeps *page fences* (the first
@@ -80,8 +87,10 @@
 //! index, early, at load.
 
 use crate::error::HammingError;
+use crate::packed::{self, PackedInts};
 use crate::project::ProjectedDataset;
 use std::convert::Infallible;
+use std::fmt;
 use std::ops::Range;
 
 /// A run of stored keys, as a source lends it. The reader matches the
@@ -354,8 +363,8 @@ pub fn for_each_posting_within<S: CsrPart>(
 }
 
 /// One partition's postings in CSR form under its prefix directory:
-/// the resident [`CsrPart`], lent by [`InvertedIndex::part`]. Its keys
-/// and offsets are held in the forms the module doc's two rules pick.
+/// the resident [`CsrPart`], lent by [`InvertedIndex::part`]. Its
+/// arrays are held in the forms the module doc's rules pick.
 #[derive(Clone, Debug)]
 pub struct PartIndex {
     width: usize,
@@ -364,9 +373,9 @@ pub struct PartIndex {
     /// Entries `s` and `s + 1` bound the `ids` range of key slot `s`;
     /// `keys.len() + 1` entries, monotone, starting at 0 and ending at
     /// `ids.len()`.
-    offsets: ResidentOffsets,
+    offsets: Offsets,
     /// Posting IDs, grouped by key slot, ascending within each group.
-    ids: Vec<u32>,
+    ids: PackedInts,
     /// Prefix directory: `dir[h]..dir[h + 1]` is the `keys` slot range
     /// whose keys have `key >> shift == h`; `2^b + 1` entries. Derived
     /// from `keys`, never serialized.
@@ -501,64 +510,95 @@ impl ResidentKeys {
     }
 }
 
-/// Offsets entries per block of [`ResidentOffsets::Blocked`].
+/// Offsets entries per block of [`Offsets`].
 const OFFSET_BLOCK: usize = 64;
 
-/// A partition's offsets as the resident index holds them.
+/// A partition's offsets as the resident index holds them: entry `s` is
+/// `bases[s / 64] + deltas[s]`, the deltas at the bits of the largest.
 #[derive(Clone, Debug)]
-enum ResidentOffsets {
-    /// Every entry at 4 bytes.
-    Full(Vec<u32>),
-    /// Entry `s` is `bases[s / 64] + deltas[s]`.
-    Blocked { bases: Vec<u32>, deltas: Vec<u16> },
+struct Offsets {
+    bases: Vec<u32>,
+    deltas: PackedInts,
 }
 
-impl ResidentOffsets {
-    /// Monotone `offsets` in the form the offsets rule picks: blocked
-    /// when every block of 64 key slots spans at most 65 535 ids.
-    fn new(offsets: Vec<u32>) -> ResidentOffsets {
-        let last = offsets.len() - 1;
-        let spans_fit = (0..offsets.len())
-            .step_by(OFFSET_BLOCK)
-            .all(|s| offsets[(s + OFFSET_BLOCK).min(last)] - offsets[s] <= u32::from(u16::MAX));
-        if !spans_fit {
-            return ResidentOffsets::Full(offsets);
-        }
+impl Offsets {
+    /// Monotone `offsets`, each block of 64 entries as its first entry
+    /// and every entry's distance from it.
+    fn new(offsets: &[u32]) -> Offsets {
         let bases: Vec<u32> = offsets.iter().step_by(OFFSET_BLOCK).copied().collect();
-        let deltas = (offsets.iter().enumerate())
-            .map(|(s, &o)| (o - bases[s / OFFSET_BLOCK]) as u16)
-            .collect();
-        ResidentOffsets::Blocked { bases, deltas }
+        let deltas: Vec<u32> =
+            (offsets.iter().enumerate()).map(|(s, &o)| o - bases[s / OFFSET_BLOCK]).collect();
+        Offsets { bases, deltas: PackedInts::new(&deltas) }
     }
 
     /// Entry `s`.
     #[inline]
     fn get(&self, s: usize) -> u32 {
-        match self {
-            ResidentOffsets::Full(offsets) => offsets[s],
-            ResidentOffsets::Blocked { bases, deltas } => {
-                bases[s / OFFSET_BLOCK] + u32::from(deltas[s])
-            }
-        }
+        self.bases[s / OFFSET_BLOCK] + self.deltas.get(s)
     }
 
     /// Every entry, at 4 bytes.
     fn to_vec(&self) -> Vec<u32> {
-        match self {
-            ResidentOffsets::Full(offsets) => offsets.clone(),
-            ResidentOffsets::Blocked { deltas, .. } => {
-                (0..deltas.len()).map(|s| self.get(s)).collect()
-            }
-        }
+        (0..self.deltas.len()).map(|s| self.get(s)).collect()
     }
 
     fn size_bytes(&self) -> usize {
-        match self {
-            ResidentOffsets::Full(offsets) => size_of_val(&offsets[..]),
-            ResidentOffsets::Blocked { bases, deltas } => {
-                size_of_val(&bases[..]) + size_of_val(&deltas[..])
-            }
-        }
+        size_of_val(&self.bases[..]) + self.deltas.size_bytes()
+    }
+}
+
+/// The postings of one key of a resident partition, ids ascending: a run
+/// of its packed ids, decoded as it is iterated. Compares equal to any
+/// slice of the same ids.
+#[derive(Clone)]
+pub struct Postings<'a> {
+    ids: &'a PackedInts,
+    run: Range<usize>,
+}
+
+impl<'a> Postings<'a> {
+    /// Number of postings.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.run.len()
+    }
+
+    /// True if the key holds no posting.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.run.is_empty()
+    }
+
+    /// The ids in order.
+    pub fn iter(&self) -> packed::Iter<'a> {
+        self.ids.iter(self.run.clone())
+    }
+}
+
+impl<'a> IntoIterator for Postings<'a> {
+    type Item = u32;
+    type IntoIter = packed::Iter<'a>;
+
+    fn into_iter(self) -> packed::Iter<'a> {
+        self.ids.iter(self.run)
+    }
+}
+
+impl PartialEq for Postings<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl<T: AsRef<[u32]> + ?Sized> PartialEq<T> for Postings<'_> {
+    fn eq(&self, other: &T) -> bool {
+        self.iter().eq(other.as_ref().iter().copied())
+    }
+}
+
+impl fmt::Debug for Postings<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -572,12 +612,12 @@ fn prefix(key: u64, shift: u32) -> u64 {
 impl PartIndex {
     /// Finishes a partition from its CSR arrays by deriving the prefix
     /// directory from the sorted `keys` in one counting pass, then
-    /// holding keys and offsets in the forms the module doc's rules
-    /// pick. No key may exceed `key_bits(width)` bits
-    /// ([`validate_csr_part`] checks loaded ones; built ones are
-    /// projections of that width), the keys come at the width's size
-    /// ([`Keys::narrow`]), and the offsets are monotone.
-    fn new(width: usize, keys: Keys, offsets: Vec<u32>, ids: Vec<u32>) -> Self {
+    /// holding each array in the form the module doc's rules pick. No
+    /// key may exceed `key_bits(width)` bits ([`validate_csr_part`]
+    /// checks loaded ones; built ones are projections of that width),
+    /// the keys come at the width's size ([`Keys::narrow`]), and the
+    /// offsets are monotone.
+    fn new(width: usize, keys: Keys, offsets: &[u32], ids: &[u32]) -> Self {
         debug_assert_eq!(matches!(keys, Keys::Narrow(_)), Keys::narrow(width));
         let key_bits = key_bits(width);
         // About eight keys — at most one cache line of `keys` — per
@@ -591,7 +631,8 @@ impl PartIndex {
         for h in 1..dir.len() {
             dir[h] += dir[h - 1];
         }
-        let (keys, offsets) = (ResidentKeys::new(keys, shift), ResidentOffsets::new(offsets));
+        let (keys, offsets, ids) =
+            (ResidentKeys::new(keys, shift), Offsets::new(offsets), PackedInts::new(ids));
         PartIndex { width, keys, offsets, ids, dir, shift }
     }
 
@@ -609,19 +650,21 @@ impl PartIndex {
         let n = pairs.len();
         if !Keys::narrow(width) {
             let (keys, offsets, ids) = csr_of_sorted(n, pairs);
-            return PartIndex::new(width, Keys::Wide(keys), offsets, ids);
+            return PartIndex::new(width, Keys::Wide(keys), &offsets, &ids);
         }
         let narrow = |(k, id): (u64, u32)| (u32::try_from(k).expect("key exceeds width"), id);
         let (keys, offsets, ids) = csr_of_sorted(n, pairs.into_iter().map(narrow));
-        PartIndex::new(width, Keys::Narrow(keys), offsets, ids)
+        PartIndex::new(width, Keys::Narrow(keys), &offsets, &ids)
     }
 
     /// The postings of `key`, ids ascending; empty if it is not stored.
     #[inline]
-    pub fn postings(&self, key: u64) -> &[u32] {
-        let Ok(Some(slot)) = slot_of(self, key) else { return &[] };
-        let Ok(ids) = ids_of(self, slot);
-        &self.ids[ids]
+    pub fn postings(&self, key: u64) -> Postings<'_> {
+        let Ok(Some(slot)) = slot_of(self, key) else {
+            return Postings { ids: &self.ids, run: 0..0 };
+        };
+        let Ok(run) = ids_of(self, slot);
+        Postings { ids: &self.ids, run }
     }
 
     /// The keys at [`key_bytes`] of the width, rebuilt from their low
@@ -638,10 +681,10 @@ impl PartIndex {
         }
     }
 
-    /// Heap size in bytes: the flat CSR arrays, in the forms held, and
-    /// the prefix directory.
+    /// Heap size in bytes: the flat CSR arrays, in the forms held
+    /// (packed ones with their padding), and the prefix directory.
     pub fn size_bytes(&self) -> usize {
-        size_of_val(&self.ids[..])
+        self.ids.size_bytes()
             + self.keys.size_bytes()
             + self.offsets.size_bytes()
             + size_of_val(&self.dir[..])
@@ -692,7 +735,7 @@ impl CsrPart for &PartIndex {
     }
 
     fn for_each_id(&self, ids: Range<usize>, emit: impl FnMut(u32)) -> Result<(), Infallible> {
-        self.ids[ids].iter().copied().for_each(emit);
+        self.ids.for_each(ids, emit);
         Ok(())
     }
 }
@@ -727,7 +770,7 @@ impl InvertedIndex {
                 packed.sort_unstable();
                 let sorted = packed.into_iter().map(|kv| ((kv >> 32) as u32, kv as u32));
                 let (keys, offsets, ids) = csr_of_sorted(n, sorted);
-                PartIndex::new(col.width(), Keys::Narrow(keys), offsets, ids)
+                PartIndex::new(col.width(), Keys::Narrow(keys), &offsets, &ids)
             })
             .collect();
         InvertedIndex { parts, len: n }
@@ -760,7 +803,7 @@ impl InvertedIndex {
 
     /// Postings list for signature `key` in partition `p` (IDs ascending).
     #[inline]
-    pub fn postings(&self, p: usize, key: u64) -> &[u32] {
+    pub fn postings(&self, p: usize, key: u64) -> Postings<'_> {
         self.parts[p].postings(key)
     }
 
@@ -778,9 +821,12 @@ impl InvertedIndex {
         self.parts[p].offsets.to_vec()
     }
 
-    /// Partition `p`'s flat postings array, grouped by key slot.
-    pub fn part_ids(&self, p: usize) -> &[u32] {
-        &self.parts[p].ids
+    /// Partition `p`'s flat postings array, grouped by key slot,
+    /// rebuilt at 4 bytes an id from the packed form: what a snapshot
+    /// stores.
+    pub fn part_ids(&self, p: usize) -> Vec<u32> {
+        let ids = &self.parts[p].ids;
+        ids.iter(0..ids.len()).collect()
     }
 
     /// Assembles an index from raw CSR arrays, one `(width, keys,
@@ -805,14 +851,16 @@ impl InvertedIndex {
             .map(|(p, (width, keys, offsets, ids))| {
                 let keys = keys.into();
                 validate_csr_part(p, len, width, &keys, &offsets, &ids)?;
-                Ok(PartIndex::new(width, keys.at_width(width), offsets, ids))
+                Ok(PartIndex::new(width, keys.at_width(width), &offsets, &ids))
             })
             .collect::<Result<Vec<_>, HammingError>>()?;
         Ok(InvertedIndex { parts, len })
     }
 
-    /// Heap size in bytes (the flat CSR arrays and the prefix
-    /// directory), the quantity compared in Fig. 6.
+    /// Heap size in bytes, the quantity compared in Fig. 6: every
+    /// partition's CSR arrays in the forms held (keys at 2, 4 or 8
+    /// bytes, ids and offset deltas packed, padding included, with a
+    /// 4-byte base per 64 offsets) and its prefix directory.
     pub fn size_bytes(&self) -> usize {
         self.parts.iter().map(PartIndex::size_bytes).sum()
     }
@@ -915,9 +963,23 @@ mod tests {
             let expect: Vec<u32> = (0..40).filter(|&id| pairs.contains(&(key, id))).collect();
             assert_eq!(part.postings(key), expect, "key {key:#x}");
         }
-        // 64-bit keys stay 8 bytes; 6 offsets in one block of 40 ids
-        // take 2 bytes each under one 4-byte base.
-        assert_eq!(part.size_bytes(), 40 * 4 + 5 * 8 + (6 * 2 + 4) + part.dir.len() * 4);
+        // 64-bit keys stay 8 bytes. The 40 ids, all below 40, take 6
+        // bits each, and so do the 6 offsets of one block of 40 ids under
+        // its 4-byte base; a packed array runs 8 bytes past its last
+        // value's first byte.
+        let (ids, deltas) = (39 * 6 / 8 + 8, 4 + 5 * 6 / 8 + 8);
+        assert_eq!(part.size_bytes(), ids + 5 * 8 + deltas + part.dir.len() * 4);
+    }
+
+    #[test]
+    fn from_pairs_holds_the_largest_id_at_32_bits_intact() {
+        let part = PartIndex::from_pairs(8, vec![(3, u32::MAX), (5, 7), (3, 0)]);
+        assert_eq!(part.ids.width(), 32);
+        assert_eq!(part.postings(3), [0, u32::MAX]);
+        assert_eq!(part.postings(5), [7]);
+        let mut walked = Vec::new();
+        let Ok(()) = for_each_posting_within(&part, 3, 8, |id| walked.push(id));
+        assert_eq!(walked, [0, u32::MAX, 7]);
     }
 
     #[test]
@@ -958,7 +1020,7 @@ mod tests {
     #[test]
     fn postings_are_sorted() {
         let (_, idx, _) = build_table1();
-        let l = idx.postings(1, 0b1111);
+        let l: Vec<u32> = idx.postings(1, 0b1111).into_iter().collect();
         assert!(l.windows(2).all(|w| w[0] < w[1]));
     }
 
@@ -973,7 +1035,7 @@ mod tests {
     }
 
     /// An index with every resident form, over 70 000 rows: 2-byte and
-    /// 4-byte keys, 8-byte ones, and 4-byte offsets beside blocked ones.
+    /// 4-byte keys, 8-byte ones, and offset deltas at 13 bits beside 17.
     fn every_form() -> InvertedIndex {
         let n = 70_000u32;
         // 1000 keys of 70 ids each: a block of 64 keys spans 4480 ids.
@@ -981,29 +1043,34 @@ mod tests {
             let keys: Vec<u64> = (0..1000).map(|i| i * step).collect();
             (width, keys, (0..=1000).map(|i| i * 70).collect(), (0..n).collect())
         };
-        // Key 0 holds 66 000 ids, more than a 2-byte delta reaches.
+        // Key 0 holds 66 000 ids, more than 16-bit deltas reach.
         let heavy: Vec<u32> = [0].into_iter().chain((0..=4000).map(|i| 66_000 + i)).collect();
         let heavy = (20, (0..4001).map(|i| i * 200).collect(), heavy, (0..n).collect());
         let parts = vec![even(12, 4), even(32, 4_000_003), even(40, 1 << 30), heavy];
         InvertedIndex::from_csr(n as usize, parts).unwrap()
     }
 
-    /// Asserts that `pi` holds its keys and offsets in the forms the two
-    /// rules pick, and returns the bytes those forms hold.
-    fn held_bytes(pi: &PartIndex, offsets: &[u32]) -> usize {
+    /// Bits of the largest of `values`, and the bytes they take packed at
+    /// that width: 8 past the last value's first byte, none for none.
+    fn packed(values: &[u32]) -> (u32, usize) {
+        let bits = values.iter().max().map_or(0, |&v| 32 - v.leading_zeros());
+        let bytes = if values.is_empty() { 0 } else { (values.len() - 1) * bits as usize / 8 + 8 };
+        (bits, bytes)
+    }
+
+    /// Asserts that `pi` holds its arrays in the forms the rules pick,
+    /// and returns the bytes those forms hold.
+    fn held_bytes(pi: &PartIndex, offsets: &[u32], ids: &[u32]) -> usize {
         let short = pi.shift <= 16;
         assert_eq!(matches!(pi.keys, ResidentKeys::Short(_)), short, "shift {}", pi.shift);
-        let per_slot: Vec<u32> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
-        let blocked = per_slot.chunks(64).all(|block| block.iter().sum::<u32>() <= 65_535);
-        assert_eq!(matches!(pi.offsets, ResidentOffsets::Blocked { .. }), blocked);
-        let n_keys = per_slot.len();
+        let deltas: Vec<u32> =
+            (offsets.iter().enumerate()).map(|(s, &o)| o - offsets[s & !63]).collect();
+        let ((delta_bits, deltas_size), (id_bits, ids_size)) = (packed(&deltas), packed(ids));
+        assert_eq!((pi.offsets.deltas.width(), pi.ids.width()), (delta_bits, id_bits));
+        let n_keys = offsets.len() - 1;
         let key_size = if short { 2 } else { key_bytes(pi.width) };
-        let offsets_size = if blocked {
-            2 * offsets.len() + 4 * offsets.len().div_ceil(64)
-        } else {
-            4 * offsets.len()
-        };
-        n_keys * key_size + offsets_size + 4 * pi.ids.len() + 4 * pi.dir.len()
+        let offsets_size = deltas_size + 4 * offsets.len().div_ceil(64);
+        n_keys * key_size + offsets_size + ids_size + 4 * pi.dir.len()
     }
 
     #[test]
@@ -1013,19 +1080,22 @@ mod tests {
         // Exactly the four arrays of every partition in the forms the
         // rules pick, directory included.
         for idx in [idx, every_form()] {
-            let arrays: usize =
-                (0..idx.num_parts()).map(|p| held_bytes(&idx.parts[p], &idx.part_offsets(p))).sum();
+            let arrays: usize = (0..idx.num_parts())
+                .map(|p| held_bytes(&idx.parts[p], &idx.part_offsets(p), &idx.part_ids(p)))
+                .sum();
             assert_eq!(idx.size_bytes(), arrays);
         }
         // Each form is met: table 1's partitions are small enough for
-        // both 2-byte forms; the others leave one form each at full size.
-        let forms: Vec<(bool, bool)> = (every_form().parts.iter())
+        // 2-byte keys; the others hold 4- and 8-byte keys, and 17-bit
+        // deltas where one block spans 66 062 ids. Every id of 70 000
+        // rows takes 17 bits.
+        let forms: Vec<(bool, u32, u32)> = (every_form().parts.iter())
             .map(|pi| {
-                let blocked = matches!(pi.offsets, ResidentOffsets::Blocked { .. });
-                (matches!(pi.keys, ResidentKeys::Short(_)), blocked)
+                let short = matches!(pi.keys, ResidentKeys::Short(_));
+                (short, pi.offsets.deltas.width(), pi.ids.width())
             })
             .collect();
-        assert_eq!(forms, [(true, true), (false, true), (false, true), (true, false)]);
+        assert_eq!(forms, [(true, 13, 17), (false, 13, 17), (false, 13, 17), (true, 17, 17)]);
     }
 
     /// The index's serialized form: per partition `(width, keys,
@@ -1131,6 +1201,8 @@ mod tests {
             }
         };
         reject("id out of range", &|c| *c[1].3.last_mut().unwrap() = 900);
+        // The one id that packing at the bits of `n − 1` would wrap.
+        reject("id equal to the row count", &|c| *c[1].3.last_mut().unwrap() = n as u32);
         reject("postings do not cover every row", &|c| {
             c[0].3.pop();
         });
@@ -1198,7 +1270,7 @@ mod tests {
         let decoded = InvertedIndex::from_csr(2, wide).unwrap();
         assert!(matches!(decoded.parts[0].keys, ResidentKeys::Full(Keys::Wide(_))));
         assert!(matches!(decoded.part_keys(0), Keys::Wide(_)));
-        assert_eq!((decoded.postings(0, 3), decoded.postings(0, 9)), (&[1][..], &[0][..]));
+        assert_eq!([decoded.postings(0, 3), decoded.postings(0, 9)], [[1], [0]]);
         assert_eq!((key_bytes(32), key_bytes(33), key_bytes(64), key_bytes(500)), (4, 8, 8, 8));
     }
 

@@ -20,6 +20,8 @@
 //! * [`stats`] — per-dimension skewness, entropy and correlation measures
 //!   (Fig. 1 of the paper, and inputs to partitioning heuristics).
 //! * [`io`] — a compact binary serialization for datasets.
+//! * [`packed`] — fixed-width packed integers ([`PackedInts`]), the
+//!   resident form of the inverted index's ids and offsets.
 //! * [`tombstone`] — deletion bitmaps ([`Tombstones`]) that let immutable
 //!   indexes serve deletes by filtering instead of rebuilding.
 //! * [`visited`] — the epoch-stamped candidate set ([`Visited`]) every
@@ -45,6 +47,7 @@ pub mod error;
 pub mod invindex;
 pub mod io;
 pub mod key;
+pub mod packed;
 pub mod partition;
 pub mod project;
 #[cfg(target_arch = "x86_64")]
@@ -60,6 +63,7 @@ pub use dataset::Dataset;
 pub use distance::{hamming, hamming_within};
 pub use error::HammingError;
 pub use invindex::InvertedIndex;
+pub use packed::PackedInts;
 pub use partition::Partitioning;
 pub use project::{PartitionShape, ProjectedDataset, Projector};
 pub use tombstone::Tombstones;

@@ -4,9 +4,10 @@
 //! arrays an index exports — what a snapshot stores — to their
 //! definition, so the directory can change how a key is found but never
 //! what is found or what is written. Keys of partitions at most 32 bits
-//! wide are held in 4 bytes, wider ones in 8: both sides of that line
-//! answer and export alike. A list of signatures probed in one call
-//! hands out what probing them one by one does.
+//! wide are held in 4 bytes, wider ones in 8, and ids and offsets are
+//! packed at the bits of their largest: both sides of each line answer
+//! and export alike. A list of signatures probed in one call hands out
+//! what probing them one by one does.
 
 use hamming_core::enumerate::for_each_in_ball_u64;
 use hamming_core::invindex::{
@@ -49,14 +50,14 @@ fn canonical_csr(width: usize, key_of_row: &[u64]) -> CsrPart {
 }
 
 /// The lookup the directory replaced: a search of the whole key array.
-fn whole_array_search(idx: &InvertedIndex, p: usize, key: u64) -> &[u32] {
+fn whole_array_search(idx: &InvertedIndex, p: usize, key: u64) -> Vec<u32> {
     let keys: Vec<u64> = idx.part_keys(p).iter().collect();
     match keys.binary_search(&key) {
         Ok(s) => {
             let offsets = idx.part_offsets(p);
-            &idx.part_ids(p)[offsets[s] as usize..offsets[s + 1] as usize]
+            idx.part_ids(p)[offsets[s] as usize..offsets[s + 1] as usize].to_vec()
         }
-        Err(_) => &[],
+        Err(_) => Vec::new(),
     }
 }
 
@@ -326,22 +327,34 @@ fn search_export(csr: &CsrPart, key: u64) -> &[u32] {
     }
 }
 
-/// The bytes the resident index's two rules say a partition holds:
-/// keys at 2 bytes when its directory (`b = ⌊log₂ n_keys⌋ − 3` bits,
-/// clamped to the key's) leaves at most 16 bits below its prefix, at
+/// Bits of the largest of `values`.
+fn bits_of(values: &[u32]) -> u32 {
+    values.iter().max().map_or(0, |&v| 32 - v.leading_zeros())
+}
+
+/// Bytes `len` values packed at `bits` each take: 8 past the last
+/// value's first byte, none for none.
+fn packed_bytes(len: usize, bits: u32) -> usize {
+    if len == 0 {
+        0
+    } else {
+        (len - 1) * bits as usize / 8 + 8
+    }
+}
+
+/// The bytes the resident index's rules say a partition holds: keys at
+/// 2 bytes when its directory (`b = ⌊log₂ n_keys⌋ − 3` bits, clamped to
+/// the key's) leaves at most 16 bits below its prefix, at
 /// [`key_bytes`](hamming_core::invindex::key_bytes) otherwise; offsets
-/// at 2 bytes under one 4-byte base per block when every block of 64
-/// key slots spans at most 65 535 ids, at 4 otherwise; ids and the
+/// as one 4-byte base per block of 64 entries plus each entry's delta
+/// from it, and ids, each packed at the bits of their largest; the
 /// directory at 4.
 fn rule_bytes(csr: &CsrPart) -> usize {
     let (_, keys, offsets, ids) = csr;
-    let (key_size, blocked) = rule_forms(csr);
-    let offsets_size = if blocked {
-        2 * offsets.len() + 4 * offsets.len().div_ceil(64)
-    } else {
-        4 * offsets.len()
-    };
-    key_size * keys.len() + offsets_size + 4 * ids.len() + 4 * ((1 << directory_bits(csr)) + 1)
+    let (key_size, delta_bits) = rule_forms(csr);
+    let offsets_size = packed_bytes(offsets.len(), delta_bits) + 4 * offsets.len().div_ceil(64);
+    let ids_size = packed_bytes(ids.len(), bits_of(ids));
+    key_size * keys.len() + offsets_size + ids_size + 4 * ((1 << directory_bits(csr)) + 1)
 }
 
 /// The directory's prefix bits, `⌊log₂ n_keys⌋ − 3` clamped to the key's.
@@ -349,14 +362,14 @@ fn directory_bits(csr: &CsrPart) -> u32 {
     csr.1.len().max(1).ilog2().saturating_sub(3).min(csr.0.min(64) as u32)
 }
 
-/// The forms the rules pick for a partition: its key size, and whether
-/// its offsets are blocked.
-fn rule_forms(csr: &CsrPart) -> (usize, bool) {
+/// The forms the rules pick for a partition: its key size, and the bits
+/// of its offsets' deltas from their blocks' bases.
+fn rule_forms(csr: &CsrPart) -> (usize, u32) {
     let (width, _, offsets, _) = csr;
     let shift = (*width).min(64) as u32 - directory_bits(csr);
     let key_size = if shift <= 16 { 2 } else { hamming_core::invindex::key_bytes(*width) };
-    let per_slot: Vec<u32> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
-    (key_size, per_slot.chunks(64).all(|block| block.iter().sum::<u32>() <= 65_535))
+    let deltas: Vec<u32> = offsets.chunks(64).flat_map(|b| b.iter().map(|&o| o - b[0])).collect();
+    (key_size, bits_of(&deltas))
 }
 
 /// Checks partition `p` of `idx` against `csr`, the arrays it was
@@ -438,7 +451,10 @@ fn every_narrow_width_probes_alike_on_both_sides_of_the_two_byte_line() {
             let csr = canonical_csr(width, &rows);
             let idx = InvertedIndex::from_csr(rows.len(), vec![csr.clone()]).unwrap();
             let short = width <= 16 || n >= line;
-            assert_eq!(rule_forms(&csr), (if short { 2 } else { 4 }, true), "width {width} n {n}");
+            // A block's 64 entries span at most 63 keys of 1 or 2 rows.
+            let (key_size, delta_bits) = rule_forms(&csr);
+            assert_eq!(key_size, if short { 2 } else { 4 }, "width {width} n {n}");
+            assert!(delta_bits <= 7, "width {width} n {n}: {delta_bits}-bit deltas");
             sides[usize::from(short)] += 1;
             check_against_export(&idx, 0, &csr);
             check_reload(&idx);
@@ -447,23 +463,72 @@ fn every_narrow_width_probes_alike_on_both_sides_of_the_two_byte_line() {
     assert_eq!(sides, [16, 64]);
 }
 
-/// A key holding 66 000 of 70 000 rows, more than a block's 2-byte
-/// deltas reach, keeps its partition's offsets at 4 bytes, beside a
-/// partition of the same width and a 40-bit one whose blocks meet the
-/// offsets rule: each holds the bytes its forms give, every probe,
-/// walk and export equals the whole-array reference, and an index
-/// rebuilt from the export holds the same bytes and answers alike.
+/// A key holding 66 000 of 70 000 rows, more than 16-bit deltas reach,
+/// widens its partition's offset deltas to 17 bits, beside a partition
+/// of the same width and a 40-bit one whose blocks span under a
+/// thousand ids: each holds the bytes its forms give, every probe, walk
+/// and export equals the whole-array reference, and an index rebuilt
+/// from the export holds the same bytes and answers alike.
 #[test]
-fn a_key_past_65535_ids_keeps_four_byte_offsets_beside_blocked_ones() {
+fn a_key_past_65535_ids_widens_its_offset_deltas_beside_narrow_ones() {
     let rows = 70_000u64;
     let heavy: Vec<u64> = (0..rows).map(|r| if r < 66_000 { 5 } else { r }).collect();
     let spread: Vec<u64> = (0..rows).map(|r| (r * 7919 % 7000) * 149).collect();
     let wide: Vec<u64> = (0..rows).map(|r| (r % 5000) << 24 | 3).collect();
     let csr = vec![canonical_csr(20, &heavy), canonical_csr(20, &spread), canonical_csr(40, &wide)];
-    assert_eq!(csr.iter().map(rule_forms).collect::<Vec<_>>(), [(2, false), (2, true), (8, true)]);
+    assert_eq!(csr.iter().map(rule_forms).collect::<Vec<_>>(), [(2, 17), (2, 10), (8, 10)]);
     let idx = InvertedIndex::from_csr(rows as usize, csr.clone()).unwrap();
     for (p, c) in csr.iter().enumerate() {
         check_against_export(&idx, p, c);
     }
     check_reload(&idx);
+}
+
+/// At row counts whose largest id sits on both sides of a byte line
+/// (8 and 9 bits, 16 and 17), over an 8-bit and a 4-bit partition, with
+/// one key holding 65 536 postings once the rows allow it (17-bit
+/// offset deltas): the build exports the arrays by definition, each
+/// partition holds the bytes the rules give, every probe, walk and
+/// export equals the whole-array reference, a partition built from
+/// unordered pairs answers alike in as many bytes, and an index rebuilt
+/// from the export holds the same bytes and answers alike.
+#[test]
+fn id_widths_on_both_sides_of_a_byte_line_probe_and_export_alike() {
+    for rows in [255usize, 256, 257, 65_535, 65_536, 65_537] {
+        let heavy = |r: usize| rows > 65_536 && r < 65_536;
+        let key0: Vec<u64> =
+            (0..rows).map(|r| if heavy(r) { 5 } else { (r * 37 % 251) as u64 }).collect();
+        let key1: Vec<u64> = (0..rows).map(|r| (r * 7 % 13 % 16) as u64).collect();
+        let data = Dataset::from_vectors(
+            12,
+            (0..rows).map(|r| {
+                BitVector::from_bits(
+                    (0..8)
+                        .map(|d| (key0[r] >> d) & 1 == 1)
+                        .chain((0..4).map(|d| (key1[r] >> d) & 1 == 1)),
+                )
+            }),
+        )
+        .unwrap();
+        let dims = |r: std::ops::Range<u32>| r.collect::<Vec<u32>>();
+        let partitioning = Partitioning::new(12, vec![dims(0..8), dims(8..12)]).unwrap();
+        let idx =
+            InvertedIndex::build(&ProjectedDataset::build(&data, &Projector::new(&partitioning)));
+        let csr = [canonical_csr(8, &key0), canonical_csr(4, &key1)];
+        assert_eq!(export(&idx), csr, "rows {rows}");
+        let id_bits = bits_of(&csr[0].3);
+        assert_eq!(id_bits, usize::BITS - (rows - 1).leading_zeros(), "rows {rows}");
+        let delta_bits = rule_forms(&csr[0]).1;
+        assert_eq!(delta_bits >= 17, rows > 65_536, "rows {rows}: {delta_bits}-bit deltas");
+        for (p, c) in csr.iter().enumerate() {
+            check_against_export(&idx, p, c);
+            let pairs = c.3.iter().map(|&id| ([&key0, &key1][p][id as usize], id)).rev().collect();
+            let from_pairs = PartIndex::from_pairs(c.0, pairs);
+            assert_eq!(from_pairs.size_bytes(), idx.part(p).size_bytes(), "rows {rows} part {p}");
+            for &k in &c.1 {
+                assert_eq!(from_pairs.postings(k), idx.postings(p, k), "rows {rows} key {k}");
+            }
+        }
+        check_reload(&idx);
+    }
 }
